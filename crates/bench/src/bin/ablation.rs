@@ -1,4 +1,4 @@
-//! Ablation harness for the design choices called out in DESIGN.md:
+//! Ablation harness for the design choices described in the README:
 //!
 //! 1. **Incremental solving** — the DSE loop's push/pop solver (shared
 //!    bit-blast cache, learned clauses) vs. a fresh solver per branch-flip

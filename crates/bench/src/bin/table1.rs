@@ -11,7 +11,8 @@
 //! Engines: angr (with the five documented lifter bugs), BINSEC, SymEx-VP,
 //! BinSym. The sorts match the paper's counts exactly (n! by construction);
 //! for the RIOT-derived parsers the absolute counts belong to our
-//! re-implementation (see EXPERIMENTS.md), but the qualitative result is
+//! re-implementation (see the README, "Persona cost models and path
+//! counts"), but the qualitative result is
 //! identical: angr misses paths on `base64-encode` and `uri-parser`, all
 //! other engines agree on every row.
 //!

@@ -740,8 +740,8 @@ fn context_switch_spin(iters: u32) {
 /// free-monad interpretation, thunk allocation). Without this, our Rust
 /// re-implementation of the specification interpreter is as fast as the
 /// optimized IR engine and the Fig. 6 ordering BINSEC < BinSym would not
-/// be observable. The cost constant is documented in EXPERIMENTS.md; path
-/// counts are unaffected.
+/// be observable. The cost constant is documented in the README ("Persona
+/// cost models and path counts"); path counts are unaffected.
 #[derive(Debug, Clone, Copy)]
 pub struct GhcRuntimeObserver {
     /// Busy-work iterations per executed instruction.

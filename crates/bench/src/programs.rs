@@ -24,7 +24,8 @@ pub struct Program {
     pub expected_paths_buggy_angr: u64,
     /// The paper's Table I path count for correct engines (the absolute
     /// values differ from ours for the RIOT-derived programs because source
-    /// and compiler differ; see EXPERIMENTS.md).
+    /// and compiler differ; see the README, "Persona cost models and path
+    /// counts").
     pub paper_paths: u64,
     /// The paper's Table I path count for angr.
     pub paper_paths_angr: u64,

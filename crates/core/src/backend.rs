@@ -17,16 +17,18 @@
 //!
 //! Ahead of any backend sits the [`StaticGate`]: a word-level screening
 //! stage (known bits, intervals, order closure — `binsym_smt::analysis`)
-//! that decides statically-determined flip queries with **zero** SAT
-//! calls and passes only residual queries on to bit-blasting.
+//! that drops provably infeasible flip queries with **zero** SAT calls and
+//! passes only residual queries on to bit-blasting.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use binsym_smt::{smtlib, Analysis, Model, SatResult, Solver, Sort, Term, TermManager};
+use binsym_smt::{smtlib, Analysis, Model, SatResult, Solver, Term, TermManager};
 
-use crate::observe::StaticAnalysisStats;
+use crate::metrics::{Instruments, Phase};
+use crate::observe::{Observer, StaticAnalysisStats};
+use crate::prescribe::witness_bytes;
 
 /// A solver usable by the exploration loop: scoped assertions plus
 /// satisfiability checking with model extraction.
@@ -297,11 +299,10 @@ impl<B: SolverBackend> SolverBackend for SmtLibDump<B> {
 /// Outcome of screening one flip query through the [`StaticGate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScreenReport {
-    /// `Some((result, witness))` when the query was decided statically:
-    /// UNSAT verdicts carry no witness; SAT verdicts carry the parent's
-    /// witness extended by analysis-forced input bytes. `None` means the
-    /// query is residual and must be discharged by the backend.
-    pub verdict: Option<(SatResult, Option<Vec<u8>>)>,
+    /// True when the analysis proved the flip infeasible: the query is
+    /// UNSAT and needs no solver call. False means the query is residual
+    /// and must be discharged by the backend.
+    pub eliminated: bool,
     /// Per-query accounting for [`crate::Observer::on_static_analysis`].
     pub stats: StaticAnalysisStats,
 }
@@ -313,27 +314,24 @@ pub struct ScreenReport {
 /// flipped condition:
 ///
 /// * **constant false** — the flip is reported UNSAT with zero SAT calls;
-/// * **constant true** — the flip is SAT and the parent's own witness
-///   (extended by any analysis-forced input bytes) satisfies it. For the
-///   engines' query streams this verdict is provably unreachable — the
-///   parent input satisfies `prefix ∧ ¬flipped`, so `flipped` can never be
-///   a *consequence* of the prefix — but the gate implements it for
-///   completeness and the shadow check guards it;
-/// * **unknown** — the query is residual and goes to the backend,
+/// * **anything else** — the query is residual and goes to the backend,
 ///   asserting the **original** terms (not simplified ones: rewriting the
 ///   asserted graph could change CNF variable order and therefore which
 ///   model the SAT solver picks, breaking the byte-identical-records
-///   determinism contract).
+///   determinism contract). That includes a constant-true verdict, which
+///   the engines' query streams never produce: the parent input satisfies
+///   `prefix ∧ ¬flipped`, so `flipped` can never be a *consequence* of the
+///   prefix.
 ///
 /// The analysis allocates no terms, so screening cannot perturb
 /// hash-consing order — an analysis-on run builds exactly the same term
 /// DAG as an analysis-off run.
 ///
-/// With `shadow` set (builder knob or env `BINSYM_SA_SHADOW`), every
-/// definite verdict is cross-checked against the full SAT query in a
-/// fresh solver; a disagreement panics with the offending query's SMT-LIB
-/// dump. (The shadow solver *does* intern auxiliary terms, so shadow mode
-/// is a correctness tool, not part of the determinism contract.)
+/// With the `BINSYM_SA_SHADOW` environment variable set, every elimination
+/// is cross-checked against the full SAT query in a fresh solver; a
+/// disagreement panics with the offending query's SMT-LIB dump. (The shadow
+/// solver *does* intern auxiliary terms, so shadow mode is a correctness
+/// tool, not part of the determinism contract.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticGate {
     enabled: bool,
@@ -341,15 +339,23 @@ pub struct StaticGate {
 }
 
 impl StaticGate {
-    /// Builds a gate; `shadow` is additionally forced on by a non-empty,
-    /// non-`"0"` `BINSYM_SA_SHADOW` environment variable (and shadow mode
-    /// implies the gate itself is enabled).
-    pub fn new(enabled: bool, shadow: bool) -> Self {
-        let shadow =
-            shadow || std::env::var("BINSYM_SA_SHADOW").is_ok_and(|v| !v.is_empty() && v != "0");
+    /// Builds a gate; shadow mode is switched on by a non-empty, non-`"0"`
+    /// `BINSYM_SA_SHADOW` environment variable (and implies the gate itself
+    /// is enabled).
+    pub fn new(enabled: bool) -> Self {
+        let shadow = std::env::var("BINSYM_SA_SHADOW").is_ok_and(|v| !v.is_empty() && v != "0");
         StaticGate {
             enabled: enabled || shadow,
             shadow,
+        }
+    }
+
+    /// A gate with shadow mode on, whatever the environment says.
+    #[cfg(test)]
+    pub(crate) fn shadowed() -> Self {
+        StaticGate {
+            enabled: true,
+            shadow: true,
         }
     }
 
@@ -366,7 +372,7 @@ impl StaticGate {
         self.enabled
     }
 
-    /// Whether verdicts are cross-checked against the full SAT query.
+    /// Whether eliminations are cross-checked against the full SAT query.
     pub fn shadow(&self) -> bool {
         self.shadow
     }
@@ -374,16 +380,11 @@ impl StaticGate {
     /// Screens one flip query. Returns `None` when the gate is disabled
     /// (the caller proceeds exactly as without a gate and fires no
     /// static-analysis observer hook).
-    ///
-    /// Callers time this call under [`crate::Phase::Gate`], so a screen's
-    /// cost — and the solve time it saves — shows up per-phase in the
-    /// metrics report and as a `gate` span in the trace.
     pub fn screen(
         &self,
         tm: &mut TermManager,
         prefix: &[Term],
         flipped: Term,
-        parent_input: &[u8],
     ) -> Option<ScreenReport> {
         if !self.enabled {
             return None;
@@ -392,72 +393,104 @@ impl StaticGate {
         for &c in prefix {
             an.assume(tm, c);
         }
-        let verdict = an.verdict(tm, flipped);
-        let stats = StaticAnalysisStats {
-            eliminated: verdict.map(|v| if v { SatResult::Sat } else { SatResult::Unsat }),
-            conjuncts: prefix.len() as u64,
-            facts: an.fact_count(),
-        };
-        let verdict = match verdict {
-            None => None,
-            Some(false) => {
-                if self.shadow {
-                    self.shadow_check(tm, prefix, flipped, SatResult::Unsat);
-                }
-                Some((SatResult::Unsat, None))
-            }
-            Some(true) => {
-                if self.shadow {
-                    self.shadow_check(tm, prefix, flipped, SatResult::Sat);
-                }
-                // The parent input satisfies the prefix, and the analysis
-                // says the prefix *implies* the flipped condition — so the
-                // parent witness works, tightened by any bytes the
-                // combined facts force to a single value.
-                an.assume(tm, flipped);
-                let bytes = (0..parent_input.len())
-                    .map(|i| {
-                        let Some(vid) = tm.find_var(&format!("in{i}")) else {
-                            return parent_input[i];
-                        };
-                        let Sort::BitVec(w) = tm.var_sort(vid) else {
-                            return parent_input[i];
-                        };
-                        let vt = tm.var(&format!("in{i}"), w);
-                        an.forced_value(tm, vt).map_or(parent_input[i], |v| v as u8)
-                    })
-                    .collect();
-                Some((SatResult::Sat, Some(bytes)))
-            }
-        };
-        Some(ScreenReport { verdict, stats })
+        let eliminated = an.verdict(tm, flipped) == Some(false);
+        if eliminated && self.shadow {
+            shadow_check(tm, prefix, flipped);
+        }
+        Some(ScreenReport {
+            eliminated,
+            stats: StaticAnalysisStats {
+                eliminated,
+                conjuncts: prefix.len() as u64,
+                facts: an.fact_count(),
+            },
+        })
     }
 
-    /// Discharges the full query in a fresh solver and panics (with the
-    /// query's SMT-LIB script) if it disagrees with the analysis verdict.
-    fn shadow_check(
+    /// Screens one flip query under the [`Phase::Gate`] timer (so a
+    /// screen's cost shows up per phase in the metrics report and as a
+    /// `gate` span in the trace), reports the screen through
+    /// [`Observer::on_static_analysis`], and returns whether the flip was
+    /// proved infeasible. The gate's one call site in all three engines.
+    pub(crate) fn eliminates(
         &self,
         tm: &mut TermManager,
         prefix: &[Term],
         flipped: Term,
-        expect: SatResult,
-    ) {
-        let mut solver = Solver::new();
-        for &c in prefix {
-            solver.assert_term(tm, c);
-        }
-        solver.assert_term(tm, flipped);
-        let got = solver.check_sat(tm, &[]);
-        if got != expect {
-            let mut all: Vec<Term> = prefix.to_vec();
-            all.push(flipped);
-            panic!(
-                "static-analysis shadow check failed: analysis verdict {expect:?}, \
-                 solver says {got:?}\n{}",
-                smtlib::query_to_smtlib(tm, &all)
-            );
-        }
+        instr: &Instruments,
+        observer: &mut dyn Observer,
+    ) -> bool {
+        let started = instr.begin(Phase::Gate);
+        let screened = self.screen(tm, prefix, flipped);
+        instr.finish(started, Phase::Gate, observer);
+        screened.is_some_and(|report| {
+            observer.on_static_analysis(&report.stats);
+            report.eliminated
+        })
     }
+}
+
+/// Discharges the full query in a fresh solver and panics (with the query's
+/// SMT-LIB script) unless it is UNSAT, as the analysis proved.
+fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
+    let mut solver = Solver::new();
+    for &c in prefix {
+        solver.assert_term(tm, c);
+    }
+    solver.assert_term(tm, flipped);
+    let got = solver.check_sat(tm, &[]);
+    if got != SatResult::Unsat {
+        let mut all: Vec<Term> = prefix.to_vec();
+        all.push(flipped);
+        panic!(
+            "static-analysis shadow check failed: analysis proved the flip UNSAT, \
+             solver says {got:?}\n{}",
+            smtlib::query_to_smtlib(tm, &all)
+        );
+    }
+}
+
+/// Discharges one flip query `prefix ∧ flipped`: the gate screen, then
+/// push, assert, check and pop on `backend`, timed as [`Phase::BitBlast`]
+/// and [`Phase::Solve`]. Returns the solver's result (`None` when the gate
+/// eliminated the query, which then fires no [`Observer::on_query`] and
+/// counts as no solver check) and, on SAT, the model's witness input.
+///
+/// The sequential session runs it on its long-lived incremental backend,
+/// cold replay on a fresh one per prescription; the step itself is one
+/// implementation.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn discharge(
+    backend: &mut dyn SolverBackend,
+    tm: &mut TermManager,
+    gate: StaticGate,
+    prefix: &[Term],
+    flipped: Term,
+    input_len: u32,
+    instr: &Instruments,
+    observer: &mut dyn Observer,
+) -> (Option<SatResult>, Option<Vec<u8>>) {
+    if gate.eliminates(tm, prefix, flipped, instr, observer) {
+        return (None, None);
+    }
+    let blast_started = instr.begin(Phase::BitBlast);
+    backend.push();
+    for &t in prefix {
+        backend.assert_term(tm, t);
+    }
+    backend.assert_term(tm, flipped);
+    instr.finish(blast_started, Phase::BitBlast, observer);
+    let solve_started = instr.begin(Phase::Solve);
+    let r = backend.check_sat(tm);
+    let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
+    if solve_started.is_some() {
+        instr.record_query(solve_nanos);
+    }
+    observer.on_query(r);
+    let bytes = (r == SatResult::Sat)
+        .then(|| witness_bytes(&backend.model(tm).expect("sat has model"), input_len));
+    backend.pop();
+    (Some(r), bytes)
 }
 
 #[cfg(test)]
@@ -521,12 +554,10 @@ mod tests {
         let cond = tm.ule(x, y);
         let flipped = tm.not(cond);
         // Shadow on: the verdict is cross-checked against a real solver.
-        let gate = StaticGate::new(true, true);
-        let report = gate
-            .screen(&mut tm, &[cond], flipped, &[0, 0])
-            .expect("enabled");
-        assert_eq!(report.verdict, Some((SatResult::Unsat, None)));
-        assert_eq!(report.stats.eliminated, Some(SatResult::Unsat));
+        let gate = StaticGate::shadowed();
+        let report = gate.screen(&mut tm, &[cond], flipped).expect("enabled");
+        assert!(report.eliminated);
+        assert!(report.stats.eliminated);
         assert!(report.stats.facts > 0);
     }
 
@@ -538,30 +569,26 @@ mod tests {
         let cond = tm.ule(x, y);
         let other = tm.var("in2", 8);
         let unrelated = tm.ult(other, x);
-        let gate = StaticGate::new(true, false);
-        let report = gate
-            .screen(&mut tm, &[cond], unrelated, &[0, 0, 0])
-            .expect("enabled");
-        assert_eq!(report.verdict, None);
-        assert_eq!(report.stats.eliminated, None);
+        let gate = StaticGate::new(true);
+        let report = gate.screen(&mut tm, &[cond], unrelated).expect("enabled");
+        assert!(!report.eliminated);
+        assert!(!report.stats.eliminated);
     }
 
     #[test]
-    fn gate_sat_verdict_extends_parent_witness() {
+    fn gate_leaves_implied_flips_to_the_solver() {
+        // The gate decides only infeasibility: a flip the prefix implies is
+        // residual like any undecided query.
         let mut tm = TermManager::new();
         let x = tm.var("in0", 8);
         let c = tm.bv_const(42, 8);
         let pin = tm.eq(x, c);
         let bound = tm.bv_const(50, 8);
         let implied = tm.ult(x, bound); // follows from in0 = 42
-        let gate = StaticGate::new(true, true);
-        let report = gate
-            .screen(&mut tm, &[pin], implied, &[7, 9])
-            .expect("enabled");
-        let (r, bytes) = report.verdict.expect("decided");
-        assert_eq!(r, SatResult::Sat);
-        // in0 is forced to 42; in1 keeps the parent byte.
-        assert_eq!(bytes, Some(vec![42, 9]));
+        let gate = StaticGate::shadowed();
+        let report = gate.screen(&mut tm, &[pin], implied).expect("enabled");
+        assert!(!report.eliminated);
+        assert!(!report.stats.eliminated);
     }
 
     #[test]
@@ -570,7 +597,7 @@ mod tests {
         let cond = x_lt_5(&mut tm);
         let flipped = tm.not(cond);
         assert!(StaticGate::disabled()
-            .screen(&mut tm, &[cond], flipped, &[0])
+            .screen(&mut tm, &[cond], flipped)
             .is_none());
     }
 
@@ -591,12 +618,10 @@ mod tests {
         let in_bounds = tm.ult(idx, bound);
         let hit = tm.eq(v, magic);
 
-        let gate = StaticGate::new(true, true);
-        let report = gate
-            .screen(&mut tm, &[in_bounds], hit, &[0])
-            .expect("gate on");
+        let gate = StaticGate::shadowed();
+        let report = gate.screen(&mut tm, &[in_bounds], hit).expect("gate on");
         assert!(
-            report.verdict.is_none(),
+            !report.eliminated,
             "select terms are residual to the word-level gate"
         );
 
@@ -611,17 +636,18 @@ mod tests {
         solver.assert_term(&mut tm, pin);
         assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Unsat);
 
-        // A verdict the analysis *can* reach from its word-level facts
+        // An elimination the analysis *can* reach from its word-level facts
         // must shadow-check cleanly even when the prefix carries array
         // terms: the fresh shadow solver bit-blasts the select and has to
         // agree, or shadow_check panics and fails this test.
         let wide = tm.bv_const(128, 8);
-        let implied = tm.ult(idx, wide);
+        let below = tm.ult(idx, wide);
+        let beyond = tm.not(below);
         let report = gate
-            .screen(&mut tm, &[in_bounds, hit], implied, &[37])
+            .screen(&mut tm, &[in_bounds, hit], beyond)
             .expect("gate on");
         assert!(
-            matches!(report.verdict, Some((SatResult::Sat, _))),
+            report.eliminated,
             "the interval fact from the bounds check decides the flip"
         );
     }

@@ -25,8 +25,8 @@
 //!   ([`BitblastBackend`] incremental or fresh-per-query; [`SmtLibDump`]
 //!   recording every query as an SMT-LIB v2 script for offline replay),
 //!   fronted by a word-level static-analysis gate ([`StaticGate`], on by
-//!   default) that prunes flip queries the path condition already
-//!   decides — without ever changing results (see
+//!   default) that drops flip queries the path condition already proves
+//!   infeasible — without ever changing results (see
 //!   [`SessionBuilder::static_analysis`]);
 //! * [`Observer`] — instrumentation hooks (`on_step`/`on_branch`/
 //!   `on_path`/`on_query`) for cost models and coverage tracking.
@@ -39,7 +39,11 @@
 //! threads each own a complete engine and exchange pending paths as
 //! plain-data, replayable [`Prescription`]s through work-stealing shard
 //! frontiers — with results merged deterministically into the sequential
-//! discovery order (see [`parallel`] and [`prescribe`]).
+//! discovery order (see [`parallel`] and [`prescribe`]). Both engines run
+//! one pipeline per flip: the same query builder, gate, discharge and path
+//! step; they differ only in where the solver context lives (one
+//! long-lived incremental backend, or a fresh or cached context per
+//! prescription).
 //!
 //! # Quickstart
 //! ```
@@ -102,16 +106,14 @@ pub use backend::{
 pub use coverage::{CoverageMap, CoverageObserver, CoverageSnapshot};
 pub use error::Error;
 pub use machine::{ExecError, StepResult, SymMachine, TrailEntry};
-pub use memory::{AddressPolicy, AddressPolicyKind, Resolution};
+pub use memory::{AddressPolicyKind, Resolution};
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport, Phase, WorkerMetrics,
 };
 pub use observe::{
     CheckpointEvent, CountingObserver, NullObserver, Observer, StaticAnalysisStats, WarmQueryStats,
 };
-pub use parallel::{
-    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, ShardStrategyFactory,
-};
+pub use parallel::{ExecutorFactory, ObserverFactory, ParallelSession, ShardStrategyFactory};
 pub use persist::{
     decode_one, decode_seq, encode_one, encode_seq, Dec, Document, Enc, PersistError, Wire,
 };

@@ -48,7 +48,7 @@ pub enum TrailEntry {
     Concretize {
         /// Boolean constraint recorded by the address policy: `addr_term =
         /// pinned_addr` for the concretizing policies, a window-membership
-        /// conjunction for [`crate::memory::Symbolic`].
+        /// conjunction for [`crate::AddressPolicyKind::Symbolic`].
         constraint: Term,
         /// Program counter of the accessing instruction.
         pc: u32,

@@ -7,17 +7,21 @@
 //! value with an equality constraint — is one point in a design space this
 //! module makes explicit:
 //!
-//! * [`ConcretizeEq`] — pin `addr == current concrete value`. Today's
-//!   behavior, bit for bit, and the default.
-//! * [`ConcretizeMin`] — pin the address to the *smallest* value feasible
-//!   under the path condition (found by a deterministic binary search over
-//!   an internal solver). Canonicalizes the explored cell independent of
-//!   the seed input.
-//! * [`Symbolic`] — keep the address symbolic inside an aligned window of
-//!   `window` bytes: loads become array-theory `select` terms over a
-//!   `store`-chain of the window's bytes, stores become per-byte
-//!   if-then-else weak updates. One path covers every index in the window,
-//!   where the concretizing policies explore one address per path.
+//! * [`AddressPolicyKind::ConcretizeEq`] — pin `addr == current concrete
+//!   value`. Today's behavior, bit for bit, and the default.
+//! * [`AddressPolicyKind::ConcretizeMin`] — pin the address to the
+//!   *smallest* value feasible under the path condition (found by a
+//!   deterministic binary search over an internal solver). Canonicalizes
+//!   the explored cell independent of the seed input: the path's concrete
+//!   payloads continue from the minimal address, which may differ from the
+//!   cell the seed input would have touched.
+//! * [`AddressPolicyKind::Symbolic`] — keep the address symbolic inside an
+//!   aligned window of `window` bytes: loads become array-theory `select`
+//!   terms over a `store`-chain of the window's bytes, stores become
+//!   per-byte if-then-else weak updates. One path covers every index in the
+//!   window, where the concretizing policies explore one address per path.
+//!   Accesses that do not fit the window fall back to equality
+//!   concretization.
 //!
 //! Every resolution appends a [`TrailEntry::Concretize`] entry carrying the
 //! policy's *choice* (the pinned address, or the window base), so replay
@@ -56,17 +60,15 @@ pub enum AddressPolicyKind {
 }
 
 impl AddressPolicyKind {
-    /// Instantiates the policy behind the [`AddressPolicy`] seam.
-    pub fn instantiate(self) -> Box<dyn AddressPolicy + Send> {
-        match self {
-            AddressPolicyKind::ConcretizeEq => Box::new(ConcretizeEq),
-            AddressPolicyKind::ConcretizeMin => Box::new(ConcretizeMin),
-            AddressPolicyKind::Symbolic { window } => Box::new(Symbolic { window }),
-        }
-    }
-
-    /// Resolves an address under this policy without boxing (the hot path
-    /// used by both executors).
+    /// Resolves the address of a `size`-byte access at instruction `pc`
+    /// under this policy, appending a [`TrailEntry::Concretize`] entry to
+    /// `trail` when the address is symbolic (the hot path of both
+    /// executors).
+    ///
+    /// Resolution is *deterministic*: it depends only on the address value,
+    /// the trail so far, and the policy — never on wall clock, allocation
+    /// order, or thread identity. The parallel engine's byte-identical-merge
+    /// contract extends over it.
     pub fn resolve(
         self,
         tm: &mut TermManager,
@@ -75,11 +77,53 @@ impl AddressPolicyKind {
         pc: u32,
         trail: &mut Vec<TrailEntry>,
     ) -> Resolution {
+        let Some(t) = addr.term else {
+            return Resolution::Concrete(addr.concrete);
+        };
+        let c = addr.concrete;
         match self {
-            AddressPolicyKind::ConcretizeEq => ConcretizeEq.resolve(tm, addr, size, pc, trail),
-            AddressPolicyKind::ConcretizeMin => ConcretizeMin.resolve(tm, addr, size, pc, trail),
+            AddressPolicyKind::ConcretizeEq => {
+                pin_eq(tm, t, c, pc, trail);
+                Resolution::Concrete(c)
+            }
+            AddressPolicyKind::ConcretizeMin => {
+                let min = min_feasible(tm, t, c, trail);
+                pin_eq(tm, t, min, pc, trail);
+                Resolution::Concrete(min)
+            }
             AddressPolicyKind::Symbolic { window } => {
-                Symbolic { window }.resolve(tm, addr, size, pc, trail)
+                let base = c - (c % window.max(1));
+                // The whole access must fit the window, and the window
+                // bound `base + window` must not wrap the address space.
+                let fits = size <= window
+                    && base.checked_add(window).is_some()
+                    && c - base <= window - size;
+                if !fits {
+                    pin_eq(tm, t, c, pc, trail);
+                    return Resolution::Concrete(c);
+                }
+                // Constrain addr into [base, base + window - size]: true
+                // under the current input (base <= c <= base + window -
+                // size), so the path's concrete payloads stay consistent
+                // with its constraints.
+                let lo = tm.bv_const(u64::from(base), 32);
+                let hi = tm.bv_const(u64::from(base + window - size), 32);
+                let ge = tm.ule(lo, t);
+                let le = tm.ule(t, hi);
+                let constraint = tm.and(ge, le);
+                if tm.as_bool_const(constraint) != Some(true) {
+                    trail.push(TrailEntry::Concretize {
+                        constraint,
+                        pc,
+                        choice: u64::from(base),
+                    });
+                }
+                Resolution::Window {
+                    concrete: c,
+                    base,
+                    term: t,
+                    window,
+                }
             }
         }
     }
@@ -128,157 +172,36 @@ impl Resolution {
     }
 }
 
-/// The address-concretization seam: decides how a memory access through a
-/// (possibly symbolic) address is resolved, recording its decision on the
-/// path trail.
-///
-/// Implementations must be *deterministic*: the resolution may depend only
-/// on the address value, the trail so far, and the policy's own
-/// configuration — never on wall clock, allocation order, or thread
-/// identity. The parallel engine's byte-identical-merge contract extends
-/// over this seam.
-pub trait AddressPolicy {
-    /// Resolves the address of a `size`-byte access at instruction `pc`,
-    /// appending a [`TrailEntry::Concretize`] entry to `trail` when the
-    /// address is symbolic.
-    fn resolve(
-        &self,
-        tm: &mut TermManager,
-        addr: SymWord,
-        size: u32,
-        pc: u32,
-        trail: &mut Vec<TrailEntry>,
-    ) -> Resolution;
-}
-
-/// Pin `addr == current concrete value` (the default policy; §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConcretizeEq;
-
-impl AddressPolicy for ConcretizeEq {
-    fn resolve(
-        &self,
-        tm: &mut TermManager,
-        addr: SymWord,
-        _size: u32,
-        pc: u32,
-        trail: &mut Vec<TrailEntry>,
-    ) -> Resolution {
-        if let Some(t) = addr.term {
-            pin_eq(tm, t, addr.concrete, pc, trail);
-        }
-        Resolution::Concrete(addr.concrete)
+/// The smallest value of address term `t` feasible under the path
+/// condition `trail`, found by a deterministic binary search over an
+/// internal solver (at most 32 `check-sat` calls; these internal checks
+/// are *not* counted in [`crate::Summary::solver_checks`], which reports
+/// exploration feasibility queries only). `concrete`, the current value,
+/// satisfies the path condition and bounds the search.
+fn min_feasible(tm: &mut TermManager, t: Term, concrete: u32, trail: &[TrailEntry]) -> u32 {
+    if concrete == 0 {
+        return 0; // the current value is already the smallest possible address
     }
-}
-
-/// Pin the address to the smallest value feasible under the path
-/// condition, found by a deterministic binary search over an internal
-/// solver (at most 32 `check-sat` calls per resolution; these internal
-/// checks are *not* counted in [`crate::Summary::solver_checks`], which
-/// reports exploration feasibility queries only).
-///
-/// Note the pinned cell may differ from the one the seed input would have
-/// touched: the path's concrete payloads continue from the *minimal*
-/// address, canonically for any seed that satisfies the same prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConcretizeMin;
-
-impl AddressPolicy for ConcretizeMin {
-    fn resolve(
-        &self,
-        tm: &mut TermManager,
-        addr: SymWord,
-        _size: u32,
-        pc: u32,
-        trail: &mut Vec<TrailEntry>,
-    ) -> Resolution {
-        let Some(t) = addr.term else {
-            return Resolution::Concrete(addr.concrete);
-        };
-        let min = if addr.concrete == 0 {
-            0 // the current value is already the smallest possible address
+    let path: Vec<Term> = trail.iter().map(|e| e.path_term(tm)).collect();
+    let mut solver = Solver::new();
+    for p in path {
+        solver.assert_term(tm, p);
+    }
+    // The minimum lies in [0, concrete]; halve the interval on
+    // SAT(path ∧ addr <= mid).
+    let mut lo = 0u32;
+    let mut hi = concrete;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let mc = tm.bv_const(u64::from(mid), 32);
+        let le = tm.ule(t, mc);
+        if solver.check_sat(tm, &[le]) == SatResult::Sat {
+            hi = mid;
         } else {
-            let path: Vec<Term> = trail.iter().map(|e| e.path_term(tm)).collect();
-            let mut solver = Solver::new();
-            for p in path {
-                solver.assert_term(tm, p);
-            }
-            // The current concrete value satisfies the path condition, so
-            // the minimum lies in [0, addr.concrete]; halve the interval on
-            // SAT(path ∧ addr <= mid).
-            let mut lo = 0u32;
-            let mut hi = addr.concrete;
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let mc = tm.bv_const(u64::from(mid), 32);
-                let le = tm.ule(t, mc);
-                if solver.check_sat(tm, &[le]) == SatResult::Sat {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            lo
-        };
-        pin_eq(tm, t, min, pc, trail);
-        Resolution::Concrete(min)
-    }
-}
-
-/// Keep the address symbolic within an aligned `window`-byte span;
-/// accesses that do not fit the window (or a window smaller than the
-/// access) fall back to equality concretization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Symbolic {
-    /// Window size in bytes.
-    pub window: u32,
-}
-
-impl AddressPolicy for Symbolic {
-    fn resolve(
-        &self,
-        tm: &mut TermManager,
-        addr: SymWord,
-        size: u32,
-        pc: u32,
-        trail: &mut Vec<TrailEntry>,
-    ) -> Resolution {
-        let Some(t) = addr.term else {
-            return Resolution::Concrete(addr.concrete);
-        };
-        let c = addr.concrete;
-        let base = c - (c % self.window.max(1));
-        // The whole access must fit the window, and the window bound
-        // `base + window` must not wrap the address space.
-        let fits = size <= self.window
-            && base.checked_add(self.window).is_some()
-            && c - base <= self.window - size;
-        if !fits {
-            pin_eq(tm, t, c, pc, trail);
-            return Resolution::Concrete(c);
-        }
-        // Constrain addr into [base, base + window - size]: true under the
-        // current input (base <= c <= base + window - size), so the path's
-        // concrete payloads stay consistent with its constraints.
-        let lo = tm.bv_const(u64::from(base), 32);
-        let hi = tm.bv_const(u64::from(base + self.window - size), 32);
-        let ge = tm.ule(lo, t);
-        let le = tm.ule(t, hi);
-        let constraint = tm.and(ge, le);
-        if tm.as_bool_const(constraint) != Some(true) {
-            trail.push(TrailEntry::Concretize {
-                constraint,
-                pc,
-                choice: u64::from(base),
-            });
-        }
-        Resolution::Window {
-            concrete: c,
-            base,
-            term: t,
-            window: self.window,
+            lo = mid + 1;
         }
     }
+    lo
 }
 
 /// Records the §III-B equality pin `addr_term == concrete` on the trail

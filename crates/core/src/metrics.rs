@@ -194,7 +194,7 @@ impl HistogramSnapshot {
 }
 
 /// One worker's private metrics shard: phase timers, a query-latency
-/// histogram, and throughput counters for the progress reporter.
+/// histogram, and path and query counters.
 #[derive(Debug)]
 pub struct WorkerMetrics {
     phase_nanos: [AtomicU64; NUM_PHASES],
@@ -239,8 +239,8 @@ impl WorkerMetrics {
 /// [`SessionBuilder::metrics`](crate::SessionBuilder::metrics), and read the
 /// merged [`report`](MetricsRegistry::report) after the run. Each engine
 /// thread writes only the shard matching its trace track, so no mutex guards
-/// the hot path; cross-thread reads (the progress reporter, live snapshots)
-/// are racy-but-monotone relaxed loads.
+/// the hot path; cross-thread reads (live snapshots) are racy-but-monotone
+/// relaxed loads.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     shards: Vec<WorkerMetrics>,
@@ -260,22 +260,6 @@ impl MetricsRegistry {
     /// workers still accepts every track).
     pub fn shard(&self, track: usize) -> &WorkerMetrics {
         &self.shards[track % self.shards.len()]
-    }
-
-    /// Racy sum of completed paths across all shards.
-    pub fn total_paths(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.paths.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Racy sum of solver queries across all shards.
-    pub fn total_queries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.queries.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Merge every shard into a plain-data report.
@@ -373,16 +357,6 @@ impl MetricsReport {
     }
 }
 
-/// The instrumentation knobs a builder hands to a [`crate::ParallelSession`]
-/// in one bundle: the shared registry and sink plus the progress-reporter
-/// configuration.
-pub(crate) struct InstrumentationConfig {
-    pub(crate) metrics: Option<Arc<MetricsRegistry>>,
-    pub(crate) trace: Option<Arc<dyn TraceSink>>,
-    pub(crate) progress: Option<std::time::Duration>,
-    pub(crate) progress_coverage: Option<Arc<crate::coverage::CoverageMap>>,
-}
-
 /// The engine-internal bundle threading a registry shard and a trace track
 /// through one thread's work loop. Cloned per worker with the worker's own
 /// track; all methods are near-zero cost when both halves are disabled
@@ -397,7 +371,6 @@ pub(crate) struct Instruments {
 
 impl Instruments {
     /// Instrumentation that records nothing.
-    #[cfg(test)]
     pub(crate) fn disabled() -> Self {
         Instruments {
             registry: None,
@@ -429,10 +402,6 @@ impl Instruments {
 
     pub(crate) fn active(&self) -> bool {
         self.registry.is_some() || self.sink.is_some()
-    }
-
-    pub(crate) fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.registry.as_ref()
     }
 
     /// Open a phase span. Returns `None` (and emits nothing) when disabled.
@@ -617,7 +586,7 @@ mod tests {
         worker.note_path();
         let report = registry.report();
         assert_eq!(report.phase_count(Phase::Execute), 1);
-        assert_eq!(registry.total_paths(), 1);
-        assert_eq!(registry.total_queries(), 1);
+        assert_eq!(report.paths, 1);
+        assert_eq!(report.queries, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Observation hooks into the execution and exploration loops.
 //!
 //! Instrumentation concerns — per-instruction cost models (the benchmark
-//! personas), coverage tracking, progress reporting — used to require
+//! personas), coverage tracking, event counting — used to require
 //! writing a whole [`crate::PathExecutor`] that duplicated the machine
 //! loop. An [`Observer`] instead receives callbacks from the executor and
 //! the [`crate::Session`] loop, so instrumentation composes with *any*
@@ -63,9 +63,9 @@ pub struct WarmQueryStats {
 /// records and differ only in these counters (and in `solver_checks`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticAnalysisStats {
-    /// `Some(verdict)` when the analysis decided the query without any
-    /// SAT call; `None` for residual queries that went to the solver.
-    pub eliminated: Option<SatResult>,
+    /// True when the analysis proved the query infeasible without any SAT
+    /// call; false for residual queries that went to the solver.
+    pub eliminated: bool,
     /// Path-condition conjuncts assumed by the analysis.
     pub conjuncts: u64,
     /// Word-level facts derived (boolean truth values, interval
@@ -323,7 +323,7 @@ impl Observer for CountingObserver {
 
     fn on_static_analysis(&mut self, stats: &StaticAnalysisStats) {
         self.sa_queries += 1;
-        if stats.eliminated.is_some() {
+        if stats.eliminated {
             self.sa_queries_eliminated += 1;
         }
         self.sa_facts += stats.facts;

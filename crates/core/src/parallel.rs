@@ -5,9 +5,10 @@
 //! same exploration across N worker threads **without** making any of the
 //! engine state `Sync`: the unit of work shipped between threads is a
 //! plain-data [`Prescription`] (see [`crate::prescribe`]), and each worker
-//! owns a complete engine — its own [`TermManager`], [`SolverBackend`],
-//! and [`PathExecutor`] — on which any prescription can be replayed from
-//! scratch.
+//! owns a complete engine — its own [`TermManager`], solver contexts, and
+//! [`PathExecutor`] — on which any prescription can be replayed from
+//! scratch. The flip query, its discharge, and the path step are the same
+//! code the sequential session runs; only the solver context differs.
 //!
 //! # Worker topology
 //!
@@ -24,7 +25,7 @@
 //! Replaying a prescription is a pure function of the prescription itself:
 //! the worker resets its term manager (restoring fresh handle numbering,
 //! see [`TermManager::reset`]) and solves the flip query in a brand-new
-//! backend from the builder's factory. Scheduling — worker count, steal
+//! [`crate::BitblastBackend`]. Scheduling — worker count, steal
 //! order, shard policy — therefore cannot change any individual result,
 //! only which worker computes it. The merged output is sorted by
 //! [`PathId`], which reproduces the sequential depth-first discovery
@@ -78,22 +79,19 @@ use std::time::Duration;
 
 use binsym_smt::{SatResult, TermManager};
 
-use crate::backend::{SolverBackend, StaticGate};
+use crate::backend::{discharge, BitblastBackend, StaticGate};
 use crate::error::Error;
-use crate::machine::{StepResult, TrailEntry};
 use crate::memory::AddressPolicyKind;
-use crate::metrics::{InstrumentationConfig, Instruments, Phase};
+use crate::metrics::{Instruments, Phase};
 use crate::observe::{CheckpointEvent, NullObserver, Observer};
 use crate::persist::{decode_seq, encode_seq, section, Dec, Document, Enc, PersistError, Wire};
-use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
-use crate::session::{ErrorPath, PathExecutor, Progress, Summary};
+use crate::prescribe::{PathId, PathRecord, Prescription};
+use crate::session::{materialize, PathExecutor, Summary};
 use crate::strategy::{FrontierSnapshot, PrescriptionStrategy};
 use crate::warm::WarmCache;
 
 /// Factory producing one [`PathExecutor`] per worker thread.
 pub type ExecutorFactory = Arc<dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync>;
-/// Factory producing a fresh [`SolverBackend`] per replayed prescription.
-pub type BackendFactory = Arc<dyn Fn() -> Box<dyn SolverBackend> + Send + Sync>;
 /// Factory producing one [`Observer`] per worker thread (argument: worker
 /// index).
 pub type ObserverFactory = Arc<dyn Fn(usize) -> Box<dyn Observer> + Send + Sync>;
@@ -574,7 +572,6 @@ impl RunState {
 pub struct ParallelSession {
     workers: usize,
     executor_factory: ExecutorFactory,
-    backend_factory: BackendFactory,
     observer_factory: Option<ObserverFactory>,
     shard_strategy: ShardStrategyFactory,
     fuel: u64,
@@ -588,10 +585,11 @@ pub struct ParallelSession {
     /// any bit-blast (on by default). Affects wall time only, never
     /// merged records.
     gate: StaticGate,
-    /// Metrics/trace/progress wiring ([`crate::SessionBuilder::metrics`],
-    /// `::trace`, `::progress`). Like the warm cache and the gate,
-    /// instrumentation affects wall time only, never merged records.
-    instrumentation: InstrumentationConfig,
+    /// Metrics/trace wiring ([`crate::SessionBuilder::metrics`],
+    /// `::trace`) on track 0; each worker re-points it at its own track.
+    /// Like the warm cache and the gate, instrumentation affects wall time
+    /// only, never merged records.
+    instr: Instruments,
     /// Checkpoint/resume wiring ([`crate::SessionBuilder::checkpoint`],
     /// `::resume`). Affects wall time and on-disk artifacts only, never
     /// merged records.
@@ -602,7 +600,6 @@ pub struct ParallelSession {
     /// checkpoints.
     policy: AddressPolicyKind,
     strategy_name: &'static str,
-    backend_name: &'static str,
     done: bool,
     summary: Summary,
     records: Vec<PathRecord>,
@@ -613,7 +610,7 @@ impl std::fmt::Debug for ParallelSession {
         f.debug_struct("ParallelSession")
             .field("workers", &self.workers)
             .field("strategy", &self.strategy_name)
-            .field("backend", &self.backend_name)
+            .field("backend", &self.backend_name())
             .field("paths", &self.summary.paths)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -625,7 +622,6 @@ impl ParallelSession {
     pub(crate) fn new(
         workers: usize,
         executor_factory: ExecutorFactory,
-        backend_factory: BackendFactory,
         observer_factory: Option<ObserverFactory>,
         shard_strategy: ShardStrategyFactory,
         fuel: u64,
@@ -633,20 +629,14 @@ impl ParallelSession {
         input_len: u32,
         warm_capacity: Option<usize>,
         gate: StaticGate,
-        instrumentation: InstrumentationConfig,
+        instr: Instruments,
         persist: PersistPlan,
         policy: AddressPolicyKind,
     ) -> Self {
         let strategy_name = shard_strategy(0).name();
-        let backend_name = if warm_capacity.is_some() {
-            "bitblast-warm"
-        } else {
-            backend_factory().name()
-        };
         ParallelSession {
             workers,
             executor_factory,
-            backend_factory,
             observer_factory,
             shard_strategy,
             fuel,
@@ -654,11 +644,10 @@ impl ParallelSession {
             input_len,
             warm_capacity,
             gate,
-            instrumentation,
+            instr,
             persist,
             policy,
             strategy_name,
-            backend_name,
             done: false,
             summary: Summary::default(),
             records: Vec::new(),
@@ -698,7 +687,11 @@ impl ParallelSession {
 
     /// Name of the per-query solver backend.
     pub fn backend_name(&self) -> &'static str {
-        self.backend_name
+        if self.warm_start() {
+            "bitblast-warm"
+        } else {
+            "bitblast"
+        }
     }
 
     /// True when the deterministic prefix-keyed warm start is enabled
@@ -771,22 +764,16 @@ impl ParallelSession {
     /// fuel exhaustion, …).
     pub fn expand_root(&self) -> Result<(PathRecord, Vec<Prescription>), Error> {
         let mut executor = (self.executor_factory)()?;
-        let mut tm = TermManager::new();
-        let mut backend = (self.backend_factory)();
-        let mut observer = NullObserver;
-        let instr = Instruments::new(None, None, 0);
         let root = Prescription::root(vec![0u8; self.input_len as usize], self.policy);
-        let (_, materialized) = replay(
+        let (record, spawned, _) = materialize(
             &mut *executor,
-            &mut tm,
-            &mut *backend,
-            &mut observer,
+            &mut TermManager::new(),
+            &mut NullObserver,
             &root,
             self.fuel,
-            self.gate,
-            &instr,
+            root.input.clone(),
+            &Instruments::disabled(),
         )?;
-        let (record, spawned) = materialized.expect("root prescription has no flip to fail");
         Ok((record, spawned))
     }
 
@@ -879,30 +866,22 @@ impl ParallelSession {
         // One `Instruments` handle per worker, all sharing the registry and
         // sink but each stamping its own track (worker index); track
         // `self.workers` is reserved for the coordinator's merge phase.
-        let base_instr = Instruments::new(
-            self.instrumentation.metrics.clone(),
-            self.instrumentation.trace.clone(),
-            0,
-        );
         let mut outputs: Vec<Vec<PrescriptionRecord>> = Vec::with_capacity(self.workers);
-        let progress_stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
             for idx in 0..self.workers {
                 let state = &state;
                 let executor_factory = Arc::clone(&self.executor_factory);
-                let backend_factory = Arc::clone(&self.backend_factory);
                 let observer_factory = self.observer_factory.clone();
                 let fuel = self.fuel;
                 let warm_capacity = self.warm_capacity;
                 let gate = self.gate;
-                let instr = base_instr.for_track(idx as u32);
+                let instr = self.instr.for_track(idx as u32);
                 handles.push(scope.spawn(move || {
                     worker_main(
                         idx,
                         state,
                         &*executor_factory,
-                        &*backend_factory,
                         observer_factory.as_deref(),
                         fuel,
                         warm_capacity,
@@ -911,32 +890,8 @@ impl ParallelSession {
                     )
                 }));
             }
-            // The periodic stderr reporter runs off the workers' hot paths
-            // entirely: it reads the shared registry (relaxed loads) and the
-            // frontier's pending gauge on its own thread, so enabling it
-            // cannot perturb results.
-            let reporter = self.instrumentation.progress.map(|interval| {
-                let registry = self.instrumentation.metrics.clone();
-                let coverage = self.instrumentation.progress_coverage.clone();
-                let state = &state;
-                let stop = &progress_stop;
-                scope.spawn(move || {
-                    let mut progress = Progress::new(interval, coverage);
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(20));
-                        progress.tick(
-                            registry.as_ref(),
-                            Some(state.frontier.pending.load(Ordering::Relaxed)),
-                        );
-                    }
-                })
-            });
             for h in handles {
                 outputs.push(h.join().expect("worker panicked"));
-            }
-            progress_stop.store(true, Ordering::Relaxed);
-            if let Some(h) = reporter {
-                h.join().expect("progress reporter panicked");
             }
         });
 
@@ -969,7 +924,7 @@ impl ParallelSession {
         // Deterministic merge: canonical (sequential depth-first) order.
         // Timed on the coordinator track (`self.workers`) so the trace
         // shows the sequential tail after the worker tracks go quiet.
-        let merge_instr = base_instr.for_track(self.workers as u32);
+        let merge_instr = self.instr.for_track(self.workers as u32);
         let merge_started = merge_instr.begin(Phase::Merge);
         let mut all: Vec<PrescriptionRecord> = outputs.into_iter().flatten().collect();
         if let Some(ck) = state.checkpoint.take() {
@@ -1037,20 +992,7 @@ impl ParallelSession {
                 summary.solver_checks += 1;
             }
             if let Some(path) = rec.path {
-                summary.paths += 1;
-                summary.total_steps += path.steps;
-                summary.max_trail_len = summary.max_trail_len.max(path.trail_len);
-                match path.exit {
-                    StepResult::Exited(0) | StepResult::Continue => {}
-                    StepResult::Exited(code) => summary.error_paths.push(ErrorPath {
-                        exit_code: Some(code),
-                        input: path.input.clone(),
-                    }),
-                    StepResult::Break => summary.error_paths.push(ErrorPath {
-                        exit_code: None,
-                        input: path.input.clone(),
-                    }),
-                }
+                summary.add_path(&path);
                 records.push(path);
             }
         }
@@ -1069,7 +1011,6 @@ fn worker_main(
     idx: usize,
     state: &RunState,
     executor_factory: &(dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync),
-    backend_factory: &(dyn Fn() -> Box<dyn SolverBackend> + Send + Sync),
     observer_factory: Option<&(dyn Fn(usize) -> Box<dyn Observer> + Send + Sync)>,
     fuel: u64,
     warm_capacity: Option<usize>,
@@ -1119,32 +1060,17 @@ fn worker_main(
         // cached prefix context whose answers are bit-identical to the
         // fresh one (see `crate::warm`). Either way the replay is a pure
         // function of the prescription (schedule-independent results).
-        let outcome = match &mut warm {
-            Some(cache) => replay_warm(
-                &mut *executor,
-                &mut tm,
-                cache,
-                &mut *observer,
-                &p,
-                fuel,
-                gate,
-                &instr,
-            ),
-            None => {
-                tm.reset();
-                let mut backend = backend_factory();
-                replay(
-                    &mut *executor,
-                    &mut tm,
-                    &mut *backend,
-                    &mut *observer,
-                    &p,
-                    fuel,
-                    gate,
-                    &instr,
-                )
-            }
-        };
+        tm.reset();
+        let outcome = replay(
+            &mut *executor,
+            &mut tm,
+            warm.as_mut(),
+            &mut *observer,
+            &p,
+            fuel,
+            gate,
+            &instr,
+        );
         match outcome {
             Err(e) => {
                 let stopping = state.watermark.is_none();
@@ -1250,12 +1176,21 @@ impl Drop for InFlightGuard<'_> {
 
 /// Replays one prescription on the given engine: solve the flip (if any),
 /// materialize the path, and derive the prescriptions of its unexplored
-/// suffix. Pure in the prescription given a fresh `tm`/`backend` context.
+/// suffix. Returns the query result (`None` for the root and for a query
+/// the gate eliminated, so the merge counts no solver check) and, when the
+/// flip is feasible, the path's record and spawned prescriptions.
+///
+/// Cold replay re-executes the parent prefix on `tm` and discharges the
+/// flip in a brand-new backend; warm replay routes the flip through the
+/// worker's [`WarmCache`], whose answers are bit-identical (see
+/// [`crate::warm`]) and whose contexts keep their terms in the cache's own
+/// manager. Either way the replay is pure in the prescription given a
+/// freshly reset `tm`.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn replay(
     executor: &mut dyn PathExecutor,
     tm: &mut TermManager,
-    backend: &mut dyn SolverBackend,
+    warm: Option<&mut WarmCache>,
     observer: &mut dyn Observer,
     p: &Prescription,
     fuel: u64,
@@ -1266,107 +1201,35 @@ fn replay(
     let (query, input) = match p.flip {
         None => (None, p.input.clone()),
         Some(flip) => {
-            let replay_started = instr.begin(Phase::Replay);
-            let trail = executor.execute_prefix(tm, &p.input, fuel, flip.ord + 1);
-            instr.finish(replay_started, Phase::Replay, observer);
-            let trail = trail?;
-            let (i, cond) = flip.locate(&trail)?;
-            // Terms are interned in the same order whether or not the gate
-            // screens the query, so gated and ungated replays build
-            // identical term handles (and hence identical CNF and models).
-            let prefix: Vec<_> = trail[..i].iter().map(|e| e.path_term(tm)).collect();
-            let flipped = if flip.taken { tm.not(cond) } else { cond };
-            let gate_started = instr.begin(Phase::Gate);
-            let screened = gate.screen(tm, &prefix, flipped, &p.input);
-            instr.finish(gate_started, Phase::Gate, observer);
-            if let Some(report) = screened {
-                observer.on_static_analysis(&report.stats);
-                match report.verdict {
-                    // Eliminated: no solver check, no `on_query`, and a
-                    // `query: None` record so the merge counts nothing.
-                    Some((SatResult::Unsat, _)) => return Ok((None, None)),
-                    Some((SatResult::Sat, bytes)) => {
-                        let bytes = bytes.expect("sat verdict carries witness bytes");
-                        return materialize(executor, tm, observer, p, fuel, None, bytes, instr);
-                    }
-                    None => {}
+            let solved = match warm {
+                Some(cache) => {
+                    cache.solve_flip(executor, &p.input, flip, fuel, gate, instr, observer)?
                 }
-            }
-            let blast_started = instr.begin(Phase::BitBlast);
-            backend.push();
-            for &t in &prefix {
-                backend.assert_term(tm, t);
-            }
-            backend.assert_term(tm, flipped);
-            instr.finish(blast_started, Phase::BitBlast, observer);
-            let solve_started = instr.begin(Phase::Solve);
-            let r = backend.check_sat(tm);
-            let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
-            if solve_started.is_some() {
-                instr.record_query(solve_nanos);
-            }
-            observer.on_query(r);
-            if r != SatResult::Sat {
-                backend.pop();
-                return Ok((Some(r), None));
-            }
-            let model = backend.model(tm).expect("sat has model");
-            let bytes = crate::prescribe::witness_bytes(&model, executor.input_len());
-            backend.pop();
-            (Some(r), bytes)
-        }
-    };
-
-    materialize(executor, tm, observer, p, fuel, query, input, instr)
-}
-
-/// The warm-start counterpart of [`replay`]: the flip query goes through
-/// the worker's [`WarmCache`] (parent-input-keyed trail + blasted-prefix
-/// contexts) instead of a fresh backend. The cache guarantees answers
-/// bit-identical to [`replay`]'s (see [`crate::warm`]), so the two paths
-/// are interchangeable result-wise; only wall time and the
-/// [`Observer::on_warm_query`] accounting differ.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn replay_warm(
-    executor: &mut dyn PathExecutor,
-    tm: &mut TermManager,
-    cache: &mut WarmCache,
-    observer: &mut dyn Observer,
-    p: &Prescription,
-    fuel: u64,
-    gate: StaticGate,
-    instr: &Instruments,
-) -> Result<(Option<SatResult>, Option<(PathRecord, Vec<Prescription>)>), Error> {
-    check_policy(p, executor)?;
-    let (query, input) = match p.flip {
-        None => (None, p.input.clone()),
-        Some(flip) => {
-            let (r, bytes, warm_stats, sa_stats) =
-                cache.solve_flip(executor, &p.input, flip, fuel, gate, instr, observer)?;
-            if let Some(sa) = &sa_stats {
-                observer.on_static_analysis(sa);
-            }
-            // An eliminated query carries no warm stats: it fires neither
-            // `on_query` nor `on_warm_query` and records `query: None`, so
-            // the merge's solver-check count matches an analysis-off run
-            // minus exactly the eliminated queries.
-            if let Some(warm) = &warm_stats {
-                observer.on_query(r);
-                observer.on_warm_query(warm);
-            }
-            let query = warm_stats.is_some().then_some(r);
-            match bytes {
-                None => return Ok((query, None)),
-                Some(bytes) => (query, bytes),
+                None => {
+                    let replay_started = instr.begin(Phase::Replay);
+                    let trail = executor.execute_prefix(tm, &p.input, fuel, flip.ord + 1);
+                    instr.finish(replay_started, Phase::Replay, observer);
+                    let (prefix, flipped) = flip.query(&trail?, tm)?;
+                    discharge(
+                        &mut BitblastBackend::new(),
+                        tm,
+                        gate,
+                        &prefix,
+                        flipped,
+                        executor.input_len(),
+                        instr,
+                        observer,
+                    )
+                }
+            };
+            match solved {
+                (query, Some(bytes)) => (query, bytes),
+                (query, None) => return Ok((query, None)),
             }
         }
     };
-
-    // Materialization runs on the worker's own term manager, reset per
-    // path as in the cold path (the cached contexts keep their handles
-    // private to the cache).
-    tm.reset();
-    materialize(executor, tm, observer, p, fuel, query, input, instr)
+    let (record, spawned, _) = materialize(executor, tm, observer, p, fuel, input, instr)?;
+    Ok((query, Some((record, spawned))))
 }
 
 /// The policy divergence guard of prescription replay: a prescription
@@ -1383,58 +1246,10 @@ fn check_policy(p: &Prescription, executor: &dyn PathExecutor) -> Result<(), Err
     Ok(())
 }
 
-/// Executes the materialized path under `input` and derives the
-/// prescriptions of its unexplored suffix — the shared tail of [`replay`]
-/// and [`replay_warm`].
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn materialize(
-    executor: &mut dyn PathExecutor,
-    tm: &mut TermManager,
-    observer: &mut dyn Observer,
-    p: &Prescription,
-    fuel: u64,
-    query: Option<SatResult>,
-    input: Vec<u8>,
-    instr: &Instruments,
-) -> Result<(Option<SatResult>, Option<(PathRecord, Vec<Prescription>)>), Error> {
-    let execute_started = instr.begin(Phase::Execute);
-    let outcome = executor.execute_path(tm, &input, fuel, observer);
-    instr.finish(execute_started, Phase::Execute, observer);
-    let outcome = outcome?;
-    instr.note_path();
-    observer.on_path(&input, &outcome);
-
-    let forced = p.flip.map_or(0, |f| f.ord + 1);
-    let mut spawned = Vec::new();
-    let mut decisions = Vec::new();
-    for entry in &outcome.trail {
-        if let TrailEntry::Branch { taken, pc, .. } = *entry {
-            let ord = decisions.len();
-            if ord >= forced {
-                spawned.push(Prescription {
-                    id: p.id.child(ord),
-                    input: input.clone(),
-                    flip: Some(Flip { ord, taken, pc }),
-                    policy: p.policy,
-                });
-            }
-            decisions.push(taken);
-        }
-    }
-    let record = PathRecord {
-        id: p.id.clone(),
-        input,
-        exit: outcome.exit,
-        steps: outcome.steps,
-        trail_len: outcome.trail.len(),
-        decisions,
-    };
-    Ok((query, Some((record, spawned))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::TrailEntry;
     use crate::observe::CountingObserver;
     use crate::session::Session;
     use crate::strategy::{Bfs, RandomRestart};
@@ -1804,9 +1619,9 @@ ok:
             .binary(&elf(THREE_COMPARES))
             .workers(2)
             .warm_start(true)
-            .warm_capacity(1)
             .build_parallel()
             .unwrap();
+        warm.warm_capacity = Some(1);
         warm.run_all().unwrap();
         assert_eq!(warm.records(), reference.records());
     }
@@ -1875,31 +1690,16 @@ ok:
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));
-        // Warm start and a custom backend factory are incompatible.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .workers(2)
-            .warm_start(true)
-            .backend_factory(|| Box::new(crate::backend::BitblastBackend::new()))
-            .build_parallel()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
-        // Zero capacity is rejected.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .workers(2)
-            .warm_start(true)
-            .warm_capacity(0)
-            .build_parallel()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
-        // warm_start(false) with a backend factory stays fine.
-        Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .workers(2)
-            .backend_factory(|| Box::new(crate::backend::BitblastBackend::new()))
-            .build_parallel()
-            .unwrap();
+        // Parallel builds take it either way.
+        for enabled in [false, true] {
+            let par = Session::builder(Spec::rv32im())
+                .binary(&elf)
+                .workers(2)
+                .warm_start(enabled)
+                .build_parallel()
+                .unwrap();
+            assert_eq!(par.warm_start(), enabled);
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Replayable path prescriptions: plain-data descriptions of pending paths.
 //!
 //! The sequential [`crate::Session`] continues a pending branch flip *in
-//! place*: the [`crate::Candidate`] it queues carries live [`Term`] handles
-//! into the session's own term manager, so a candidate is only meaningful to
-//! the engine that created it. That coupling is what pins exploration to one
-//! thread — term handles are engine-local (see
+//! place*: the [`crate::Candidate`] it queues shares the parent path's
+//! recorded trail, whose [`Term`] handles point into the session's own term
+//! manager, so a candidate is only meaningful to the engine that created
+//! it. That coupling is what pins exploration to one thread — term handles
+//! are engine-local (see
 //! [`binsym_smt::TermManager::reset`] on handle hygiene) and the `Rc`-based
 //! observer/executor plumbing is not `Sync`.
 //!
@@ -21,6 +22,9 @@
 //! 3. on SAT, run the model's input to materialize the new path and emit
 //!    prescriptions for the new path's unexplored suffix branches.
 //!
+//! Steps 2 and 3 run the same code in the sequential engine, which builds
+//! the query from the parent trail it already holds instead of step 1.
+//!
 //! Because each replay happens in a fresh engine context, the whole step is
 //! a pure function of the prescription — the foundation of the
 //! deterministic work-stealing exploration in [`crate::ParallelSession`].
@@ -29,7 +33,7 @@
 
 use std::cmp::Ordering;
 
-use binsym_smt::{Model, Term};
+use binsym_smt::{Model, Term, TermManager};
 
 use crate::error::Error;
 use crate::machine::{StepResult, TrailEntry};
@@ -153,6 +157,26 @@ impl Flip {
         Err(Error::ReplayDivergence {
             what: "parent replay recorded fewer branches than prescribed",
         })
+    }
+
+    /// Builds this flip's feasibility query from the parent trail: the path
+    /// terms of every entry before the prescribed branch, and the branch
+    /// condition in the direction the flip asserts. The one query builder
+    /// of all three engines (sequential, cold replay, warm cache), so they
+    /// intern the same terms in the same order — prefix first — and hand
+    /// their solvers identical queries.
+    ///
+    /// # Errors
+    /// As [`Flip::locate`].
+    pub(crate) fn query(
+        &self,
+        trail: &[TrailEntry],
+        tm: &mut TermManager,
+    ) -> Result<(Vec<Term>, Term), Error> {
+        let (i, cond) = self.locate(trail)?;
+        let prefix = trail[..i].iter().map(|e| e.path_term(tm)).collect();
+        let flipped = if self.taken { tm.not(cond) } else { cond };
+        Ok((prefix, flipped))
     }
 }
 

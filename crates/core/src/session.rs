@@ -39,27 +39,26 @@
 //! frontier; a candidate's prefix plus negated branch condition is handed
 //! to the backend, and a model of a feasible flip seeds the next run.
 
+use std::rc::Rc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use binsym_elf::ElfFile;
 use binsym_isa::Spec;
-use binsym_smt::{SatResult, TermManager};
+use binsym_smt::TermManager;
 
-use crate::backend::{BitblastBackend, SolverBackend, StaticGate};
-use crate::coverage::CoverageMap;
+use crate::backend::{discharge, BitblastBackend, SolverBackend, StaticGate};
 use crate::error::Error;
 use crate::machine::{StepResult, SymMachine, TrailEntry};
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{Instruments, MetricsRegistry, Phase};
 use crate::observe::{NullObserver, Observer};
 use crate::parallel::{
-    BackendFactory, ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan,
-    ShardStrategyFactory,
+    ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan, ShardStrategyFactory,
 };
-use crate::prescribe::{Flip, PathId, Prescription};
+use crate::prescribe::{Flip, PathRecord, Prescription};
 use crate::strategy::{Candidate, Dfs, PathStrategy, PrescriptionStrategy};
 use crate::trace::TraceSink;
+use crate::warm::WARM_CAPACITY;
 use crate::SYM_INPUT_SYMBOL;
 
 /// Outcome of executing one path.
@@ -203,6 +202,25 @@ pub struct Summary {
     pub truncated: bool,
 }
 
+impl Summary {
+    /// Folds one materialized path into the totals: the sequential session
+    /// per path, the parallel merge per record.
+    pub(crate) fn add_path(&mut self, path: &PathRecord) {
+        self.paths += 1;
+        self.total_steps += path.steps;
+        self.max_trail_len = self.max_trail_len.max(path.trail_len);
+        if path.is_error() {
+            self.error_paths.push(ErrorPath {
+                exit_code: match path.exit {
+                    StepResult::Exited(code) => Some(code),
+                    _ => None,
+                },
+                input: path.input.clone(),
+            });
+        }
+    }
+}
+
 /// Locates the symbolic input region in an ELF image.
 ///
 /// # Errors
@@ -214,10 +232,18 @@ pub fn find_sym_input(elf: &ElfFile, override_len: Option<u32>) -> Result<(u32, 
     let default_len = if sym.size != 0 {
         sym.size
     } else {
+        // Segment ends are computed in 64 bits: a segment may end at (or
+        // past) the top of the 32-bit address space.
+        let addr = u64::from(sym_addr);
         elf.segments
             .iter()
-            .find(|s| (s.vaddr..s.vaddr + s.data.len() as u32).contains(&sym_addr))
-            .map(|s| s.vaddr + s.data.len() as u32 - sym_addr)
+            .find_map(|s| {
+                let start = u64::from(s.vaddr);
+                let end = start + s.data.len() as u64;
+                (start..end)
+                    .contains(&addr)
+                    .then(|| u32::try_from(end - addr).unwrap_or(u32::MAX))
+            })
             .unwrap_or(4)
     };
     Ok((sym_addr, override_len.unwrap_or(default_len)))
@@ -345,12 +371,13 @@ impl PathExecutor for SpecExecutor {
 /// (replicable custom engine, usable by worker threads).
 ///
 /// Sequential and parallel sessions grow from the same builder: the shared
-/// knobs (`binary`, `limit`, `fuel`, `input_len`) apply to both, while the
-/// engine *instances* (`strategy`, `backend`, `observer`, `executor`) are
-/// sequential-only — worker threads cannot share them — and have `Send`
-/// *factory* counterparts (`shard_strategy`, `backend_factory`,
-/// `observer_factory`, `executor_factory`) consumed by
-/// [`SessionBuilder::build_parallel`].
+/// knobs (`binary`, `limit`, `fuel`, `address_policy`) apply to both, while
+/// the engine *instances* (`strategy`, `backend`, `observer`, `executor`)
+/// are sequential-only — worker threads cannot share them. Parallel
+/// sessions take `Send` *factories* for the policy, observer, and executor
+/// (`shard_strategy`, `observer_factory`, `executor_factory`), consumed by
+/// [`SessionBuilder::build_parallel`], and solve every replayed flip in a
+/// fresh [`BitblastBackend`] (or through the warm cache).
 pub struct SessionBuilder {
     spec: Option<Spec>,
     elf: Option<ElfFile>,
@@ -363,21 +390,15 @@ pub struct SessionBuilder {
     observer_set: bool,
     limit: Option<u64>,
     fuel: u64,
-    input_len: Option<u32>,
     address_policy: Option<AddressPolicyKind>,
     workers: Option<usize>,
     executor_factory: Option<ExecutorFactory>,
-    backend_factory: Option<BackendFactory>,
     observer_factory: Option<ObserverFactory>,
     shard_strategy: Option<ShardStrategyFactory>,
     warm_start: bool,
-    warm_capacity: Option<usize>,
     static_analysis: bool,
-    sa_shadow: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
-    progress: Option<Duration>,
-    progress_coverage: Option<Arc<CoverageMap>>,
     checkpoint: Option<(std::path::PathBuf, u64)>,
     resume: Option<std::path::PathBuf>,
 }
@@ -389,7 +410,6 @@ impl std::fmt::Debug for SessionBuilder {
             .field("backend", &self.backend.name())
             .field("limit", &self.limit)
             .field("fuel", &self.fuel)
-            .field("input_len", &self.input_len)
             .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
@@ -419,7 +439,9 @@ impl SessionBuilder {
     }
 
     /// Solver backend (default: the incremental [`BitblastBackend`]).
-    /// Sequential-only; parallel sessions take [`SessionBuilder::backend_factory`].
+    /// Sequential-only; parallel sessions solve each replayed flip in a
+    /// fresh [`BitblastBackend`], so every result is a pure function of its
+    /// prescription — the root of cross-run determinism.
     pub fn backend(mut self, backend: impl SolverBackend + 'static) -> Self {
         self.backend = Box::new(backend);
         self.backend_set = true;
@@ -455,19 +477,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Factory producing the solver backend for each replayed prescription
-    /// in a parallel session (default: the incremental
-    /// [`BitblastBackend`]). Called once per feasibility query batch so
-    /// every replay solves in a context that is a pure function of its
-    /// prescription — the root of cross-run determinism.
-    pub fn backend_factory(
-        mut self,
-        factory: impl Fn() -> Box<dyn SolverBackend> + Send + Sync + 'static,
-    ) -> Self {
-        self.backend_factory = Some(std::sync::Arc::new(factory));
-        self
-    }
-
     /// Factory producing one [`Observer`] per worker thread, receiving the
     /// worker index. Worker observers see their shard's events live
     /// (`on_step`/`on_branch` during materialized-path execution, plus
@@ -494,58 +503,36 @@ impl SessionBuilder {
 
     /// Enables the deterministic prefix-keyed solver warm start for
     /// parallel sessions (default: off). Each worker keeps a bounded
-    /// cache keyed by parent concrete input: the parent-prefix trail is
-    /// executed once and reused, and the prefix's bit-blast is held open
-    /// in a reusable solver context with each flip solved in a disposable
-    /// frame on top. The cache affects **wall time only, never models** —
-    /// merged records stay byte-identical to a cache-off run on every
-    /// worker count, schedule, and hit pattern (see [`crate::warm`]).
+    /// cache ([`crate::warm::WARM_CAPACITY`] entries per half, evicted
+    /// least-recently-used) keyed by parent concrete input: the
+    /// parent-prefix trail is executed once and reused, and the prefix's
+    /// bit-blast is held open in a reusable solver context with each flip
+    /// solved in a disposable frame on top. The cache affects **wall time
+    /// only, never models** — merged records stay byte-identical to a
+    /// cache-off run on every worker count, schedule, and hit pattern (see
+    /// [`crate::warm`]).
     ///
     /// Parallel-only (the sequential engine already has true cross-query
-    /// incrementality); incompatible with a custom
-    /// [`SessionBuilder::backend_factory`], which the warm path replaces.
+    /// incrementality).
     pub fn warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
         self
     }
 
-    /// Bounds the warm-start cache to `contexts` resident parent contexts
-    /// per worker (default: [`crate::warm::DEFAULT_WARM_CAPACITY`]) and
-    /// implies [`SessionBuilder::warm_start`]`(true)` — setting a cache
-    /// size for a disabled cache would otherwise be a silent no-op.
-    /// Eviction is least-recently-used; like every other cache knob it
-    /// changes wall time only, never results. Must be nonzero.
-    pub fn warm_capacity(mut self, contexts: usize) -> Self {
-        self.warm_start = true;
-        self.warm_capacity = Some(contexts);
-        self
-    }
-
     /// Enables the word-level static-analysis gate (default: **on**).
     /// Before a flip query is bit-blasted, a known-bits + interval +
-    /// order-closure pass over the path condition tries to decide it
-    /// outright; decided queries skip the SAT solver entirely (see
+    /// order-closure pass over the path condition tries to prove it
+    /// infeasible; proved queries skip the SAT solver entirely (see
     /// [`crate::StaticGate`]). Like the warm-start cache, the gate affects
     /// wall time only, never results: merged records stay byte-identical
     /// to an analysis-off run — residual queries are blasted from the
-    /// original terms, and eliminated verdicts are exact. Per-query
-    /// accounting flows through [`crate::Observer::on_static_analysis`].
+    /// original terms, and eliminations are exact. Per-query accounting
+    /// flows through [`crate::Observer::on_static_analysis`]. The
+    /// `BINSYM_SA_SHADOW` environment variable cross-checks every
+    /// elimination against the full SAT query (a soundness tripwire for
+    /// CI that re-adds the solver work the gate saves).
     pub fn static_analysis(mut self, enabled: bool) -> Self {
         self.static_analysis = enabled;
-        self
-    }
-
-    /// Cross-checks **every** static-analysis verdict against the full
-    /// SAT query, panicking with an SMT-LIB dump of the query on any
-    /// disagreement (default: off; also enabled by the `BINSYM_SA_SHADOW`
-    /// environment variable). A soundness tripwire for CI — it re-adds
-    /// the solver work the gate saves, so leave it off when benchmarking.
-    /// Implies [`SessionBuilder::static_analysis`]`(true)`.
-    pub fn static_analysis_shadow_check(mut self, enabled: bool) -> Self {
-        self.sa_shadow = enabled;
-        if enabled {
-            self.static_analysis = true;
-        }
         self
     }
 
@@ -575,22 +562,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables a periodic stderr progress report (paths/sec, queries/sec,
-    /// and — in parallel sessions — frontier depth) every `interval`.
-    /// Counters come from the metrics registry; if none was installed, a
-    /// private one is created. Must be nonzero.
-    pub fn progress(mut self, interval: Duration) -> Self {
-        self.progress = Some(interval);
-        self
-    }
-
-    /// Adds covered-PC counts from `map` to the progress report (pair with
-    /// the same shared map fed by [`crate::CoverageObserver`]s).
-    pub fn progress_coverage(mut self, map: Arc<CoverageMap>) -> Self {
-        self.progress_coverage = Some(map);
-        self
-    }
-
     /// Writes an atomic checkpoint of the parallel exploration to `path`
     /// every `every_n` newly merged paths (and once more on drain). A
     /// checkpoint captures the committed records, every shard frontier
@@ -609,9 +580,10 @@ impl SessionBuilder {
 
     /// Seeds the parallel exploration from a checkpoint written by
     /// [`SessionBuilder::checkpoint`] instead of from the root
-    /// prescription. The session's `input_len`, `fuel`, and `limit` must
-    /// match the checkpoint's (typed [`Error::Persist`] otherwise — as for
-    /// any unreadable, truncated, or wrong-version file); worker count and
+    /// prescription. The session's symbolic input length, `fuel`, and
+    /// `limit` must match the checkpoint's (typed [`Error::Persist`]
+    /// otherwise — as for any unreadable, truncated, or wrong-version
+    /// file); worker count and
     /// shard policy may differ, since they only shape scheduling. The
     /// resumed run's merged records are byte-identical to the
     /// uninterrupted run's. Parallel-only.
@@ -638,13 +610,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the symbolic-input length (default: the ELF symbol's
-    /// size, or its full data extent).
-    pub fn input_len(mut self, len: u32) -> Self {
-        self.input_len = Some(len);
-        self
-    }
-
     /// Sets the address-concretization policy for symbolic memory accesses
     /// (default: [`AddressPolicyKind::ConcretizeEq`], the paper's §III-B
     /// behavior — see [`crate::memory`] for the alternatives). Applies to
@@ -667,34 +632,12 @@ impl SessionBuilder {
                 what: "per-path fuel must be nonzero",
             });
         }
-        if self.warm_capacity == Some(0) {
-            return Err(Error::InvalidConfig {
-                what: "warm-start capacity must be nonzero",
-            });
-        }
-        if self.progress == Some(Duration::ZERO) {
-            return Err(Error::InvalidConfig {
-                what: "progress interval must be nonzero",
-            });
-        }
         if matches!(self.checkpoint, Some((_, 0))) {
             return Err(Error::InvalidConfig {
                 what: "checkpoint interval must be nonzero paths",
             });
         }
         Ok(())
-    }
-
-    /// The metrics registry the session will write to: the explicit one,
-    /// or a private registry when only the progress reporter needs
-    /// counters (no registry at all otherwise — the disabled path must
-    /// measure nothing).
-    fn effective_metrics(&self, workers: usize) -> Option<Arc<MetricsRegistry>> {
-        match (&self.metrics, self.progress) {
-            (Some(registry), _) => Some(Arc::clone(registry)),
-            (None, Some(_)) => Some(Arc::new(MetricsRegistry::new(workers))),
-            (None, None) => None,
-        }
     }
 
     /// Assembles the sequential session.
@@ -725,10 +668,6 @@ impl SessionBuilder {
                        already incremental): call `build_parallel()`",
             });
         }
-        let instr = Instruments::new(self.effective_metrics(1), self.trace.clone(), 0);
-        let progress = self
-            .progress
-            .map(|interval| Progress::new(interval, self.progress_coverage.clone()));
         let executor = match (self.executor, self.executor_factory, self.elf) {
             (Some(exec), _, _) => exec,
             (None, Some(factory), _) => factory()?,
@@ -740,7 +679,7 @@ impl SessionBuilder {
                 // Move the builder's ELF copy into the executor instead of
                 // cloning a second time — images can be large, and session
                 // construction sits inside benchmarked regions.
-                let (sym_addr, sym_len) = find_sym_input(&elf, self.input_len)?;
+                let (sym_addr, sym_len) = find_sym_input(&elf, None)?;
                 Box::new(SpecExecutor {
                     spec,
                     elf,
@@ -759,24 +698,21 @@ impl SessionBuilder {
                 });
             }
         }
-        let input_len = executor.input_len();
-        let policy = executor.policy();
+        let input = vec![0u8; executor.input_len() as usize];
+        let root = Prescription::root(input.clone(), executor.policy());
         Ok(Session {
             executor,
-            policy,
             tm: TermManager::new(),
             strategy: self.strategy,
             backend: self.backend,
             observer: self.observer,
-            gate: StaticGate::new(self.static_analysis, self.sa_shadow),
+            gate: StaticGate::new(self.static_analysis),
             fuel: self.fuel,
             max_paths: self.limit,
-            next_input: Some((PathId::root(), vec![0u8; input_len as usize])),
-            forced_depth: 0,
+            next: Some((root, input)),
             done: false,
             summary: Summary::default(),
-            instr,
-            progress,
+            instr: Instruments::new(self.metrics, self.trace, 0),
         })
     }
 
@@ -812,18 +748,13 @@ impl SessionBuilder {
         }
         if self.backend_set {
             return Err(Error::InvalidConfig {
-                what: "`backend` is sequential-only: use `backend_factory` for parallel sessions",
+                what: "`backend` is sequential-only: parallel sessions solve each replayed \
+                       flip in a fresh bit-blasting backend",
             });
         }
         if self.observer_set {
             return Err(Error::InvalidConfig {
                 what: "`observer` is sequential-only: use `observer_factory` for parallel sessions",
-            });
-        }
-        if self.warm_start && self.backend_factory.is_some() {
-            return Err(Error::InvalidConfig {
-                what: "`warm_start` replaces the per-query backend with cached prefix \
-                       contexts: drop `backend_factory` or disable warm start",
             });
         }
         let workers = self.workers.unwrap_or_else(|| {
@@ -832,12 +763,6 @@ impl SessionBuilder {
                 .unwrap_or(1)
                 .min(8)
         });
-        let instrumentation = crate::metrics::InstrumentationConfig {
-            metrics: self.effective_metrics(workers),
-            trace: self.trace.clone(),
-            progress: self.progress,
-            progress_coverage: self.progress_coverage.clone(),
-        };
         let executor_factory: ExecutorFactory = match (self.executor_factory, self.elf) {
             (Some(factory), _) => factory,
             (None, Some(elf)) => {
@@ -845,11 +770,10 @@ impl SessionBuilder {
                     what:
                         "exploring a binary needs an ISA spec: start with `Session::builder(spec)`",
                 })?;
-                let input_len = self.input_len;
                 let policy = self.address_policy.unwrap_or_default();
                 std::sync::Arc::new(move || {
                     Ok(Box::new(
-                        SpecExecutor::new(spec.clone(), &elf, input_len)?.with_policy(policy),
+                        SpecExecutor::new(spec.clone(), &elf, None)?.with_policy(policy),
                     ))
                 })
             }
@@ -867,28 +791,20 @@ impl SessionBuilder {
                        configure the factory's executors themselves (e.g. `with_policy`)",
             });
         }
-        let backend_factory: BackendFactory = self
-            .backend_factory
-            .unwrap_or_else(|| std::sync::Arc::new(|| Box::new(BitblastBackend::new())));
         let shard_strategy: ShardStrategyFactory = self
             .shard_strategy
             .unwrap_or_else(|| std::sync::Arc::new(|_| Box::new(Dfs::<Prescription>::new())));
-        let warm_capacity = self.warm_start.then(|| {
-            self.warm_capacity
-                .unwrap_or(crate::warm::DEFAULT_WARM_CAPACITY)
-        });
         Ok(ParallelSession::new(
             workers,
             executor_factory,
-            backend_factory,
             self.observer_factory,
             shard_strategy,
             self.fuel,
             self.limit,
             input_len,
-            warm_capacity,
-            StaticGate::new(self.static_analysis, self.sa_shadow),
-            instrumentation,
+            self.warm_start.then_some(WARM_CAPACITY),
+            StaticGate::new(self.static_analysis),
+            Instruments::new(self.metrics, self.trace, 0),
             PersistPlan {
                 checkpoint: self.checkpoint,
                 resume: self.resume,
@@ -904,8 +820,6 @@ impl SessionBuilder {
 /// See the [module docs](self) for the full picture and an example.
 pub struct Session {
     executor: Box<dyn PathExecutor>,
-    /// The executor's address policy, recorded into every prescription.
-    policy: AddressPolicyKind,
     tm: TermManager,
     strategy: Box<dyn PathStrategy>,
     backend: Box<dyn SolverBackend>,
@@ -913,79 +827,14 @@ pub struct Session {
     gate: StaticGate,
     fuel: u64,
     max_paths: Option<u64>,
-    /// Identity and input of the next path, when already known (the
-    /// initial all-zero root input, or a model found eagerly).
-    next_input: Option<(PathId, Vec<u8>)>,
-    /// Branches below this ordinal are already queued from earlier paths
-    /// and must not be re-queued (they are shared prefix).
-    forced_depth: usize,
+    /// The next path and its input, when already known (the all-zero root,
+    /// or the model of the last feasible flip).
+    next: Option<(Prescription, Vec<u8>)>,
     done: bool,
     summary: Summary,
     /// Phase timers and trace spans (track 0); disabled unless a metrics
     /// registry or trace sink was installed.
     instr: Instruments,
-    progress: Option<Progress>,
-}
-
-/// State of the opt-in stderr progress reporter. The sequential session
-/// ticks it from the exploration loop itself (thread-free, at most one
-/// line per interval); a parallel session ticks it from a dedicated
-/// reporter thread.
-pub(crate) struct Progress {
-    interval: Duration,
-    coverage: Option<Arc<CoverageMap>>,
-    started: Instant,
-    last: Instant,
-    last_paths: u64,
-    last_queries: u64,
-}
-
-impl Progress {
-    pub(crate) fn new(interval: Duration, coverage: Option<Arc<CoverageMap>>) -> Self {
-        Progress {
-            interval,
-            coverage,
-            started: Instant::now(),
-            last: Instant::now(),
-            last_paths: 0,
-            last_queries: 0,
-        }
-    }
-
-    /// Emit one report line if `interval` has elapsed since the last.
-    pub(crate) fn tick(
-        &mut self,
-        registry: Option<&Arc<MetricsRegistry>>,
-        frontier_depth: Option<usize>,
-    ) {
-        use std::fmt::Write as _;
-
-        let now = Instant::now();
-        if now.duration_since(self.last) < self.interval {
-            return;
-        }
-        let dt = now.duration_since(self.last).as_secs_f64();
-        let paths = registry.map_or(0, |r| r.total_paths());
-        let queries = registry.map_or(0, |r| r.total_queries());
-        let mut line = format!(
-            "[binsym] t={:.1}s paths={} ({:.1}/s) queries={} ({:.1}/s)",
-            now.duration_since(self.started).as_secs_f64(),
-            paths,
-            (paths - self.last_paths) as f64 / dt,
-            queries,
-            (queries - self.last_queries) as f64 / dt,
-        );
-        if let Some(depth) = frontier_depth {
-            let _ = write!(line, " frontier={depth}");
-        }
-        if let Some(map) = &self.coverage {
-            let _ = write!(line, " covered={}", map.covered_count());
-        }
-        eprintln!("{line}");
-        self.last = now;
-        self.last_paths = paths;
-        self.last_queries = queries;
-    }
 }
 
 impl std::fmt::Debug for Session {
@@ -1013,21 +862,15 @@ impl Session {
             observer_set: false,
             limit: None,
             fuel: 10_000_000,
-            input_len: None,
             address_policy: None,
             workers: None,
             executor_factory: None,
-            backend_factory: None,
             observer_factory: None,
             shard_strategy: None,
             warm_start: false,
-            warm_capacity: None,
             static_analysis: true,
-            sa_shadow: false,
             metrics: None,
             trace: None,
-            progress: None,
-            progress_coverage: None,
             checkpoint: None,
             resume: None,
         }
@@ -1143,159 +986,127 @@ impl Session {
         if self.done {
             return None;
         }
-        let (path_id, input) = match self.next_input.take() {
-            Some(i) => i,
-            None => match self.solve_next() {
-                Some(i) => i,
-                None => {
-                    self.done = true;
-                    return None;
-                }
-            },
+        let Some((p, input)) = self.next.take().or_else(|| self.solve_next()) else {
+            self.done = true;
+            return None;
         };
-        let started = self.instr.begin(Phase::Execute);
-        let outcome =
-            match self
-                .executor
-                .execute_path(&mut self.tm, &input, self.fuel, &mut *self.observer)
-            {
-                Ok(o) => o,
-                Err(e) => {
-                    self.instr
-                        .finish(started, Phase::Execute, &mut *self.observer);
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            };
-        self.instr
-            .finish(started, Phase::Execute, &mut *self.observer);
-        self.instr.note_path();
-
-        self.summary.paths += 1;
-        self.summary.total_steps += outcome.steps;
-        self.summary.max_trail_len = self.summary.max_trail_len.max(outcome.trail.len());
-        match outcome.exit {
-            StepResult::Exited(0) => {}
-            StepResult::Exited(code) => self.summary.error_paths.push(ErrorPath {
-                exit_code: Some(code),
-                input: input.clone(),
-            }),
-            StepResult::Break => self.summary.error_paths.push(ErrorPath {
-                exit_code: None,
-                input: input.clone(),
-            }),
-            StepResult::Continue => unreachable!("execute_path loops on Continue"),
-        }
-        self.observer.on_path(&input, &outcome);
-        if let Some(progress) = &mut self.progress {
-            progress.tick(self.instr.registry(), None);
-        }
-
+        let (record, spawned, outcome) = match materialize(
+            &mut *self.executor,
+            &mut self.tm,
+            &mut *self.observer,
+            &p,
+            self.fuel,
+            input,
+            &self.instr,
+        ) {
+            Ok(materialized) => materialized,
+            Err(e) => {
+                self.done = true;
+                return Some(Err(e));
+            }
+        };
+        self.summary.add_path(&record);
         if self
             .max_paths
             .is_some_and(|limit| self.summary.paths >= limit)
         {
             self.summary.truncated = true;
             self.done = true;
-            return Some(Ok(outcome));
-        }
-
-        // Queue flip candidates for the new suffix of this path's trail.
-        let mut branch_ord = 0usize;
-        for (i, entry) in outcome.trail.iter().enumerate() {
-            if let TrailEntry::Branch { cond, taken, pc } = *entry {
-                if branch_ord >= self.forced_depth {
-                    self.strategy.push(Candidate {
-                        prefix: outcome.trail[..i].to_vec(),
-                        cond,
-                        taken,
-                        branch_ord,
-                        prescription: Prescription {
-                            id: path_id.child(branch_ord),
-                            input: outcome.input.clone(),
-                            flip: Some(Flip {
-                                ord: branch_ord,
-                                taken,
-                                pc,
-                            }),
-                            policy: self.policy,
-                        },
-                    });
-                }
-                branch_ord += 1;
+        } else {
+            let trail: Rc<[TrailEntry]> = Rc::from(outcome.trail.as_slice());
+            for prescription in spawned {
+                self.strategy.push(Candidate {
+                    prescription,
+                    trail: Rc::clone(&trail),
+                });
             }
         }
         Some(Ok(outcome))
     }
 
-    /// Pops frontier candidates until a feasible flip is found, returning
-    /// the new path's identity and the model's input bytes (and updating
-    /// `forced_depth`), or `None` when the frontier is exhausted.
-    fn solve_next(&mut self) -> Option<(PathId, Vec<u8>)> {
-        while let Some(cand) = self.strategy.pop() {
-            // Terms are interned in the same order whether or not the gate
-            // screens the query, so analysis-on and analysis-off runs see
-            // identical term handles (and hence identical CNF and models).
-            let prefix: Vec<_> = cand
-                .prefix
-                .iter()
-                .map(|e| e.path_term(&mut self.tm))
-                .collect();
-            let flipped = if cand.taken {
-                self.tm.not(cand.cond)
-            } else {
-                cand.cond
-            };
-            let gate_started = self.instr.begin(Phase::Gate);
-            let screened =
-                self.gate
-                    .screen(&mut self.tm, &prefix, flipped, &cand.prescription.input);
-            self.instr
-                .finish(gate_started, Phase::Gate, &mut *self.observer);
-            if let Some(report) = screened {
-                self.observer.on_static_analysis(&report.stats);
-                if let Some((r, bytes)) = report.verdict {
-                    // Eliminated: no backend call, no `on_query`.
-                    match r {
-                        SatResult::Sat => {
-                            let bytes = bytes.expect("sat verdict carries witness bytes");
-                            self.forced_depth = cand.branch_ord + 1;
-                            return Some((cand.prescription.id, bytes));
-                        }
-                        SatResult::Unsat => continue,
-                    }
-                }
+    /// Pops frontier candidates until a flip is feasible, returning its
+    /// prescription and the model's input bytes, or `None` when the
+    /// frontier is exhausted.
+    fn solve_next(&mut self) -> Option<(Prescription, Vec<u8>)> {
+        while let Some(Candidate {
+            prescription,
+            trail,
+        }) = self.strategy.pop()
+        {
+            let flip = prescription
+                .flip
+                .expect("frontier candidates flip a branch");
+            let (prefix, flipped) = flip
+                .query(&trail, &mut self.tm)
+                .expect("a path's own trail holds each of its flips");
+            let (_, bytes) = discharge(
+                &mut *self.backend,
+                &mut self.tm,
+                self.gate,
+                &prefix,
+                flipped,
+                self.executor.input_len(),
+                &self.instr,
+                &mut *self.observer,
+            );
+            if let Some(bytes) = bytes {
+                return Some((prescription, bytes));
             }
-            let blast_started = self.instr.begin(Phase::BitBlast);
-            self.backend.push();
-            for &t in &prefix {
-                self.backend.assert_term(&mut self.tm, t);
-            }
-            self.backend.assert_term(&mut self.tm, flipped);
-            self.instr
-                .finish(blast_started, Phase::BitBlast, &mut *self.observer);
-            let solve_started = self.instr.begin(Phase::Solve);
-            let r = self.backend.check_sat(&mut self.tm);
-            let solve_nanos = self
-                .instr
-                .finish(solve_started, Phase::Solve, &mut *self.observer);
-            if solve_started.is_some() {
-                self.instr.record_query(solve_nanos);
-            }
-            self.observer.on_query(r);
-            if r == SatResult::Sat {
-                let model = self.backend.model(&self.tm).expect("sat has model");
-                let bytes = (0..self.executor.input_len())
-                    .map(|i| model.value(&format!("in{i}")).unwrap_or(0) as u8)
-                    .collect();
-                self.backend.pop();
-                self.forced_depth = cand.branch_ord + 1;
-                return Some((cand.prescription.id, bytes));
-            }
-            self.backend.pop();
         }
         None
     }
+}
+
+/// Executes the path a prescription materializes under its solved `input`
+/// and derives the prescriptions of its unexplored suffix — the branches
+/// past the flipped one (all of them for the root). The path step of both
+/// engines: returns the path's record, its spawned prescriptions, and the
+/// full outcome.
+///
+/// # Errors
+/// Returns [`Error`] on execution errors or fuel exhaustion.
+pub(crate) fn materialize(
+    executor: &mut dyn PathExecutor,
+    tm: &mut TermManager,
+    observer: &mut dyn Observer,
+    p: &Prescription,
+    fuel: u64,
+    input: Vec<u8>,
+    instr: &Instruments,
+) -> Result<(PathRecord, Vec<Prescription>, PathOutcome), Error> {
+    let execute_started = instr.begin(Phase::Execute);
+    let outcome = executor.execute_path(tm, &input, fuel, observer);
+    instr.finish(execute_started, Phase::Execute, observer);
+    let outcome = outcome?;
+    instr.note_path();
+    observer.on_path(&input, &outcome);
+
+    let forced = p.flip.map_or(0, |f| f.ord + 1);
+    let mut spawned = Vec::new();
+    let mut decisions = Vec::new();
+    for entry in &outcome.trail {
+        if let TrailEntry::Branch { taken, pc, .. } = *entry {
+            let ord = decisions.len();
+            if ord >= forced {
+                spawned.push(Prescription {
+                    id: p.id.child(ord),
+                    input: input.clone(),
+                    flip: Some(Flip { ord, taken, pc }),
+                    policy: p.policy,
+                });
+            }
+            decisions.push(taken);
+        }
+    }
+    let record = PathRecord {
+        id: p.id.clone(),
+        input,
+        exit: outcome.exit,
+        steps: outcome.steps,
+        trail_len: outcome.trail.len(),
+        decisions,
+    };
+    Ok((record, spawned, outcome))
 }
 
 /// Iterator over lazily explored paths; see [`Session::paths`].
@@ -1652,24 +1463,16 @@ _start:
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));
-
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .progress(std::time::Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
     }
 
     #[test]
-    fn progress_reporter_and_metrics_leave_results_unchanged() {
+    fn metrics_leave_results_unchanged() {
         let plain = explore(SINGLE_COMPARE);
         let elf = Assembler::new().assemble(SINGLE_COMPARE).unwrap();
         let registry = std::sync::Arc::new(crate::metrics::MetricsRegistry::new(1));
         let s = Session::builder(Spec::rv32im())
             .binary(&elf)
             .metrics(std::sync::Arc::clone(&registry))
-            .progress(std::time::Duration::from_millis(1))
             .build()
             .unwrap()
             .run_all()
@@ -1683,20 +1486,30 @@ _start:
     }
 
     #[test]
-    fn progress_without_metrics_gets_a_private_registry() {
-        // `.progress()` alone must not panic or skew results — the builder
-        // auto-creates a registry for the reporter to read.
-        let plain = explore(SINGLE_COMPARE);
-        let elf = Assembler::new().assemble(SINGLE_COMPARE).unwrap();
-        let s = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .progress(std::time::Duration::from_millis(1))
-            .build()
-            .unwrap()
-            .run_all()
-            .unwrap();
-        assert_eq!(s.paths, plain.paths);
-        assert_eq!(s.solver_checks, plain.solver_checks);
+    fn sym_input_extent_reaches_the_top_of_the_address_space() {
+        // `__sym_input` without a size extends to the end of its segment;
+        // a segment ending at (or wrapping past) 2^32 must not overflow.
+        use binsym_elf::{Segment, Symbol};
+        for (len, expect) in [(16usize, 8u32), (32, 24)] {
+            let elf = ElfFile {
+                entry: 0,
+                segments: vec![Segment {
+                    vaddr: 0xFFFF_FFF0,
+                    data: vec![0; len],
+                    flags: 0,
+                }],
+                symbols: vec![Symbol {
+                    name: SYM_INPUT_SYMBOL.to_string(),
+                    value: 0xFFFF_FFF8,
+                    size: 0,
+                }],
+            };
+            assert_eq!(
+                find_sym_input(&elf, None).unwrap(),
+                (0xFFFF_FFF8, expect),
+                "{len}-byte segment"
+            );
+        }
     }
 
     #[test]

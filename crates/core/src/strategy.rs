@@ -8,8 +8,8 @@
 //! two frontiers:
 //!
 //! * the **sequential** frontier of [`crate::Session`], holding
-//!   [`Candidate`]s (live term handles, continued in place) behind the
-//!   [`PathStrategy`] trait;
+//!   [`Candidate`]s (a prescription plus the parent's live trail, continued
+//!   in place) behind the [`PathStrategy`] trait;
 //! * the **shard-local** frontiers of [`crate::ParallelSession`], holding
 //!   plain-data [`Prescription`]s behind the [`PrescriptionStrategy`]
 //!   trait — the same policies, plus a [`steal`](PrescriptionStrategy::steal)
@@ -37,9 +37,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use binsym_smt::Term;
 
 use crate::coverage::{CoverageMap, CoverageSnapshot};
 use crate::machine::TrailEntry;
@@ -78,22 +77,18 @@ impl FrontierSnapshot {
     }
 }
 
-/// A pending branch flip on the sequential frontier: live term handles
-/// plus, in [`Candidate::prescription`], the plain-data form that lets the
-/// same pending path be replayed on a fresh engine.
+/// A pending branch flip on the sequential frontier: the plain-data
+/// [`Prescription`] naming it, plus the recorded trail of the path it
+/// branches off, from which the session builds the flip query in place
+/// instead of replaying the parent.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// Trail entries preceding the flipped branch (the path-condition
-    /// prefix that must hold for the flip to be meaningful).
-    pub prefix: Vec<TrailEntry>,
-    /// The branch condition being flipped.
-    pub cond: Term,
-    /// Direction it was taken originally (the flip asserts the opposite).
-    pub taken: bool,
-    /// Ordinal of the branch among the path's *branch* entries.
-    pub branch_ord: usize,
-    /// Replayable plain-data identity of this pending path.
+    /// Replayable plain-data identity of this pending path; its
+    /// [`Prescription::flip`] names the branch to flip.
     pub prescription: Prescription,
+    /// The parent path's trail (live term handles into the session's term
+    /// manager), one copy shared by every flip of that path.
+    pub trail: Rc<[TrailEntry]>,
 }
 
 /// A worklist policy deciding which pending branch flip to discharge next.
@@ -673,19 +668,17 @@ impl PrescriptionStrategy for CoverageGuided<Prescription> {
 mod tests {
     use super::*;
     use crate::prescribe::{Flip, PathId};
-    use binsym_smt::TermManager;
 
     fn candidate(ord: usize) -> Candidate {
-        let mut tm = TermManager::new();
-        let v = tm.var("c", 1);
-        let one = tm.bv_const(1, 1);
         Candidate {
-            prefix: Vec::new(),
-            cond: tm.eq(v, one),
-            taken: true,
-            branch_ord: ord,
             prescription: prescription(ord),
+            trail: Rc::new([]),
         }
+    }
+
+    /// The flip ordinal a candidate names.
+    fn ord_of(c: Candidate) -> usize {
+        c.prescription.flip.expect("flip candidate").ord
     }
 
     fn prescription(ord: usize) -> Prescription {
@@ -710,9 +703,9 @@ mod tests {
             s.push(candidate(i));
         }
         assert_eq!(s.frontier_len(), 3);
-        assert_eq!(s.pop().unwrap().branch_ord, 2);
-        assert_eq!(s.pop().unwrap().branch_ord, 1);
-        assert_eq!(s.pop().unwrap().branch_ord, 0);
+        assert_eq!(s.pop().map(ord_of), Some(2));
+        assert_eq!(s.pop().map(ord_of), Some(1));
+        assert_eq!(s.pop().map(ord_of), Some(0));
         assert!(s.pop().is_none());
     }
 
@@ -722,9 +715,9 @@ mod tests {
         for i in 0..3 {
             s.push(candidate(i));
         }
-        assert_eq!(s.pop().unwrap().branch_ord, 0);
-        assert_eq!(s.pop().unwrap().branch_ord, 1);
-        assert_eq!(s.pop().unwrap().branch_ord, 2);
+        assert_eq!(s.pop().map(ord_of), Some(0));
+        assert_eq!(s.pop().map(ord_of), Some(1));
+        assert_eq!(s.pop().map(ord_of), Some(2));
         assert!(s.pop().is_none());
     }
 
@@ -737,7 +730,7 @@ mod tests {
             }
             let mut seen = Vec::new();
             while let Some(c) = s.pop() {
-                seen.push(c.branch_ord);
+                seen.push(ord_of(c));
             }
             seen
         };
@@ -917,7 +910,7 @@ mod tests {
             s.push(candidate(i));
         }
         assert_eq!(s.frontier_len(), 3);
-        let mut seen: Vec<usize> = std::iter::from_fn(|| s.pop().map(|c| c.branch_ord)).collect();
+        let mut seen: Vec<usize> = std::iter::from_fn(|| s.pop().map(ord_of)).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
     }

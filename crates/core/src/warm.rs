@@ -64,21 +64,21 @@
 
 use std::collections::HashMap;
 
-use binsym_smt::{PrefixContext, SatResult, Solver, Term, TermManager};
+use binsym_smt::{PrefixContext, SatResult, Solver, TermManager};
 
 use crate::backend::StaticGate;
 use crate::error::Error;
 use crate::machine::TrailEntry;
 use crate::metrics::{Instruments, Phase};
-use crate::observe::{Observer, StaticAnalysisStats, WarmQueryStats};
-use crate::prescribe::Flip;
+use crate::observe::{Observer, WarmQueryStats};
+use crate::prescribe::{witness_bytes, Flip};
 use crate::session::PathExecutor;
 
-/// Default bound on cached parent contexts per worker
-/// ([`crate::SessionBuilder::warm_capacity`] overrides it). Unpromoted
-/// entries are cheap (a term manager and a trail), so the default leans
-/// toward covering a depth-first worker's ancestor chain.
-pub const DEFAULT_WARM_CAPACITY: usize = 16;
+/// Bound on each cache half per worker (resident parent trails, and
+/// resident structural contexts). Unpromoted entries are cheap (a trail and
+/// a promotion counter), so the bound leans toward covering a depth-first
+/// worker's ancestor chain.
+pub const WARM_CAPACITY: usize = 16;
 
 /// Number of flip queries a parent must receive before it is promoted to
 /// a retained [`PrefixContext`]. Promotion re-blasts the prefix into the
@@ -437,11 +437,12 @@ impl WarmCache {
         }
     }
 
-    /// Discharges the flip query of one prescription through the cache:
-    /// returns the query result, the witness input bytes on SAT, the
-    /// per-query cache accounting (`None` when the static gate eliminated
-    /// the query — no solver ran, so there is nothing to account), and the
-    /// gate's screening stats (`None` when the gate is disabled).
+    /// Discharges the flip query of one prescription through the cache,
+    /// with the same contract as cold replay's [`crate::backend::discharge`]:
+    /// returns the query result (`None` when the static gate eliminated
+    /// the query) and the witness input bytes on SAT. A query that reaches
+    /// a solver fires [`Observer::on_query`] and then
+    /// [`Observer::on_warm_query`] with its cache accounting.
     ///
     /// The gate screens *before* the promotion counter ticks: an
     /// eliminated query does not advance a parent toward context
@@ -459,7 +460,7 @@ impl WarmCache {
     /// context is discarded and the query falls back to the cold solve,
     /// whose answer is bit-identical — so even that failure mode cannot
     /// change results.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_flip(
         &mut self,
         executor: &mut dyn PathExecutor,
@@ -469,15 +470,7 @@ impl WarmCache {
         gate: StaticGate,
         instr: &Instruments,
         observer: &mut dyn Observer,
-    ) -> Result<
-        (
-            SatResult,
-            Option<Vec<u8>>,
-            Option<WarmQueryStats>,
-            Option<StaticAnalysisStats>,
-        ),
-        Error,
-    > {
+    ) -> Result<(Option<SatResult>, Option<Vec<u8>>), Error> {
         self.tick += 1;
         let tick = self.tick;
         let pos = self.trails.lookup(input);
@@ -518,38 +511,15 @@ impl WarmCache {
             ..
         } = self;
         let trail = &trails.slot_mut(slot).trail;
-
-        // Locate the prescribed branch with the shared divergence guards
-        // — the single implementation cold replay uses too.
-        let (i, cond) = flip.locate(trail)?;
-        let flipped = if flip.taken { tm.not(cond) } else { cond };
-        // Terms are interned in the same order whether or not the gate
-        // screens the query (flipped first, then the prefix — the order
-        // both solve paths below have always used), so screening cannot
-        // perturb the shared manager's hash-consed handles.
-        let prefix: Vec<Term> = trail[..i].iter().map(|e| e.path_term(tm)).collect();
+        let (prefix, flipped) = flip.query(trail, tm)?;
+        if gate.eliminates(tm, &prefix, flipped, instr, observer) {
+            return Ok((None, None));
+        }
         // The input-independent structural identity of this query's
         // prefix: the context cache routes on it. Every trail entry keys —
         // concretization choices included, since a pin is part of the path
         // condition exactly like a branch direction.
-        let skey: Vec<DecisionKey> = trail[..i].iter().map(DecisionKey::of).collect();
-        let mut sa_stats = None;
-        let gate_started = instr.begin(Phase::Gate);
-        let screened = gate.screen(tm, &prefix, flipped, input);
-        instr.finish(gate_started, Phase::Gate, observer);
-        if let Some(report) = screened {
-            sa_stats = Some(report.stats);
-            match report.verdict {
-                Some((SatResult::Unsat, _)) => {
-                    return Ok((SatResult::Unsat, None, None, sa_stats));
-                }
-                Some((SatResult::Sat, bytes)) => {
-                    let bytes = bytes.expect("sat verdict carries witness bytes");
-                    return Ok((SatResult::Sat, Some(bytes), None, sa_stats));
-                }
-                None => {}
-            }
-        }
+        let skey: Vec<DecisionKey> = trail[..prefix.len()].iter().map(DecisionKey::of).collect();
         let (cslot, created, cross_parent) = contexts.lookup_or_insert(&skey, input, tick);
         let centry = contexts.slot_mut(cslot);
         let promote = centry.queries >= PROMOTE_AFTER_QUERIES;
@@ -617,10 +587,11 @@ impl WarmCache {
                 if solve_started.is_some() {
                     instr.record_query(solve_nanos);
                 }
-                (r, 0, i as u64, solver.model(tm))
+                (r, 0, prefix.len() as u64, solver.model(tm))
             }
         };
-        let stats = WarmQueryStats {
+        observer.on_query(result);
+        observer.on_warm_query(&WarmQueryStats {
             result,
             cache_hit: hit,
             replay_skipped: !replayed,
@@ -628,15 +599,17 @@ impl WarmCache {
             prefix_blasted: blasted,
             context_key_created: created,
             cross_parent_reuse: cross_parent,
-        };
+        });
         if result != SatResult::Sat {
-            return Ok((result, None, Some(stats), sa_stats));
+            return Ok((Some(result), None));
         }
         let model = model.ok_or(Error::WarmStart {
             what: "satisfiable warm query produced no model",
         })?;
-        let bytes = crate::prescribe::witness_bytes(&model, executor.input_len());
-        Ok((result, Some(bytes), Some(stats), sa_stats))
+        Ok((
+            Some(result),
+            Some(witness_bytes(&model, executor.input_len())),
+        ))
     }
 
     /// Number of resident parent trails.
@@ -685,6 +658,7 @@ impl std::fmt::Debug for WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::CountingObserver;
     use crate::session::{PathOutcome, SpecExecutor};
     use binsym_asm::Assembler;
     use binsym_isa::Spec;
@@ -715,6 +689,16 @@ c3:
         SpecExecutor::new(Spec::rv32im(), &elf, None).expect("sym input")
     }
 
+    /// Keeps the cache accounting of the last query.
+    #[derive(Default)]
+    struct LastWarm(Option<WarmQueryStats>);
+
+    impl Observer for LastWarm {
+        fn on_warm_query(&mut self, stats: &WarmQueryStats) {
+            self.0 = Some(*stats);
+        }
+    }
+
     /// Gate-off cache query: the oracle tests compare against a gate-free
     /// cold path, so every query is residual and carries warm stats.
     fn warm_solve(
@@ -723,19 +707,20 @@ c3:
         input: &[u8],
         flip: Flip,
     ) -> Result<(SatResult, Option<Vec<u8>>, WarmQueryStats), Error> {
-        let (r, bytes, stats, _) = cache.solve_flip(
+        let mut last = LastWarm::default();
+        let (r, bytes) = cache.solve_flip(
             exec,
             input,
             flip,
             10_000,
             StaticGate::disabled(),
             &Instruments::disabled(),
-            &mut crate::observe::NullObserver,
+            &mut last,
         )?;
         Ok((
-            r,
+            r.expect("gate disabled: every query is residual"),
             bytes,
-            stats.expect("gate disabled: every query is residual"),
+            last.0.expect("a solved query carries warm stats"),
         ))
     }
 
@@ -1012,8 +997,9 @@ c2:
         let flips = flips_of(&mut exec, &[0]);
         assert_eq!(flips.len(), 2);
         let mut cache = WarmCache::new(4);
-        let gate = StaticGate::new(true, true); // shadow-checked
-        let (r, bytes, warm, sa) = cache
+        let gate = StaticGate::shadowed();
+        let mut counts = CountingObserver::new();
+        let (r, bytes) = cache
             .solve_flip(
                 &mut exec,
                 &[0],
@@ -1021,17 +1007,22 @@ c2:
                 10_000,
                 gate,
                 &Instruments::disabled(),
-                &mut crate::observe::NullObserver,
+                &mut counts,
             )
             .expect("solves");
-        assert_eq!(r, SatResult::Unsat);
+        assert_eq!(r, None, "eliminated: no solver result");
         assert!(bytes.is_none());
-        assert!(warm.is_none(), "eliminated query carries no warm stats");
-        let sa = sa.expect("gate screened the query");
-        assert_eq!(sa.eliminated, Some(SatResult::Unsat));
+        assert_eq!(counts.sa_queries, 1, "gate screened the query");
+        assert_eq!(counts.sa_queries_eliminated, 1);
+        assert_eq!(counts.queries, 0, "eliminated query reaches no solver");
+        assert_eq!(
+            counts.warm_hits + counts.warm_misses,
+            0,
+            "eliminated query carries no warm stats"
+        );
         // The first flip is residual: the gate screens it but the solver
         // decides it, bit-identically to a gate-free cold replay.
-        let (r0, b0, warm0, sa0) = cache
+        let (r0, b0) = cache
             .solve_flip(
                 &mut exec,
                 &[0],
@@ -1039,13 +1030,19 @@ c2:
                 10_000,
                 gate,
                 &Instruments::disabled(),
-                &mut crate::observe::NullObserver,
+                &mut counts,
             )
             .expect("solves");
         let (cold_r, cold_b) = cold_solve(&mut exec, &[0], flips[0]);
-        assert_eq!(r0, cold_r);
+        assert_eq!(r0, Some(cold_r));
         assert_eq!(b0, cold_b);
-        assert!(warm0.is_some(), "residual query carries warm stats");
-        assert_eq!(sa0.expect("screened").eliminated, None);
+        assert_eq!(counts.sa_queries, 2);
+        assert_eq!(counts.sa_queries_eliminated, 1, "residual, not eliminated");
+        assert_eq!(counts.queries, 1);
+        assert_eq!(
+            counts.warm_hits + counts.warm_misses,
+            1,
+            "residual query carries warm stats"
+        );
     }
 }

@@ -40,12 +40,12 @@
 //! 7. **Memory policy** — the address-concretization policies
 //!    (`.address_policy(..)`) compared on the dedicated `table-lookup`
 //!    benchmark and the five Table I programs: `eq` (the paper's §III-B
-//!    pin), `min` (smallest feasible address), and `symbolic:64` (the
-//!    window-relational array model). Path count, solver checks, wall
-//!    time, and coverage per row. On the Table I programs every policy
-//!    enumerates the same complete path set (their addresses are
-//!    concrete); on `table-lookup` the concretizing policies saturate at
-//!    partial coverage while `symbolic:64` reaches every instruction —
+//!    pin) and `symbolic:64` (the window-relational array model). Path
+//!    count, solver checks, wall time, and coverage per row. On the Table
+//!    I programs both policies enumerate the same complete path set (their
+//!    addresses are concrete); on `table-lookup` the `eq` concretization
+//!    saturates at partial coverage while `symbolic:64` reaches every
+//!    instruction —
 //!    the row carries `sym_fewer_paths_to_full: true` once that
 //!    separation is asserted.
 //!
@@ -66,17 +66,20 @@
 //! the timed ablations' JSON rows; `--trace PATH` records the campaign
 //! into one Chrome trace-event file for `ui.perfetto.dev`.
 //!
-//! `--runs N` averages the timed ablations (3 and 5) over N interleaved
+//! `--runs N` averages the timed ablations (3, 5 and 6) over N interleaved
 //! rounds (default 1), damping scheduler noise on shared hardware; the
-//! counters are deterministic and identical across rounds, and the
-//! emitted rows carry the per-round values (totals divided by N).
+//! emitted rows carry per-round values (totals divided by N). Every
+//! counter but the warm-cache ones repeats exactly across rounds. The
+//! `warm_*` counters depend on the schedule at 2+ workers (each worker's
+//! cache holds what it happened to pop or steal), so ablation 3 reports
+//! them as exact per-round means, which need not be whole.
 //!
 //! `--smoke` is the CI-sized run: ablation 3 (warm start on/off, on the
 //! smallest Table I program and on uri-parser — the structural-keying
 //! canary, whose warm rows are asserted to show `warm_prefix_reused > 0`)
 //! plus ablation 5 (gate on/off on the smallest program and on bubble
-//! sort — the one with infeasible flips) plus ablation 7 (the three
-//! memory policies on `table-lookup` and the smallest Table I program,
+//! sort — the one with infeasible flips) plus ablation 7 (both memory
+//! policies on `table-lookup` and the smallest Table I program,
 //! asserting the symbolic-coverage separation), so every merge exercises
 //! the warm-start, queries-eliminated, and memory-policy datapoints
 //! without the full matrix.
@@ -89,15 +92,17 @@ use std::time::Instant;
 
 use binsym::{
     AddressPolicyKind, BitblastBackend, ChromeTraceSink, CountingObserver, MetricsRegistry,
-    Session, TraceSink,
+    MetricsReport, Session, SessionBuilder,
 };
 use binsym_bench::cli::{
-    add_counters, counters_per_round, metrics_json, write_json, BenchOpts, Json,
+    add_counters, counters_per_round, metrics_json, warm_means, write_json, write_trace, BenchOpts,
+    Json,
 };
 use binsym_bench::{
-    all_programs, coverage_trajectory, policy_trajectory, programs, SearchStrategy, TABLE_LOOKUP,
+    all_programs, policy_trajectory, programs, Program, SearchStrategy, TABLE_LOOKUP,
     TABLE_LOOKUP_SYMBOLIC_PATHS,
 };
+use binsym_elf::ElfFile;
 use binsym_isa::Spec;
 use binsym_lifter::{EngineConfig, LifterBugs, LifterExecutor};
 
@@ -113,15 +118,15 @@ fn main() {
     };
     let progs = &progs[..];
     let mut json_rows = Vec::new();
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let sink = opts.trace_sink();
+    let timing = Timing {
+        runs: opts.runs.unwrap_or(1).max(1),
+        metrics: opts.metrics,
+        trace: sink.as_ref(),
+    };
 
     if opts.smoke {
         let max_workers = opts.workers.unwrap_or(2);
-        let runs = opts.runs.unwrap_or(1);
         // uri-parser rides along in the CI-sized run because it is the
         // program whose flip set only shares prefixes *across* parents:
         // its `warm_prefix_reused` was exactly 0 under input keying, so
@@ -129,9 +134,7 @@ fn main() {
         ablation3(
             &[programs::CLIF_PARSER, programs::URI_PARSER],
             max_workers,
-            runs,
-            opts.metrics,
-            trace.as_ref(),
+            &timing,
             &mut json_rows,
         );
         assert_warm_prefix_reuse(&json_rows, "uri-parser");
@@ -141,9 +144,7 @@ fn main() {
         ablation5(
             &[programs::CLIF_PARSER, programs::BUBBLE_SORT],
             max_workers,
-            runs,
-            opts.metrics,
-            trace.as_ref(),
+            &timing,
             &mut json_rows,
         );
         // Checkpoint overhead on the smallest program: CI pins that the
@@ -152,7 +153,7 @@ fn main() {
         ablation6(
             &[programs::CLIF_PARSER],
             max_workers,
-            runs,
+            timing.runs,
             opts.checkpoint.as_deref(),
             &mut json_rows,
         );
@@ -169,7 +170,7 @@ fn main() {
             ]);
             write_json(path, &doc);
         }
-        write_trace(&opts, &sink);
+        write_trace(&opts, sink.as_deref());
         return;
     }
 
@@ -263,22 +264,16 @@ fn main() {
     }
 
     let max_workers = opts.workers.unwrap_or(4);
-    // All five Table I programs: the structural context keys must show
-    // nonzero prefix reuse on every one of them, so the full run records
-    // warm counters for the whole table (`--quick` keeps the small ones).
-    let a3_progs: Vec<_> = all_programs()
+    // Ablations 3–6 cover all five Table I programs (`--quick` keeps the
+    // small ones). The structural context keys must show nonzero prefix
+    // reuse on every one of them, so the full run records warm counters
+    // for the whole table.
+    let table1: Vec<_> = all_programs()
         .into_iter()
         .filter(|p| !(opts.quick && p.expected_paths > 1000))
         .collect();
-    ablation3(
-        &a3_progs,
-        max_workers,
-        opts.runs.unwrap_or(1),
-        opts.metrics,
-        trace.as_ref(),
-        &mut json_rows,
-    );
-    for p in &a3_progs {
+    ablation3(&table1, max_workers, &timing, &mut json_rows);
+    for p in &table1 {
         assert_warm_prefix_reuse(&json_rows, p.name);
     }
 
@@ -287,20 +282,17 @@ fn main() {
         "{:<16} {:>8} {:>8} {:>10} {:>10} {:>12}",
         "Benchmark", "dfs", "bfs", "coverage", "text PCs", "total paths"
     );
-    for p in all_programs() {
-        if opts.quick && p.expected_paths > 1000 {
-            continue;
-        }
+    for p in &table1 {
         let mut to_full = Vec::new();
         let mut reference: Option<(u64, u64)> = None;
         for strategy in SearchStrategy::ALL {
-            let (paths_to_full, final_cov, total) = coverage_trajectory(&p, strategy);
-            assert_eq!(total, p.expected_paths, "{}: full enumeration", p.name);
+            let t = policy_trajectory(p, strategy, AddressPolicyKind::default());
+            assert_eq!(t.paths, p.expected_paths, "{}: full enumeration", p.name);
             match reference {
-                None => reference = Some((final_cov, total)),
+                None => reference = Some((t.covered_pcs, t.paths)),
                 Some(r) => assert_eq!(
                     r,
-                    (final_cov, total),
+                    (t.covered_pcs, t.paths),
                     "{}: final coverage is strategy-independent",
                     p.name
                 ),
@@ -309,11 +301,11 @@ fn main() {
                 ("ablation", Json::s("coverage-velocity")),
                 ("benchmark", Json::s(p.name)),
                 ("strategy", Json::s(strategy.name())),
-                ("paths_to_full_coverage", Json::U(paths_to_full)),
-                ("covered_pcs", Json::U(final_cov)),
-                ("total_paths", Json::U(total)),
+                ("paths_to_full_coverage", Json::U(t.paths_to_full_coverage)),
+                ("covered_pcs", Json::U(t.covered_pcs)),
+                ("total_paths", Json::U(t.paths)),
             ]));
-            to_full.push(paths_to_full);
+            to_full.push(t.paths_to_full_coverage);
         }
         let (final_cov, total) = reference.expect("ran");
         println!(
@@ -322,27 +314,11 @@ fn main() {
         );
     }
 
-    let a5_progs: Vec<_> = all_programs()
-        .into_iter()
-        .filter(|p| !(opts.quick && p.expected_paths > 1000))
-        .collect();
-    ablation5(
-        &a5_progs,
-        max_workers,
-        opts.runs.unwrap_or(1),
-        opts.metrics,
-        trace.as_ref(),
-        &mut json_rows,
-    );
-
-    let a6_progs: Vec<_> = all_programs()
-        .into_iter()
-        .filter(|p| !(opts.quick && p.expected_paths > 1000))
-        .collect();
+    ablation5(&table1, max_workers, &timing, &mut json_rows);
     ablation6(
-        &a6_progs,
+        &table1,
         max_workers,
-        opts.runs.unwrap_or(1),
+        timing.runs,
         opts.checkpoint.as_deref(),
         &mut json_rows,
     );
@@ -364,20 +340,90 @@ fn main() {
         ]);
         write_json(path, &doc);
     }
-    write_trace(&opts, &sink);
+    write_trace(&opts, sink.as_deref());
 }
 
-/// Writes the shared campaign trace when `--trace PATH` was given.
-fn write_trace(opts: &BenchOpts, sink: &Option<Arc<ChromeTraceSink>>) {
-    if let (Some(path), Some(sink)) = (&opts.trace, sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
+/// The campaign-wide settings of the timed ablations.
+struct Timing<'a> {
+    /// Interleaved rounds per datapoint (`--runs`, at least 1).
+    runs: usize,
+    /// Collect phase metrics per variant (`--metrics`).
+    metrics: bool,
+    /// The campaign trace sink (`--trace`).
+    trace: Option<&'a Arc<ChromeTraceSink>>,
+}
+
+/// One variant's totals over the rounds of [`interleave`].
+#[derive(Default)]
+struct Tally {
+    /// Mean wall seconds per round.
+    seconds: f64,
+    /// Exploration solver checks, summed over the rounds.
+    checks: u64,
+    /// Observer counters, summed over the rounds.
+    counters: CountingObserver,
+    /// Phase metrics summed over the rounds (`--metrics` only).
+    metrics: Option<MetricsReport>,
+}
+
+/// Times `timing.runs` interleaved rounds of one sharded exploration of `p`
+/// per variant, `configure` installing the variant on a plain builder, so
+/// slow machine drift hits every variant equally. Every variant carries
+/// the identical observer plumbing (the shared-mutex counter), so the
+/// deltas measure the variant alone, not observer overhead. The ablated
+/// layers change wall time only: every round must reproduce the pinned
+/// path count.
+fn interleave<V, const N: usize>(
+    p: &Program,
+    elf: &ElfFile,
+    workers: usize,
+    timing: &Timing,
+    variants: &[V; N],
+    configure: impl Fn(SessionBuilder, &V) -> SessionBuilder,
+) -> [Tally; N] {
+    let mut tallies: [Tally; N] = std::array::from_fn(|_| Tally::default());
+    // One registry per variant, accumulating across all rounds —
+    // `metrics_json` averages back to per-round values.
+    let registries: [Option<Arc<MetricsRegistry>>; N] = std::array::from_fn(|_| {
+        timing
+            .metrics
+            .then(|| Arc::new(MetricsRegistry::new(workers)))
+    });
+    for _ in 0..timing.runs {
+        for (slot, variant) in variants.iter().enumerate() {
+            let counters = Arc::new(Mutex::new(CountingObserver::new()));
+            let handle = Arc::clone(&counters);
+            let mut builder = Session::builder(Spec::rv32im())
+                .binary(elf)
+                .workers(workers)
+                .observer_factory(move |_| Box::new(Arc::clone(&handle)));
+            if let Some(registry) = &registries[slot] {
+                builder = builder.metrics(Arc::clone(registry));
+            }
+            if let Some(sink) = timing.trace {
+                builder = builder.trace(sink.clone());
+            }
+            let mut par = configure(builder, variant)
+                .build_parallel()
+                .expect("builds");
+            let start = Instant::now();
+            let s = par.run_all().expect("explores");
+            assert_eq!(
+                s.paths, p.expected_paths,
+                "{}: an ablated layer changed the path count",
+                p.name
+            );
+            let tally = &mut tallies[slot];
+            tally.seconds += start.elapsed().as_secs_f64();
+            tally.checks += s.solver_checks;
+            add_counters(&mut tally.counters, &counters.lock().expect("counters"));
+        }
     }
+    for (tally, registry) in tallies.iter_mut().zip(registries) {
+        tally.seconds /= timing.runs as f64;
+        tally.metrics = registry.map(|r| r.report());
+    }
+    tallies
 }
 
 /// Ablation 3: the sharded engine at 1..=N workers, each worker count
@@ -386,20 +432,13 @@ fn write_trace(opts: &BenchOpts, sink: &Option<Arc<ChromeTraceSink>>) {
 /// results by construction; the delta — per-path seconds plus the cache's
 /// hit/reuse counters — is the replayed-prefix cost the warm start claws
 /// back.
-fn ablation3(
-    progs: &[binsym_bench::Program],
-    max_workers: usize,
-    runs: usize,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-    json_rows: &mut Vec<Json>,
-) {
+fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: &mut Vec<Json>) {
     println!("\nABLATION 3 — worker scaling and warm start (replay-based sharded exploration)\n");
     println!(
         "{:<16} {:>12}   per worker count: cold/warm wall (cold→warm ms/path)",
         "Benchmark", "sequential"
     );
-    for &p in progs {
+    for p in progs {
         let elf = p.build();
         let mut session = Session::builder(Spec::rv32im())
             .binary(&elf)
@@ -413,86 +452,36 @@ fn ablation3(
         let mut cells = Vec::new();
         let mut workers = 1usize;
         while workers <= max_workers {
-            let mut seconds = [0.0f64; 2];
-            let mut tallies = [CountingObserver::new(); 2];
-            // One registry per side, accumulating across all rounds —
-            // `metrics_json` averages back to per-round values.
-            let registries: [Option<Arc<MetricsRegistry>>; 2] =
-                std::array::from_fn(|_| metrics.then(|| Arc::new(MetricsRegistry::new(workers))));
-            // Interleave the cold/warm rounds so slow machine drift hits
-            // both sides equally.
-            for _ in 0..runs.max(1) {
-                for (slot, warm) in [false, true].into_iter().enumerate() {
-                    // Both sides carry the identical observer plumbing
-                    // (the shared-mutex counter), so the cold/warm delta
-                    // measures the cache alone, not observer overhead.
-                    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                    let handle = Arc::clone(&counters);
-                    let mut builder = Session::builder(Spec::rv32im())
-                        .binary(&elf)
-                        .workers(workers)
-                        .warm_start(warm)
-                        .observer_factory(move |_| Box::new(Arc::clone(&handle)));
-                    if let Some(registry) = &registries[slot] {
-                        builder = builder.metrics(Arc::clone(registry));
-                    }
-                    if let Some(sink) = trace {
-                        builder = builder.trace(Arc::clone(sink));
-                    }
-                    let mut par = builder.build_parallel().expect("builds");
-                    let start = Instant::now();
-                    let s = par.run_all().expect("explores");
-                    assert_eq!(s.paths, p.expected_paths, "sharding must not change paths");
-                    seconds[slot] += start.elapsed().as_secs_f64();
-                    add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
-                }
-            }
-            for slot in &mut seconds {
-                *slot /= runs.max(1) as f64;
-            }
-            for (slot, warm) in [false, true].into_iter().enumerate() {
-                // Counters are deterministic across rounds, so the
-                // per-round average reproduces any single round — the
-                // rows stay comparable whatever `--runs` was.
-                let c = counters_per_round(&tallies[slot], runs.max(1));
+            let tallies = interleave(p, &elf, workers, timing, &[false, true], |b, &warm| {
+                b.warm_start(warm)
+            });
+            for (t, warm) in tallies.iter().zip([false, true]) {
                 let mut row = vec![
                     ("ablation", Json::s("worker-scaling")),
                     ("benchmark", Json::s(p.name)),
                     ("workers", Json::U(workers as u64)),
                     ("warm_start", Json::B(warm)),
-                    ("runs", Json::U(runs.max(1) as u64)),
-                    ("seconds", Json::F(seconds[slot])),
+                    ("runs", Json::U(timing.runs as u64)),
+                    ("seconds", Json::F(t.seconds)),
                     (
                         "seconds_per_path",
-                        Json::F(seconds[slot] / p.expected_paths as f64),
+                        Json::F(t.seconds / p.expected_paths as f64),
                     ),
                     ("sequential_seconds", Json::F(seq.as_secs_f64())),
                 ];
                 if warm {
-                    row.extend([
-                        ("warm_hits", Json::U(c.warm_hits)),
-                        ("warm_misses", Json::U(c.warm_misses)),
-                        ("warm_replays_skipped", Json::U(c.warm_replays_skipped)),
-                        ("warm_prefix_reused", Json::U(c.warm_prefix_reused)),
-                        ("warm_prefix_blasted", Json::U(c.warm_prefix_blasted)),
-                        ("warm_context_keys", Json::U(c.warm_context_keys)),
-                        (
-                            "warm_cross_parent_reuse",
-                            Json::U(c.warm_cross_parent_reuse),
-                        ),
-                    ]);
+                    row.extend(warm_means(&t.counters, timing.runs));
                 }
-                if let Some(registry) = &registries[slot] {
-                    row.push(("metrics", metrics_json(&registry.report(), runs.max(1))));
+                if let Some(report) = &t.metrics {
+                    row.push(("metrics", metrics_json(report, timing.runs)));
                 }
                 json_rows.push(Json::O(row));
             }
+            let [cold, warm] = tallies.map(|t| t.seconds);
             cells.push(format!(
-                "{workers}w {:.2}s/{:.2}s ({:.1}→{:.1})",
-                seconds[0],
-                seconds[1],
-                1e3 * seconds[0] / p.expected_paths as f64,
-                1e3 * seconds[1] / p.expected_paths as f64,
+                "{workers}w {cold:.2}s/{warm:.2}s ({:.1}→{:.1})",
+                1e3 * cold / p.expected_paths as f64,
+                1e3 * warm / p.expected_paths as f64,
             ));
             workers *= 2;
         }
@@ -518,11 +507,11 @@ fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
         }
         saw_warm_row = true;
         let reused = match field("warm_prefix_reused") {
-            Some(Json::U(v)) => *v,
+            Some(Json::F(v)) => *v,
             _ => panic!("warm row missing warm_prefix_reused"),
         };
         assert!(
-            reused > 0,
+            reused > 0.0,
             "{benchmark}: warm_prefix_reused must stay > 0 under structural context keys"
         );
     }
@@ -535,14 +524,7 @@ fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
 /// ones without bit-blasting; by construction it may only *remove* solver
 /// checks, never change results, which the run asserts via the path count
 /// and the check-accounting identity.
-fn ablation5(
-    progs: &[binsym_bench::Program],
-    workers: usize,
-    runs: usize,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-    json_rows: &mut Vec<Json>,
-) {
+fn ablation5(progs: &[Program], workers: usize, timing: &Timing, json_rows: &mut Vec<Json>) {
     println!(
         "\nABLATION 5 — static-analysis gate (known-bits/interval screening of flip queries)\n"
     );
@@ -550,49 +532,16 @@ fn ablation5(
         "{:<16} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "Benchmark", "gate off", "gate on", "unsat flips", "eliminated", "facts"
     );
-    for &p in progs {
+    for p in progs {
         let elf = p.build();
-        let mut seconds = [0.0f64; 2];
-        let mut tallies = [CountingObserver::new(); 2];
-        let mut checks = [0u64; 2];
-        // One registry per side, accumulating across all rounds —
-        // `metrics_json` averages back to per-round values (the gate's
-        // win shows up as solve seconds moving into gate seconds).
-        let registries: [Option<Arc<MetricsRegistry>>; 2] =
-            std::array::from_fn(|_| metrics.then(|| Arc::new(MetricsRegistry::new(workers))));
-        // Interleave the off/on rounds so slow machine drift hits both
-        // sides equally.
-        for _ in 0..runs.max(1) {
-            for (slot, analysis) in [false, true].into_iter().enumerate() {
-                let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                let handle = Arc::clone(&counters);
-                let mut builder = Session::builder(Spec::rv32im())
-                    .binary(&elf)
-                    .workers(workers)
-                    .static_analysis(analysis)
-                    .observer_factory(move |_| Box::new(Arc::clone(&handle)));
-                if let Some(registry) = &registries[slot] {
-                    builder = builder.metrics(Arc::clone(registry));
-                }
-                if let Some(sink) = trace {
-                    builder = builder.trace(Arc::clone(sink));
-                }
-                let mut par = builder.build_parallel().expect("builds");
-                let start = Instant::now();
-                let s = par.run_all().expect("explores");
-                assert_eq!(s.paths, p.expected_paths, "the gate must not change paths");
-                seconds[slot] += start.elapsed().as_secs_f64();
-                checks[slot] += s.solver_checks;
-                add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
-            }
-        }
-        let runs = runs.max(1);
-        for slot in &mut seconds {
-            *slot /= runs as f64;
-        }
-        let off = counters_per_round(&tallies[0], runs);
-        let on = counters_per_round(&tallies[1], runs);
-        let checks = [checks[0] / runs as u64, checks[1] / runs as u64];
+        // With `--metrics`, the gate's win shows up as solve seconds
+        // moving into gate seconds.
+        let tallies = interleave(p, &elf, workers, timing, &[false, true], |b, &analysis| {
+            b.static_analysis(analysis)
+        });
+        let runs = timing.runs;
+        let [off, on] = [0, 1].map(|slot| counters_per_round(&tallies[slot].counters, runs));
+        let checks = [0, 1].map(|slot| tallies[slot].checks / runs as u64);
         // Every screened-out query must be accounted for one-to-one in
         // the solver-check delta.
         assert_eq!(
@@ -604,7 +553,12 @@ fn ablation5(
         let unsat = off.queries - off.sat_queries;
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>12} {:>12} {:>10}",
-            p.name, seconds[0], seconds[1], unsat, on.sa_queries_eliminated, on.sa_facts
+            p.name,
+            tallies[0].seconds,
+            tallies[1].seconds,
+            unsat,
+            on.sa_queries_eliminated,
+            on.sa_facts
         );
         for (slot, analysis) in [false, true].into_iter().enumerate() {
             let c = if analysis { &on } else { &off };
@@ -614,7 +568,7 @@ fn ablation5(
                 ("workers", Json::U(workers as u64)),
                 ("static_analysis", Json::B(analysis)),
                 ("runs", Json::U(runs as u64)),
-                ("seconds", Json::F(seconds[slot])),
+                ("seconds", Json::F(tallies[slot].seconds)),
                 ("solver_checks", Json::U(checks[slot])),
                 ("queries", Json::U(c.queries)),
                 ("unsat_queries", Json::U(c.queries - c.sat_queries)),
@@ -626,8 +580,8 @@ fn ablation5(
                     ("sa_facts", Json::U(c.sa_facts)),
                 ]);
             }
-            if let Some(registry) = &registries[slot] {
-                row.push(("metrics", metrics_json(&registry.report(), runs)));
+            if let Some(report) = &tallies[slot].metrics {
+                row.push(("metrics", metrics_json(report, runs)));
             }
             json_rows.push(Json::O(row));
         }
@@ -643,56 +597,48 @@ fn ablation5(
 /// asserted each round, and the every-1 write count must come out exact
 /// (`paths + 1`: one per committed path plus the drain write).
 fn ablation6(
-    progs: &[binsym_bench::Program],
+    progs: &[Program],
     workers: usize,
     runs: usize,
     checkpoint_base: Option<&Path>,
     json_rows: &mut Vec<Json>,
 ) {
     const EVERY: [u64; 3] = [0, 16, 1];
+    // Plain runs: metrics and tracing would add their own cost to the
+    // write overhead being measured.
+    let timing = Timing {
+        runs,
+        metrics: false,
+        trace: None,
+    };
     println!("\nABLATION 6 — checkpoint overhead (atomic tmp+rename frontier persistence)\n");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>12}",
         "Benchmark", "off", "every 16", "every 1", "writes(ev.1)"
     );
-    for &p in progs {
+    for p in progs {
         let elf = p.build();
-        let mut seconds = [0.0f64; 3];
-        let mut tallies = [CountingObserver::new(); 3];
-        // Interleave the intervals so slow machine drift hits every column
-        // equally, like the other timed ablations.
-        for _ in 0..runs.max(1) {
-            for (slot, every) in EVERY.into_iter().enumerate() {
-                let counters = Arc::new(Mutex::new(CountingObserver::new()));
-                let handle = Arc::clone(&counters);
-                let mut builder = Session::builder(Spec::rv32im())
-                    .binary(&elf)
-                    .workers(workers)
-                    .observer_factory(move |_| Box::new(Arc::clone(&handle)));
-                let mut scratch = None;
-                if every > 0 {
-                    let path = ablation6_target(checkpoint_base, every, p.name, &mut scratch);
-                    builder = builder.checkpoint(path, every);
-                }
-                let mut par = builder.build_parallel().expect("builds");
-                let start = Instant::now();
-                let s = par.run_all().expect("explores");
-                assert_eq!(
-                    s.paths, p.expected_paths,
-                    "checkpointing must not change paths"
-                );
-                seconds[slot] += start.elapsed().as_secs_f64();
-                add_counters(&mut tallies[slot], &counters.lock().expect("counters"));
-                if let Some(path) = scratch {
-                    let _ = std::fs::remove_file(path);
-                }
+        let variants = EVERY.map(|every| {
+            let target = (every > 0).then(|| ablation6_target(checkpoint_base, every, p.name));
+            (every, target)
+        });
+        let tallies = interleave(
+            p,
+            &elf,
+            workers,
+            &timing,
+            &variants,
+            |b, (every, target)| match target {
+                Some(path) => b.checkpoint(path, *every),
+                None => b,
+            },
+        );
+        if checkpoint_base.is_none() {
+            for path in variants.iter().filter_map(|(_, target)| target.as_ref()) {
+                let _ = std::fs::remove_file(path);
             }
         }
-        let runs = runs.max(1);
-        for slot in &mut seconds {
-            *slot /= runs as f64;
-        }
-        let every1 = counters_per_round(&tallies[2], runs);
+        let every1 = counters_per_round(&tallies[2].counters, runs);
         assert_eq!(
             every1.checkpoints_written,
             p.expected_paths + 1,
@@ -701,20 +647,24 @@ fn ablation6(
         );
         println!(
             "{:<16} {:>9.2}s {:>9.2}s {:>9.2}s {:>12}",
-            p.name, seconds[0], seconds[1], seconds[2], every1.checkpoints_written
+            p.name,
+            tallies[0].seconds,
+            tallies[1].seconds,
+            tallies[2].seconds,
+            every1.checkpoints_written
         );
-        for (slot, every) in EVERY.into_iter().enumerate() {
-            let c = counters_per_round(&tallies[slot], runs);
+        for (t, every) in tallies.iter().zip(EVERY) {
+            let c = counters_per_round(&t.counters, runs);
             json_rows.push(Json::O(vec![
                 ("ablation", Json::s("checkpoint-overhead")),
                 ("benchmark", Json::s(p.name)),
                 ("workers", Json::U(workers as u64)),
                 ("checkpoint_every", Json::U(every)),
                 ("runs", Json::U(runs as u64)),
-                ("seconds", Json::F(seconds[slot])),
+                ("seconds", Json::F(t.seconds)),
                 (
                     "seconds_per_path",
-                    Json::F(seconds[slot] / p.expected_paths as f64),
+                    Json::F(t.seconds / p.expected_paths as f64),
                 ),
                 ("paths", Json::U(p.expected_paths)),
                 ("checkpoints_written", Json::U(c.checkpoints_written)),
@@ -729,14 +679,13 @@ fn ablation6(
 /// the acceptance tests pin). `eq` is the default and contractually
 /// byte-identical to the pre-policy engine, so its rows must reproduce
 /// `expected_paths` everywhere; on `table-lookup` the run additionally
-/// asserts the policy separation — the concretizing policies saturate
-/// below full coverage, `symbolic:64` reaches every tracked instruction
-/// in exactly [`TABLE_LOOKUP_SYMBOLIC_PATHS`] paths — and stamps the
-/// symbolic row with `sym_fewer_paths_to_full: true` once it holds.
-fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
-    const POLICIES: [(&str, AddressPolicyKind, u64); 3] = [
+/// asserts the policy separation — `eq` saturates below full coverage,
+/// `symbolic:64` reaches every tracked instruction in exactly
+/// [`TABLE_LOOKUP_SYMBOLIC_PATHS`] paths — and stamps the symbolic row
+/// with `sym_fewer_paths_to_full: true` once it holds.
+fn ablation7(progs: &[Program], json_rows: &mut Vec<Json>) {
+    const POLICIES: [(&str, AddressPolicyKind, u64); 2] = [
         ("eq", AddressPolicyKind::ConcretizeEq, 0),
-        ("min", AddressPolicyKind::ConcretizeMin, 0),
         (
             "symbolic:64",
             AddressPolicyKind::Symbolic { window: 64 },
@@ -744,18 +693,15 @@ fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
         ),
     ];
     println!("\nABLATION 7 — memory policy (address concretization vs. windowed array model)\n");
+    println!("{:<16} {:>24} {:>24}", "Benchmark", "eq", "symbolic:64");
     println!(
-        "{:<16} {:>24} {:>24} {:>24}",
-        "Benchmark", "eq", "min", "symbolic:64"
+        "{:<16} {:>24} {:>24}",
+        "", "paths/checks cov", "paths/checks cov"
     );
-    println!(
-        "{:<16} {:>24} {:>24} {:>24}",
-        "", "paths/checks cov", "paths/checks cov", "paths/checks cov"
-    );
-    for &p in progs {
+    for p in progs {
         let runs: Vec<_> = POLICIES
             .iter()
-            .map(|&(_, policy, _)| policy_trajectory(&p, SearchStrategy::Coverage, policy))
+            .map(|&(_, policy, _)| policy_trajectory(p, SearchStrategy::Coverage, policy))
             .collect();
         // The default policy is the byte-compat contract: its sequential
         // enumeration must reproduce the pinned path count on every
@@ -767,7 +713,7 @@ fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
         );
         let is_lookup = p.name == TABLE_LOOKUP.name;
         if is_lookup {
-            let (eq, sym) = (&runs[0], &runs[2]);
+            let (eq, sym) = (&runs[0], &runs[1]);
             assert_eq!(
                 sym.paths, TABLE_LOOKUP_SYMBOLIC_PATHS,
                 "table-lookup: symbolic:64 path count is pinned"
@@ -790,10 +736,7 @@ fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
                 )
             })
             .collect();
-        println!(
-            "{:<16} {:>24} {:>24} {:>24}",
-            p.name, cells[0], cells[1], cells[2]
-        );
+        println!("{:<16} {:>24} {:>24}", p.name, cells[0], cells[1]);
         for (&(name, _, window), t) in POLICIES.iter().zip(&runs) {
             let mut row = vec![
                 ("ablation", Json::s("memory-policy")),
@@ -818,28 +761,20 @@ fn ablation7(progs: &[binsym_bench::Program], json_rows: &mut Vec<Json>) {
     }
 }
 
-/// Picks the checkpoint file for one ablation-6 run: suffixed next to the
-/// `--checkpoint` base when one was given (and kept for inspection), or a
-/// per-process temp file remembered in `scratch` for cleanup otherwise.
-fn ablation6_target(
-    base: Option<&Path>,
-    every: u64,
-    benchmark: &str,
-    scratch: &mut Option<PathBuf>,
-) -> PathBuf {
+/// Picks the checkpoint file for one ablation-6 interval: suffixed next
+/// to the `--checkpoint` base when one was given (and kept for
+/// inspection), or a per-process temp file otherwise (removed after the
+/// interval's rounds).
+fn ablation6_target(base: Option<&Path>, every: u64, benchmark: &str) -> PathBuf {
     match base {
         Some(base) => {
             let mut name = base.as_os_str().to_os_string();
             name.push(format!(".{every}.{benchmark}.ck"));
             PathBuf::from(name)
         }
-        None => {
-            let path = std::env::temp_dir().join(format!(
-                "binsym-ablation6-{}-{benchmark}-{every}.ck",
-                std::process::id()
-            ));
-            *scratch = Some(path.clone());
-            path
-        }
+        None => std::env::temp_dir().join(format!(
+            "binsym-ablation6-{}-{benchmark}-{every}.ck",
+            std::process::id()
+        )),
     }
 }

@@ -34,12 +34,11 @@
 //! the checkpoint-overhead question belongs to the ablation bin's
 //! dedicated harness, not here.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use binsym::{ChromeTraceSink, MetricsReport, TraceSink};
-use binsym_bench::cli::{metrics_json, write_json, BenchOpts, Json};
-use binsym_bench::{all_programs, run_engine_resumable, Engine, SearchStrategy};
+use binsym::{AddressPolicyKind, MetricsReport};
+use binsym_bench::cli::{metrics_json, write_json, write_trace, BenchOpts, Json};
+use binsym_bench::{all_programs, run, Engine, RunSpec, SearchStrategy};
 
 fn mean(durations: &[Duration]) -> Duration {
     let total: Duration = durations.iter().sum();
@@ -68,11 +67,7 @@ fn main() {
     }
     let strategy = SearchStrategy::from_opts(&opts);
     let runs: usize = opts.runs.unwrap_or(if opts.quick { 1 } else { 5 });
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let sink = opts.trace_sink();
 
     println!("FIG. 6 — Total execution time (arithmetic mean over {runs} run(s))");
     if workers > 0 {
@@ -99,21 +94,15 @@ fn main() {
             let mut samples = Vec::with_capacity(runs);
             let mut covered = None;
             let mut merged = MetricsReport::empty();
+            let spec = RunSpec {
+                // The Fig. 6 reproduction is defined under the paper's
+                // §III-B concretization; the row's pinned path counts
+                // assume it, so the policy is not a knob here.
+                policy: AddressPolicyKind::default(),
+                ..opts.run_spec(engine.name(), p.name, sink.as_ref())
+            };
             for _ in 0..runs {
-                let r = run_engine_resumable(
-                    engine,
-                    &elf,
-                    workers,
-                    strategy,
-                    opts.metrics,
-                    trace.as_ref(),
-                    &opts.persist_spec(engine.name(), p.name),
-                    // The Fig. 6 reproduction is defined under the paper's
-                    // §III-B concretization; the row's pinned path counts
-                    // assume it, so the policy is not a knob here.
-                    binsym::AddressPolicyKind::default(),
-                )
-                .unwrap_or_else(|e| {
+                let r = run(engine, &elf, &spec).unwrap_or_else(|e| {
                     panic!("{} on {}: {e}", engine.name(), p.name);
                 });
                 assert_eq!(
@@ -180,15 +169,7 @@ fn main() {
         ]);
         write_json(path, &doc);
     }
-    if let (Some(path), Some(sink)) = (&opts.trace, &sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
-    }
+    write_trace(&opts, sink.as_deref());
 }
 
 fn format_duration(d: Duration) -> String {

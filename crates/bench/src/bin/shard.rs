@@ -6,13 +6,13 @@
 //! cargo run --release -p binsym-bench --bin shard -- \
 //!     --benchmark NAME --procs K [--workers N] [--verify] [--json PATH] \
 //!     [--metrics] [--trace PATH] [--dir PATH] \
-//!     [--memory-policy eq|min|symbolic:N]
+//!     [--memory-policy eq|symbolic:N]
 //!
 //! # Single-process hunt (the checkpoint/resume smoke driver).
 //! cargo run --release -p binsym-bench --bin shard -- \
 //!     --hunt --benchmark NAME [--workers N] [--records PATH] \
 //!     [--checkpoint PATH] [--checkpoint-every N] [--resume PATH] \
-//!     [--memory-policy eq|min|symbolic:N]
+//!     [--memory-policy eq|symbolic:N]
 //! ```
 //!
 //! The parent materializes the root path once, sorts the level-1
@@ -148,11 +148,11 @@ fn program(name: &str) -> programs::Program {
     })
 }
 
-/// The pinned path count for `p` under `policy`. The concretizing
-/// policies reproduce the Table I counts everywhere (`eq` is the default
-/// semantics, and every other program's addresses are concrete); the
-/// windowed model is pinned on `table-lookup` for any window covering the
-/// whole table, and inert elsewhere.
+/// The pinned path count for `p` under `policy`. The `eq` concretization
+/// reproduces the pinned counts everywhere (it is the default semantics);
+/// the windowed model is pinned on `table-lookup` for any window covering
+/// the whole table, and inert elsewhere (every other program's addresses
+/// are concrete).
 fn expected_paths(p: &programs::Program, policy: AddressPolicyKind) -> u64 {
     match policy {
         AddressPolicyKind::Symbolic { window } if p.name == TABLE_LOOKUP.name => {
@@ -164,32 +164,6 @@ fn expected_paths(p: &programs::Program, policy: AddressPolicyKind) -> u64 {
         }
         _ => p.expected_paths,
     }
-}
-
-/// Rebuilds the merged [`Summary`] from the concatenated record stream —
-/// the same accounting the in-process merge performs — with the solver
-/// checks taken from the child summaries (unsat flips issue a query but
-/// materialize no record, so they are only visible there).
-fn summarize(records: &[PathRecord], solver_checks: u64) -> Summary {
-    let mut summary = Summary {
-        solver_checks,
-        ..Summary::default()
-    };
-    for rec in records {
-        summary.paths += 1;
-        summary.total_steps += rec.steps;
-        summary.max_trail_len = summary.max_trail_len.max(rec.trail_len);
-        if rec.is_error() {
-            summary.error_paths.push(binsym::ErrorPath {
-                exit_code: match rec.exit {
-                    binsym::StepResult::Exited(code) => Some(code),
-                    _ => None,
-                },
-                input: rec.input.clone(),
-            });
-        }
-    }
-    summary
 }
 
 /// `PATH.<suffix>` without disturbing `PATH`'s own extension.
@@ -306,7 +280,16 @@ fn run_parent(args: &ShardArgs, opts: &BenchOpts) {
         records.windows(2).all(|w| w[0].id < w[1].id),
         "merged stream is not strictly id-sorted"
     );
-    let summary = summarize(&records, solver_checks);
+    // The in-process merge's accounting over the concatenated stream, with
+    // the solver checks taken from the child summaries (unsat flips issue a
+    // query but materialize no record, so they are only visible there).
+    let mut summary = Summary {
+        solver_checks,
+        ..Summary::default()
+    };
+    for record in &records {
+        summary.add_path(record);
+    }
     assert_eq!(
         summary.paths,
         expected_paths(&p, policy),

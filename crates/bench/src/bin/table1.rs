@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p binsym-bench --bin table1 \
 //!     [--quick] [--workers N] [--strategy dfs|bfs|coverage] [--json PATH] \
-//!     [--memory-policy eq|min|symbolic:N] [--metrics] [--trace PATH] \
+//!     [--memory-policy eq|symbolic:N] [--metrics] [--trace PATH] \
 //!     [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
 //! ```
 //!
@@ -38,13 +38,11 @@
 //! one. The `checkpoints_written`/`resumed_from` counters surface in the
 //! ablation bin's `--json` rows.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use binsym::{ChromeTraceSink, TraceSink};
-use binsym_bench::cli::{metrics_json, summary_json, write_json, BenchOpts, Json};
+use binsym_bench::cli::{metrics_json, summary_json, write_json, write_trace, BenchOpts, Json};
 use binsym_bench::engines::memory_policy_from_opts;
-use binsym_bench::{all_programs, run_engine_resumable, Engine, SearchStrategy};
+use binsym_bench::{all_programs, run, Engine, SearchStrategy};
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -55,13 +53,7 @@ fn main() {
     }
     let strategy = SearchStrategy::from_opts(&opts);
     let policy = memory_policy_from_opts(&opts);
-    // One sink for the whole campaign: every engine × benchmark run lands
-    // in a single Perfetto-openable file, timestamps from one epoch.
-    let sink = opts
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(ChromeTraceSink::new()));
-    let trace = sink.as_ref().map(|s| Arc::clone(s) as Arc<dyn TraceSink>);
+    let sink = opts.trace_sink();
     println!("TABLE I — Amount of execution paths found by different SE engines");
     if workers > 0 {
         println!("(sharded exploration: {workers} workers per engine)");
@@ -88,17 +80,8 @@ fn main() {
         let mut cells = Vec::new();
         let mut reference: Option<u64> = None;
         for engine in Engine::TABLE1 {
-            let r = run_engine_resumable(
-                engine,
-                &elf,
-                workers,
-                strategy,
-                opts.metrics,
-                trace.as_ref(),
-                &opts.persist_spec(engine.name(), p.name),
-                policy,
-            )
-            .unwrap_or_else(|e| {
+            let spec = opts.run_spec(engine.name(), p.name, sink.as_ref());
+            let r = run(engine, &elf, &spec).unwrap_or_else(|e| {
                 panic!("{} on {}: {e}", engine.name(), p.name);
             });
             let paths = r.summary.paths;
@@ -156,13 +139,5 @@ fn main() {
         ]);
         write_json(path, &doc);
     }
-    if let (Some(path), Some(sink)) = (&opts.trace, &sink) {
-        sink.write_to(path)
-            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
-        println!(
-            "trace: {} events written to {} (open in ui.perfetto.dev)",
-            sink.len(),
-            path.display()
-        );
-    }
+    write_trace(&opts, sink.as_deref());
 }

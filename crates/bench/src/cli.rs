@@ -1,10 +1,15 @@
 //! Shared command-line plumbing for the bench bins: `--workers` /
-//! `BINSYM_WORKERS` resolution, `--strategy` parsing, and a
-//! dependency-free JSON writer for the machine-readable summaries tracked
-//! in `BENCH_*.json`.
+//! `BINSYM_WORKERS` resolution, the per-run [`RunSpec`] and campaign trace
+//! behind the shared flags, and a dependency-free JSON writer for the
+//! machine-readable summaries tracked in `BENCH_*.json`.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use binsym::{ChromeTraceSink, CountingObserver, TraceSink};
+
+use crate::engines::{memory_policy_from_opts, RunSpec, SearchStrategy};
 
 /// Options common to the bench bins.
 #[derive(Debug, Clone, Default)]
@@ -17,7 +22,7 @@ pub struct BenchOpts {
     /// dfs); parsed into a [`crate::SearchStrategy`] by the engines layer.
     pub strategy: Option<String>,
     /// Address-concretization policy of the symbolic-memory layer
-    /// (`--memory-policy eq|min|symbolic:N`, default eq); parsed into a
+    /// (`--memory-policy eq|symbolic:N`, default eq); parsed into a
     /// [`binsym::AddressPolicyKind`] by [`crate::engines::memory_policy_from_opts`].
     pub memory_policy: Option<String>,
     /// Where to write the machine-readable JSON summary (`--json PATH`).
@@ -114,22 +119,43 @@ impl BenchOpts {
         self.checkpoint_every.unwrap_or(64)
     }
 
-    /// Resolves `--checkpoint`/`--checkpoint-every`/`--resume` into the
-    /// per-(engine, benchmark) [`crate::engines::PersistSpec`] for one run
-    /// of the campaign. Inactive (all `None`) when neither flag was given.
-    pub fn persist_spec(&self, engine: &str, benchmark: &str) -> crate::engines::PersistSpec {
-        crate::engines::PersistSpec {
-            checkpoint: self.checkpoint.as_deref().map(|base| {
-                (
-                    persist_target(base, engine, benchmark),
-                    self.checkpoint_interval(),
-                )
-            }),
-            resume: self
-                .resume
+    /// The [`RunSpec`] of one (engine, benchmark) run of a campaign:
+    /// `--workers`, `--strategy`, `--memory-policy` and `--metrics` as
+    /// given, the campaign's shared `trace` sink, and `--checkpoint`
+    /// (every `--checkpoint-every` paths) / `--resume` suffixed per run by
+    /// [`persist_target`].
+    ///
+    /// # Panics
+    /// Panics on an unknown `--strategy` or `--memory-policy` value.
+    pub fn run_spec(
+        &self,
+        engine: &str,
+        benchmark: &str,
+        trace: Option<&Arc<ChromeTraceSink>>,
+    ) -> RunSpec {
+        let target = |base: &Path| persist_target(base, engine, benchmark);
+        RunSpec {
+            workers: self.workers_or_sequential(),
+            strategy: SearchStrategy::from_opts(self),
+            policy: memory_policy_from_opts(self),
+            metrics: self.metrics,
+            trace: trace.map(|sink| Arc::clone(sink) as Arc<dyn TraceSink>),
+            checkpoint: self
+                .checkpoint
                 .as_deref()
-                .map(|base| persist_target(base, engine, benchmark)),
+                .map(|base| (target(base), self.checkpoint_interval())),
+            resume: self.resume.as_deref().map(target),
         }
+    }
+
+    /// The campaign's trace sink when `--trace PATH` was given: one sink
+    /// shared by every run of the invocation, so the whole campaign lands
+    /// in a single Perfetto-openable file on one timeline. Write it out
+    /// with [`write_trace`].
+    pub fn trace_sink(&self) -> Option<Arc<ChromeTraceSink>> {
+        self.trace
+            .as_ref()
+            .map(|_| Arc::new(ChromeTraceSink::new()))
     }
 
     /// True when any persistence flag was given.
@@ -262,9 +288,26 @@ pub fn write_json(path: &Path, value: &Json) {
     println!("\nJSON summary written to {}", path.display());
 }
 
-/// Accumulates one round's [`binsym::CountingObserver`] totals into a
+/// Writes the campaign trace of [`BenchOpts::trace_sink`] to the `--trace`
+/// path and reports the destination on stdout.
+///
+/// # Panics
+/// Panics if the file cannot be written.
+pub fn write_trace(opts: &BenchOpts, sink: Option<&ChromeTraceSink>) {
+    if let (Some(path), Some(sink)) = (&opts.trace, sink) {
+        sink.write_to(path)
+            .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
+        println!(
+            "trace: {} events written to {} (open in ui.perfetto.dev)",
+            sink.len(),
+            path.display()
+        );
+    }
+}
+
+/// Accumulates one round's [`CountingObserver`] totals into a
 /// multi-run sum (the timing harnesses interleave rounds and average).
-pub fn add_counters(sum: &mut binsym::CountingObserver, round: &binsym::CountingObserver) {
+pub fn add_counters(sum: &mut CountingObserver, round: &CountingObserver) {
     sum.steps += round.steps;
     sum.branches += round.branches;
     sum.paths += round.paths;
@@ -285,35 +328,51 @@ pub fn add_counters(sum: &mut binsym::CountingObserver, round: &binsym::Counting
 }
 
 /// Divides totals accumulated over `runs` rounds back to their per-round
-/// values, so `--runs N` reports the same counters as a single run (the
-/// timings are averaged; the counters are deterministic across rounds, so
-/// the division is exact — a remainder would mean a round diverged, which
-/// the determinism suites forbid).
-pub fn counters_per_round(sum: &binsym::CountingObserver, runs: usize) -> binsym::CountingObserver {
+/// values, so `--runs N` reports the same counters as a single run. Every
+/// counter but the `warm_*` ones is independent of the schedule, so its
+/// division is exact — a remainder would mean a round diverged, which the
+/// determinism suites forbid. The `warm_*` counters depend on the
+/// schedule at 2+ workers (each worker's cache holds what it happened to
+/// pop or steal), so rounds legitimately differ: they come back zero here
+/// and are reported by [`warm_means`] instead.
+pub fn counters_per_round(sum: &CountingObserver, runs: usize) -> CountingObserver {
     let n = runs.max(1) as u64;
     let per = |total: u64| -> u64 {
         debug_assert_eq!(total % n, 0, "counter diverged across rounds");
         total / n
     };
-    binsym::CountingObserver {
+    CountingObserver {
         steps: per(sum.steps),
         branches: per(sum.branches),
         paths: per(sum.paths),
         queries: per(sum.queries),
         sat_queries: per(sum.sat_queries),
-        warm_hits: per(sum.warm_hits),
-        warm_misses: per(sum.warm_misses),
-        warm_replays_skipped: per(sum.warm_replays_skipped),
-        warm_prefix_reused: per(sum.warm_prefix_reused),
-        warm_prefix_blasted: per(sum.warm_prefix_blasted),
-        warm_context_keys: per(sum.warm_context_keys),
-        warm_cross_parent_reuse: per(sum.warm_cross_parent_reuse),
         sa_queries: per(sum.sa_queries),
         sa_queries_eliminated: per(sum.sa_queries_eliminated),
         sa_facts: per(sum.sa_facts),
         checkpoints_written: per(sum.checkpoints_written),
         resumed_from: per(sum.resumed_from),
+        ..CountingObserver::new()
     }
+}
+
+/// The `warm_*` counters of a `runs`-round sum as exact per-round means,
+/// ready for a JSON row. A mean need not be whole (see
+/// [`counters_per_round`]); a single round renders as an integer.
+pub fn warm_means(sum: &CountingObserver, runs: usize) -> Vec<(&'static str, Json)> {
+    let n = runs.max(1) as f64;
+    [
+        ("warm_hits", sum.warm_hits),
+        ("warm_misses", sum.warm_misses),
+        ("warm_replays_skipped", sum.warm_replays_skipped),
+        ("warm_prefix_reused", sum.warm_prefix_reused),
+        ("warm_prefix_blasted", sum.warm_prefix_blasted),
+        ("warm_context_keys", sum.warm_context_keys),
+        ("warm_cross_parent_reuse", sum.warm_cross_parent_reuse),
+    ]
+    .into_iter()
+    .map(|(name, total)| (name, Json::F(total as f64 / n)))
+    .collect()
 }
 
 /// Renders a [`binsym::Summary`] as a JSON object (shared row shape of
@@ -711,7 +770,7 @@ mod tests {
         assert_eq!(o.checkpoint.as_deref(), Some(Path::new("ck/base")));
         assert_eq!(o.checkpoint_interval(), 16);
         assert!(o.wants_persistence());
-        let spec = o.persist_spec("angr (fixed)", "uri-parser");
+        let spec = o.run_spec("angr (fixed)", "uri-parser", None);
         assert_eq!(
             spec.checkpoint,
             Some((PathBuf::from("ck/base.angr--fixed-.uri-parser.ck"), 16))
@@ -720,7 +779,7 @@ mod tests {
 
         let o = BenchOpts::parse(args(&["--resume", "ck/base"]).into_iter(), None);
         assert_eq!(o.checkpoint_interval(), 64, "default interval");
-        let spec = o.persist_spec("BinSym", "bubble-sort");
+        let spec = o.run_spec("BinSym", "bubble-sort", None);
         assert_eq!(
             spec.resume.as_deref(),
             Some(Path::new("ck/base.binsym.bubble-sort.ck")),
@@ -729,7 +788,7 @@ mod tests {
 
         let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None);
         assert!(!o.wants_persistence());
-        let spec = o.persist_spec("BinSym", "bubble-sort");
+        let spec = o.run_spec("BinSym", "bubble-sort", None);
         assert!(spec.checkpoint.is_none() && spec.resume.is_none());
     }
 
@@ -786,7 +845,6 @@ mod tests {
 
     #[test]
     fn multi_run_counters_average_back_to_single_round_values() {
-        use binsym::CountingObserver;
         let round = CountingObserver {
             queries: 719,
             sat_queries: 719,
@@ -803,12 +861,44 @@ mod tests {
         assert_eq!(sum.sa_queries_eliminated, 3 * 1702, "accumulated");
         let avg = counters_per_round(&sum, 3);
         assert_eq!(avg.queries, round.queries);
-        assert_eq!(avg.warm_hits, round.warm_hits);
         assert_eq!(avg.sa_queries, round.sa_queries);
         assert_eq!(avg.sa_queries_eliminated, round.sa_queries_eliminated);
         assert_eq!(avg.sa_facts, round.sa_facts);
         // runs = 0 clamps to a single round.
         assert_eq!(counters_per_round(&round, 0).queries, round.queries);
+        // The warm counters average through `warm_means`; equal rounds give
+        // the round's own value, rendered as an integer.
+        let warm = Json::O(warm_means(&sum, 3)).render();
+        assert!(warm.starts_with("{\"warm_hits\":12,"), "{warm}");
+    }
+
+    #[test]
+    fn warm_counters_average_exactly_when_rounds_differ() {
+        // At 2+ workers the warm counters depend on stealing: two rounds
+        // of one ablation datapoint gave 92 and 93 cache hits. Their sum
+        // is not a multiple of the round count; the other counters repeat.
+        let mut sum = CountingObserver::new();
+        for warm_hits in [92, 93] {
+            let round = CountingObserver {
+                queries: 119,
+                warm_hits,
+                warm_prefix_reused: 2 * warm_hits,
+                ..CountingObserver::new()
+            };
+            add_counters(&mut sum, &round);
+        }
+        let c = counters_per_round(&sum, 2);
+        assert_eq!(c.queries, 119, "schedule-independent counters stay exact");
+        assert_eq!(c.warm_hits, 0, "warm counters are left to warm_means");
+        let warm = warm_means(&sum, 2);
+        let mean = |name: &str| match warm.iter().find(|(k, _)| *k == name) {
+            Some((_, Json::F(v))) => *v,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(mean("warm_hits"), 92.5);
+        assert_eq!(mean("warm_prefix_reused"), 185.0);
+        assert_eq!(mean("warm_misses"), 0.0);
+        assert_eq!(warm.len(), 7, "every warm counter is reported");
     }
 
     #[test]
@@ -817,7 +907,6 @@ mod tests {
         // the seconds but emit the counters of whichever round ran last.
         // Build the row the way the ablation bin does and parse the
         // counters back out of the rendered JSON.
-        use binsym::CountingObserver;
         let one = CountingObserver {
             sa_queries: 2421,
             sa_queries_eliminated: 1702,

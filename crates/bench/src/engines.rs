@@ -20,14 +20,15 @@
 
 use std::cell::RefCell;
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use binsym::{
     AddressPolicyKind, Bfs, Candidate, CoverageGuided, CoverageMap, CoverageObserver, Error,
-    MetricsRegistry, MetricsReport, Observer, ParallelSession, PathExecutor, Prescription, Session,
-    SessionBuilder, Summary, TraceSink,
+    MetricsRegistry, MetricsReport, Observer, PathExecutor, Prescription, Session, SessionBuilder,
+    Summary, TraceSink,
 };
 use binsym_des::{Bus, EventQueue, ProcessId, Time};
 use binsym_elf::ElfFile;
@@ -93,11 +94,10 @@ impl SearchStrategy {
 }
 
 /// Parses a `--memory-policy` value — the [`AddressPolicyKind`] `Display`
-/// spellings: `eq`, `min`, or `symbolic:N` with a nonzero window `N`.
+/// spellings: `eq`, or `symbolic:N` with a nonzero window `N`.
 pub fn parse_memory_policy(s: &str) -> Option<AddressPolicyKind> {
     match s {
         "eq" => Some(AddressPolicyKind::ConcretizeEq),
-        "min" => Some(AddressPolicyKind::ConcretizeMin),
         _ => {
             let window = s.strip_prefix("symbolic:")?.parse().ok()?;
             (window > 0).then_some(AddressPolicyKind::Symbolic { window })
@@ -115,41 +115,33 @@ pub fn memory_policy_from_opts(opts: &crate::cli::BenchOpts) -> AddressPolicyKin
     match &opts.memory_policy {
         None => AddressPolicyKind::default(),
         Some(raw) => parse_memory_policy(raw).unwrap_or_else(|| {
-            panic!("invalid value for --memory-policy: {raw:?} (eq|min|symbolic:N)")
+            panic!("invalid value for --memory-policy: {raw:?} (eq|symbolic:N)")
         }),
     }
 }
 
 impl SearchStrategy {
-    /// Installs this policy (and, for coverage, its observer feeding
-    /// `map`) on a *sequential* session builder.
-    pub fn install(
+    /// Installs this policy on `builder` — as the sequential strategy, or
+    /// (`sharded`) as every worker's shard policy. Coverage-guided
+    /// frontiers rank against `map`, which an observer must feed.
+    fn install(
         self,
         builder: SessionBuilder,
         map: Option<&Arc<CoverageMap>>,
+        sharded: bool,
     ) -> SessionBuilder {
-        match self {
-            SearchStrategy::Dfs => builder,
-            SearchStrategy::Bfs => builder.strategy(Bfs::<Candidate>::new()),
-            SearchStrategy::Coverage => {
-                let map = map.expect("coverage strategy needs a map");
-                builder.strategy(CoverageGuided::<Candidate>::new(Arc::clone(map)))
+        let map = || Arc::clone(map.expect("coverage strategy needs a map"));
+        match (self, sharded) {
+            (SearchStrategy::Dfs, _) => builder,
+            (SearchStrategy::Bfs, false) => builder.strategy(Bfs::<Candidate>::new()),
+            (SearchStrategy::Bfs, true) => {
+                builder.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
             }
-        }
-    }
-
-    /// Installs this policy as the shard policy of a *parallel* session
-    /// builder.
-    pub fn install_sharded(
-        self,
-        builder: SessionBuilder,
-        map: Option<&Arc<CoverageMap>>,
-    ) -> SessionBuilder {
-        match self {
-            SearchStrategy::Dfs => builder,
-            SearchStrategy::Bfs => builder.shard_strategy(|_| Box::new(Bfs::<Prescription>::new())),
-            SearchStrategy::Coverage => {
-                let map = Arc::clone(map.expect("coverage strategy needs a map"));
+            (SearchStrategy::Coverage, false) => {
+                builder.strategy(CoverageGuided::<Candidate>::new(map()))
+            }
+            (SearchStrategy::Coverage, true) => {
+                let map = map();
                 builder.shard_strategy(move |_| {
                     Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
                 })
@@ -158,24 +150,34 @@ impl SearchStrategy {
     }
 }
 
-/// Checkpoint/resume wiring for one bench run — the
-/// [`binsym::SessionBuilder::checkpoint`] / [`binsym::SessionBuilder::resume`]
-/// knobs as plain data, resolved per (engine, benchmark) by
-/// [`crate::cli::BenchOpts::persist_spec`]. Parallel sessions only; the
-/// default spec is inactive.
-#[derive(Debug, Clone, Default)]
-pub struct PersistSpec {
-    /// Write an atomic checkpoint to this path every N merged paths.
-    pub checkpoint: Option<(std::path::PathBuf, u64)>,
+/// One bench run's configuration as plain data: the values the harnesses
+/// vary between runs. The default is the paper's setup — sequential,
+/// depth-first, `eq` concretization, no instrumentation, no persistence.
+#[derive(Clone, Default)]
+pub struct RunSpec {
+    /// Worker threads: 0 runs the sequential [`Session`], N > 0 a sharded
+    /// [`binsym::ParallelSession`] of N workers.
+    pub workers: usize,
+    /// Path-selection policy. A coverage run allocates its own
+    /// [`CoverageMap`] and reports it in [`RunResult::covered_pcs`].
+    pub strategy: SearchStrategy,
+    /// Address-concretization policy of the symbolic-memory layer. Not
+    /// wall-time-only: a non-default policy changes which cells
+    /// symbolic-address accesses touch, and with it the explored path set.
+    pub policy: AddressPolicyKind,
+    /// Collect phase-timing metrics into a fresh [`MetricsRegistry`] (one
+    /// shard per worker), reported in [`RunResult::metrics`].
+    pub metrics: bool,
+    /// Span every phase into this sink. The bins share one
+    /// [`binsym::ChromeTraceSink`] across all their runs, so a campaign
+    /// lands in a single Perfetto-openable file.
+    pub trace: Option<Arc<dyn TraceSink>>,
+    /// Write an atomic checkpoint to this path every N merged paths and on
+    /// drain. Sharded runs only.
+    pub checkpoint: Option<(PathBuf, u64)>,
     /// Seed the exploration from this checkpoint instead of the root.
-    pub resume: Option<std::path::PathBuf>,
-}
-
-impl PersistSpec {
-    /// True when either knob is set.
-    pub fn is_active(&self) -> bool {
-        self.checkpoint.is_some() || self.resume.is_some()
-    }
+    /// Sharded runs only.
+    pub resume: Option<PathBuf>,
 }
 
 /// The engines compared in the paper's §V.
@@ -231,180 +233,36 @@ impl Engine {
         }
     }
 
-    /// The persona's engine wiring (executor or spec + binary) under the
-    /// given address-concretization policy, with no observer, strategy, or
-    /// worker count installed yet. The policy is installed both on the
-    /// executor (for the lifter personas) and on the builder, so the
-    /// builder's cross-check always sees agreeing sides.
-    fn base_builder(
-        self,
-        elf: &ElfFile,
-        policy: AddressPolicyKind,
-    ) -> Result<SessionBuilder, Error> {
-        Ok(match self {
-            Engine::BinSym | Engine::SymExVp => Session::builder(Spec::rv32im()).binary(elf),
-            Engine::Binsec => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::binsec())?.with_policy(policy),
-            ),
-            Engine::Angr => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::angr())?.with_policy(policy),
-            ),
-            Engine::AngrFixed => Session::executor_builder(
-                LifterExecutor::new(elf, EngineConfig::angr_fixed())?.with_policy(policy),
-            ),
+    /// The lifter configuration of the IR personas (`None` for the
+    /// formal-semantics ones).
+    fn lifter_config(self) -> Option<EngineConfig> {
+        match self {
+            Engine::Binsec => Some(EngineConfig::binsec()),
+            Engine::Angr => Some(EngineConfig::angr()),
+            Engine::AngrFixed => Some(EngineConfig::angr_fixed()),
+            Engine::BinSym | Engine::SymExVp => None,
         }
-        .address_policy(policy))
     }
 
-    /// Builds the exploration session realizing this persona on `elf`.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session(self, elf: &ElfFile) -> Result<Session, Error> {
-        self.session_with(elf, SearchStrategy::Dfs, None)
-    }
-
-    /// Builds the persona's session under an explicit path-selection
-    /// strategy. [`SearchStrategy::Coverage`] requires the shared
-    /// `coverage` map; a [`CoverageObserver`] feeding it is composed next
-    /// to the persona's cost-model observer.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session_with(
+    /// The session builder realizing this persona on `elf` under `spec`,
+    /// for `build()` and `build_parallel()` alike: the lifter personas
+    /// enter through an executor factory, which serves both. The memory
+    /// policy is installed on the executor and on the builder, so the
+    /// builder's cross-check always sees agreeing sides. The persona's
+    /// cost-model observer, composed with a feed into `coverage`, runs on
+    /// every worker of a sharded run, so parallel timings remain
+    /// comparable with the sequential Fig. 6 personas.
+    fn builder(
         self,
         elf: &ElfFile,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-    ) -> Result<Session, Error> {
-        self.session_configured(
-            elf,
-            strategy,
-            coverage,
-            None,
-            None,
-            AddressPolicyKind::default(),
-        )
-    }
-
-    /// [`Engine::session_with`] plus observability — an optional shared
-    /// metrics registry (sequential sessions stamp shard 0) and an optional
-    /// trace sink, both wall-time-only: the explored records are
-    /// byte-identical with and without them — and the address-concretization
-    /// `policy` of the symbolic-memory layer (which is *not* wall-time-only:
-    /// a non-default policy changes which cells symbolic-address accesses
-    /// touch, and with it the explored path set).
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn session_configured(
-        self,
-        elf: &ElfFile,
-        strategy: SearchStrategy,
+        spec: &RunSpec,
         coverage: Option<&Arc<CoverageMap>>,
         metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-        policy: AddressPolicyKind,
-    ) -> Result<Session, Error> {
-        let builder = strategy.install(self.base_builder(elf, policy)?, coverage);
-        let builder = install_instrumentation(builder, metrics, trace);
-        let builder = match compose_observer(self.persona_observer(), coverage) {
-            Some(observer) => builder.observer(observer),
-            None => builder,
-        };
-        builder.build()
-    }
-
-    /// Builds the sharded (work-stealing) exploration session realizing
-    /// this persona on `elf` with the given worker count. Per-worker
-    /// observers reproduce each persona's cost model on every worker
-    /// thread, so parallel timings remain comparable with the sequential
-    /// Fig. 6 personas.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session(self, elf: &ElfFile, workers: usize) -> Result<ParallelSession, Error> {
-        self.parallel_session_with(elf, workers, SearchStrategy::Dfs, None)
-    }
-
-    /// Builds the persona's sharded session under an explicit shard
-    /// policy. With [`SearchStrategy::Coverage`] every worker's
-    /// [`CoverageGuided`] frontier reads — and every worker's
-    /// [`CoverageObserver`] feeds — the same lock-free `coverage` map.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session_with(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-    ) -> Result<ParallelSession, Error> {
-        self.parallel_session_configured(elf, workers, strategy, coverage, None, None)
-    }
-
-    /// [`Engine::parallel_session_with`] plus observability: an optional
-    /// shared metrics registry (one shard per worker, merged on read) and
-    /// an optional trace sink (one track per worker, merge phase on track
-    /// `workers`). Both are wall-time-only.
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol.
-    pub fn parallel_session_configured(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-        metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-    ) -> Result<ParallelSession, Error> {
-        self.parallel_session_persistent(
-            elf,
-            workers,
-            strategy,
-            coverage,
-            metrics,
-            trace,
-            &PersistSpec::default(),
-            AddressPolicyKind::default(),
-        )
-    }
-
-    /// [`Engine::parallel_session_configured`] plus exploration
-    /// persistence — an optional checkpoint destination (atomic tmp+rename
-    /// writes every N merged paths and on drain) and an optional resume
-    /// source, both leaving merged records byte-identical to a plain
-    /// uninterrupted run — and the address-concretization `policy`, which
-    /// every worker's executor shares (it is stamped into each prescription
-    /// and persisted with checkpoints, so a resume under a different policy
-    /// is rejected).
-    ///
-    /// # Errors
-    /// Returns [`Error`] if the binary lacks a `__sym_input` symbol, or —
-    /// on the first `run_all` — [`binsym::Error::Persist`] when the resume
-    /// source is unreadable or incompatible.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_session_persistent(
-        self,
-        elf: &ElfFile,
-        workers: usize,
-        strategy: SearchStrategy,
-        coverage: Option<&Arc<CoverageMap>>,
-        metrics: Option<&Arc<MetricsRegistry>>,
-        trace: Option<&Arc<dyn TraceSink>>,
-        persist: &PersistSpec,
-        policy: AddressPolicyKind,
-    ) -> Result<ParallelSession, Error> {
-        let builder = match self {
-            Engine::BinSym | Engine::SymExVp => Session::builder(Spec::rv32im()).binary(elf),
-            Engine::Binsec | Engine::Angr | Engine::AngrFixed => {
-                let config = match self {
-                    Engine::Binsec => EngineConfig::binsec(),
-                    Engine::Angr => EngineConfig::angr(),
-                    _ => EngineConfig::angr_fixed(),
-                };
+    ) -> SessionBuilder {
+        let policy = spec.policy;
+        let builder = match self.lifter_config() {
+            None => Session::builder(Spec::rv32im()).binary(elf),
+            Some(config) => {
                 let elf = elf.clone();
                 Session::factory_builder(move || {
                     Ok(
@@ -414,52 +272,44 @@ impl Engine {
                 })
             }
         };
-        let builder = strategy
-            .install_sharded(builder.address_policy(policy), coverage)
-            .workers(workers);
-        let builder = install_instrumentation(builder, metrics, trace);
-        let builder = match &persist.checkpoint {
-            Some((path, every)) => builder.checkpoint(path, *every),
-            None => builder,
-        };
-        let builder = match &persist.resume {
-            Some(path) => builder.resume(path),
-            None => builder,
-        };
-        let builder = if self.persona_observer().is_some() || coverage.is_some() {
-            let map = coverage.map(Arc::clone);
-            builder.observer_factory(move |_| {
-                compose_observer(self.persona_observer(), map.as_ref())
-                    .expect("factory installed without observer or map")
-            })
-        } else {
-            builder
-        };
-        builder.build_parallel()
+        let sharded = spec.workers > 0;
+        let mut builder = spec
+            .strategy
+            .install(builder.address_policy(policy), coverage, sharded);
+        if sharded {
+            builder = builder.workers(spec.workers);
+            if self.persona_observer().is_some() || coverage.is_some() {
+                let map = coverage.cloned();
+                builder = builder.observer_factory(move |_| {
+                    compose_observer(self.persona_observer(), map.as_ref())
+                        .expect("factory installed without observer or map")
+                });
+            }
+        } else if let Some(observer) = compose_observer(self.persona_observer(), coverage) {
+            builder = builder.observer(observer);
+        }
+        if let Some(registry) = metrics {
+            builder = builder.metrics(Arc::clone(registry));
+        }
+        if let Some(sink) = &spec.trace {
+            builder = builder.trace(Arc::clone(sink));
+        }
+        if let Some((path, every)) = &spec.checkpoint {
+            builder = builder.checkpoint(path, *every);
+        }
+        if let Some(path) = &spec.resume {
+            builder = builder.resume(path);
+        }
+        builder
     }
-}
-
-/// Streams one full *sequential* exploration of `p` (plain BinSym engine,
-/// no persona cost model) under `strategy`, with a fresh [`CoverageMap`]
-/// observing every path. Returns `(paths_to_full_coverage, covered_pcs,
-/// total_paths)` — the ablation-4 "coverage velocity" metric, shared by
-/// the ablation harness and the acceptance tests so the two can never
-/// measure different things.
-///
-/// # Panics
-/// Panics if the program fails to build, explore, or enumerate at least
-/// one path — the bundled benchmarks are repo invariants.
-pub fn coverage_trajectory(p: &crate::Program, strategy: SearchStrategy) -> (u64, u64, u64) {
-    let t = policy_trajectory(p, strategy, AddressPolicyKind::default());
-    (t.paths_to_full_coverage, t.covered_pcs, t.paths)
 }
 
 /// One memory-policy datapoint on one program: a full *sequential*
 /// exploration (plain BinSym engine) under `strategy` and `policy`, with a
-/// fresh [`CoverageMap`] observing every path. Shared by ablation 7 and
-/// the memory-policy acceptance tests, so the two can never measure
-/// different things. Note `paths_to_full_coverage` is paths to the run's
-/// *final* coverage: when a concretizing policy leaves code unreached
+/// fresh [`CoverageMap`] observing every path. Shared by ablations 4 and 7
+/// and their acceptance tests, so the two can never measure different
+/// things. Note `paths_to_full_coverage` is paths to the run's *final*
+/// coverage: when a concretizing policy leaves code unreached
 /// (`covered_pcs < tracked_pcs`), it reports how fast the run saturated at
 /// its — partial — ceiling.
 #[derive(Debug, Clone, Copy)]
@@ -497,6 +347,7 @@ pub fn policy_trajectory(
             .address_policy(policy)
             .observer(CoverageObserver::new(Arc::clone(&map))),
         Some(&map),
+        false,
     );
     let mut session = builder.build().expect("builds");
     let start = Instant::now();
@@ -520,23 +371,6 @@ pub fn policy_trajectory(
         paths_to_full_coverage: to_full,
         covered_pcs: final_cov,
         tracked_pcs: map.tracked_slots(),
-    }
-}
-
-/// Installs the optional observability knobs on a builder — shared by the
-/// sequential and parallel `*_configured` constructors.
-fn install_instrumentation(
-    builder: SessionBuilder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> SessionBuilder {
-    let builder = match metrics {
-        Some(registry) => builder.metrics(Arc::clone(registry)),
-        None => builder,
-    };
-    match trace {
-        Some(sink) => builder.trace(Arc::clone(sink)),
-        None => builder,
     }
 }
 
@@ -572,139 +406,31 @@ pub struct RunResult {
     pub metrics: Option<MetricsReport>,
 }
 
-/// Runs `engine` on `elf` to full exploration, measuring wall time.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails (the buggy angr persona *can* fail on binaries with custom
-/// instructions — that is part of the reproduction).
-pub fn run_engine(engine: Engine, elf: &ElfFile) -> Result<RunResult, Error> {
-    run_engine_with(engine, elf, 0, SearchStrategy::Dfs)
-}
-
-/// Runs `engine` on `elf` with a sharded [`ParallelSession`] of `workers`
-/// threads to full exploration, measuring wall time. With `workers == 0`
-/// this falls back to the sequential [`run_engine`], so bench bins can
-/// thread one `--workers` knob through unchanged code paths.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to replay.
-pub fn run_engine_parallel(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-) -> Result<RunResult, Error> {
-    run_engine_with(engine, elf, workers, SearchStrategy::Dfs)
-}
-
-/// Runs `engine` on `elf` under an explicit strategy — sequential when
-/// `workers == 0`, sharded otherwise — measuring wall time. A coverage
-/// run allocates its own [`CoverageMap`] and reports the covered-PC count.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to execute or replay.
-pub fn run_engine_with(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-) -> Result<RunResult, Error> {
-    run_engine_instrumented(engine, elf, workers, strategy, false, None)
-}
-
-/// [`run_engine_with`] plus observability: with `metrics` a fresh
-/// [`MetricsRegistry`] (one shard per worker) is allocated for the run and
-/// its merged [`MetricsReport`] lands in [`RunResult::metrics`]; with
-/// `trace` every phase is spanned into the given sink — the bench bins
-/// share one [`binsym::ChromeTraceSink`] across all their runs so the whole
-/// benchmark campaign lands in a single Perfetto-openable file.
-///
-/// # Errors
-/// Returns [`Error`] if the binary lacks a `__sym_input` symbol or a path
-/// fails to execute or replay.
-pub fn run_engine_instrumented(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> Result<RunResult, Error> {
-    run_engine_resumable(
-        engine,
-        elf,
-        workers,
-        strategy,
-        metrics,
-        trace,
-        &PersistSpec::default(),
-        AddressPolicyKind::default(),
-    )
-}
-
-/// [`run_engine_instrumented`] plus checkpoint/resume persistence (see
-/// [`PersistSpec`]) and the address-concretization `policy` of the
-/// symbolic-memory layer (`--memory-policy`; the default reproduces every
-/// pre-policy run bit for bit). Persistence requires a parallel run: with
-/// `workers == 0` an active spec is a configuration error, surfaced as
-/// [`binsym::Error::InvalidConfig`] by the builder.
+/// Runs `engine` on `elf` to full exploration under `spec`, measuring wall
+/// time — the one run entry point of the bench harnesses.
 ///
 /// # Errors
 /// Returns [`Error`] if the binary lacks a `__sym_input` symbol, a path
-/// fails to execute or replay, or the resume source is unreadable or
-/// incompatible ([`binsym::Error::Persist`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_resumable(
-    engine: Engine,
-    elf: &ElfFile,
-    workers: usize,
-    strategy: SearchStrategy,
-    metrics: bool,
-    trace: Option<&Arc<dyn TraceSink>>,
-    persist: &PersistSpec,
-    policy: AddressPolicyKind,
-) -> Result<RunResult, Error> {
-    let coverage = (strategy == SearchStrategy::Coverage).then(|| CoverageMap::shared_for(elf));
-    let registry = metrics.then(|| Arc::new(MetricsRegistry::new(workers.max(1))));
+/// fails to execute or replay (the buggy angr persona *can* fail on
+/// binaries with custom instructions — that is part of the reproduction),
+/// a sequential spec asks for persistence ([`binsym::Error::InvalidConfig`]),
+/// or the resume source is unreadable or incompatible
+/// ([`binsym::Error::Persist`]).
+pub fn run(engine: Engine, elf: &ElfFile, spec: &RunSpec) -> Result<RunResult, Error> {
+    let coverage =
+        (spec.strategy == SearchStrategy::Coverage).then(|| CoverageMap::shared_for(elf));
+    let registry = spec
+        .metrics
+        .then(|| Arc::new(MetricsRegistry::new(spec.workers.max(1))));
     // The timed region includes engine construction (ELF clone, lifter
     // setup), matching the original measurement boundary of the Fig. 6
     // harness.
     let start = Instant::now();
-    let summary = if workers == 0 {
-        if persist.is_active() {
-            // The sequential builder rejects persistence with the precise
-            // message; route through it instead of duplicating the check.
-            return Err(Session::builder(Spec::rv32im())
-                .binary(elf)
-                .checkpoint("unused", 1)
-                .build()
-                .expect_err("sequential builder rejects persistence"));
-        }
-        engine
-            .session_configured(
-                elf,
-                strategy,
-                coverage.as_ref(),
-                registry.as_ref(),
-                trace,
-                policy,
-            )?
-            .run_all()?
+    let builder = engine.builder(elf, spec, coverage.as_ref(), registry.as_ref());
+    let summary = if spec.workers == 0 {
+        builder.build()?.run_all()?
     } else {
-        engine
-            .parallel_session_persistent(
-                elf,
-                workers,
-                strategy,
-                coverage.as_ref(),
-                registry.as_ref(),
-                trace,
-                persist,
-                policy,
-            )?
-            .run_all()?
+        builder.build_parallel()?.run_all()?
     };
     Ok(RunResult {
         summary,
@@ -712,6 +438,15 @@ pub fn run_engine_resumable(
         covered_pcs: coverage.map(|m| (m.covered_count(), m.tracked_slots())),
         metrics: registry.map(|r| r.report()),
     })
+}
+
+/// [`run`] under the default [`RunSpec`]: the sequential, depth-first
+/// exploration of the paper's Table I.
+///
+/// # Errors
+/// As for [`run`].
+pub fn run_engine(engine: Engine, elf: &ElfFile) -> Result<RunResult, Error> {
+    run(engine, elf, &RunSpec::default())
 }
 
 /// Process ids used by the virtual prototype.
@@ -904,13 +639,22 @@ small:
         }
     }
 
+    /// The default spec with `workers` and `strategy` set.
+    fn spec(workers: usize, strategy: SearchStrategy) -> RunSpec {
+        RunSpec {
+            workers,
+            strategy,
+            ..RunSpec::default()
+        }
+    }
+
     #[test]
     fn parallel_personas_match_sequential_path_counts() {
         let elf = small_program();
         for engine in Engine::TABLE1 {
             let seq = run_engine(engine, &elf).expect("sequential").summary;
             for workers in [1, 2] {
-                let par = run_engine_parallel(engine, &elf, workers)
+                let par = run(engine, &elf, &spec(workers, SearchStrategy::Dfs))
                     .expect("parallel")
                     .summary;
                 assert_eq!(
@@ -928,12 +672,12 @@ small:
     fn coverage_strategy_preserves_path_counts_and_reports_coverage() {
         let elf = small_program();
         for engine in [Engine::BinSym, Engine::Binsec] {
-            let seq = run_engine_with(engine, &elf, 0, SearchStrategy::Coverage).expect("seq");
+            let seq = run(engine, &elf, &spec(0, SearchStrategy::Coverage)).expect("seq");
             assert_eq!(seq.summary.paths, 2, "{} sequential", engine.name());
             let (covered, tracked) = seq.covered_pcs.expect("coverage reported");
             assert!(covered > 0 && covered <= tracked, "{}", engine.name());
 
-            let par = run_engine_with(engine, &elf, 2, SearchStrategy::Coverage).expect("par");
+            let par = run(engine, &elf, &spec(2, SearchStrategy::Coverage)).expect("par");
             assert_eq!(par.summary.paths, 2, "{} sharded", engine.name());
             assert_eq!(
                 par.covered_pcs.expect("coverage reported"),
@@ -952,8 +696,8 @@ small:
     fn bfs_strategy_preserves_path_counts() {
         let elf = small_program();
         for workers in [0usize, 2] {
-            let r = run_engine_with(Engine::BinSym, &elf, workers, SearchStrategy::Bfs)
-                .expect("explores");
+            let r =
+                run(Engine::BinSym, &elf, &spec(workers, SearchStrategy::Bfs)).expect("explores");
             assert_eq!(r.summary.paths, 2, "{workers} workers");
             assert!(r.covered_pcs.is_none());
         }
@@ -1024,18 +768,15 @@ small:
         let sink = Arc::new(binsym::ChromeTraceSink::new());
         let trace: Arc<dyn TraceSink> = Arc::clone(&sink) as Arc<dyn TraceSink>;
         for workers in [0usize, 2] {
-            let plain = run_engine_with(Engine::BinSym, &elf, workers, SearchStrategy::Dfs)
-                .expect("plain run");
+            let plain = spec(workers, SearchStrategy::Dfs);
+            let instrumented = RunSpec {
+                metrics: true,
+                trace: Some(Arc::clone(&trace)),
+                ..plain.clone()
+            };
+            let plain = run(Engine::BinSym, &elf, &plain).expect("plain run");
             assert!(plain.metrics.is_none(), "metrics are opt-in");
-            let instrumented = run_engine_instrumented(
-                Engine::BinSym,
-                &elf,
-                workers,
-                SearchStrategy::Dfs,
-                true,
-                Some(&trace),
-            )
-            .expect("instrumented run");
+            let instrumented = run(Engine::BinSym, &elf, &instrumented).expect("instrumented run");
             assert_eq!(instrumented.summary.paths, plain.summary.paths);
             assert_eq!(
                 instrumented.summary.solver_checks, plain.summary.solver_checks,
@@ -1047,6 +788,23 @@ small:
         }
         assert!(!sink.is_empty(), "phases were traced");
         crate::cli::validate_trace(&sink.render()).expect("trace well-formed");
+    }
+
+    #[test]
+    fn sequential_runs_reject_persistence() {
+        // Checkpoints persist the sharded frontier: a sequential spec that
+        // asks for one is refused by the session builder itself.
+        let elf = small_program();
+        let spec = RunSpec {
+            checkpoint: Some(("unused.ck".into(), 1)),
+            ..RunSpec::default()
+        };
+        for engine in [Engine::BinSym, Engine::Binsec] {
+            assert!(matches!(
+                run(engine, &elf, &spec),
+                Err(Error::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1069,10 +827,6 @@ small:
             Some(AddressPolicyKind::ConcretizeEq)
         );
         assert_eq!(
-            parse_memory_policy("min"),
-            Some(AddressPolicyKind::ConcretizeMin)
-        );
-        assert_eq!(
             parse_memory_policy("symbolic:64"),
             Some(AddressPolicyKind::Symbolic { window: 64 })
         );
@@ -1080,12 +834,19 @@ small:
         // spelling and the JSON rows can never drift apart.
         for policy in [
             AddressPolicyKind::ConcretizeEq,
-            AddressPolicyKind::ConcretizeMin,
             AddressPolicyKind::Symbolic { window: 128 },
         ] {
             assert_eq!(parse_memory_policy(&policy.to_string()), Some(policy));
         }
-        for bad in ["", "EQ", "symbolic", "symbolic:", "symbolic:0", "window:8"] {
+        for bad in [
+            "",
+            "EQ",
+            "min",
+            "symbolic",
+            "symbolic:",
+            "symbolic:0",
+            "window:8",
+        ] {
             assert_eq!(parse_memory_policy(bad), None, "{bad:?} must be rejected");
         }
     }

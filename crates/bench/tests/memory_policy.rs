@@ -21,25 +21,21 @@ fn run(policy: AddressPolicyKind, strategy: SearchStrategy) -> PolicyTrajectory 
 #[test]
 fn symbolic_window_reaches_coverage_concretization_cannot() {
     let eq = run(AddressPolicyKind::ConcretizeEq, SearchStrategy::Coverage);
-    let min = run(AddressPolicyKind::ConcretizeMin, SearchStrategy::Coverage);
     let sym = run(
         AddressPolicyKind::Symbolic { window: 64 },
         SearchStrategy::Coverage,
     );
 
-    // The concretizing policies: pinned path count, saturated below full
+    // The concretizing policy: pinned path count, saturated below full
     // coverage — the magic/parity/magnitude leaves are value-dependent
     // and the frozen load can never take them.
-    for (name, t) in [("eq", &eq), ("min", &min)] {
-        assert_eq!(t.paths, TABLE_LOOKUP.expected_paths, "{name}: path count");
-        assert!(
-            t.covered_pcs < t.tracked_pcs,
-            "{name}: must leave value-dependent leaves unreached \
-             ({}/{} covered)",
-            t.covered_pcs,
-            t.tracked_pcs
-        );
-    }
+    assert_eq!(eq.paths, TABLE_LOOKUP.expected_paths, "eq: path count");
+    assert!(
+        eq.covered_pcs < eq.tracked_pcs,
+        "eq: must leave value-dependent leaves unreached ({}/{} covered)",
+        eq.covered_pcs,
+        eq.tracked_pcs
+    );
 
     // The windowed array model: full coverage in finitely many paths.
     assert_eq!(

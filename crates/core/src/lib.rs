@@ -20,7 +20,8 @@
 //!
 //! * [`PathStrategy`] — which pending branch flip to try next ([`Dfs`],
 //!   the paper's §III-B policy and the default; [`Bfs`]; [`RandomRestart`];
-//!   [`CoverageGuided`], ranking flips against a lock-free [`CoverageMap`]);
+//!   [`CoverageGuided`], ranking flips against a lock-free [`CoverageMap`]),
+//!   each one [`FrontierPolicy`] serving the sequential and sharded engines;
 //! * [`SolverBackend`] — how feasibility queries are discharged
 //!   ([`BitblastBackend`] incremental or fresh-per-query; [`SmtLibDump`]
 //!   recording every query as an SMT-LIB v2 script for offline replay),
@@ -123,8 +124,8 @@ pub use session::{
     SpecExecutor, Summary,
 };
 pub use strategy::{
-    Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierSnapshot, PathStrategy,
-    PrescriptionStrategy, RandomRestart,
+    Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierPolicy, FrontierSnapshot,
+    PathStrategy, PrescriptionStrategy, RandomRestart,
 };
 pub use trace::{ChromeTraceSink, JsonlTraceSink, TraceSink};
 pub use value::{SymByte, SymWord};

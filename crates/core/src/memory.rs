@@ -9,12 +9,6 @@
 //!
 //! * [`AddressPolicyKind::ConcretizeEq`] — pin `addr == current concrete
 //!   value`. Today's behavior, bit for bit, and the default.
-//! * [`AddressPolicyKind::ConcretizeMin`] — pin the address to the
-//!   *smallest* value feasible under the path condition (found by a
-//!   deterministic binary search over an internal solver). Canonicalizes
-//!   the explored cell independent of the seed input: the path's concrete
-//!   payloads continue from the minimal address, which may differ from the
-//!   cell the seed input would have touched.
 //! * [`AddressPolicyKind::Symbolic`] — keep the address symbolic inside an
 //!   aligned window of `window` bytes: loads become array-theory `select`
 //!   terms over a `store`-chain of the window's bytes, stores become
@@ -33,7 +27,7 @@
 //! [`concretize_jump`] for those sites.
 
 use binsym_isa::Memory;
-use binsym_smt::{SatResult, Solver, Term, TermManager};
+use binsym_smt::{Term, TermManager};
 
 use crate::machine::TrailEntry;
 use crate::value::{SymByte, SymWord};
@@ -46,9 +40,6 @@ pub enum AddressPolicyKind {
     /// the paper's §III-B behavior).
     #[default]
     ConcretizeEq,
-    /// Pin symbolic addresses to the smallest feasible value under the
-    /// path condition.
-    ConcretizeMin,
     /// Keep addresses symbolic within an aligned window of this many
     /// bytes; accesses that do not fit the window fall back to
     /// equality concretization.
@@ -85,11 +76,6 @@ impl AddressPolicyKind {
             AddressPolicyKind::ConcretizeEq => {
                 pin_eq(tm, t, c, pc, trail);
                 Resolution::Concrete(c)
-            }
-            AddressPolicyKind::ConcretizeMin => {
-                let min = min_feasible(tm, t, c, trail);
-                pin_eq(tm, t, min, pc, trail);
-                Resolution::Concrete(min)
             }
             AddressPolicyKind::Symbolic { window } => {
                 let base = c - (c % window.max(1));
@@ -133,7 +119,6 @@ impl std::fmt::Display for AddressPolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AddressPolicyKind::ConcretizeEq => write!(f, "eq"),
-            AddressPolicyKind::ConcretizeMin => write!(f, "min"),
             AddressPolicyKind::Symbolic { window } => write!(f, "symbolic:{window}"),
         }
     }
@@ -170,38 +155,6 @@ impl Resolution {
             Resolution::Window { concrete, .. } => concrete,
         }
     }
-}
-
-/// The smallest value of address term `t` feasible under the path
-/// condition `trail`, found by a deterministic binary search over an
-/// internal solver (at most 32 `check-sat` calls; these internal checks
-/// are *not* counted in [`crate::Summary::solver_checks`], which reports
-/// exploration feasibility queries only). `concrete`, the current value,
-/// satisfies the path condition and bounds the search.
-fn min_feasible(tm: &mut TermManager, t: Term, concrete: u32, trail: &[TrailEntry]) -> u32 {
-    if concrete == 0 {
-        return 0; // the current value is already the smallest possible address
-    }
-    let path: Vec<Term> = trail.iter().map(|e| e.path_term(tm)).collect();
-    let mut solver = Solver::new();
-    for p in path {
-        solver.assert_term(tm, p);
-    }
-    // The minimum lies in [0, concrete]; halve the interval on
-    // SAT(path ∧ addr <= mid).
-    let mut lo = 0u32;
-    let mut hi = concrete;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let mc = tm.bv_const(u64::from(mid), 32);
-        let le = tm.ule(t, mc);
-        if solver.check_sat(tm, &[le]) == SatResult::Sat {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// Records the §III-B equality pin `addr_term == concrete` on the trail
@@ -333,6 +286,7 @@ fn window_array(tm: &mut TermManager, mem: &Memory<SymByte>, base: u32, window: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use binsym_smt::{SatResult, Solver};
 
     fn sym_addr(tm: &mut TermManager, concrete: u32) -> SymWord {
         let x = tm.var("a", 32);
@@ -362,39 +316,12 @@ mod tests {
         let mut trail = Vec::new();
         for kind in [
             AddressPolicyKind::ConcretizeEq,
-            AddressPolicyKind::ConcretizeMin,
             AddressPolicyKind::Symbolic { window: 16 },
         ] {
             let r = kind.resolve(&mut tm, SymWord::concrete(0x44), 4, 0, &mut trail);
             assert_eq!(r, Resolution::Concrete(0x44));
         }
         assert!(trail.is_empty());
-    }
-
-    #[test]
-    fn min_policy_finds_smallest_feasible_address() {
-        // Path condition: 0x20 <= a; seed concrete value 0x37. The minimal
-        // feasible address is 0x20.
-        let mut tm = TermManager::new();
-        let a = tm.var("a", 32);
-        let lo = tm.bv_const(0x20, 32);
-        let ge = tm.ule(lo, a);
-        let mut trail = vec![TrailEntry::Branch {
-            cond: ge,
-            taken: true,
-            pc: 0x10,
-        }];
-        let addr = SymWord::symbolic(0x37, a);
-        let r = AddressPolicyKind::ConcretizeMin.resolve(&mut tm, addr, 1, 0x14, &mut trail);
-        assert_eq!(r, Resolution::Concrete(0x20));
-        assert!(matches!(
-            trail.last(),
-            Some(TrailEntry::Concretize {
-                choice: 0x20,
-                pc: 0x14,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -503,7 +430,6 @@ mod tests {
     #[test]
     fn policy_kind_display_round_trips_the_cli_spelling() {
         assert_eq!(AddressPolicyKind::ConcretizeEq.to_string(), "eq");
-        assert_eq!(AddressPolicyKind::ConcretizeMin.to_string(), "min");
         assert_eq!(
             AddressPolicyKind::Symbolic { window: 64 }.to_string(),
             "symbolic:64"

@@ -435,7 +435,8 @@ impl Wire for AddressPolicyKind {
     fn encode(&self, enc: &mut Enc) {
         match self {
             AddressPolicyKind::ConcretizeEq => enc.u8(0),
-            AddressPolicyKind::ConcretizeMin => enc.u8(1),
+            // Tag 1 was the retired smallest-feasible-address policy; the
+            // numbering is kept so older documents stay readable.
             AddressPolicyKind::Symbolic { window } => {
                 enc.u8(2);
                 enc.u32(*window);
@@ -445,7 +446,7 @@ impl Wire for AddressPolicyKind {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         match dec.u8()? {
             0 => Ok(AddressPolicyKind::ConcretizeEq),
-            1 => Ok(AddressPolicyKind::ConcretizeMin),
+            1 => Err(PersistError::Corrupt("retired address policy (min)")),
             2 => Ok(AddressPolicyKind::Symbolic { window: dec.u32()? }),
             _ => Err(PersistError::Corrupt("address-policy tag out of range")),
         }
@@ -866,9 +867,8 @@ mod tests {
     }
 
     fn rand_policy(rng: &mut Rng) -> AddressPolicyKind {
-        match rng.below(3) {
+        match rng.below(2) {
             0 => AddressPolicyKind::ConcretizeEq,
-            1 => AddressPolicyKind::ConcretizeMin,
             _ => AddressPolicyKind::Symbolic {
                 window: rng.next_u64() as u32,
             },
@@ -947,7 +947,6 @@ mod tests {
         ));
         for policy in [
             AddressPolicyKind::ConcretizeEq,
-            AddressPolicyKind::ConcretizeMin,
             AddressPolicyKind::Symbolic { window: 64 },
         ] {
             round_trip(&policy);
@@ -957,6 +956,22 @@ mod tests {
             decode_one::<AddressPolicyKind>(&[9]),
             Err(PersistError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn retired_policy_tag_is_a_typed_error() {
+        // Tag 1 named the retired smallest-feasible-address policy: a
+        // document carrying it decodes to `Corrupt`, and the surviving
+        // policies keep their tag numbers.
+        assert!(matches!(
+            decode_one::<AddressPolicyKind>(&[1]),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert_eq!(encode_one(&AddressPolicyKind::ConcretizeEq), [0]);
+        assert_eq!(
+            encode_one(&AddressPolicyKind::Symbolic { window: 64 })[0],
+            2
+        );
     }
 
     #[test]

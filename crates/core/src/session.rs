@@ -204,8 +204,9 @@ pub struct Summary {
 
 impl Summary {
     /// Folds one materialized path into the totals: the sequential session
-    /// per path, the parallel merge per record.
-    pub(crate) fn add_path(&mut self, path: &PathRecord) {
+    /// per path, the parallel merge per record, and a multi-process merge
+    /// per record of the concatenated stream.
+    pub fn add_path(&mut self, path: &PathRecord) {
         self.paths += 1;
         self.total_steps += path.steps;
         self.max_trail_len = self.max_trail_len.max(path.trail_len);

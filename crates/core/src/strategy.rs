@@ -3,17 +3,18 @@
 //! The exploration loop maintains a *frontier* of pending branch flips.
 //! Which entry is discharged next is the search policy — the paper's engine
 //! hard-wires depth-first selection (§III-B), but the policy is orthogonal
-//! to both the executor and the solver, so it is a pluggable seam. The
-//! worklist structures are generic over the item they schedule and serve
-//! two frontiers:
+//! to both the executor and the solver, so it is a pluggable seam. Every
+//! policy implements [`FrontierPolicy`] once, generically over the item it
+//! schedules, and so serves two frontiers:
 //!
 //! * the **sequential** frontier of [`crate::Session`], holding
 //!   [`Candidate`]s (a prescription plus the parent's live trail, continued
-//!   in place) behind the [`PathStrategy`] trait;
+//!   in place) behind the [`PathStrategy`] trait, which every
+//!   `FrontierPolicy<Candidate>` implements;
 //! * the **shard-local** frontiers of [`crate::ParallelSession`], holding
 //!   plain-data [`Prescription`]s behind the [`PrescriptionStrategy`]
-//!   trait — the same policies, plus a [`steal`](PrescriptionStrategy::steal)
-//!   end for idle workers.
+//!   trait — the same policies, whose [`steal`](FrontierPolicy::steal) end
+//!   serves idle workers, plus the snapshot/restore of a checkpoint.
 //!
 //! The policies:
 //!
@@ -55,7 +56,7 @@ use crate::prescribe::Prescription;
 /// ranking, it never changes the merged results).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierSnapshot {
-    /// The policy's [`PrescriptionStrategy::name`], checked on restore.
+    /// The policy's [`FrontierPolicy::name`], checked on restore.
     pub strategy: String,
     /// Pending prescriptions in the policy's internal storage order.
     pub items: Vec<Prescription>,
@@ -91,11 +92,43 @@ pub struct Candidate {
     pub trail: Rc<[TrailEntry]>,
 }
 
-/// A worklist policy deciding which pending branch flip to discharge next.
+/// A worklist policy over frontier items of type `T`, deciding which
+/// pending branch flip to discharge next — the one implementation of each
+/// policy, shared by the sequential frontier ([`PathStrategy`], `T =`
+/// [`Candidate`]) and the shard-local ones ([`PrescriptionStrategy`],
+/// `T =` [`Prescription`]).
 ///
-/// Implementations must hand back every pushed candidate exactly once (in
-/// any order); the [`crate::Session`] loop handles feasibility checking and
-/// deduplication of the shared prefix.
+/// Implementations must hand back every pushed item exactly once across
+/// `pop` and `steal`, in any order; the engines handle feasibility checking
+/// and deduplication of the shared prefix.
+pub trait FrontierPolicy<T>: fmt::Debug {
+    /// Human-readable policy name (for logs, summaries, and checkpoints).
+    fn name(&self) -> &'static str;
+
+    /// Adds an item to the frontier.
+    fn push(&mut self, item: T);
+
+    /// Removes and returns the owner's next item, or `None` when the
+    /// frontier is exhausted.
+    fn pop(&mut self) -> Option<T>;
+
+    /// Removes and returns an item for a *stealing* worker: the entry the
+    /// owner would schedule **last** (the classic work-stealing discipline:
+    /// the thief takes the biggest pending subtree, minimizing contention
+    /// on the owner's hot end). Default: same as [`FrontierPolicy::pop`].
+    fn steal(&mut self) -> Option<T> {
+        self.pop()
+    }
+
+    /// Number of pending items.
+    fn frontier_len(&self) -> usize;
+}
+
+/// The sequential frontier of [`crate::Session`], over [`Candidate`]s.
+///
+/// Every [`FrontierPolicy<Candidate>`] is a `PathStrategy`; implement this
+/// trait directly only to wrap one (for example, to note each popped
+/// candidate's [`Prescription::id`]).
 pub trait PathStrategy: fmt::Debug {
     /// Human-readable policy name (for logs and summaries).
     fn name(&self) -> &'static str;
@@ -109,6 +142,24 @@ pub trait PathStrategy: fmt::Debug {
 
     /// Number of pending candidates.
     fn frontier_len(&self) -> usize;
+}
+
+impl<S: FrontierPolicy<Candidate>> PathStrategy for S {
+    fn name(&self) -> &'static str {
+        <S as FrontierPolicy<Candidate>>::name(self)
+    }
+
+    fn push(&mut self, candidate: Candidate) {
+        <S as FrontierPolicy<Candidate>>::push(self, candidate);
+    }
+
+    fn pop(&mut self) -> Option<Candidate> {
+        <S as FrontierPolicy<Candidate>>::pop(self)
+    }
+
+    fn frontier_len(&self) -> usize {
+        <S as FrontierPolicy<Candidate>>::frontier_len(self)
+    }
 }
 
 impl PathStrategy for Box<dyn PathStrategy> {
@@ -129,36 +180,14 @@ impl PathStrategy for Box<dyn PathStrategy> {
     }
 }
 
-/// A shard-local worklist policy over plain-data [`Prescription`]s, used by
-/// the worker threads of [`crate::ParallelSession`].
+/// A shard-local frontier of [`crate::ParallelSession`], over plain-data
+/// [`Prescription`]s: a [`FrontierPolicy`] that can also be checkpointed.
 ///
 /// Each worker owns one instance and pushes/pops through it; idle workers
-/// *steal* from a victim's instance through [`PrescriptionStrategy::steal`],
-/// which should hand out the entry the owner would schedule **last** (the
-/// classic work-stealing discipline: the thief takes the biggest pending
-/// subtree, minimizing contention on the owner's hot end).
-///
-/// The policy only shapes scheduling; every pushed prescription must be
-/// handed out exactly once across `pop` and `steal`.
-pub trait PrescriptionStrategy: fmt::Debug + Send {
-    /// Human-readable policy name (for logs and summaries).
-    fn name(&self) -> &'static str;
-
-    /// Adds a prescription to this shard's frontier.
-    fn push(&mut self, prescription: Prescription);
-
-    /// Removes and returns the owner's next prescription.
-    fn pop(&mut self) -> Option<Prescription>;
-
-    /// Removes and returns a prescription for a *stealing* worker
-    /// (default: same as [`PrescriptionStrategy::pop`]).
-    fn steal(&mut self) -> Option<Prescription> {
-        self.pop()
-    }
-
-    /// Number of pending prescriptions.
-    fn frontier_len(&self) -> usize;
-
+/// steal from a victim's instance through [`FrontierPolicy::steal`]. The
+/// policy only shapes scheduling; every pushed prescription must be handed
+/// out exactly once across `pop` and `steal`.
+pub trait PrescriptionStrategy: FrontierPolicy<Prescription> + Send {
     /// Captures this shard's full scheduling state — pending items in
     /// internal order plus any policy-private state (RNG, coverage) — so a
     /// checkpoint can [`restore`](PrescriptionStrategy::restore) it and
@@ -168,7 +197,7 @@ pub trait PrescriptionStrategy: fmt::Debug + Send {
     /// Re-seeds this shard from a snapshot taken by the *same* policy:
     /// appends the snapshot's items in order and adopts any policy-private
     /// state. Callers check [`FrontierSnapshot::strategy`] against
-    /// [`PrescriptionStrategy::name`] before restoring.
+    /// [`FrontierPolicy::name`] before restoring.
     fn restore(&mut self, snapshot: FrontierSnapshot);
 }
 
@@ -190,21 +219,6 @@ impl<T> Dfs<T> {
             stack: VecDeque::new(),
         }
     }
-
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.stack.push_back(item);
-    }
-
-    /// Removes and returns the deepest (most recently pushed) item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.stack.pop_back()
-    }
-
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 impl<T> Default for Dfs<T> {
@@ -213,47 +227,33 @@ impl<T> Default for Dfs<T> {
     }
 }
 
-impl PathStrategy for Dfs<Candidate> {
+impl<T: fmt::Debug> FrontierPolicy<T> for Dfs<T> {
     fn name(&self) -> &'static str {
         "dfs"
     }
 
-    fn push(&mut self, candidate: Candidate) {
-        Dfs::push(self, candidate);
+    fn push(&mut self, item: T) {
+        self.stack.push_back(item);
     }
 
-    fn pop(&mut self) -> Option<Candidate> {
-        Dfs::pop(self)
+    /// The deepest (most recently pushed) item.
+    fn pop(&mut self) -> Option<T> {
+        self.stack.pop_back()
     }
 
-    fn frontier_len(&self) -> usize {
-        Dfs::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for Dfs<Prescription> {
-    fn name(&self) -> &'static str {
-        "dfs"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        Dfs::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        Dfs::pop(self)
-    }
-
-    fn steal(&mut self) -> Option<Prescription> {
+    /// The shallowest (oldest) item.
+    fn steal(&mut self) -> Option<T> {
         self.stack.pop_front()
     }
 
     fn frontier_len(&self) -> usize {
-        Dfs::frontier_len(self)
+        self.stack.len()
     }
+}
 
+impl PrescriptionStrategy for Dfs<Prescription> {
     fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::items_only("dfs", self.stack.iter().cloned().collect())
+        FrontierSnapshot::items_only(self.name(), self.stack.iter().cloned().collect())
     }
 
     fn restore(&mut self, snapshot: FrontierSnapshot) {
@@ -277,21 +277,6 @@ impl<T> Bfs<T> {
             queue: VecDeque::new(),
         }
     }
-
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.queue.push_back(item);
-    }
-
-    /// Removes and returns the oldest (shallowest) item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.queue.pop_front()
-    }
-
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 impl<T> Default for Bfs<T> {
@@ -300,47 +285,33 @@ impl<T> Default for Bfs<T> {
     }
 }
 
-impl PathStrategy for Bfs<Candidate> {
+impl<T: fmt::Debug> FrontierPolicy<T> for Bfs<T> {
     fn name(&self) -> &'static str {
         "bfs"
     }
 
-    fn push(&mut self, candidate: Candidate) {
-        Bfs::push(self, candidate);
+    fn push(&mut self, item: T) {
+        self.queue.push_back(item);
     }
 
-    fn pop(&mut self) -> Option<Candidate> {
-        Bfs::pop(self)
+    /// The oldest (shallowest) item.
+    fn pop(&mut self) -> Option<T> {
+        self.queue.pop_front()
     }
 
-    fn frontier_len(&self) -> usize {
-        Bfs::frontier_len(self)
-    }
-}
-
-impl PrescriptionStrategy for Bfs<Prescription> {
-    fn name(&self) -> &'static str {
-        "bfs"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        Bfs::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        Bfs::pop(self)
-    }
-
-    fn steal(&mut self) -> Option<Prescription> {
+    /// The newest (deepest) item.
+    fn steal(&mut self) -> Option<T> {
         self.queue.pop_back()
     }
 
     fn frontier_len(&self) -> usize {
-        Bfs::frontier_len(self)
+        self.queue.len()
     }
+}
 
+impl PrescriptionStrategy for Bfs<Prescription> {
     fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::items_only("bfs", self.queue.iter().cloned().collect())
+        FrontierSnapshot::items_only(self.name(), self.queue.iter().cloned().collect())
     }
 
     fn restore(&mut self, snapshot: FrontierSnapshot) {
@@ -410,25 +381,6 @@ impl<T> RandomRestart<T> {
             }
         }
     }
-
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
-        self.frontier.push(item);
-    }
-
-    /// Removes and returns a uniformly pseudo-random item.
-    pub fn pop(&mut self) -> Option<T> {
-        if self.frontier.is_empty() {
-            return None;
-        }
-        let i = self.next_below(self.frontier.len());
-        Some(self.frontier.swap_remove(i))
-    }
-
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
-    }
 }
 
 impl<T> Default for RandomRestart<T> {
@@ -437,45 +389,34 @@ impl<T> Default for RandomRestart<T> {
     }
 }
 
-impl PathStrategy for RandomRestart<Candidate> {
+impl<T: fmt::Debug> FrontierPolicy<T> for RandomRestart<T> {
     fn name(&self) -> &'static str {
         "random-restart"
     }
 
-    fn push(&mut self, candidate: Candidate) {
-        RandomRestart::push(self, candidate);
+    fn push(&mut self, item: T) {
+        self.frontier.push(item);
     }
 
-    fn pop(&mut self) -> Option<Candidate> {
-        RandomRestart::pop(self)
+    /// A uniformly pseudo-random item.
+    fn pop(&mut self) -> Option<T> {
+        if self.frontier.is_empty() {
+            return None;
+        }
+        let i = self.next_below(self.frontier.len());
+        Some(self.frontier.swap_remove(i))
     }
 
     fn frontier_len(&self) -> usize {
-        RandomRestart::frontier_len(self)
+        self.frontier.len()
     }
 }
 
 impl PrescriptionStrategy for RandomRestart<Prescription> {
-    fn name(&self) -> &'static str {
-        "random-restart"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        RandomRestart::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        RandomRestart::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        RandomRestart::frontier_len(self)
-    }
-
     fn snapshot(&self) -> FrontierSnapshot {
         FrontierSnapshot {
             rng_state: Some(self.state),
-            ..FrontierSnapshot::items_only("random-restart", self.frontier.clone())
+            ..FrontierSnapshot::items_only(self.name(), self.frontier.clone())
         }
     }
 
@@ -569,16 +510,21 @@ impl<T: BranchSited> CoverageGuided<T> {
             Some((pc, dir)) => !self.map.is_direction_covered(pc, dir),
         }
     }
+}
 
-    /// Adds an item to the frontier.
-    pub fn push(&mut self, item: T) {
+impl<T: BranchSited> FrontierPolicy<T> for CoverageGuided<T> {
+    fn name(&self) -> &'static str {
+        "coverage"
+    }
+
+    fn push(&mut self, item: T) {
         self.frontier.push(item);
     }
 
-    /// Removes and returns the most recently pushed *uncovered* entry,
-    /// falling back to the most recently pushed entry (plain depth-first)
-    /// when every branch site is already covered.
-    pub fn pop(&mut self) -> Option<T> {
+    /// The most recently pushed *uncovered* entry, falling back to the
+    /// most recently pushed entry (plain depth-first) when every branch
+    /// site is already covered.
+    fn pop(&mut self) -> Option<T> {
         let i = self
             .frontier
             .iter()
@@ -587,9 +533,8 @@ impl<T: BranchSited> CoverageGuided<T> {
         Some(self.frontier.remove(i))
     }
 
-    /// Removes and returns the entry the owner would schedule last: the
-    /// oldest *covered* entry, falling back to the oldest entry.
-    pub fn steal(&mut self) -> Option<T> {
+    /// The oldest *covered* entry, falling back to the oldest entry.
+    fn steal(&mut self) -> Option<T> {
         if self.frontier.is_empty() {
             return None;
         }
@@ -601,55 +546,16 @@ impl<T: BranchSited> CoverageGuided<T> {
         Some(self.frontier.remove(i))
     }
 
-    /// Number of pending items.
-    pub fn frontier_len(&self) -> usize {
+    fn frontier_len(&self) -> usize {
         self.frontier.len()
     }
 }
 
-impl PathStrategy for CoverageGuided<Candidate> {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
-    fn push(&mut self, candidate: Candidate) {
-        CoverageGuided::push(self, candidate);
-    }
-
-    fn pop(&mut self) -> Option<Candidate> {
-        CoverageGuided::pop(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        CoverageGuided::frontier_len(self)
-    }
-}
-
 impl PrescriptionStrategy for CoverageGuided<Prescription> {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
-    fn push(&mut self, prescription: Prescription) {
-        CoverageGuided::push(self, prescription);
-    }
-
-    fn pop(&mut self) -> Option<Prescription> {
-        CoverageGuided::pop(self)
-    }
-
-    fn steal(&mut self) -> Option<Prescription> {
-        CoverageGuided::steal(self)
-    }
-
-    fn frontier_len(&self) -> usize {
-        CoverageGuided::frontier_len(self)
-    }
-
     fn snapshot(&self) -> FrontierSnapshot {
         FrontierSnapshot {
             coverage: Some(self.map.snapshot()),
-            ..FrontierSnapshot::items_only("coverage", self.frontier.clone())
+            ..FrontierSnapshot::items_only(self.name(), self.frontier.clone())
         }
     }
 
@@ -696,9 +602,14 @@ mod tests {
         }
     }
 
+    /// A policy behind the sequential engine's face.
+    fn sequential(policy: impl PathStrategy + 'static) -> Box<dyn PathStrategy> {
+        Box::new(policy)
+    }
+
     #[test]
     fn dfs_pops_most_recent_first() {
-        let mut s = Dfs::new();
+        let mut s = sequential(Dfs::new());
         for i in 0..3 {
             s.push(candidate(i));
         }
@@ -711,7 +622,7 @@ mod tests {
 
     #[test]
     fn bfs_pops_oldest_first() {
-        let mut s = Bfs::new();
+        let mut s = sequential(Bfs::new());
         for i in 0..3 {
             s.push(candidate(i));
         }
@@ -724,7 +635,7 @@ mod tests {
     #[test]
     fn random_restart_is_seed_deterministic_and_complete() {
         let order = |seed: u64| {
-            let mut s = RandomRestart::with_seed(seed);
+            let mut s = sequential(RandomRestart::with_seed(seed));
             for i in 0..8 {
                 s.push(candidate(i));
             }
@@ -889,14 +800,14 @@ mod tests {
             s.push(prescription(i));
         }
         map.mark_direction(0x1004, false); // ord 1's flip direction covered
-        let stolen = PrescriptionStrategy::steal(&mut s).unwrap();
+        let stolen = s.steal().unwrap();
         assert_eq!(
             stolen.flip.unwrap().ord,
             1,
             "thief takes the covered entry the owner wants least"
         );
         // No covered entries left: thief falls back to the oldest.
-        let stolen = PrescriptionStrategy::steal(&mut s).unwrap();
+        let stolen = s.steal().unwrap();
         assert_eq!(stolen.flip.unwrap().ord, 0);
         assert_eq!(s.pop().unwrap().flip.unwrap().ord, 2);
     }

@@ -825,7 +825,6 @@ ten:
         }
         for policy in [
             AddressPolicyKind::ConcretizeEq,
-            AddressPolicyKind::ConcretizeMin,
             AddressPolicyKind::Symbolic { window: 4 },
         ] {
             let mut spec = SpecExecutor::new(binsym_isa::Spec::rv32im(), &elf, None)

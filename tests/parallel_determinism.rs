@@ -32,7 +32,7 @@
 //! to the uninstrumented run at every worker count.
 //!
 //! The address-concretization policies (`SessionBuilder::address_policy`)
-//! are a *model* knob — `min` and `symbolic:N` may legitimately change
+//! are a *model* knob — `symbolic:N` may legitimately change
 //! which paths exist — so each policy is pinned against its own 1-worker
 //! reference: merged records byte-identical across 1/2/4/8 workers × warm
 //! × gate, across repeated runs, and across a mid-run kill/resume, on the
@@ -688,17 +688,12 @@ fn insertion_sort_is_deterministic() {
 #[test]
 fn table_lookup_is_deterministic_under_every_policy() {
     // The one benchmark whose path set actually depends on the policy:
-    // the concretizing policies stop at the pinned 2 paths, the windowed
+    // `eq` concretization stops at the pinned 2 paths, the windowed
     // array model enumerates all 6 — each byte-identically at every
     // worker count × warm × gate combination.
     check_policy_matrix(
         &TABLE_LOOKUP,
         AddressPolicyKind::ConcretizeEq,
-        TABLE_LOOKUP.expected_paths,
-    );
-    check_policy_matrix(
-        &TABLE_LOOKUP,
-        AddressPolicyKind::ConcretizeMin,
         TABLE_LOOKUP.expected_paths,
     );
     check_policy_matrix(
@@ -714,20 +709,18 @@ fn table_lookup_kill_resume_is_byte_identical_under_every_policy() {
     // mid-run kill must resume to identical bytes under every policy —
     // including the symbolic window, whose trail entries are the new kind.
     check_kill_resume_policy(&TABLE_LOOKUP, 1, AddressPolicyKind::ConcretizeEq);
-    check_kill_resume_policy(&TABLE_LOOKUP, 1, AddressPolicyKind::ConcretizeMin);
     check_kill_resume_policy(&TABLE_LOOKUP, 2, AddressPolicyKind::Symbolic { window: 64 });
 }
 
 #[test]
 fn clif_parser_policies_are_inert_on_concrete_addresses() {
-    // Every clif-parser address is concrete, so all three policies must
+    // Every clif-parser address is concrete, so both policies must
     // reproduce the default run byte-for-byte — `eq` because it *is* the
-    // default (the pre-policy engine's §III-B pin), the others because a
+    // default (the pre-policy engine's §III-B pin), `symbolic:64` because a
     // policy that never fires must be invisible.
     let (ref_summary, ref_records) = parallel_run(&programs::CLIF_PARSER, 1, None);
     for policy in [
         AddressPolicyKind::ConcretizeEq,
-        AddressPolicyKind::ConcretizeMin,
         AddressPolicyKind::Symbolic { window: 64 },
     ] {
         let (summary, records, _) = policy_run(&programs::CLIF_PARSER, 2, policy, false, true);
@@ -741,13 +734,9 @@ fn clif_parser_policies_are_inert_on_concrete_addresses() {
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn uri_parser_policies_are_inert_on_concrete_addresses() {
     let (ref_summary, ref_records) = parallel_run(&programs::URI_PARSER, 1, None);
-    for policy in [
-        AddressPolicyKind::ConcretizeMin,
-        AddressPolicyKind::Symbolic { window: 64 },
-    ] {
-        let (summary, records, _) = policy_run(&programs::URI_PARSER, 4, policy, true, true);
-        let what = format!("uri-parser ({policy})");
-        assert_summaries_equal(&summary, &ref_summary, &what);
-        assert_eq!(records, ref_records, "{what}: byte-identical to default");
-    }
+    let policy = AddressPolicyKind::Symbolic { window: 64 };
+    let (summary, records, _) = policy_run(&programs::URI_PARSER, 4, policy, true, true);
+    let what = format!("uri-parser ({policy})");
+    assert_summaries_equal(&summary, &ref_summary, &what);
+    assert_eq!(records, ref_records, "{what}: byte-identical to default");
 }

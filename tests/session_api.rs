@@ -1,9 +1,14 @@
 //! Integration tests for the `Session` builder API: builder misuse, the
 //! lazy `paths()` iterator vs. `run_all()`, and path-selection strategies.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use binsym_repro::asm::Assembler;
+use binsym_repro::bench::programs::CLIF_PARSER;
 use binsym_repro::binsym::{
-    Bfs, BitblastBackend, Dfs, Error, PathOutcome, RandomRestart, Session, SmtLibDump,
+    AddressPolicyKind, Bfs, BitblastBackend, Candidate, Dfs, Error, PathId, PathOutcome,
+    PathStrategy, Prescription, RandomRestart, Session, SmtLibDump,
 };
 use binsym_repro::elf::ElfFile;
 use binsym_repro::isa::Spec;
@@ -242,4 +247,81 @@ fn smtlib_dump_backend_streams_replayable_scripts() {
             .any(|q| q.contains("bvudiv") && q.contains("bvult")),
         "the Fig. 2 divu query shape must appear in the dump"
     );
+}
+
+/// A user strategy wrapping the built-in depth-first policy and noting the
+/// id of every candidate it hands out — the shape the hunt benchmark uses
+/// to name each sequential path. Only `PathStrategy` is in scope, so the
+/// calls on the wrapped `Dfs<Candidate>` resolve through it.
+#[derive(Debug)]
+struct IdTap {
+    dfs: Dfs<Candidate>,
+    last: Rc<RefCell<PathId>>,
+}
+
+impl PathStrategy for IdTap {
+    fn name(&self) -> &'static str {
+        self.dfs.name()
+    }
+    fn push(&mut self, candidate: Candidate) {
+        PathStrategy::push(&mut self.dfs, candidate);
+    }
+    fn pop(&mut self) -> Option<Candidate> {
+        let candidate = PathStrategy::pop(&mut self.dfs)?;
+        *self.last.borrow_mut() = candidate.prescription.id.clone();
+        Some(candidate)
+    }
+    fn frontier_len(&self) -> usize {
+        self.dfs.frontier_len()
+    }
+}
+
+#[test]
+fn user_strategy_wrapping_dfs_names_each_sequential_path() {
+    // name() and frontier_len() forward to the wrapped policy.
+    let last = Rc::new(RefCell::new(PathId::root()));
+    let mut tap = IdTap {
+        dfs: Dfs::new(),
+        last: Rc::clone(&last),
+    };
+    assert_eq!(tap.name(), "dfs");
+    for ord in 0..3 {
+        tap.push(Candidate {
+            prescription: Prescription {
+                id: PathId::root().child(ord),
+                input: vec![0],
+                flip: None,
+                policy: AddressPolicyKind::default(),
+            },
+            trail: Rc::new([]),
+        });
+    }
+    assert_eq!(tap.frontier_len(), 3);
+    let popped = tap.pop().expect("pending").prescription.id;
+    assert_eq!(popped, PathId::root().child(2), "depth-first");
+    assert_eq!(*last.borrow(), popped);
+    assert_eq!(tap.frontier_len(), 2);
+
+    // Each path a session yields gets the id of the most recent pop (the
+    // root path, which is never pushed, keeps `PathId::root()`): one id
+    // per path, strictly increasing in depth-first discovery order.
+    let elf = CLIF_PARSER.build();
+    let last = Rc::new(RefCell::new(PathId::root()));
+    let mut session = Session::builder(Spec::rv32im())
+        .binary(&elf)
+        .strategy(IdTap {
+            dfs: Dfs::new(),
+            last: Rc::clone(&last),
+        })
+        .build()
+        .expect("builds");
+    assert!(format!("{session:?}").contains("strategy: \"dfs\""));
+    let mut ids = Vec::new();
+    for path in session.paths() {
+        path.expect("explores");
+        ids.push(last.borrow().clone());
+    }
+    assert_eq!(ids.len() as u64, CLIF_PARSER.expected_paths);
+    assert_eq!(ids[0], PathId::root());
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids strictly increase");
 }

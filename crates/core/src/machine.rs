@@ -18,7 +18,10 @@
 //! The offline exploration loop in [`crate::session`] replays and flips
 //! these trail entries to enumerate paths.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 use binsym_elf::ElfFile;
 use binsym_isa::{Expr, MemWidth, Memory, Reg, RegFile, Spec, Stmt};
@@ -190,9 +193,22 @@ fn sext(v: u64, w: u32) -> i64 {
 }
 
 /// The symbolic RV32 machine state for one path execution.
+///
+/// A step decodes the instruction word at `pc` and runs its semantics
+/// program from the [`Spec`]. Both are memoized per raw instruction word
+/// (not per `pc`, so code a program overwrites runs as its new words), and
+/// a clone shares the memo with the machine it was cloned from. The
+/// engine's [`crate::SpecExecutor`] therefore loads the ELF into one
+/// machine and starts every path from a clone of it: the load, the decode
+/// and the semantics construction are paid once per executor, not per
+/// path. Sharing the memo makes a machine neither `Send` nor `Sync`; build
+/// one per thread.
 #[derive(Debug, Clone)]
 pub struct SymMachine {
     spec: Spec,
+    /// Semantics programs by raw instruction word, shared with clones (one
+    /// map per thread, so a step takes no lock).
+    memo: Rc<RefCell<HashMap<u32, Rc<[Stmt]>>>>,
     /// Symbolic register file (generic component from the specification).
     pub regs: RegFile<SymWord>,
     /// Symbolic memory (generic component from the specification).
@@ -215,6 +231,7 @@ impl SymMachine {
     pub fn new(spec: Spec) -> Self {
         SymMachine {
             spec,
+            memo: Rc::default(),
             regs: RegFile::new(SymWord::concrete(0)),
             mem: Memory::new(SymByte::concrete(0)),
             pc: 0,
@@ -715,7 +732,8 @@ impl SymMachine {
     }
 
     /// Fetch–decode–execute of one instruction. Fetch reads the *concrete*
-    /// bytes (code is assumed concrete; self-modifying code is unsupported).
+    /// payload of the bytes at `pc` (code is concretized): a program that
+    /// stores new concrete words over its own code runs the new words.
     ///
     /// # Errors
     /// Returns [`ExecError`] on illegal instructions or unknown syscalls.
@@ -724,11 +742,7 @@ impl SymMachine {
             | (u32::from(self.mem.load(self.pc.wrapping_add(1)).concrete) << 8)
             | (u32::from(self.mem.load(self.pc.wrapping_add(2)).concrete) << 16)
             | (u32::from(self.mem.load(self.pc.wrapping_add(3)).concrete) << 24);
-        let d = self.spec.decode(raw).map_err(|mut e| {
-            e.addr = Some(self.pc);
-            e
-        })?;
-        let prog = self.spec.semantics(&d);
+        let prog = self.program(raw)?;
         self.next_pc = None;
         let r = self.exec_stmts(tm, &prog)?;
         self.steps += 1;
@@ -736,6 +750,21 @@ impl SymMachine {
             self.pc = self.next_pc.unwrap_or(self.pc.wrapping_add(4));
         }
         Ok(r)
+    }
+
+    /// The semantics program of instruction word `raw`, decoded and built
+    /// on its first execution and memoized from then on.
+    fn program(&self, raw: u32) -> Result<Rc<[Stmt]>, ExecError> {
+        if let Some(prog) = self.memo.borrow().get(&raw) {
+            return Ok(Rc::clone(prog));
+        }
+        let d = self.spec.decode(raw).map_err(|mut e| {
+            e.addr = Some(self.pc);
+            e
+        })?;
+        let prog: Rc<[Stmt]> = self.spec.semantics(&d).into();
+        self.memo.borrow_mut().insert(raw, Rc::clone(&prog));
+        Ok(prog)
     }
 }
 
@@ -773,6 +802,86 @@ mod tests {
             }
         }
         panic!("out of fuel");
+    }
+
+    /// Runs `patch` once as `li a0, 1`, overwrites it with the word of
+    /// `li a0, 7` and runs it again: the second run must execute what
+    /// memory now holds, although the first run memoized the old word.
+    const SELF_MODIFYING: &str = r#"
+_start:
+    li s0, 0
+patch:
+    li a0, 1
+    bnez s0, done
+    li s0, 1
+    la t0, patch
+    li t1, 0x00700513
+    sw t1, 0(t0)
+    j patch
+done:
+    li a7, 93
+    ecall
+"#;
+
+    #[test]
+    fn overwritten_code_runs_its_new_word() {
+        let (mut m, mut tm) = machine_with(SELF_MODIFYING);
+        assert_eq!(run(&mut m, &mut tm, 100), StepResult::Exited(7));
+    }
+
+    #[test]
+    fn clones_share_the_memo_but_not_the_memory() {
+        let (image, mut tm) = machine_with(SELF_MODIFYING);
+        let word_at = |m: &SymMachine, addr: u32| -> Vec<u8> {
+            (0..4).map(|i| m.mem.load(addr + i).concrete).collect()
+        };
+        let patch = image.pc + 4;
+        let original = word_at(&image, patch);
+        let mut memo_sizes = Vec::new();
+        for _ in 0..2 {
+            let mut m = image.clone();
+            assert_eq!(run(&mut m, &mut tm, 100), StepResult::Exited(7));
+            assert_eq!(word_at(&m, patch), 0x0070_0513u32.to_le_bytes());
+            memo_sizes.push(image.memo.borrow().len());
+        }
+        assert_eq!(
+            word_at(&image, patch),
+            original,
+            "the image stays as loaded"
+        );
+        assert!(memo_sizes[0] > 0, "the first clone fills the image's memo");
+        assert_eq!(
+            memo_sizes[0], memo_sizes[1],
+            "the second clone only reads it"
+        );
+    }
+
+    #[test]
+    fn extending_a_clone_of_the_spec_leaves_the_original_unchanged() {
+        use binsym_isa::encoding::MADD_YAML;
+        use binsym_isa::spec::madd_semantics;
+        // madd a0, a1, a2, a3
+        let madd = (13 << 27) | (1 << 25) | (12 << 20) | (11 << 15) | (10 << 7) | 0x43;
+        let elf = Assembler::new()
+            .assemble(&format!(
+                "_start:\n li a1, 3\n li a2, 4\n li a3, 5\n .word {madd}\n li a7, 93\n ecall\n"
+            ))
+            .expect("assembles");
+        let original = Spec::rv32im();
+        let mut extended = original.clone();
+        extended
+            .register_custom(MADD_YAML, madd_semantics())
+            .expect("registers");
+        assert_eq!(original.table().len() + 1, extended.table().len());
+
+        let mut tm = TermManager::new();
+        let mut m = SymMachine::new(extended);
+        m.load_elf(&elf);
+        assert_eq!(run(&mut m, &mut tm, 10), StepResult::Exited(3 * 4 + 5));
+        let mut m = SymMachine::new(original);
+        m.load_elf(&elf);
+        let err = (0..4).find_map(|_| m.step(&mut tm).err());
+        assert!(matches!(err, Some(ExecError::Decode(_))), "{err:?}");
     }
 
     #[test]

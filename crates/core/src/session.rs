@@ -252,6 +252,15 @@ pub fn find_sym_input(elf: &ElfFile, override_len: Option<u32>) -> Result<(u32, 
 
 /// The paper's engine: one path execution = one run of the symbolic
 /// modular interpreter over the formal specification.
+///
+/// The executor keeps one machine image per program: on its first path it
+/// builds a [`SymMachine`] with the ELF loaded (and nothing symbolic yet),
+/// and every path — [`PathExecutor::execute_path`] and
+/// [`PathExecutor::execute_prefix`] alike — starts from a clone of it. The
+/// image and its clones share one semantics memo keyed by instruction
+/// word, so each distinct word is decoded and given its semantics program
+/// once per executor. An executor is built per worker thread; it is not
+/// `Send`.
 #[derive(Debug)]
 pub struct SpecExecutor {
     spec: Spec,
@@ -259,6 +268,9 @@ pub struct SpecExecutor {
     sym_addr: u32,
     sym_len: u32,
     policy: AddressPolicyKind,
+    /// The loaded machine every path is cloned from, built on first use
+    /// (not at construction, which sits inside session set-up).
+    image: Option<SymMachine>,
 }
 
 impl SpecExecutor {
@@ -267,13 +279,20 @@ impl SpecExecutor {
     /// # Errors
     /// Returns [`Error::NoSymbolicInput`] if the symbol is missing.
     pub fn new(spec: Spec, elf: &ElfFile, input_len: Option<u32>) -> Result<Self, Error> {
-        let (sym_addr, sym_len) = find_sym_input(elf, input_len)?;
+        SpecExecutor::owning(spec, elf.clone(), input_len)
+    }
+
+    /// [`SpecExecutor::new`] taking the image by value, so a caller that
+    /// owns one does not copy it.
+    fn owning(spec: Spec, elf: ElfFile, input_len: Option<u32>) -> Result<Self, Error> {
+        let (sym_addr, sym_len) = find_sym_input(&elf, input_len)?;
         Ok(SpecExecutor {
             spec,
-            elf: elf.clone(),
+            elf,
             sym_addr,
             sym_len,
             policy: AddressPolicyKind::default(),
+            image: None,
         })
     }
 
@@ -282,12 +301,27 @@ impl SpecExecutor {
     #[must_use]
     pub fn with_policy(mut self, policy: AddressPolicyKind) -> Self {
         self.policy = policy;
+        self.image = None;
         self
     }
 
     /// Address of the symbolic input region.
     pub fn input_addr(&self) -> u32 {
         self.sym_addr
+    }
+
+    /// A machine ready to run one path: a clone of the loaded image with
+    /// `input` in the symbolic region.
+    fn start(&mut self, tm: &mut TermManager, input: &[u8]) -> SymMachine {
+        let image = self.image.get_or_insert_with(|| {
+            let mut m = SymMachine::new(self.spec.clone());
+            m.policy = self.policy;
+            m.load_elf(&self.elf);
+            m
+        });
+        let mut m = image.clone();
+        m.mark_symbolic(tm, self.sym_addr, self.sym_len, "in", input);
+        m
     }
 }
 
@@ -299,10 +333,7 @@ impl PathExecutor for SpecExecutor {
         fuel: u64,
         obs: &mut dyn Observer,
     ) -> Result<PathOutcome, Error> {
-        let mut m = SymMachine::new(self.spec.clone());
-        m.policy = self.policy;
-        m.load_elf(&self.elf);
-        m.mark_symbolic(tm, self.sym_addr, self.sym_len, "in", input);
+        let mut m = self.start(tm, input);
         for _ in 0..fuel {
             obs.on_step(m.pc, m.steps);
             let before = m.trail.len();
@@ -339,10 +370,7 @@ impl PathExecutor for SpecExecutor {
         // Early-stop replay: a prescription only needs the trail up to its
         // flipped branch, so stop as soon as enough branches are recorded
         // instead of running the path to termination.
-        let mut m = SymMachine::new(self.spec.clone());
-        m.policy = self.policy;
-        m.load_elf(&self.elf);
-        m.mark_symbolic(tm, self.sym_addr, self.sym_len, "in", input);
+        let mut m = self.start(tm, input);
         let mut branches = 0usize;
         for _ in 0..fuel {
             let before = m.trail.len();
@@ -680,14 +708,10 @@ impl SessionBuilder {
                 // Move the builder's ELF copy into the executor instead of
                 // cloning a second time — images can be large, and session
                 // construction sits inside benchmarked regions.
-                let (sym_addr, sym_len) = find_sym_input(&elf, None)?;
-                Box::new(SpecExecutor {
-                    spec,
-                    elf,
-                    sym_addr,
-                    sym_len,
-                    policy: self.address_policy.unwrap_or_default(),
-                })
+                Box::new(
+                    SpecExecutor::owning(spec, elf, None)?
+                        .with_policy(self.address_policy.unwrap_or_default()),
+                )
             }
             (None, None, None) => return Err(Error::MissingBinary),
         };
@@ -1443,6 +1467,34 @@ _start:
         let out = session.execute_path(&[9]).unwrap();
         assert_eq!(out.exit, StepResult::Exited(9));
         assert!(out.steps > 0);
+    }
+
+    #[test]
+    fn every_path_starts_from_the_loaded_image() {
+        let elf = Assembler::new()
+            .assemble(THREE_COMPARES)
+            .expect("assembles");
+        let fresh = || SpecExecutor::new(Spec::rv32im(), &elf, None).expect("sym input");
+        let mut tm = TermManager::new();
+        let input = [7, 200, 7];
+        let expected = fresh()
+            .execute_path(&mut tm, &input, 1000, &mut NullObserver)
+            .expect("runs");
+
+        let mut exec = fresh();
+        let prefix = exec
+            .execute_prefix(&mut tm, &[200, 200, 200], 1000, 2)
+            .expect("replays");
+        assert_eq!(prefix.iter().filter(|e| e.is_branch()).count(), 2);
+        for _ in 0..2 {
+            let got = exec
+                .execute_path(&mut tm, &input, 1000, &mut NullObserver)
+                .expect("runs");
+            assert_eq!(got.exit, expected.exit);
+            assert_eq!(got.steps, expected.steps);
+            assert_eq!(got.trail, expected.trail);
+            assert_eq!(got.input, expected.input);
+        }
     }
 
     #[test]

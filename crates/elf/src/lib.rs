@@ -43,6 +43,13 @@ pub const PF_R: u32 = 4;
 /// ELF machine number for RISC-V.
 pub const EM_RISCV: u16 = 243;
 
+/// Largest segment [`ElfFile::parse`] accepts, in bytes of memory
+/// (`p_memsz`): 16 MiB, far above every bundled program (each loads a few
+/// KiB). The parser zero-fills each segment to its memory size and the
+/// loaders store every byte, so an unchecked `p_memsz` of up to 4 GiB
+/// from a corrupt header would be allocated and written in full.
+pub const MAX_SEGMENT_SIZE: u32 = 16 << 20;
+
 const EI_NIDENT: usize = 16;
 const ET_EXEC: u16 = 2;
 const PT_LOAD: u32 = 1;
@@ -99,6 +106,20 @@ pub enum ElfError {
         /// Explanation.
         what: String,
     },
+    /// A loadable segment runs past the end of the 32-bit address space.
+    SegmentWraps {
+        /// Load address of the segment.
+        vaddr: u32,
+        /// Its size in memory.
+        memsz: u32,
+    },
+    /// A loadable segment is larger than [`MAX_SEGMENT_SIZE`].
+    SegmentTooLarge {
+        /// Load address of the segment.
+        vaddr: u32,
+        /// Its size in memory.
+        memsz: u32,
+    },
 }
 
 impl fmt::Display for ElfError {
@@ -107,6 +128,14 @@ impl fmt::Display for ElfError {
             ElfError::Truncated { context } => write!(f, "truncated ELF while reading {context}"),
             ElfError::BadMagic => write!(f, "not an ELF32 little-endian file"),
             ElfError::Unsupported { what } => write!(f, "unsupported ELF: {what}"),
+            ElfError::SegmentWraps { vaddr, memsz } => write!(
+                f,
+                "segment of {memsz} bytes at {vaddr:#010x} runs past the end of the address space"
+            ),
+            ElfError::SegmentTooLarge { vaddr, memsz } => write!(
+                f,
+                "segment of {memsz} bytes at {vaddr:#010x} exceeds the {MAX_SEGMENT_SIZE}-byte limit"
+            ),
         }
     }
 }
@@ -198,12 +227,25 @@ impl ElfFile {
             }
             let p_offset = r.u32_at(base + 4, "p_offset")? as usize;
             let p_vaddr = r.u32_at(base + 8, "p_vaddr")?;
-            let p_filesz = r.u32_at(base + 16, "p_filesz")? as usize;
-            let p_memsz = r.u32_at(base + 20, "p_memsz")? as usize;
+            let p_filesz = r.u32_at(base + 16, "p_filesz")?;
+            let p_memsz = r.u32_at(base + 20, "p_memsz")?;
             let p_flags = r.u32_at(base + 24, "p_flags")?;
-            let file_bytes = r.bytes_at(p_offset, p_filesz, "segment data")?;
+            let memsz = p_memsz.max(p_filesz);
+            if u64::from(p_vaddr) + u64::from(memsz) > 1 << 32 {
+                return Err(ElfError::SegmentWraps {
+                    vaddr: p_vaddr,
+                    memsz,
+                });
+            }
+            if memsz > MAX_SEGMENT_SIZE {
+                return Err(ElfError::SegmentTooLarge {
+                    vaddr: p_vaddr,
+                    memsz,
+                });
+            }
+            let file_bytes = r.bytes_at(p_offset, p_filesz as usize, "segment data")?;
             let mut seg_data = file_bytes.to_vec();
-            seg_data.resize(p_memsz.max(p_filesz), 0); // zero-fill bss tail
+            seg_data.resize(memsz as usize, 0); // zero-fill bss tail
             out.segments.push(Segment {
                 vaddr: p_vaddr,
                 data: seg_data,
@@ -482,6 +524,48 @@ mod tests {
             ElfFile::parse(&bytes),
             Err(ElfError::Unsupported { .. })
         ));
+    }
+
+    /// A file holding only the ELF header and one `PT_LOAD` program
+    /// header with no file bytes and the given address and memory size.
+    fn one_segment_header(vaddr: u32, memsz: u32) -> Vec<u8> {
+        let mut bytes = ElfFile::new(0).to_bytes()[..52].to_vec();
+        bytes[28..32].copy_from_slice(&52u32.to_le_bytes()); // e_phoff
+        bytes[32..36].copy_from_slice(&0u32.to_le_bytes()); // e_shoff
+        bytes[44..46].copy_from_slice(&1u16.to_le_bytes()); // e_phnum
+        bytes[48..50].copy_from_slice(&0u16.to_le_bytes()); // e_shnum
+        for field in [PT_LOAD, 84, vaddr, vaddr, 0, memsz, PF_R | PF_W, 4] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn segments_past_the_address_space_are_rejected() {
+        let bytes = one_segment_header(0x8000_0000, 0xffff_ffff);
+        assert!(bytes.len() < 100);
+        assert_eq!(
+            ElfFile::parse(&bytes),
+            Err(ElfError::SegmentWraps {
+                vaddr: 0x8000_0000,
+                memsz: 0xffff_ffff
+            })
+        );
+        let top = ElfFile::parse(&one_segment_header(0xffff_f000, 0x1000)).expect("ends at 2^32");
+        assert_eq!(top.segments[0].data.len(), 0x1000);
+    }
+
+    #[test]
+    fn segments_above_the_size_limit_are_rejected() {
+        let limit = ElfFile::parse(&one_segment_header(0, MAX_SEGMENT_SIZE)).expect("at the limit");
+        assert_eq!(limit.segments[0].data.len(), MAX_SEGMENT_SIZE as usize);
+        assert_eq!(
+            ElfFile::parse(&one_segment_header(0, MAX_SEGMENT_SIZE + 1)),
+            Err(ElfError::SegmentTooLarge {
+                vaddr: 0,
+                memsz: MAX_SEGMENT_SIZE + 1
+            })
+        );
     }
 
     #[test]

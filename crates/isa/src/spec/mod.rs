@@ -55,6 +55,12 @@ impl std::error::Error for CustomError {}
 
 /// The executable formal ISA specification: encodings + semantics.
 ///
+/// Cloning is cheap: clones share one instruction table and one set of
+/// semantics handlers behind an [`Arc`], and [`Spec::register_custom`] /
+/// [`Spec::register_custom_desc`] copy them on write, so extending a clone
+/// leaves every other clone unchanged. The symbolic engine clones the
+/// spec into every machine it builds.
+///
 /// # Example
 /// ```
 /// use binsym_isa::Spec;
@@ -70,6 +76,13 @@ impl std::error::Error for CustomError {}
 /// ```
 #[derive(Clone)]
 pub struct Spec {
+    tables: Arc<Tables>,
+}
+
+/// What a [`Spec`] is made of: the encodings and, at the same index, the
+/// semantics of each instruction.
+#[derive(Clone)]
+struct Tables {
     table: InstrTable,
     handlers: Vec<SemanticsFn>,
 }
@@ -77,7 +90,7 @@ pub struct Spec {
 impl fmt::Debug for Spec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Spec")
-            .field("instructions", &self.table.len())
+            .field("instructions", &self.tables.table.len())
             .finish()
     }
 }
@@ -100,17 +113,19 @@ impl Spec {
                 h.unwrap_or_else(|| panic!("missing semantics for builtin instruction #{i}"))
             })
             .collect();
-        Spec { table, handlers }
+        Spec {
+            tables: Arc::new(Tables { table, handlers }),
+        }
     }
 
     /// The encoding table.
     pub fn table(&self) -> &InstrTable {
-        &self.table
+        &self.tables.table
     }
 
     /// Mnemonic of an instruction.
     pub fn name(&self, id: InstrId) -> &str {
-        &self.table.desc(id).name
+        &self.tables.table.desc(id).name
     }
 
     /// Decodes a raw instruction word.
@@ -118,12 +133,27 @@ impl Spec {
     /// # Errors
     /// Returns [`DecodeError`] for illegal instructions.
     pub fn decode(&self, raw: u32) -> Result<Decoded, DecodeError> {
-        decode::decode(&self.table, raw)
+        decode::decode(&self.tables.table, raw)
     }
 
     /// The DSL program giving the semantics of a decoded instruction.
     pub fn semantics(&self, d: &Decoded) -> Vec<Stmt> {
-        (self.handlers[d.id.index()])(d)
+        (self.tables.handlers[d.id.index()])(d)
+    }
+
+    /// Registers one instruction through `register` on a private copy of
+    /// the tables, and installs the copy only on success.
+    fn extend(
+        &mut self,
+        register: impl FnOnce(&mut InstrTable) -> Result<InstrId, CustomError>,
+        semantics: SemanticsFn,
+    ) -> Result<InstrId, CustomError> {
+        let mut tables = Tables::clone(&self.tables);
+        let id = register(&mut tables.table)?;
+        debug_assert_eq!(id.index(), tables.handlers.len());
+        tables.handlers.push(semantics);
+        self.tables = Arc::new(tables);
+        Ok(id)
     }
 
     /// Registers a custom instruction from a YAML description (Fig. 3
@@ -131,34 +161,39 @@ impl Spec {
     ///
     /// # Errors
     /// Returns [`CustomError`] on parse errors, encoding conflicts, or if
-    /// the description does not contain exactly one instruction.
+    /// the description does not contain exactly one instruction; the spec
+    /// is then unchanged.
     pub fn register_custom(
         &mut self,
         yaml: &str,
         semantics: SemanticsFn,
     ) -> Result<InstrId, CustomError> {
-        let ids = self.table.register_yaml(yaml).map_err(CustomError::Yaml)?;
-        if ids.len() != 1 {
-            return Err(CustomError::NotExactlyOne(ids.len()));
-        }
-        debug_assert_eq!(ids[0].index(), self.handlers.len());
-        self.handlers.push(semantics);
-        Ok(ids[0])
+        self.extend(
+            |table| {
+                let ids = table.register_yaml(yaml).map_err(CustomError::Yaml)?;
+                match ids[..] {
+                    [id] => Ok(id),
+                    _ => Err(CustomError::NotExactlyOne(ids.len())),
+                }
+            },
+            semantics,
+        )
     }
 
     /// Registers a custom instruction from a programmatic description.
     ///
     /// # Errors
-    /// Returns [`CustomError::Register`] on encoding conflicts.
+    /// Returns [`CustomError::Register`] on encoding conflicts; the spec is
+    /// then unchanged.
     pub fn register_custom_desc(
         &mut self,
         desc: InstrDesc,
         semantics: SemanticsFn,
     ) -> Result<InstrId, CustomError> {
-        let id = self.table.register(desc).map_err(CustomError::Register)?;
-        debug_assert_eq!(id.index(), self.handlers.len());
-        self.handlers.push(semantics);
-        Ok(id)
+        self.extend(
+            |table| table.register(desc).map_err(CustomError::Register),
+            semantics,
+        )
     }
 }
 
@@ -268,5 +303,24 @@ myinstr:
 ";
         let err = spec.register_custom(clash, madd_semantics());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn failed_registration_leaves_the_spec_unchanged() {
+        let mut spec = Spec::rv32im();
+        let two = "\
+first:
+  mask: '0x707f'
+  match: '0x0000000b'
+second:
+  mask: '0x707f'
+  match: '0x0000100b'
+";
+        assert!(matches!(
+            spec.register_custom(two, madd_semantics()),
+            Err(CustomError::NotExactlyOne(2))
+        ));
+        assert_eq!(spec.table().len(), 48);
+        assert!(spec.decode(0x0000_000b).is_err());
     }
 }

@@ -92,3 +92,17 @@ fn table_lookup_symbolic_stream_is_pinned() {
     assert_eq!(paths, programs::TABLE_LOOKUP_SYMBOLIC_PATHS);
     assert_eq!(digest, 0x7db9_70b8_aa17_1245, "digest {digest:#018x}");
 }
+
+#[test]
+fn bubble_sort_stream_is_pinned() {
+    let (paths, digest) = stream_digest(&programs::BUBBLE_SORT, AddressPolicyKind::ConcretizeEq);
+    assert_eq!(paths, programs::BUBBLE_SORT.expected_paths);
+    assert_eq!(digest, 0x45d9_50cb_37d9_b399, "digest {digest:#018x}");
+}
+
+#[test]
+fn uri_parser_stream_is_pinned() {
+    let (paths, digest) = stream_digest(&programs::URI_PARSER, AddressPolicyKind::ConcretizeEq);
+    assert_eq!(paths, programs::URI_PARSER.expected_paths);
+    assert_eq!(digest, 0xff57_6b7b_3958_e1f0, "digest {digest:#018x}");
+}

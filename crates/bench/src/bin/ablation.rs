@@ -1,9 +1,8 @@
-//! Ablation harness for the design choices described in the README:
+//! Ablation harness for the design choices described in the README. (The
+//! incremental-vs-fresh solver comparison that was ablation 1 is the hunt
+//! benchmark's `seq` vs `par-cold` workloads, and ablation 3's `seq` vs
+//! 1-worker cold rows; the remaining ablations keep their numbers.)
 //!
-//! 1. **Incremental solving** — the DSE loop's push/pop solver (shared
-//!    bit-blast cache, learned clauses) vs. a fresh solver per branch-flip
-//!    query, expressed as the two [`BitblastBackend`] modes plugged into
-//!    otherwise identical [`Session`]s.
 //! 2. **Lift caching** — the IR engine with and without its translation
 //!    cache (the BINSEC-vs-angr structural difference, isolated from the
 //!    interpretation-overhead model).
@@ -91,8 +90,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use binsym::{
-    AddressPolicyKind, BitblastBackend, ChromeTraceSink, CountingObserver, MetricsRegistry,
-    MetricsReport, Session, SessionBuilder,
+    AddressPolicyKind, ChromeTraceSink, CountingObserver, MetricsRegistry, MetricsReport, Session,
+    SessionBuilder,
 };
 use binsym_bench::cli::{
     add_counters, counters_per_round, metrics_json, warm_means, write_json, write_trace, BenchOpts,
@@ -174,46 +173,7 @@ fn main() {
         return;
     }
 
-    println!("ABLATION 1 — incremental vs. fresh-solver DSE (BinSym engine)\n");
-    println!(
-        "{:<16} {:>14} {:>14} {:>8}",
-        "Benchmark", "incremental", "fresh/query", "speedup"
-    );
-    for p in progs {
-        let elf = p.build();
-        let mut times = Vec::new();
-        for fresh in [false, true] {
-            let backend = if fresh {
-                BitblastBackend::fresh_per_query()
-            } else {
-                BitblastBackend::new()
-            };
-            let mut session = Session::builder(Spec::rv32im())
-                .binary(&elf)
-                .backend(backend)
-                .build()
-                .expect("sym input");
-            let start = Instant::now();
-            let s = session.run_all().expect("explores");
-            assert_eq!(s.paths, p.expected_paths, "ablation must not change paths");
-            times.push(start.elapsed());
-        }
-        println!(
-            "{:<16} {:>12.1?} {:>12.1?} {:>7.2}x",
-            p.name,
-            times[0],
-            times[1],
-            times[1].as_secs_f64() / times[0].as_secs_f64().max(1e-9),
-        );
-        json_rows.push(Json::O(vec![
-            ("ablation", Json::s("incremental-solving")),
-            ("benchmark", Json::s(p.name)),
-            ("incremental_seconds", Json::F(times[0].as_secs_f64())),
-            ("fresh_seconds", Json::F(times[1].as_secs_f64())),
-        ]));
-    }
-
-    println!("\nABLATION 2 — IR-engine lift cache (no interpretation overhead)\n");
+    println!("ABLATION 2 — IR-engine lift cache (no interpretation overhead)\n");
     println!(
         "{:<16} {:>14} {:>14} {:>12} {:>8}",
         "Benchmark", "cached", "uncached", "lifts(unc.)", "slowdown"

@@ -1,28 +1,25 @@
-//! Pluggable solver backends for branch-flip feasibility queries.
+//! Branch-flip feasibility queries: the static gate, then one solve step.
 //!
-//! The DSE loop only needs a small constraint interface: scoped assertion
-//! frames (`push`/`pop`), boolean assertions, `check_sat`, and model
-//! extraction. [`SolverBackend`] captures exactly that seam, so the solving
-//! layer becomes a swappable component of [`crate::Session`]:
+//! Every flip query `prefix ∧ flipped` of every engine takes the same two
+//! steps:
 //!
-//! * [`BitblastBackend`] — the in-tree bit-blasting + CDCL-SAT stack
-//!   (`binsym_smt::Solver`), either *incremental* (one solver instance,
-//!   MiniSat-style retractable assertion frames, shared learned clauses —
-//!   the default) or *fresh-per-query* (a new solver per `check_sat`; the
-//!   ablation baseline quantifying what incrementality buys);
-//! * [`SmtLibDump`] — a recording decorator: forwards every operation to an
-//!   inner backend while rendering each discharged query as a complete
-//!   SMT-LIB v2 script (via `binsym_smt::smtlib`) for offline replay with
-//!   an external solver.
+//! 1. the [`StaticGate`]: a word-level screen (known bits, intervals,
+//!    order closure — `binsym_smt::analysis`) that drops provably
+//!    infeasible flips with **zero** SAT calls;
+//! 2. `solve`: push, assert, check, read the model and pop on a
+//!    [`binsym_smt::Solver`], timed as [`Phase::BitBlast`] and
+//!    [`Phase::Solve`].
 //!
-//! Ahead of any backend sits the [`StaticGate`]: a word-level screening
-//! stage (known bits, intervals, order closure — `binsym_smt::analysis`)
-//! that drops provably infeasible flip queries with **zero** SAT calls and
-//! passes only residual queries on to bit-blasting.
-
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
+//! The engines differ only in the solver they hand to the solve step: the
+//! sequential [`crate::Session`] keeps one long-lived incremental solver
+//! (retractable frames, shared bit-blast cache and learned clauses), while
+//! cold replay and the warm cache's unpromoted parents use
+//! `Solver::new()` per flip. `discharge` chains the two steps for the
+//! session and cold replay; the warm cache calls them itself (see
+//! [`crate::warm`]).
+//!
+//! An SMT-LIB v2 rendering of a flip query is a function of its terms:
+//! `binsym_smt::smtlib::query_to_smtlib(tm, prefix ++ [flipped])`.
 
 use binsym_smt::{smtlib, Analysis, Model, SatResult, Solver, Term, TermManager};
 
@@ -30,291 +27,14 @@ use crate::metrics::{Instruments, Phase};
 use crate::observe::{Observer, StaticAnalysisStats};
 use crate::prescribe::witness_bytes;
 
-/// A solver usable by the exploration loop: scoped assertions plus
-/// satisfiability checking with model extraction.
-///
-/// A backend must be used with a single [`TermManager`] for its whole
-/// lifetime (term handles may be cached internally).
-pub trait SolverBackend: fmt::Debug {
-    /// Human-readable backend name (for logs and summaries).
-    fn name(&self) -> &'static str;
-
-    /// Opens a new assertion frame.
-    fn push(&mut self);
-
-    /// Closes the top assertion frame, retracting its assertions.
-    fn pop(&mut self);
-
-    /// Asserts a boolean term in the current frame.
-    fn assert_term(&mut self, tm: &mut TermManager, t: Term);
-
-    /// Checks satisfiability of all live assertions.
-    fn check_sat(&mut self, tm: &mut TermManager) -> SatResult;
-
-    /// Model of the last [`SolverBackend::check_sat`] that returned
-    /// [`SatResult::Sat`]; `None` if it was unsatisfiable or never ran.
-    fn model(&self, tm: &TermManager) -> Option<Model>;
-
-    /// Number of `check_sat` calls issued so far.
-    fn num_checks(&self) -> u64;
-}
-
-/// The in-tree bit-blasting backend (wraps [`binsym_smt::Solver`]).
-#[derive(Debug)]
-pub struct BitblastBackend {
-    mode: Mode,
-}
-
-#[derive(Debug)]
-enum Mode {
-    /// One incremental solver with retractable assertion frames.
-    Incremental(Solver),
-    /// A fresh solver per query: assertions are staged per-frame and
-    /// replayed into a new solver on every `check_sat`.
-    FreshPerQuery {
-        frames: Vec<Vec<Term>>,
-        checks: u64,
-        last: Option<Solver>,
-    },
-}
-
-impl BitblastBackend {
-    /// Creates the default incremental backend.
-    pub fn new() -> Self {
-        BitblastBackend {
-            mode: Mode::Incremental(Solver::new()),
-        }
-    }
-
-    /// Creates the fresh-solver-per-query ablation backend: every
-    /// feasibility query is discharged in a brand-new solver instance,
-    /// forgoing the shared bit-blast cache and learned clauses. Path
-    /// results are identical to the incremental mode; only solving time
-    /// differs (see the `ablation` harness).
-    pub fn fresh_per_query() -> Self {
-        BitblastBackend {
-            mode: Mode::FreshPerQuery {
-                frames: vec![Vec::new()],
-                checks: 0,
-                last: None,
-            },
-        }
-    }
-}
-
-impl Default for BitblastBackend {
-    fn default() -> Self {
-        BitblastBackend::new()
-    }
-}
-
-impl SolverBackend for BitblastBackend {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            Mode::Incremental(_) => "bitblast",
-            Mode::FreshPerQuery { .. } => "bitblast-fresh",
-        }
-    }
-
-    fn push(&mut self) {
-        match &mut self.mode {
-            Mode::Incremental(s) => s.push(),
-            Mode::FreshPerQuery { frames, .. } => frames.push(Vec::new()),
-        }
-    }
-
-    fn pop(&mut self) {
-        match &mut self.mode {
-            Mode::Incremental(s) => s.pop(),
-            Mode::FreshPerQuery { frames, .. } => {
-                assert!(frames.len() > 1, "cannot pop the bottom frame");
-                frames.pop();
-            }
-        }
-    }
-
-    fn assert_term(&mut self, tm: &mut TermManager, t: Term) {
-        match &mut self.mode {
-            Mode::Incremental(s) => s.assert_term(tm, t),
-            Mode::FreshPerQuery { frames, .. } => {
-                frames
-                    .last_mut()
-                    .expect("at least the bottom frame")
-                    .push(t);
-            }
-        }
-    }
-
-    fn check_sat(&mut self, tm: &mut TermManager) -> SatResult {
-        match &mut self.mode {
-            Mode::Incremental(s) => s.check_sat(tm, &[]),
-            Mode::FreshPerQuery {
-                frames,
-                checks,
-                last,
-            } => {
-                let mut s = Solver::new();
-                for &t in frames.iter().flatten() {
-                    s.assert_term(tm, t);
-                }
-                let r = s.check_sat(tm, &[]);
-                *checks += 1;
-                *last = Some(s);
-                r
-            }
-        }
-    }
-
-    fn model(&self, tm: &TermManager) -> Option<Model> {
-        match &self.mode {
-            Mode::Incremental(s) => s.model(tm),
-            Mode::FreshPerQuery { last, .. } => last.as_ref().and_then(|s| s.model(tm)),
-        }
-    }
-
-    fn num_checks(&self) -> u64 {
-        match &self.mode {
-            Mode::Incremental(s) => s.num_checks(),
-            Mode::FreshPerQuery { checks, .. } => *checks,
-        }
-    }
-}
-
-/// Shared handle to the scripts recorded by an [`SmtLibDump`] backend.
-///
-/// The backend is moved into the [`crate::Session`], so callers keep a
-/// clone of this handle to read the scripts afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct ScriptSink(Rc<RefCell<Vec<String>>>);
-
-impl ScriptSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        ScriptSink::default()
-    }
-
-    /// Number of recorded scripts (one per `check_sat`).
-    pub fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-
-    /// True when no query has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.0.borrow().is_empty()
-    }
-
-    /// A copy of all recorded scripts, in query order.
-    pub fn snapshot(&self) -> Vec<String> {
-        self.0.borrow().clone()
-    }
-
-    fn record(&self, script: String) {
-        self.0.borrow_mut().push(script);
-    }
-}
-
-/// A recording decorator: forwards to an inner backend while rendering
-/// every discharged query as a complete SMT-LIB v2 script
-/// (`(set-logic QF_BV) … (check-sat)`), for offline replay with an
-/// external solver such as Z3 — the paper's Fig. 2 ③ artifact, produced
-/// for *every* query of an exploration.
-#[derive(Debug)]
-pub struct SmtLibDump<B = BitblastBackend> {
-    inner: B,
-    /// Mirror of the live assertion frames (the inner solver does the real
-    /// bookkeeping; this copy is only for printing complete scripts).
-    frames: Vec<Vec<Term>>,
-    sink: ScriptSink,
-}
-
-impl SmtLibDump<BitblastBackend> {
-    /// Wraps the default incremental [`BitblastBackend`].
-    pub fn new() -> Self {
-        SmtLibDump::wrapping(BitblastBackend::new())
-    }
-}
-
-impl Default for SmtLibDump<BitblastBackend> {
-    fn default() -> Self {
-        SmtLibDump::new()
-    }
-}
-
-impl<B: SolverBackend> SmtLibDump<B> {
-    /// Wraps an arbitrary inner backend.
-    pub fn wrapping(inner: B) -> Self {
-        SmtLibDump {
-            inner,
-            frames: vec![Vec::new()],
-            sink: ScriptSink::new(),
-        }
-    }
-
-    /// Handle to the recorded scripts; clone it before moving the backend
-    /// into a session.
-    pub fn scripts(&self) -> ScriptSink {
-        self.sink.clone()
-    }
-}
-
-impl<B: SolverBackend> SolverBackend for SmtLibDump<B> {
-    fn name(&self) -> &'static str {
-        "smtlib-dump"
-    }
-
-    fn push(&mut self) {
-        self.frames.push(Vec::new());
-        self.inner.push();
-    }
-
-    fn pop(&mut self) {
-        assert!(self.frames.len() > 1, "cannot pop the bottom frame");
-        self.frames.pop();
-        self.inner.pop();
-    }
-
-    fn assert_term(&mut self, tm: &mut TermManager, t: Term) {
-        self.frames
-            .last_mut()
-            .expect("at least the bottom frame")
-            .push(t);
-        self.inner.assert_term(tm, t);
-    }
-
-    fn check_sat(&mut self, tm: &mut TermManager) -> SatResult {
-        let assertions: Vec<Term> = self.frames.iter().flatten().copied().collect();
-        self.sink.record(smtlib::query_to_smtlib(tm, &assertions));
-        self.inner.check_sat(tm)
-    }
-
-    fn model(&self, tm: &TermManager) -> Option<Model> {
-        self.inner.model(tm)
-    }
-
-    fn num_checks(&self) -> u64 {
-        self.inner.num_checks()
-    }
-}
-
-/// Outcome of screening one flip query through the [`StaticGate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScreenReport {
-    /// True when the analysis proved the flip infeasible: the query is
-    /// UNSAT and needs no solver call. False means the query is residual
-    /// and must be discharged by the backend.
-    pub eliminated: bool,
-    /// Per-query accounting for [`crate::Observer::on_static_analysis`].
-    pub stats: StaticAnalysisStats,
-}
-
-/// The word-level static-analysis gate in front of a [`SolverBackend`].
+/// The word-level static-analysis gate in front of the solver.
 ///
 /// For each flip query `prefix ∧ flipped` the gate assumes every prefix
 /// conjunct into a fresh [`Analysis`] and asks for a verdict on the
 /// flipped condition:
 ///
 /// * **constant false** — the flip is reported UNSAT with zero SAT calls;
-/// * **anything else** — the query is residual and goes to the backend,
+/// * **anything else** — the query is residual and goes to the solver,
 ///   asserting the **original** terms (not simplified ones: rewriting the
 ///   asserted graph could change CNF variable order and therefore which
 ///   model the SAT solver picks, breaking the byte-identical-records
@@ -377,41 +97,12 @@ impl StaticGate {
         self.shadow
     }
 
-    /// Screens one flip query. Returns `None` when the gate is disabled
-    /// (the caller proceeds exactly as without a gate and fires no
-    /// static-analysis observer hook).
-    pub fn screen(
-        &self,
-        tm: &mut TermManager,
-        prefix: &[Term],
-        flipped: Term,
-    ) -> Option<ScreenReport> {
-        if !self.enabled {
-            return None;
-        }
-        let mut an = Analysis::new();
-        for &c in prefix {
-            an.assume(tm, c);
-        }
-        let eliminated = an.verdict(tm, flipped) == Some(false);
-        if eliminated && self.shadow {
-            shadow_check(tm, prefix, flipped);
-        }
-        Some(ScreenReport {
-            eliminated,
-            stats: StaticAnalysisStats {
-                eliminated,
-                conjuncts: prefix.len() as u64,
-                facts: an.fact_count(),
-            },
-        })
-    }
-
     /// Screens one flip query under the [`Phase::Gate`] timer (so a
     /// screen's cost shows up per phase in the metrics report and as a
     /// `gate` span in the trace), reports the screen through
     /// [`Observer::on_static_analysis`], and returns whether the flip was
-    /// proved infeasible. The gate's one call site in all three engines.
+    /// proved infeasible. A disabled gate proves nothing and fires no
+    /// static-analysis hook. The gate's one call site in all three engines.
     pub(crate) fn eliminates(
         &self,
         tm: &mut TermManager,
@@ -421,11 +112,25 @@ impl StaticGate {
         observer: &mut dyn Observer,
     ) -> bool {
         let started = instr.begin(Phase::Gate);
-        let screened = self.screen(tm, prefix, flipped);
+        let stats = self.enabled.then(|| {
+            let mut an = Analysis::new();
+            for &c in prefix {
+                an.assume(tm, c);
+            }
+            let eliminated = an.verdict(tm, flipped) == Some(false);
+            if eliminated && self.shadow {
+                shadow_check(tm, prefix, flipped);
+            }
+            StaticAnalysisStats {
+                eliminated,
+                conjuncts: prefix.len() as u64,
+                facts: an.fact_count(),
+            }
+        });
         instr.finish(started, Phase::Gate, observer);
-        screened.is_some_and(|report| {
-            observer.on_static_analysis(&report.stats);
-            report.eliminated
+        stats.is_some_and(|stats| {
+            observer.on_static_analysis(&stats);
+            stats.eliminated
         })
     }
 }
@@ -450,18 +155,47 @@ fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
     }
 }
 
-/// Discharges one flip query `prefix ∧ flipped`: the gate screen, then
-/// push, assert, check and pop on `backend`, timed as [`Phase::BitBlast`]
-/// and [`Phase::Solve`]. Returns the solver's result (`None` when the gate
-/// eliminated the query, which then fires no [`Observer::on_query`] and
-/// counts as no solver check) and, on SAT, the model's witness input.
+/// The solve step of every flip query `prefix ∧ flipped`: push, assert,
+/// check, read the model and pop on `solver`, timed as [`Phase::BitBlast`]
+/// and [`Phase::Solve`]. Returns the solver's result and, on SAT, its
+/// model. The caller reports the result through [`Observer::on_query`].
 ///
-/// The sequential session runs it on its long-lived incremental backend,
-/// cold replay on a fresh one per prescription; the step itself is one
-/// implementation.
+/// The sequential session passes its long-lived incremental solver; cold
+/// replay and the warm cache's unpromoted parents pass `Solver::new()`.
+pub(crate) fn solve(
+    solver: &mut Solver,
+    tm: &mut TermManager,
+    prefix: &[Term],
+    flipped: Term,
+    instr: &Instruments,
+    observer: &mut dyn Observer,
+) -> (SatResult, Option<Model>) {
+    let blast_started = instr.begin(Phase::BitBlast);
+    solver.push();
+    for &t in prefix {
+        solver.assert_term(tm, t);
+    }
+    solver.assert_term(tm, flipped);
+    instr.finish(blast_started, Phase::BitBlast, observer);
+    let solve_started = instr.begin(Phase::Solve);
+    let r = solver.check_sat(tm, &[]);
+    let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
+    if solve_started.is_some() {
+        instr.record_query(solve_nanos);
+    }
+    let model = solver.model(tm);
+    solver.pop();
+    (r, model)
+}
+
+/// Discharges one flip query on `solver`: the gate, then [`solve`], then
+/// [`Observer::on_query`]. Returns the solver's result (`None` when the
+/// gate eliminated the query, which then fires no `on_query` and counts as
+/// no solver check) and, on SAT, the model's witness input. The sequential
+/// session and cold replay run it; they differ only in `solver`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn discharge(
-    backend: &mut dyn SolverBackend,
+    solver: &mut Solver,
     tm: &mut TermManager,
     gate: StaticGate,
     prefix: &[Term],
@@ -473,29 +207,17 @@ pub(crate) fn discharge(
     if gate.eliminates(tm, prefix, flipped, instr, observer) {
         return (None, None);
     }
-    let blast_started = instr.begin(Phase::BitBlast);
-    backend.push();
-    for &t in prefix {
-        backend.assert_term(tm, t);
-    }
-    backend.assert_term(tm, flipped);
-    instr.finish(blast_started, Phase::BitBlast, observer);
-    let solve_started = instr.begin(Phase::Solve);
-    let r = backend.check_sat(tm);
-    let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
-    if solve_started.is_some() {
-        instr.record_query(solve_nanos);
-    }
+    let (r, model) = solve(solver, tm, prefix, flipped, instr, observer);
     observer.on_query(r);
-    let bytes = (r == SatResult::Sat)
-        .then(|| witness_bytes(&backend.model(tm).expect("sat has model"), input_len));
-    backend.pop();
+    let bytes =
+        (r == SatResult::Sat).then(|| witness_bytes(&model.expect("sat has model"), input_len));
     (Some(r), bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::NullObserver;
 
     fn x_lt_5(tm: &mut TermManager) -> Term {
         let x = tm.var("x", 8);
@@ -503,47 +225,66 @@ mod tests {
         tm.ult(x, five)
     }
 
+    /// Runs the gate untimed; returns its verdict and the stats it reported
+    /// through [`Observer::on_static_analysis`] (`None`: no hook fired).
+    fn screen(
+        gate: StaticGate,
+        tm: &mut TermManager,
+        prefix: &[Term],
+        flipped: Term,
+    ) -> (bool, Option<StaticAnalysisStats>) {
+        struct LastScreen(Option<StaticAnalysisStats>);
+        impl Observer for LastScreen {
+            fn on_static_analysis(&mut self, stats: &StaticAnalysisStats) {
+                self.0 = Some(*stats);
+            }
+        }
+        let mut last = LastScreen(None);
+        let eliminated = gate.eliminates(tm, prefix, flipped, &Instruments::disabled(), &mut last);
+        (eliminated, last.0)
+    }
+
     #[test]
     fn incremental_and_fresh_agree() {
+        // The solve step answers alike on one long-lived solver (the
+        // sequential session) and on a fresh solver per query (cold
+        // replay), and leaves the long-lived one at its bottom frame.
         let mut tm = TermManager::new();
-        let cond = x_lt_5(&mut tm);
-        for mut backend in [BitblastBackend::new(), BitblastBackend::fresh_per_query()] {
-            backend.push();
-            backend.assert_term(&mut tm, cond);
-            assert_eq!(backend.check_sat(&mut tm), SatResult::Sat);
-            let m = backend.model(&tm).expect("model");
-            assert!(m.value("x").unwrap() < 5, "{}", backend.name());
-            let not = tm.not(cond);
-            backend.assert_term(&mut tm, not);
-            assert_eq!(backend.check_sat(&mut tm), SatResult::Unsat);
-            backend.pop();
-            assert_eq!(backend.check_sat(&mut tm), SatResult::Sat);
-            assert_eq!(backend.num_checks(), 3);
+        let lt5 = x_lt_5(&mut tm);
+        let ge5 = tm.not(lt5);
+        let x = tm.var("x", 8);
+        let three = tm.bv_const(3, 8);
+        let is3 = tm.eq(x, three);
+        let not3 = tm.not(is3);
+        let queries: [(&[Term], Term, SatResult); 4] = [
+            (&[], lt5, SatResult::Sat),
+            (&[lt5], ge5, SatResult::Unsat),
+            (&[lt5], not3, SatResult::Sat),
+            (&[not3], is3, SatResult::Unsat),
+        ];
+        let mut long_lived = Solver::new();
+        for (prefix, flipped, expected) in queries {
+            for solver in [&mut long_lived, &mut Solver::new()] {
+                let (r, model) = solve(
+                    solver,
+                    &mut tm,
+                    prefix,
+                    flipped,
+                    &Instruments::disabled(),
+                    &mut NullObserver,
+                );
+                assert_eq!(r, expected);
+                assert_eq!(solver.depth(), 1, "the query frame is popped");
+                let Some(model) = model else {
+                    assert_eq!(r, SatResult::Unsat, "sat has a model");
+                    continue;
+                };
+                let x = model.value("x").expect("x is constrained");
+                assert!(x < 5);
+                assert!(prefix.is_empty() || x != 3);
+            }
         }
-    }
-
-    #[test]
-    fn dump_records_complete_scripts() {
-        let mut tm = TermManager::new();
-        let cond = x_lt_5(&mut tm);
-        let mut backend = SmtLibDump::new();
-        let scripts = backend.scripts();
-        backend.push();
-        backend.assert_term(&mut tm, cond);
-        assert_eq!(backend.check_sat(&mut tm), SatResult::Sat);
-        backend.pop();
-        assert_eq!(scripts.len(), 1);
-        let s = &scripts.snapshot()[0];
-        assert!(s.starts_with("(set-logic QF_BV)"), "{s}");
-        assert!(s.contains("(declare-const x (_ BitVec 8))"), "{s}");
-        assert!(s.contains("(assert (bvult x #x05))"), "{s}");
-        assert!(s.ends_with("(check-sat)\n"), "{s}");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot pop the bottom frame")]
-    fn fresh_backend_bottom_pop_panics() {
-        BitblastBackend::fresh_per_query().pop();
+        assert_eq!(long_lived.num_checks(), 4);
     }
 
     #[test]
@@ -554,11 +295,11 @@ mod tests {
         let cond = tm.ule(x, y);
         let flipped = tm.not(cond);
         // Shadow on: the verdict is cross-checked against a real solver.
-        let gate = StaticGate::shadowed();
-        let report = gate.screen(&mut tm, &[cond], flipped).expect("enabled");
-        assert!(report.eliminated);
-        assert!(report.stats.eliminated);
-        assert!(report.stats.facts > 0);
+        let (eliminated, stats) = screen(StaticGate::shadowed(), &mut tm, &[cond], flipped);
+        let stats = stats.expect("enabled");
+        assert!(eliminated);
+        assert!(stats.eliminated);
+        assert!(stats.facts > 0);
     }
 
     #[test]
@@ -569,10 +310,9 @@ mod tests {
         let cond = tm.ule(x, y);
         let other = tm.var("in2", 8);
         let unrelated = tm.ult(other, x);
-        let gate = StaticGate::new(true);
-        let report = gate.screen(&mut tm, &[cond], unrelated).expect("enabled");
-        assert!(!report.eliminated);
-        assert!(!report.stats.eliminated);
+        let (eliminated, stats) = screen(StaticGate::new(true), &mut tm, &[cond], unrelated);
+        assert!(!eliminated);
+        assert!(!stats.expect("enabled").eliminated);
     }
 
     #[test]
@@ -585,10 +325,9 @@ mod tests {
         let pin = tm.eq(x, c);
         let bound = tm.bv_const(50, 8);
         let implied = tm.ult(x, bound); // follows from in0 = 42
-        let gate = StaticGate::shadowed();
-        let report = gate.screen(&mut tm, &[pin], implied).expect("enabled");
-        assert!(!report.eliminated);
-        assert!(!report.stats.eliminated);
+        let (eliminated, stats) = screen(StaticGate::shadowed(), &mut tm, &[pin], implied);
+        assert!(!eliminated);
+        assert!(!stats.expect("enabled").eliminated);
     }
 
     #[test]
@@ -596,9 +335,9 @@ mod tests {
         let mut tm = TermManager::new();
         let cond = x_lt_5(&mut tm);
         let flipped = tm.not(cond);
-        assert!(StaticGate::disabled()
-            .screen(&mut tm, &[cond], flipped)
-            .is_none());
+        let (eliminated, stats) = screen(StaticGate::disabled(), &mut tm, &[cond], flipped);
+        assert!(!eliminated);
+        assert!(stats.is_none(), "a disabled gate fires no hook");
     }
 
     #[test]
@@ -619,9 +358,9 @@ mod tests {
         let hit = tm.eq(v, magic);
 
         let gate = StaticGate::shadowed();
-        let report = gate.screen(&mut tm, &[in_bounds], hit).expect("gate on");
+        let (eliminated, _) = screen(gate, &mut tm, &[in_bounds], hit);
         assert!(
-            !report.eliminated,
+            !eliminated,
             "select terms are residual to the word-level gate"
         );
 
@@ -643,11 +382,9 @@ mod tests {
         let wide = tm.bv_const(128, 8);
         let below = tm.ult(idx, wide);
         let beyond = tm.not(below);
-        let report = gate
-            .screen(&mut tm, &[in_bounds, hit], beyond)
-            .expect("gate on");
+        let (eliminated, _) = screen(gate, &mut tm, &[in_bounds, hit], beyond);
         assert!(
-            report.eliminated,
+            eliminated,
             "the interval fact from the bounds check decides the flip"
         );
     }

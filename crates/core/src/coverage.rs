@@ -44,6 +44,11 @@ use crate::observe::Observer;
 /// 4-byte aligned).
 const SLOT_BYTES: u32 = 4;
 
+/// Most slots a map tracks: one per instruction of the largest segment the
+/// ELF reader accepts. Every map's snapshot therefore fits the checkpoint
+/// format, whose decoder rejects larger geometries (see `crate::persist`).
+pub(crate) const MAX_SLOTS: u32 = binsym_elf::MAX_SEGMENT_SIZE / SLOT_BYTES;
+
 /// A fixed-size, lock-free bitmap of executed program counters and
 /// observed branch directions.
 ///
@@ -70,9 +75,10 @@ impl CoverageMap {
     ///
     /// PCs outside the range are ignored by the marking methods and report
     /// as covered by the queries (out-of-text sites carry no exploration
-    /// signal, so they never win the "uncovered" priority).
+    /// signal, so they never win the "uncovered" priority). A span above
+    /// [`binsym_elf::MAX_SEGMENT_SIZE`] is cut to it.
     pub fn new(base: u32, span: u32) -> Self {
-        let slots = span.div_ceil(SLOT_BYTES);
+        let slots = span.div_ceil(SLOT_BYTES).min(MAX_SLOTS);
         let zeroed = |bits: u32| {
             (0..bits.div_ceil(64))
                 .map(|_| AtomicU64::new(0))

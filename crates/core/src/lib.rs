@@ -16,21 +16,21 @@
 //!   both outcomes and explores the feasible ones.
 //!
 //! Exploration is driven by a [`Session`], assembled with a builder over
-//! three pluggable seams:
+//! two pluggable seams:
 //!
 //! * [`PathStrategy`] — which pending branch flip to try next ([`Dfs`],
 //!   the paper's §III-B policy and the default; [`Bfs`]; [`RandomRestart`];
 //!   [`CoverageGuided`], ranking flips against a lock-free [`CoverageMap`]),
 //!   each one [`FrontierPolicy`] serving the sequential and sharded engines;
-//! * [`SolverBackend`] — how feasibility queries are discharged
-//!   ([`BitblastBackend`] incremental or fresh-per-query; [`SmtLibDump`]
-//!   recording every query as an SMT-LIB v2 script for offline replay),
-//!   fronted by a word-level static-analysis gate ([`StaticGate`], on by
-//!   default) that drops flip queries the path condition already proves
-//!   infeasible — without ever changing results (see
-//!   [`SessionBuilder::static_analysis`]);
 //! * [`Observer`] — instrumentation hooks (`on_step`/`on_branch`/
 //!   `on_path`/`on_query`) for cost models and coverage tracking.
+//!
+//! Every feasibility query goes to the in-tree bit-blasting solver
+//! (`binsym_smt::Solver`), as in the paper, behind a word-level
+//! static-analysis gate ([`StaticGate`], on by default) that drops flip
+//! queries the path condition already proves infeasible — without ever
+//! changing results (see [`SessionBuilder::static_analysis`] and
+//! [`backend`]).
 //!
 //! Paths stream lazily from [`Session::paths`]; [`Session::run_all`]
 //! drains them into a [`Summary`]. All errors unify under [`Error`].
@@ -41,9 +41,9 @@
 //! plain-data, replayable [`Prescription`]s through work-stealing shard
 //! frontiers — with results merged deterministically into the sequential
 //! discovery order (see [`parallel`] and [`prescribe`]). Both engines run
-//! one pipeline per flip: the same query builder, gate, discharge and path
-//! step; they differ only in where the solver context lives (one
-//! long-lived incremental backend, or a fresh or cached context per
+//! one pipeline per flip: the same query builder, gate, solve step and
+//! path step; they differ only in where the solver context lives (one
+//! long-lived incremental solver, or a fresh or cached context per
 //! prescription).
 //!
 //! # Quickstart
@@ -101,9 +101,7 @@ pub mod trace;
 pub mod value;
 pub mod warm;
 
-pub use backend::{
-    BitblastBackend, ScreenReport, ScriptSink, SmtLibDump, SolverBackend, StaticGate,
-};
+pub use backend::StaticGate;
 pub use coverage::{CoverageMap, CoverageObserver, CoverageSnapshot};
 pub use error::Error;
 pub use machine::{ExecError, StepResult, SymMachine, TrailEntry};

@@ -25,7 +25,7 @@
 //! Replaying a prescription is a pure function of the prescription itself:
 //! the worker resets its term manager (restoring fresh handle numbering,
 //! see [`TermManager::reset`]) and solves the flip query in a brand-new
-//! [`crate::BitblastBackend`]. Scheduling — worker count, steal
+//! [`Solver`]. Scheduling — worker count, steal
 //! order, shard policy — therefore cannot change any individual result,
 //! only which worker computes it. The merged output is sorted by
 //! [`PathId`], which reproduces the sequential depth-first discovery
@@ -35,8 +35,7 @@
 //! identical to the sequential session's discovery order. (Witness
 //! *inputs* for a path are whichever model the solver returns; the
 //! sequential session's long-lived incremental solver may pick a
-//! different, equally valid model than the fresh replay context, exactly
-//! as [`crate::BitblastBackend::fresh_per_query`] may.)
+//! different, equally valid model than the fresh replay solver.)
 //!
 //! The price of replay is re-executing each parent prefix once per spawned
 //! flip (bounded by the early-stopping
@@ -77,9 +76,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use binsym_smt::{SatResult, TermManager};
+use binsym_smt::{SatResult, Solver, TermManager};
 
-use crate::backend::{discharge, BitblastBackend, StaticGate};
+use crate::backend::{discharge, StaticGate};
 use crate::error::Error;
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{Instruments, Phase};
@@ -610,7 +609,7 @@ impl std::fmt::Debug for ParallelSession {
         f.debug_struct("ParallelSession")
             .field("workers", &self.workers)
             .field("strategy", &self.strategy_name)
-            .field("backend", &self.backend_name())
+            .field("warm_start", &self.warm_start())
             .field("paths", &self.summary.paths)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -683,15 +682,6 @@ impl ParallelSession {
     /// Name of the shard-local path-selection policy.
     pub fn strategy_name(&self) -> &'static str {
         self.strategy_name
-    }
-
-    /// Name of the per-query solver backend.
-    pub fn backend_name(&self) -> &'static str {
-        if self.warm_start() {
-            "bitblast-warm"
-        } else {
-            "bitblast"
-        }
     }
 
     /// True when the deterministic prefix-keyed warm start is enabled
@@ -1039,7 +1029,7 @@ fn worker_main(
     while let Some(p) = state.frontier.acquire(idx, slot) {
         // Balance the frontier's in-flight count on every exit from this
         // iteration — including an unwind out of user code (executor,
-        // backend, or observer panics). Without this, a panicking worker
+        // solver, or observer panics). Without this, a panicking worker
         // would leave `in_flight` elevated and the surviving workers would
         // doze forever in `acquire` while the main thread blocks joining.
         let _checked_in = InFlightGuard(&state.frontier);
@@ -1056,7 +1046,7 @@ fn worker_main(
             continue;
         }
         // A fresh engine context per prescription: reset handle numbering
-        // and solve in a brand-new backend — or, with warm start on, in a
+        // and solve in a brand-new solver — or, with warm start on, in a
         // cached prefix context whose answers are bit-identical to the
         // fresh one (see `crate::warm`). Either way the replay is a pure
         // function of the prescription (schedule-independent results).
@@ -1181,7 +1171,7 @@ impl Drop for InFlightGuard<'_> {
 /// flip is feasible, the path's record and spawned prescriptions.
 ///
 /// Cold replay re-executes the parent prefix on `tm` and discharges the
-/// flip in a brand-new backend; warm replay routes the flip through the
+/// flip in a brand-new solver; warm replay routes the flip through the
 /// worker's [`WarmCache`], whose answers are bit-identical (see
 /// [`crate::warm`]) and whose contexts keep their terms in the cache's own
 /// manager. Either way the replay is pure in the prescription given a
@@ -1211,7 +1201,7 @@ fn replay(
                     instr.finish(replay_started, Phase::Replay, observer);
                     let (prefix, flipped) = flip.query(&trail?, tm)?;
                     discharge(
-                        &mut BitblastBackend::new(),
+                        &mut Solver::new(),
                         tm,
                         gate,
                         &prefix,
@@ -1594,7 +1584,6 @@ ok:
                 .build_parallel()
                 .unwrap();
             assert!(warm.warm_start());
-            assert_eq!(warm.backend_name(), "bitblast-warm");
             let summary = warm.run_all().unwrap();
             assert_eq!(summary.paths, 8, "{workers} workers");
             assert_eq!(
@@ -1738,12 +1727,6 @@ ok:
         let err = Session::builder(Spec::rv32im())
             .binary(&elf)
             .observer(CountingObserver::new())
-            .build_parallel()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .backend(crate::backend::BitblastBackend::new())
             .build_parallel()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));

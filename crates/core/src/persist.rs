@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 
 use binsym_smt::SatResult;
 
-use crate::coverage::CoverageSnapshot;
+use crate::coverage::{CoverageSnapshot, MAX_SLOTS};
 use crate::machine::StepResult;
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{HistogramSnapshot, MetricsReport, NUM_BUCKETS, NUM_PHASES};
@@ -611,15 +611,23 @@ fn encode_rle(enc: &mut Enc, words: &[u64]) {
     }
 }
 
-/// Decodes a run-length payload written by [`encode_rle`]; runs must tile
-/// the declared word count exactly.
-fn decode_rle(dec: &mut Dec<'_>) -> Result<Vec<u64>, PersistError> {
-    let n = dec.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(dec.remaining()));
-    while out.len() < n {
+/// Decodes a run-length payload written by [`encode_rle`] that must hold
+/// exactly `words` words, the count the caller's format fixes; runs must
+/// tile it exactly. A payload declaring any other count is rejected before
+/// anything is expanded: one 12-byte run can stand for 2^32 words, so the
+/// declared count, unlike any other wire length, is not bounded by the
+/// bytes that follow it.
+fn decode_rle(dec: &mut Dec<'_>, words: usize) -> Result<Vec<u64>, PersistError> {
+    if dec.u32()? as usize != words {
+        return Err(PersistError::Corrupt(
+            "run-length word count disagrees with the format",
+        ));
+    }
+    let mut out = Vec::with_capacity(words);
+    while out.len() < words {
         let run = dec.u32()? as usize;
         let v = dec.u64()?;
-        if run == 0 || out.len() + run > n {
+        if run == 0 || out.len() + run > words {
             return Err(PersistError::Corrupt("run-length does not tile word count"));
         }
         out.extend(std::iter::repeat(v).take(run));
@@ -637,12 +645,14 @@ impl Wire for CoverageSnapshot {
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         let base = dec.u32()?;
         let slots = dec.u32()?;
-        let insns = decode_rle(dec)?;
-        let dirs = decode_rle(dec)?;
-        let words = |bits: u32| (bits as usize).div_ceil(64);
-        if insns.len() != words(slots) || dirs.len() != words(slots.saturating_mul(2)) {
-            return Err(PersistError::Corrupt("coverage bitmap geometry mismatch"));
+        if slots > MAX_SLOTS {
+            return Err(PersistError::Corrupt(
+                "coverage map larger than any text segment",
+            ));
         }
+        let words = |bits: u32| (bits as usize).div_ceil(64);
+        let insns = decode_rle(dec, words(slots))?;
+        let dirs = decode_rle(dec, words(slots * 2))?;
         Ok(CoverageSnapshot {
             base,
             slots,
@@ -657,7 +667,7 @@ impl Wire for HistogramSnapshot {
         encode_rle(enc, self.bucket_counts());
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let words = decode_rle(dec)?;
+        let words = decode_rle(dec, NUM_BUCKETS)?;
         let counts: [u64; NUM_BUCKETS] = words
             .try_into()
             .map_err(|_| PersistError::Corrupt("histogram bucket count mismatch"))?;
@@ -1173,6 +1183,47 @@ mod tests {
             decode_one::<u32>(&bytes),
             Err(PersistError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn lying_run_lengths_are_rejected_before_expanding() {
+        // One 12-byte run can claim 2^32 - 1 words. A word count the format
+        // does not fix must be a typed error, never a 32 GiB allocation.
+        let mut enc = Enc::new();
+        enc.u32(0); // base
+        enc.u32(64); // slots -> 1 insn word
+        enc.u32(u32::MAX); // declared word count
+        enc.u32(u32::MAX); // one run of u32::MAX zeros
+        enc.u64(0);
+        let coverage = enc.into_bytes();
+        assert_eq!(coverage.len(), 24);
+        assert!(matches!(
+            decode_one::<CoverageSnapshot>(&coverage),
+            Err(PersistError::Corrupt(_))
+        ));
+        let mut enc = Enc::new();
+        enc.u32(u32::MAX); // declared word count (the format fixes NUM_BUCKETS)
+        enc.u32(u32::MAX);
+        enc.u64(0);
+        let histogram = enc.into_bytes();
+        assert_eq!(histogram.len(), 16);
+        assert!(matches!(
+            decode_one::<HistogramSnapshot>(&histogram),
+            Err(PersistError::Corrupt(_))
+        ));
+        // A geometry wider than any text segment is rejected from its
+        // header, and no map is built that wide: the widest still
+        // round-trips.
+        let mut enc = Enc::new();
+        enc.u32(0);
+        enc.u32(MAX_SLOTS + 1);
+        assert!(matches!(
+            decode_one::<CoverageSnapshot>(&enc.into_bytes()),
+            Err(PersistError::Corrupt(_))
+        ));
+        let widest = crate::coverage::CoverageMap::new(0, u32::MAX);
+        assert_eq!(widest.tracked_slots(), u64::from(MAX_SLOTS));
+        round_trip(&widest.snapshot());
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! A [`Session`] owns everything one symbolic exploration needs — the path
 //! executor, the term manager, a [`PathStrategy`] deciding which branch to
-//! flip next, and a [`SolverBackend`] discharging feasibility queries — and
-//! is assembled with a builder:
+//! flip next, and one incremental `binsym_smt::Solver` discharging every
+//! feasibility query — and is assembled with a builder:
 //!
 //! ```
-//! use binsym::{BitblastBackend, Dfs, Session};
+//! use binsym::{Dfs, Session};
 //! # use binsym_asm::Assembler;
 //! # use binsym_isa::Spec;
 //! # let elf = Assembler::new().assemble("
@@ -20,7 +20,6 @@
 //! let mut session = Session::builder(Spec::rv32im())
 //!     .binary(&elf)
 //!     .strategy(Dfs::new())
-//!     .backend(BitblastBackend::new())
 //!     .build()?;
 //! let summary = session.run_all()?;
 //! # Ok::<(), binsym::Error>(())
@@ -36,17 +35,18 @@
 //! The exploration algorithm itself is the paper's §III-B offline DSE: the
 //! SUT restarts from scratch per path under a concrete solver-provided
 //! input; completed trails contribute flip candidates to the strategy's
-//! frontier; a candidate's prefix plus negated branch condition is handed
-//! to the backend, and a model of a feasible flip seeds the next run.
+//! frontier; a candidate's prefix plus negated branch condition goes through
+//! the static gate to the solver (see [`crate::backend`]), and a model of a
+//! feasible flip seeds the next run.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use binsym_elf::ElfFile;
 use binsym_isa::Spec;
-use binsym_smt::TermManager;
+use binsym_smt::{Solver, TermManager};
 
-use crate::backend::{discharge, BitblastBackend, SolverBackend, StaticGate};
+use crate::backend::{discharge, StaticGate};
 use crate::error::Error;
 use crate::machine::{StepResult, SymMachine, TrailEntry};
 use crate::memory::AddressPolicyKind;
@@ -86,7 +86,8 @@ impl PathOutcome {
 ///
 /// Implementors: the formal-semantics engine ([`SpecExecutor`] — the
 /// paper's BinSym), the IR-lifter baseline (`binsym-lifter`), and custom
-/// personas plugged in via [`SessionBuilder::executor`].
+/// personas plugged in via [`Session::executor_builder`] or
+/// [`Session::factory_builder`].
 pub trait PathExecutor {
     /// Executes one complete path with `input` bytes in the symbolic
     /// region, reporting per-instruction progress to `obs`.
@@ -143,7 +144,7 @@ pub trait PathExecutor {
 /// Sharing an executor: the session takes ownership of its executor, so to
 /// read accumulated executor state back afterwards (cache statistics, lift
 /// counts, …), wrap it in `Rc<RefCell<…>>`, keep a clone, and hand the
-/// other clone to [`SessionBuilder::executor`].
+/// other clone to [`Session::executor_builder`].
 impl<E: PathExecutor> PathExecutor for std::rc::Rc<std::cell::RefCell<E>> {
     fn execute_path(
         &mut self,
@@ -401,20 +402,18 @@ impl PathExecutor for SpecExecutor {
 ///
 /// Sequential and parallel sessions grow from the same builder: the shared
 /// knobs (`binary`, `limit`, `fuel`, `address_policy`) apply to both, while
-/// the engine *instances* (`strategy`, `backend`, `observer`, `executor`)
-/// are sequential-only — worker threads cannot share them. Parallel
-/// sessions take `Send` *factories* for the policy, observer, and executor
-/// (`shard_strategy`, `observer_factory`, `executor_factory`), consumed by
-/// [`SessionBuilder::build_parallel`], and solve every replayed flip in a
-/// fresh [`BitblastBackend`] (or through the warm cache).
+/// the engine *instances* (`strategy`, `observer`, and the executor of
+/// [`Session::executor_builder`]) are sequential-only — worker threads
+/// cannot share them. Parallel sessions take `Send` *factories* for the
+/// policy, observer, and executor (`shard_strategy`, `observer_factory`,
+/// `executor_factory`), consumed by [`SessionBuilder::build_parallel`], and
+/// solve every replayed flip in a fresh solver (or through the warm cache).
 pub struct SessionBuilder {
     spec: Option<Spec>,
     elf: Option<ElfFile>,
     executor: Option<Box<dyn PathExecutor>>,
     strategy: Box<dyn PathStrategy>,
     strategy_set: bool,
-    backend: Box<dyn SolverBackend>,
-    backend_set: bool,
     observer: Box<dyn Observer>,
     observer_set: bool,
     limit: Option<u64>,
@@ -436,7 +435,6 @@ impl std::fmt::Debug for SessionBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionBuilder")
             .field("strategy", &self.strategy.name())
-            .field("backend", &self.backend.name())
             .field("limit", &self.limit)
             .field("fuel", &self.fuel)
             .field("workers", &self.workers)
@@ -451,29 +449,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Plugs in a custom [`PathExecutor`] instead of the default
-    /// [`SpecExecutor`] over the builder's spec; the benchmark personas
-    /// and the IR-lifter baseline enter the session this way.
-    pub fn executor(mut self, executor: impl PathExecutor + 'static) -> Self {
-        self.executor = Some(Box::new(executor));
-        self
-    }
-
     /// Path-selection strategy (default: [`Dfs`], the paper's policy).
     /// Sequential-only; parallel sessions take [`SessionBuilder::shard_strategy`].
     pub fn strategy(mut self, strategy: impl PathStrategy + 'static) -> Self {
         self.strategy = Box::new(strategy);
         self.strategy_set = true;
-        self
-    }
-
-    /// Solver backend (default: the incremental [`BitblastBackend`]).
-    /// Sequential-only; parallel sessions solve each replayed flip in a
-    /// fresh [`BitblastBackend`], so every result is a pure function of its
-    /// prescription — the root of cross-run determinism.
-    pub fn backend(mut self, backend: impl SolverBackend + 'static) -> Self {
-        self.backend = Box::new(backend);
-        self.backend_set = true;
         self
     }
 
@@ -672,9 +652,10 @@ impl SessionBuilder {
     /// Assembles the sequential session.
     ///
     /// # Errors
-    /// [`Error::MissingBinary`] when none of [`SessionBuilder::binary`],
-    /// [`SessionBuilder::executor`], or
-    /// [`SessionBuilder::executor_factory`] was called,
+    /// [`Error::MissingBinary`] when the builder has no executor (from
+    /// [`Session::executor_builder`] or
+    /// [`SessionBuilder::executor_factory`]) and
+    /// [`SessionBuilder::binary`] was not called,
     /// [`Error::InvalidConfig`] for a zero path limit, zero fuel, or a
     /// builder made parallel-only via [`SessionBuilder::workers`], and
     /// [`Error::NoSymbolicInput`] when the binary lacks the symbol.
@@ -729,7 +710,7 @@ impl SessionBuilder {
             executor,
             tm: TermManager::new(),
             strategy: self.strategy,
-            backend: self.backend,
+            solver: Solver::new(),
             observer: self.observer,
             gate: StaticGate::new(self.static_analysis),
             fuel: self.fuel,
@@ -769,12 +750,6 @@ impl SessionBuilder {
         if self.strategy_set {
             return Err(Error::InvalidConfig {
                 what: "`strategy` is sequential-only: use `shard_strategy` for parallel sessions",
-            });
-        }
-        if self.backend_set {
-            return Err(Error::InvalidConfig {
-                what: "`backend` is sequential-only: parallel sessions solve each replayed \
-                       flip in a fresh bit-blasting backend",
             });
         }
         if self.observer_set {
@@ -839,7 +814,7 @@ impl SessionBuilder {
     }
 }
 
-/// One symbolic exploration of one binary: executor + strategy + backend
+/// One symbolic exploration of one binary: executor + strategy + solver
 /// + observer, with lazily discovered paths.
 ///
 /// See the [module docs](self) for the full picture and an example.
@@ -847,7 +822,8 @@ pub struct Session {
     executor: Box<dyn PathExecutor>,
     tm: TermManager,
     strategy: Box<dyn PathStrategy>,
-    backend: Box<dyn SolverBackend>,
+    /// The one incremental solver every flip query of the session runs on.
+    solver: Solver,
     observer: Box<dyn Observer>,
     gate: StaticGate,
     fuel: u64,
@@ -866,7 +842,6 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("strategy", &self.strategy.name())
-            .field("backend", &self.backend.name())
             .field("paths", &self.summary.paths)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -881,8 +856,6 @@ impl Session {
             executor: None,
             strategy: Box::new(Dfs::<Candidate>::new()),
             strategy_set: false,
-            backend: Box::new(BitblastBackend::new()),
-            backend_set: false,
             observer: Box::new(NullObserver),
             observer_set: false,
             limit: None,
@@ -911,8 +884,8 @@ impl Session {
 
     /// Starts building a session around a custom [`PathExecutor`] — no ISA
     /// specification is needed (the executor brings its own translation
-    /// layer). Equivalent to `Session::builder(spec).executor(...)` minus
-    /// the throwaway spec. Sequential-only (the boxed executor cannot be
+    /// layer); custom engines such as the IR-lifter baseline enter the
+    /// session this way. Sequential-only (the boxed executor cannot be
     /// replicated onto worker threads); parallel custom engines start from
     /// [`Session::factory_builder`].
     pub fn executor_builder(executor: impl PathExecutor + 'static) -> SessionBuilder {
@@ -950,11 +923,6 @@ impl Session {
         self.strategy.name()
     }
 
-    /// Name of the active solver backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// True when the frontier is exhausted (or the path limit was hit) and
     /// no further path will be yielded.
     pub fn is_done(&self) -> bool {
@@ -962,10 +930,10 @@ impl Session {
     }
 
     /// Totals accumulated so far (complete once exploration is done).
-    /// [`Summary::solver_checks`] reflects the backend's live counter.
+    /// [`Summary::solver_checks`] reflects the solver's live counter.
     pub fn summary(&self) -> Summary {
         let mut s = self.summary.clone();
-        s.solver_checks = self.backend.num_checks();
+        s.solver_checks = self.solver.num_checks();
         s
     }
 
@@ -1065,7 +1033,7 @@ impl Session {
                 .query(&trail, &mut self.tm)
                 .expect("a path's own trail holds each of its flips");
             let (_, bytes) = discharge(
-                &mut *self.backend,
+                &mut self.solver,
                 &mut self.tm,
                 self.gate,
                 &prefix,
@@ -1151,7 +1119,6 @@ impl Iterator for Paths<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SmtLibDump;
     use crate::observe::CountingObserver;
     use crate::strategy::{Bfs, RandomRestart};
     use binsym_asm::Assembler;
@@ -1380,26 +1347,6 @@ c4:
     }
 
     #[test]
-    fn fresh_solver_backend_is_path_equivalent() {
-        let explore_with = |backend: BitblastBackend| {
-            let elf = Assembler::new().assemble(THREE_COMPARES).unwrap();
-            Session::builder(Spec::rv32im())
-                .binary(&elf)
-                .backend(backend)
-                .build()
-                .unwrap()
-                .run_all()
-                .unwrap()
-        };
-        let si = explore_with(BitblastBackend::new());
-        let sf = explore_with(BitblastBackend::fresh_per_query());
-        assert_eq!(si.paths, sf.paths);
-        assert_eq!(si.error_paths, sf.error_paths);
-        assert_eq!(si.solver_checks, sf.solver_checks);
-        assert_eq!(si.paths, 8);
-    }
-
-    #[test]
     fn all_strategies_enumerate_the_same_path_set() {
         let run = |strategy: Box<dyn PathStrategy>| {
             let elf = Assembler::new().assemble(THREE_COMPARES).unwrap();
@@ -1600,25 +1547,5 @@ _start:
         let s = session.run_all().unwrap();
         assert_eq!(counts.borrow().steps, s.total_steps);
         assert_eq!(counts.borrow().paths, s.paths);
-    }
-
-    #[test]
-    fn smtlib_dump_records_every_query() {
-        let backend = SmtLibDump::new();
-        let scripts = backend.scripts();
-        let elf = Assembler::new().assemble(SINGLE_COMPARE).unwrap();
-        let s = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .backend(backend)
-            .build()
-            .unwrap()
-            .run_all()
-            .unwrap();
-        assert_eq!(s.paths, 2);
-        assert_eq!(scripts.len() as u64, s.solver_checks);
-        for script in scripts.snapshot() {
-            assert!(script.starts_with("(set-logic QF_BV)"));
-            assert!(script.ends_with("(check-sat)\n"));
-        }
     }
 }

@@ -66,7 +66,7 @@ use std::collections::HashMap;
 
 use binsym_smt::{PrefixContext, SatResult, Solver, TermManager};
 
-use crate::backend::StaticGate;
+use crate::backend::{solve, StaticGate};
 use crate::error::Error;
 use crate::machine::TrailEntry;
 use crate::metrics::{Instruments, Phase};
@@ -568,26 +568,14 @@ impl WarmCache {
         let (result, reused, blasted, model) = match warm_result {
             Some(r) => r,
             None => {
-                // Unpromoted parent (or discarded context): cold solve
-                // from the cached trail — the exact cache-off op sequence
-                // minus the prefix re-execution, with none of a context's
-                // bookkeeping (most parents are queried only once or
-                // twice and would never amortize it).
-                let blast_started = instr.begin(Phase::BitBlast);
-                let mut solver = Solver::new();
-                solver.push();
-                for &t in &prefix {
-                    solver.assert_term(tm, t);
-                }
-                solver.assert_term(tm, flipped);
-                instr.finish(blast_started, Phase::BitBlast, observer);
-                let solve_started = instr.begin(Phase::Solve);
-                let r = solver.check_sat(tm, &[]);
-                let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
-                if solve_started.is_some() {
-                    instr.record_query(solve_nanos);
-                }
-                (r, 0, prefix.len() as u64, solver.model(tm))
+                // Unpromoted parent (or discarded context): cold replay's
+                // solve step on a fresh solver, from the cached trail — the
+                // exact cache-off op sequence minus the prefix
+                // re-execution, with none of a context's bookkeeping (most
+                // parents are queried only once or twice and would never
+                // amortize it).
+                let (r, model) = solve(&mut Solver::new(), tm, &prefix, flipped, instr, observer);
+                (r, 0, prefix.len() as u64, model)
             }
         };
         observer.on_query(result);
@@ -725,7 +713,7 @@ c3:
     }
 
     /// Cache-off reference: the exact replay sequence of the cold worker
-    /// path (fresh tm + fresh incremental backend per query). This is an
+    /// path (fresh tm + fresh solver per query). This is an
     /// *intentionally independent* re-implementation — it must not share
     /// code with the production paths it is the oracle for.
     fn cold_solve(
@@ -733,7 +721,6 @@ c3:
         input: &[u8],
         flip: Flip,
     ) -> (SatResult, Option<Vec<u8>>) {
-        use crate::backend::{BitblastBackend, SolverBackend};
         use crate::session::PathExecutor as _;
         let mut tm = TermManager::new();
         let trail = executor
@@ -751,19 +738,19 @@ c3:
             }
         }
         let (i, cond, taken, _) = cut.expect("branch exists");
-        let mut backend = BitblastBackend::new();
-        backend.push();
+        let mut solver = Solver::new();
+        solver.push();
         for entry in &trail[..i] {
             let t = entry.path_term(&mut tm);
-            backend.assert_term(&mut tm, t);
+            solver.assert_term(&mut tm, t);
         }
         let flipped = if taken { tm.not(cond) } else { cond };
-        backend.assert_term(&mut tm, flipped);
-        let r = backend.check_sat(&mut tm);
+        solver.assert_term(&mut tm, flipped);
+        let r = solver.check_sat(&mut tm, &[]);
         if r != SatResult::Sat {
             return (r, None);
         }
-        let model = backend.model(&tm).expect("sat has model");
+        let model = solver.model(&tm).expect("sat has model");
         let bytes = (0..executor.input_len())
             .map(|b| model.value(&format!("in{b}")).unwrap_or(0) as u8)
             .collect();

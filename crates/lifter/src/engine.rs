@@ -545,7 +545,7 @@ fn interp_overhead_spin(iters: u32) {
 
 /// The IR-based path executor (one of the paper's baseline engines),
 /// pluggable into a [`binsym::Session`] via
-/// [`binsym::SessionBuilder::executor`].
+/// [`binsym::Session::executor_builder`] or [`binsym::Session::factory_builder`].
 #[derive(Debug)]
 pub struct LifterExecutor {
     lifter: Lifter,

@@ -64,10 +64,10 @@ fn main() {
         .build_parallel()
         .expect("builds");
     println!(
-        "exploring with {} workers ({} shard policy, {} backend per query)…",
+        "exploring with {} workers ({} shard policy, warm start {})…",
         session.workers(),
         session.strategy_name(),
-        session.backend_name()
+        if session.warm_start() { "on" } else { "off" }
     );
 
     let summary = session.run_all().expect("explores");

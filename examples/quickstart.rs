@@ -43,7 +43,8 @@ fail:
 
     // 2. Build a session and explore every feasible path. The defaults are
     //    the paper's engine: depth-first path selection, incremental
-    //    bit-blast solver. Swap them with `.strategy(...)`/`.backend(...)`.
+    //    bit-blast solver behind the static gate. Swap the path selection
+    //    with `.strategy(...)`.
     let mut session = Session::builder(Spec::rv32im()).binary(&elf).build()?;
     let summary = session.run_all()?;
 

@@ -22,7 +22,7 @@
 //!    the paper's running example.
 
 use binsym_repro::asm::Assembler;
-use binsym_repro::binsym::{Session, SmtLibDump, SymMachine, SymWord, TrailEntry};
+use binsym_repro::binsym::{SymMachine, SymWord, TrailEntry};
 use binsym_repro::isa::{Reg, Spec};
 use binsym_repro::smt::{smtlib, SatResult, Solver, Term, TermManager};
 
@@ -113,44 +113,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(q3, SatResult::Sat);
     println!(";; the fail branch is reachable via the DIVU division-by-zero semantics");
 
-    // Bonus: the same scripts fall out of a whole exploration for free when
-    // the session runs on the `SmtLibDump` backend — every branch-flip
-    // query is recorded as a complete SMT-LIB file for offline replay.
-    let elf = Assembler::new().assemble(
-        r#"
-        .data
-        .globl __sym_input
-__sym_input:
-        .word 0, 0
-        .text
-        .globl _start
-_start:
-        la   a5, __sym_input
-        lw   a0, 0(a5)
-        lw   a1, 4(a5)
-        divu a2, a0, a1
-        bltu a0, a2, fail
-        li   a0, 0
-        li   a7, 93
-        ecall
-fail:
-        li   a0, 1
-        li   a7, 93
-        ecall
-"#,
-    )?;
-    let backend = SmtLibDump::new();
-    let scripts = backend.scripts();
-    let summary = Session::builder(Spec::rv32im())
-        .binary(&elf)
-        .backend(backend)
-        .build()?
-        .run_all()?;
-    println!(
-        ";; exploring the full binary recorded {} replayable scripts over {} paths",
-        scripts.len(),
-        summary.paths
-    );
-    assert_eq!(scripts.len() as u64, summary.solver_checks);
     Ok(())
 }

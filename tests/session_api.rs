@@ -7,8 +7,8 @@ use std::rc::Rc;
 use binsym_repro::asm::Assembler;
 use binsym_repro::bench::programs::CLIF_PARSER;
 use binsym_repro::binsym::{
-    AddressPolicyKind, Bfs, BitblastBackend, Candidate, Dfs, Error, PathId, PathOutcome,
-    PathStrategy, Prescription, RandomRestart, Session, SmtLibDump,
+    AddressPolicyKind, Bfs, Candidate, Dfs, Error, PathId, PathOutcome, PathStrategy, Prescription,
+    RandomRestart, Session,
 };
 use binsym_repro::elf::ElfFile;
 use binsym_repro::isa::Spec;
@@ -176,7 +176,7 @@ fn bfs_and_dfs_discover_the_same_paths_in_different_orders() {
 #[test]
 fn random_restart_and_alternate_backends_reproduce_quickstart_counts() {
     // The acceptance bar: quickstart explores 2 paths with 1 error path,
-    // whatever the strategy or backend.
+    // whatever the strategy.
     let elf = assemble(QUICKSTART_DIVU);
     let strategies: [fn() -> Box<dyn binsym_repro::binsym::PathStrategy>; 3] = [
         || Box::new(Dfs::new()),
@@ -184,25 +184,17 @@ fn random_restart_and_alternate_backends_reproduce_quickstart_counts() {
         || Box::new(RandomRestart::with_seed(7)),
     ];
     for make in strategies {
-        for fresh in [false, true] {
-            let backend = if fresh {
-                BitblastBackend::fresh_per_query()
-            } else {
-                BitblastBackend::new()
-            };
-            let s = Session::builder(Spec::rv32im())
-                .binary(&elf)
-                .strategy(make())
-                .backend(backend)
-                .build()
-                .expect("builds")
-                .run_all()
-                .expect("explores");
-            assert_eq!(s.paths, 2, "quickstart has 2 paths");
-            assert_eq!(s.error_paths.len(), 1, "and 1 error path");
-            let y = u32::from_le_bytes(s.error_paths[0].input[..4].try_into().unwrap());
-            assert_eq!(y, 0);
-        }
+        let s = Session::builder(Spec::rv32im())
+            .binary(&elf)
+            .strategy(make())
+            .build()
+            .expect("builds")
+            .run_all()
+            .expect("explores");
+        assert_eq!(s.paths, 2, "quickstart has 2 paths");
+        assert_eq!(s.error_paths.len(), 1, "and 1 error path");
+        let y = u32::from_le_bytes(s.error_paths[0].input[..4].try_into().unwrap());
+        assert_eq!(y, 0);
     }
 }
 
@@ -225,28 +217,6 @@ fn parallel_builder_reproduces_quickstart_and_finds_the_witness() {
     // The merged record stream is available, in canonical order.
     assert_eq!(session.records().len(), 2);
     assert!(session.records().iter().any(|r| r.is_error()));
-}
-
-#[test]
-fn smtlib_dump_backend_streams_replayable_scripts() {
-    let elf = assemble(QUICKSTART_DIVU);
-    let backend = SmtLibDump::new();
-    let scripts = backend.scripts();
-    let s = Session::builder(Spec::rv32im())
-        .binary(&elf)
-        .backend(backend)
-        .build()
-        .expect("builds")
-        .run_all()
-        .expect("explores");
-    assert_eq!(s.paths, 2);
-    assert_eq!(scripts.len() as u64, s.solver_checks);
-    let all = scripts.snapshot();
-    assert!(
-        all.iter()
-            .any(|q| q.contains("bvudiv") && q.contains("bvult")),
-        "the Fig. 2 divu query shape must appear in the dump"
-    );
 }
 
 /// A user strategy wrapping the built-in depth-first policy and noting the

@@ -119,7 +119,7 @@ fn main() {
     let mut json_rows = Vec::new();
     let sink = opts.trace_sink();
     let timing = Timing {
-        runs: opts.runs.unwrap_or(1).max(1),
+        runs: opts.runs.unwrap_or(1),
         metrics: opts.metrics,
         trace: sink.as_ref(),
     };

@@ -31,7 +31,7 @@ pub struct BenchOpts {
     pub quick: bool,
     /// CI-sized run: only the fast programs and datapoints (`--smoke`).
     pub smoke: bool,
-    /// Repetitions for timing harnesses (`--runs N`).
+    /// Repetitions for timing harnesses (`--runs N`, at least 1).
     pub runs: Option<usize>,
     /// Where to write a Chrome-trace-event file of the run
     /// (`--trace PATH`), openable in `ui.perfetto.dev`.
@@ -99,7 +99,11 @@ impl BenchOpts {
             json: value_of("--json").map(PathBuf::from),
             quick: args.iter().any(|a| a == "--quick"),
             smoke: args.iter().any(|a| a == "--smoke"),
-            runs: value_of("--runs").map(|s| count("--runs", s)),
+            // Zero runs would time nothing and then average over nothing.
+            runs: value_of("--runs").map(|s| match count("--runs", s) {
+                0 => panic!("invalid value for --runs: {s:?} (at least one run is needed)"),
+                n => n,
+            }),
             trace: value_of("--trace").map(PathBuf::from),
             metrics: args.iter().any(|a| a == "--metrics"),
             checkpoint: value_of("--checkpoint").map(PathBuf::from),
@@ -796,6 +800,13 @@ mod tests {
     #[should_panic(expected = "invalid value for --workers")]
     fn malformed_workers_value_fails_loudly() {
         let args = vec!["--workers".to_string(), "fourr".to_string()];
+        let _ = BenchOpts::parse(args.into_iter(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid value for --runs: \"0\" (at least one run is needed)")]
+    fn zero_runs_fail_loudly() {
+        let args = vec!["--runs".to_string(), "0".to_string()];
         let _ = BenchOpts::parse(args.into_iter(), None);
     }
 

@@ -1736,6 +1736,12 @@ ok:
             .build_parallel()
             .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { .. }));
+        // A boxed executor cannot be replicated onto workers.
+        let exec = crate::session::SpecExecutor::new(Spec::rv32im(), &elf, None).unwrap();
+        let err = Session::executor_builder(exec)
+            .build_parallel()
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }));
         // No binary at all.
         let err = Session::builder(Spec::rv32im())
             .build_parallel()

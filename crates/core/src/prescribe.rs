@@ -225,12 +225,6 @@ impl Prescription {
             policy,
         }
     }
-
-    /// Program counter of the branch site this prescription flips (`None`
-    /// for the root prescription).
-    pub fn branch_pc(&self) -> Option<u32> {
-        self.flip.map(|f| f.pc)
-    }
 }
 
 /// Plain-data record of one materialized path — the `Send` counterpart of

@@ -306,11 +306,6 @@ impl SpecExecutor {
         self
     }
 
-    /// Address of the symbolic input region.
-    pub fn input_addr(&self) -> u32 {
-        self.sym_addr
-    }
-
     /// A machine ready to run one path: a clone of the loaded image with
     /// `input` in the symbolic region.
     fn start(&mut self, tm: &mut TermManager, input: &[u8]) -> SymMachine {
@@ -405,13 +400,13 @@ impl PathExecutor for SpecExecutor {
 /// the engine *instances* (`strategy`, `observer`, and the executor of
 /// [`Session::executor_builder`]) are sequential-only — worker threads
 /// cannot share them. Parallel sessions take `Send` *factories* for the
-/// policy, observer, and executor (`shard_strategy`, `observer_factory`,
-/// `executor_factory`), consumed by [`SessionBuilder::build_parallel`], and
-/// solve every replayed flip in a fresh solver (or through the warm cache).
+/// policy and observer (`shard_strategy`, `observer_factory`) and, for a
+/// custom engine, the executor factory of [`Session::factory_builder`];
+/// [`SessionBuilder::build_parallel`] consumes them, and every replayed
+/// flip is solved in a fresh solver (or through the warm cache).
 pub struct SessionBuilder {
-    spec: Option<Spec>,
+    executor: ExecutorSource,
     elf: Option<ElfFile>,
-    executor: Option<Box<dyn PathExecutor>>,
     strategy: Box<dyn PathStrategy>,
     strategy_set: bool,
     observer: Box<dyn Observer>,
@@ -420,7 +415,6 @@ pub struct SessionBuilder {
     fuel: u64,
     address_policy: Option<AddressPolicyKind>,
     workers: Option<usize>,
-    executor_factory: Option<ExecutorFactory>,
     observer_factory: Option<ObserverFactory>,
     shard_strategy: Option<ShardStrategyFactory>,
     warm_start: bool,
@@ -429,6 +423,18 @@ pub struct SessionBuilder {
     trace: Option<Arc<dyn TraceSink>>,
     checkpoint: Option<(std::path::PathBuf, u64)>,
     resume: Option<std::path::PathBuf>,
+}
+
+/// Where a builder's path executors come from, fixed by the [`Session`]
+/// constructor that made the builder.
+enum ExecutorSource {
+    /// A [`SpecExecutor`] over this spec and [`SessionBuilder::binary`]
+    /// ([`Session::builder`]).
+    Spec(Spec),
+    /// One custom executor, sequential-only ([`Session::executor_builder`]).
+    Instance(Box<dyn PathExecutor>),
+    /// One custom executor per worker ([`Session::factory_builder`]).
+    Factory(ExecutorFactory),
 }
 
 impl std::fmt::Debug for SessionBuilder {
@@ -471,18 +477,6 @@ impl SessionBuilder {
     /// refuse, pointing here.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Factory producing one [`PathExecutor`] per worker thread (and, when
-    /// no explicit executor/binary was given, the sequential executor too).
-    /// The factory must be `Send + Sync`; the executors it returns stay on
-    /// the thread that created them.
-    pub fn executor_factory(
-        mut self,
-        factory: impl Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync + 'static,
-    ) -> Self {
-        self.executor_factory = Some(std::sync::Arc::new(factory));
         self
     }
 
@@ -653,8 +647,7 @@ impl SessionBuilder {
     ///
     /// # Errors
     /// [`Error::MissingBinary`] when the builder has no executor (from
-    /// [`Session::executor_builder`] or
-    /// [`SessionBuilder::executor_factory`]) and
+    /// [`Session::executor_builder`] or [`Session::factory_builder`]) and
     /// [`SessionBuilder::binary`] was not called,
     /// [`Error::InvalidConfig`] for a zero path limit, zero fuel, or a
     /// builder made parallel-only via [`SessionBuilder::workers`], and
@@ -678,14 +671,11 @@ impl SessionBuilder {
                        already incremental): call `build_parallel()`",
             });
         }
-        let executor = match (self.executor, self.executor_factory, self.elf) {
-            (Some(exec), _, _) => exec,
-            (None, Some(factory), _) => factory()?,
-            (None, None, Some(elf)) => {
-                let spec = self.spec.ok_or(Error::InvalidConfig {
-                    what:
-                        "exploring a binary needs an ISA spec: start with `Session::builder(spec)`",
-                })?;
+        let executor = match self.executor {
+            ExecutorSource::Instance(exec) => exec,
+            ExecutorSource::Factory(factory) => factory()?,
+            ExecutorSource::Spec(spec) => {
+                let elf = self.elf.ok_or(Error::MissingBinary)?;
                 // Move the builder's ELF copy into the executor instead of
                 // cloning a second time — images can be large, and session
                 // construction sits inside benchmarked regions.
@@ -694,7 +684,6 @@ impl SessionBuilder {
                         .with_policy(self.address_policy.unwrap_or_default()),
                 )
             }
-            (None, None, None) => return Err(Error::MissingBinary),
         };
         if let Some(kind) = self.address_policy {
             if executor.policy() != kind {
@@ -731,20 +720,16 @@ impl SessionBuilder {
     /// own copies.
     ///
     /// # Errors
-    /// [`Error::MissingBinary`] when no binary and no executor factory was
-    /// given; [`Error::InvalidConfig`] for zero workers/limit/fuel or for
-    /// sequential-only components without factories;
+    /// [`Error::MissingBinary`] when a builder from [`Session::builder`]
+    /// was given no binary; [`Error::InvalidConfig`] for zero
+    /// workers/limit/fuel or for sequential-only components (including the
+    /// executor of [`Session::executor_builder`]);
     /// [`Error::NoSymbolicInput`] when the binary lacks the symbol.
     pub fn build_parallel(self) -> Result<ParallelSession, Error> {
         self.validate_common()?;
         if self.workers == Some(0) {
             return Err(Error::InvalidConfig {
                 what: "worker count must be nonzero",
-            });
-        }
-        if self.executor.is_some() && self.executor_factory.is_none() {
-            return Err(Error::InvalidConfig {
-                what: "a boxed executor cannot be shared across workers: use `executor_factory`",
             });
         }
         if self.strategy_set {
@@ -763,13 +748,10 @@ impl SessionBuilder {
                 .unwrap_or(1)
                 .min(8)
         });
-        let executor_factory: ExecutorFactory = match (self.executor_factory, self.elf) {
-            (Some(factory), _) => factory,
-            (None, Some(elf)) => {
-                let spec = self.spec.ok_or(Error::InvalidConfig {
-                    what:
-                        "exploring a binary needs an ISA spec: start with `Session::builder(spec)`",
-                })?;
+        let executor_factory: ExecutorFactory = match self.executor {
+            ExecutorSource::Factory(factory) => factory,
+            ExecutorSource::Spec(spec) => {
+                let elf = self.elf.ok_or(Error::MissingBinary)?;
                 let policy = self.address_policy.unwrap_or_default();
                 std::sync::Arc::new(move || {
                     Ok(Box::new(
@@ -777,7 +759,12 @@ impl SessionBuilder {
                     ))
                 })
             }
-            (None, None) => return Err(Error::MissingBinary),
+            ExecutorSource::Instance(_) => {
+                return Err(Error::InvalidConfig {
+                    what: "a boxed executor cannot be shared across workers: \
+                           start from `Session::factory_builder`",
+                })
+            }
         };
         // Probe one executor now: fail fast on a broken factory or missing
         // symbol, and learn the input length and address policy for the
@@ -849,11 +836,10 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    fn empty_builder() -> SessionBuilder {
+    fn builder_for(executor: ExecutorSource) -> SessionBuilder {
         SessionBuilder {
-            spec: None,
+            executor,
             elf: None,
-            executor: None,
             strategy: Box::new(Dfs::<Candidate>::new()),
             strategy_set: false,
             observer: Box::new(NullObserver),
@@ -862,7 +848,6 @@ impl Session {
             fuel: 10_000_000,
             address_policy: None,
             workers: None,
-            executor_factory: None,
             observer_factory: None,
             shard_strategy: None,
             warm_start: false,
@@ -876,10 +861,7 @@ impl Session {
 
     /// Starts building a session for the given ISA specification.
     pub fn builder(spec: Spec) -> SessionBuilder {
-        SessionBuilder {
-            spec: Some(spec),
-            ..Session::empty_builder()
-        }
+        Session::builder_for(ExecutorSource::Spec(spec))
     }
 
     /// Starts building a session around a custom [`PathExecutor`] — no ISA
@@ -889,33 +871,24 @@ impl Session {
     /// replicated onto worker threads); parallel custom engines start from
     /// [`Session::factory_builder`].
     pub fn executor_builder(executor: impl PathExecutor + 'static) -> SessionBuilder {
-        SessionBuilder {
-            executor: Some(Box::new(executor)),
-            ..Session::empty_builder()
-        }
+        Session::builder_for(ExecutorSource::Instance(Box::new(executor)))
     }
 
     /// Starts building a session around a *replicable* custom engine: the
     /// factory is invoked once per worker thread by
     /// [`SessionBuilder::build_parallel`] (and once by
     /// [`SessionBuilder::build`] for a sequential session), so one builder
-    /// serves both modes. Shorthand for
-    /// `Session::builder(spec).executor_factory(...)` minus the throwaway
-    /// spec.
+    /// serves both modes. The factory must be `Send + Sync`; the executors
+    /// it returns stay on the thread that created them.
     pub fn factory_builder(
         factory: impl Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync + 'static,
     ) -> SessionBuilder {
-        Session::empty_builder().executor_factory(factory)
+        Session::builder_for(ExecutorSource::Factory(std::sync::Arc::new(factory)))
     }
 
     /// Length of the symbolic input region in bytes.
     pub fn input_len(&self) -> u32 {
         self.executor.input_len()
-    }
-
-    /// Access to the term manager (e.g. for printing queries).
-    pub fn term_manager(&self) -> &TermManager {
-        &self.tm
     }
 
     /// Name of the active path-selection strategy.

@@ -7,27 +7,37 @@
 //! an event queue with delta cycles. The paper attributes SymEx-VP's
 //! slowdown relative to BinSym to exactly this simulation environment
 //! (§V-B). This crate provides that substrate: a virtual-time event queue
-//! with delta-cycle semantics ([`EventQueue`]), a cooperative process
-//! scheduler ([`Simulation`]), and a latency-annotating TLM-style bus model
-//! ([`Bus`]). The benchmark harness wraps the BinSym engine in a simulated
-//! CPU process to obtain the SymEx-VP persona.
+//! with delta-cycle semantics ([`EventQueue`]) and a latency-annotating
+//! TLM-style bus model ([`Bus`]). The benchmark harness obtains the
+//! SymEx-VP persona from an observer on the BinSym engine that drives the
+//! queue once per retired instruction.
 //!
 //! # Example
 //! ```
-//! use binsym_des::{Process, Simulation, Time};
+//! use binsym_des::{Bus, EventQueue, ProcessId, Time};
 //!
-//! struct Ticker { ticks: u32 }
-//! impl Process for Ticker {
-//!     fn run(&mut self, _now: Time) -> Option<Time> {
-//!         self.ticks += 1;
-//!         if self.ticks < 5 { Some(Time::from_ns(10)) } else { None }
+//! const CPU: ProcessId = ProcessId(0);
+//! const TIMER: ProcessId = ProcessId(1);
+//!
+//! let bus = Bus::default();
+//! let mut queue = EventQueue::new();
+//! queue.schedule(TIMER, Time::from_ns(50));
+//! let mut timer_ticks = 0;
+//! for _ in 0..5 {
+//!     // Retire one instruction: fetch over the bus plus a 10 ns quantum,
+//!     // then run the kernel until the CPU is due again.
+//!     queue.schedule(CPU, Time::from_ns(10) + bus.transport(4));
+//!     while let Some((_, pid)) = queue.pop() {
+//!         if pid == CPU {
+//!             break;
+//!         }
+//!         timer_ticks += 1;
+//!         queue.schedule(TIMER, Time::from_ns(50));
 //!     }
 //! }
-//!
-//! let mut sim = Simulation::new();
-//! sim.spawn_at(Box::new(Ticker { ticks: 0 }), Time::ZERO);
-//! sim.run_to_completion();
-//! assert_eq!(sim.now(), Time::from_ns(40));
+//! assert_eq!(queue.now(), Time::from_ns(125));
+//! assert_eq!(timer_ticks, 2);
+//! assert_eq!(queue.processed(), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -159,23 +169,6 @@ impl EventQueue {
         }));
     }
 
-    /// Schedules an activation at an absolute time (must not be in the
-    /// past).
-    ///
-    /// # Panics
-    /// Panics if `at < now`.
-    pub fn schedule_at(&mut self, pid: ProcessId, at: Time) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.seq += 1;
-        let delta = if at == self.now { self.delta + 1 } else { 0 };
-        self.heap.push(Reverse(Event {
-            time: at,
-            delta,
-            seq: self.seq,
-            pid,
-        }));
-    }
-
     /// Pops the next event, advancing simulation time.
     pub fn pop(&mut self) -> Option<(Time, ProcessId)> {
         let Reverse(ev) = self.heap.pop()?;
@@ -184,88 +177,6 @@ impl EventQueue {
         self.delta = ev.delta;
         self.processed += 1;
         Some((ev.time, ev.pid))
-    }
-}
-
-/// A cooperative simulation process.
-///
-/// `run` is called at each activation; returning `Some(delay)` reschedules
-/// the process after `delay`, returning `None` terminates it.
-pub trait Process {
-    /// One activation at simulation time `now`.
-    fn run(&mut self, now: Time) -> Option<Time>;
-}
-
-/// A process scheduler over the event queue (the "simulation kernel").
-#[derive(Default)]
-pub struct Simulation {
-    queue: EventQueue,
-    procs: Vec<Option<Box<dyn Process>>>,
-}
-
-impl fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulation")
-            .field("now", &self.queue.now())
-            .field("pending", &self.queue.len())
-            .field("processes", &self.procs.len())
-            .finish()
-    }
-}
-
-impl Simulation {
-    /// Creates an empty simulation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.queue.now()
-    }
-
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.processed()
-    }
-
-    /// Registers a process and schedules its first activation at `at`.
-    pub fn spawn_at(&mut self, p: Box<dyn Process>, at: Time) -> ProcessId {
-        let pid = ProcessId(self.procs.len() as u32);
-        self.procs.push(Some(p));
-        self.queue.schedule_at(pid, at);
-        pid
-    }
-
-    /// Runs until no events remain.
-    pub fn run_to_completion(&mut self) {
-        while self.step() {}
-    }
-
-    /// Runs until simulated time exceeds `deadline` or no events remain.
-    pub fn run_until(&mut self, deadline: Time) {
-        while let Some(Reverse(ev)) = self.queue.heap.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Processes a single event. Returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((now, pid)) = self.queue.pop() else {
-            return false;
-        };
-        let slot = &mut self.procs[pid.0 as usize];
-        let Some(proc_ref) = slot.as_mut() else {
-            return true; // stale event for a finished process
-        };
-        match proc_ref.run(now) {
-            Some(delay) => self.queue.schedule(pid, delay),
-            None => *slot = None,
-        }
-        true
     }
 }
 
@@ -299,8 +210,6 @@ impl Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn time_arithmetic() {
@@ -349,84 +258,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop().unwrap().1, ProcessId(i));
         }
-    }
-
-    #[test]
-    fn schedule_at_rejects_past() {
-        let mut q = EventQueue::new();
-        q.schedule(ProcessId(0), Time::from_ns(100));
-        let _ = q.pop();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.schedule_at(ProcessId(0), Time::from_ns(50));
-        }));
-        assert!(result.is_err());
-    }
-
-    struct Counter {
-        hits: Rc<RefCell<Vec<(u64, &'static str)>>>,
-        name: &'static str,
-        period: Time,
-        remaining: u32,
-    }
-
-    impl Process for Counter {
-        fn run(&mut self, now: Time) -> Option<Time> {
-            self.hits.borrow_mut().push((now.as_ns(), self.name));
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                None
-            } else {
-                Some(self.period)
-            }
-        }
-    }
-
-    #[test]
-    fn processes_interleave_deterministically() {
-        let hits = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new();
-        sim.spawn_at(
-            Box::new(Counter {
-                hits: hits.clone(),
-                name: "a",
-                period: Time::from_ns(10),
-                remaining: 3,
-            }),
-            Time::ZERO,
-        );
-        sim.spawn_at(
-            Box::new(Counter {
-                hits: hits.clone(),
-                name: "b",
-                period: Time::from_ns(15),
-                remaining: 2,
-            }),
-            Time::ZERO,
-        );
-        sim.run_to_completion();
-        assert_eq!(
-            *hits.borrow(),
-            vec![(0, "a"), (0, "b"), (10, "a"), (15, "b"), (20, "a"),]
-        );
-        assert_eq!(sim.now(), Time::from_ns(20));
-        assert_eq!(sim.events_processed(), 5);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let hits = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new();
-        sim.spawn_at(
-            Box::new(Counter {
-                hits: hits.clone(),
-                name: "t",
-                period: Time::from_ns(10),
-                remaining: 100,
-            }),
-            Time::ZERO,
-        );
-        sim.run_until(Time::from_ns(35));
-        assert_eq!(hits.borrow().len(), 4); // t = 0, 10, 20, 30
     }
 
     #[test]

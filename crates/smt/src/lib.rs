@@ -11,9 +11,6 @@
 //! * [`analysis`] — word-level static analysis (known-bits masks, unsigned
 //!   intervals, assumed-fact order closure) used by the engine to prune
 //!   flip queries before any bit-blasting,
-//! * [`simplify`] — a memoized bottom-up rewriter layering zext/concat
-//!   collapsing and analysis-driven constant folding on top of the
-//!   constructor-level identities,
 //! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1UIP clause
 //!   learning, Luby restarts, clause-database reduction),
 //! * [`bitblast`] — Tseitin encoding of bitvector terms to CNF,
@@ -49,7 +46,6 @@ pub mod eval;
 pub mod model;
 pub mod prefix;
 pub mod sat;
-pub mod simplify;
 pub mod smtlib;
 pub mod solver;
 pub mod term;
@@ -58,6 +54,5 @@ pub use analysis::{Analysis, BvFact};
 pub use model::Model;
 pub use prefix::{PrefixContext, PrefixError, PrefixSolveReport};
 pub use sat::{Lit, RollbackError, SatCheckpoint, SatResult, SatSolver};
-pub use simplify::{simplify, simplify_under};
 pub use solver::Solver;
 pub use term::{Op, Sort, Term, TermManager};

@@ -519,15 +519,6 @@ impl TermManager {
         self.mk(Op::Implies, vec![a, b], Sort::Bool)
     }
 
-    /// Conjunction of a slice of booleans (`true` for an empty slice).
-    pub fn and_all(&mut self, terms: &[Term]) -> Term {
-        let mut acc = self.tt();
-        for &t in terms {
-            acc = self.and(acc, t);
-        }
-        acc
-    }
-
     // ------------------------------------------------------------------
     // Predicates
     // ------------------------------------------------------------------
@@ -1136,6 +1127,12 @@ mod tests {
         let z = tm.bv_const(0, 32);
         let dz = tm.udiv(a, z);
         assert_eq!(tm.as_const(dz), Some(0xffff_ffff));
+        // `x ^ x → 0` holds for non-constant operands too.
+        let x = tm.var("x", 32);
+        let y = tm.var("y", 32);
+        let sum = tm.add(x, y);
+        let xx = tm.bv_xor(sum, sum);
+        assert_eq!(tm.as_const(xx), Some(0));
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Property tests for the word-level static-analysis layer.
 //!
-//! Three families, all checked against the ground-truth evaluator at
+//! Two families, both checked against the ground-truth evaluator at
 //! random points from the shared deterministic generator:
 //!
-//! * **Rewrites preserve meaning** — `eval(simplify(t), σ) == eval(t, σ)`
-//!   for random terms `t` and assignments `σ`, with and without an
-//!   [`Analysis`] carrying assumptions that are true under `σ`.
 //! * **Facts are sound** — for every random term, the concrete value lies
 //!   inside the computed [`BvFact`]: no must-0 bit is set, every must-1
 //!   bit is set, and the value stays within `[lo, hi]`.
@@ -20,7 +17,6 @@ use std::collections::HashMap;
 
 use binsym_smt::analysis::Analysis;
 use binsym_smt::eval::{eval, Value};
-use binsym_smt::simplify::{simplify, simplify_under};
 use binsym_smt::term::VarId;
 use binsym_smt::{Term, TermManager};
 use binsym_testutil::Rng;
@@ -38,8 +34,8 @@ fn random_pred_over(tm: &mut TermManager, rng: &mut Rng, a: Term, b: Term) -> Te
 }
 
 /// Builds a random 8-bit term over variables `x`/`y` by growing a pool,
-/// mixing arithmetic, bitwise and shift operators with the width-changing
-/// shapes the rewriter targets (extract/extend/concat) and `ite`.
+/// mixing arithmetic, bitwise and shift operators with width-changing
+/// extract/extend/concat shapes and `ite`.
 fn random_bv(tm: &mut TermManager, rng: &mut Rng, steps: usize) -> Term {
     let x = tm.var("x", 8);
     let y = tm.var("y", 8);
@@ -168,67 +164,6 @@ fn true_assumptions(
 }
 
 #[test]
-fn simplify_preserves_evaluation() {
-    let mut rng = Rng::new(0xb1a5_0005);
-    for _ in 0..128 {
-        let mut tm = TermManager::new();
-        let steps = 1 + rng.below(6) as usize;
-        let a = random_bv(&mut tm, &mut rng, steps);
-        let b = random_bv(&mut tm, &mut rng, steps);
-        // Exercise both sorts: the bv term itself and a predicate over it.
-        let t = if rng.below(2) == 0 {
-            a
-        } else {
-            random_pred_over(&mut tm, &mut rng, a, b)
-        };
-        let s = simplify(&mut tm, t);
-        let sigma = assignment(&tm, rng.next_u8(), rng.next_u8());
-        assert_eq!(
-            eval(&tm, s, &sigma).expect("assigned"),
-            eval(&tm, t, &sigma).expect("assigned"),
-            "rewrite changed the meaning of the term"
-        );
-    }
-}
-
-#[test]
-fn simplify_under_true_assumptions_preserves_evaluation() {
-    let mut rng = Rng::new(0xb1a5_0006);
-    for _ in 0..96 {
-        let mut tm = TermManager::new();
-        let xv = rng.next_u8();
-        let yv = rng.next_u8();
-        // Intern the variables before taking the assignment.
-        let _ = random_bv(&mut tm, &mut rng, 0);
-        let sigma = assignment(&tm, xv, yv);
-        let n = 1 + rng.below(3) as usize;
-        let assumed = true_assumptions(&mut tm, &mut rng, &sigma, n);
-        let mut an = Analysis::new();
-        for &a in &assumed {
-            an.assume(&tm, a);
-        }
-        assert!(
-            !an.is_contradictory(),
-            "satisfiable assumptions must not analyze as contradictory"
-        );
-        let steps = 1 + rng.below(6) as usize;
-        let a = random_bv(&mut tm, &mut rng, steps);
-        let b = random_bv(&mut tm, &mut rng, steps);
-        let t = if rng.below(2) == 0 {
-            a
-        } else {
-            random_pred_over(&mut tm, &mut rng, a, b)
-        };
-        let s = simplify_under(&mut tm, &mut an, t);
-        assert_eq!(
-            eval(&tm, s, &sigma).expect("assigned"),
-            eval(&tm, t, &sigma).expect("assigned"),
-            "assumption-driven rewrite changed the meaning of the term"
-        );
-    }
-}
-
-#[test]
 fn facts_are_sound_without_assumptions() {
     let mut rng = Rng::new(0xb1a5_0007);
     for _ in 0..128 {
@@ -256,10 +191,9 @@ fn facts_are_sound_without_assumptions() {
 }
 
 #[test]
-fn select_facts_and_simplify_match_memory_oracle() {
+fn select_facts_match_memory_oracle() {
     // Random store chains read back at random points: facts from the
-    // conservative select transfer must contain the concrete oracle value,
-    // and simplification of select/store terms must preserve evaluation.
+    // conservative select transfer must contain the concrete oracle value.
     let mut rng = Rng::new(0xb1a5_000a);
     for _ in 0..64 {
         let mut tm = TermManager::new();
@@ -297,13 +231,6 @@ fn select_facts_and_simplify_match_memory_oracle() {
         assert!(
             (f.lo..=f.hi).contains(&expected),
             "interval excludes oracle value: {expected:#x} {f:?}"
-        );
-
-        let s = simplify(&mut tm, sel);
-        assert_eq!(
-            eval_bv(&tm, s, &sigma),
-            expected,
-            "rewrite changed the meaning of the select"
         );
     }
 }

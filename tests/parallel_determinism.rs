@@ -41,6 +41,12 @@
 //! reproduce the *default* run byte-for-byte (policy inertness), and the
 //! default `eq` policy is contractually the pre-policy engine.
 //!
+//! Every comparison above is relative, so a drift that moved all fresh-solver
+//! models alike would pass them. The cold 1-worker record stream is
+//! therefore also pinned to a digest of its encoded bytes; records are
+//! byte-identical across worker counts and warm or cold, so the pin fixes
+//! those runs' records too.
+//!
 //! The three big programs run under `#[ignore]` so the debug-mode tier-1
 //! suite stays fast; CI runs them in release with `--include-ignored`.
 
@@ -51,8 +57,9 @@ use std::sync::{Arc, Mutex};
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_repro::binsym::{
-    AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CountingObserver, MetricsRegistry,
-    Observer, PathRecord, Prescription, RandomRestart, Session, Summary, TraceSink, TrailEntry,
+    encode_seq, AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CountingObserver,
+    MetricsRegistry, Observer, PathRecord, Prescription, RandomRestart, Session, Summary,
+    TraceSink, TrailEntry,
 };
 use binsym_repro::isa::Spec;
 
@@ -120,6 +127,19 @@ fn parallel_run_configured(
     let mut session = builder.build_parallel().expect("builds");
     let summary = session.run_all().expect("explores");
     (summary, session.records().to_vec())
+}
+
+/// Checks the path count of a cold 1-worker run under the default policy
+/// and the 64-bit FNV-1a digest of its encoded record stream.
+fn check_cold_records_pinned(p: &Program, pinned: u64) {
+    let (summary, records) = parallel_run(p, 1, None);
+    assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for b in encode_seq(&records) {
+        digest ^= u64::from(b);
+        digest = digest.wrapping_mul(0x0100_0000_01b3);
+    }
+    assert_eq!(digest, pinned, "{}: digest {digest:#018x}", p.name);
 }
 
 fn assert_summaries_equal(a: &Summary, b: &Summary, what: &str) {
@@ -739,4 +759,33 @@ fn uri_parser_policies_are_inert_on_concrete_addresses() {
     let what = format!("uri-parser ({policy})");
     assert_summaries_equal(&summary, &ref_summary, &what);
     assert_eq!(records, ref_records, "{what}: byte-identical to default");
+}
+
+#[test]
+fn clif_parser_cold_records_are_pinned() {
+    check_cold_records_pinned(&programs::CLIF_PARSER, 0x3e9c_0960_f754_8a40);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn bubble_sort_cold_records_are_pinned() {
+    check_cold_records_pinned(&programs::BUBBLE_SORT, 0x575a_1b17_aefe_7413);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn uri_parser_cold_records_are_pinned() {
+    check_cold_records_pinned(&programs::URI_PARSER, 0x2fc4_4984_13b1_3359);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_cold_records_are_pinned() {
+    check_cold_records_pinned(&programs::INSERTION_SORT, 0x3ebf_b537_0250_d9a9);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_cold_records_are_pinned() {
+    check_cold_records_pinned(&programs::BASE64_ENCODE, 0x82c3_2318_f037_db81);
 }

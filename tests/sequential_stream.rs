@@ -106,3 +106,19 @@ fn uri_parser_stream_is_pinned() {
     assert_eq!(paths, programs::URI_PARSER.expected_paths);
     assert_eq!(digest, 0xff57_6b7b_3958_e1f0, "digest {digest:#018x}");
 }
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_stream_is_pinned() {
+    let (paths, digest) = stream_digest(&programs::BASE64_ENCODE, AddressPolicyKind::ConcretizeEq);
+    assert_eq!(paths, programs::BASE64_ENCODE.expected_paths);
+    assert_eq!(digest, 0x327c_2413_e189_dc63, "digest {digest:#018x}");
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_stream_is_pinned() {
+    let (paths, digest) = stream_digest(&programs::INSERTION_SORT, AddressPolicyKind::ConcretizeEq);
+    assert_eq!(paths, programs::INSERTION_SORT.expected_paths);
+    assert_eq!(digest, 0x92df_6b61_29ee_1c67, "digest {digest:#018x}");
+}

@@ -7,6 +7,18 @@
 //! queries are posed under assumptions, which is how the SMT layer implements
 //! `push`/`pop` (frame guard literals).
 //!
+//! Values are stored per literal: two entries per variable, both written by
+//! `enqueue` and cleared by `backtrack`, so propagation reads a literal's
+//! value with one load and no sign test.
+//!
+//! A satisfiable query assigns every variable, including the Tseitin
+//! variables of terms blasted for earlier queries. Once the trail holds all
+//! of them, `decide` empties the VSIDS heap in one pass instead of popping
+//! it. The search cannot tell: each pop would return an assigned variable
+//! for `decide` to discard, the pops would end in the same empty heap, and
+//! neither touches the activities, phases or trail from which `backtrack`
+//! refills it.
+//!
 //! The solver is deliberately free of unsafe code; the workloads produced by
 //! bit-blasting the paper's benchmarks (a few thousand variables) are well
 //! within its comfort zone.
@@ -81,16 +93,6 @@ enum LBool {
     Undef,
 }
 
-impl LBool {
-    fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-}
-
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SatResult {
@@ -149,11 +151,6 @@ impl ClauseStore {
     fn lits(&self, ci: usize) -> &[Lit] {
         let h = self.headers[ci];
         &self.arena[h.off as usize..(h.off + h.len) as usize]
-    }
-
-    fn lits_mut(&mut self, ci: usize) -> &mut [Lit] {
-        let h = self.headers[ci];
-        &mut self.arena[h.off as usize..(h.off + h.len) as usize]
     }
 
     fn is_learnt(&self, ci: usize) -> bool {
@@ -263,20 +260,6 @@ impl WatchLists {
         self.segs.resize(n, WatchSeg::default());
     }
 
-    fn len_of(&self, l: Lit) -> usize {
-        self.segs[l.index()].len as usize
-    }
-
-    fn get(&self, l: Lit, i: usize) -> Watch {
-        let s = self.segs[l.index()];
-        self.data[s.start as usize + i]
-    }
-
-    fn set_blocker(&mut self, l: Lit, i: usize, blocker: Lit) {
-        let s = self.segs[l.index()];
-        self.data[s.start as usize + i].blocker = blocker;
-    }
-
     fn push(&mut self, l: Lit, w: Watch) {
         let idx = l.index();
         let seg = self.segs[idx];
@@ -312,21 +295,20 @@ impl WatchLists {
         Some(self.data[(seg.start + seg.len) as usize])
     }
 
-    /// Removes entry `i`, moving the last entry into its place. When the
-    /// last entry is a tombstone run, one swept watch of it moves: the run
-    /// shrinks by one and entry `i` becomes a run of one.
-    fn swap_remove(&mut self, l: Lit, i: usize) {
-        let seg = self.segs[l.index()];
-        let last = (seg.start + seg.len - 1) as usize;
-        let tail = self.data[last];
+    /// Removes entry `i` of the list ending at `end`, moving the last entry
+    /// into its place, and returns the new end. When the last entry is a
+    /// tombstone run, one swept watch of it moves: the run shrinks by one
+    /// and entry `i` becomes a run of one.
+    fn swap_remove(&mut self, i: usize, end: usize) -> usize {
+        let tail = self.data[end - 1];
         let n = tail.tombstone_count();
         if n > 1 {
-            self.data[seg.start as usize + i] = Watch::tombstones(1, tail.blocker);
-            self.data[last] = Watch::tombstones(n - 1, tail.blocker);
-            return;
+            self.data[i] = Watch::tombstones(1, tail.blocker);
+            self.data[end - 1] = Watch::tombstones(n - 1, tail.blocker);
+            return end;
         }
-        self.data.swap(seg.start as usize + i, last);
-        self.segs[l.index()].len -= 1;
+        self.data.swap(i, end - 1);
+        end - 1
     }
 
     /// Drops every list `>= n` and reclaims the arena tail past the last
@@ -392,23 +374,21 @@ impl WatchLists {
 #[derive(Debug, Default, Clone)]
 struct VarHeap {
     heap: Vec<Var>,
-    pos: Vec<Option<u32>>, // position of var in heap
+    /// Position of each variable in `heap`, or [`VarHeap::ABSENT`].
+    pos: Vec<u32>,
 }
 
 impl VarHeap {
-    fn grow(&mut self, nvars: usize) {
-        self.pos.resize(nvars, None);
-    }
+    const ABSENT: u32 = u32::MAX;
 
-    fn contains(&self, v: Var) -> bool {
-        self.pos[v.0 as usize].is_some()
+    fn grow(&mut self, nvars: usize) {
+        self.pos.resize(nvars, Self::ABSENT);
     }
 
     fn push(&mut self, v: Var, act: &[f64]) {
-        if self.contains(v) {
+        if self.pos[v.0 as usize] != Self::ABSENT {
             return;
         }
-        self.pos[v.0 as usize] = Some(self.heap.len() as u32);
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, act);
     }
@@ -416,57 +396,72 @@ impl VarHeap {
     fn pop(&mut self, act: &[f64]) -> Option<Var> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("nonempty");
-        self.pos[top.0 as usize] = None;
+        self.pos[top.0 as usize] = Self::ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.pos[last.0 as usize] = Some(0);
             self.sift_down(0, act);
         }
         Some(top)
     }
 
+    /// Removes every variable: the state that popping until empty leaves.
+    fn clear(&mut self) {
+        for v in self.heap.drain(..) {
+            self.pos[v.0 as usize] = Self::ABSENT;
+        }
+    }
+
     fn update(&mut self, v: Var, act: &[f64]) {
-        if let Some(i) = self.pos[v.0 as usize] {
+        let i = self.pos[v.0 as usize];
+        if i != Self::ABSENT {
             self.sift_up(i as usize, act);
         }
     }
 
+    /// Moves the variable at `i` up past every parent of lower activity,
+    /// shifting those parents down into the hole it leaves.
     fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if act[self.heap[i].0 as usize] <= act[self.heap[parent].0 as usize] {
+            let pv = self.heap[parent];
+            if act[v.0 as usize] <= act[pv.0 as usize] {
                 break;
             }
-            self.swap(i, parent);
+            self.place(pv, i);
             i = parent;
         }
+        self.place(v, i);
     }
 
+    /// Moves the variable at `i` down past every larger child, shifting
+    /// the larger child up into the hole at each level.
     fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
         loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && act[self.heap[l].0 as usize] > act[self.heap[best].0 as usize]
-            {
-                best = l;
-            }
-            if r < self.heap.len() && act[self.heap[r].0 as usize] > act[self.heap[best].0 as usize]
-            {
-                best = r;
-            }
-            if best == i {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
                 break;
             }
-            self.swap(i, best);
-            i = best;
+            let r = child + 1;
+            if r < self.heap.len()
+                && act[self.heap[r].0 as usize] > act[self.heap[child].0 as usize]
+            {
+                child = r;
+            }
+            let cv = self.heap[child];
+            if act[cv.0 as usize] <= act[v.0 as usize] {
+                break;
+            }
+            self.place(cv, i);
+            i = child;
         }
+        self.place(v, i);
     }
 
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i].0 as usize] = Some(i as u32);
-        self.pos[self.heap[j].0 as usize] = Some(j as u32);
+    fn place(&mut self, v: Var, i: usize) {
+        self.heap[i] = v;
+        self.pos[v.0 as usize] = i as u32;
     }
 
     /// Drops every variable `>= nvars`, preserving the relative order of
@@ -477,7 +472,7 @@ impl VarHeap {
         self.heap.retain(|v| (v.0 as usize) < nvars);
         self.pos.truncate(nvars);
         for (i, v) in self.heap.iter().enumerate() {
-            self.pos[v.0 as usize] = Some(i as u32);
+            self.pos[v.0 as usize] = i as u32;
         }
     }
 }
@@ -587,7 +582,7 @@ pub struct SatStats {
 pub struct SatSolver {
     clauses: ClauseStore,
     watches: WatchLists, // one list per Lit::index
-    assigns: Vec<LBool>,
+    vals: Vec<LBool>,    // one value per Lit::index
     phase: Vec<bool>,
     reason: Vec<Option<u32>>,
     level: Vec<u32>,
@@ -599,6 +594,8 @@ pub struct SatSolver {
     cla_inc: f64,
     heap: VarHeap,
     seen: Vec<bool>,
+    /// `add_clause`'s scratch buffer for the simplified clause.
+    add_buf: Vec<Lit>,
     unsat: bool, // became unsat at level 0
     stats: SatStats,
     max_learnts: f64,
@@ -669,7 +666,7 @@ impl SatSolver {
                 solver: self.log_id,
                 ops: log.len(),
                 version: self.log_version,
-                vars: self.assigns.len(),
+                vars: self.num_vars(),
                 clauses: self.clauses.len(),
                 trail: self.trail.len(),
                 unsat: self.unsat,
@@ -757,7 +754,7 @@ impl SatSolver {
         !self.solved
             && !self.watches_perturbed
             && self.trail_lim.is_empty()
-            && cp.vars <= self.assigns.len()
+            && cp.vars <= self.num_vars()
             && cp.clauses <= self.clauses.len()
             && cp.trail <= self.trail.len()
             && self.trail[cp.trail..]
@@ -784,7 +781,7 @@ impl SatSolver {
         self.clauses.truncate(cp.clauses);
         self.trail.truncate(cp.trail);
         self.qhead = self.trail.len();
-        self.assigns.truncate(cp.vars);
+        self.vals.truncate(2 * cp.vars);
         self.phase.truncate(cp.vars);
         self.reason.truncate(cp.vars);
         self.level.truncate(cp.vars);
@@ -803,7 +800,7 @@ impl SatSolver {
         SatSolver {
             clauses: self.clauses.clone(),
             watches: self.watches.clone(),
-            assigns: self.assigns.clone(),
+            vals: self.vals.clone(),
             phase: self.phase.clone(),
             reason: self.reason.clone(),
             level: self.level.clone(),
@@ -815,6 +812,7 @@ impl SatSolver {
             cla_inc: self.cla_inc,
             heap: self.heap.clone(),
             seen: self.seen.clone(),
+            add_buf: Vec::new(),
             unsat: self.unsat,
             stats: self.stats,
             max_learnts: self.max_learnts,
@@ -829,7 +827,7 @@ impl SatSolver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.vals.len() / 2
     }
 
     /// Number of problem (non-learnt) clauses.
@@ -851,37 +849,21 @@ impl SatSolver {
             self.op_versions.push(self.log_version);
             self.log_version += 1;
         }
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.num_vars() as u32);
+        self.vals.extend([LBool::Undef; 2]);
         self.phase.push(false);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.grow_lists(2 * self.assigns.len());
-        self.heap.grow(self.assigns.len());
+        self.watches.grow_lists(self.vals.len());
+        self.heap.grow(self.num_vars());
         self.heap.push(v, &self.activity);
         v
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().0 as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_neg() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-            LBool::False => {
-                if l.is_neg() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-        }
+        self.vals[l.index()]
     }
 
     /// Value of `v` in the model found by the last successful [`SatSolver::solve`].
@@ -889,7 +871,7 @@ impl SatSolver {
     /// Returns `None` for unassigned variables (possible for variables that
     /// do not influence satisfiability).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.0 as usize] {
+        match self.lit_value(Lit::pos(v)) {
             LBool::True => Some(true),
             LBool::False => Some(false),
             LBool::Undef => None,
@@ -915,22 +897,23 @@ impl SatSolver {
         if self.unsat {
             return;
         }
-        // Simplify: dedupe, drop false literals, detect tautology / satisfied.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            match self.lit_value(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False => continue,
-                LBool::Undef => {}
+        // Simplify into the reusable buffer: dedupe, drop false literals,
+        // and add nothing for a satisfied clause or a tautology.
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        let keep = lits.iter().all(|&l| match self.lit_value(l) {
+            LBool::True => false,
+            LBool::False => true,
+            LBool::Undef if c.contains(&!l) => false,
+            LBool::Undef => {
+                if !c.contains(&l) {
+                    c.push(l);
+                }
+                true
             }
-            if c.contains(&!l) {
-                return; // tautology
-            }
-            if !c.contains(&l) {
-                c.push(l);
-            }
-        }
+        });
         match c.len() {
+            _ if !keep => {}
             0 => self.unsat = true,
             1 => {
                 self.enqueue(c[0], None);
@@ -942,6 +925,7 @@ impl SatSolver {
                 self.attach_clause(&c, false);
             }
         }
+        self.add_buf = c;
     }
 
     fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
@@ -972,7 +956,8 @@ impl SatSolver {
     fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         let v = l.var().0 as usize;
-        self.assigns[v] = LBool::from_bool(!l.is_neg());
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         self.phase[v] = !l.is_neg();
         self.reason[v] = reason;
         self.level[v] = self.decision_level();
@@ -988,41 +973,45 @@ impl SatSolver {
     /// Iterates `p`'s watch list in place: a moved watch is pushed onto
     /// `!l`'s list, and `l == !p` is impossible there (`l` is non-false
     /// while `!p` is false), so no push can ever relocate or grow the list
-    /// being iterated — indices into it stay stable throughout.
+    /// being iterated. Its segment start, read once, stays valid throughout,
+    /// and its length is kept in `end` and stored back after the walk.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let mut i = 0;
+            let false_lit = !p;
+            let seg = self.watches.segs[p.index()];
+            let mut i = seg.start as usize;
+            let mut end = i + seg.len as usize;
             let mut conflict: Option<u32> = None;
-            'watches: while i < self.watches.len_of(p) {
-                let w = self.watches.get(p, i);
+            'watches: while i < end {
+                let w = self.watches.data[i];
                 // Quick check: blocker already true?
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.vals[w.blocker.index()] == LBool::True {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
+                let h = self.clauses.headers[w.clause as usize];
+                let lits = &mut self.clauses.arena[h.off as usize..(h.off + h.len) as usize];
                 // Ensure the false literal (!p) is at position 1.
-                let false_lit = !p;
-                if self.clauses.lits(ci)[0] == false_lit {
-                    self.clauses.lits_mut(ci).swap(0, 1);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                     self.watches_perturbed = true;
                 }
-                debug_assert_eq!(self.clauses.lits(ci)[1], false_lit);
-                let first = self.clauses.lits(ci)[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    self.watches.set_blocker(p, i, first);
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != w.blocker && self.vals[first.index()] == LBool::True {
+                    self.watches.data[i].blocker = first;
                     self.watches_perturbed = true;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses.lits(ci).len() {
-                    let l = self.clauses.lits(ci)[k];
-                    if self.lit_value(l) != LBool::False {
-                        self.clauses.lits_mut(ci).swap(1, k);
+                for k in 2..lits.len() {
+                    let l = lits[k];
+                    if self.vals[l.index()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches.push(
                             !l,
                             Watch {
@@ -1030,15 +1019,15 @@ impl SatSolver {
                                 blocker: first,
                             },
                         );
-                        self.watches.swap_remove(p, i);
+                        end = self.watches.swap_remove(i, end);
                         self.watches_perturbed = true;
                         continue 'watches;
                     }
                 }
                 // Clause is unit or conflicting.
-                self.watches.set_blocker(p, i, first);
+                self.watches.data[i].blocker = first;
                 self.watches_perturbed = true;
-                if self.lit_value(first) == LBool::False {
+                if self.vals[first.index()] == LBool::False {
                     conflict = Some(w.clause);
                     self.qhead = self.trail.len();
                     break;
@@ -1046,6 +1035,7 @@ impl SatSolver {
                 self.enqueue(first, Some(w.clause));
                 i += 1;
             }
+            self.watches.segs[p.index()].len = (end - seg.start as usize) as u32;
             if conflict.is_some() {
                 return conflict;
             }
@@ -1174,12 +1164,10 @@ impl SatSolver {
         let lim = self.trail_lim[level as usize] as usize;
         for i in (lim..self.trail.len()).rev() {
             let l = self.trail[i];
-            let v = l.var().0 as usize;
-            self.assigns[v] = LBool::Undef;
-            self.reason[v] = None;
-            if !self.heap.contains(l.var()) {
-                self.heap.push(l.var(), &self.activity);
-            }
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
+            self.reason[l.var().0 as usize] = None;
+            self.heap.push(l.var(), &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level as usize);
@@ -1187,8 +1175,13 @@ impl SatSolver {
     }
 
     fn decide(&mut self) -> Option<Lit> {
+        // Every variable is assigned: popping would throw each one away.
+        if self.trail.len() == self.num_vars() {
+            self.heap.clear();
+            return None;
+        }
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v.0 as usize] == LBool::Undef {
+            if self.lit_value(Lit::pos(v)) == LBool::Undef {
                 let phase = self.phase[v.0 as usize];
                 return Some(Lit::new(v, !phase));
             }
@@ -1200,9 +1193,7 @@ impl SatSolver {
         // Sort learnt clause indices by activity and remove the weaker half.
         let mut learnt_idx: Vec<usize> = (0..self.clauses.len())
             .filter(|&i| {
-                self.clauses.is_learnt(i)
-                    && !self.is_reason(i as u32)
-                    && self.clauses.lits(i).len() > 2
+                self.clauses.is_learnt(i) && !self.is_reason(i) && self.clauses.lits(i).len() > 2
             })
             .collect();
         learnt_idx.sort_by(|&a, &b| {
@@ -1297,10 +1288,13 @@ impl SatSolver {
         swept
     }
 
-    fn is_reason(&self, ci: u32) -> bool {
-        self.trail
-            .iter()
-            .any(|l| self.reason[l.var().0 as usize] == Some(ci))
+    /// True when clause `ci` is the reason of an assignment (MiniSat's
+    /// "locked"). Only its first literal can be: `enqueue` records a reason
+    /// for the literal at `lits[0]`, propagation never moves a true
+    /// `lits[0]`, and `backtrack` clears the reason with the assignment.
+    fn is_reason(&self, ci: usize) -> bool {
+        let first = self.clauses.lits(ci)[0];
+        self.reason[first.var().0 as usize] == Some(ci as u32)
     }
 
     fn luby(x: u64) -> u64 {

@@ -417,8 +417,13 @@ impl TermManager {
     /// widths must then agree.
     ///
     /// # Panics
-    /// Panics on a width mismatch with an earlier registration.
+    /// Panics if `width` is 0 or greater than [`MAX_WIDTH`], or on a width
+    /// mismatch with an earlier registration.
     pub fn var(&mut self, name: &str, width: u32) -> Term {
+        assert!(
+            (1..=MAX_WIDTH).contains(&width),
+            "unsupported width {width}"
+        );
         self.typed_var(name, Sort::BitVec(width))
     }
 
@@ -1306,5 +1311,17 @@ mod tests {
         let second = build(&mut tm);
         assert_eq!(first, second, "reset restarts handle numbering");
         assert!(tm.find_var("noise").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported width 0")]
+    fn zero_width_var_is_rejected() {
+        TermManager::new().var("x", 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported width 65")]
+    fn var_wider_than_max_width_is_rejected() {
+        TermManager::new().var("x", MAX_WIDTH + 1);
     }
 }

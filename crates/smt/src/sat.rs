@@ -1289,9 +1289,10 @@ impl SatSolver {
     }
 
     /// True when clause `ci` is the reason of an assignment (MiniSat's
-    /// "locked"). Only its first literal can be: `enqueue` records a reason
-    /// for the literal at `lits[0]`, propagation never moves a true
-    /// `lits[0]`, and `backtrack` clears the reason with the assignment.
+    /// "locked"). Only the variable of its `lits[0]` can be: `enqueue`
+    /// records a clause as the reason of its `lits[0]`, propagation never
+    /// moves a true `lits[0]`, and `backtrack` clears the reason with the
+    /// assignment.
     fn is_reason(&self, ci: usize) -> bool {
         let first = self.clauses.lits(ci)[0];
         self.reason[first.var().0 as usize] == Some(ci as u32)

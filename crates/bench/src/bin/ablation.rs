@@ -11,7 +11,7 @@
 //!    1..=N workers vs. the sequential incremental engine, isolating what
 //!    the prescription-replay model costs and what the parallelism buys
 //!    back; each worker count also runs with the deterministic
-//!    prefix-keyed warm start (`.warm_start(true)`), quantifying how much
+//!    warm start (`.warm_start(true)`), quantifying how much
 //!    replayed-prefix cost the cache claws back (per-path seconds and
 //!    cache hit/reuse counters in the `--json` rows) — with results
 //!    byte-identical to the cache-off run by construction.
@@ -74,7 +74,7 @@
 //! them as exact per-round means, which need not be whole.
 //!
 //! `--smoke` is the CI-sized run: ablation 3 (warm start on/off, on the
-//! smallest Table I program and on uri-parser — the structural-keying
+//! smallest Table I program and on uri-parser — the cross-parent reuse
 //! canary, whose warm rows are asserted to show `warm_prefix_reused > 0`)
 //! plus ablation 5 (gate on/off on the smallest program and on bubble
 //! sort — the one with infeasible flips) plus ablation 7 (both memory
@@ -128,8 +128,9 @@ fn main() {
         let max_workers = opts.workers.unwrap_or(2);
         // uri-parser rides along in the CI-sized run because it is the
         // program whose flip set only shares prefixes *across* parents:
-        // its `warm_prefix_reused` was exactly 0 under input keying, so
-        // it is the regression canary for the structural context keys.
+        // its `warm_prefix_reused` was exactly 0 when contexts were keyed
+        // by parent input, so it is the regression canary for the worker
+        // context's cross-parent reuse.
         ablation3(
             &[programs::CLIF_PARSER, programs::URI_PARSER],
             max_workers,
@@ -225,9 +226,9 @@ fn main() {
 
     let max_workers = opts.workers.unwrap_or(4);
     // Ablations 3–6 cover all five Table I programs (`--quick` keeps the
-    // small ones). The structural context keys must show nonzero prefix
-    // reuse on every one of them, so the full run records warm counters
-    // for the whole table.
+    // small ones). The warm context must show nonzero prefix reuse on
+    // every one of them, so the full run records warm counters for the
+    // whole table.
     let table1: Vec<_> = all_programs()
         .into_iter()
         .filter(|p| !(opts.quick && p.expected_paths > 1000))
@@ -449,10 +450,10 @@ fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: 
     }
 }
 
-/// Asserts the `--smoke` structural-keying datapoint: every warm
+/// Asserts the `--smoke` cross-parent reuse datapoint: every warm
 /// worker-scaling row of `benchmark` must show nonzero retained-context
-/// prefix reuse. Under the pre-structural input keying uri-parser sat at
-/// `warm_prefix_reused: 0` — this is the counter CI pins above zero.
+/// prefix reuse. When contexts were keyed by parent input, uri-parser sat
+/// at `warm_prefix_reused: 0` — this is the counter CI pins above zero.
 fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
     let mut saw_warm_row = false;
     for row in rows {
@@ -472,7 +473,7 @@ fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
         };
         assert!(
             reused > 0.0,
-            "{benchmark}: warm_prefix_reused must stay > 0 under structural context keys"
+            "{benchmark}: warm_prefix_reused must stay > 0 through the worker's context"
         );
     }
     assert!(saw_warm_row, "no warm worker-scaling rows for {benchmark}");

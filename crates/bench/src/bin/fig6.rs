@@ -18,8 +18,7 @@
 //! `ParallelSession` variant of every persona instead; path counts must
 //! not change — and neither may they under `--strategy bfs|coverage`
 //! (full exploration is strategy-independent; coverage runs also report
-//! covered text PCs). `--json PATH` writes the machine-readable summary
-//! tracked in `BENCH_*.json`.
+//! covered text PCs). `--json PATH` writes the machine-readable summary.
 //!
 //! `--metrics` adds per-row phase seconds (execute vs solve vs gate,
 //! averaged over the `--runs` rounds) and query-latency percentiles;

@@ -21,7 +21,7 @@
 //! may `--strategy bfs|coverage`: every policy enumerates the complete
 //! path set, only the discovery order differs (coverage runs additionally
 //! report covered text PCs). `--json PATH` writes a machine-readable
-//! summary for the perf trajectory tracked in `BENCH_*.json`.
+//! summary.
 //!
 //! `--metrics` collects per-phase wall time and solver-query latency
 //! percentiles into each JSON row; `--trace PATH` records every run of the

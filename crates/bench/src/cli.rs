@@ -1,7 +1,7 @@
 //! Shared command-line plumbing for the bench bins: `--workers` /
 //! `BINSYM_WORKERS` resolution, the per-run [`RunSpec`] and campaign trace
 //! behind the shared flags, and a dependency-free JSON writer for the
-//! machine-readable summaries tracked in `BENCH_*.json`.
+//! machine-readable `--json` summaries.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -78,7 +78,7 @@ impl BenchOpts {
             })
         };
         // A malformed count must fail loudly: silently falling back to the
-        // sequential engine would record a wrong datapoint in BENCH_*.json.
+        // sequential engine would record a wrong datapoint.
         let count = |flag: &str, raw: &str| -> usize {
             raw.parse()
                 .unwrap_or_else(|_| panic!("invalid value for {flag}: {raw:?}"))
@@ -107,8 +107,16 @@ impl BenchOpts {
             trace: value_of("--trace").map(PathBuf::from),
             metrics: args.iter().any(|a| a == "--metrics"),
             checkpoint: value_of("--checkpoint").map(PathBuf::from),
-            checkpoint_every: value_of("--checkpoint-every")
-                .map(|s| count("--checkpoint-every", s) as u64),
+            // A zero interval would be accepted here and then fail every
+            // session build after the bin has started printing its table.
+            checkpoint_every: value_of("--checkpoint-every").map(|s| {
+                match count("--checkpoint-every", s) {
+                    0 => panic!(
+                        "invalid value for --checkpoint-every: {s:?} (the interval must be at least one path)"
+                    ),
+                    n => n as u64,
+                }
+            }),
             resume: value_of("--resume").map(PathBuf::from),
         }
     }
@@ -322,7 +330,6 @@ pub fn add_counters(sum: &mut CountingObserver, round: &CountingObserver) {
     sum.warm_replays_skipped += round.warm_replays_skipped;
     sum.warm_prefix_reused += round.warm_prefix_reused;
     sum.warm_prefix_blasted += round.warm_prefix_blasted;
-    sum.warm_context_keys += round.warm_context_keys;
     sum.warm_cross_parent_reuse += round.warm_cross_parent_reuse;
     sum.sa_queries += round.sa_queries;
     sum.sa_queries_eliminated += round.sa_queries_eliminated;
@@ -371,7 +378,6 @@ pub fn warm_means(sum: &CountingObserver, runs: usize) -> Vec<(&'static str, Jso
         ("warm_replays_skipped", sum.warm_replays_skipped),
         ("warm_prefix_reused", sum.warm_prefix_reused),
         ("warm_prefix_blasted", sum.warm_prefix_blasted),
-        ("warm_context_keys", sum.warm_context_keys),
         ("warm_cross_parent_reuse", sum.warm_cross_parent_reuse),
     ]
     .into_iter()
@@ -811,6 +817,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "invalid value for --checkpoint-every: \"0\" (the interval must be at least one path)"
+    )]
+    fn zero_checkpoint_interval_fails_loudly() {
+        let args = ["--checkpoint", "ck", "--checkpoint-every", "0"].map(String::from);
+        let _ = BenchOpts::parse(args.into_iter(), None);
+    }
+
+    #[test]
     #[should_panic(expected = "--workers needs a value")]
     fn trailing_workers_flag_fails_loudly() {
         let args = vec!["--workers".to_string()];
@@ -909,7 +924,7 @@ mod tests {
         assert_eq!(mean("warm_hits"), 92.5);
         assert_eq!(mean("warm_prefix_reused"), 185.0);
         assert_eq!(mean("warm_misses"), 0.0);
-        assert_eq!(warm.len(), 7, "every warm counter is reported");
+        assert_eq!(warm.len(), 6, "every warm counter is reported");
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   coverage-guided with covered-PC reporting) and memory policy, with
 //!   optional metrics, tracing, and checkpoint/resume.
 //! * [`cli`] — shared `--workers`/`--strategy`/`--json`/`--trace` plumbing
-//!   and the dependency-free JSON writer behind the `BENCH_*.json`
-//!   summaries.
+//!   and the dependency-free JSON writer behind the `--json` summaries.
 //!
 //! Reproduce the paper's artifacts with:
 //!

@@ -161,7 +161,7 @@ fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
 /// model. The caller reports the result through [`Observer::on_query`].
 ///
 /// The sequential session passes its long-lived incremental solver; cold
-/// replay and the warm cache's unpromoted parents pass `Solver::new()`.
+/// replay, and the warm cache when its context fails, pass `Solver::new()`.
 pub(crate) fn solve(
     solver: &mut Solver,
     tm: &mut TermManager,

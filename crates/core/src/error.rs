@@ -46,10 +46,11 @@ pub enum Error {
         /// What diverged.
         what: &'static str,
     },
-    /// A warm-start cache operation failed (a stale or foreign cached
-    /// context frame). Always an engine bug; surfaced as a typed error so
-    /// a worker thread fails one prescription deterministically instead of
-    /// panicking mid-exploration.
+    /// A warm-start solver invariant broke (a satisfiable query produced
+    /// no model). Always an engine bug; surfaced as a typed error so a
+    /// worker thread fails one prescription deterministically instead of
+    /// panicking mid-exploration. A cached context that cannot roll back
+    /// is not an error: the cache drops it and solves the query cold.
     WarmStart {
         /// What went wrong.
         what: &'static str,

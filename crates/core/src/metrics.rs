@@ -50,8 +50,8 @@ pub enum Phase {
     Solve,
     /// Screening a flip query through the word-level static-analysis gate.
     Gate,
-    /// Building a retained warm-start prefix context (promotion), including
-    /// the up-front blast of the shared prefix.
+    /// The query that builds a worker's fresh warm-start prefix context,
+    /// including the blast of its whole prefix and its solve.
     WarmPromote,
     /// Solving a flip on a retained warm context — scratch-clone reuse,
     /// rollback bookkeeping, and the `check_sat` itself.

@@ -23,15 +23,14 @@ use crate::session::PathOutcome;
 /// The cache affects wall time only, never results, so these counters are
 /// the *only* observable difference between a warm and a cold run — use
 /// them to quantify how much replayed-prefix work the cache clawed back
-/// (the engines bench and ablation 3 aggregate them via
+/// (ablation 3 and the hunt benchmark aggregate them via
 /// [`crate::CountingObserver`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmQueryStats {
     /// The query result (same value the paired `on_query` received).
     pub result: SatResult,
-    /// A cache entry for the parent input was resident (its trail — and,
-    /// for a promoted parent, its retained solver context — was reused).
-    /// Promotion is lazy, so a hit does *not* imply a retained context:
+    /// The parent input's trail was resident in the worker's trail list.
+    /// Prefix reuse in the worker's context does not depend on it:
     /// [`WarmQueryStats::prefix_reused`] is the context-reuse signal.
     pub cache_hit: bool,
     /// The parent-prefix re-execution was skipped entirely (the trail was
@@ -42,12 +41,9 @@ pub struct WarmQueryStats {
     pub prefix_reused: u64,
     /// Prefix path terms bit-blasted anew for this query.
     pub prefix_blasted: u64,
-    /// No structurally matching context key was resident, so the query
-    /// opened a fresh structural-context entry.
-    pub context_key_created: bool,
-    /// The structural context entry serving this query was last used by a
-    /// *different* parent input — the cross-parent sharing the structural
-    /// keying exists for.
+    /// The worker's context served its previous query for a *different*
+    /// parent input — the cross-parent sharing that one shared term
+    /// manager makes possible.
     pub cross_parent_reuse: bool,
 }
 
@@ -246,10 +242,10 @@ pub struct CountingObserver {
     pub queries: u64,
     /// Queries that came back satisfiable.
     pub sat_queries: u64,
-    /// Warm-start queries that found a cache entry for their parent
-    /// input (see [`WarmQueryStats::cache_hit`]).
+    /// Warm-start queries that found their parent input's trail cached
+    /// (see [`WarmQueryStats::cache_hit`]).
     pub warm_hits: u64,
-    /// Warm-start queries that had to build a fresh cache entry.
+    /// Warm-start queries that had to record a fresh parent trail.
     pub warm_misses: u64,
     /// Warm-start queries that skipped the parent-prefix re-execution.
     pub warm_replays_skipped: u64,
@@ -257,10 +253,8 @@ pub struct CountingObserver {
     pub warm_prefix_reused: u64,
     /// Prefix path terms bit-blasted anew by warm-start queries.
     pub warm_prefix_blasted: u64,
-    /// Structural context keys opened (fresh context-cache entries).
-    pub warm_context_keys: u64,
-    /// Warm-start queries served by a structural context entry last used
-    /// by a different parent input (cross-parent sharing).
+    /// Warm-start queries whose context last served a different parent
+    /// input (cross-parent sharing).
     pub warm_cross_parent_reuse: u64,
     /// Flip queries screened by the static-analysis gate.
     pub sa_queries: u64,
@@ -313,9 +307,6 @@ impl Observer for CountingObserver {
         }
         self.warm_prefix_reused += stats.prefix_reused;
         self.warm_prefix_blasted += stats.prefix_blasted;
-        if stats.context_key_created {
-            self.warm_context_keys += 1;
-        }
         if stats.cross_parent_reuse {
             self.warm_cross_parent_reuse += 1;
         }

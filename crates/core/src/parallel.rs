@@ -40,14 +40,15 @@
 //! The price of replay is re-executing each parent prefix once per spawned
 //! flip (bounded by the early-stopping
 //! [`PathExecutor::execute_prefix`]) and forgoing cross-query solver
-//! incrementality; the parallel speedup has to buy that back, which it
-//! does on multi-core hardware for the big Table I workloads (see the
-//! `engines` bench). [`crate::SessionBuilder::warm_start`] claws most of
-//! that price back *without* giving up determinism: each worker keeps a
-//! bounded cache keyed by parent input that reuses the parent-prefix
-//! trail and its bit-blast across consecutive prescriptions from the same
-//! subtree, solving each flip in a disposable frame on top — bit-identical
-//! results, cheaper replays (see [`crate::warm`] and ablation 3).
+//! incrementality; the parallel speedup has to buy that back (the hunt
+//! benchmark's `par-cold` and `par-warm` workloads measure both).
+//! [`crate::SessionBuilder::warm_start`] claws most of that price back
+//! *without* giving up determinism: each worker keeps its most recently
+//! used parent trails and one retained prefix context, so consecutive
+//! prescriptions from the same subtree skip the prefix re-execution and
+//! reuse the prefix's bit-blast, solving each flip in a disposable frame
+//! on top — bit-identical results, cheaper replays (see [`crate::warm`]
+//! and ablation 3).
 //!
 //! # Canonical truncation
 //!
@@ -684,7 +685,7 @@ impl ParallelSession {
         self.strategy_name
     }
 
-    /// True when the deterministic prefix-keyed warm start is enabled
+    /// True when the deterministic warm start is enabled
     /// ([`crate::SessionBuilder::warm_start`]).
     pub fn warm_start(&self) -> bool {
         self.warm_capacity.is_some()

@@ -504,16 +504,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables the deterministic prefix-keyed solver warm start for
-    /// parallel sessions (default: off). Each worker keeps a bounded
-    /// cache ([`crate::warm::WARM_CAPACITY`] entries per half, evicted
-    /// least-recently-used) keyed by parent concrete input: the
-    /// parent-prefix trail is executed once and reused, and the prefix's
-    /// bit-blast is held open in a reusable solver context with each flip
-    /// solved in a disposable frame on top. The cache affects **wall time
-    /// only, never models** — merged records stay byte-identical to a
-    /// cache-off run on every worker count, schedule, and hit pattern (see
-    /// [`crate::warm`]).
+    /// Enables the deterministic solver warm start for parallel sessions
+    /// (default: off). Each worker keeps its [`crate::warm::WARM_CAPACITY`]
+    /// most recently used parent trails, keyed by parent concrete input,
+    /// so a parent's prefix is executed once and reused; and one retained
+    /// solver context holding the last query's prefix bit-blast, with each
+    /// flip solved in a disposable frame on top. The cache affects **wall
+    /// time only, never models** — merged records stay byte-identical to
+    /// a cache-off run on every worker count, schedule, and hit pattern
+    /// (see [`crate::warm`]).
     ///
     /// Parallel-only (the sequential engine already has true cross-query
     /// incrementality).

@@ -1,40 +1,24 @@
-//! The deterministic structurally-keyed solver warm start of the
-//! parallel engine.
+//! The deterministic solver warm start of the parallel engine.
 //!
 //! Cache-off prescription replay ([`crate::parallel`]) pays twice per
 //! flip query: it re-executes the parent input's path prefix to reproduce
 //! the trail, and it bit-blasts that prefix into a brand-new solver.
 //! Consecutive prescriptions from the same subtree — siblings under DFS,
-//! affine pops under [`crate::CoverageGuided`] — replay prefixes that are
-//! *structurally* identical even when their parent inputs differ. A
-//! per-worker [`WarmCache`] therefore splits the shared work into two
-//! caches over one shared [`TermManager`]:
+//! affine pops under [`crate::CoverageGuided`] — replay the same parent,
+//! or parents whose prefixes share a long leading run. A per-worker
+//! `WarmCache` keeps both kinds of work over one shared [`TermManager`]:
 //!
-//! * the **trail cache** keys recorded trails by the parent's concrete
-//!   input (the trail's witness values are input-dependent); a cached
-//!   trail is re-executed only when a later query needs a *deeper*
-//!   prefix than was recorded;
-//! * the **context cache** keys retained
-//!   [`binsym_smt::PrefixContext`]s by the **structural decision
-//!   prefix** — the sequence of [`DecisionKey`]s: one per trail entry,
-//!   `(branch-site pc, asserted direction)` for branches and
-//!   `(site pc, concretization choice)` for address concretizations.
-//!   The key is input-independent. Execution is deterministic, so
-//!   two parents whose trails share a leading decision run derive the
-//!   *same* path-condition terms for it (the shared term manager
-//!   hash-conses them to identical handles), and one retained bit-blast
-//!   serves them both: a query is routed to the resident entry sharing
-//!   the longest leading run with its own key (ties to the most recently
-//!   used entry), and the entry's key follows the last query served.
-//!   Contexts are **lazily promoted** ([`PROMOTE_AFTER_QUERIES`]): the
-//!   promotion counter lives on the structural entry, so sibling parents
-//!   pool their queries toward promotion and the retained context's
-//!   bookkeeping (op log, per-query scratch clone) taxes only regions
-//!   with proven reuse.
-//!
-//! Both caches are bounded and LRU-evicted through an intrusive recency
-//! list ([`Lru`]): touch, insert, and evict are all O(1) (the previous
-//! per-insertion `min_by_key` scan was O(entries)).
+//! * the **parent trails**, keyed by the parent's concrete input (the
+//!   trail's witness values are input-dependent): a list of at most
+//!   [`WARM_CAPACITY`] trails, most recently used first. A cached trail is
+//!   re-executed only when a later query needs a *deeper* prefix than was
+//!   recorded;
+//! * one retained [`PrefixContext`] that every residual flip query of the
+//!   worker solves through. Execution is deterministic and the shared
+//!   term manager hash-conses, so two parents that take the same leading
+//!   decisions derive identical prefix terms, and the context reuses the
+//!   blasted run a query shares with the previous one, whichever parent
+//!   that came from.
 //!
 //! # Determinism
 //!
@@ -50,19 +34,18 @@
 //!    per-query solver *regardless of its retained state*: the retained
 //!    prefix is pristine (never solved on), every flip runs in a scratch
 //!    clone, and [`PrefixContext::solve_flip`] recomputes the true
-//!    term-level shared run on every query — so even routing a query to
-//!    a structurally unrelated context only costs time (a full rollback
-//!    and re-blast), never correctness (see `binsym_smt::prefix` for the
-//!    full argument). Structural matching is purely a search heuristic.
-//! 3. Eviction only discards cached state; a rebuilt trail or context
-//!    reproduces the evicted one's answers exactly (same pure function).
+//!    term-level shared run on every query — so a query that shares
+//!    nothing with the previous one only costs time (a full rollback and
+//!    re-blast), never correctness (see `binsym_smt::prefix` for the full
+//!    argument).
+//! 3. Dropping state only discards work: a trail pushed off the list is
+//!    rebuilt by the same pure function, and a context that cannot roll
+//!    back is dropped while its query is solved cold, bit-identically.
 //!
 //! Everything observable beyond timing — results, models, spawned
 //! prescriptions — is therefore a pure function of the prescription, as
-//! in cache-off mode; only the hit/miss counters surfaced through
+//! in cache-off mode; only the counters surfaced through
 //! [`crate::Observer::on_warm_query`] reveal the cache at all.
-
-use std::collections::HashMap;
 
 use binsym_smt::{PrefixContext, SatResult, Solver, TermManager};
 
@@ -74,145 +57,13 @@ use crate::observe::{Observer, WarmQueryStats};
 use crate::prescribe::{witness_bytes, Flip};
 use crate::session::PathExecutor;
 
-/// Bound on each cache half per worker (resident parent trails, and
-/// resident structural contexts). Unpromoted entries are cheap (a trail and
-/// a promotion counter), so the bound leans toward covering a depth-first
-/// worker's ancestor chain.
+/// Bound on the parent trails each worker keeps. A trail is cheap, so the
+/// bound leans toward covering a depth-first worker's ancestor chain.
 pub const WARM_CAPACITY: usize = 16;
 
-/// Number of flip queries a parent must receive before it is promoted to
-/// a retained [`PrefixContext`]. Promotion re-blasts the prefix into the
-/// context and pays the context's bookkeeping (op log, per-query scratch
-/// clone) from then on, so it must only happen where further siblings are
-/// actually likely: the measured query-multiplicity distribution is
-/// heavily skewed (most parents are queried once or twice, a few hubs
-/// tens of times), and promoting on the *fourth* query captures the hubs
-/// while never taxing the long tail — interleaved A/B timing across the
-/// Table I shapes shows earlier promotion regressing the tail-heavy
-/// programs and this threshold winning on all of them.
-const PROMOTE_AFTER_QUERIES: u32 = 3;
-
-/// Sentinel for "no slot" in the intrusive recency list.
-const NIL: u32 = u32::MAX;
-
-/// One element of a structural decision prefix — the input-independent
-/// identity of one trail entry. Both kinds of trail decisions are keyed:
-/// two prefixes only share a bit-blast when they agree on every branch
-/// direction *and* every address-concretization choice, because a
-/// concretization pin (`addr == c`, or a window constraint) is part of the
-/// path condition exactly like a branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum DecisionKey {
-    /// A symbolic branch: site and the direction asserted on this path.
-    Branch {
-        /// Program counter of the branch site.
-        pc: u32,
-        /// Direction the path took.
-        taken: bool,
-    },
-    /// An address concretization: site and the choice the policy pinned
-    /// (the concrete address under the eq/min policies, the window base
-    /// under the symbolic policy).
-    Concretize {
-        /// Program counter of the memory access.
-        pc: u32,
-        /// The concretization decision recorded in the trail.
-        choice: u64,
-    },
-}
-
-impl DecisionKey {
-    /// The structural identity of one trail entry.
-    fn of(entry: &TrailEntry) -> DecisionKey {
-        match *entry {
-            TrailEntry::Branch { taken, pc, .. } => DecisionKey::Branch { pc, taken },
-            TrailEntry::Concretize { pc, choice, .. } => DecisionKey::Concretize { pc, choice },
-        }
-    }
-}
-
-/// Intrusive doubly-linked recency list over slab slot indices: touch,
-/// insert, and least-recent eviction are all O(1), replacing the former
-/// O(entries) `min_by_key` stamp scan per insertion. Eviction order is
-/// exactly least-recently-used and thus deterministic for a given query
-/// sequence.
-#[derive(Debug)]
-struct Lru {
-    head: u32,
-    tail: u32,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl Lru {
-    fn new() -> Self {
-        Lru {
-            head: NIL,
-            tail: NIL,
-            prev: Vec::new(),
-            next: Vec::new(),
-        }
-    }
-
-    /// Links `slot` (currently unlinked) at the most-recent end.
-    fn push_front(&mut self, slot: u32) {
-        let n = slot as usize + 1;
-        if self.prev.len() < n {
-            self.prev.resize(n, NIL);
-            self.next.resize(n, NIL);
-        }
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        } else {
-            self.tail = slot;
-        }
-        self.head = slot;
-    }
-
-    /// Unlinks `slot` (currently linked).
-    fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail = p;
-        }
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = NIL;
-    }
-
-    /// Moves a linked `slot` to the most-recent end.
-    fn touch(&mut self, slot: u32) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-    }
-
-    /// Unlinks and returns the least-recently-used slot.
-    fn pop_back(&mut self) -> Option<u32> {
-        let t = self.tail;
-        if t == NIL {
-            return None;
-        }
-        self.unlink(t);
-        Some(t)
-    }
-}
-
 /// One cached parent input: the longest trail recorded for it so far.
-/// Trails are input-keyed because their witness values depend on the
-/// concrete input; the input-independent half (the bit-blasted prefix)
-/// lives in the structurally-keyed [`CtxSlot`]s instead.
-struct TrailSlot {
-    /// The parent path's concrete input (the cache key).
+struct CachedTrail {
+    /// The parent path's concrete input (the lookup key).
     input: Vec<u8>,
     /// Longest trail recorded for this input so far.
     trail: Vec<TrailEntry>,
@@ -220,221 +71,76 @@ struct TrailSlot {
     branches: usize,
 }
 
-/// The bounded, LRU-evicted parent-input → trail half of the cache.
-struct TrailCache {
-    capacity: usize,
-    /// Slab of slots; `None` marks a freed slot awaiting reuse.
-    slots: Vec<Option<TrailSlot>>,
-    free: Vec<u32>,
-    index: HashMap<Vec<u8>, u32>,
-    lru: Lru,
-}
-
-impl TrailCache {
-    fn new(capacity: usize) -> Self {
-        TrailCache {
-            capacity: capacity.max(1),
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            lru: Lru::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Looks `input` up, marking the entry most-recently used on a hit.
-    fn lookup(&mut self, input: &[u8]) -> Option<u32> {
-        let slot = *self.index.get(input)?;
-        self.lru.touch(slot);
-        Some(slot)
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> &mut TrailSlot {
-        self.slots[slot as usize].as_mut().expect("live trail slot")
-    }
-
-    /// Inserts a fresh trail for `input` (not resident), evicting the
-    /// least-recently-used entry at capacity. Returns the slot id.
-    fn insert(&mut self, input: &[u8], trail: Vec<TrailEntry>, branches: usize) -> u32 {
-        if self.index.len() >= self.capacity {
-            let victim = self.lru.pop_back().expect("capacity >= 1");
-            let old = self.slots[victim as usize].take().expect("linked slot");
-            self.index.remove(&old.input);
-            self.free.push(victim);
-        }
-        let fresh = TrailSlot {
-            input: input.to_vec(),
-            trail,
-            branches,
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(fresh);
-                s
-            }
-            None => {
-                self.slots.push(Some(fresh));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(input.to_vec(), slot);
-        self.lru.push_front(slot);
-        slot
-    }
-}
-
-/// One structural region: a promotion counter and (once the region has
-/// proven reuse) the retained solver context over its blasted prefix.
-struct CtxSlot {
-    /// Structural key: the [`DecisionKey`]s of the most recent query's
-    /// prefix — every branch direction and every concretization choice.
-    /// Adaptive — it follows the last query served, so the entry drifts
-    /// with the worker's current subtree.
-    key: Vec<DecisionKey>,
-    /// Parent input of the most recent query (cross-parent accounting
-    /// only; never used for matching).
-    last_parent: Vec<u8>,
-    /// The retained blasted-prefix solver context. **Lazy**: most
-    /// regions see only a few queries, and a context's bookkeeping (op
-    /// log, per-query scratch clone) would tax them for nothing — so
-    /// early queries solve cold from the cached trail and only the
-    /// [`PROMOTE_AFTER_QUERIES`]-exceeding query builds the context.
-    ctx: Option<PrefixContext>,
-    /// Flip queries routed to this region so far (pooled across sibling
-    /// parents — the point of structural keying).
-    queries: u32,
-    /// Recency stamp for deterministic best-match tie-breaks.
-    stamp: u64,
-}
-
-/// The bounded, LRU-evicted structural-prefix → context half of the
-/// cache.
-struct ContextCache {
-    capacity: usize,
-    slots: Vec<Option<CtxSlot>>,
-    free: Vec<u32>,
-    lru: Lru,
-}
-
-/// Length of the shared leading run of two structural keys.
-fn shared_run(a: &[DecisionKey], b: &[DecisionKey]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-impl ContextCache {
-    fn new(capacity: usize) -> Self {
-        ContextCache {
-            capacity: capacity.max(1),
-            slots: Vec::new(),
-            free: Vec::new(),
-            lru: Lru::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> &mut CtxSlot {
-        self.slots[slot as usize].as_mut().expect("live ctx slot")
-    }
-
-    /// Routes a query to the resident entry sharing the longest leading
-    /// structural run with `key` (ties to the larger recency stamp —
-    /// deterministic), opening a fresh entry when nothing shares at
-    /// least one decision. The chosen entry's key is rewritten to `key`
-    /// and its recency updated. Returns
-    /// `(slot, created, cross_parent_reuse)`.
-    fn lookup_or_insert(
-        &mut self,
-        key: &[DecisionKey],
-        input: &[u8],
-        tick: u64,
-    ) -> (u32, bool, bool) {
-        let mut best: Option<(usize, u64, u32)> = None;
-        for (s, slot) in self.slots.iter().enumerate() {
-            let Some(e) = slot else { continue };
-            let share = shared_run(&e.key, key);
-            if share == 0 && !(key.is_empty() && e.key.is_empty()) {
-                continue;
-            }
-            if best.map_or(true, |(bs, bst, _)| (share, e.stamp) > (bs, bst)) {
-                best = Some((share, e.stamp, s as u32));
-            }
-        }
-        match best {
-            Some((_, _, s)) => {
-                let e = self.slots[s as usize].as_mut().expect("live ctx slot");
-                let cross = e.last_parent != input;
-                if cross {
-                    e.last_parent.clear();
-                    e.last_parent.extend_from_slice(input);
-                }
-                e.key.clear();
-                e.key.extend_from_slice(key);
-                e.stamp = tick;
-                self.lru.touch(s);
-                (s, false, cross)
-            }
-            None => {
-                if self.len() >= self.capacity {
-                    let victim = self.lru.pop_back().expect("capacity >= 1");
-                    self.slots[victim as usize] = None;
-                    self.free.push(victim);
-                }
-                let fresh = CtxSlot {
-                    key: key.to_vec(),
-                    last_parent: input.to_vec(),
-                    ctx: None,
-                    queries: 0,
-                    stamp: tick,
-                };
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = Some(fresh);
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(fresh));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.lru.push_front(slot);
-                (slot, true, false)
-            }
-        }
-    }
-}
-
-/// The per-worker warm-start cache of a [`crate::ParallelSession`]: an
-/// input-keyed [`TrailCache`] and a structurally-keyed [`ContextCache`]
-/// over one shared term manager, each bounded to `capacity` entries with
-/// its own O(1) LRU.
+/// The per-worker warm-start cache of a [`crate::ParallelSession`]: the
+/// most recently used parent trails and one retained prefix context, over
+/// one shared term manager.
 pub(crate) struct WarmCache {
-    /// One shared term manager for every cached trail and context.
-    /// Never reset while the cache lives — hash-consing is what makes
-    /// structurally identical prefixes from *different parents* derive
-    /// identical term handles, so one retained context can serve them
-    /// all. (The former per-parent managers duplicated every shared
-    /// prefix per entry; sharing roughly cancels the lifetime growth.)
+    /// One shared term manager for every cached trail and the context.
+    /// Never reset while the cache lives — hash-consing is what makes the
+    /// same decisions taken by *different parents* derive identical term
+    /// handles, so the context reuses its blasted run across them.
     tm: TermManager,
-    trails: TrailCache,
-    contexts: ContextCache,
-    tick: u64,
+    /// Cached parent trails, most recently used first; at most `capacity`.
+    trails: Vec<CachedTrail>,
+    capacity: usize,
+    /// The retained context and the parent input of its previous query.
+    /// `None` until the first residual query, and again after a context
+    /// failed to roll back.
+    context: Option<(PrefixContext, Vec<u8>)>,
 }
 
 impl WarmCache {
-    /// Creates an empty cache; each half is bounded to `capacity`.
+    /// Creates an empty cache keeping at most `capacity` parent trails.
     pub(crate) fn new(capacity: usize) -> Self {
         WarmCache {
             tm: TermManager::new(),
-            trails: TrailCache::new(capacity),
-            contexts: ContextCache::new(capacity),
-            tick: 0,
+            trails: Vec::new(),
+            capacity: capacity.max(1),
+            context: None,
         }
+    }
+
+    /// Moves the cached trail of `input` to the front of the list, first
+    /// executing the parent prefix when the trail is missing or has no
+    /// branch `ord` yet. A new trail pushes the least recently used one
+    /// off a full list. Returns `(cache_hit, replayed)`.
+    fn trail_for(
+        &mut self,
+        executor: &mut dyn PathExecutor,
+        input: &[u8],
+        ord: usize,
+        fuel: u64,
+        instr: &Instruments,
+        observer: &mut dyn Observer,
+    ) -> Result<(bool, bool), Error> {
+        let hit = match self.trails.iter().position(|t| t.input == input) {
+            Some(i) => {
+                self.trails[..=i].rotate_right(1);
+                true
+            }
+            None => false,
+        };
+        if hit && self.trails[0].branches > ord {
+            return Ok((true, false));
+        }
+        // Execute on the shared term manager: hash-consing reproduces the
+        // handles of any prefix it executed before exactly.
+        let replay_started = instr.begin(Phase::Replay);
+        let trail = executor.execute_prefix(&mut self.tm, input, fuel, ord + 1);
+        instr.finish(replay_started, Phase::Replay, observer);
+        let trail = trail?;
+        let fresh = CachedTrail {
+            input: input.to_vec(),
+            branches: trail.iter().filter(|t| t.is_branch()).count(),
+            trail,
+        };
+        if hit {
+            self.trails[0] = fresh;
+        } else {
+            self.trails.truncate(self.capacity - 1);
+            self.trails.insert(0, fresh);
+        }
+        Ok((hit, true))
     }
 
     /// Discharges the flip query of one prescription through the cache,
@@ -444,22 +150,17 @@ impl WarmCache {
     /// a solver fires [`Observer::on_query`] and then
     /// [`Observer::on_warm_query`] with its cache accounting.
     ///
-    /// The gate screens *before* the promotion counter ticks: an
-    /// eliminated query does not advance a parent toward context
-    /// promotion — promotion affects wall time only, so this cannot
-    /// change results.
-    ///
     /// Results are bit-identical to the cache-off replay of the same
     /// prescription (see the [module docs](self)).
     ///
     /// # Errors
     /// The same errors cache-off replay produces (execution failure,
     /// fuel exhaustion, [`Error::ReplayDivergence`]), plus
-    /// [`Error::WarmStart`] for broken solver invariants. A *corrupted
-    /// cached context* (stale/foreign frame) is not an error here: the
-    /// context is discarded and the query falls back to the cold solve,
-    /// whose answer is bit-identical — so even that failure mode cannot
-    /// change results.
+    /// [`Error::WarmStart`] for broken solver invariants. A context that
+    /// cannot roll back (a stale frame, a solver that is no longer
+    /// pristine) is not an error here: the context is dropped and the
+    /// query falls back to the cold solve, whose answer is bit-identical —
+    /// so even that failure mode cannot change results.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_flip(
         &mut self,
@@ -471,109 +172,52 @@ impl WarmCache {
         instr: &Instruments,
         observer: &mut dyn Observer,
     ) -> Result<(Option<SatResult>, Option<Vec<u8>>), Error> {
-        self.tick += 1;
-        let tick = self.tick;
-        let pos = self.trails.lookup(input);
-        let hit = pos.is_some();
-        let mut replayed = false;
-        let slot = match pos {
-            Some(s) => {
-                if self.trails.slot_mut(s).branches <= flip.ord {
-                    // The cached trail is too shallow for this flip:
-                    // execute deeper on the shared term manager
-                    // (hash-consing reproduces the shared prefix's
-                    // handles exactly).
-                    let replay_started = instr.begin(Phase::Replay);
-                    let trail = executor.execute_prefix(&mut self.tm, input, fuel, flip.ord + 1);
-                    instr.finish(replay_started, Phase::Replay, observer);
-                    let trail = trail?;
-                    let e = self.trails.slot_mut(s);
-                    e.branches = trail.iter().filter(|t| t.is_branch()).count();
-                    e.trail = trail;
-                    replayed = true;
-                }
-                s
-            }
-            None => {
-                let replay_started = instr.begin(Phase::Replay);
-                let trail = executor.execute_prefix(&mut self.tm, input, fuel, flip.ord + 1);
-                instr.finish(replay_started, Phase::Replay, observer);
-                let trail = trail?;
-                replayed = true;
-                let branches = trail.iter().filter(|t| t.is_branch()).count();
-                self.trails.insert(input, trail, branches)
-            }
-        };
+        let (hit, replayed) = self.trail_for(executor, input, flip.ord, fuel, instr, observer)?;
         let WarmCache {
             tm,
             trails,
-            contexts,
+            context,
             ..
         } = self;
-        let trail = &trails.slot_mut(slot).trail;
-        let (prefix, flipped) = flip.query(trail, tm)?;
+        let (prefix, flipped) = flip.query(&trails[0].trail, tm)?;
         if gate.eliminates(tm, &prefix, flipped, instr, observer) {
             return Ok((None, None));
         }
-        // The input-independent structural identity of this query's
-        // prefix: the context cache routes on it. Every trail entry keys —
-        // concretization choices included, since a pin is part of the path
-        // condition exactly like a branch direction.
-        let skey: Vec<DecisionKey> = trail[..prefix.len()].iter().map(DecisionKey::of).collect();
-        let (cslot, created, cross_parent) = contexts.lookup_or_insert(&skey, input, tick);
-        let centry = contexts.slot_mut(cslot);
-        let promote = centry.queries >= PROMOTE_AFTER_QUERIES;
-        centry.queries += 1;
-        let ctx = &mut centry.ctx;
-        let mut warm_result = None;
-        if ctx.is_some() || promote {
-            // Proven reuse: solve through the retained prefix context
-            // (built once the region exceeds the promotion gate). The
-            // promoting query — the one that builds the context and blasts
-            // the whole prefix into it — is timed as `WarmPromote`; later
-            // queries riding the retained context are `WarmSolve`.
-            let promoting = ctx.is_none();
-            let c = ctx.get_or_insert_with(PrefixContext::new);
-            let phase = if promoting {
-                Phase::WarmPromote
-            } else {
-                Phase::WarmSolve
-            };
-            let warm_started = instr.begin(phase);
-            let solved = c.solve_flip(tm, &prefix, flipped);
-            let warm_nanos = instr.finish(warm_started, phase, observer);
-            match solved {
-                Ok(report) => {
-                    if warm_started.is_some() {
-                        instr.record_query(warm_nanos);
-                    }
-                    warm_result = Some((
-                        report.result,
-                        report.reused as u64,
-                        report.blasted as u64,
-                        c.model(tm),
-                    ));
-                }
-                Err(_) => {
-                    // A corrupted context (stale/foreign frame) must not
-                    // change results: discard it and fall through to the
-                    // cold solve, which answers bit-identically. The
-                    // determinism invariant survives even the failure
-                    // mode the typed errors exist for.
-                    instr.instant("warm_rollback");
-                    *ctx = None;
-                }
-            }
+        // The query that builds the worker's context blasts its whole
+        // prefix into it and is timed as `WarmPromote`; the queries riding
+        // the retained context are `WarmSolve`.
+        let phase = match context {
+            Some(_) => Phase::WarmSolve,
+            None => Phase::WarmPromote,
+        };
+        let (ctx, last_parent) =
+            context.get_or_insert_with(|| (PrefixContext::new(), input.to_vec()));
+        let cross_parent_reuse = last_parent.as_slice() != input;
+        if cross_parent_reuse {
+            last_parent.clear();
+            last_parent.extend_from_slice(input);
         }
-        let (result, reused, blasted, model) = match warm_result {
-            Some(r) => r,
-            None => {
-                // Unpromoted parent (or discarded context): cold replay's
-                // solve step on a fresh solver, from the cached trail — the
-                // exact cache-off op sequence minus the prefix
-                // re-execution, with none of a context's bookkeeping (most
-                // parents are queried only once or twice and would never
-                // amortize it).
+        let warm_started = instr.begin(phase);
+        let solved = ctx.solve_flip(tm, &prefix, flipped);
+        let warm_nanos = instr.finish(warm_started, phase, observer);
+        let (result, reused, blasted, model) = match solved {
+            Ok(report) => {
+                if warm_started.is_some() {
+                    instr.record_query(warm_nanos);
+                }
+                (
+                    report.result,
+                    report.reused as u64,
+                    report.blasted as u64,
+                    ctx.model(tm),
+                )
+            }
+            Err(_) => {
+                // A context that cannot roll back must not change results:
+                // drop it and answer with cold replay's solve step, which
+                // is bit-identical. The next query builds a fresh context.
+                instr.instant("warm_rollback");
+                *context = None;
                 let (r, model) = solve(&mut Solver::new(), tm, &prefix, flipped, instr, observer);
                 (r, 0, prefix.len() as u64, model)
             }
@@ -585,8 +229,7 @@ impl WarmCache {
             replay_skipped: !replayed,
             prefix_reused: reused,
             prefix_blasted: blasted,
-            context_key_created: created,
-            cross_parent_reuse: cross_parent,
+            cross_parent_reuse,
         });
         if result != SatResult::Sat {
             return Ok((Some(result), None));
@@ -606,40 +249,11 @@ impl WarmCache {
         self.trails.len()
     }
 
-    /// Number of resident structural context entries.
-    #[cfg(test)]
-    pub(crate) fn context_len(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Parent inputs currently resident in the trail cache, least
+    /// Parent inputs currently resident in the trail list, least
     /// recently used first (test observability for the eviction order).
     #[cfg(test)]
     pub(crate) fn resident_inputs_lru_first(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut s = self.trails.lru.tail;
-        while s != NIL {
-            out.push(
-                self.trails.slots[s as usize]
-                    .as_ref()
-                    .expect("linked slot")
-                    .input
-                    .clone(),
-            );
-            s = self.trails.lru.prev[s as usize];
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for WarmCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WarmCache")
-            .field("trail_capacity", &self.trails.capacity)
-            .field("trails_resident", &self.trails.len())
-            .field("context_capacity", &self.contexts.capacity)
-            .field("contexts_resident", &self.contexts.len())
-            .finish()
+        self.trails.iter().rev().map(|t| t.input.clone()).collect()
     }
 }
 
@@ -801,29 +415,29 @@ c3:
         let mut cache = WarmCache::new(4);
         let (_, _, first) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[2]).expect("solves");
-        assert!(!first.cache_hit, "first query builds the context");
+        assert!(!first.cache_hit, "first query records the trail");
         assert!(!first.replay_skipped, "first query executes the prefix");
-        let (_, _, second) =
+        assert_eq!(
+            (first.prefix_reused, first.prefix_blasted),
+            (0, 2),
+            "first query blasts its whole prefix into the fresh context"
+        );
+        let (_, _, sibling) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(second.cache_hit, "sibling reuses the cached trail");
-        assert!(second.replay_skipped, "sibling skips the re-execution");
-        // The PROMOTE_AFTER_QUERIES-exceeding query promotes the parent
-        // to a retained context (the prefix is blasted into it); the one
-        // after is pure context reuse.
-        for _ in 2..=PROMOTE_AFTER_QUERIES {
-            let (_, _, s) =
-                warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-            assert_eq!(s.prefix_reused, 0, "unpromoted queries solve cold");
-        }
-        let (_, _, promoting) =
+        assert!(sibling.cache_hit, "sibling reuses the cached trail");
+        assert!(sibling.replay_skipped, "sibling skips the re-execution");
+        assert_eq!(
+            (sibling.prefix_reused, sibling.prefix_blasted),
+            (1, 0),
+            "the shorter sibling prefix rolls back and reuses the rest"
+        );
+        let (_, _, repeat) =
             warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(promoting.cache_hit);
-        let (_, _, reusing) =
-            warm_solve(&mut cache, &mut exec, &[0, 0, 0], flips[1]).expect("solves");
-        assert!(reusing.cache_hit);
-        assert!(reusing.replay_skipped);
-        assert!(reusing.prefix_reused >= promoting.prefix_reused);
-        assert_eq!(reusing.prefix_blasted, 0, "same prefix: pure reuse");
+        assert!(repeat.cache_hit);
+        assert!(repeat.replay_skipped);
+        assert_eq!(repeat.prefix_reused, 1, "repeated prefix: all reuse");
+        assert_eq!(repeat.prefix_blasted, 0, "same prefix: pure reuse");
+        assert!(!repeat.cross_parent_reuse, "one parent throughout");
     }
 
     #[test]
@@ -896,32 +510,35 @@ c3:
         let fb = flips_of(&mut exec, b)[2];
         let mut cache = WarmCache::new(4);
         let (_, _, first) = warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
-        assert!(first.context_key_created, "first query opens the region");
-        assert!(!first.cross_parent_reuse);
-        // Pool queries on the region through parent `a` until promotion.
-        for _ in 1..=PROMOTE_AFTER_QUERIES {
-            warm_solve(&mut cache, &mut exec, a, fa).expect("ok");
-        }
-        assert_eq!(cache.context_len(), 1, "one structural region");
-        // Parent `b` rides the context parent `a` promoted: the full
-        // prefix is served from the retained bit-blast and the answer is
-        // still bit-identical to a cold replay of `b`.
+        assert!(
+            !first.cross_parent_reuse,
+            "a fresh context has no previous parent"
+        );
+        assert_eq!(first.prefix_reused, 0);
+        // Parent `b` rides the context parent `a` built: the full prefix
+        // is served from the retained bit-blast and the answer is still
+        // bit-identical to a cold replay of `b`.
         let (r, bytes, s) = warm_solve(&mut cache, &mut exec, b, fb).expect("ok");
-        assert!(!s.context_key_created, "same structural key: no new region");
+        assert!(!s.cache_hit, "`b` records its own trail");
         assert!(s.cross_parent_reuse, "a context built by `a` served `b`");
         assert!(s.prefix_reused > 0, "cross-parent bit-blast reuse");
         assert_eq!(s.prefix_blasted, 0, "identical prefix: nothing re-blasted");
-        assert_eq!(cache.context_len(), 1, "still one region");
         let (cold_r, cold_bytes) = cold_solve(&mut exec, b, fb);
         assert_eq!(r, cold_r);
         assert_eq!(bytes, cold_bytes, "bit-identical witness across parents");
         // A structurally different parent (first compare falls the other
-        // way) opens its own region instead of riding this one.
+        // way) shares no prefix term: the same context rolls back all the
+        // way and blasts the new prefix, still bit-identically.
         let c: &[u8] = &[200, 0, 0];
         let fc = flips_of(&mut exec, c)[1];
-        let (_, _, sc) = warm_solve(&mut cache, &mut exec, c, fc).expect("ok");
-        assert!(sc.context_key_created, "divergent prefix: new region");
-        assert_eq!(cache.context_len(), 2);
+        let (r, bytes, sc) = warm_solve(&mut cache, &mut exec, c, fc).expect("ok");
+        assert!(sc.cross_parent_reuse);
+        assert_eq!(
+            (sc.prefix_reused, sc.prefix_blasted),
+            (0, 1),
+            "divergent prefix: nothing shared"
+        );
+        assert_eq!((r, bytes), cold_solve(&mut exec, c, fc));
     }
 
     #[test]

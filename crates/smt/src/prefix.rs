@@ -30,27 +30,33 @@
 //!   numbering, same search, same model — while the learnt clauses and
 //!   search state die with the clone;
 //! * when a query needs a *shorter* prefix than is retained (depth-first
-//!   siblings arrive deepest-first), the context rolls back to the exact
-//!   construction point via the solver op log ([`SatSolver::rollback`])
-//!   and blast journal ([`BitBlaster::rollback`]), again restoring the
-//!   bit-identical cold-path state.
+//!   siblings arrive deepest-first), the context truncates back to the
+//!   exact construction point ([`SatSolver::rollback`] and
+//!   [`BitBlaster::rollback`]). The retained solver was never searched on,
+//!   so its clause store, watch lists and heap only grew, and cutting them
+//!   back restores the bit-identical cold-path state.
 //!
-//! The cache can therefore only change *when* work happens, never *what*
+//! The context can therefore only change *when* work happens, never *what*
 //! is computed: results are a pure function of the query, exactly as in
-//! the cold path.
+//! the cold path. That holds whatever the context retains, because
+//! [`PrefixContext::solve_flip`] recomputes the shared term run on every
+//! query: one context can serve every query of a worker, whichever parent
+//! path it comes from.
 //!
 //! # Error discipline
 //!
 //! Warm-start code runs on worker threads, where a panic poisons the
 //! whole exploration; everything fallible on the cached-context
 //! `pop`/re-`push` path is therefore typed. [`SatSolver::rollback`] and
-//! [`BitBlaster::rollback`] report stale/foreign/unlogged checkpoints as
-//! [`RollbackError`]; [`PrefixContext::solve_flip`] forwards them (and a
-//! missing internal mark) as [`PrefixError`], which `binsym-core` maps
-//! to its `Error::WarmStart`. The `expect`s that remain on this path are
-//! infallible by construction (checkpointing a solver that was *just*
-//! created with logging enabled) and documented at each site; sort
-//! mismatches panic exactly as the cold path's `assert_term` does.
+//! [`BitBlaster::rollback`] report stale, foreign or unlogged checkpoints
+//! and a retained solver that is no longer pristine as [`RollbackError`];
+//! [`PrefixContext::solve_flip`] forwards them (and a missing internal
+//! mark) as [`PrefixError`]. The caller drops the context and answers
+//! that query cold, which gives the same answer. The `expect`s that
+//! remain on this path are infallible by construction (checkpointing a
+//! solver that was *just* created with logging enabled) and documented at
+//! each site; sort mismatches panic exactly as the cold path's
+//! `assert_term` does.
 
 use crate::bitblast::{BitBlaster, BlastCheckpoint};
 use crate::model::Model;
@@ -69,9 +75,10 @@ pub struct PrefixSolveReport {
     pub blasted: usize,
 }
 
-/// A warm-start failure: a stale or foreign cached context frame. Always
-/// an engine bug; surfaced as a typed error so a worker thread fails one
-/// prescription instead of panicking.
+/// A warm-start failure: a stale or foreign cached context frame (an
+/// engine bug) or a retained solver that is no longer pristine. Surfaced
+/// as a typed error so the caller can drop the context and solve cold
+/// instead of panicking on a worker thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixError(RollbackError);
 
@@ -85,6 +92,7 @@ impl PrefixError {
                 "cached context frame belongs to a different context"
             }
             RollbackError::StaleCheckpoint => "cached context frame is stale",
+            RollbackError::NotPristine => "cached context was searched on",
         }
     }
 }
@@ -199,8 +207,10 @@ impl PrefixContext {
     /// `push`/assert-all/`check_sat` sequence.
     ///
     /// # Errors
-    /// [`PrefixError`] when the context's retained frames are stale — the
-    /// caller should discard the context (and fall back to a cold solve).
+    /// [`PrefixError`] when the context cannot roll back to the shared
+    /// run: its retained frames are stale or its solver is no longer
+    /// pristine. The retained prefix is left as it was; the caller should
+    /// discard the context and fall back to a cold solve.
     ///
     /// # Panics
     /// Panics if any asserted term is not boolean (as the cold path's
@@ -385,6 +395,26 @@ mod tests {
         assert_eq!((r.reused, r.blasted), (1, 0));
         let m = ctx.model(&tm).expect("sat has model");
         assert!(m.value("x").unwrap() < 10);
+    }
+
+    #[test]
+    fn shrinking_a_searched_context_is_refused() {
+        let mut tm = TermManager::new();
+        let terms = chain(&mut tm, 4);
+        let mut ctx = PrefixContext::new();
+        let flip = tm.not(terms[3]);
+        ctx.solve_flip(&mut tm, &terms[..3], flip).expect("ok");
+        // A search on the retained solver itself (flips only ever solve on
+        // scratch clones) leaves nothing to truncate back to.
+        assert_eq!(ctx.sat.solve(&[]), SatResult::Sat);
+        let flip1 = tm.not(terms[1]);
+        let err = ctx
+            .solve_flip(&mut tm, &terms[..1], flip1)
+            .expect_err("shrinking needs a pristine solver");
+        assert_eq!(err, PrefixError(RollbackError::NotPristine));
+        assert_eq!(err.as_str(), "cached context was searched on");
+        assert_eq!(ctx.prefix_len(), 3, "the retained prefix is left as it was");
+        assert!(ctx.model(&tm).is_none(), "no stale model survives");
     }
 
     #[test]

@@ -19,6 +19,17 @@
 //! neither touches the activities, phases or trail from which `backtrack`
 //! refills it.
 //!
+//! A solver made by [`SatSolver::with_op_log`] stamps every construction
+//! operation (variable allocation, clause addition) with a version, so it
+//! can hand out checkpoints and roll back to them. Rollback only
+//! truncates: until a search runs or a propagation moves a watch, the
+//! clause store, the watch lists and the heap only grow, so cutting them
+//! back to a checkpoint's lengths leaves exactly the state a fresh
+//! construction of the same operations builds. A solver that is no longer
+//! append-only refuses with [`RollbackError::NotPristine`]; the
+//! warm-start prefix contexts never search on their retained solver, and
+//! their owner answers a refusal with a fresh context.
+//!
 //! The solver is deliberately free of unsafe code; the workloads produced by
 //! bit-blasting the paper's benchmarks (a few thousand variables) are well
 //! within its comfort zone.
@@ -118,7 +129,7 @@ struct ClauseHeader {
 /// is two `memcpy`s instead of one small-`Vec` clone per clause.
 ///
 /// Clauses are appended in arena order and only ever removed from the
-/// tail ([`ClauseStore::truncate`], the rollback fast path) or by a full
+/// tail ([`ClauseStore::truncate`], used by rollback) or by a full
 /// compacting rebuild (`reduce_db`), so the arena never fragments.
 #[derive(Debug, Default, Clone)]
 struct ClauseStore {
@@ -465,9 +476,9 @@ impl VarHeap {
     }
 
     /// Drops every variable `>= nvars`, preserving the relative order of
-    /// the survivors (exact for the rollback fast path: with untouched
-    /// zero activities the heap array is plain insertion order, which a
-    /// fresh construction reproduces).
+    /// the survivors (exact for rollback: with untouched zero activities
+    /// the heap array is plain insertion order, which a fresh construction
+    /// reproduces).
     fn truncate_vars(&mut self, nvars: usize) {
         self.heap.retain(|v| (v.0 as usize) < nvars);
         self.pos.truncate(nvars);
@@ -477,60 +488,57 @@ impl VarHeap {
     }
 }
 
-/// One logged construction operation of an op-logged solver (see
-/// [`SatSolver::with_op_log`]).
-#[derive(Debug, Clone)]
-enum LoggedOp {
-    NewVar,
-    Clause(Vec<Lit>),
-}
-
 /// Opaque handle to a construction point of an op-logged [`SatSolver`].
 ///
 /// Obtained from [`SatSolver::checkpoint`]; passing it to
-/// [`SatSolver::rollback`] returns the solver to a state **bit-identical**
-/// to a fresh solver that performed only the construction operations
-/// (variable allocations and clause additions) up to the checkpoint — all
-/// later clauses, variables, learnt clauses, and search state (activities,
-/// saved phases, trail) are shed. A checkpoint stays valid as long as its
-/// op prefix survives; rolling back past it invalidates it.
+/// [`SatSolver::rollback`] returns a pristine solver to a state
+/// **bit-identical** to a fresh solver that performed only the
+/// construction operations (variable allocations and clause additions) up
+/// to the checkpoint. A checkpoint stays valid as long as its operations
+/// survive; rolling back past it invalidates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SatCheckpoint {
     /// Instance id of the solver that issued the checkpoint.
     solver: u64,
-    /// Length of the construction-op prefix the checkpoint denotes.
+    /// Number of construction operations the checkpoint denotes.
     ops: usize,
-    /// Log-version counter at issue time: every op in the denoted prefix
-    /// must carry an older version, or the prefix was truncated and
+    /// Version counter at issue time: every operation the checkpoint
+    /// denotes must carry an older version, or they were truncated and
     /// regrown with different content after this checkpoint was issued —
-    /// which makes it stale even when the lengths coincide again.
+    /// which makes it stale even when the counts coincide again.
     version: u64,
-    /// Snapshot of the cheap state counters at checkpoint time, enabling
-    /// the O(removed) truncation fast path of [`SatSolver::rollback`].
+    /// Snapshot of the growth-only lengths and flags at checkpoint time,
+    /// which rollback truncates back to.
     vars: usize,
     clauses: usize,
     trail: usize,
     unsat: bool,
-    /// Statistics snapshot, so the truncation fast path restores the same
-    /// observable counters the op-replay path rebuilds.
+    /// Statistics snapshot, so rollback restores the counters a fresh
+    /// construction would show.
     stats: SatStats,
 }
 
 /// Why a checkpoint operation could not be performed.
 ///
-/// These conditions are engine bugs (a stale or foreign cache frame), so
-/// they surface as typed errors rather than panics: the warm-start cache
-/// runs on worker threads, where a panic would poison the whole
-/// exploration instead of failing one prescription.
+/// These conditions are engine bugs (a stale or foreign cache frame) or a
+/// retained solver that is no longer pristine, so they surface as typed
+/// errors rather than panics: the warm-start cache runs on worker threads,
+/// where a panic would poison the whole exploration instead of failing one
+/// prescription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackError {
     /// The solver was not created with [`SatSolver::with_op_log`].
     LogDisabled,
     /// The checkpoint was issued by a different solver instance.
     ForeignCheckpoint,
-    /// The checkpoint points past the surviving op log (it was invalidated
-    /// by an earlier rollback).
+    /// The checkpoint denotes operations that no longer survive (it was
+    /// invalidated by an earlier rollback).
     StaleCheckpoint,
+    /// The solver is no longer construct-only since the checkpoint: a
+    /// search ran on it, or propagation moved a watch or assigned a
+    /// variable the checkpoint keeps, so truncation would not restore the
+    /// checkpoint's state exactly. The solver is left unchanged.
+    NotPristine,
 }
 
 impl fmt::Display for RollbackError {
@@ -542,6 +550,9 @@ impl fmt::Display for RollbackError {
             }
             RollbackError::StaleCheckpoint => {
                 write!(f, "checkpoint was invalidated by an earlier rollback")
+            }
+            RollbackError::NotPristine => {
+                write!(f, "solver was searched or propagated past the checkpoint")
             }
         }
     }
@@ -599,32 +610,30 @@ pub struct SatSolver {
     unsat: bool, // became unsat at level 0
     stats: SatStats,
     max_learnts: f64,
-    /// Construction-op log for [`SatSolver::rollback`] (`None` unless the
-    /// solver was created with [`SatSolver::with_op_log`]).
-    log: Option<Vec<LoggedOp>>,
     /// Instance id tying checkpoints to the solver that issued them
-    /// (0 = unlogged).
+    /// (0 = unlogged: no checkpoints, no rollback).
     log_id: u64,
-    /// Per-op append versions (parallel to `log`), from the monotone
-    /// `log_version` counter: lets [`SatSolver::rollback`] detect a
-    /// checkpoint whose prefix was truncated and regrown (same length,
-    /// different ops) instead of silently restoring the wrong state.
+    /// One append version per construction operation of a logged solver,
+    /// from the monotone `log_version` counter: lets
+    /// [`SatSolver::rollback`] detect a checkpoint whose operations were
+    /// truncated and regrown (same count, different operations) instead of
+    /// silently restoring the wrong state.
     op_versions: Vec<u64>,
     /// Next value of the append-version counter (never reset).
     log_version: u64,
     /// True once [`SatSolver::solve`] has run: search perturbs activities,
-    /// phases, and the heap, so rollback must rebuild by op replay.
+    /// phases, and the heap, so rollback is refused from then on.
     solved: bool,
     /// True once unit propagation has modified any watch list (moved a
     /// watch, updated a blocker): pre-existing lists are then no longer
-    /// append-only, so the truncation fast path would not restore them
-    /// exactly. Stays false through normal clause construction.
+    /// append-only, so truncation would not restore them exactly. Stays
+    /// false through normal clause construction.
     watches_perturbed: bool,
 }
 
 /// Monotonic instance ids for op-logged solvers, so a checkpoint handed to
-/// the wrong solver is detected instead of silently replaying an unrelated
-/// op prefix.
+/// the wrong solver is detected instead of silently truncating an
+/// unrelated one.
 static NEXT_LOG_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 const VAR_DECAY: f64 = 0.95;
@@ -642,114 +651,86 @@ impl SatSolver {
         }
     }
 
-    /// Creates an empty solver that records its construction operations
+    /// Creates an empty solver that versions its construction operations
     /// (variable allocations and clause additions), enabling
     /// [`SatSolver::checkpoint`] / [`SatSolver::rollback`].
     ///
-    /// The log costs one copy of every added clause; use it only where
-    /// rollback is actually needed (the warm-start prefix contexts).
+    /// The log costs one version stamp per operation and keeps the solver
+    /// out of the satisfied-clause sweep; use it only where rollback is
+    /// actually needed (the warm-start prefix contexts).
     pub fn with_op_log() -> Self {
         let mut s = SatSolver::new();
-        s.log = Some(Vec::new());
         s.log_id = NEXT_LOG_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         s
     }
 
-    /// A checkpoint denoting the current construction-op prefix.
+    /// A checkpoint denoting the construction operations performed so far.
     ///
     /// # Errors
     /// [`RollbackError::LogDisabled`] unless the solver was created with
     /// [`SatSolver::with_op_log`].
     pub fn checkpoint(&self) -> Result<SatCheckpoint, RollbackError> {
-        match &self.log {
-            Some(log) => Ok(SatCheckpoint {
-                solver: self.log_id,
-                ops: log.len(),
-                version: self.log_version,
-                vars: self.num_vars(),
-                clauses: self.clauses.len(),
-                trail: self.trail.len(),
-                unsat: self.unsat,
-                stats: self.stats,
-            }),
-            None => Err(RollbackError::LogDisabled),
+        if self.log_id == 0 {
+            return Err(RollbackError::LogDisabled);
         }
+        Ok(SatCheckpoint {
+            solver: self.log_id,
+            ops: self.op_versions.len(),
+            version: self.log_version,
+            vars: self.num_vars(),
+            clauses: self.clauses.len(),
+            trail: self.trail.len(),
+            unsat: self.unsat,
+            stats: self.stats,
+        })
     }
 
-    /// Returns the solver to the state of `cp`.
+    /// Returns a pristine solver to the state of `cp`.
     ///
     /// The resulting state is *bit-identical* to a brand-new solver that
     /// performed exactly the construction operations up to the checkpoint:
-    /// later clauses and variables are gone, learnt clauses are dropped,
-    /// and all search state (activities, saved phases, assignments) is
-    /// reset — a solve after `rollback` behaves exactly like a solve on
-    /// that fresh solver. This is what lets a cached, already-solved-on
-    /// context serve later queries with the same models a cold context
-    /// would produce.
-    ///
-    /// Two implementations, same contract: a solver that was never solved
-    /// on and whose watch lists were never perturbed by propagation is
-    /// still an append-only structure, so rolling back is an O(removed)
-    /// *truncation* (the warm-start hot path — depth-first siblings shrink
-    /// the retained prefix on almost every query); otherwise the logged
-    /// construction-op prefix is replayed into a fresh instance.
+    /// later clauses and variables are gone, and a solve after `rollback`
+    /// behaves exactly like a solve on that fresh solver. A solver that was
+    /// never solved on and whose watch lists were never perturbed by
+    /// propagation is still an append-only structure, so rolling back is
+    /// an O(removed) truncation. The warm-start prefix contexts keep their
+    /// retained solver that way: they shrink it to a depth-first sibling's
+    /// shorter prefix on almost every query and solve only on clones.
     ///
     /// # Errors
-    /// [`RollbackError`] when the checkpoint is stale, foreign, or the
-    /// solver has no op log; the solver is left unchanged.
+    /// [`RollbackError`] when the solver has no op log, the checkpoint is
+    /// stale or foreign, or the solver is no longer pristine
+    /// ([`RollbackError::NotPristine`]); the solver is left unchanged.
     pub fn rollback(&mut self, cp: &SatCheckpoint) -> Result<(), RollbackError> {
-        let log = self.log.as_ref().ok_or(RollbackError::LogDisabled)?;
+        if self.log_id == 0 {
+            return Err(RollbackError::LogDisabled);
+        }
         if cp.solver != self.log_id {
             return Err(RollbackError::ForeignCheckpoint);
         }
-        if cp.ops > log.len() {
+        if cp.ops > self.op_versions.len() {
             return Err(RollbackError::StaleCheckpoint);
         }
         // A prefix of the right length is not enough: if an earlier
-        // rollback truncated below `cp.ops` and the log regrew, the ops
+        // rollback truncated below `cp.ops` and the solver regrew, the ops
         // now in the prefix are different (newer) than the ones the
         // checkpoint denoted — restoring them would be silently wrong.
         if cp.ops > 0 && self.op_versions[cp.ops - 1] >= cp.version {
             return Err(RollbackError::StaleCheckpoint);
         }
-        if self.truncation_applies(cp) {
-            self.truncate_to(cp);
-            self.log
-                .as_mut()
-                .expect("log checked above")
-                .truncate(cp.ops);
-            self.op_versions.truncate(cp.ops);
-            return Ok(());
+        if !self.truncation_applies(cp) {
+            return Err(RollbackError::NotPristine);
         }
-        let mut log = self.log.take().expect("log checked above");
-        log.truncate(cp.ops);
-        let mut op_versions = std::mem::take(&mut self.op_versions);
-        op_versions.truncate(cp.ops);
-        let id = self.log_id;
-        let version = self.log_version;
-        // Replay into a fresh instance; `log` is detached, so the replayed
-        // ops are not re-recorded.
-        *self = SatSolver::new();
-        for op in &log {
-            match op {
-                LoggedOp::NewVar => {
-                    self.new_var();
-                }
-                LoggedOp::Clause(c) => self.add_clause(c),
-            }
-        }
-        self.log = Some(log);
-        self.log_id = id;
-        self.op_versions = op_versions;
-        self.log_version = version;
+        self.truncate_to(cp);
+        self.op_versions.truncate(cp.ops);
         Ok(())
     }
 
-    /// True when the truncation fast path restores `cp`'s state exactly:
-    /// the solver is pristine (never solved, watch lists append-only, no
-    /// decision levels), nothing shrank below the checkpoint counters, and
-    /// every assignment made since the checkpoint binds a variable that
-    /// the truncation removes wholesale.
+    /// True when truncation restores `cp`'s state exactly: the solver is
+    /// pristine (never solved, watch lists append-only, no decision
+    /// levels), nothing shrank below the checkpoint counters, and every
+    /// assignment made since the checkpoint binds a variable that the
+    /// truncation removes wholesale.
     fn truncation_applies(&self, cp: &SatCheckpoint) -> bool {
         !self.solved
             && !self.watches_perturbed
@@ -762,10 +743,10 @@ impl SatSolver {
                 .all(|l| (l.var().0 as usize) >= cp.vars)
     }
 
-    /// The truncation fast path of [`SatSolver::rollback`]: pops the
-    /// watches of removed clauses (append-only lists, removed in reverse
-    /// attach order, so each sits at its list's tail) and truncates every
-    /// growth-only structure.
+    /// The truncation behind [`SatSolver::rollback`]: pops the watches of
+    /// removed clauses (append-only lists, removed in reverse attach order,
+    /// so each sits at its list's tail) and truncates every growth-only
+    /// structure.
     fn truncate_to(&mut self, cp: &SatCheckpoint) {
         // `!self.solved` (checked by the caller) implies no learnt
         // clauses: they are only ever attached inside `solve`.
@@ -816,7 +797,6 @@ impl SatSolver {
             unsat: self.unsat,
             stats: self.stats,
             max_learnts: self.max_learnts,
-            log: None,
             log_id: 0,
             op_versions: Vec::new(),
             log_version: 0,
@@ -844,11 +824,7 @@ impl SatSolver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        if let Some(log) = &mut self.log {
-            log.push(LoggedOp::NewVar);
-            self.op_versions.push(self.log_version);
-            self.log_version += 1;
-        }
+        self.log_op();
         let v = Var(self.num_vars() as u32);
         self.vals.extend([LBool::Undef; 2]);
         self.phase.push(false);
@@ -860,6 +836,14 @@ impl SatSolver {
         self.heap.grow(self.num_vars());
         self.heap.push(v, &self.activity);
         v
+    }
+
+    /// Stamps one construction operation of a logged solver.
+    fn log_op(&mut self) {
+        if self.log_id != 0 {
+            self.op_versions.push(self.log_version);
+            self.log_version += 1;
+        }
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
@@ -884,13 +868,7 @@ impl SatSolver {
     /// Must be called with the solver at decision level 0 (it always is
     /// between [`SatSolver::solve`] calls).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        if let Some(log) = &mut self.log {
-            // Log before any simplification/early return so a rollback
-            // replay reproduces the exact same call sequence.
-            log.push(LoggedOp::Clause(lits.to_vec()));
-            self.op_versions.push(self.log_version);
-            self.log_version += 1;
-        }
+        self.log_op();
         // Adding clauses invalidates any model found by a previous solve;
         // return to decision level 0 first.
         self.backtrack(0);
@@ -1262,10 +1240,10 @@ impl SatSolver {
     /// satisfied clauses, whose blockers need not be true. The reason of a
     /// level-0 assignment may be dropped; analysis never reads it.
     ///
-    /// An op-logged solver is never swept: its rollback fast path relies on
-    /// the clause store and watch lists only ever growing.
+    /// An op-logged solver is never swept: its rollback relies on the
+    /// clause store and watch lists only ever growing.
     pub(crate) fn sweep_satisfied_binaries(&mut self) -> usize {
-        if self.log.is_some() || self.unsat {
+        if self.log_id != 0 || self.unsat {
             return 0;
         }
         debug_assert!(self.trail_lim.is_empty(), "sweeps run between solves");
@@ -1594,47 +1572,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_fresh_equivalent_state() {
-        // Construction prefix shared by the logged solver and the control.
-        let prefix: &[&[(u32, bool)]] = &[
-            &[(0, false), (1, false)],
-            &[(0, true), (2, false)],
-            &[(1, true), (2, true), (3, false)],
-        ];
-        let build = |s: &mut SatSolver| {
-            let vars = lits(s, 4);
-            for cl in prefix {
-                let c: Vec<Lit> = cl
-                    .iter()
-                    .map(|&(v, n)| Lit::new(vars[v as usize], n))
-                    .collect();
-                s.add_clause(&c);
-            }
-        };
-        let mut logged = SatSolver::with_op_log();
-        build(&mut logged);
-        let cp = logged.checkpoint().expect("logged");
-
-        // Pollute: more vars, clauses, and a solve (learnt clauses, VSIDS
-        // activity, saved phases).
-        let extra = logged.new_var();
-        logged.add_clause(&[Lit::pos(extra), Lit::neg(Var(0))]);
-        logged.add_clause(&[Lit::neg(extra), Lit::pos(Var(3))]);
-        assert_eq!(logged.solve(&[Lit::pos(Var(0))]), SatResult::Sat);
-
-        logged.rollback(&cp).expect("valid checkpoint");
-        assert_eq!(logged.num_vars(), 4, "extra var shed");
-
-        let mut control = SatSolver::new();
-        build(&mut control);
-        assert_eq!(
-            fingerprint(&mut logged, 4),
-            fingerprint(&mut control, 4),
-            "rolled-back solver must behave bit-identically to a fresh one"
-        );
-    }
-
-    #[test]
     fn pristine_rollback_takes_the_truncation_path_and_is_exact() {
         // Construct-only solvers roll back by truncation; the result must
         // be bit-equivalent to a fresh construction of the prefix.
@@ -1662,7 +1599,7 @@ mod tests {
         assert_eq!(
             s.stats(),
             control.stats(),
-            "observable counters restored like the replay path rebuilds them"
+            "observable counters restored to a fresh construction's"
         );
         assert_eq!(
             fingerprint(&mut s, 3),
@@ -1672,21 +1609,26 @@ mod tests {
     }
 
     #[test]
-    fn solved_rollback_falls_back_to_replay() {
+    fn solved_rollback_is_refused_and_leaves_the_solver_unchanged() {
+        let build = |s: &mut SatSolver| {
+            let v = lits(s, 3);
+            s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
+            s.add_clause(&[Lit::neg(v[1]), Lit::pos(v[2])]);
+        };
         let mut s = SatSolver::with_op_log();
-        let v = lits(&mut s, 2);
-        s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
         let cp = s.checkpoint().expect("logged");
-        assert_eq!(s.solve(&[]), SatResult::Sat);
-        assert!(
-            !s.truncation_applies(&cp),
-            "search state forces the replay path"
-        );
-        s.rollback(&cp).expect("valid");
-        let mut control = SatSolver::new();
-        let cv = lits(&mut control, 2);
-        control.add_clause(&[Lit::pos(cv[0]), Lit::pos(cv[1])]);
-        assert_eq!(fingerprint(&mut s, 2), fingerprint(&mut control, 2));
+        build(&mut s);
+        assert_eq!(s.solve(&[Lit::neg(Var(0))]), SatResult::Sat);
+        assert!(!s.truncation_applies(&cp), "search state blocks truncation");
+        assert_eq!(s.rollback(&cp), Err(RollbackError::NotPristine));
+        assert_eq!(s.num_vars(), 3, "nothing shed");
+        // The refused rollback touched nothing: the solver answers exactly
+        // like a twin that ran the same construction and solve.
+        let mut twin = SatSolver::new();
+        build(&mut twin);
+        assert_eq!(twin.solve(&[Lit::neg(Var(0))]), SatResult::Sat);
+        assert_eq!(s.stats(), twin.stats());
+        assert_eq!(fingerprint(&mut s, 3), fingerprint(&mut twin, 3));
     }
 
     #[test]
@@ -1697,10 +1639,12 @@ mod tests {
         s.add_clause(&[Lit::pos(v[0])]);
         let cp1 = s.checkpoint().expect("logged");
         s.add_clause(&[Lit::neg(v[0])]); // now unsat
-        assert_eq!(s.solve(&[]), SatResult::Unsat);
+        assert_eq!(s.clone_unlogged().solve(&[]), SatResult::Unsat);
         s.rollback(&cp1).expect("valid");
-        assert_eq!(s.solve(&[]), SatResult::Sat, "unsat state shed");
-        assert_eq!(s.value(v[0]), Some(true));
+        // Solve on clones: a search would leave `s` no longer pristine.
+        let mut shed = s.clone_unlogged();
+        assert_eq!(shed.solve(&[]), SatResult::Sat, "unsat state shed");
+        assert_eq!(shed.value(v[0]), Some(true));
         // cp1 is still valid after rolling back to it; cp0 too.
         s.rollback(&cp1)
             .expect("checkpoint at current prefix stays valid");
@@ -1807,7 +1751,7 @@ mod tests {
     }
 
     /// The behavioural pin of the clause-store layout: seeded random CNF
-    /// instances driven through assumption batteries, both rollback paths,
+    /// instances driven through assumption batteries, truncation rollback,
     /// and a forced learnt-clause reduction, hashed bit-for-bit. The
     /// constants were recorded from the pre-arena `Vec<Clause>` /
     /// `Vec<Vec<Watch>>` layout; the flat-arena store must reproduce every
@@ -1840,21 +1784,6 @@ mod tests {
             fold_fingerprint(&mut h, &mut s, 16);
         }
         assert_eq!(h, 0xe578_0b47_fb12_f25b, "truncation rollback drifted");
-
-        // Replay-path rollback: solve between checkpoint and rollback so
-        // the op log is replayed into a fresh instance.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut seed = 0x5eed_0003u64;
-        for _ in 0..4u64 {
-            let mut s = SatSolver::with_op_log();
-            random_instance(&mut s, &mut seed, 16, 40);
-            let cp = s.checkpoint().expect("logged");
-            random_instance(&mut s, &mut seed, 10, 30);
-            let _ = s.solve(&[]);
-            s.rollback(&cp).expect("valid");
-            fold_fingerprint(&mut h, &mut s, 16);
-        }
-        assert_eq!(h, 0x40c3_3f96_3120_73b1, "replay rollback drifted");
 
         // Learnt-clause reduction: accumulate learnt clauses across
         // incremental queries, force `reduce_db`, and pin the surviving

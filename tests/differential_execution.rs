@@ -15,8 +15,9 @@
 //! The path-set oracle goes one step further. Random programs with forward
 //! branches and input-indexed table accesses read only one or two
 //! symbolic bytes, so the interpreter can run every input and group them
-//! into classes by pc sequence. Each exploration (sequential, and sharded
-//! over 1 and 4 workers, under `eq` and `symbolic:64`) must be sound —
+//! into classes by pc sequence. Each exploration (sequential, sharded over
+//! 1 and 4 cold workers and over 4 warm-start workers, under `eq` and
+//! `symbolic:64`) must be sound —
 //! every witness replays to the recorded exit and step count, and no two
 //! paths share a class — and, where the policy loses nothing, complete:
 //! one path per class.
@@ -357,11 +358,12 @@ fn concrete_class(template: &Machine, addr: u32, input: &[u8]) -> (u64, Ending) 
 
 /// Every (witness, ending) pair of one exploration of `elf` under
 /// `policy`: the sequential `Session` for `workers == None`, else a
-/// `ParallelSession` with that many workers.
+/// `ParallelSession` with that many workers, warm-started when `warm`.
 fn explore(
     elf: &ElfFile,
     policy: AddressPolicyKind,
     workers: Option<usize>,
+    warm: bool,
 ) -> Vec<(Vec<u8>, Ending)> {
     let builder = Session::builder(Spec::rv32im())
         .binary(elf)
@@ -377,7 +379,11 @@ fn explore(
             })
             .collect(),
         Some(n) => {
-            let mut session = builder.workers(n).build_parallel().expect("builds");
+            let mut session = builder
+                .workers(n)
+                .warm_start(warm)
+                .build_parallel()
+                .expect("builds");
             session.run_all().expect("explores");
             session
                 .records()
@@ -404,9 +410,15 @@ fn check_path_set(program: &Program, input_len: usize) -> usize {
         AddressPolicyKind::Symbolic { window: 64 },
     ];
     for policy in policies {
-        for workers in [None, Some(1), Some(4)] {
-            let run = format!("{policy} with {workers:?} workers");
-            let paths = explore(&elf, policy, workers);
+        let runs = [
+            (None, false),
+            (Some(1), false),
+            (Some(4), false),
+            (Some(4), true),
+        ];
+        for (workers, warm) in runs {
+            let run = format!("{policy} with {workers:?} workers (warm: {warm})");
+            let paths = explore(&elf, policy, workers, warm);
             let mut seen = HashSet::new();
             for (input, ending) in &paths {
                 let (class, replayed) = concrete_class(&template, addr, input);

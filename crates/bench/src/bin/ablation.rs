@@ -389,7 +389,8 @@ fn interleave<V, const N: usize>(
 
 /// Ablation 3: the sharded engine at 1..=N workers, each worker count
 /// measured cold (fresh solver context per prescription) and warm
-/// (deterministic prefix-keyed cache). The two runs produce byte-identical
+/// (deterministic warm cache: recent parent trails plus one retained
+/// prefix context per worker). The two runs produce byte-identical
 /// results by construction; the delta — per-path seconds plus the cache's
 /// hit/reuse counters — is the replayed-prefix cost the warm start claws
 /// back.

@@ -122,7 +122,7 @@ fn main() {
 }
 
 /// The invariant configuration every mode runs under: sharded session with
-/// the prefix-keyed warm cache, coverage-guided scheduling over a shared
+/// the warm cache, coverage-guided scheduling over a shared
 /// map, and the word-level static gate — all on. Determinism must survive
 /// the full stack, so the drivers exercise nothing less.
 fn hunt_builder(elf: &ElfFile, workers: usize, policy: AddressPolicyKind) -> SessionBuilder {

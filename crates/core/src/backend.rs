@@ -13,7 +13,7 @@
 //! The engines differ only in the solver they hand to the solve step: the
 //! sequential [`crate::Session`] keeps one long-lived incremental solver
 //! (retractable frames, shared bit-blast cache and learned clauses), while
-//! cold replay and the warm cache's unpromoted parents use
+//! cold replay, and the warm cache when its context cannot roll back, use
 //! `Solver::new()` per flip. `discharge` chains the two steps for the
 //! session and cold replay; the warm cache calls them itself (see
 //! [`crate::warm`]).

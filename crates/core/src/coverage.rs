@@ -45,9 +45,9 @@ use crate::observe::Observer;
 const SLOT_BYTES: u32 = 4;
 
 /// Most slots a map tracks: one per instruction of the largest segment the
-/// ELF reader accepts. Every map's snapshot therefore fits the checkpoint
-/// format, whose decoder rejects larger geometries (see `crate::persist`).
-pub(crate) const MAX_SLOTS: u32 = binsym_elf::MAX_SEGMENT_SIZE / SLOT_BYTES;
+/// ELF reader accepts. It caps the map's memory (three bits per slot,
+/// 1.5 MiB at the cap) whatever span a caller asks for.
+const MAX_SLOTS: u32 = binsym_elf::MAX_SEGMENT_SIZE / SLOT_BYTES;
 
 /// A fixed-size, lock-free bitmap of executed program counters and
 /// observed branch directions.
@@ -198,61 +198,6 @@ impl CoverageMap {
     pub fn base(&self) -> u32 {
         self.base
     }
-
-    /// Captures the current bitmap contents as plain words.
-    ///
-    /// The snapshot is a *consistent-enough* copy for persistence: the map
-    /// is monotone (bits are only ever set), so any interleaving of
-    /// concurrent marks yields a snapshot that is a valid past state of the
-    /// map — exactly what a checkpoint needs.
-    pub fn snapshot(&self) -> CoverageSnapshot {
-        let load = |words: &[AtomicU64]| {
-            words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect::<Vec<u64>>()
-        };
-        CoverageSnapshot {
-            base: self.base,
-            slots: self.slots,
-            insns: load(&self.insns),
-            dirs: load(&self.dirs),
-        }
-    }
-
-    /// ORs a snapshot's bits back into this map.
-    ///
-    /// Fails with [`crate::Error::Persist`] when the snapshot was taken
-    /// from a map with different geometry (base address or slot count) —
-    /// restoring foreign coverage would mislabel addresses.
-    pub fn restore(&self, snapshot: &CoverageSnapshot) -> Result<(), crate::Error> {
-        if snapshot.base != self.base || snapshot.slots != self.slots {
-            return Err(crate::Error::Persist(
-                crate::persist::PersistError::Mismatch {
-                    what: "coverage map geometry (base/slots)",
-                },
-            ));
-        }
-        let merge = |words: &[AtomicU64], saved: &[u64]| {
-            for (w, s) in words.iter().zip(saved) {
-                w.fetch_or(*s, Ordering::Relaxed);
-            }
-        };
-        merge(&self.insns, &snapshot.insns);
-        merge(&self.dirs, &snapshot.dirs);
-        Ok(())
-    }
-}
-
-/// A plain-data copy of a [`CoverageMap`]'s bitmap, as captured by
-/// [`CoverageMap::snapshot`] and persisted (run-length encoded — the map is
-/// mostly zeros) by the [`crate::persist`] codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageSnapshot {
-    pub(crate) base: u32,
-    pub(crate) slots: u32,
-    pub(crate) insns: Vec<u64>,
-    pub(crate) dirs: Vec<u64>,
 }
 
 /// An [`Observer`] feeding a shared [`CoverageMap`]: every executed
@@ -345,6 +290,16 @@ mod tests {
         assert!(map.is_covered(0x0ffc), "below base reports covered");
         assert!(map.is_covered(0x1010), "past end reports covered");
         assert!(map.is_direction_covered(0x1010, false));
+    }
+
+    #[test]
+    fn span_is_capped_at_the_largest_segment() {
+        let widest = CoverageMap::new(0, u32::MAX);
+        assert_eq!(widest.tracked_slots(), u64::from(MAX_SLOTS));
+        assert!(
+            widest.is_covered(MAX_SLOTS * SLOT_BYTES),
+            "pcs past the cap carry no signal"
+        );
     }
 
     #[test]

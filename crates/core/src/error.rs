@@ -29,8 +29,8 @@ pub enum Error {
     Asm(binsym_asm::AsmError),
     /// The SUT's ELF image failed to parse.
     Elf(binsym_elf::ElfError),
-    /// [`crate::SessionBuilder::build`] was called without a binary or an
-    /// explicit executor.
+    /// A builder from [`crate::Session::builder`] was built without
+    /// [`crate::SessionBuilder::binary`].
     MissingBinary,
     /// A builder parameter is outside its valid range.
     InvalidConfig {
@@ -72,10 +72,7 @@ impl fmt::Display for Error {
             Error::Asm(e) => write!(f, "{e}"),
             Error::Elf(e) => write!(f, "{e}"),
             Error::MissingBinary => {
-                write!(
-                    f,
-                    "session has no binary: call `binary()` or `executor()` before `build()`"
-                )
+                write!(f, "session has no binary: call `binary()` before `build()`")
             }
             Error::InvalidConfig { what } => write!(f, "invalid session configuration: {what}"),
             Error::ReplayDivergence { what } => {
@@ -151,7 +148,12 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(Error::NoSymbolicInput.to_string().contains("__sym_input"));
-        assert!(Error::MissingBinary.to_string().contains("binary"));
+        let missing = Error::MissingBinary.to_string();
+        assert!(missing.contains("binary()"));
+        assert!(
+            !missing.contains("executor()"),
+            "no builder method of that name exists"
+        );
         let e = Error::InvalidConfig {
             what: "path limit must be nonzero",
         };

@@ -102,7 +102,7 @@ pub mod value;
 pub mod warm;
 
 pub use backend::StaticGate;
-pub use coverage::{CoverageMap, CoverageObserver, CoverageSnapshot};
+pub use coverage::{CoverageMap, CoverageObserver};
 pub use error::Error;
 pub use machine::{ExecError, StepResult, SymMachine, TrailEntry};
 pub use memory::{AddressPolicyKind, Resolution};
@@ -122,8 +122,8 @@ pub use session::{
     SpecExecutor, Summary,
 };
 pub use strategy::{
-    Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierPolicy, FrontierSnapshot,
-    PathStrategy, PrescriptionStrategy, RandomRestart,
+    Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierPolicy, PathStrategy,
+    PrescriptionStrategy, RandomRestart,
 };
 pub use trace::{ChromeTraceSink, JsonlTraceSink, TraceSink};
 pub use value::{SymByte, SymWord};

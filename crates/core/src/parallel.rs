@@ -71,7 +71,33 @@
 //! have hit it before stopping); an error beyond the cut belongs to work
 //! the truncated exploration never owed anyone and is dropped. Stopping
 //! at the first error observed would make the outcome a race.
+//!
+//! # Commit ledger and checkpoints
+//!
+//! One ledger records every run's committed *and* pending work: the
+//! records, and a [`PathId`]-ordered map of every prescription seeded or
+//! spawned but not yet committed or pruned — queued in a shard, in flight
+//! on a worker, or failed. The seeds (the root, a [`run_bag`] bag, or a
+//! resumed checkpoint's pending bag) enter the map before any worker
+//! starts. A worker's commit appends its record, removes its own id from
+//! the map and inserts the children it spawns (then pushes them to its
+//! shard), all under the one ledger lock; a pruned prescription leaves the
+//! map under it too, and a failed one simply stays. The merged output is
+//! the ledger's records, sorted.
+//!
+//! A checkpoint ([`crate::SessionBuilder::checkpoint`]) is therefore the
+//! result-shaping parameters, the records, the pending map and the
+//! truncation watermark, written under the ledger lock alone — a
+//! consistent cut, with no shard state in it. A resume
+//! ([`crate::SessionBuilder::resume`]) always spreads the pending map over
+//! its own shards in contiguous `PathId` chunks, whatever the worker count
+//! and shard policy of the interrupted run; replay purity and the
+//! canonical merge make its records byte-identical to an uninterrupted
+//! run's. The locks nest one way only: ledger → {watermark, shard}.
+//!
+//! [`run_bag`]: ParallelSession::run_bag
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -87,7 +113,7 @@ use crate::observe::{CheckpointEvent, NullObserver, Observer};
 use crate::persist::{decode_seq, encode_seq, section, Dec, Document, Enc, PersistError, Wire};
 use crate::prescribe::{PathId, PathRecord, Prescription};
 use crate::session::{materialize, PathExecutor, Summary};
-use crate::strategy::{FrontierSnapshot, PrescriptionStrategy};
+use crate::strategy::PrescriptionStrategy;
 use crate::warm::WarmCache;
 
 /// Factory producing one [`PathExecutor`] per worker thread.
@@ -144,18 +170,14 @@ pub(crate) struct PersistPlan {
     pub(crate) resume: Option<PathBuf>,
 }
 
-/// The run parameters a checkpoint is only valid under. `input_len`,
-/// `fuel` and `limit` shape the result *content*, so a resume validates
-/// them strictly; `workers` and `strategy` shape scheduling only (the
-/// merge is canonical), so they are recorded for exact frontier restore
-/// but a mismatch merely redistributes the pending bag.
+/// The run parameters a checkpoint is only valid under. All three shape
+/// the result *content*, so a resume validates them strictly; worker count
+/// and shard policy shape scheduling only and are not recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CheckpointMeta {
     input_len: u32,
     fuel: u64,
     limit: Option<u64>,
-    workers: u64,
-    strategy: String,
 }
 
 impl Wire for CheckpointMeta {
@@ -163,8 +185,6 @@ impl Wire for CheckpointMeta {
         self.input_len.encode(enc);
         self.fuel.encode(enc);
         self.limit.encode(enc);
-        self.workers.encode(enc);
-        self.strategy.encode(enc);
     }
 
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
@@ -172,38 +192,32 @@ impl Wire for CheckpointMeta {
             input_len: u32::decode(dec)?,
             fuel: u64::decode(dec)?,
             limit: Option::decode(dec)?,
-            workers: u64::decode(dec)?,
-            strategy: String::decode(dec)?,
         })
     }
 }
 
-/// The committed results of a checkpointing run, guarded by one mutex that
-/// doubles as the **commit lock**: a worker's whole commit — watermark
-/// note, spawned children push, record append, in-flight slot clear, and
-/// (every N paths) the checkpoint write itself — happens under this lock,
-/// so a checkpoint never observes a half-committed prescription.
-struct CheckpointLedger {
+/// The single record of a run's committed and pending work, guarded by one
+/// mutex that doubles as the **commit lock**. Every prescription of the run
+/// is in exactly one place: a committed record, the pending map, or gone
+/// (pruned past the truncation watermark). Each move between them happens
+/// under this lock, so a checkpoint written under it alone is a consistent
+/// cut.
+#[derive(Default)]
+struct Ledger {
     records: Vec<PrescriptionRecord>,
-    /// Prescriptions whose replay failed. Persisted as loose pending work:
-    /// replay being pure, a resumed run re-replays them and deterministically
-    /// re-derives the same typed [`Error`] — no error serialization needed.
-    failed: Vec<Prescription>,
+    /// Every seeded or spawned prescription not yet committed or pruned:
+    /// queued in a shard, in flight on a worker, or failed. A failed
+    /// replay stays here, so a resume re-replays it and — replay being
+    /// pure — re-derives the same typed [`Error`] without serializing it.
+    pending: BTreeMap<PathId, Prescription>,
     /// Materialized paths committed so far (including restored ones).
     paths: u64,
     /// Paths committed since the last checkpoint write.
     since_write: u64,
 }
 
-/// Shared checkpointing state of one run.
-struct CheckpointShared {
-    ledger: Mutex<CheckpointLedger>,
-    /// Per-worker in-flight slot: filled (under the shard lock) with a clone
-    /// of every popped prescription, cleared when its commit lands. A
-    /// checkpoint taken while holding all shard locks therefore sees every
-    /// popped-but-uncommitted prescription here and persists it as loose
-    /// pending work.
-    slots: Vec<Mutex<Option<Prescription>>>,
+/// Where and how often a run writes checkpoints.
+struct CheckpointPlan {
     path: PathBuf,
     /// Write a checkpoint every this many newly committed paths.
     every: u64,
@@ -217,8 +231,7 @@ struct CheckpointShared {
 /// Everything a resume checkpoint seeds a run with.
 struct ResumeSeed {
     records: Vec<PrescriptionRecord>,
-    shards: Vec<FrontierSnapshot>,
-    loose: Vec<Prescription>,
+    pending: Vec<Prescription>,
     watermark_ids: Vec<PathId>,
 }
 
@@ -234,69 +247,46 @@ fn load_checkpoint(
     let doc = Document::read(path)?;
     let meta: CheckpointMeta = crate::persist::decode_one(doc.require(section::META)?)?;
     let policy: AddressPolicyKind = crate::persist::decode_one(doc.require(section::POLICY)?)?;
-    if policy != expect_policy {
-        return Err(PersistError::Mismatch {
-            what: "checkpoint address policy differs from this session's",
+    for (differs, what) in [
+        (
+            policy != expect_policy,
+            "checkpoint address policy differs from this session's",
+        ),
+        (
+            meta.input_len != expect.input_len,
+            "checkpoint input_len differs from this session's",
+        ),
+        (
+            meta.fuel != expect.fuel,
+            "checkpoint fuel differs from this session's",
+        ),
+        (
+            meta.limit != expect.limit,
+            "checkpoint path limit differs from this session's",
+        ),
+    ] {
+        if differs {
+            return Err(PersistError::Mismatch { what }.into());
         }
-        .into());
-    }
-    if meta.input_len != expect.input_len {
-        return Err(PersistError::Mismatch {
-            what: "checkpoint input_len differs from this session's",
-        }
-        .into());
-    }
-    if meta.fuel != expect.fuel {
-        return Err(PersistError::Mismatch {
-            what: "checkpoint fuel differs from this session's",
-        }
-        .into());
-    }
-    if meta.limit != expect.limit {
-        return Err(PersistError::Mismatch {
-            what: "checkpoint path limit differs from this session's",
-        }
-        .into());
     }
     Ok(ResumeSeed {
         records: decode_seq(doc.require(section::RECORDS)?)?,
-        shards: decode_seq(doc.require(section::PENDING)?)?,
-        loose: decode_seq(doc.require(section::SLOTS)?)?,
+        pending: decode_seq(doc.require(section::PENDING)?)?,
         watermark_ids: decode_seq(doc.require(section::WATERMARK)?)?,
     })
 }
 
-/// Writes one atomic checkpoint of the run: committed records (from the
-/// held ledger), every shard frontier, every in-flight slot, the failed
-/// list, and the truncation watermark.
-///
-/// Caller holds the ledger (the commit lock); this function additionally
-/// holds **all** shard locks simultaneously while reading frontiers and
-/// slots, which — with `Frontier::acquire` filling a worker's slot under
-/// the shard lock — makes the capture a consistent cut: every prescription
-/// is in exactly one of RECORDS / PENDING / SLOTS. Lock order is
-/// ledger → shards → slots → watermark; workers take at most shard → slot
-/// without the ledger, so the hierarchy is acyclic.
+/// Writes one atomic checkpoint of the run from the held ledger: the
+/// committed records, every pending prescription in [`PathId`] order, and
+/// the truncation watermark. The caller holds the ledger (the commit lock)
+/// and nothing else; the watermark lock is taken inside it, in the run's
+/// one lock order, ledger → {watermark, shard}.
 fn write_checkpoint(
-    ck: &CheckpointShared,
-    ledger: &CheckpointLedger,
-    state: &RunState,
+    ck: &CheckpointPlan,
+    ledger: &Ledger,
+    watermark: Option<&Mutex<Watermark>>,
 ) -> Result<u64, PersistError> {
-    let guards: Vec<_> = state
-        .frontier
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("shard lock"))
-        .collect();
-    let snapshots: Vec<FrontierSnapshot> = guards.iter().map(|g| g.snapshot()).collect();
-    let mut loose: Vec<Prescription> = ck
-        .slots
-        .iter()
-        .filter_map(|s| s.lock().expect("slot lock").clone())
-        .collect();
-    drop(guards);
-    loose.extend(ledger.failed.iter().cloned());
-    let mut watermark_ids: Vec<PathId> = match &state.watermark {
+    let mut watermark_ids: Vec<PathId> = match watermark {
         Some(w) => w
             .lock()
             .expect("watermark lock")
@@ -309,36 +299,33 @@ fn write_checkpoint(
     // Heap iteration order is internal; sort so equal run states write
     // byte-identical checkpoints.
     watermark_ids.sort();
+    // `encode_seq`'s layout, straight from the map: no copy of the bag.
+    let mut pending = Enc::new();
+    pending.u64(ledger.pending.len() as u64);
+    for p in ledger.pending.values() {
+        p.encode(&mut pending);
+    }
 
     let mut doc = Document::new();
     doc.push(section::META, crate::persist::encode_one(&ck.meta));
     doc.push(section::POLICY, crate::persist::encode_one(&ck.policy));
     doc.push(section::RECORDS, encode_seq(&ledger.records));
-    doc.push(section::PENDING, encode_seq(&snapshots));
-    doc.push(section::SLOTS, encode_seq(&loose));
+    doc.push(section::PENDING, pending.into_bytes());
     doc.push(section::WATERMARK, encode_seq(&watermark_ids));
     doc.write_atomic(&ck.path)?;
     Ok(ledger.paths)
 }
 
-/// Spreads a bag of prescriptions across the shards in sorted contiguous
-/// chunks: [`PathId`] order is depth-first discovery order, so contiguous
-/// chunks are (unions of) subtrees — the same locality the live run's
-/// work-stealing maintains. Placement only shapes scheduling; the merge
-/// stays canonical regardless.
-fn distribute(frontier: &Frontier, mut bag: Vec<Prescription>) {
-    if bag.is_empty() {
-        return;
-    }
-    bag.sort_by(|a, b| a.id.cmp(&b.id));
-    let shards = frontier.shards.len();
-    let chunk = bag.len().div_ceil(shards).max(1);
-    let mut shard = 0;
-    while !bag.is_empty() {
-        let rest = bag.split_off(chunk.min(bag.len()));
-        frontier.push_batch(shard % shards, bag);
-        bag = rest;
-        shard += 1;
+/// Spreads the pending map across the shards in contiguous chunks of its
+/// [`PathId`] order: that order is depth-first discovery order, so
+/// contiguous chunks are (unions of) subtrees — the same locality the live
+/// run's work-stealing maintains. Placement only shapes scheduling; the
+/// merge stays canonical regardless.
+fn distribute(frontier: &Frontier, pending: &BTreeMap<PathId, Prescription>) {
+    let chunk = pending.len().div_ceil(frontier.shards.len()).max(1);
+    let mut bag = pending.values().cloned();
+    for shard in 0..frontier.shards.len() {
+        frontier.push_batch(shard, bag.by_ref().take(chunk).collect());
     }
 }
 
@@ -346,9 +333,9 @@ fn distribute(frontier: &Frontier, mut bag: Vec<Prescription>) {
 struct Frontier {
     shards: Vec<Mutex<Box<dyn PrescriptionStrategy>>>,
     /// Prescriptions sitting in shards.
-    pending: AtomicUsize,
+    queued: AtomicUsize,
     /// Prescriptions taken but not yet fully processed (their spawns are
-    /// not pushed yet), so an empty `pending` does not imply termination.
+    /// not pushed yet), so an empty `queued` does not imply termination.
     in_flight: AtomicUsize,
     /// Cooperative stop (error or path limit reached).
     stop: AtomicBool,
@@ -360,7 +347,7 @@ impl Frontier {
     fn new(shards: Vec<Box<dyn PrescriptionStrategy>>) -> Self {
         Frontier {
             shards: shards.into_iter().map(Mutex::new).collect(),
-            pending: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             idle_lock: Mutex::new(()),
@@ -379,7 +366,7 @@ impl Frontier {
                 s.push(p);
             }
         }
-        self.pending.fetch_add(n, Ordering::SeqCst);
+        self.queued.fetch_add(n, Ordering::SeqCst);
         if n == 1 {
             self.idle_cv.notify_one();
         } else {
@@ -389,46 +376,26 @@ impl Frontier {
 
     /// Blocks until a prescription is available (own shard first, then
     /// stealing round-robin), or until exploration is over.
-    ///
-    /// When checkpointing is on, `slot` is this worker's in-flight slot: it
-    /// is filled with a clone of the popped prescription **while the shard
-    /// (or victim) lock is still held**, so a checkpoint that reads all
-    /// shards and slots under all shard locks sees every prescription in
-    /// exactly one place.
-    fn acquire(
-        &self,
-        me: usize,
-        slot: Option<&Mutex<Option<Prescription>>>,
-    ) -> Option<Prescription> {
-        let fill = |p: &Prescription| {
-            if let Some(slot) = slot {
-                *slot.lock().expect("slot lock") = Some(p.clone());
-            }
-        };
+    fn acquire(&self, me: usize) -> Option<Prescription> {
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return None;
             }
-            {
-                let mut shard = self.shards[me].lock().expect("shard lock");
-                if let Some(p) = shard.pop() {
-                    fill(&p);
-                    self.checkout();
-                    return Some(p);
-                }
+            let own = self.shards[me].lock().expect("shard lock").pop();
+            let taken = own.or_else(|| {
+                (1..self.shards.len()).find_map(|k| {
+                    let victim = (me + k) % self.shards.len();
+                    self.shards[victim].lock().expect("shard lock").steal()
+                })
+            });
+            if let Some(p) = taken {
+                // In flight before it leaves `queued`: no instant has
+                // both counters at zero while `p` is live.
+                self.in_flight.fetch_add(1, Ordering::SeqCst);
+                self.queued.fetch_sub(1, Ordering::SeqCst);
+                return Some(p);
             }
-            for k in 1..self.shards.len() {
-                let victim = (me + k) % self.shards.len();
-                let mut shard = self.shards[victim].lock().expect("shard lock");
-                if let Some(p) = shard.steal() {
-                    fill(&p);
-                    self.checkout();
-                    return Some(p);
-                }
-                drop(shard);
-            }
-            if self.pending.load(Ordering::SeqCst) == 0
-                && self.in_flight.load(Ordering::SeqCst) == 0
+            if self.queued.load(Ordering::SeqCst) == 0 && self.in_flight.load(Ordering::SeqCst) == 0
             {
                 self.idle_cv.notify_all();
                 return None;
@@ -443,14 +410,9 @@ impl Frontier {
         }
     }
 
-    fn checkout(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-
     fn release(&self) {
         if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.pending.load(Ordering::SeqCst) == 0
+            && self.queued.load(Ordering::SeqCst) == 0
         {
             // Possibly the last unit of work: wake idlers so they can exit.
             self.idle_cv.notify_all();
@@ -460,15 +422,6 @@ impl Frontier {
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.idle_cv.notify_all();
-    }
-
-    /// Re-seeds shard `i` from a resume snapshot (exact per-shard restore;
-    /// only called before the workers spawn). The caller has already
-    /// matched [`FrontierSnapshot::strategy`] against the shard's policy.
-    fn restore_shard(&self, i: usize, snapshot: FrontierSnapshot) {
-        let n = snapshot.items.len();
-        self.shards[i].lock().expect("shard lock").restore(snapshot);
-        self.pending.fetch_add(n, Ordering::SeqCst);
     }
 }
 
@@ -515,10 +468,10 @@ struct RunState {
     /// prescription id sorts smallest, so the reported failure is
     /// schedule-independent.
     error: Mutex<Option<(PathId, Error)>>,
-    /// Checkpointing state; `None` when no checkpoint path is configured
-    /// (the zero-overhead default — workers then keep thread-local outputs
-    /// and never touch a ledger).
-    checkpoint: Option<CheckpointShared>,
+    /// Committed records and pending work; its lock is the commit lock.
+    ledger: Mutex<Ledger>,
+    /// Checkpoint writing; `None` when no checkpoint path is configured.
+    checkpoint: Option<CheckpointPlan>,
 }
 
 impl RunState {
@@ -553,14 +506,44 @@ impl RunState {
             .is_some_and(|w| w.lock().expect("watermark lock").prunes(id))
     }
 
-    /// Notes a materialized path for the truncation watermark and, in the
-    /// same lock scope, sheds the spawns the tightened watermark already
-    /// rules out.
-    fn note_path(&self, id: &PathId, spawned: &mut Vec<Prescription>) {
-        if let Some(w) = &self.watermark {
-            let mut w = w.lock().expect("watermark lock");
-            w.insert(id.clone());
-            spawned.retain(|s| !w.prunes(&s.id));
+    /// Commits one replayed prescription under the ledger lock: its record
+    /// lands, its id leaves the pending map, and the children of a
+    /// materialized path — minus those the tightened watermark already
+    /// rules out — enter the map and `shard`. The children are pushed
+    /// before the worker's in-flight count is released, so the
+    /// termination check never sees a window with neither queued nor
+    /// in-flight work. Every `every`-th committed path also writes the
+    /// checkpoint, still under the lock; the committed path count is
+    /// returned when it does.
+    fn commit(
+        &self,
+        shard: usize,
+        mut record: PrescriptionRecord,
+        materialized: Option<(PathRecord, Vec<Prescription>)>,
+    ) -> Result<Option<u64>, PersistError> {
+        let mut ledger = self.ledger.lock().expect("ledger lock");
+        ledger.pending.remove(&record.id);
+        if let Some((path, mut spawned)) = materialized {
+            if let Some(w) = &self.watermark {
+                let mut w = w.lock().expect("watermark lock");
+                w.insert(record.id.clone());
+                spawned.retain(|s| !w.prunes(&s.id));
+            }
+            ledger
+                .pending
+                .extend(spawned.iter().map(|s| (s.id.clone(), s.clone())));
+            self.frontier.push_batch(shard, spawned);
+            record.path = Some(path);
+            ledger.paths += 1;
+            ledger.since_write += 1;
+        }
+        ledger.records.push(record);
+        match &self.checkpoint {
+            Some(ck) if ledger.since_write >= ck.every => {
+                ledger.since_write = 0;
+                write_checkpoint(ck, &ledger, self.watermark.as_ref()).map(Some)
+            }
+            _ => Ok(None),
         }
     }
 }
@@ -660,8 +643,6 @@ impl ParallelSession {
             input_len: self.input_len,
             fuel: self.fuel,
             limit: self.limit,
-            workers: self.workers as u64,
-            strategy: self.strategy_name.to_string(),
         }
     }
 
@@ -779,7 +760,17 @@ impl ParallelSession {
             frontier: Frontier::new(shards),
             watermark: self.limit.map(|l| Mutex::new(Watermark::new(l))),
             error: Mutex::new(None),
-            checkpoint: None,
+            ledger: Mutex::new(Ledger::default()),
+            checkpoint: self
+                .persist
+                .checkpoint
+                .clone()
+                .map(|(path, every)| CheckpointPlan {
+                    path,
+                    every,
+                    meta: self.checkpoint_meta(),
+                    policy: self.policy,
+                }),
         };
 
         // The coordinator's own observer (one extra factory draw, index
@@ -796,68 +787,38 @@ impl ParallelSession {
             Box::new(NullObserver)
         };
 
-        // Resume: seed the run from the checkpoint instead of `seed`.
-        let mut restored: Vec<PrescriptionRecord> = Vec::new();
-        if let Some(resume_path) = self.persist.resume.clone() {
-            let loaded = load_checkpoint(&resume_path, &self.checkpoint_meta(), self.policy)?;
-            if let Some(w) = &state.watermark {
-                let mut w = w.lock().expect("watermark lock");
-                for id in loaded.watermark_ids {
-                    w.insert(id);
+        // Seed the ledger before any worker starts: from the checkpoint
+        // when resuming (its records stay in the ledger, so periodic
+        // checkpoints of a resumed run carry the full record set, not a
+        // delta), from `seed` otherwise. The pending bag is redistributed
+        // whatever the worker count and shard policy were.
+        let ledger = state.ledger.get_mut().expect("ledger lock");
+        let bag = match &self.persist.resume {
+            Some(resume_path) => {
+                let loaded = load_checkpoint(resume_path, &self.checkpoint_meta(), self.policy)?;
+                if let Some(w) = &state.watermark {
+                    let mut w = w.lock().expect("watermark lock");
+                    for id in loaded.watermark_ids {
+                        w.insert(id);
+                    }
                 }
-            }
-            // Exact per-shard restore when the topology matches (same
-            // worker count, same policy per shard) — including RNG state
-            // and the coverage warm-up; otherwise redistribute the whole
-            // pending bag in sorted contiguous chunks. Either way the
-            // merge stays canonical; only scheduling differs.
-            let exact = loaded.shards.len() == self.workers
-                && loaded.shards.iter().enumerate().all(|(i, snap)| {
-                    snap.strategy == state.frontier.shards[i].lock().expect("shard lock").name()
+                coord_observer.on_checkpoint(CheckpointEvent::Resumed {
+                    records: loaded.records.len() as u64,
                 });
-            if exact {
-                for (i, snap) in loaded.shards.into_iter().enumerate() {
-                    state.frontier.restore_shard(i, snap);
-                }
-                distribute(&state.frontier, loaded.loose);
-            } else {
-                let mut bag: Vec<Prescription> =
-                    loaded.shards.into_iter().flat_map(|s| s.items).collect();
-                bag.extend(loaded.loose);
-                distribute(&state.frontier, bag);
+                ledger.paths = loaded.records.iter().filter(|r| r.path.is_some()).count() as u64;
+                ledger.records = loaded.records;
+                loaded.pending
             }
-            restored = loaded.records;
-            coord_observer.on_checkpoint(CheckpointEvent::Resumed {
-                records: restored.len() as u64,
-            });
-        } else {
-            distribute(&state.frontier, seed);
-        }
-
-        if let Some((path, every)) = self.persist.checkpoint.clone() {
-            // Restored records live in the ledger so periodic checkpoints
-            // stay self-contained (a checkpoint of a resumed run carries
-            // the full record set, not a delta).
-            let paths = restored.iter().filter(|r| r.path.is_some()).count() as u64;
-            state.checkpoint = Some(CheckpointShared {
-                ledger: Mutex::new(CheckpointLedger {
-                    records: std::mem::take(&mut restored),
-                    failed: Vec::new(),
-                    paths,
-                    since_write: 0,
-                }),
-                slots: (0..self.workers).map(|_| Mutex::new(None)).collect(),
-                path,
-                every,
-                meta: self.checkpoint_meta(),
-                policy: self.policy,
-            });
-        }
+            None => seed,
+        };
+        ledger
+            .pending
+            .extend(bag.into_iter().map(|p| (p.id.clone(), p)));
+        distribute(&state.frontier, &ledger.pending);
 
         // One `Instruments` handle per worker, all sharing the registry and
         // sink but each stamping its own track (worker index); track
         // `self.workers` is reserved for the coordinator's merge phase.
-        let mut outputs: Vec<Vec<PrescriptionRecord>> = Vec::with_capacity(self.workers);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
             for idx in 0..self.workers {
@@ -881,8 +842,11 @@ impl ParallelSession {
                     )
                 }));
             }
+            // Join each worker rather than let `scope` wait: a dropped
+            // handle detaches its thread, which may still be exiting — and
+            // holding its malloc arena — when the next run spawns workers.
             for h in handles {
-                outputs.push(h.join().expect("worker panicked"));
+                h.join().expect("worker panicked");
             }
         });
 
@@ -893,8 +857,8 @@ impl ParallelSession {
                 // re-explores and, replay being deterministic, reproduces
                 // the same error instead of masking it behind an empty
                 // summary. The last periodic checkpoint stays on disk: the
-                // failed prescription is persisted as loose pending work,
-                // so a resume deterministically re-derives this error.
+                // failed prescription is still pending in it, so a resume
+                // deterministically re-derives this error.
                 return Err(e);
             }
         }
@@ -903,8 +867,8 @@ impl ParallelSession {
         // finished (or truncated) run leaves a checkpoint a resume turns
         // into the identical merged output without re-exploring.
         if let Some(ck) = &state.checkpoint {
-            let ledger = ck.ledger.lock().expect("ledger lock");
-            let wrote = write_checkpoint(ck, &ledger, &state);
+            let ledger = state.ledger.lock().expect("ledger lock");
+            let wrote = write_checkpoint(ck, &ledger, state.watermark.as_ref());
             drop(ledger);
             match wrote {
                 Ok(paths) => coord_observer.on_checkpoint(CheckpointEvent::Written { paths }),
@@ -917,15 +881,11 @@ impl ParallelSession {
         // shows the sequential tail after the worker tracks go quiet.
         let merge_instr = self.instr.for_track(self.workers as u32);
         let merge_started = merge_instr.begin(Phase::Merge);
-        let mut all: Vec<PrescriptionRecord> = outputs.into_iter().flatten().collect();
-        if let Some(ck) = state.checkpoint.take() {
-            all.extend(ck.ledger.into_inner().expect("ledger lock").records);
-        }
-        all.extend(restored);
+        let mut all = state.ledger.into_inner().expect("ledger lock").records;
         all.sort_by(|a, b| a.id.cmp(&b.id));
-        // Defense in depth for resumed runs: replay purity makes equal-id
+        // A checkpoint is a consistent cut, so RECORDS and PENDING never
+        // share an id; a hand-made one might. Replay purity makes equal-id
         // records byte-identical, so dropping duplicates is canonical.
-        // (The commit-lock consistent cut means none are expected.)
         all.dedup_by(|a, b| a.id == b.id);
 
         // Canonical truncation: workers over-collected under the shrinking
@@ -996,7 +956,8 @@ impl ParallelSession {
 
 /// One worker: pull prescriptions, replay each on the worker's own engine
 /// in a fresh solver context (or through the worker's warm-start cache),
-/// record results, spawn follow-up work.
+/// and commit each result — record and spawned follow-up work — to the
+/// ledger.
 #[allow(clippy::too_many_arguments)]
 fn worker_main(
     idx: usize,
@@ -1007,12 +968,12 @@ fn worker_main(
     warm_capacity: Option<usize>,
     gate: StaticGate,
     instr: Instruments,
-) -> Vec<PrescriptionRecord> {
+) {
     let mut executor = match executor_factory() {
         Ok(e) => e,
         Err(e) => {
             state.record_error(PathId::root(), e);
-            return Vec::new();
+            return;
         }
     };
     let mut observer: Box<dyn Observer> = match observer_factory {
@@ -1021,13 +982,8 @@ fn worker_main(
     };
     let mut tm = TermManager::new();
     let mut warm = warm_capacity.map(WarmCache::new);
-    let mut out = Vec::new();
-    // This worker's in-flight slot (checkpointing runs only): `acquire`
-    // fills it under the shard lock; the commit below clears it under the
-    // ledger lock.
-    let slot = state.checkpoint.as_ref().map(|ck| &ck.slots[idx]);
 
-    while let Some(p) = state.frontier.acquire(idx, slot) {
+    while let Some(p) = state.frontier.acquire(idx) {
         // Balance the frontier's in-flight count on every exit from this
         // iteration — including an unwind out of user code (executor,
         // solver, or observer panics). Without this, a panicking worker
@@ -1036,14 +992,16 @@ fn worker_main(
         let _checked_in = InFlightGuard(&state.frontier);
         // Canonical truncation: ids past the watermark can never enter the
         // final `limit`-lowest prefix, and neither can their descendants —
-        // skip the replay entirely, recording nothing. The slot clear needs
-        // no commit lock: a checkpoint that still captured `p` only makes a
-        // resume re-prune it (the persisted watermark is at least as tight
-        // as the one that pruned it here).
+        // skip the replay entirely, recording nothing. `pruned` has
+        // dropped the watermark guard before the ledger lock is taken, so
+        // the lock order stays ledger → {watermark, shard}.
         if state.pruned(&p.id) {
-            if let Some(slot) = slot {
-                *slot.lock().expect("slot lock") = None;
-            }
+            state
+                .ledger
+                .lock()
+                .expect("ledger lock")
+                .pending
+                .remove(&p.id);
             continue;
         }
         // A fresh engine context per prescription: reset handle numbering
@@ -1062,93 +1020,42 @@ fn worker_main(
             gate,
             &instr,
         );
-        match outcome {
+        let (query, materialized) = match outcome {
+            Ok(replayed) => replayed,
             Err(e) => {
+                // The failed prescription stays in the ledger's pending
+                // map. A truncated run explores on: the erroring
+                // prescription contributes no record and spawns nothing,
+                // and whether the error surfaces is decided canonically at
+                // merge time.
                 let stopping = state.watermark.is_none();
-                if let Some(ck) = &state.checkpoint {
-                    // Persist the failure as loose pending work: replay is
-                    // pure, so a resumed run re-replays the prescription
-                    // and deterministically re-derives this very error —
-                    // no error serialization needed.
-                    let mut ledger = ck.ledger.lock().expect("ledger lock");
-                    ledger.failed.push(p.clone());
-                    *ck.slots[idx].lock().expect("slot lock") = None;
-                    drop(ledger);
-                }
                 state.record_error(p.id, e);
                 if stopping {
                     break;
                 }
-                // Truncated run: the erroring prescription contributes no
-                // record and spawns nothing; whether the error surfaces is
-                // decided canonically at merge time.
                 continue;
             }
-            Ok((query, materialized)) => {
-                let mut record = PrescriptionRecord {
-                    id: p.id,
-                    query,
-                    path: None,
-                };
-                match &state.checkpoint {
-                    None => {
-                        if let Some((path, mut spawned)) = materialized {
-                            // Note the path and shed spawns the tightened
-                            // watermark already rules out, then push the
-                            // rest before the guard releases in-flight, so
-                            // the termination check never sees a window
-                            // with neither pending nor in-flight work.
-                            state.note_path(&record.id, &mut spawned);
-                            record.path = Some(path);
-                            state.frontier.push_batch(idx, spawned);
-                        }
-                        out.push(record);
-                    }
-                    Some(ck) => {
-                        // Atomic commit under the ledger lock — record,
-                        // spawned children, and slot clear land together,
-                        // so a checkpoint (which runs inside a commit)
-                        // never captures a half-committed prescription.
-                        let mut wrote = None;
-                        let mut write_err = None;
-                        {
-                            let mut ledger = ck.ledger.lock().expect("ledger lock");
-                            if let Some((path, mut spawned)) = materialized {
-                                state.note_path(&record.id, &mut spawned);
-                                record.path = Some(path);
-                                state.frontier.push_batch(idx, spawned);
-                                ledger.paths += 1;
-                                ledger.since_write += 1;
-                            }
-                            ledger.records.push(record);
-                            *ck.slots[idx].lock().expect("slot lock") = None;
-                            if ledger.since_write >= ck.every {
-                                ledger.since_write = 0;
-                                match write_checkpoint(ck, &ledger, state) {
-                                    Ok(paths) => wrote = Some(paths),
-                                    Err(e) => write_err = Some(e),
-                                }
-                            }
-                        }
-                        if let Some(paths) = wrote {
-                            // Fired outside the lock: a sibling may replace
-                            // the file mid-event, which is fine — every
-                            // written checkpoint is a consistent cut.
-                            observer.on_checkpoint(CheckpointEvent::Written { paths });
-                        }
-                        if let Some(e) = write_err {
-                            // A failed checkpoint write is fatal on every
-                            // schedule: it sorts as a root-id error, which
-                            // always surfaces and stops the run.
-                            state.record_error(PathId::root(), Error::Persist(e));
-                            break;
-                        }
-                    }
-                }
+        };
+        let record = PrescriptionRecord {
+            id: p.id,
+            query,
+            path: None,
+        };
+        match state.commit(idx, record, materialized) {
+            Ok(None) => {}
+            // Fired outside the lock: a sibling may replace the file
+            // mid-event, which is fine — every written checkpoint is a
+            // consistent cut.
+            Ok(Some(paths)) => observer.on_checkpoint(CheckpointEvent::Written { paths }),
+            Err(e) => {
+                // A failed checkpoint write is fatal on every schedule: it
+                // sorts as a root-id error, which always surfaces and
+                // stops the run.
+                state.record_error(PathId::root(), Error::Persist(e));
+                break;
             }
         }
     }
-    out
 }
 
 /// Releases one unit of in-flight work when dropped; on an unwind it also
@@ -1286,20 +1193,27 @@ ok:
         Assembler::new().assemble(src).expect("assembles")
     }
 
+    fn builder(src: &str) -> crate::SessionBuilder {
+        Session::builder(Spec::rv32im()).binary(&elf(src))
+    }
+
     fn parallel(src: &str, workers: usize) -> ParallelSession {
-        Session::builder(Spec::rv32im())
-            .binary(&elf(src))
+        builder(src)
             .workers(workers)
             .build_parallel()
             .expect("builds")
     }
 
+    /// A finished run of `src` on `workers` workers.
+    fn finished(src: &str, workers: usize) -> ParallelSession {
+        let mut par = parallel(src, workers);
+        par.run_all().unwrap();
+        par
+    }
+
     #[test]
     fn matches_sequential_summary_and_path_set() {
-        let mut seq = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
-            .build()
-            .unwrap();
+        let mut seq = builder(THREE_COMPARES).build().unwrap();
         // The model-independent fingerprint of each path is its
         // branch-decision vector; the complete path *set* is a semantic
         // property and must agree exactly. The discovery *order* within
@@ -1323,11 +1237,7 @@ ok:
         seq_decisions.sort();
         let seq_summary = seq.summary();
 
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 1);
-            par.run_all().unwrap();
-            par
-        };
+        let reference = finished(THREE_COMPARES, 1);
         for workers in [1, 2, 4] {
             let mut par = parallel(THREE_COMPARES, workers);
             let summary = par.run_all().unwrap();
@@ -1372,8 +1282,7 @@ ok:
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         let handle = Arc::clone(&log);
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(1)
             .observer_factory(move |_| Box::new(DecisionLog(Arc::clone(&handle))))
             .build_parallel()
@@ -1406,8 +1315,7 @@ ok:
             Arc::new(|i| Box::new(RandomRestart::<Prescription>::with_seed(42 + i as u64))),
         ];
         for policy in policies {
-            let mut par = Session::builder(Spec::rv32im())
-                .binary(&elf(THREE_COMPARES))
+            let mut par = builder(THREE_COMPARES)
                 .workers(2)
                 .shard_strategy(move |i| policy(i))
                 .build_parallel()
@@ -1422,8 +1330,7 @@ ok:
 
     #[test]
     fn limit_truncates_with_exact_count() {
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(4)
             .limit(5)
             .build_parallel()
@@ -1445,8 +1352,7 @@ ok:
         }
         let paths_seen = Arc::new(AtomicU64::new(0));
         let handle = Arc::clone(&paths_seen);
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(2)
             .observer_factory(move |_| Box::new(AtomicCounter(Arc::clone(&handle))))
             .build_parallel()
@@ -1459,8 +1365,7 @@ ok:
     fn counting_observer_is_a_valid_worker_observer() {
         // Worker observers do not need shared handles to be useful in
         // benchmarks (cost models); a plain counter per worker works.
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(2)
             .observer_factory(|_| Box::new(CountingObserver::new()))
             .build_parallel()
@@ -1470,8 +1375,7 @@ ok:
 
     #[test]
     fn fuel_exhaustion_is_reported_as_error() {
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(2)
             .fuel(3)
             .build_parallel()
@@ -1558,8 +1462,7 @@ ok:
                 panic!("observer bomb");
             }
         }
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(2)
             .observer_factory(|_| Box::new(Bomb))
             .build_parallel()
@@ -1572,14 +1475,9 @@ ok:
 
     #[test]
     fn warm_start_records_are_byte_identical_to_cache_off() {
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 1);
-            par.run_all().unwrap();
-            par
-        };
+        let reference = finished(THREE_COMPARES, 1);
         for workers in [1usize, 2, 4] {
-            let mut warm = Session::builder(Spec::rv32im())
-                .binary(&elf(THREE_COMPARES))
+            let mut warm = builder(THREE_COMPARES)
                 .workers(workers)
                 .warm_start(true)
                 .build_parallel()
@@ -1599,14 +1497,9 @@ ok:
 
     #[test]
     fn warm_start_with_tiny_capacity_stays_identical() {
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 2);
-            par.run_all().unwrap();
-            par
-        };
+        let reference = finished(THREE_COMPARES, 2);
         // Capacity 1 forces constant eviction — results must not care.
-        let mut warm = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut warm = builder(THREE_COMPARES)
             .workers(2)
             .warm_start(true)
             .build_parallel()
@@ -1640,8 +1533,7 @@ ok:
         let warm = Arc::new(AtomicU64::new(0));
         let hits = Arc::new(AtomicU64::new(0));
         let (q, w, h) = (Arc::clone(&queries), Arc::clone(&warm), Arc::clone(&hits));
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(1)
             .warm_start(true)
             .observer_factory(move |_| {
@@ -1696,8 +1588,7 @@ ok:
     fn warm_start_surfaces_error_paths_identically() {
         let mut cold = parallel(WITH_BUG, 2);
         let cold_summary = cold.run_all().unwrap();
-        let mut warm = Session::builder(Spec::rv32im())
-            .binary(&elf(WITH_BUG))
+        let mut warm = builder(WITH_BUG)
             .workers(2)
             .warm_start(true)
             .build_parallel()
@@ -1793,7 +1684,7 @@ ok:
     }
 
     /// Simulates a kill: copies the live checkpoint file aside when the
-    /// `fire_at`-th `Written` event fires. The copy opens the file at one
+    /// second `Written` event fires. The copy opens the file at one
     /// instant — atomic tmp+rename replacement means whatever inode it
     /// reads is a complete, consistent checkpoint, so resuming from the
     /// copy is exactly resuming a process killed at that moment.
@@ -1801,34 +1692,61 @@ ok:
     struct CopyOnWritten {
         src: PathBuf,
         dst: PathBuf,
-        fire_at: u64,
         seen: Arc<std::sync::atomic::AtomicU64>,
     }
     impl Observer for CopyOnWritten {
         fn on_checkpoint(&mut self, event: CheckpointEvent) {
             if let CheckpointEvent::Written { .. } = event {
-                if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.fire_at {
+                // `fetch_add` returns the writes seen before this one.
+                if self.seen.fetch_add(1, Ordering::SeqCst) == 1 {
                     std::fs::copy(&self.src, &self.dst).expect("copy checkpoint aside");
                 }
             }
         }
     }
 
+    /// Runs `builder` to the end with a checkpoint after every committed
+    /// path, each worker observing through `observer` and a
+    /// [`CopyOnWritten`], and returns the copied mid-run checkpoint.
+    fn checkpoint_cut(
+        builder: crate::SessionBuilder,
+        observer: impl Fn() -> Box<dyn Observer> + Send + Sync + 'static,
+    ) -> PathBuf {
+        let (live, copy) = (ck_path("cut-live"), ck_path("cut-copy"));
+        let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (src, dst) = (live.clone(), copy.clone());
+        builder
+            .checkpoint(&live, 1)
+            .observer_factory(move |_| {
+                let copier = CopyOnWritten {
+                    src: src.clone(),
+                    dst: dst.clone(),
+                    seen: Arc::clone(&seen),
+                };
+                Box::new((observer(), copier))
+            })
+            .build_parallel()
+            .unwrap()
+            .run_all()
+            .unwrap();
+        let _ = std::fs::remove_file(&live);
+        assert!(copy.exists(), "mid-run checkpoint copied");
+        copy
+    }
+
     #[test]
     fn resume_from_drain_checkpoint_reproduces_the_finished_run() {
         let path = ck_path("drain");
-        let mut first = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut first = builder(THREE_COMPARES)
             .workers(2)
             .checkpoint(&path, 4)
             .build_parallel()
             .unwrap();
         let first_summary = first.run_all().unwrap();
         assert!(path.exists(), "drain checkpoint written");
-        // The drain checkpoint has an empty frontier: resuming replays
+        // The drain checkpoint has nothing pending: resuming replays
         // nothing and merges the restored records straight through.
-        let mut resumed = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut resumed = builder(THREE_COMPARES)
             .workers(2)
             .resume(&path)
             .build_parallel()
@@ -1841,48 +1759,21 @@ ok:
 
     #[test]
     fn resume_after_mid_run_kill_is_byte_identical() {
-        use std::sync::atomic::AtomicU64;
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 1);
-            par.run_all().unwrap();
-            par
-        };
+        let reference = finished(THREE_COMPARES, 1);
         for workers in [1usize, 2, 4] {
-            let live = ck_path("kill-live");
-            let copy = ck_path("kill-copy");
-            let seen = Arc::new(AtomicU64::new(0));
-            let (src, dst, handle) = (live.clone(), copy.clone(), Arc::clone(&seen));
-            let mut interrupted = Session::builder(Spec::rv32im())
-                .binary(&elf(THREE_COMPARES))
-                .workers(workers)
-                .checkpoint(&live, 1)
-                .observer_factory(move |_| {
-                    Box::new(CopyOnWritten {
-                        src: src.clone(),
-                        dst: dst.clone(),
-                        fire_at: 2,
-                        seen: Arc::clone(&handle),
-                    })
-                })
-                .build_parallel()
-                .unwrap();
-            interrupted.run_all().unwrap();
-            assert!(
-                copy.exists(),
-                "{workers} workers: mid-run checkpoint copied"
-            );
+            let copy = checkpoint_cut(builder(THREE_COMPARES).workers(workers), || {
+                Box::new(NullObserver)
+            });
             // Resume from the mid-run cut with the warm cache on: the
             // merged records must come out byte-identical to the
             // uninterrupted cache-off run.
-            let mut resumed = Session::builder(Spec::rv32im())
-                .binary(&elf(THREE_COMPARES))
+            let mut resumed = builder(THREE_COMPARES)
                 .workers(workers)
                 .warm_start(true)
                 .resume(&copy)
                 .build_parallel()
                 .unwrap();
             let summary = resumed.run_all().unwrap();
-            let _ = std::fs::remove_file(&live);
             let _ = std::fs::remove_file(&copy);
             assert_eq!(summary, reference.summary(), "{workers} workers");
             assert_eq!(resumed.records(), reference.records(), "{workers} workers");
@@ -1891,54 +1782,91 @@ ok:
 
     #[test]
     fn resume_redistributes_across_topology_changes() {
-        use std::sync::atomic::AtomicU64;
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 1);
-            par.run_all().unwrap();
-            par
-        };
-        let live = ck_path("topo-live");
-        let copy = ck_path("topo-copy");
-        let seen = Arc::new(AtomicU64::new(0));
-        let (src, dst, handle) = (live.clone(), copy.clone(), Arc::clone(&seen));
-        let mut interrupted = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
-            .workers(4)
-            .checkpoint(&live, 1)
-            .observer_factory(move |_| {
-                Box::new(CopyOnWritten {
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    fire_at: 2,
-                    seen: Arc::clone(&handle),
-                })
-            })
-            .build_parallel()
-            .unwrap();
-        interrupted.run_all().unwrap();
-        // Different worker count AND a different shard policy: the exact
-        // per-shard restore does not apply, so the pending bag is
-        // redistributed — scheduling changes, merged records must not.
-        let mut resumed = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let reference = finished(THREE_COMPARES, 1);
+        let copy = checkpoint_cut(builder(THREE_COMPARES).workers(4), || {
+            Box::new(NullObserver)
+        });
+        // Different worker count AND a different shard policy: the pending
+        // bag is redistributed over the new shards — scheduling changes,
+        // merged records must not.
+        let mut resumed = builder(THREE_COMPARES)
             .workers(2)
             .shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
             .resume(&copy)
             .build_parallel()
             .unwrap();
         let summary = resumed.run_all().unwrap();
-        let _ = std::fs::remove_file(&live);
         let _ = std::fs::remove_file(&copy);
         assert_eq!(summary, reference.summary());
         assert_eq!(resumed.records(), reference.records());
     }
 
     #[test]
+    fn checkpoint_is_records_plus_sorted_pending_prescriptions() {
+        use crate::coverage::{CoverageMap, CoverageObserver};
+        use crate::strategy::{CoverageGuided, Dfs};
+        let reference = finished(THREE_COMPARES, 1);
+        let map = CoverageMap::shared_for(&elf(THREE_COMPARES));
+        let (policy_map, observer_map) = (Arc::clone(&map), Arc::clone(&map));
+        let coverage_guided = builder(THREE_COMPARES).workers(2).shard_strategy(move |_| {
+            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
+        });
+        let copy = checkpoint_cut(coverage_guided, move || {
+            Box::new(CoverageObserver::new(Arc::clone(&observer_map)))
+        });
+
+        let doc = Document::read(&copy).unwrap();
+        let records: Vec<PrescriptionRecord> =
+            decode_seq(doc.require(section::RECORDS).unwrap()).unwrap();
+        let pending: Vec<Prescription> =
+            decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
+        assert!(!records.is_empty(), "the root is committed");
+        assert!(
+            pending.windows(2).all(|w| w[0].id < w[1].id),
+            "PENDING is strictly PathId-sorted"
+        );
+        for p in &pending {
+            assert!(
+                records.iter().all(|r| r.id != p.id),
+                "{:?} is both committed and pending",
+                p.id
+            );
+            let ords = p.id.as_slice();
+            assert!(!ords.is_empty(), "the root is never pending at a cut");
+            let parent = PathId::from_ordinals(ords[..ords.len() - 1].to_vec());
+            assert!(
+                records.iter().any(|r| r.id == parent && r.path.is_some()),
+                "{:?}'s parent is a materialized record",
+                p.id
+            );
+        }
+
+        let policies: [ShardStrategyFactory; 3] = [
+            Arc::new(|_| Box::new(Dfs::<Prescription>::new())),
+            Arc::new(|_| Box::new(Bfs::<Prescription>::new())),
+            Arc::new(|i| Box::new(RandomRestart::<Prescription>::with_seed(7 + i as u64))),
+        ];
+        for policy in policies {
+            for workers in [1usize, 3] {
+                let policy = Arc::clone(&policy);
+                let mut resumed = builder(THREE_COMPARES)
+                    .workers(workers)
+                    .shard_strategy(move |i| policy(i))
+                    .resume(&copy)
+                    .build_parallel()
+                    .unwrap();
+                let summary = resumed.run_all().unwrap();
+                assert_eq!(summary, reference.summary(), "{workers} workers");
+                assert_eq!(resumed.records(), reference.records(), "{workers} workers");
+            }
+        }
+        let _ = std::fs::remove_file(&copy);
+    }
+
+    #[test]
     fn truncated_resume_keeps_the_canonical_prefix() {
-        use std::sync::atomic::AtomicU64;
         let reference = {
-            let mut par = Session::builder(Spec::rv32im())
-                .binary(&elf(THREE_COMPARES))
+            let mut par = builder(THREE_COMPARES)
                 .workers(1)
                 .limit(5)
                 .build_parallel()
@@ -1946,37 +1874,18 @@ ok:
             par.run_all().unwrap();
             par
         };
-        let live = ck_path("trunc-live");
-        let copy = ck_path("trunc-copy");
-        let seen = Arc::new(AtomicU64::new(0));
-        let (src, dst, handle) = (live.clone(), copy.clone(), Arc::clone(&seen));
-        let mut interrupted = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
-            .workers(2)
-            .limit(5)
-            .checkpoint(&live, 1)
-            .observer_factory(move |_| {
-                Box::new(CopyOnWritten {
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    fire_at: 2,
-                    seen: Arc::clone(&handle),
-                })
-            })
-            .build_parallel()
-            .unwrap();
-        interrupted.run_all().unwrap();
+        let copy = checkpoint_cut(builder(THREE_COMPARES).workers(2).limit(5), || {
+            Box::new(NullObserver)
+        });
         // The copy carries the watermark: the resumed truncated run must
         // return the same canonical limit-lowest-id prefix.
-        let mut resumed = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut resumed = builder(THREE_COMPARES)
             .workers(2)
             .limit(5)
             .resume(&copy)
             .build_parallel()
             .unwrap();
         let summary = resumed.run_all().unwrap();
-        let _ = std::fs::remove_file(&live);
         let _ = std::fs::remove_file(&copy);
         assert_eq!(summary.paths, 5);
         assert!(summary.truncated);
@@ -1988,7 +1897,7 @@ ok:
     fn checkpointed_failing_run_resumes_into_the_same_error() {
         // Unknown syscall on the flipped (a1 == 7) path: a replay *error*,
         // not an error path — run_all fails, and the failed prescription
-        // is persisted as loose pending work.
+        // stays pending in the checkpoint.
         const BAD_SYSCALL: &str = r#"
         .data
 __sym_input: .byte 0
@@ -2006,8 +1915,7 @@ ok:
     ecall
 "#;
         let path = ck_path("fail");
-        let mut failing = Session::builder(Spec::rv32im())
-            .binary(&elf(BAD_SYSCALL))
+        let mut failing = builder(BAD_SYSCALL)
             .workers(2)
             .checkpoint(&path, 1)
             .build_parallel()
@@ -2020,8 +1928,7 @@ ok:
         assert!(path.exists(), "periodic checkpoint survives the failure");
         // Resume re-replays the persisted pending prescription and — replay
         // being pure — deterministically re-derives the same error.
-        let mut resumed = Session::builder(Spec::rv32im())
-            .binary(&elf(BAD_SYSCALL))
+        let mut resumed = builder(BAD_SYSCALL)
             .workers(2)
             .resume(&path)
             .build_parallel()
@@ -2039,8 +1946,7 @@ ok:
         let path = ck_path("counters");
         let counters = Arc::new(Mutex::new(CountingObserver::new()));
         let handle = Arc::clone(&counters);
-        let mut par = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut par = builder(THREE_COMPARES)
             .workers(2)
             .checkpoint(&path, 1)
             .observer_factory(move |_| Box::new(Arc::clone(&handle)))
@@ -2055,8 +1961,7 @@ ok:
         }
         let counters = Arc::new(Mutex::new(CountingObserver::new()));
         let handle = Arc::clone(&counters);
-        let mut resumed = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut resumed = builder(THREE_COMPARES)
             .workers(2)
             .resume(&path)
             .observer_factory(move |_| Box::new(Arc::clone(&handle)))
@@ -2072,16 +1977,14 @@ ok:
     #[test]
     fn resume_rejects_mismatched_or_missing_checkpoints() {
         let path = ck_path("meta");
-        let mut first = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let mut first = builder(THREE_COMPARES)
             .workers(1)
             .checkpoint(&path, 4)
             .build_parallel()
             .unwrap();
         first.run_all().unwrap();
         // Wrong binary: the symbolic input length disagrees.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf(WITH_BUG))
+        let err = builder(WITH_BUG)
             .workers(1)
             .resume(&path)
             .build_parallel()
@@ -2090,8 +1993,7 @@ ok:
             .unwrap_err();
         assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
         // Wrong path limit: truncation is result-shaping.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let err = builder(THREE_COMPARES)
             .workers(1)
             .limit(5)
             .resume(&path)
@@ -2102,8 +2004,7 @@ ok:
         let _ = std::fs::remove_file(&path);
         assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
         // Missing file: a session-level Io error, never a panic.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf(THREE_COMPARES))
+        let err = builder(THREE_COMPARES)
             .workers(1)
             .resume(ck_path("missing"))
             .build_parallel()
@@ -2148,11 +2049,7 @@ ok:
         // concatenation [root] + chunk0 + chunk1 + … IS the single-process
         // merged stream — because a PathId's subtree occupies a contiguous
         // interval of the canonical order.
-        let reference = {
-            let mut par = parallel(THREE_COMPARES, 1);
-            par.run_all().unwrap();
-            par
-        };
+        let reference = finished(THREE_COMPARES, 1);
         let parent = parallel(THREE_COMPARES, 2);
         let (root_record, mut level1) = parent.expand_root().unwrap();
         level1.sort_by(|a, b| a.id.cmp(&b.id));

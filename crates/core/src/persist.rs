@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! [0..4)    magic  b"BSYW"
-//! [4..8)    format version, little-endian u32 (currently 2)
+//! [4..8)    format version, little-endian u32 (currently 3)
 //! [8..12)   section count, little-endian u32
 //! [12..)    per section: tag u32 | absolute offset u64 | length u64
 //! then      the payload bytes
@@ -21,9 +21,14 @@
 //! no padding, no self-description. The encoding is **canonical** — equal
 //! values encode to equal bytes — which is what lets the determinism
 //! suites and the CI smokes compare whole record streams with `cmp`(1).
-//! The two bitmap-shaped payloads ([`CoverageSnapshot`] and
-//! [`HistogramSnapshot`]) are run-length encoded, because a text-segment
-//! coverage bitmap is mostly zero words.
+//! The one bitmap-shaped payload, [`HistogramSnapshot`], is run-length
+//! encoded, because a latency histogram is mostly empty buckets.
+//!
+//! A checkpoint ([`crate::ParallelSession`]) holds the result-shaping
+//! parameters ([`section::META`], [`section::POLICY`]), the committed
+//! records, every pending prescription in [`PathId`] order, and the
+//! truncation watermark — no scheduling state. A resume redistributes the
+//! pending prescriptions over whatever shards it runs.
 //!
 //! Every load failure is a typed [`PersistError`] (surfacing as
 //! [`crate::Error::Persist`]): bad magic, unsupported version, truncated
@@ -44,13 +49,11 @@ use std::path::{Path, PathBuf};
 
 use binsym_smt::SatResult;
 
-use crate::coverage::{CoverageSnapshot, MAX_SLOTS};
 use crate::machine::StepResult;
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{HistogramSnapshot, MetricsReport, NUM_BUCKETS, NUM_PHASES};
 use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
 use crate::session::{ErrorPath, Summary};
-use crate::strategy::FrontierSnapshot;
 
 /// File magic of every persisted document (`b"BSYW"`, "BinSym Wire").
 pub const MAGIC: [u8; 4] = *b"BSYW";
@@ -63,8 +66,13 @@ pub const MAGIC: [u8; 4] = *b"BSYW";
 /// [`section::POLICY`] in checkpoints and a policy field in every encoded
 /// [`Prescription`] — so version-1 documents (and version-1 readers
 /// handed a version-2 file) fail with a clean mismatch instead of a
-/// misparse.
-pub const FORMAT_VERSION: u32 = 2;
+/// misparse. Version 3 made a checkpoint records plus pending
+/// prescriptions: [`section::PENDING`] holds one `PathId`-sorted
+/// prescription sequence instead of per-shard frontier snapshots (policy
+/// names, RNG words, coverage bitmaps), the in-flight section (tag 4) is
+/// retired, and [`section::META`] no longer records the worker count or
+/// shard policy.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Well-known section tags used by the checkpoint and shard-runner
 /// documents. A [`Document`] may carry any tags; these are the ones the
@@ -74,11 +82,11 @@ pub mod section {
     pub const META: u32 = 1;
     /// Merged-stream records materialized so far.
     pub const RECORDS: u32 = 2;
-    /// Per-shard frontier snapshots (pending prescriptions + policy state).
+    /// Every pending prescription — queued, in flight or failed — in
+    /// [`crate::PathId`] order.
     pub const PENDING: u32 = 3;
-    /// Loose pending prescriptions: in-flight worker slots and failed
-    /// replays, re-queued verbatim on resume.
-    pub const SLOTS: u32 = 4;
+    // Tag 4 held in-flight worker slots and failed replays before format
+    // version 3, which keeps them in `PENDING`; the number stays retired.
     /// Truncation watermark contents (the `limit` lowest ids so far).
     pub const WATERMARK: u32 = 5;
     /// A prescription bag shipped to a shard-runner worker process.
@@ -635,33 +643,6 @@ fn decode_rle(dec: &mut Dec<'_>, words: usize) -> Result<Vec<u64>, PersistError>
     Ok(out)
 }
 
-impl Wire for CoverageSnapshot {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u32(self.base);
-        enc.u32(self.slots);
-        encode_rle(enc, &self.insns);
-        encode_rle(enc, &self.dirs);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let base = dec.u32()?;
-        let slots = dec.u32()?;
-        if slots > MAX_SLOTS {
-            return Err(PersistError::Corrupt(
-                "coverage map larger than any text segment",
-            ));
-        }
-        let words = |bits: u32| (bits as usize).div_ceil(64);
-        let insns = decode_rle(dec, words(slots))?;
-        let dirs = decode_rle(dec, words(slots * 2))?;
-        Ok(CoverageSnapshot {
-            base,
-            slots,
-            insns,
-            dirs,
-        })
-    }
-}
-
 impl Wire for HistogramSnapshot {
     fn encode(&self, enc: &mut Enc) {
         encode_rle(enc, self.bucket_counts());
@@ -703,23 +684,6 @@ impl Wire for MetricsReport {
         Ok(MetricsReport::from_wire_parts(
             nanos, counts, latency, paths, queries,
         ))
-    }
-}
-
-impl Wire for FrontierSnapshot {
-    fn encode(&self, enc: &mut Enc) {
-        self.strategy.encode(enc);
-        self.items.encode(enc);
-        self.rng_state.encode(enc);
-        self.coverage.encode(enc);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        Ok(FrontierSnapshot {
-            strategy: String::decode(dec)?,
-            items: Vec::decode(dec)?,
-            rng_state: Option::decode(dec)?,
-            coverage: Option::decode(dec)?,
-        })
     }
 }
 
@@ -920,23 +884,15 @@ mod tests {
         }
     }
 
-    fn rand_coverage(rng: &mut Rng) -> CoverageSnapshot {
-        // Sparse by construction, like a real text-segment bitmap.
-        let slots = rng.below(2000) as u32;
-        let words = |bits: u32| (bits as usize).div_ceil(64);
-        let sparse = |rng: &mut Rng, n: usize| {
-            (0..n)
-                .map(|_| if rng.chance(8) { rng.next_u64() } else { 0 })
-                .collect()
-        };
-        let insns = sparse(rng, words(slots));
-        let dirs = sparse(rng, words(slots * 2));
-        CoverageSnapshot {
-            base: rng.next_u64() as u32 & !3,
-            slots,
-            insns,
-            dirs,
+    fn rand_histogram(rng: &mut Rng) -> HistogramSnapshot {
+        // Sparse by construction, like a real latency histogram.
+        let mut counts = [0u64; NUM_BUCKETS];
+        for c in &mut counts {
+            if rng.chance(8) {
+                *c = rng.next_u64();
+            }
         }
+        HistogramSnapshot::from_bucket_counts(counts)
     }
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
@@ -1005,30 +961,20 @@ mod tests {
     }
 
     #[test]
-    fn coverage_bitmaps_round_trip_and_stay_sparse() {
+    fn histograms_round_trip_and_stay_sparse() {
         let mut rng = Rng::new(0xfeed_0004);
         for _ in 0..100 {
-            round_trip(&rand_coverage(&mut rng));
+            round_trip(&rand_histogram(&mut rng));
         }
-        // An all-zero bitmap must collapse: run-length encoding is the
-        // point of the sparse form.
-        let zero = CoverageSnapshot {
-            base: 0x8000_0000,
-            slots: 64_000,
-            insns: vec![0; 1000],
-            dirs: vec![0; 2000],
-        };
-        let bytes = encode_one(&zero);
-        assert!(
-            bytes.len() < 64,
-            "all-zero 3000-word bitmap encoded to {} bytes",
-            bytes.len()
-        );
-        round_trip(&zero);
+        // An empty histogram must collapse to one run: run-length encoding
+        // is the point of the sparse form.
+        let empty = HistogramSnapshot::from_bucket_counts([0; NUM_BUCKETS]);
+        assert_eq!(encode_one(&empty).len(), 16, "count + one 12-byte run");
+        round_trip(&empty);
     }
 
     #[test]
-    fn summaries_and_frontier_snapshots_round_trip() {
+    fn summaries_and_pending_bags_round_trip() {
         let mut rng = Rng::new(0xfeed_0005);
         for _ in 0..100 {
             let summary = Summary {
@@ -1054,23 +1000,12 @@ mod tests {
             };
             round_trip(&summary);
 
-            let snap = FrontierSnapshot {
-                strategy: ["dfs", "bfs", "random-restart", "coverage"][rng.below(4)].to_string(),
-                items: (0..rng.below(20))
-                    .map(|_| rand_prescription(&mut rng))
-                    .collect(),
-                rng_state: if rng.chance(2) {
-                    Some(rng.next_u64())
-                } else {
-                    None
-                },
-                coverage: if rng.chance(3) {
-                    Some(rand_coverage(&mut rng))
-                } else {
-                    None
-                },
-            };
-            round_trip(&snap);
+            // A checkpoint's PENDING section is one prescription sequence.
+            let pending: Vec<Prescription> = (0..rng.below(20))
+                .map(|_| rand_prescription(&mut rng))
+                .collect();
+            let back: Vec<Prescription> = decode_seq(&encode_seq(&pending)).unwrap();
+            assert_eq!(back, pending);
         }
     }
 
@@ -1115,12 +1050,17 @@ mod tests {
             other => panic!("expected version mismatch, got {other:?}"),
         }
         // A pre-policy (version-1) document is cleanly rejected, not
-        // misparsed: version 2 changed the Prescription payload layout.
-        let mut v1 = Document::new().to_bytes();
-        v1[4] = 1;
-        match Document::from_bytes(&v1) {
-            Err(PersistError::VersionMismatch { found }) => assert_eq!(found, 1),
-            other => panic!("expected version mismatch, got {other:?}"),
+        // misparsed: version 2 changed the Prescription payload layout, and
+        // version 3 the checkpoint's META and PENDING sections.
+        for old in [1, 2] {
+            let mut bytes = Document::new().to_bytes();
+            bytes[4] = old;
+            match Document::from_bytes(&bytes) {
+                Err(PersistError::VersionMismatch { found }) => {
+                    assert_eq!(found, u32::from(old));
+                }
+                other => panic!("expected version mismatch, got {other:?}"),
+            }
         }
     }
 
@@ -1167,14 +1107,12 @@ mod tests {
         ));
         // A run-length run of zero can never tile a nonzero word count.
         let mut enc = Enc::new();
-        enc.u32(0x1000); // base
-        enc.u32(64); // slots -> expects 1 insn word
-        enc.u32(1); // word count
+        enc.u32(NUM_BUCKETS as u32); // word count
         enc.u32(0); // run of zero
         enc.u64(0);
         assert!(matches!(
-            decode_one::<CoverageSnapshot>(&enc.into_bytes()),
-            Err(PersistError::Corrupt(_) | PersistError::Truncated)
+            decode_one::<HistogramSnapshot>(&enc.into_bytes()),
+            Err(PersistError::Corrupt(_))
         ));
         // Trailing bytes.
         let mut bytes = encode_one(&42u32);
@@ -1187,43 +1125,22 @@ mod tests {
 
     #[test]
     fn lying_run_lengths_are_rejected_before_expanding() {
-        // One 12-byte run can claim 2^32 - 1 words. A word count the format
-        // does not fix must be a typed error, never a 32 GiB allocation.
-        let mut enc = Enc::new();
-        enc.u32(0); // base
-        enc.u32(64); // slots -> 1 insn word
-        enc.u32(u32::MAX); // declared word count
-        enc.u32(u32::MAX); // one run of u32::MAX zeros
-        enc.u64(0);
-        let coverage = enc.into_bytes();
-        assert_eq!(coverage.len(), 24);
-        assert!(matches!(
-            decode_one::<CoverageSnapshot>(&coverage),
-            Err(PersistError::Corrupt(_))
-        ));
-        let mut enc = Enc::new();
-        enc.u32(u32::MAX); // declared word count (the format fixes NUM_BUCKETS)
-        enc.u32(u32::MAX);
-        enc.u64(0);
-        let histogram = enc.into_bytes();
-        assert_eq!(histogram.len(), 16);
-        assert!(matches!(
-            decode_one::<HistogramSnapshot>(&histogram),
-            Err(PersistError::Corrupt(_))
-        ));
-        // A geometry wider than any text segment is rejected from its
-        // header, and no map is built that wide: the widest still
-        // round-trips.
-        let mut enc = Enc::new();
-        enc.u32(0);
-        enc.u32(MAX_SLOTS + 1);
-        assert!(matches!(
-            decode_one::<CoverageSnapshot>(&enc.into_bytes()),
-            Err(PersistError::Corrupt(_))
-        ));
-        let widest = crate::coverage::CoverageMap::new(0, u32::MAX);
-        assert_eq!(widest.tracked_slots(), u64::from(MAX_SLOTS));
-        round_trip(&widest.snapshot());
+        // One 12-byte run can claim 2^32 - 1 words. Whether the declared
+        // word count lies (the format fixes NUM_BUCKETS) or the run
+        // overshoots the right one, the payload is a typed error, never a
+        // 32 GiB allocation.
+        for declared in [u32::MAX, NUM_BUCKETS as u32] {
+            let mut enc = Enc::new();
+            enc.u32(declared);
+            enc.u32(u32::MAX); // one run of u32::MAX zeros
+            enc.u64(0);
+            let histogram = enc.into_bytes();
+            assert_eq!(histogram.len(), 16);
+            assert!(matches!(
+                decode_one::<HistogramSnapshot>(&histogram),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -566,11 +566,12 @@ impl SessionBuilder {
 
     /// Writes an atomic checkpoint of the parallel exploration to `path`
     /// every `every_n` newly merged paths (and once more on drain). A
-    /// checkpoint captures the committed records, every shard frontier
-    /// (including policy-private RNG/coverage state), in-flight work, and
-    /// the truncation watermark in the versioned [`crate::persist`] wire
-    /// format; [`SessionBuilder::resume`] turns it back into a run whose
-    /// merged records are **byte-identical** to the uninterrupted run's.
+    /// checkpoint captures the committed records, every pending
+    /// prescription (queued, in flight or failed) and the truncation
+    /// watermark in the versioned [`crate::persist`] wire format — no
+    /// shard or policy state; [`SessionBuilder::resume`] turns it back into
+    /// a run whose merged records are **byte-identical** to the
+    /// uninterrupted run's.
     /// Files are written via a temp sibling + rename, so a kill at any
     /// instant leaves a complete checkpoint on disk. `every_n` must be
     /// nonzero. Parallel-only. Progress flows through
@@ -585,10 +586,11 @@ impl SessionBuilder {
     /// prescription. The session's symbolic input length, `fuel`, and
     /// `limit` must match the checkpoint's (typed [`Error::Persist`]
     /// otherwise — as for any unreadable, truncated, or wrong-version
-    /// file); worker count and
-    /// shard policy may differ, since they only shape scheduling. The
-    /// resumed run's merged records are byte-identical to the
-    /// uninterrupted run's. Parallel-only.
+    /// file). The pending prescriptions are always redistributed over
+    /// this session's shards in contiguous [`crate::PathId`] chunks, so
+    /// worker count and shard policy may differ from the interrupted
+    /// run's: they only shape scheduling. The resumed run's merged records
+    /// are byte-identical to the uninterrupted run's. Parallel-only.
     pub fn resume(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
@@ -815,7 +817,8 @@ pub struct Session {
     fuel: u64,
     max_paths: Option<u64>,
     /// The next path and its input, when already known (the all-zero root,
-    /// or the model of the last feasible flip).
+    /// the model of the last feasible flip, or a path that failed to
+    /// execute and is retried).
     next: Option<(Prescription, Vec<u8>)>,
     done: bool,
     summary: Summary,
@@ -896,7 +899,8 @@ impl Session {
     }
 
     /// True when the frontier is exhausted (or the path limit was hit) and
-    /// no further path will be yielded.
+    /// no further path will be yielded. A path that failed to execute
+    /// leaves it `false`: that path stays staged (see [`Session::run_all`]).
     pub fn is_done(&self) -> bool {
         self.done
     }
@@ -926,9 +930,15 @@ impl Session {
     /// The streaming path iterator: each `next()` executes exactly one
     /// path and yields its [`PathOutcome`]. The feasibility search for
     /// the *following* input runs lazily on the subsequent call, so
-    /// consuming a prefix of the paths does no wasted solver work.
+    /// consuming a prefix of the paths does no wasted solver work. An
+    /// iterator ends after yielding an error; the failing path stays
+    /// staged, so the next `paths()` or [`Session::run_all`] re-executes
+    /// it.
     pub fn paths(&mut self) -> Paths<'_> {
-        Paths { session: self }
+        Paths {
+            session: self,
+            failed: false,
+        }
     }
 
     /// Runs exploration to completion (or to the path limit), returning
@@ -937,7 +947,9 @@ impl Session {
     /// iterator is fine.
     ///
     /// # Errors
-    /// Returns [`Error`] if any path fails to execute.
+    /// Returns [`Error`] if any path fails to execute. The failing path is
+    /// not consumed: calling again re-executes it (no new solver check)
+    /// and, execution being deterministic, returns the same error.
     pub fn run_all(&mut self) -> Result<Summary, Error> {
         while let Some(r) = self.next_path() {
             r?;
@@ -961,12 +973,12 @@ impl Session {
             &mut *self.observer,
             &p,
             self.fuel,
-            input,
+            input.clone(),
             &self.instr,
         ) {
             Ok(materialized) => materialized,
             Err(e) => {
-                self.done = true;
+                self.next = Some((p, input));
                 return Some(Err(e));
             }
         };
@@ -1078,13 +1090,21 @@ pub(crate) fn materialize(
 #[derive(Debug)]
 pub struct Paths<'a> {
     session: &'a mut Session,
+    /// Set once an error is yielded: the failing path stays staged, so
+    /// going on would yield the same error forever.
+    failed: bool,
 }
 
 impl Iterator for Paths<'_> {
     type Item = Result<PathOutcome, Error>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.session.next_path()
+        if self.failed {
+            return None;
+        }
+        let next = self.session.next_path();
+        self.failed = matches!(next, Some(Err(_)));
+        next
     }
 }
 
@@ -1348,6 +1368,53 @@ c4:
         // Draining the rest through run_all completes the same exploration.
         let s = session.run_all().unwrap();
         assert_eq!(s.paths, 8);
+    }
+
+    #[test]
+    fn failed_path_stays_staged_for_a_retry() {
+        // Path 3 (byte 0 >= 100) makes an unknown syscall after two clean
+        // paths, whatever models the solver picks.
+        let mut session = session_for(
+            r#"
+        .data
+__sym_input: .byte 0, 0
+        .text
+_start:
+    la a0, __sym_input
+    li a2, 100
+    lbu a1, 0(a0)
+    bltu a1, a2, c1
+    li a7, 999
+    ecall
+c1: lbu a1, 1(a0)
+    bltu a1, a2, ok
+ok:
+    li a0, 0
+    li a7, 93
+    ecall
+"#,
+        );
+        let unknown_syscall = |r: Result<Summary, Error>| {
+            matches!(
+                r,
+                Err(Error::Exec(
+                    crate::machine::ExecError::UnknownSyscall { .. }
+                ))
+            )
+        };
+        assert!(unknown_syscall(session.run_all()));
+        assert!(!session.is_done(), "the frontier is not exhausted");
+        let at_failure = session.summary();
+        assert_eq!(at_failure.paths, 2);
+        // The retry re-executes the staged path: the same error, no new
+        // path and no new solver check.
+        assert!(unknown_syscall(session.run_all()));
+        assert_eq!(session.summary(), at_failure);
+        // An iterator that yields the error ends there.
+        let mut paths = session.paths();
+        assert!(matches!(paths.next(), Some(Err(_))));
+        assert!(paths.next().is_none());
+        assert!(!session.is_done());
     }
 
     #[test]

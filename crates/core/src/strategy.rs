@@ -14,7 +14,7 @@
 //! * the **shard-local** frontiers of [`crate::ParallelSession`], holding
 //!   plain-data [`Prescription`]s behind the [`PrescriptionStrategy`]
 //!   trait — the same policies, whose [`steal`](FrontierPolicy::steal) end
-//!   serves idle workers, plus the snapshot/restore of a checkpoint.
+//!   serves idle workers.
 //!
 //! The policies:
 //!
@@ -41,42 +41,9 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::coverage::{CoverageMap, CoverageSnapshot};
+use crate::coverage::CoverageMap;
 use crate::machine::TrailEntry;
 use crate::prescribe::Prescription;
-
-/// A plain-data copy of one shard's [`PrescriptionStrategy`] state, as
-/// captured by [`PrescriptionStrategy::snapshot`] and persisted by the
-/// [`crate::persist`] codec.
-///
-/// The snapshot carries everything a policy needs to resume *exactly* where
-/// it stopped: the pending items in the policy's internal order, the
-/// xorshift RNG state for [`RandomRestart`], and a [`CoverageSnapshot`] for
-/// [`CoverageGuided`] (a scheduling-only signal — restoring it warms the
-/// ranking, it never changes the merged results).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontierSnapshot {
-    /// The policy's [`FrontierPolicy::name`], checked on restore.
-    pub strategy: String,
-    /// Pending prescriptions in the policy's internal storage order.
-    pub items: Vec<Prescription>,
-    /// [`RandomRestart`]'s xorshift64* state (`None` for other policies).
-    pub rng_state: Option<u64>,
-    /// [`CoverageGuided`]'s map contents (`None` for other policies).
-    pub coverage: Option<CoverageSnapshot>,
-}
-
-impl FrontierSnapshot {
-    /// A snapshot carrying only a name and pending items (the common case).
-    fn items_only(strategy: &str, items: Vec<Prescription>) -> Self {
-        FrontierSnapshot {
-            strategy: strategy.to_string(),
-            items,
-            rng_state: None,
-            coverage: None,
-        }
-    }
-}
 
 /// A pending branch flip on the sequential frontier: the plain-data
 /// [`Prescription`] naming it, plus the recorded trail of the path it
@@ -102,7 +69,7 @@ pub struct Candidate {
 /// `pop` and `steal`, in any order; the engines handle feasibility checking
 /// and deduplication of the shared prefix.
 pub trait FrontierPolicy<T>: fmt::Debug {
-    /// Human-readable policy name (for logs, summaries, and checkpoints).
+    /// Human-readable policy name (for logs and summaries).
     fn name(&self) -> &'static str;
 
     /// Adds an item to the frontier.
@@ -181,25 +148,18 @@ impl PathStrategy for Box<dyn PathStrategy> {
 }
 
 /// A shard-local frontier of [`crate::ParallelSession`], over plain-data
-/// [`Prescription`]s: a [`FrontierPolicy`] that can also be checkpointed.
+/// [`Prescription`]s: every [`FrontierPolicy<Prescription>`] that is
+/// [`Send`] is one.
 ///
 /// Each worker owns one instance and pushes/pops through it; idle workers
 /// steal from a victim's instance through [`FrontierPolicy::steal`]. The
 /// policy only shapes scheduling; every pushed prescription must be handed
-/// out exactly once across `pop` and `steal`.
-pub trait PrescriptionStrategy: FrontierPolicy<Prescription> + Send {
-    /// Captures this shard's full scheduling state — pending items in
-    /// internal order plus any policy-private state (RNG, coverage) — so a
-    /// checkpoint can [`restore`](PrescriptionStrategy::restore) it and
-    /// continue with the identical pop sequence.
-    fn snapshot(&self) -> FrontierSnapshot;
+/// out exactly once across `pop` and `steal`. A checkpoint holds none of
+/// its state: the run's ledger keeps every pending prescription, and a
+/// resume redistributes them over fresh shards.
+pub trait PrescriptionStrategy: FrontierPolicy<Prescription> + Send {}
 
-    /// Re-seeds this shard from a snapshot taken by the *same* policy:
-    /// appends the snapshot's items in order and adopts any policy-private
-    /// state. Callers check [`FrontierSnapshot::strategy`] against
-    /// [`FrontierPolicy::name`] before restoring.
-    fn restore(&mut self, snapshot: FrontierSnapshot);
-}
+impl<S: FrontierPolicy<Prescription> + Send> PrescriptionStrategy for S {}
 
 /// Depth-first selection (the paper's §III-B policy, and the default).
 ///
@@ -251,16 +211,6 @@ impl<T: fmt::Debug> FrontierPolicy<T> for Dfs<T> {
     }
 }
 
-impl PrescriptionStrategy for Dfs<Prescription> {
-    fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::items_only(self.name(), self.stack.iter().cloned().collect())
-    }
-
-    fn restore(&mut self, snapshot: FrontierSnapshot) {
-        self.stack.extend(snapshot.items);
-    }
-}
-
 /// Breadth-first selection: oldest (shallowest) branch flips first.
 ///
 /// Generic like [`Dfs`]; as a shard policy, thieves steal from the deep
@@ -306,16 +256,6 @@ impl<T: fmt::Debug> FrontierPolicy<T> for Bfs<T> {
 
     fn frontier_len(&self) -> usize {
         self.queue.len()
-    }
-}
-
-impl PrescriptionStrategy for Bfs<Prescription> {
-    fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot::items_only(self.name(), self.queue.iter().cloned().collect())
-    }
-
-    fn restore(&mut self, snapshot: FrontierSnapshot) {
-        self.queue.extend(snapshot.items);
     }
 }
 
@@ -409,22 +349,6 @@ impl<T: fmt::Debug> FrontierPolicy<T> for RandomRestart<T> {
 
     fn frontier_len(&self) -> usize {
         self.frontier.len()
-    }
-}
-
-impl PrescriptionStrategy for RandomRestart<Prescription> {
-    fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot {
-            rng_state: Some(self.state),
-            ..FrontierSnapshot::items_only(self.name(), self.frontier.clone())
-        }
-    }
-
-    fn restore(&mut self, snapshot: FrontierSnapshot) {
-        self.frontier.extend(snapshot.items);
-        if let Some(state) = snapshot.rng_state {
-            self.state = state;
-        }
     }
 }
 
@@ -548,25 +472,6 @@ impl<T: BranchSited> FrontierPolicy<T> for CoverageGuided<T> {
 
     fn frontier_len(&self) -> usize {
         self.frontier.len()
-    }
-}
-
-impl PrescriptionStrategy for CoverageGuided<Prescription> {
-    fn snapshot(&self) -> FrontierSnapshot {
-        FrontierSnapshot {
-            coverage: Some(self.map.snapshot()),
-            ..FrontierSnapshot::items_only(self.name(), self.frontier.clone())
-        }
-    }
-
-    fn restore(&mut self, snapshot: FrontierSnapshot) {
-        self.frontier.extend(snapshot.items);
-        // The map is a scheduling-only heuristic; a geometry mismatch
-        // (snapshot from a different binary) just means the ranking warms
-        // from scratch, so a failed restore is silently skipped.
-        if let Some(cov) = &snapshot.coverage {
-            let _ = self.map.restore(cov);
-        }
     }
 }
 

@@ -54,8 +54,8 @@ fn escape_into(out: &mut String, name: &str) {
 }
 
 /// A [`TraceSink`] writing one JSON object per line, immediately, to any
-/// `Write` target — the streaming-friendly format the ROADMAP's session
-/// server can relay to clients as events happen.
+/// `Write` target — a streaming-friendly format a consumer can read while
+/// the hunt runs.
 ///
 /// Each line is `{"ph":"B"|"E"|"i","tid":<track>,"ts":<µs>,"name":"..."}`.
 pub struct JsonlTraceSink {

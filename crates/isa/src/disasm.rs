@@ -7,7 +7,6 @@
 
 use crate::decode::{decode, Decoded};
 use crate::encoding::{InstrTable, OperandField};
-use crate::reg::Reg;
 
 /// Disassembles one instruction word at `pc` (the address affects how
 /// branch/jump targets are rendered).
@@ -82,12 +81,6 @@ pub fn disassemble_range(table: &InstrTable, bytes: &[u8], base: u32) -> String 
         out.push_str(&format!("{pc:#010x}: {raw:08x}  {text}\n"));
     }
     out
-}
-
-/// Convenience: the register operand of a store is `rs2`; exported for
-/// tooling that wants to inspect decoded stores uniformly.
-pub fn store_value_register(d: &Decoded) -> Reg {
-    d.rs2()
 }
 
 #[cfg(test)]

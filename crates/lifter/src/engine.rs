@@ -27,7 +27,7 @@ use binsym_elf::ElfFile;
 use binsym_isa::{Memory, Reg, RegFile};
 use binsym_smt::{Term, TermManager};
 
-use crate::ir::{AccessWidth, IrBinop, IrBlock, IrExpr, IrStmt, IrUnop, TempId};
+use crate::ir::{AccessWidth, IrBinop, IrBlock, IrExpr, IrStmt, TempId};
 
 use crate::lift::{LiftError, Lifter, LifterBugs};
 
@@ -170,42 +170,6 @@ impl IrMachine {
                 Val {
                     c: u64::from(v.concrete),
                     t: v.term.map(TermV::Bv),
-                }
-            }
-            IrExpr::Unop { op, arg } => {
-                let a = self.eval(tm, arg);
-                match op {
-                    IrUnop::Not => Val {
-                        c: mask(!a.c, w),
-                        t: a.t.map(|t| match t {
-                            TermV::Bv(t) => TermV::Bv(tm.bv_not(t)),
-                            TermV::Bool(b) => TermV::Bool(tm.not(b)),
-                        }),
-                    },
-                    IrUnop::Neg => {
-                        let t = if a.is_symbolic() {
-                            let ta = a.bv(tm, w);
-                            Some(TermV::Bv(tm.bv_neg(ta)))
-                        } else {
-                            None
-                        };
-                        Val {
-                            c: mask(a.c.wrapping_neg(), w),
-                            t,
-                        }
-                    }
-                    IrUnop::Not1 => {
-                        let t = if a.is_symbolic() {
-                            let b = a.boolean(tm);
-                            Some(TermV::Bool(tm.not(b)))
-                        } else {
-                            None
-                        };
-                        Val {
-                            c: u64::from(a.c == 0),
-                            t,
-                        }
-                    }
                 }
             }
             IrExpr::Binop { op, lhs, rhs } => {

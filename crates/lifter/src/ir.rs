@@ -37,17 +37,6 @@ impl AccessWidth {
     }
 }
 
-/// Unary IR operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IrUnop {
-    /// Bitwise complement.
-    Not,
-    /// Two's-complement negation.
-    Neg,
-    /// Boolean negation of a 1-bit value.
-    Not1,
-}
-
 /// Binary IR operators. Comparisons yield 1-bit values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IrBinop {
@@ -105,13 +94,6 @@ pub enum IrExpr {
     Temp(TempId),
     /// Read of guest register `x{0..31}` (32 bits).
     GetReg(u8),
-    /// Unary operation.
-    Unop {
-        /// Operator.
-        op: IrUnop,
-        /// Operand.
-        arg: Box<IrExpr>,
-    },
     /// Binary operation.
     Binop {
         /// Operator.
@@ -166,23 +148,11 @@ impl IrExpr {
         }
     }
 
-    /// Unary operation helper.
-    pub fn unop(op: IrUnop, arg: IrExpr) -> IrExpr {
-        IrExpr::Unop {
-            op,
-            arg: Box::new(arg),
-        }
-    }
-
     /// Width of the expression in bits (1 for comparisons).
     pub fn width(&self) -> u32 {
         match self {
             IrExpr::Const { width, .. } => *width,
             IrExpr::Temp(_) | IrExpr::GetReg(_) => 32,
-            IrExpr::Unop {
-                op: IrUnop::Not1, ..
-            } => 1,
-            IrExpr::Unop { arg, .. } => arg.width(),
             IrExpr::Binop { op, lhs, .. } => match op {
                 IrBinop::CmpEq
                 | IrBinop::CmpNe

@@ -35,5 +35,5 @@ pub mod ir;
 pub mod lift;
 
 pub use engine::{EngineConfig, LifterExecutor};
-pub use ir::{IrBinop, IrBlock, IrExpr, IrStmt, IrUnop};
+pub use ir::{IrBinop, IrBlock, IrExpr, IrStmt};
 pub use lift::{lift_instruction, LiftError, Lifter, LifterBugs};

@@ -10,7 +10,7 @@
 //! truncated (`limit`-bounded) coverage runs, which must return the
 //! canonical `limit`-lowest-`PathId` prefix on every schedule.
 //!
-//! The prefix-keyed warm start rides the same contract: coverage-guided
+//! The warm start rides the same contract: coverage-guided
 //! shard policies give it subtree affinity (consecutive owner pops share
 //! prefixes), and its records must stay byte-identical to cache-off runs
 //! regardless of the hit pattern.
@@ -51,7 +51,7 @@ fn coverage_run(
     coverage_run_configured(p, workers, limit, false, true)
 }
 
-/// Like [`coverage_run`], optionally with the prefix-keyed warm start —
+/// Like [`coverage_run`], optionally with the warm start —
 /// the pairing the cache is designed for: `CoverageGuided`'s subtree
 /// affinity keeps a worker's consecutive pops under shared prefixes —
 /// and with the static-analysis gate explicitly on or off.

@@ -7,8 +7,8 @@
 //! truncation, and "interesting" 32-bit values such as 0 and `u32::MAX`
 //! dropped over length fields). The persisted-document seeds are a real
 //! checkpoint of a 2-worker coverage-guided run and an encoded
-//! `MetricsReport`: they are the only carriers of the run-length-encoded
-//! bitmaps. A panicking case is reported with its seed and bytes.
+//! `MetricsReport`, the only carrier of a run-length-encoded bitmap. A
+//! panicking case is reported with its seed and bytes.
 //!
 //! The default counts keep the debug tier-1 run short; the `#[ignore]`d
 //! variants run many more cases (`cargo test --release --test
@@ -22,8 +22,8 @@ use binsym_repro::bench::programs::{all_programs, CLIF_PARSER, TABLE_LOOKUP};
 use binsym_repro::binsym::persist::section;
 use binsym_repro::binsym::{
     decode_one, decode_seq, encode_one, encode_seq, CheckpointEvent, CoverageGuided, CoverageMap,
-    CoverageObserver, Document, FrontierSnapshot, MetricsRegistry, Observer, PathId, PathRecord,
-    Prescription, Session, Summary, Wire,
+    CoverageObserver, Document, MetricsRegistry, Observer, PathId, PathRecord, Prescription,
+    Session, Summary, Wire,
 };
 use binsym_repro::binsym::{AddressPolicyKind, MetricsReport};
 use binsym_repro::elf::ElfFile;
@@ -107,7 +107,6 @@ fn decode_as_every_type(bytes: &[u8]) {
     }
     both::<PathRecord>(bytes);
     both::<Prescription>(bytes);
-    both::<FrontierSnapshot>(bytes);
     both::<Summary>(bytes);
     both::<MetricsReport>(bytes);
     both::<PathId>(bytes);
@@ -127,7 +126,7 @@ fn decode_document(bytes: &[u8]) {
 
 /// Copies the checkpoint file the first time a worker reports one written
 /// with at least `after` committed paths, so the copy still has pending
-/// work in its frontiers.
+/// prescriptions.
 struct GrabCheckpoint {
     path: std::path::PathBuf,
     after: u64,
@@ -192,11 +191,11 @@ fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         .take()
         .expect("a mid-run checkpoint was written");
     let doc = Document::from_bytes(&checkpoint).expect("a real checkpoint parses");
-    let pending: Vec<FrontierSnapshot> =
+    let pending: Vec<Prescription> =
         decode_seq(doc.section(section::PENDING).expect("pending section")).expect("decodes");
     assert!(
-        pending.iter().all(|s| s.coverage.is_some()),
-        "coverage-guided shards persist their map"
+        !pending.is_empty(),
+        "a mid-run cut has pending prescriptions"
     );
     let metrics = encode_one(&registry.report());
     let mut metrics_doc = Document::new();

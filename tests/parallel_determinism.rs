@@ -13,7 +13,7 @@
 //! between the sequential incremental solver and the fresh replay
 //! contexts).
 //!
-//! The prefix-keyed warm start ([`Session`]`Builder::warm_start`) must be
+//! The warm start ([`Session`]`Builder::warm_start`) must be
 //! invisible here too: a warm run's records are pinned byte-identical to
 //! the cache-off run — the cache may only change wall time, never models.
 //!
@@ -103,7 +103,7 @@ fn parallel_run_limited(
     parallel_run_configured(p, workers, seed, limit, false)
 }
 
-/// Full knob set: shard seed, truncation, and the prefix-keyed warm start.
+/// Full knob set: shard seed, truncation, and the warm start.
 fn parallel_run_configured(
     p: &Program,
     workers: usize,

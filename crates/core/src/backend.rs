@@ -11,12 +11,12 @@
 //!    [`Phase::Solve`].
 //!
 //! The engines differ only in the solver they hand to the solve step: the
-//! sequential [`crate::Session`] keeps one long-lived incremental solver
-//! (retractable frames, shared bit-blast cache and learned clauses), while
-//! cold replay, and the warm cache when its context cannot roll back, use
-//! `Solver::new()` per flip. `discharge` chains the two steps for the
-//! session and cold replay; the warm cache calls them itself (see
-//! [`crate::warm`]).
+//! sequential [`crate::Session`] keeps an incremental solver (retractable
+//! frames, shared bit-blast cache and learned clauses) that it replaces at
+//! a fixed path interval, while cold replay, and the warm cache when its
+//! context cannot roll back, use `Solver::new()` per flip. `discharge`
+//! chains the two steps for the session and cold replay; the warm cache
+//! calls them itself (see [`crate::warm`]).
 //!
 //! An SMT-LIB v2 rendering of a flip query is a function of its terms:
 //! `binsym_smt::smtlib::query_to_smtlib(tm, prefix ++ [flipped])`.
@@ -160,8 +160,8 @@ fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
 /// and [`Phase::Solve`]. Returns the solver's result and, on SAT, its
 /// model. The caller reports the result through [`Observer::on_query`].
 ///
-/// The sequential session passes its long-lived incremental solver; cold
-/// replay, and the warm cache when its context fails, pass `Solver::new()`.
+/// The sequential session passes its incremental solver; cold replay, and
+/// the warm cache when its context fails, pass `Solver::new()`.
 pub(crate) fn solve(
     solver: &mut Solver,
     tm: &mut TermManager,
@@ -246,9 +246,9 @@ mod tests {
 
     #[test]
     fn incremental_and_fresh_agree() {
-        // The solve step answers alike on one long-lived solver (the
+        // The solve step answers alike on one incremental solver (the
         // sequential session) and on a fresh solver per query (cold
-        // replay), and leaves the long-lived one at its bottom frame.
+        // replay), and leaves the incremental one at its bottom frame.
         let mut tm = TermManager::new();
         let lt5 = x_lt_5(&mut tm);
         let ge5 = tm.not(lt5);

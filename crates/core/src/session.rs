@@ -2,8 +2,9 @@
 //!
 //! A [`Session`] owns everything one symbolic exploration needs — the path
 //! executor, the term manager, a [`PathStrategy`] deciding which branch to
-//! flip next, and one incremental `binsym_smt::Solver` discharging every
-//! feasibility query — and is assembled with a builder:
+//! flip next, and an incremental `binsym_smt::Solver` discharging the
+//! feasibility queries, replaced by a fresh one at a fixed path interval —
+//! and is assembled with a builder:
 //!
 //! ```
 //! use binsym::{Dfs, Session};
@@ -38,6 +39,17 @@
 //! frontier; a candidate's prefix plus negated branch condition goes through
 //! the static gate to the solver (see [`crate::backend`]), and a model of a
 //! feasible flip seeds the next run.
+//!
+//! The solver is incremental: the flip queries between two replacements
+//! share its bit-blasted terms and learnt clauses. After every 32nd path
+//! the session swaps in `Solver::new()`. A popped query frame leaves its
+//! clauses behind, satisfied, so a solver kept for the whole exploration
+//! grows with every query; the swap keeps the clause database, and with it
+//! memory, bounded, at the price of re-blasting each stretch's first
+//! queries. The swap is keyed to the path count, not to how
+//! [`Session::paths`] is drained, so the path stream is a function of the
+//! program alone. Its witnesses differ from those of a solver that is
+//! never replaced.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -60,6 +72,10 @@ use crate::strategy::{Candidate, Dfs, PathStrategy, PrescriptionStrategy};
 use crate::trace::TraceSink;
 use crate::warm::WARM_CAPACITY;
 use crate::SYM_INPUT_SYMBOL;
+
+/// Materialized paths after which a [`Session`] replaces its solver with a
+/// fresh one (see the [module docs](self)).
+const PATHS_PER_SOLVER: u64 = 32;
 
 /// Outcome of executing one path.
 #[derive(Debug, Clone)]
@@ -810,7 +826,8 @@ pub struct Session {
     executor: Box<dyn PathExecutor>,
     tm: TermManager,
     strategy: Box<dyn PathStrategy>,
-    /// The one incremental solver every flip query of the session runs on.
+    /// The incremental solver the flip queries run on; replaced after
+    /// every [`PATHS_PER_SOLVER`]-th path.
     solver: Solver,
     observer: Box<dyn Observer>,
     gate: StaticGate,
@@ -821,6 +838,8 @@ pub struct Session {
     /// execute and is retried).
     next: Option<(Prescription, Vec<u8>)>,
     done: bool,
+    /// Totals so far; its `solver_checks` counts the replaced solvers'
+    /// checks only (see [`Session::summary`]).
     summary: Summary,
     /// Phase timers and trace spans (track 0); disabled unless a metrics
     /// registry or trace sink was installed.
@@ -906,10 +925,11 @@ impl Session {
     }
 
     /// Totals accumulated so far (complete once exploration is done).
-    /// [`Summary::solver_checks`] reflects the solver's live counter.
+    /// [`Summary::solver_checks`] counts the checks of every solver the
+    /// session has used: the replaced ones and the live one.
     pub fn summary(&self) -> Summary {
         let mut s = self.summary.clone();
-        s.solver_checks = self.solver.num_checks();
+        s.solver_checks += self.solver.num_checks();
         s
     }
 
@@ -983,6 +1003,10 @@ impl Session {
             }
         };
         self.summary.add_path(&record);
+        if self.summary.paths % PATHS_PER_SOLVER == 0 {
+            self.summary.solver_checks += self.solver.num_checks();
+            self.solver = Solver::new();
+        }
         if self
             .max_paths
             .is_some_and(|limit| self.summary.paths >= limit)
@@ -1147,24 +1171,18 @@ hit:
     ecall
 "#;
 
-    const THREE_COMPARES: &str = r#"
-        .data
-__sym_input: .byte 0, 0, 0
-        .text
-_start:
-    la a0, __sym_input
-    li a2, 100
-    lbu a1, 0(a0)
-    bltu a1, a2, c1
-c1: lbu a1, 1(a0)
-    bltu a1, a2, c2
-c2: lbu a1, 2(a0)
-    bltu a1, a2, c3
-c3:
-    li a0, 0
-    li a7, 93
-    ecall
-"#;
+    /// `n` independent byte compares (`in[i] <u 100`): 2^n paths. At
+    /// `n = 8` a session replaces its solver several times on the way.
+    fn compares(n: usize) -> String {
+        let zeros = vec!["0"; n].join(", ");
+        let mut src = format!(
+            ".data\n__sym_input: .byte {zeros}\n.text\n_start:\n    la a0, __sym_input\n    li a2, 100\n"
+        );
+        for i in 0..n {
+            src += &format!("    lbu a1, {i}(a0)\n    bltu a1, a2, c{i}\nc{i}:\n");
+        }
+        src + "    li a0, 0\n    li a7, 93\n    ecall\n"
+    }
 
     #[test]
     fn two_paths_for_single_compare() {
@@ -1178,7 +1196,7 @@ c3:
     #[test]
     fn chained_compares_enumerate_all_paths() {
         // Three independent byte comparisons: 8 paths.
-        let s = explore(THREE_COMPARES);
+        let s = explore(&compares(3));
         assert_eq!(s.paths, 8);
         assert!(s.error_paths.is_empty());
     }
@@ -1303,30 +1321,7 @@ ok:
 
     #[test]
     fn limit_truncates() {
-        let elf = Assembler::new()
-            .assemble(
-                r#"
-        .data
-__sym_input: .byte 0, 0, 0, 0
-        .text
-_start:
-    la a0, __sym_input
-    li a2, 100
-    lbu a1, 0(a0)
-    bltu a1, a2, c1
-c1: lbu a1, 1(a0)
-    bltu a1, a2, c2
-c2: lbu a1, 2(a0)
-    bltu a1, a2, c3
-c3: lbu a1, 3(a0)
-    bltu a1, a2, c4
-c4:
-    li a0, 0
-    li a7, 93
-    ecall
-"#,
-            )
-            .unwrap();
+        let elf = Assembler::new().assemble(&compares(4)).unwrap();
         let mut session = Session::builder(Spec::rv32im())
             .binary(&elf)
             .limit(5)
@@ -1341,7 +1336,7 @@ c4:
     #[test]
     fn all_strategies_enumerate_the_same_path_set() {
         let run = |strategy: Box<dyn PathStrategy>| {
-            let elf = Assembler::new().assemble(THREE_COMPARES).unwrap();
+            let elf = Assembler::new().assemble(&compares(3)).unwrap();
             Session::builder(Spec::rv32im())
                 .binary(&elf)
                 .strategy(strategy)
@@ -1360,7 +1355,7 @@ c4:
 
     #[test]
     fn paths_iterator_is_lazy_and_resumable() {
-        let mut session = session_for(THREE_COMPARES);
+        let mut session = session_for(&compares(3));
         let first: Vec<PathOutcome> = session.paths().take(3).map(|r| r.unwrap()).collect();
         assert_eq!(first.len(), 3);
         assert_eq!(session.summary().paths, 3);
@@ -1368,6 +1363,36 @@ c4:
         // Draining the rest through run_all completes the same exploration.
         let s = session.run_all().unwrap();
         assert_eq!(s.paths, 8);
+
+        // Across solver replacements, chunks of 7 through fresh iterators
+        // yield the stream of one uninterrupted drain.
+        let whole: Vec<PathOutcome> = session_for(&compares(8))
+            .paths()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(whole.len(), 256);
+        assert!(whole.len() as u64 > PATHS_PER_SOLVER);
+        let mut session = session_for(&compares(8));
+        let mut chunked = Vec::new();
+        while !session.is_done() {
+            chunked.extend(session.paths().take(7).map(|r| r.unwrap()));
+        }
+        assert_eq!(chunked.len(), whole.len());
+        for (i, (a, b)) in whole.iter().zip(&chunked).enumerate() {
+            assert_eq!(a.input, b.input, "path {i}");
+            assert_eq!(a.exit, b.exit, "path {i}");
+            assert_eq!(a.steps, b.steps, "path {i}");
+            assert_eq!(a.trail, b.trail, "path {i}");
+        }
+        let elf = Assembler::new().assemble(&compares(8)).unwrap();
+        let cold = Session::builder(Spec::rv32im())
+            .binary(&elf)
+            .workers(1)
+            .build_parallel()
+            .unwrap()
+            .run_all()
+            .unwrap();
+        assert_eq!(cold.paths, whole.len() as u64);
     }
 
     #[test]
@@ -1457,9 +1482,7 @@ _start:
 
     #[test]
     fn every_path_starts_from_the_loaded_image() {
-        let elf = Assembler::new()
-            .assemble(THREE_COMPARES)
-            .expect("assembles");
+        let elf = Assembler::new().assemble(&compares(3)).expect("assembles");
         let fresh = || SpecExecutor::new(Spec::rv32im(), &elf, None).expect("sym input");
         let mut tm = TermManager::new();
         let input = [7, 200, 7];
@@ -1568,6 +1591,29 @@ _start:
         assert_eq!(c.queries, s.solver_checks);
         assert_eq!(c.branches, 2, "one symbolic branch per path");
         assert_eq!(c.sat_queries, 1, "one feasible flip");
+
+        // The summary counts the checks of replaced solvers too, at every
+        // point of a drain in chunks.
+        let counts = Rc::new(RefCell::new(CountingObserver::new()));
+        let elf = Assembler::new().assemble(&compares(8)).unwrap();
+        let mut session = Session::builder(Spec::rv32im())
+            .binary(&elf)
+            .observer(Rc::clone(&counts))
+            .build()
+            .unwrap();
+        while !session.is_done() {
+            for r in session.paths().take(7) {
+                r.unwrap();
+            }
+            let (s, c) = (session.summary(), *counts.borrow());
+            assert_eq!(c.queries, s.solver_checks, "after {} paths", s.paths);
+            assert_eq!(c.paths, s.paths);
+            assert_eq!(c.steps, s.total_steps);
+        }
+        let s = session.summary();
+        assert_eq!(s.paths, 256);
+        assert_eq!(s.solver_checks, 255, "one feasible flip per inner node");
+        assert_eq!(counts.borrow().sat_queries, 255);
     }
 
     #[test]

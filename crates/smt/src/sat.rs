@@ -144,10 +144,6 @@ impl ClauseStore {
 
     fn push(&mut self, lits: &[Lit], learnt: bool, activity: f64) -> u32 {
         let idx = self.headers.len() as u32;
-        debug_assert!(
-            idx < Watch::TOMBSTONE,
-            "clause index collides with tombstones"
-        );
         let off = self.arena.len() as u32;
         self.arena.extend_from_slice(lits);
         self.headers.push(ClauseHeader {
@@ -196,43 +192,12 @@ impl ClauseStore {
     }
 }
 
-/// One watch-list entry: a clause watching the list's literal, or a
-/// *tombstone run* left by [`SatSolver::sweep_satisfied_binaries`].
-///
-/// A run stands for `n` consecutive watches of swept clauses. Its blocker
-/// is a literal true at decision level 0, so propagation skips it at the
-/// blocker check exactly as it skipped the watches it replaces. The run
-/// keeps their place in the list because `swap_remove` moves a list's
-/// *last* entry: while the unswept list would end in dead watches, one of
-/// them must still be what fills the hole, or the live watches behind it
-/// would be visited in a different order.
+/// One watch-list entry: a clause watching the list's literal, with a
+/// literal of the clause whose truth lets propagation skip it.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
-    /// Clause index, or [`Watch::TOMBSTONE`] plus the run length.
     clause: u32,
     blocker: Lit,
-}
-
-impl Watch {
-    /// Flag bit of a tombstone run (clause indices stay below it).
-    const TOMBSTONE: u32 = 1 << 31;
-
-    fn tombstones(n: u32, blocker: Lit) -> Watch {
-        debug_assert!(n > 0 && n < Watch::TOMBSTONE);
-        Watch {
-            clause: Watch::TOMBSTONE | n,
-            blocker,
-        }
-    }
-
-    /// Number of swept watches this entry stands for (0 for a clause).
-    fn tombstone_count(self) -> u32 {
-        if self.clause & Watch::TOMBSTONE == 0 {
-            0
-        } else {
-            self.clause & !Watch::TOMBSTONE
-        }
-    }
 }
 
 /// One literal's watch list inside the [`WatchLists`] arena: a segment of
@@ -307,17 +272,8 @@ impl WatchLists {
     }
 
     /// Removes entry `i` of the list ending at `end`, moving the last entry
-    /// into its place, and returns the new end. When the last entry is a
-    /// tombstone run, one swept watch of it moves: the run shrinks by one
-    /// and entry `i` becomes a run of one.
+    /// into its place, and returns the new end.
     fn swap_remove(&mut self, i: usize, end: usize) -> usize {
-        let tail = self.data[end - 1];
-        let n = tail.tombstone_count();
-        if n > 1 {
-            self.data[i] = Watch::tombstones(1, tail.blocker);
-            self.data[end - 1] = Watch::tombstones(n - 1, tail.blocker);
-            return end;
-        }
         self.data.swap(i, end - 1);
         end - 1
     }
@@ -332,49 +288,21 @@ impl WatchLists {
         self.data.truncate(end as usize);
     }
 
-    /// In-place per-list `retain` + clause-index remap (order-preserving):
-    /// a watch of clause `c` becomes a watch of `map[c]`, or goes away when
-    /// `map[c]` is `None`.
-    ///
-    /// Without `tombstone` (learnt-clause reduction) removed watches vanish
-    /// and tombstone runs stay as they are. With it (the sweep) every
-    /// maximal stretch of removed watches and runs becomes one run with
-    /// that blocker.
-    fn retain_remap(&mut self, map: &[Option<u32>], tombstone: Option<Lit>) {
+    /// In-place per-list `retain` + clause-index remap (order-preserving)
+    /// for learnt-clause reduction: a watch of clause `c` becomes a watch of
+    /// `map[c]`, or goes away when `map[c]` is `None`.
+    fn retain_remap(&mut self, map: &[Option<u32>]) {
         for si in 0..self.segs.len() {
             let seg = self.segs[si];
             let start = seg.start as usize;
-            // Writes never overtake reads: a run is written only ahead of a
-            // kept watch, and covers at least one entry read before it.
             let mut live = start;
-            let mut run = 0u32;
             for r in start..start + seg.len as usize {
                 let mut watch = self.data[r];
-                match (watch.tombstone_count(), tombstone) {
-                    (0, _) => match map[watch.clause as usize] {
-                        Some(ni) => watch.clause = ni,
-                        None => {
-                            run += 1;
-                            continue;
-                        }
-                    },
-                    (n, Some(_)) => {
-                        run += n;
-                        continue;
-                    }
-                    (_, None) => {}
-                }
-                if let (Some(blocker), true) = (tombstone, run > 0) {
-                    self.data[live] = Watch::tombstones(run, blocker);
+                if let Some(ni) = map[watch.clause as usize] {
+                    watch.clause = ni;
+                    self.data[live] = watch;
                     live += 1;
                 }
-                run = 0;
-                self.data[live] = watch;
-                live += 1;
-            }
-            if let (Some(blocker), true) = (tombstone, run > 0) {
-                self.data[live] = Watch::tombstones(run, blocker);
-                live += 1;
             }
             self.segs[si].len = (live - start) as u32;
         }
@@ -655,9 +583,8 @@ impl SatSolver {
     /// (variable allocations and clause additions), enabling
     /// [`SatSolver::checkpoint`] / [`SatSolver::rollback`].
     ///
-    /// The log costs one version stamp per operation and keeps the solver
-    /// out of the satisfied-clause sweep; use it only where rollback is
-    /// actually needed (the warm-start prefix contexts).
+    /// The log costs one version stamp per operation; use it only where
+    /// rollback is actually needed (the warm-start prefix contexts).
     pub fn with_op_log() -> Self {
         let mut s = SatSolver::new();
         s.log_id = NEXT_LOG_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -1184,86 +1111,28 @@ impl SatSolver {
         if remove.is_empty() {
             return;
         }
-        let mut dropped = vec![false; self.clauses.len()];
-        for &i in remove {
-            dropped[i] = true;
-        }
         self.stats.learnts -= remove.len() as u64;
-        self.compact(&dropped, None);
-    }
-
-    /// Rebuilds the clause arena without the `dropped` clauses (compacting
-    /// out the holes) and remaps the watches and reasons to the surviving
-    /// indices, in order. `tombstone` is passed on to
-    /// [`WatchLists::retain_remap`].
-    fn compact(&mut self, dropped: &[bool], tombstone: Option<Lit>) {
-        let mut map: Vec<Option<u32>> = vec![None; self.clauses.len()];
-        let mut new_clauses = ClauseStore::default();
-        for (i, slot) in map.iter_mut().enumerate() {
-            if dropped[i] {
-                continue;
-            }
-            let ni = new_clauses.push(
-                self.clauses.lits(i),
-                self.clauses.is_learnt(i),
-                self.clauses.activity(i),
-            );
-            *slot = Some(ni);
+        // Rebuild the clause arena without the removed clauses (compacting
+        // out the holes) and remap the watches and reasons to the surviving
+        // indices, in order.
+        let mut map: Vec<Option<u32>> = vec![Some(0); self.clauses.len()];
+        for &i in remove {
+            map[i] = None;
         }
-        self.clauses = new_clauses;
-        self.watches.retain_remap(&map, tombstone);
+        let mut kept = ClauseStore::default();
+        for (i, slot) in map.iter_mut().enumerate() {
+            if slot.is_some() {
+                let lits = self.clauses.lits(i);
+                *slot = Some(kept.push(lits, self.clauses.is_learnt(i), self.clauses.activity(i)));
+            }
+        }
+        self.clauses = kept;
+        self.watches.retain_remap(&map);
         for r in &mut self.reason {
             if let Some(ci) = *r {
                 *r = map[ci as usize]; // reasons of kept assignments survive
             }
         }
-    }
-
-    /// Number of clauses in the store, learnt ones included.
-    pub(crate) fn clause_store_len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Removes every problem clause of two literals that has a literal true
-    /// at decision level 0, and returns how many it removed. The
-    /// incremental [`crate::Solver`] calls it on retired assertion frames,
-    /// whose guard clauses `¬g ∨ lit` are satisfied once `¬g` is a unit.
-    ///
-    /// The search cannot tell: a binary clause's watch on one literal
-    /// always has the other literal as its blocker. The watch on the true
-    /// literal sits in a list that is never visited again (that literal
-    /// never becomes false), and the other watch is always skipped at the
-    /// blocker check. So these watches never enqueue, conflict or move; the
-    /// removed watches become tombstone runs (see [`Watch`]) that keep the
-    /// order in which the remaining watches are visited. Learnt clauses
-    /// stay, because their count schedules `reduce_db`, and so do longer
-    /// satisfied clauses, whose blockers need not be true. The reason of a
-    /// level-0 assignment may be dropped; analysis never reads it.
-    ///
-    /// An op-logged solver is never swept: its rollback relies on the
-    /// clause store and watch lists only ever growing.
-    pub(crate) fn sweep_satisfied_binaries(&mut self) -> usize {
-        if self.log_id != 0 || self.unsat {
-            return 0;
-        }
-        debug_assert!(self.trail_lim.is_empty(), "sweeps run between solves");
-        // Every assignment is at level 0; any of them can block.
-        let Some(&tombstone) = self.trail.first() else {
-            return 0;
-        };
-        let dropped: Vec<bool> = (0..self.clauses.len())
-            .map(|ci| {
-                let lits = self.clauses.lits(ci);
-                !self.clauses.is_learnt(ci)
-                    && lits.len() == 2
-                    && lits.iter().any(|&l| self.lit_value(l) == LBool::True)
-            })
-            .collect();
-        let swept = dropped.iter().filter(|&&d| d).count();
-        if swept > 0 {
-            self.compact(&dropped, Some(tombstone));
-        }
-        swept
     }
 
     /// True when clause `ci` is the reason of an assignment (MiniSat's
@@ -1817,114 +1686,6 @@ mod tests {
         fold_fingerprint(&mut h, &mut clone, 24);
         fold_fingerprint(&mut h, &mut s, 24);
         assert_eq!(h, 0x2cd5_5097_e3b2_46a1, "unlogged clone drifted");
-    }
-
-    /// A random incremental stream in the shape of the engines' queries:
-    /// each round guards a few clauses with a fresh literal `g`, solves
-    /// under `g`, then retires the round with the unit `¬g`. The swept
-    /// solver must assign the same literals in the same order as its
-    /// never-swept twin at every solve — the sweep may not reorder a single
-    /// propagation.
-    #[test]
-    fn swept_solver_walks_the_same_trail_as_an_unswept_one() {
-        let nvars = 40u64;
-        let mut seed = 0x5eed_0006u64;
-        let mut swept = SatSolver::new();
-        let mut twin = SatSolver::new();
-        lits(&mut swept, nvars as usize);
-        lits(&mut twin, nvars as usize);
-        let random_lit = |seed: &mut u64| {
-            Lit::new(
-                Var((xorshift(seed) % nvars) as u32),
-                xorshift(seed) % 2 == 0,
-            )
-        };
-        let (mut swept_clauses, mut sweeps) = (0, 0);
-        for round in 0..600 {
-            let permanent: Vec<Lit> = (0..2 + xorshift(&mut seed) % 3)
-                .map(|_| random_lit(&mut seed))
-                .collect();
-            let guarded: Vec<Lit> = (0..6).map(|_| random_lit(&mut seed)).collect();
-            let extra = random_lit(&mut seed);
-            let mut runs = Vec::new();
-            for s in [&mut swept, &mut twin] {
-                let g = Lit::pos(s.new_var());
-                if round % 4 == 0 {
-                    s.add_clause(&permanent);
-                }
-                for &l in &guarded {
-                    s.add_clause(&[!g, l]);
-                }
-                let r = s.solve(&[g, extra]);
-                runs.push((r, s.trail.clone(), s.stats()));
-                s.add_clause(&[!g]);
-            }
-            assert_eq!(runs[0], runs[1], "round {round}");
-            if round % 16 == 15 {
-                let n = swept.sweep_satisfied_binaries();
-                swept_clauses += n;
-                sweeps += usize::from(n > 0);
-            }
-        }
-        assert!(sweeps > 20, "only {sweeps} sweeps removed anything");
-        assert_eq!(
-            swept.clause_store_len() + swept_clauses,
-            twin.clause_store_len(),
-            "the sweep removes only clauses the twin keeps"
-        );
-    }
-
-    /// The case a plain in-order removal gets wrong. Four clauses watch `x`
-    /// ahead of two satisfied guard clauses; when `x` becomes false the two
-    /// ternary clauses move their watches, and each `swap_remove` fills the
-    /// hole with the list's last entry. Unswept, both fillers are dead
-    /// guard clauses, so `y` is propagated before `z`. The swept list must
-    /// hand out its tombstone run one watch at a time, or `z` would come
-    /// first.
-    #[test]
-    fn sweep_keeps_the_visit_order_of_the_remaining_watches() {
-        let build = || {
-            let mut s = SatSolver::new();
-            let [x, a, b, c, d, y, z, g, h] = [0; 9].map(|_| s.new_var());
-            s.add_clause(&[Lit::pos(x), Lit::pos(a), Lit::pos(b)]);
-            s.add_clause(&[Lit::pos(x), Lit::pos(c), Lit::pos(d)]);
-            s.add_clause(&[Lit::pos(x), Lit::pos(y)]);
-            s.add_clause(&[Lit::pos(x), Lit::pos(z)]);
-            for guard in [g, h] {
-                s.add_clause(&[Lit::neg(guard), Lit::pos(x)]);
-                s.add_clause(&[Lit::neg(guard)]);
-            }
-            (s, x, y)
-        };
-        let (mut swept, x, y) = build();
-        let (mut twin, _, _) = build();
-        assert_eq!(swept.sweep_satisfied_binaries(), 2);
-        assert_eq!(swept.solve(&[Lit::neg(x)]), twin.solve(&[Lit::neg(x)]));
-        assert_eq!(swept.trail, twin.trail);
-        assert_eq!(swept.trail[2..4], [Lit::neg(x), Lit::pos(y)]);
-    }
-
-    #[test]
-    fn op_logged_solvers_are_never_swept() {
-        let build = |s: &mut SatSolver| {
-            let v = lits(s, 3);
-            s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
-            s.add_clause(&[Lit::neg(v[2]), Lit::pos(v[1])]);
-            s.add_clause(&[Lit::neg(v[2])]); // satisfies the binary above
-        };
-        let mut logged = SatSolver::with_op_log();
-        let cp = logged.checkpoint().expect("logged");
-        build(&mut logged);
-        assert_eq!(logged.sweep_satisfied_binaries(), 0);
-        assert_eq!(logged.num_clauses(), 2, "nothing removed");
-        logged.rollback(&cp).expect("valid");
-        assert_eq!(logged.num_vars(), 0);
-
-        // The same construction without a log is swept.
-        let mut plain = SatSolver::new();
-        build(&mut plain);
-        assert_eq!(plain.sweep_satisfied_binaries(), 1);
-        assert_eq!(plain.num_clauses(), 1);
     }
 
     #[test]

@@ -9,34 +9,16 @@
 //! and `check_sat` solves under the assumption that every live guard is
 //! true. Popping a frame permanently disables its guard.
 //!
-//! # Retired frames are swept
-//!
-//! Disabling a guard adds the unit clause `¬g`, which leaves the frame's
-//! clauses `¬g ∨ lit` satisfied at decision level 0 but still in the
-//! watch lists. The exploration engines pose one frame per flip query and
-//! re-assert the whole path prefix in it, so without clean-up every query
-//! walks the dead clauses of all earlier queries that asserted the other
-//! direction of a shared branch, and the cost per query grows with the
-//! length of the session. [`Solver::pop`] therefore counts the clauses it
-//! retires and, once they reach both a floor of 1024 and half the clause
-//! store, removes every satisfied two-literal problem clause (MiniSat's
-//! level-0 clause removal; Eén & Sörensson, "An Extensible SAT-solver",
-//! SAT 2003). That keeps the sweep's cost amortized O(1) per retired
-//! clause.
-//!
-//! The sweep cannot change a model: propagation only ever skips such a
-//! clause at its blocker check, and the swept watches leave tombstones
-//! that keep the visiting order of the others, so every propagation,
-//! conflict, learnt clause, VSIDS bump and model is what an unswept solver
-//! would produce (see `SatSolver::sweep_satisfied_binaries`).
+//! A popped frame's clauses stay in the database, satisfied by the unit
+//! `¬g`, so a solver grows with every frame it ever held. A caller that
+//! poses unboundedly many frames bounds that by starting a fresh solver
+//! now and then; the sequential `binsym::Session` does so at a fixed path
+//! interval.
 
 use crate::bitblast::BitBlaster;
 use crate::model::Model;
 use crate::sat::{Lit, SatResult, SatSolver};
 use crate::term::{Sort, Term, TermManager};
-
-/// Fewest retired clauses that trigger a sweep (see the module docs).
-const SWEEP_FLOOR: usize = 1024;
 
 /// Incremental QF_BV solver.
 ///
@@ -63,13 +45,9 @@ pub struct Solver {
     blaster: BitBlaster,
     /// Guard literal of each live frame (index 0 = bottom frame).
     frames: Vec<Lit>,
-    /// Assertions of each frame (kept for model completion / debugging).
-    assertions: Vec<Vec<Term>>,
     /// Statistics: number of `check_sat` calls.
     num_checks: u64,
     last_was_sat: bool,
-    /// Assertions of frames popped since the last sweep.
-    retired: usize,
 }
 
 impl Solver {
@@ -79,10 +57,8 @@ impl Solver {
             sat: SatSolver::new(),
             blaster: BitBlaster::new(),
             frames: Vec::new(),
-            assertions: Vec::new(),
             num_checks: 0,
             last_was_sat: false,
-            retired: 0,
         };
         s.push();
         s
@@ -93,21 +69,13 @@ impl Solver {
         self.num_checks
     }
 
-    /// Access to the underlying SAT solver statistics.
-    pub fn sat_stats(&self) -> crate::sat::SatStats {
-        self.sat.stats()
-    }
-
     /// Opens a new assertion frame.
     pub fn push(&mut self) {
         let g = Lit::pos(self.sat.new_var());
         self.frames.push(g);
-        self.assertions.push(Vec::new());
     }
 
-    /// Closes the top assertion frame, retracting its assertions, and
-    /// sweeps the clauses of retired frames when enough have piled up (see
-    /// the module docs).
+    /// Closes the top assertion frame, retracting its assertions.
     ///
     /// # Panics
     /// Panics with `"cannot pop the bottom frame"` when no matching
@@ -119,13 +87,8 @@ impl Solver {
     pub fn pop(&mut self) {
         assert!(self.frames.len() > 1, "cannot pop the bottom frame");
         let g = self.frames.pop().expect("frame");
-        self.retired += self.assertions.pop().expect("frame").len();
         // Permanently disable the guard so the frame's clauses are vacuous.
         self.sat.add_clause(&[!g]);
-        if self.retired >= SWEEP_FLOOR.max(self.sat.clause_store_len() / 2) {
-            self.sat.sweep_satisfied_binaries();
-            self.retired = 0;
-        }
     }
 
     /// Current frame depth (1 = only the bottom frame).
@@ -139,18 +102,9 @@ impl Solver {
     /// Panics if `t` is not boolean.
     pub fn assert_term(&mut self, tm: &mut TermManager, t: Term) {
         assert_eq!(tm.sort(t), Sort::Bool, "assertions must be boolean");
-        self.assertions
-            .last_mut()
-            .expect("at least the bottom frame")
-            .push(t);
         let lit = self.blaster.blast_bool(tm, &mut self.sat, t);
         let g = *self.frames.last().expect("frame");
         self.sat.add_clause(&[!g, lit]);
-    }
-
-    /// All currently live assertions, bottom frame first.
-    pub fn assertions(&self) -> impl Iterator<Item = Term> + '_ {
-        self.assertions.iter().flatten().copied()
     }
 
     /// Checks satisfiability of the live assertions plus the extra
@@ -317,136 +271,6 @@ mod tests {
         assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Sat);
         let m = solver.model(&tm).expect("model");
         assert_eq!(m.value("unused"), Some(0));
-    }
-
-    /// The reference the sweep is checked against: the same solver with its
-    /// retired-clause count cleared before every pop, so it never sweeps.
-    struct Unswept(Solver);
-
-    impl Unswept {
-        fn pop(&mut self) {
-            self.0.retired = 0;
-            self.0.pop();
-        }
-    }
-
-    fn xorshift(seed: &mut u64) -> u64 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        *seed
-    }
-
-    /// Random branch conditions over four 8-bit inputs. Their circuits
-    /// share subterms, so the watch lists of a condition's literal hold
-    /// live gate clauses next to the guard clauses of retired frames.
-    fn random_conditions(tm: &mut TermManager, seed: &mut u64, n: usize) -> Vec<Term> {
-        let vars: Vec<Term> = (0..4).map(|i| tm.var(&format!("v{i}"), 8)).collect();
-        let operand = |tm: &mut TermManager, seed: &mut u64| {
-            let a = vars[(xorshift(seed) % 4) as usize];
-            let b = vars[(xorshift(seed) % 4) as usize];
-            let c = tm.bv_const(xorshift(seed) % 256, 8);
-            match xorshift(seed) % 5 {
-                0 => tm.add(a, c),
-                1 => tm.bv_xor(a, b),
-                2 => tm.sub(a, b),
-                3 => tm.bv_and(a, c),
-                _ => a,
-            }
-        };
-        (0..n)
-            .map(|_| {
-                let x = operand(tm, seed);
-                let y = operand(tm, seed);
-                match xorshift(seed) % 4 {
-                    0 => tm.ult(x, y),
-                    1 => tm.eq(x, y),
-                    2 => tm.slt(x, y),
-                    _ => {
-                        let lt = tm.ult(x, y);
-                        let odd = tm.extract(x, 0, 0);
-                        let one = tm.bv_const(1, 1);
-                        let odd = tm.eq(odd, one);
-                        tm.or(lt, odd)
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Runs the same random concolic query stream — each query a frame
-    /// holding a path prefix and one flipped branch, the engines' pattern —
-    /// through a sweeping solver and an unswept twin, and requires the same
-    /// result, model and SAT statistics at every check.
-    #[test]
-    fn sweeping_retired_frames_is_invisible_to_the_search() {
-        let mut tm = TermManager::new();
-        let mut seed = 0x5eed_5eed_u64;
-        let conds = random_conditions(&mut tm, &mut seed, 24);
-        let mut swept = Solver::new();
-        let mut twin = Unswept(Solver::new());
-        let mut path: Vec<Term> = (0..20)
-            .map(|_| conds[(xorshift(&mut seed) % 24) as usize])
-            .collect();
-        let mut input = Model::new();
-        let (mut sweeps, mut peak_store) = (0, 0);
-        for q in 0..1600u64 {
-            let mut taken: Vec<Term> = Vec::with_capacity(path.len());
-            for &c in &path {
-                let holds = input.eval(&tm, c) == Value::Bool(true);
-                taken.push(if holds { c } else { tm.not(c) });
-            }
-            let k = (xorshift(&mut seed) % path.len() as u64) as usize;
-            let flipped = tm.not(taken[k]);
-            let nested = q % 5 == 0;
-            let assumption = (q % 3 == 0).then(|| conds[(xorshift(&mut seed) % 24) as usize]);
-            let mut results = Vec::new();
-            for s in [&mut swept, &mut twin.0] {
-                s.push();
-                for &t in &taken[..k] {
-                    s.assert_term(&mut tm, t);
-                }
-                if nested {
-                    s.push();
-                }
-                s.assert_term(&mut tm, flipped);
-                let r = s.check_sat(&mut tm, assumption.as_slice());
-                results.push((r, s.model(&tm), s.sat_stats()));
-            }
-            assert_eq!(results[0], results[1], "query {q}");
-            let (r, model, _) = results.pop().expect("twin result");
-            let retired = swept.retired;
-            swept.pop();
-            twin.pop();
-            sweeps += usize::from(swept.retired < retired);
-            if nested {
-                let outer = swept.check_sat(&mut tm, &[]);
-                assert_eq!(outer, twin.0.check_sat(&mut tm, &[]), "query {q}");
-                assert_eq!(swept.model(&tm), twin.0.model(&tm), "query {q}");
-                assert_eq!(swept.sat_stats(), twin.0.sat_stats(), "query {q}");
-                let retired = swept.retired;
-                swept.pop();
-                twin.pop();
-                sweeps += usize::from(swept.retired < retired);
-            }
-            peak_store = peak_store.max(swept.sat.clause_store_len());
-            if r == SatResult::Sat {
-                // Follow the flip, as a depth-first search would, and let
-                // the tail of the path take new branches.
-                input = model.expect("sat has a model");
-                for c in &mut path[k + 1..] {
-                    if xorshift(&mut seed) % 2 == 0 {
-                        *c = conds[(xorshift(&mut seed) % 24) as usize];
-                    }
-                }
-            }
-        }
-        assert!(sweeps >= 3, "the sweep ran only {sweeps} times");
-        let unswept_store = twin.0.sat.clause_store_len();
-        assert!(
-            2 * peak_store < unswept_store,
-            "swept store peaked at {peak_store} clauses, the unswept one holds {unswept_store}"
-        );
     }
 
     #[test]

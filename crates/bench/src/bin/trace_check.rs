@@ -1,12 +1,11 @@
-//! Schema check for trace files written by `--trace PATH` (Chrome
-//! trace-event documents) or by `binsym::JsonlTraceSink` (one event per
-//! line) — the CI gate behind the bench smoke step.
+//! Schema check for the Chrome trace-event documents the bench bins write
+//! with `--trace PATH` — the CI gate behind the bench smoke step.
 //!
 //! ```text
 //! cargo run --release -p binsym-bench --bin trace_check -- FILE...
 //! ```
 //!
-//! For each file: every event must parse, every `B` span must be closed by
+//! For each file: the document must parse, every `B` span must be closed by
 //! a matching same-name `E` on its track, timestamps must be monotone per
 //! track, and the trace must carry at least one event. Exits nonzero on
 //! the first violation.

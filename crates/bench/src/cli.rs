@@ -650,28 +650,19 @@ pub struct TraceShape {
 }
 
 /// Validates a trace file produced by `--trace` (the Chrome trace-event
-/// document of `binsym::ChromeTraceSink`) or by `binsym::JsonlTraceSink`
-/// (one event object per line): every event parses, every `B` has a
-/// matching same-name `E` on its track, timestamps are monotone per track,
-/// and at least one track carries at least one event.
+/// document of `binsym::ChromeTraceSink`): the document parses, every `B`
+/// has a matching same-name `E` on its track, timestamps are monotone per
+/// track, and at least one track carries at least one event.
 ///
 /// # Errors
 /// Returns a description of the first schema violation.
 pub fn validate_trace(text: &str) -> Result<TraceShape, String> {
-    let events: Vec<JsonValue> = match JsonValue::parse(text) {
-        Ok(doc) => doc
-            .get("traceEvents")
-            .ok_or("document has no traceEvents array")?
-            .as_array()
-            .ok_or("traceEvents is not an array")?
-            .to_vec(),
-        // Not one JSON document: treat as JSONL, one event per line.
-        Err(_) => text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|line| JsonValue::parse(line).map_err(|e| format!("unparseable JSONL line: {e}")))
-            .collect::<Result<_, _>>()?,
-    };
+    let doc = JsonValue::parse(text).map_err(|e| format!("unparseable trace document: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .ok_or("document has no traceEvents array")?
+        .as_array()
+        .ok_or("traceEvents is not an array")?;
     let mut stacks: std::collections::BTreeMap<u64, Vec<String>> =
         std::collections::BTreeMap::new();
     let mut last_ts: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
@@ -1043,7 +1034,7 @@ mod tests {
 
     #[test]
     fn validate_trace_accepts_real_sink_output() {
-        use binsym::{ChromeTraceSink, JsonlTraceSink, TraceSink};
+        use binsym::{ChromeTraceSink, TraceSink};
         let chrome = ChromeTraceSink::new();
         chrome.begin_span(0, "solve");
         chrome.begin_span(1, "execute");
@@ -1053,20 +1044,6 @@ mod tests {
         let shape = validate_trace(&chrome.render()).expect("chrome trace valid");
         assert_eq!(shape.tracks, 2);
         assert_eq!(shape.events, 5);
-
-        let dir = std::env::temp_dir().join(format!("binsym-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("trace.jsonl");
-        {
-            let jsonl = JsonlTraceSink::to_file(&path).expect("jsonl sink");
-            jsonl.begin_span(3, "merge");
-            jsonl.end_span(3, "merge");
-        }
-        let text = std::fs::read_to_string(&path).expect("read jsonl");
-        let shape = validate_trace(&text).expect("jsonl trace valid");
-        assert_eq!(shape.tracks, 1);
-        assert_eq!(shape.events, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub use strategy::{
     Bfs, BranchSited, Candidate, CoverageGuided, Dfs, FrontierPolicy, PathStrategy,
     PrescriptionStrategy, RandomRestart,
 };
-pub use trace::{ChromeTraceSink, JsonlTraceSink, TraceSink};
+pub use trace::{ChromeTraceSink, TraceSink};
 pub use value::{SymByte, SymWord};
 
 /// Name of the symbol marking the symbolic input region in SUT binaries

@@ -1,6 +1,6 @@
 //! Lock-free phase-timing metrics, sharded per worker.
 //!
-//! The engine's existing [`Observer`](crate::Observer) seam counts *events*
+//! The engine's existing [`Observer`] seam counts *events*
 //! (queries, cache hits, gate eliminations); this module measures *where the
 //! time goes*. A [`MetricsRegistry`] holds one [`WorkerMetrics`] shard per
 //! worker thread (plus one for the coordinating thread); each worker writes
@@ -27,7 +27,7 @@ use crate::trace::TraceSink;
 pub const NUM_PHASES: usize = 8;
 
 /// Number of power-of-two latency buckets in a [`Histogram`].
-pub(crate) const NUM_BUCKETS: usize = 64;
+const NUM_BUCKETS: usize = 64;
 
 /// A timed phase of the engine's work loop.
 ///
@@ -181,16 +181,6 @@ impl HistogramSnapshot {
         }
         bucket_bound(NUM_BUCKETS - 1) as f64 * 1e-9
     }
-
-    /// The raw bucket counts, for the wire codec.
-    pub(crate) fn bucket_counts(&self) -> &[u64; NUM_BUCKETS] {
-        &self.counts
-    }
-
-    /// Rebuilds a snapshot from decoded bucket counts.
-    pub(crate) fn from_bucket_counts(counts: [u64; NUM_BUCKETS]) -> Self {
-        HistogramSnapshot { counts }
-    }
 }
 
 /// One worker's private metrics shard: phase timers, a query-latency
@@ -323,28 +313,6 @@ impl MetricsReport {
         &self.query_latency
     }
 
-    /// The private pieces the wire codec serializes.
-    pub(crate) fn wire_parts(&self) -> ([u64; NUM_PHASES], [u64; NUM_PHASES], &HistogramSnapshot) {
-        (self.phase_nanos, self.phase_counts, &self.query_latency)
-    }
-
-    /// Rebuilds a report from decoded wire pieces.
-    pub(crate) fn from_wire_parts(
-        phase_nanos: [u64; NUM_PHASES],
-        phase_counts: [u64; NUM_PHASES],
-        query_latency: HistogramSnapshot,
-        paths: u64,
-        queries: u64,
-    ) -> Self {
-        MetricsReport {
-            phase_nanos,
-            phase_counts,
-            query_latency,
-            paths,
-            queries,
-        }
-    }
-
     /// Add `other` into this report (phase times, histogram, counters).
     pub fn merge(&mut self, other: &MetricsReport) {
         for i in 0..NUM_PHASES {
@@ -371,6 +339,7 @@ pub(crate) struct Instruments {
 
 impl Instruments {
     /// Instrumentation that records nothing.
+    #[cfg(test)]
     pub(crate) fn disabled() -> Self {
         Instruments {
             registry: None,

@@ -78,13 +78,13 @@
 //! One ledger records every run's committed *and* pending work: the
 //! records, and a [`PathId`]-ordered map of every prescription seeded or
 //! spawned but not yet committed or pruned — queued in a shard, in flight
-//! on a worker, or failed. The seeds (the root, a [`run_bag`] bag, or a
-//! resumed checkpoint's pending bag) enter the map before any worker
-//! starts. A worker's commit appends its record, removes its own id from
-//! the map and inserts the children it spawns (then pushes them to its
-//! shard), all under the one ledger lock; a pruned prescription leaves the
-//! map under it too, and a failed one simply stays. The merged output is
-//! the ledger's records, sorted.
+//! on a worker, or failed. The seeds (the root, or a resumed checkpoint's
+//! pending prescriptions) enter the map before any worker starts. A
+//! worker's commit appends its record, removes its own id from the map and
+//! inserts the children it spawns (then pushes them to its shard), all
+//! under the one ledger lock; a pruned prescription leaves the map under it
+//! too, and a failed one simply stays. The merged output is the ledger's
+//! records, sorted.
 //!
 //! A checkpoint ([`crate::SessionBuilder::checkpoint`]) is therefore the
 //! result-shaping parameters, the records, the pending map and the
@@ -95,8 +95,6 @@
 //! and shard policy of the interrupted run; replay purity and the
 //! canonical merge make its records byte-identical to an uninterrupted
 //! run's. The locks nest one way only: ledger → {watermark, shard}.
-//!
-//! [`run_bag`]: ParallelSession::run_bag
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -270,8 +268,19 @@ fn load_checkpoint(
             return Err(PersistError::Mismatch { what }.into());
         }
     }
+    let records: Vec<PrescriptionRecord> = decode_seq(doc.require(section::RECORDS)?)?;
+    // Every executor stops a path at `fuel` steps, so a restored path that
+    // ran longer is corrupt — and its step count could overflow the merged
+    // summary's total.
+    if records
+        .iter()
+        .filter_map(|r| r.path.as_ref())
+        .any(|path| path.steps > meta.fuel)
+    {
+        return Err(PersistError::Corrupt("restored path ran past the checkpoint's fuel").into());
+    }
     Ok(ResumeSeed {
-        records: decode_seq(doc.require(section::RECORDS)?)?,
+        records,
         pending: decode_seq(doc.require(section::PENDING)?)?,
         watermark_ids: decode_seq(doc.require(section::WATERMARK)?)?,
     })
@@ -693,64 +702,17 @@ impl ParallelSession {
     }
 
     /// Runs the sharded exploration to completion (or to the path limit)
-    /// and returns the merged [`Summary`]. After a successful run,
-    /// subsequent calls return the cached summary without re-exploring; a
-    /// *failed* run is never cached — calling again re-explores and
-    /// deterministically reproduces the error.
+    /// from the root — or, when resuming, from the checkpoint's pending
+    /// prescriptions — and returns the merged [`Summary`]. After a
+    /// successful run, subsequent calls return the cached summary without
+    /// re-exploring; a *failed* run is never cached — calling again
+    /// re-explores and deterministically reproduces the error.
     ///
     /// # Errors
     /// Returns the canonically-first [`Error`] if any worker fails to
     /// replay a prescription (decode error, unknown syscall, fuel
     /// exhaustion).
     pub fn run_all(&mut self) -> Result<Summary, Error> {
-        let root = Prescription::root(vec![0u8; self.input_len as usize], self.policy);
-        self.run_seeded(vec![root])
-    }
-
-    /// Runs the exploration over an explicit bag of pending prescriptions
-    /// instead of the root — the worker half of multi-process sharding: a
-    /// parent process materializes the root once
-    /// ([`ParallelSession::expand_root`]), partitions the spawned level-1
-    /// prescriptions into contiguous [`PathId`]-sorted chunks, and each
-    /// child process drains one chunk with `run_bag`. A [`PathId`]'s
-    /// subtree occupies a contiguous interval of the canonical order, so
-    /// the children's merged record streams concatenate — in chunk order —
-    /// into exactly the single-process merged stream.
-    ///
-    /// Same contract as [`ParallelSession::run_all`] otherwise; resume
-    /// (when configured) takes precedence over `bag`.
-    ///
-    /// # Errors
-    /// As [`ParallelSession::run_all`].
-    pub fn run_bag(&mut self, bag: Vec<Prescription>) -> Result<Summary, Error> {
-        self.run_seeded(bag)
-    }
-
-    /// Materializes the root path on a fresh engine and returns its record
-    /// plus the level-1 prescriptions it spawns — the parent-process half
-    /// of a sharded run (see [`ParallelSession::run_bag`]). Runs
-    /// uninstrumented on the calling thread; the session itself is left
-    /// untouched.
-    ///
-    /// # Errors
-    /// Returns the [`Error`] of the root replay (executor construction,
-    /// fuel exhaustion, …).
-    pub fn expand_root(&self) -> Result<(PathRecord, Vec<Prescription>), Error> {
-        let mut executor = (self.executor_factory)()?;
-        let root = Prescription::root(vec![0u8; self.input_len as usize], self.policy);
-        let (record, spawned, _) = materialize(
-            &mut *executor,
-            &mut TermManager::new(),
-            &mut NullObserver,
-            &root,
-            self.fuel,
-            root.input.clone(),
-            &Instruments::disabled(),
-        )?;
-        Ok((record, spawned))
-    }
-
-    fn run_seeded(&mut self, seed: Vec<Prescription>) -> Result<Summary, Error> {
         if self.done {
             return Ok(self.summary());
         }
@@ -791,10 +753,10 @@ impl ParallelSession {
         // Seed the ledger before any worker starts: from the checkpoint
         // when resuming (its records stay in the ledger, so periodic
         // checkpoints of a resumed run carry the full record set, not a
-        // delta), from `seed` otherwise. The pending bag is redistributed
-        // whatever the worker count and shard policy were.
+        // delta), from the root otherwise. The pending prescriptions are
+        // redistributed whatever the worker count and shard policy were.
         let ledger = state.ledger.get_mut().expect("ledger lock");
-        let bag = match &self.persist.resume {
+        let seeds = match &self.persist.resume {
             Some(resume_path) => {
                 let loaded = load_checkpoint(resume_path, &self.checkpoint_meta(), self.policy)?;
                 if let Some(w) = &state.watermark {
@@ -810,11 +772,14 @@ impl ParallelSession {
                 ledger.records = loaded.records;
                 loaded.pending
             }
-            None => seed,
+            None => vec![Prescription::root(
+                vec![0u8; self.input_len as usize],
+                self.policy,
+            )],
         };
         ledger
             .pending
-            .extend(bag.into_iter().map(|p| (p.id.clone(), p)));
+            .extend(seeds.into_iter().map(|p| (p.id.clone(), p)));
         distribute(&state.frontier, &ledger.pending);
 
         // One `Instruments` handle per worker, all sharing the registry and
@@ -2043,29 +2008,46 @@ ok:
     }
 
     #[test]
-    fn bag_partition_concatenates_into_the_canonical_stream() {
-        // The multi-process sharding invariant, in-process: materialize the
-        // root once, split the level-1 prescriptions into contiguous
-        // id-sorted chunks, drain each chunk in its own session, and the
-        // concatenation [root] + chunk0 + chunk1 + … IS the single-process
-        // merged stream — because a PathId's subtree occupies a contiguous
-        // interval of the canonical order.
-        let reference = finished(THREE_COMPARES, 1);
-        let parent = parallel(THREE_COMPARES, 2);
-        let (root_record, mut level1) = parent.expand_root().unwrap();
-        level1.sort_by(|a, b| a.id.cmp(&b.id));
-        let chunk = level1.len().div_ceil(2).max(1);
-        let mut merged = vec![root_record];
-        let mut solver_checks = 0;
-        while !level1.is_empty() {
-            let rest = level1.split_off(chunk.min(level1.len()));
-            let mut child = parallel(THREE_COMPARES, 2);
-            let s = child.run_bag(level1).unwrap();
-            solver_checks += s.solver_checks;
-            merged.extend(child.records().iter().cloned());
-            level1 = rest;
+    fn resume_rejects_restored_steps_past_the_fuel() {
+        // Two restored paths whose step counts sum past `u64::MAX`: folded
+        // into the merged summary they would overflow `total_steps`. No
+        // executor runs a path past its fuel, so the load rejects them.
+        let path = ck_path("steps");
+        builder(THREE_COMPARES)
+            .workers(2)
+            .checkpoint(&path, 4)
+            .build_parallel()
+            .unwrap()
+            .run_all()
+            .unwrap();
+        let doc = Document::read(&path).unwrap();
+        let mut records: Vec<PrescriptionRecord> =
+            decode_seq(doc.require(section::RECORDS).unwrap()).unwrap();
+        let mut paths = records.iter_mut().filter_map(|r| r.path.as_mut());
+        for _ in 0..2 {
+            paths.next().expect("two restored paths").steps = u64::MAX / 2 + 1;
         }
-        assert_eq!(merged.as_slice(), reference.records());
-        assert_eq!(solver_checks, reference.summary().solver_checks);
+        let mut corrupt = Document::new();
+        for tag in [
+            section::META,
+            section::POLICY,
+            section::PENDING,
+            section::WATERMARK,
+        ] {
+            corrupt.push(tag, doc.require(tag).unwrap().to_vec());
+        }
+        corrupt.push(section::RECORDS, encode_seq(&records));
+        corrupt.write_atomic(&path).unwrap();
+        let resumed = builder(THREE_COMPARES)
+            .workers(2)
+            .resume(&path)
+            .build_parallel()
+            .unwrap()
+            .run_all();
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            matches!(resumed, Err(Error::Persist(PersistError::Corrupt(_)))),
+            "{resumed:?}"
+        );
     }
 }

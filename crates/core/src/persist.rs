@@ -1,7 +1,7 @@
 //! Versioned, dependency-free binary persistence for plain-data engine
-//! state: the wire format behind checkpoint/resume
+//! state: the wire format of checkpoints
 //! ([`crate::SessionBuilder::checkpoint`] / [`crate::SessionBuilder::resume`])
-//! and the multi-process `shard` runner in the bench crate.
+//! and of the [`PathRecord`] streams the determinism smokes compare.
 //!
 //! # Format
 //!
@@ -21,14 +21,14 @@
 //! no padding, no self-description. The encoding is **canonical** — equal
 //! values encode to equal bytes — which is what lets the determinism
 //! suites and the CI smokes compare whole record streams with `cmp`(1).
-//! The one bitmap-shaped payload, [`HistogramSnapshot`], is run-length
-//! encoded, because a latency histogram is mostly empty buckets.
 //!
 //! A checkpoint ([`crate::ParallelSession`]) holds the result-shaping
 //! parameters ([`section::META`], [`section::POLICY`]), the committed
 //! records, every pending prescription in [`PathId`] order, and the
 //! truncation watermark — no scheduling state. A resume redistributes the
-//! pending prescriptions over whatever shards it runs.
+//! pending prescriptions over whatever shards it runs. Section tags 4 and
+//! 6–8 are retired: no current document carries them, and their numbers
+//! are never reused.
 //!
 //! Every load failure is a typed [`PersistError`] (surfacing as
 //! [`crate::Error::Persist`]): bad magic, unsupported version, truncated
@@ -51,9 +51,7 @@ use binsym_smt::SatResult;
 
 use crate::machine::StepResult;
 use crate::memory::AddressPolicyKind;
-use crate::metrics::{HistogramSnapshot, MetricsReport, NUM_BUCKETS, NUM_PHASES};
 use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
-use crate::session::{ErrorPath, Summary};
 
 /// File magic of every persisted document (`b"BSYW"`, "BinSym Wire").
 pub const MAGIC: [u8; 4] = *b"BSYW";
@@ -74,9 +72,8 @@ pub const MAGIC: [u8; 4] = *b"BSYW";
 /// shard policy.
 pub const FORMAT_VERSION: u32 = 3;
 
-/// Well-known section tags used by the checkpoint and shard-runner
-/// documents. A [`Document`] may carry any tags; these are the ones the
-/// engine itself reads and writes.
+/// Well-known section tags of a checkpoint document. A [`Document`] may
+/// carry any tags; these are the ones the engine itself reads and writes.
 pub mod section {
     /// Session configuration the checkpoint was taken under.
     pub const META: u32 = 1;
@@ -89,12 +86,8 @@ pub mod section {
     // version 3, which keeps them in `PENDING`; the number stays retired.
     /// Truncation watermark contents (the `limit` lowest ids so far).
     pub const WATERMARK: u32 = 5;
-    /// A prescription bag shipped to a shard-runner worker process.
-    pub const BAG: u32 = 6;
-    /// A merged [`crate::Summary`].
-    pub const SUMMARY: u32 = 7;
-    /// A [`crate::MetricsReport`] shard.
-    pub const METRICS: u32 = 8;
+    // Tags 6–8 held the bags, summaries and metrics reports of the retired
+    // multi-process runner's documents; the numbers stay retired.
     /// The address-concretization policy ([`crate::AddressPolicyKind`])
     /// the run executed under. Validated strictly on resume: the policy
     /// shapes every trail, so a checkpoint taken under a different policy
@@ -119,8 +112,8 @@ pub enum PersistError {
     },
     /// The data ended before a declared section or value was complete.
     Truncated,
-    /// The data is structurally invalid (bad tag byte, run-length
-    /// overflow, trailing bytes, missing section, …).
+    /// The data is structurally invalid (bad tag byte, trailing bytes,
+    /// missing section, …).
     Corrupt(&'static str),
     /// The document is well-formed but was written under a configuration
     /// incompatible with the resuming session.
@@ -294,24 +287,19 @@ pub fn encode_seq<T: Wire>(values: &[T]) -> Vec<u8> {
 /// trailing bytes.
 pub fn decode_seq<T: Wire>(bytes: &[u8]) -> Result<Vec<T>, PersistError> {
     let mut dec = Dec::new(bytes);
-    let v = decode_vec(&mut dec)?;
-    dec.finish()?;
-    Ok(v)
-}
-
-fn decode_len(dec: &mut Dec<'_>) -> Result<usize, PersistError> {
-    usize::try_from(dec.u64()?).map_err(|_| PersistError::Corrupt("length overflows usize"))
-}
-
-fn decode_vec<T: Wire>(dec: &mut Dec<'_>) -> Result<Vec<T>, PersistError> {
-    let len = decode_len(dec)?;
+    let len = decode_len(&mut dec)?;
     // Every wire value occupies at least one byte, so `remaining` bounds
     // any honest length — a lying header cannot force a huge allocation.
     let mut out = Vec::with_capacity(len.min(dec.remaining()));
     for _ in 0..len {
-        out.push(T::decode(dec)?);
+        out.push(T::decode(&mut dec)?);
     }
+    dec.finish()?;
     Ok(out)
+}
+
+fn decode_len(dec: &mut Dec<'_>) -> Result<usize, PersistError> {
+    usize::try_from(dec.u64()?).map_err(|_| PersistError::Corrupt("length overflows usize"))
 }
 
 impl Wire for u8 {
@@ -379,30 +367,6 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(dec)?)),
             _ => Err(PersistError::Corrupt("option tag out of range")),
         }
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.len() as u64);
-        for v in self {
-            v.encode(enc);
-        }
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        decode_vec(dec)
-    }
-}
-
-impl Wire for String {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.len() as u64);
-        enc.bytes(self.as_bytes());
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let len = decode_len(dec)?;
-        String::from_utf8(dec.take(len)?.to_vec())
-            .map_err(|_| PersistError::Corrupt("string is not UTF-8"))
     }
 }
 
@@ -562,128 +526,6 @@ impl Wire for PathRecord {
             trail_len,
             decisions,
         })
-    }
-}
-
-impl Wire for ErrorPath {
-    fn encode(&self, enc: &mut Enc) {
-        self.exit_code.encode(enc);
-        enc.u64(self.input.len() as u64);
-        enc.bytes(&self.input);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let exit_code = Option::decode(dec)?;
-        let len = decode_len(dec)?;
-        Ok(ErrorPath {
-            exit_code,
-            input: dec.take(len)?.to_vec(),
-        })
-    }
-}
-
-impl Wire for Summary {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(self.paths);
-        self.error_paths.encode(enc);
-        enc.u64(self.total_steps);
-        enc.u64(self.solver_checks);
-        enc.u64(self.max_trail_len as u64);
-        self.truncated.encode(enc);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        Ok(Summary {
-            paths: dec.u64()?,
-            error_paths: Vec::decode(dec)?,
-            total_steps: dec.u64()?,
-            solver_checks: dec.u64()?,
-            max_trail_len: decode_len(dec)?,
-            truncated: bool::decode(dec)?,
-        })
-    }
-}
-
-/// Run-length encodes `words` as `(run u32, value u64)` pairs after a
-/// `u32` word count — the sparse form for mostly-zero bitmaps.
-fn encode_rle(enc: &mut Enc, words: &[u64]) {
-    enc.u32(words.len() as u32);
-    let mut i = 0usize;
-    while i < words.len() {
-        let v = words[i];
-        let mut run = 1usize;
-        while i + run < words.len() && words[i + run] == v && run < u32::MAX as usize {
-            run += 1;
-        }
-        enc.u32(run as u32);
-        enc.u64(v);
-        i += run;
-    }
-}
-
-/// Decodes a run-length payload written by [`encode_rle`] that must hold
-/// exactly `words` words, the count the caller's format fixes; runs must
-/// tile it exactly. A payload declaring any other count is rejected before
-/// anything is expanded: one 12-byte run can stand for 2^32 words, so the
-/// declared count, unlike any other wire length, is not bounded by the
-/// bytes that follow it.
-fn decode_rle(dec: &mut Dec<'_>, words: usize) -> Result<Vec<u64>, PersistError> {
-    if dec.u32()? as usize != words {
-        return Err(PersistError::Corrupt(
-            "run-length word count disagrees with the format",
-        ));
-    }
-    let mut out = Vec::with_capacity(words);
-    while out.len() < words {
-        let run = dec.u32()? as usize;
-        let v = dec.u64()?;
-        if run == 0 || out.len() + run > words {
-            return Err(PersistError::Corrupt("run-length does not tile word count"));
-        }
-        out.extend(std::iter::repeat(v).take(run));
-    }
-    Ok(out)
-}
-
-impl Wire for HistogramSnapshot {
-    fn encode(&self, enc: &mut Enc) {
-        encode_rle(enc, self.bucket_counts());
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let words = decode_rle(dec, NUM_BUCKETS)?;
-        let counts: [u64; NUM_BUCKETS] = words
-            .try_into()
-            .map_err(|_| PersistError::Corrupt("histogram bucket count mismatch"))?;
-        Ok(HistogramSnapshot::from_bucket_counts(counts))
-    }
-}
-
-impl Wire for MetricsReport {
-    fn encode(&self, enc: &mut Enc) {
-        let (nanos, counts, latency) = self.wire_parts();
-        for v in nanos {
-            enc.u64(v);
-        }
-        for v in counts {
-            enc.u64(v);
-        }
-        latency.encode(enc);
-        enc.u64(self.paths);
-        enc.u64(self.queries);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        let mut nanos = [0u64; NUM_PHASES];
-        for v in &mut nanos {
-            *v = dec.u64()?;
-        }
-        let mut counts = [0u64; NUM_PHASES];
-        for v in &mut counts {
-            *v = dec.u64()?;
-        }
-        let latency = HistogramSnapshot::decode(dec)?;
-        let paths = dec.u64()?;
-        let queries = dec.u64()?;
-        Ok(MetricsReport::from_wire_parts(
-            nanos, counts, latency, paths, queries,
-        ))
     }
 }
 
@@ -884,17 +726,6 @@ mod tests {
         }
     }
 
-    fn rand_histogram(rng: &mut Rng) -> HistogramSnapshot {
-        // Sparse by construction, like a real latency histogram.
-        let mut counts = [0u64; NUM_BUCKETS];
-        for c in &mut counts {
-            if rng.chance(8) {
-                *c = rng.next_u64();
-            }
-        }
-        HistogramSnapshot::from_bucket_counts(counts)
-    }
-
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
         let bytes = encode_one(value);
         let back: T = decode_one(&bytes).expect("decodes");
@@ -961,45 +792,9 @@ mod tests {
     }
 
     #[test]
-    fn histograms_round_trip_and_stay_sparse() {
-        let mut rng = Rng::new(0xfeed_0004);
-        for _ in 0..100 {
-            round_trip(&rand_histogram(&mut rng));
-        }
-        // An empty histogram must collapse to one run: run-length encoding
-        // is the point of the sparse form.
-        let empty = HistogramSnapshot::from_bucket_counts([0; NUM_BUCKETS]);
-        assert_eq!(encode_one(&empty).len(), 16, "count + one 12-byte run");
-        round_trip(&empty);
-    }
-
-    #[test]
-    fn summaries_and_pending_bags_round_trip() {
+    fn pending_bags_round_trip() {
         let mut rng = Rng::new(0xfeed_0005);
         for _ in 0..100 {
-            let summary = Summary {
-                paths: rng.next_u64(),
-                error_paths: (0..rng.below(4))
-                    .map(|_| {
-                        let exit_code = if rng.chance(2) {
-                            Some(rng.next_u64() as u32)
-                        } else {
-                            None
-                        };
-                        let input_len = rng.below(16);
-                        ErrorPath {
-                            exit_code,
-                            input: rng.bytes(input_len),
-                        }
-                    })
-                    .collect(),
-                total_steps: rng.next_u64(),
-                solver_checks: rng.next_u64(),
-                max_trail_len: rng.below(4096),
-                truncated: rng.chance(2),
-            };
-            round_trip(&summary);
-
             // A checkpoint's PENDING section is one prescription sequence.
             let pending: Vec<Prescription> = (0..rng.below(20))
                 .map(|_| rand_prescription(&mut rng))
@@ -1105,15 +900,6 @@ mod tests {
             decode_one::<bool>(&[2]),
             Err(PersistError::Corrupt(_))
         ));
-        // A run-length run of zero can never tile a nonzero word count.
-        let mut enc = Enc::new();
-        enc.u32(NUM_BUCKETS as u32); // word count
-        enc.u32(0); // run of zero
-        enc.u64(0);
-        assert!(matches!(
-            decode_one::<HistogramSnapshot>(&enc.into_bytes()),
-            Err(PersistError::Corrupt(_))
-        ));
         // Trailing bytes.
         let mut bytes = encode_one(&42u32);
         bytes.push(0);
@@ -1121,26 +907,6 @@ mod tests {
             decode_one::<u32>(&bytes),
             Err(PersistError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn lying_run_lengths_are_rejected_before_expanding() {
-        // One 12-byte run can claim 2^32 - 1 words. Whether the declared
-        // word count lies (the format fixes NUM_BUCKETS) or the run
-        // overshoots the right one, the payload is a typed error, never a
-        // 32 GiB allocation.
-        for declared in [u32::MAX, NUM_BUCKETS as u32] {
-            let mut enc = Enc::new();
-            enc.u32(declared);
-            enc.u32(u32::MAX); // one run of u32::MAX zeros
-            enc.u64(0);
-            let histogram = enc.into_bytes();
-            assert_eq!(histogram.len(), 16);
-            assert!(matches!(
-                decode_one::<HistogramSnapshot>(&histogram),
-                Err(PersistError::Corrupt(_))
-            ));
-        }
     }
 
     #[test]
@@ -1158,7 +924,7 @@ mod tests {
         doc.push(section::RECORDS, encode_seq(&records));
         doc.write_atomic(&path).unwrap();
         // Overwrite in place: rename replaces the previous document.
-        doc.push(section::SUMMARY, encode_one(&Summary::default()));
+        doc.push(section::WATERMARK, encode_seq(&[rand_path_id(&mut rng)]));
         doc.write_atomic(&path).unwrap();
         let back = Document::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1169,24 +935,5 @@ mod tests {
             Document::read(Path::new("/nonexistent/binsym-checkpoint")),
             Err(PersistError::Io(_))
         ));
-    }
-
-    #[test]
-    fn metrics_reports_round_trip() {
-        // Build a report through the public merge path so private fields
-        // carry real data.
-        let registry = crate::metrics::MetricsRegistry::new(2);
-        let shard = registry.shard(0);
-        shard.record_phase(crate::metrics::Phase::Execute, 1234);
-        shard.record_query(5_000);
-        shard.record_query(900_000);
-        shard.note_path();
-        shard.note_path();
-        shard.note_path();
-        let report = registry.report();
-        let back: MetricsReport = decode_one(&encode_one(&report)).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.paths, 3);
-        round_trip(&MetricsReport::empty());
     }
 }

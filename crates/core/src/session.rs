@@ -221,11 +221,11 @@ pub struct Summary {
 
 impl Summary {
     /// Folds one materialized path into the totals: the sequential session
-    /// per path, the parallel merge per record, and a multi-process merge
-    /// per record of the concatenated stream.
+    /// per path and the parallel merge per record. The step total
+    /// saturates rather than wrapping, whatever the per-path fuel.
     pub fn add_path(&mut self, path: &PathRecord) {
         self.paths += 1;
-        self.total_steps += path.steps;
+        self.total_steps = self.total_steps.saturating_add(path.steps);
         self.max_trail_len = self.max_trail_len.max(path.trail_len);
         if path.is_error() {
             self.error_paths.push(ErrorPath {
@@ -572,9 +572,9 @@ impl SessionBuilder {
     /// Installs a [`TraceSink`] receiving begin/end span events for every
     /// timed [`Phase`], one track per worker (track `i` = worker `i`; a
     /// parallel merge lands on track `workers`). Use
-    /// [`crate::ChromeTraceSink`] to open the hunt in `ui.perfetto.dev`,
-    /// or [`crate::JsonlTraceSink`] for streaming consumers. Carries the
-    /// same wall-time-only contract as [`SessionBuilder::metrics`].
+    /// [`crate::ChromeTraceSink`] to open the hunt in `ui.perfetto.dev`.
+    /// Carries the same wall-time-only contract as
+    /// [`SessionBuilder::metrics`].
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -617,7 +617,7 @@ impl SessionBuilder {
     ///
     /// A sequential session stops after the first `max_paths` paths in
     /// *strategy order*; a parallel session returns the canonical
-    /// `max_paths`-lowest-[`PathId`] prefix of the full exploration,
+    /// `max_paths`-lowest-[`crate::PathId`] prefix of the full exploration,
     /// independent of scheduling (see [`crate::parallel`]).
     pub fn limit(mut self, max_paths: u64) -> Self {
         self.limit = Some(max_paths);

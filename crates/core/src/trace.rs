@@ -1,11 +1,12 @@
-//! Structured trace layer: span and instant events into pluggable sinks,
-//! with JSONL and Chrome trace-event (Perfetto/catapult) exporters.
+//! Structured trace layer: span and instant events into a pluggable sink,
+//! with a Chrome trace-event (Perfetto/catapult) exporter.
 //!
-//! The engine emits begin/end spans around each timed [`Phase`] and optional
-//! instant markers through a [`TraceSink`]. Sinks stamp their **own**
-//! timestamps from a construction-time epoch, so one sink can be shared
-//! across several sessions (the bench bins run many engines into a single
-//! trace file) and per-track timestamps stay monotone. Tracks map to worker
+//! The engine emits begin/end spans around each timed
+//! [`Phase`](crate::Phase) and optional instant markers through a
+//! [`TraceSink`]. Sinks stamp their **own** timestamps from a
+//! construction-time epoch, so one sink can be shared across several
+//! sessions (the bench bins run many engines into a single trace file) and
+//! per-track timestamps stay monotone. Tracks map to worker
 //! threads — track `i` is worker `i`, and a parallel run's merge phase lands
 //! on track `workers` — so a hunt traced through [`ChromeTraceSink`] opens
 //! in `ui.perfetto.dev` or `chrome://tracing` with one lane per worker.
@@ -15,8 +16,7 @@
 //! records (pinned in both determinism suites).
 
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -50,63 +50,6 @@ fn escape_into(out: &mut String, name: &str) {
             }
             c => out.push(c),
         }
-    }
-}
-
-/// A [`TraceSink`] writing one JSON object per line, immediately, to any
-/// `Write` target — a streaming-friendly format a consumer can read while
-/// the hunt runs.
-///
-/// Each line is `{"ph":"B"|"E"|"i","tid":<track>,"ts":<µs>,"name":"..."}`.
-pub struct JsonlTraceSink {
-    epoch: Instant,
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonlTraceSink {
-    /// A sink writing lines to `out`.
-    pub fn new(out: impl Write + Send + 'static) -> Self {
-        JsonlTraceSink {
-            epoch: Instant::now(),
-            out: Mutex::new(Box::new(out)),
-        }
-    }
-
-    /// A sink writing lines to a buffered file at `path`.
-    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlTraceSink::new(BufWriter::new(File::create(path)?)))
-    }
-
-    fn emit(&self, ph: char, track: u32, name: &str) {
-        let ts = self.epoch.elapsed().as_micros() as u64;
-        let mut line = String::with_capacity(64);
-        let _ = write!(
-            line,
-            "{{\"ph\":\"{ph}\",\"tid\":{track},\"ts\":{ts},\"name\":\""
-        );
-        escape_into(&mut line, name);
-        line.push_str("\"}\n");
-        let mut out = self.out.lock().expect("trace sink lock");
-        out.write_all(line.as_bytes()).expect("trace sink write");
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&self) -> io::Result<()> {
-        self.out.lock().expect("trace sink lock").flush()
-    }
-}
-
-impl TraceSink for JsonlTraceSink {
-    fn begin_span(&self, track: u32, name: &str) {
-        self.emit('B', track, name);
-    }
-
-    fn end_span(&self, track: u32, name: &str) {
-        self.emit('E', track, name);
-    }
-
-    fn instant(&self, track: u32, name: &str) {
-        self.emit('i', track, name);
     }
 }
 
@@ -232,8 +175,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Scrape a rendered/streamed output into `(ph, tid, ts, name)` tuples.
-    /// Both sinks emit one event per line, so per-line key scraping gives
+    /// Scrape a rendered document into `(ph, tid, ts, name)` tuples. The
+    /// sink renders one event per line, so per-line key scraping gives
     /// enough structure for well-formedness checks without a JSON parser in
     /// this crate (the bench crate's `trace_check` bin does full parsing).
     fn scrape(text: &str) -> Vec<(char, u32, u64, String)> {
@@ -311,39 +254,6 @@ mod tests {
         assert!(doc.contains("worker-0") && doc.contains("worker-1"));
         let events = scrape(&doc);
         assert_eq!(events.len(), 7);
-        assert_balanced_and_monotone(&events);
-    }
-
-    #[test]
-    fn jsonl_sink_streams_one_event_per_line() {
-        use std::sync::{Arc as A, Mutex as M};
-
-        /// A `Write` target collecting into a shared buffer.
-        struct Shared(A<M<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().expect("buffer").extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buffer = A::new(M::new(Vec::new()));
-        let sink = JsonlTraceSink::new(Shared(A::clone(&buffer)));
-        sink.begin_span(0, "execute");
-        sink.instant(0, "note \"quoted\"");
-        sink.end_span(0, "execute");
-        sink.flush().expect("flush");
-        let text = String::from_utf8(buffer.lock().expect("buffer").clone()).expect("utf8");
-        assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-        assert!(text.contains("\\\"quoted\\\""), "escaping: {text}");
-        let events = scrape(&text);
-        assert_eq!(events.len(), 3);
         assert_balanced_and_monotone(&events);
     }
 

@@ -517,7 +517,7 @@ pub struct SatStats {
 /// assert_eq!(s.solve(&[]), SatResult::Sat);
 /// assert_eq!(s.value(b), Some(true));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SatSolver {
     clauses: ClauseStore,
     watches: WatchLists, // one list per Lit::index
@@ -568,14 +568,39 @@ const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
 
+impl Default for SatSolver {
+    fn default() -> Self {
+        SatSolver::new()
+    }
+}
+
 impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         SatSolver {
+            clauses: ClauseStore::default(),
+            watches: WatchLists::default(),
+            vals: Vec::new(),
+            phase: Vec::new(),
+            reason: Vec::new(),
+            level: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
             cla_inc: 1.0,
+            heap: VarHeap::default(),
+            seen: Vec::new(),
+            add_buf: Vec::new(),
+            unsat: false,
+            stats: SatStats::default(),
             max_learnts: 3000.0,
-            ..Default::default()
+            log_id: 0,
+            op_versions: Vec::new(),
+            log_version: 0,
+            solved: false,
+            watches_perturbed: false,
         }
     }
 
@@ -1686,6 +1711,22 @@ mod tests {
         fold_fingerprint(&mut h, &mut clone, 24);
         fold_fingerprint(&mut h, &mut s, 24);
         assert_eq!(h, 0x2cd5_5097_e3b2_46a1, "unlogged clone drifted");
+    }
+
+    #[test]
+    fn default_solver_is_new() {
+        // `default()` must start from `new()`'s activity increments and
+        // learnt-clause budget, not from zeros.
+        let mut seed = 0x5eed_0006u64;
+        for round in 0..3u64 {
+            let nvars = 40 + 4 * (round as usize);
+            let (mut a, mut b) = (SatSolver::new(), SatSolver::default());
+            let mut seed_b = seed;
+            random_instance(&mut a, &mut seed, nvars, nvars * 4 + 8);
+            random_instance(&mut b, &mut seed_b, nvars, nvars * 4 + 8);
+            assert_eq!(fingerprint(&mut b, nvars), fingerprint(&mut a, nvars));
+            assert_eq!(b.stats(), a.stats());
+        }
     }
 
     #[test]

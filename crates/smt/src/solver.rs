@@ -39,7 +39,7 @@ use crate::term::{Sort, Term, TermManager};
 /// assert_eq!(s.check_sat(&mut tm, &[]), SatResult::Sat);
 /// s.pop();
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Solver {
     sat: SatSolver,
     blaster: BitBlaster,
@@ -48,6 +48,12 @@ pub struct Solver {
     /// Statistics: number of `check_sat` calls.
     num_checks: u64,
     last_was_sat: bool,
+}
+
+impl Default for Solver {
+    fn default() -> Self {
+        Solver::new()
+    }
 }
 
 impl Solver {
@@ -200,6 +206,30 @@ mod tests {
         assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Sat);
         let m = solver.model(&tm).expect("model");
         assert_eq!(m.value("x"), Some(0));
+    }
+
+    #[test]
+    fn default_solver_answers_like_new() {
+        // `default()` must have the bottom frame `new()` pushes: asserting
+        // into it and popping back to it both work.
+        let run = |mut solver: Solver| {
+            let mut tm = TermManager::new();
+            let x = tm.var("x", 8);
+            let c = tm.bv_const(100, 8);
+            let lt = tm.ult(x, c);
+            let ge = tm.not(lt);
+            solver.assert_term(&mut tm, lt);
+            solver.push();
+            solver.assert_term(&mut tm, ge);
+            let inner = solver.check_sat(&mut tm, &[]);
+            solver.pop();
+            let outer = solver.check_sat(&mut tm, &[]);
+            (inner, outer, solver.model(&tm), solver.depth())
+        };
+        let fresh = run(Solver::new());
+        assert_eq!(fresh.0, SatResult::Unsat);
+        assert_eq!(fresh.1, SatResult::Sat);
+        assert_eq!(run(Solver::default()), fresh);
     }
 
     #[test]

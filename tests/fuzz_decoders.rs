@@ -1,13 +1,13 @@
 //! Mutation fuzzing of the input decoders: ELF images, instruction words,
-//! persisted documents and custom-instruction YAML. Whatever the bytes,
-//! each decoder must return a typed error or a value — never panic.
+//! persisted documents and custom-instruction YAML — and of the resume
+//! path, which loads a mutated checkpoint and explores from it. Whatever
+//! the bytes, each must return a typed error or a value — never panic.
 //!
 //! Every loop mutates real seed inputs with the `binsym-testutil`
 //! xorshift generator (bit flips, byte writes, insertions, deletions,
 //! truncation, and "interesting" 32-bit values such as 0 and `u32::MAX`
-//! dropped over length fields). The persisted-document seeds are a real
-//! checkpoint of a 2-worker coverage-guided run and an encoded
-//! `MetricsReport`, the only carrier of a run-length-encoded bitmap. A
+//! dropped over length fields). The persisted-document seeds are a
+//! mid-run and a drain checkpoint of a 2-worker coverage-guided run. A
 //! panicking case is reported with its seed and bytes.
 //!
 //! The default counts keep the debug tier-1 run short; the `#[ignore]`d
@@ -21,11 +21,10 @@ use std::sync::{Arc, Mutex};
 use binsym_repro::bench::programs::{all_programs, CLIF_PARSER, TABLE_LOOKUP};
 use binsym_repro::binsym::persist::section;
 use binsym_repro::binsym::{
-    decode_one, decode_seq, encode_one, encode_seq, CheckpointEvent, CoverageGuided, CoverageMap,
-    CoverageObserver, Document, MetricsRegistry, Observer, PathId, PathRecord, Prescription,
-    Session, Summary, Wire,
+    decode_one, decode_seq, encode_seq, AddressPolicyKind, CheckpointEvent, CoverageGuided,
+    CoverageMap, CoverageObserver, Document, Observer, PathId, PathRecord, Prescription, Session,
+    Wire,
 };
-use binsym_repro::binsym::{AddressPolicyKind, MetricsReport};
 use binsym_repro::elf::ElfFile;
 use binsym_repro::isa::encoding::{InstrTable, MADD_YAML};
 use binsym_repro::isa::spec::zbb;
@@ -107,8 +106,6 @@ fn decode_as_every_type(bytes: &[u8]) {
     }
     both::<PathRecord>(bytes);
     both::<Prescription>(bytes);
-    both::<Summary>(bytes);
-    both::<MetricsReport>(bytes);
     both::<PathId>(bytes);
     both::<AddressPolicyKind>(bytes);
 }
@@ -144,27 +141,19 @@ impl Observer for GrabCheckpoint {
     }
 }
 
-/// The persisted seeds: a mid-run checkpoint document of a 2-worker
-/// coverage-guided hunt, that hunt's encoded `MetricsReport`, `Summary`
-/// and records, and a document holding the metrics section.
+/// The persisted seeds: the mid-run and the drain checkpoint documents of
+/// a 2-worker coverage-guided hunt, and the mid-run checkpoint's section
+/// payloads plus the hunt's encoded records.
 fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let elf = CLIF_PARSER.build();
     let map = CoverageMap::shared_for(&elf);
     let (policy_map, observer_map) = (Arc::clone(&map), Arc::clone(&map));
-    // One file per call: the tier-1 and heavy tests run concurrently.
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "binsym-fuzz-seed-{}-{}.ck",
-        std::process::id(),
-        CALLS.fetch_add(1, Ordering::Relaxed)
-    ));
+    let path = temp_path("seed");
     let grabbed = Arc::new(Mutex::new(None));
     let (grab_path, grab) = (path.clone(), Arc::clone(&grabbed));
-    let registry = Arc::new(MetricsRegistry::new(2));
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(2)
-        .metrics(Arc::clone(&registry))
         .checkpoint(&path, 8)
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
@@ -197,17 +186,22 @@ fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         !pending.is_empty(),
         "a mid-run cut has pending prescriptions"
     );
-    let metrics = encode_one(&registry.report());
-    let mut metrics_doc = Document::new();
-    metrics_doc.push(section::METRICS, metrics.clone());
-    let documents = vec![checkpoint, drained, metrics_doc.to_bytes()];
     let mut payloads: Vec<Vec<u8>> = (0..=10)
         .filter_map(|tag| doc.section(tag).map(<[u8]>::to_vec))
         .collect();
-    payloads.push(metrics);
-    payloads.push(encode_one(&summary));
     payloads.push(encode_seq(session.records()));
-    (documents, payloads)
+    (vec![checkpoint, drained], payloads)
+}
+
+/// A scratch file path unique to this process and call: the tier-1 and
+/// heavy tests run concurrently.
+fn temp_path(what: &str) -> std::path::PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "binsym-fuzz-{what}-{}-{}.ck",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 fn persisted_documents(cases: usize) {
@@ -226,6 +220,25 @@ fn persisted_documents(cases: usize) {
         cases,
         decode_as_every_type,
     );
+}
+
+/// Resumes a 2-worker clif-parser session from each mutated checkpoint:
+/// the checkpoint loader (metadata, prescription records, watermark ids)
+/// and the resumed exploration must end in `Ok` or a typed error.
+fn resumed_checkpoints(cases: usize) {
+    let (documents, _) = persisted_seeds();
+    let elf = CLIF_PARSER.build();
+    let path = temp_path("resume");
+    fuzz("resume", 0xf0cc_0006, &documents, cases, |bytes| {
+        std::fs::write(&path, bytes).expect("mutant checkpoint writes");
+        let _ = Session::builder(Spec::rv32im())
+            .binary(&elf)
+            .workers(2)
+            .resume(&path)
+            .build_parallel()
+            .and_then(|mut session| session.run_all());
+    });
+    let _ = std::fs::remove_file(&path);
 }
 
 fn elf_images(cases: usize) {
@@ -275,6 +288,11 @@ fn persisted_documents_never_panic() {
 }
 
 #[test]
+fn resumed_checkpoints_never_panic() {
+    resumed_checkpoints(300);
+}
+
+#[test]
 fn elf_images_never_panic() {
     elf_images(300);
 }
@@ -293,6 +311,12 @@ fn madd_yaml_never_panics() {
 #[ignore = "heavy: run in release with --include-ignored"]
 fn persisted_documents_never_panic_heavy() {
     persisted_documents(20_000);
+}
+
+#[test]
+#[ignore = "heavy: run in release with --include-ignored"]
+fn resumed_checkpoints_never_panic_heavy() {
+    resumed_checkpoints(10_000);
 }
 
 #[test]

@@ -106,7 +106,7 @@ use binsym_isa::Spec;
 use binsym_lifter::{EngineConfig, LifterBugs, LifterExecutor};
 
 fn main() {
-    let opts = BenchOpts::from_env();
+    let opts = BenchOpts::from_env(&[]);
     if opts.resume.is_some() {
         eprintln!("--resume is ignored: ablations time complete runs only");
     }

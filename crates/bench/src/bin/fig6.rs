@@ -58,7 +58,7 @@ fn stddev_pct(durations: &[Duration], m: Duration) -> f64 {
 }
 
 fn main() {
-    let opts = BenchOpts::from_env();
+    let opts = BenchOpts::from_env(&[]);
     let workers = opts.workers_or_sequential();
     if workers == 0 && opts.wants_persistence() {
         eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");

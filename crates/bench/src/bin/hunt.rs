@@ -34,8 +34,10 @@ use binsym_bench::{programs, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_elf::ElfFile;
 use binsym_isa::Spec;
 
-/// Flags specific to this bin, layered over the shared [`BenchOpts`]
-/// (which ignores unknown arguments by design).
+/// Flags specific to this bin, layered over the shared [`BenchOpts`].
+const HUNT_FLAGS: [&str; 2] = ["--benchmark", "--records"];
+
+/// The values of [`HUNT_FLAGS`].
 struct HuntArgs {
     benchmark: String,
     records: Option<PathBuf>,
@@ -67,7 +69,7 @@ impl HuntArgs {
 }
 
 fn main() {
-    let opts = BenchOpts::from_env();
+    let opts = BenchOpts::from_env(&HUNT_FLAGS);
     let args = HuntArgs::from_env();
     run_hunt(&args, &opts);
 }

@@ -45,7 +45,7 @@ use binsym_bench::engines::memory_policy_from_opts;
 use binsym_bench::{all_programs, run, Engine, SearchStrategy};
 
 fn main() {
-    let opts = BenchOpts::from_env();
+    let opts = BenchOpts::from_env(&[]);
     let workers = opts.workers_or_sequential();
     if workers == 0 && opts.wants_persistence() {
         eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");

@@ -302,15 +302,6 @@ fn decode_len(dec: &mut Dec<'_>) -> Result<usize, PersistError> {
     usize::try_from(dec.u64()?).map_err(|_| PersistError::Corrupt("length overflows usize"))
 }
 
-impl Wire for u8 {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u8(*self);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        dec.u8()
-    }
-}
-
 impl Wire for u32 {
     fn encode(&self, enc: &mut Enc) {
         enc.u32(*self);
@@ -326,15 +317,6 @@ impl Wire for u64 {
     }
     fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
         dec.u64()
-    }
-}
-
-impl Wire for usize {
-    fn encode(&self, enc: &mut Enc) {
-        enc.u64(*self as u64);
-    }
-    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
-        decode_len(dec)
     }
 }
 

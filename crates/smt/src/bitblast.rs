@@ -7,9 +7,27 @@
 //! circuitry.
 //!
 //! Circuit constructions: ripple-carry adders, shift-add multipliers, barrel
-//! shifters, an MSB-first comparison chain, and a restoring-division circuit
+//! shifters, a borrow-chain comparator, and a restoring-division circuit
 //! whose divide-by-zero behaviour coincides with SMT-LIB/RISC-V (`x/0` is
 //! all-ones, `x%0` is `x`).
+//!
+//! Adders and comparators use the compact three-input gates of Eén and
+//! Sörensson ("Translating Pseudo-Boolean Constraints into SAT", JSAT
+//! 2006). A full adder is an XOR3 sum and a majority carry: 2 variables
+//! and 14 clauses, against 5 and 17 for the xor/and/or form. `a <u b` is
+//! the borrow chain of `a - b`, one majority gate per bit: 1 variable and
+//! 6 clauses, against 4 and 13 for an and/iff/and/or comparison step. A
+//! 32-bit `bvult` blasts to 189 clauses and a 32-bit `bvadd` to 441. Every
+//! comparison (`ult`/`ule`/`slt`/`sle`, the divider's trial subtraction,
+//! the shift-overflow test) and every adder (`add`/`sub`/`neg`, `mul`,
+//! `div`/`rem`, `abs`) goes through these two gates. Fewer Tseitin
+//! variables also make each SAT query cheaper, since a satisfiable query
+//! assigns every variable of its solver.
+//!
+//! A gate with constant, equal or complementary inputs folds instead of
+//! allocating a variable where the result allows. A three-input gate with
+//! a constant input hands the other two to a 2-input gate, which folds in
+//! turn; an equal or complementary pair decides it outright.
 
 use std::collections::HashMap;
 
@@ -644,12 +662,74 @@ impl BitBlaster {
         g
     }
 
+    /// `MAJ(a, b, c)`, true when at least two inputs are: one variable and
+    /// six clauses. A constant input leaves the and (false) or the or
+    /// (true) of the other two; an equal pair decides the vote, and a
+    /// complementary pair leaves it to the third input.
+    fn maj_gate(&mut self, sat: &mut SatSolver, a: Lit, b: Lit, c: Lit) -> Lit {
+        let t = self.tru(sat);
+        for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
+            if k == t {
+                return self.or_gate(sat, x, y);
+            }
+            if k == !t {
+                return self.and_gate(sat, x, y);
+            }
+        }
+        for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
+            if x == y {
+                return x;
+            }
+            if x == !y {
+                return z;
+            }
+        }
+        let g = Lit::pos(sat.new_var());
+        for (x, y) in [(a, b), (a, c), (b, c)] {
+            sat.add_clause(&[!g, x, y]);
+            sat.add_clause(&[g, !x, !y]);
+        }
+        g
+    }
+
+    /// `a ⊕ b ⊕ c`: one variable and eight clauses, each ruling out the
+    /// wrong output for one of the eight input rows. A constant input leaves
+    /// the 2-input xor (false) or iff (true) of the other two; an equal
+    /// pair cancels to the third input, a complementary one to its
+    /// negation.
+    fn xor3_gate(&mut self, sat: &mut SatSolver, a: Lit, b: Lit, c: Lit) -> Lit {
+        let t = self.tru(sat);
+        for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
+            if k == t {
+                return self.iff_gate(sat, x, y);
+            }
+            if k == !t {
+                return self.xor_gate(sat, x, y);
+            }
+        }
+        for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
+            if x == y {
+                return z;
+            }
+            if x == !y {
+                return !z;
+            }
+        }
+        let g = Lit::pos(sat.new_var());
+        // Each pair excludes an even-parity row for `g` and the
+        // complementary odd-parity row for `¬g`.
+        for (x, y, z) in [(a, b, c), (!a, !b, c), (!a, b, !c), (a, !b, !c)] {
+            sat.add_clause(&[!g, x, y, z]);
+            sat.add_clause(&[g, !x, !y, !z]);
+        }
+        g
+    }
+
+    /// Full adder as an XOR3 sum and a majority carry: two variables and
+    /// 14 clauses, where the xor/xor/and/and/or form took five and 17.
     fn full_adder(&mut self, sat: &mut SatSolver, a: Lit, b: Lit, cin: Lit) -> (Lit, Lit) {
-        let axb = self.xor_gate(sat, a, b);
-        let sum = self.xor_gate(sat, axb, cin);
-        let ab = self.and_gate(sat, a, b);
-        let axb_c = self.and_gate(sat, axb, cin);
-        let cout = self.or_gate(sat, ab, axb_c);
+        let sum = self.xor3_gate(sat, a, b, cin);
+        let cout = self.maj_gate(sat, a, b, cin);
         (sum, cout)
     }
 
@@ -683,16 +763,16 @@ impl BitBlaster {
         acc
     }
 
-    /// MSB-first unsigned comparison chain.
+    /// Unsigned `a < b` as the borrow chain of `a - b`, LSB first: bit
+    /// `i` decides the borrow when `¬aᵢ` and `bᵢ` agree (`aᵢ < bᵢ`
+    /// borrows, `aᵢ > bᵢ` does not) and otherwise passes the borrow from
+    /// below on, so `lt' = MAJ(¬aᵢ, bᵢ, lt)`. That is one majority gate
+    /// (1 variable, 6 clauses) per bit, where the and/iff/and/or form took
+    /// 4 and 13; bit 0 has no borrow in and folds to a 2-input and.
     fn ult_bits(&mut self, sat: &mut SatSolver, a: &[Lit], b: &[Lit]) -> Lit {
         let mut lt = self.fls(sat);
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            // iterate LSB→MSB, folding:
-            // lt' = (¬x ∧ y) ∨ ((x ≡ y) ∧ lt)
-            let nx_y = self.and_gate(sat, !x, y);
-            let eqxy = self.iff_gate(sat, x, y);
-            let keep = self.and_gate(sat, eqxy, lt);
-            lt = self.or_gate(sat, nx_y, keep);
+        for (&x, &y) in a.iter().zip(b) {
+            lt = self.maj_gate(sat, !x, y, lt);
         }
         lt
     }

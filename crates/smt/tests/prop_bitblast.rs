@@ -173,6 +173,140 @@ fn comparisons_match_evaluator() {
     }
 }
 
+/// An operator whose bits go through the majority and XOR3 gates: a
+/// comparison (borrow chain) or an adder.
+#[derive(Debug, Clone, Copy)]
+enum GateOp {
+    Ult,
+    Ule,
+    Slt,
+    Sle,
+    Add,
+    Sub,
+    Neg,
+}
+
+/// How the operands of a [`GateOp`] share literals. The random points
+/// above only ever pair two free variables, so a wrong fold of a constant,
+/// equal or complementary gate input would pass them.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    VarVar,
+    VarConst,
+    ConstVar,
+    /// `x` against `bv_not(x)`: complementary literals at every bit.
+    NotSelf,
+    /// `x` against itself: equal literals at every bit (only `add(x, x)`
+    /// reaches the blaster; the term manager folds the other operators).
+    Same,
+    /// `x` against `x`'s bits 3..1 over `y`'s bit 0: the borrow out of
+    /// bit 0 is free, so each comparator bit above it sees a complementary
+    /// pair (`¬xᵢ`, `xᵢ`) beside a free input. The shapes above reach a
+    /// complementary pair only beside a constant carry or borrow, which
+    /// folds first.
+    SharedHigh,
+    /// As [`Shape::SharedHigh`] with `¬x`'s bits: each adder bit above
+    /// bit 0 sees a complementary pair beside a free carry.
+    FlippedHigh,
+}
+
+/// Pins the circuit of `op` over `shape` to the evaluator at one 4-bit
+/// point: the unary `bv_neg` takes the shape's right operand.
+fn check_gate_point(op: GateOp, shape: Shape, xv: u64, yv: u64) {
+    let mut tm = TermManager::new();
+    let x = tm.var("x", 4);
+    let y = tm.var("y", 4);
+    let (a, b) = match shape {
+        Shape::VarVar => (x, y),
+        Shape::VarConst => (x, tm.bv_const(yv, 4)),
+        Shape::ConstVar => (tm.bv_const(xv, 4), y),
+        Shape::NotSelf => (x, tm.bv_not(x)),
+        Shape::Same => (x, x),
+        Shape::SharedHigh | Shape::FlippedHigh => {
+            let high = if matches!(shape, Shape::SharedHigh) {
+                x
+            } else {
+                tm.bv_not(x)
+            };
+            let high = tm.extract(high, 3, 1);
+            let low = tm.extract(y, 0, 0);
+            (x, tm.concat(high, low))
+        }
+    };
+    let t = match op {
+        GateOp::Ult => tm.ult(a, b),
+        GateOp::Ule => tm.ule(a, b),
+        GateOp::Slt => tm.slt(a, b),
+        GateOp::Sle => tm.sle(a, b),
+        GateOp::Add => tm.add(a, b),
+        GateOp::Sub => tm.sub(a, b),
+        GateOp::Neg => tm.bv_neg(b),
+    };
+    let mut assignment: HashMap<VarId, u64> = HashMap::new();
+    assignment.insert(tm.find_var("x").unwrap(), xv);
+    assignment.insert(tm.find_var("y").unwrap(), yv);
+    let pin = match eval(&tm, t, &assignment).expect("assigned") {
+        Value::Bool(true) => t,
+        Value::Bool(false) => tm.not(t),
+        Value::BitVec(v) => {
+            let c = tm.bv_const(v, 4);
+            tm.eq(t, c)
+        }
+        Value::Array(_) => unreachable!("bv or bool term"),
+    };
+
+    let xc = tm.bv_const(xv, 4);
+    let yc = tm.bv_const(yv, 4);
+    let px = tm.eq(x, xc);
+    let py = tm.eq(y, yc);
+    let mut solver = Solver::new();
+    solver.assert_term(&mut tm, px);
+    solver.assert_term(&mut tm, py);
+    let what = format!("{op:?} over {shape:?} at x={xv} y={yv}");
+    assert_eq!(
+        solver.check_sat(&mut tm, &[pin]),
+        SatResult::Sat,
+        "{what}: circuit disagrees with evaluator"
+    );
+    let deny = tm.not(pin);
+    assert_eq!(
+        solver.check_sat(&mut tm, &[deny]),
+        SatResult::Unsat,
+        "{what}: circuit is underconstrained"
+    );
+}
+
+#[test]
+fn gate_folds_match_evaluator_at_every_4_bit_point() {
+    let ops = [
+        GateOp::Ult,
+        GateOp::Ule,
+        GateOp::Slt,
+        GateOp::Sle,
+        GateOp::Add,
+        GateOp::Sub,
+        GateOp::Neg,
+    ];
+    let shapes = [
+        Shape::VarVar,
+        Shape::VarConst,
+        Shape::ConstVar,
+        Shape::NotSelf,
+        Shape::Same,
+        Shape::SharedHigh,
+        Shape::FlippedHigh,
+    ];
+    for op in ops {
+        for shape in shapes {
+            for xv in 0..16 {
+                for yv in 0..16 {
+                    check_gate_point(op, shape, xv, yv);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn extract_concat_extend_roundtrip() {
     let mut rng = Rng::new(0xb1a5_0003);

@@ -765,7 +765,7 @@ fn clif_parser_cold_records_are_pinned() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn bubble_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BUBBLE_SORT, 0x575a_1b17_aefe_7413);
+    check_cold_records_pinned(&programs::BUBBLE_SORT, 0xd7d8_bcbf_af42_60ce);
 }
 
 #[test]
@@ -777,11 +777,11 @@ fn uri_parser_cold_records_are_pinned() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn insertion_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::INSERTION_SORT, 0x3ebf_b537_0250_d9a9);
+    check_cold_records_pinned(&programs::INSERTION_SORT, 0xed36_b2e1_38ca_7557);
 }
 
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn base64_encode_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BASE64_ENCODE, 0x82c3_2318_f037_db81);
+    check_cold_records_pinned(&programs::BASE64_ENCODE, 0xb853_7978_af4e_7f27);
 }

@@ -16,11 +16,12 @@
 //! branches and input-indexed table accesses read only one or two
 //! symbolic bytes, so the interpreter can run every input and group them
 //! into classes by pc sequence. Each exploration (sequential, sharded over
-//! 1 and 4 cold workers and over 4 warm-start workers, under `eq` and
-//! `symbolic:64`) must be sound —
+//! 1 and 4 cold workers and over 4 warm-start workers, and the fixed IR
+//! lifter run sequentially, under `eq` and `symbolic:64`) must be sound —
 //! every witness replays to the recorded exit and step count, and no two
 //! paths share a class — and, where the policy loses nothing, complete:
-//! one path per class.
+//! one path per class. The five angr lifter bugs serve as its mutants:
+//! each single-bug lifter must miss paths on some program.
 //!
 //! Random cases come from a deterministic in-repo generator (no third-party
 //! property-testing dependency is available in the build environment); the
@@ -356,20 +357,34 @@ fn concrete_class(template: &Machine, addr: u32, input: &[u8]) -> (u64, Ending) 
     }
 }
 
-/// Every (witness, ending) pair of one exploration of `elf` under
-/// `policy`: the sequential `Session` for `workers == None`, else a
-/// `ParallelSession` with that many workers, warm-started when `warm`.
-fn explore(
-    elf: &ElfFile,
-    policy: AddressPolicyKind,
-    workers: Option<usize>,
-    warm: bool,
-) -> Vec<(Vec<u8>, Ending)> {
-    let builder = Session::builder(Spec::rv32im())
-        .binary(elf)
-        .address_policy(policy);
-    match workers {
-        None => builder
+/// One exploration of the path-set oracle.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// The sequential `Session` on the formal semantics.
+    Sequential,
+    /// A `ParallelSession` with `workers` workers, warm-started when `warm`.
+    Parallel { workers: usize, warm: bool },
+    /// The sequential `Session` on the IR lifter with `bugs` reinstated.
+    Lifter(LifterBugs),
+}
+
+/// Every (witness, ending) pair of one exploration of `elf` under `policy`.
+fn explore(elf: &ElfFile, policy: AddressPolicyKind, run: Run) -> Vec<(Vec<u8>, Ending)> {
+    let builder = match run {
+        Run::Lifter(bugs) => {
+            let config = EngineConfig {
+                bugs,
+                ..EngineConfig::binsec()
+            };
+            let exec = LifterExecutor::new(elf, config).expect("sym input");
+            Session::executor_builder(exec.with_policy(policy))
+        }
+        Run::Sequential | Run::Parallel { .. } => Session::builder(Spec::rv32im())
+            .binary(elf)
+            .address_policy(policy),
+    };
+    match run {
+        Run::Sequential | Run::Lifter(_) => builder
             .build()
             .expect("builds")
             .paths()
@@ -378,9 +393,9 @@ fn explore(
                 (p.input, (p.exit, p.steps))
             })
             .collect(),
-        Some(n) => {
+        Run::Parallel { workers, warm } => {
             let mut session = builder
-                .workers(n)
+                .workers(workers)
                 .warm_start(warm)
                 .build_parallel()
                 .expect("builds");
@@ -394,67 +409,123 @@ fn explore(
     }
 }
 
+/// A program and the concrete path classes of all `256^input_len` inputs.
+struct ClassSet {
+    elf: ElfFile,
+    /// The interpreter with the program loaded.
+    template: Machine,
+    /// Address of `__sym_input`.
+    addr: u32,
+    classes: HashSet<u64>,
+}
+
+impl ClassSet {
+    fn new(program: &Program, input_len: usize) -> Self {
+        let elf = Assembler::new().assemble(&program.src).expect("assembles");
+        let addr = elf.symbol("__sym_input").expect("symbol").value;
+        let mut template = Machine::new(Spec::rv32im());
+        template.load_elf(&elf);
+        let classes = (0..1u32 << (8 * input_len))
+            .map(|v| concrete_class(&template, addr, &v.to_le_bytes()[..input_len]).0)
+            .collect();
+        ClassSet {
+            elf,
+            template,
+            addr,
+            classes,
+        }
+    }
+
+    /// Judges an exploration's paths: returns the first unsound witness
+    /// (one that replays to another ending, or repeats an earlier path's
+    /// class), described, and the number of missed paths: classes that no
+    /// witness reaches with the ending the exploration recorded for it.
+    fn audit(&self, paths: &[(Vec<u8>, Ending)]) -> (Option<String>, usize) {
+        let mut seen = HashSet::new();
+        let mut found = HashSet::new();
+        let mut unsound = None;
+        for (input, ending) in paths {
+            let (class, replayed) = concrete_class(&self.template, self.addr, input);
+            let fresh = seen.insert(class);
+            if replayed == *ending {
+                found.insert(class);
+            }
+            let why = if replayed != *ending {
+                "replays differently"
+            } else if !fresh {
+                "repeats another path's pc sequence"
+            } else {
+                continue;
+            };
+            unsound.get_or_insert_with(|| format!("witness {input:?} {why}"));
+        }
+        let missed = self.classes.difference(&found).count();
+        (unsound, missed)
+    }
+}
+
 /// Checks every exploration of `program` against the concrete path
 /// classes of all `256^input_len` inputs; returns the class count.
 fn check_path_set(program: &Program, input_len: usize) -> usize {
     let src = &program.src;
-    let elf = Assembler::new().assemble(src).expect("assembles");
-    let addr = elf.symbol("__sym_input").expect("symbol").value;
-    let mut template = Machine::new(Spec::rv32im());
-    template.load_elf(&elf);
-    let classes: HashSet<u64> = (0..1u32 << (8 * input_len))
-        .map(|v| concrete_class(&template, addr, &v.to_le_bytes()[..input_len]).0)
-        .collect();
+    let set = ClassSet::new(program, input_len);
     let policies = [
         AddressPolicyKind::ConcretizeEq,
         AddressPolicyKind::Symbolic { window: 64 },
     ];
     for policy in policies {
         let runs = [
-            (None, false),
-            (Some(1), false),
-            (Some(4), false),
-            (Some(4), true),
+            Run::Sequential,
+            Run::Parallel {
+                workers: 1,
+                warm: false,
+            },
+            Run::Parallel {
+                workers: 4,
+                warm: false,
+            },
+            Run::Parallel {
+                workers: 4,
+                warm: true,
+            },
+            Run::Lifter(LifterBugs::NONE),
         ];
-        for (workers, warm) in runs {
-            let run = format!("{policy} with {workers:?} workers (warm: {warm})");
-            let paths = explore(&elf, policy, workers, warm);
-            let mut seen = HashSet::new();
-            for (input, ending) in &paths {
-                let (class, replayed) = concrete_class(&template, addr, input);
-                assert_eq!(
-                    replayed, *ending,
-                    "{run}: witness {input:?} replays differently\n{src}"
-                );
-                assert!(
-                    seen.insert(class),
-                    "{run}: witness {input:?} repeats another path's pc sequence\n{src}"
-                );
+        for run in runs {
+            let what = format!("{policy}, {run:?}");
+            let paths = explore(&set.elf, policy, run);
+            let (unsound, _) = set.audit(&paths);
+            if let Some(why) = unsound {
+                panic!("{what}: {why}\n{src}");
             }
             let lossless =
                 matches!(policy, AddressPolicyKind::Symbolic { .. }) || !program.indexes_table;
             if lossless {
                 assert_eq!(
                     paths.len(),
-                    classes.len(),
-                    "{run}: paths != concrete classes\n{src}"
+                    set.classes.len(),
+                    "{what}: paths != concrete classes\n{src}"
                 );
             }
         }
     }
-    classes.len()
+    set.classes.len()
 }
 
 /// Generates `count` control-flow programs over `input_len` bytes from
-/// `seed` and checks each one's path set; returns the total class count.
-fn check_random_path_sets(seed: u64, count: usize, input_len: usize) -> usize {
+/// `seed`.
+fn random_programs(seed: u64, count: usize, input_len: usize) -> impl Iterator<Item = Program> {
     let mut rng = Rng::new(seed);
-    (0..count)
-        .map(|_| {
-            let len = 16 + (rng.next_u64() as usize) % 64;
-            let program = gen_program(&rng.bytes(len), input_len, true);
-            check_path_set(&program, input_len)
-        })
+    (0..count).map(move |_| {
+        let len = 16 + (rng.next_u64() as usize) % 64;
+        gen_program(&rng.bytes(len), input_len, true)
+    })
+}
+
+/// Checks the path set of each of `count` control-flow programs over
+/// `input_len` bytes from `seed`; returns the total class count.
+fn check_random_path_sets(seed: u64, count: usize, input_len: usize) -> usize {
+    random_programs(seed, count, input_len)
+        .map(|program| check_path_set(&program, input_len))
         .sum()
 }
 
@@ -469,4 +540,71 @@ fn exhaustive_path_sets_match_concrete_classes() {
 fn exhaustive_path_sets_match_concrete_classes_heavy() {
     check_random_path_sets(0xd1ff_0004, 512, 1);
     check_random_path_sets(0xd1ff_0005, 16, 2);
+}
+
+#[test]
+#[ignore = "heavy: 512 one-byte programs under five mutant lifters; run in release"]
+fn every_angr_bug_misses_paths_on_some_program() {
+    let none = LifterBugs::NONE;
+    let mutants = [
+        (
+            "sra_logical",
+            LifterBugs {
+                sra_logical: true,
+                ..none
+            },
+        ),
+        (
+            "shift_uses_reg_index",
+            LifterBugs {
+                shift_uses_reg_index: true,
+                ..none
+            },
+        ),
+        (
+            "load_extension",
+            LifterBugs {
+                load_extension: true,
+                ..none
+            },
+        ),
+        (
+            "shamt_signed",
+            LifterBugs {
+                shamt_signed: true,
+                ..none
+            },
+        ),
+        (
+            "signed_cmp_unsigned",
+            LifterBugs {
+                signed_cmp_unsigned: true,
+                ..none
+            },
+        ),
+    ];
+    let policy = AddressPolicyKind::Symbolic { window: 64 };
+    // Per mutant: programs with an unsound witness or a missed class, and
+    // programs with a missed class.
+    let mut flagged = [0usize; 5];
+    let mut missing = [0usize; 5];
+    for program in random_programs(0xd1ff_0004, 512, 1) {
+        let set = ClassSet::new(&program, 1);
+        for (k, &(_, bugs)) in mutants.iter().enumerate() {
+            let (unsound, missed) = set.audit(&explore(&set.elf, policy, Run::Lifter(bugs)));
+            flagged[k] += usize::from(unsound.is_some() || missed > 0);
+            missing[k] += usize::from(missed > 0);
+        }
+    }
+    for (k, (name, _)) in mutants.iter().enumerate() {
+        println!(
+            "bug {} ({name}): {} of 512 programs flagged, {} with missed paths",
+            k + 1,
+            flagged[k],
+            missing[k]
+        );
+    }
+    for (k, (name, _)) in mutants.iter().enumerate() {
+        assert!(missing[k] > 0, "bug {} ({name}) misses no path", k + 1);
+    }
 }

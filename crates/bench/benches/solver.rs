@@ -58,18 +58,14 @@ fn main() {
         assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Sat);
     });
 
-    bench("solver/incremental-push-pop", || {
+    bench("solver/incremental-assumptions", || {
         let mut tm = TermManager::new();
         let mut solver = Solver::new();
         let x = tm.var("x", 16);
         for i in 0..20u64 {
-            solver.push();
             let c = tm.bv_const(i * 3, 16);
             let lt = tm.ult(c, x);
-            solver.assert_term(&mut tm, lt);
-            let r = solver.check_sat(&mut tm, &[]);
-            assert_eq!(r, SatResult::Sat);
-            solver.pop();
+            assert_eq!(solver.check_sat(&mut tm, &[lt]), SatResult::Sat);
         }
     });
 

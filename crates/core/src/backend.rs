@@ -6,17 +6,18 @@
 //! 1. the [`StaticGate`]: a word-level screen (known bits, intervals,
 //!    order closure — `binsym_smt::analysis`) that drops provably
 //!    infeasible flips with **zero** SAT calls;
-//! 2. `solve`: push, assert, check, read the model and pop on a
-//!    [`binsym_smt::Solver`], timed as [`Phase::BitBlast`] and
-//!    [`Phase::Solve`].
+//! 2. `solve`: blast `prefix ++ [flipped]`, check it as assumptions and
+//!    read the model on a [`binsym_smt::Solver`], timed as
+//!    [`Phase::BitBlast`] and [`Phase::Solve`].
 //!
 //! The engines differ only in the solver they hand to the solve step: the
-//! sequential [`crate::Session`] keeps an incremental solver (retractable
-//! frames, shared bit-blast cache and learned clauses) that it replaces at
-//! a fixed path interval, while cold replay, and the warm cache when its
-//! context cannot roll back, use `Solver::new()` per flip. `discharge`
-//! chains the two steps for the session and cold replay; the warm cache
-//! calls them itself (see [`crate::warm`]).
+//! sequential [`crate::Session`] keeps one incremental solver for its
+//! whole exploration (a query leaves only the definitions of the terms it
+//! blasted, and every query shares the bit-blast cache and the learnt
+//! clauses), while cold replay, and the warm cache when its context cannot
+//! roll back, use `Solver::new()` per flip. `discharge` chains the two
+//! steps for the session and cold replay; the warm cache calls them itself
+//! (see [`crate::warm`]).
 //!
 //! An SMT-LIB v2 rendering of a flip query is a function of its terms:
 //! `binsym_smt::smtlib::query_to_smtlib(tm, prefix ++ [flipped])`.
@@ -138,15 +139,9 @@ impl StaticGate {
 /// Discharges the full query in a fresh solver and panics (with the query's
 /// SMT-LIB script) unless it is UNSAT, as the analysis proved.
 fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
-    let mut solver = Solver::new();
-    for &c in prefix {
-        solver.assert_term(tm, c);
-    }
-    solver.assert_term(tm, flipped);
-    let got = solver.check_sat(tm, &[]);
+    let all = [prefix, &[flipped]].concat();
+    let got = Solver::new().check_sat(tm, &all);
     if got != SatResult::Unsat {
-        let mut all: Vec<Term> = prefix.to_vec();
-        all.push(flipped);
         panic!(
             "static-analysis shadow check failed: analysis proved the flip UNSAT, \
              solver says {got:?}\n{}",
@@ -155,10 +150,11 @@ fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
     }
 }
 
-/// The solve step of every flip query `prefix ∧ flipped`: push, assert,
-/// check, read the model and pop on `solver`, timed as [`Phase::BitBlast`]
-/// and [`Phase::Solve`]. Returns the solver's result and, on SAT, its
-/// model. The caller reports the result through [`Observer::on_query`].
+/// The solve step of every flip query `prefix ∧ flipped`: blast `prefix
+/// ++ [flipped]` in order, check it as assumptions and read the model on
+/// `solver`, timed as [`Phase::BitBlast`] and [`Phase::Solve`]. Returns the
+/// solver's result and, on SAT, its model. The caller reports the result
+/// through [`Observer::on_query`].
 ///
 /// The sequential session passes its incremental solver; cold replay, and
 /// the warm cache when its context fails, pass `Solver::new()`.
@@ -170,22 +166,17 @@ pub(crate) fn solve(
     instr: &Instruments,
     observer: &mut dyn Observer,
 ) -> (SatResult, Option<Model>) {
+    let query = [prefix, &[flipped]].concat();
     let blast_started = instr.begin(Phase::BitBlast);
-    solver.push();
-    for &t in prefix {
-        solver.assert_term(tm, t);
-    }
-    solver.assert_term(tm, flipped);
+    solver.blast(tm, &query);
     instr.finish(blast_started, Phase::BitBlast, observer);
     let solve_started = instr.begin(Phase::Solve);
-    let r = solver.check_sat(tm, &[]);
+    let r = solver.check_sat(tm, &query);
     let solve_nanos = instr.finish(solve_started, Phase::Solve, observer);
     if solve_started.is_some() {
         instr.record_query(solve_nanos);
     }
-    let model = solver.model(tm);
-    solver.pop();
-    (r, model)
+    (r, solver.model(tm))
 }
 
 /// Discharges one flip query on `solver`: the gate, then [`solve`], then
@@ -248,7 +239,7 @@ mod tests {
     fn incremental_and_fresh_agree() {
         // The solve step answers alike on one incremental solver (the
         // sequential session) and on a fresh solver per query (cold
-        // replay), and leaves the incremental one at its bottom frame.
+        // replay).
         let mut tm = TermManager::new();
         let lt5 = x_lt_5(&mut tm);
         let ge5 = tm.not(lt5);
@@ -274,7 +265,6 @@ mod tests {
                     &mut NullObserver,
                 );
                 assert_eq!(r, expected);
-                assert_eq!(solver.depth(), 1, "the query frame is popped");
                 let Some(model) = model else {
                     assert_eq!(r, SatResult::Unsat, "sat has a model");
                     continue;

@@ -47,8 +47,8 @@
 //! *without* giving up determinism: each worker keeps its most recently
 //! used parent trails and one retained prefix context, so consecutive
 //! prescriptions from the same subtree skip the prefix re-execution and
-//! reuse the prefix's bit-blast, solving each flip in a disposable frame
-//! on top — bit-identical results, cheaper replays (see [`crate::warm`]
+//! reuse the prefix's bit-blast, solving each flip on a disposable clone
+//! of it — bit-identical results, cheaper replays (see [`crate::warm`]
 //! and ablation 3).
 //!
 //! # Canonical truncation

@@ -40,16 +40,11 @@
 //! the static gate to the solver (see [`crate::backend`]), and a model of a
 //! feasible flip seeds the next run.
 //!
-//! The solver is incremental: the flip queries between two replacements
-//! share its bit-blasted terms and learnt clauses. After every 32nd path
-//! the session swaps in `Solver::new()`. A popped query frame leaves its
-//! clauses behind, satisfied, so a solver kept for the whole exploration
-//! grows with every query; the swap keeps the clause database, and with it
-//! memory, bounded, at the price of re-blasting each stretch's first
-//! queries. The swap is keyed to the path count, not to how
-//! [`Session::paths`] is drained, so the path stream is a function of the
-//! program alone. Its witnesses differ from those of a solver that is
-//! never replaced.
+//! The session keeps one incremental solver for its whole exploration:
+//! every flip query shares its bit-blasted terms and learnt clauses. A
+//! query is posed as assumptions, so it leaves behind only the definitions
+//! of terms no earlier query blasted, and the solver grows with the
+//! distinct terms of the exploration, not with its queries.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -72,10 +67,6 @@ use crate::strategy::{Candidate, Dfs, PathStrategy, PrescriptionStrategy};
 use crate::trace::TraceSink;
 use crate::warm::WARM_CAPACITY;
 use crate::SYM_INPUT_SYMBOL;
-
-/// Materialized paths after which a [`Session`] replaces its solver with a
-/// fresh one (see the [module docs](self)).
-const PATHS_PER_SOLVER: u64 = 32;
 
 /// Outcome of executing one path.
 #[derive(Debug, Clone)]
@@ -525,7 +516,7 @@ impl SessionBuilder {
     /// most recently used parent trails, keyed by parent concrete input,
     /// so a parent's prefix is executed once and reused; and one retained
     /// solver context holding the last query's prefix bit-blast, with each
-    /// flip solved in a disposable frame on top. The cache affects **wall
+    /// flip solved on a disposable clone of it. The cache affects **wall
     /// time only, never models** — merged records stay byte-identical to
     /// a cache-off run on every worker count, schedule, and hit pattern
     /// (see [`crate::warm`]).
@@ -826,8 +817,7 @@ pub struct Session {
     executor: Box<dyn PathExecutor>,
     tm: TermManager,
     strategy: Box<dyn PathStrategy>,
-    /// The incremental solver the flip queries run on; replaced after
-    /// every [`PATHS_PER_SOLVER`]-th path.
+    /// The incremental solver every flip query runs on.
     solver: Solver,
     observer: Box<dyn Observer>,
     gate: StaticGate,
@@ -838,8 +828,7 @@ pub struct Session {
     /// execute and is retried).
     next: Option<(Prescription, Vec<u8>)>,
     done: bool,
-    /// Totals so far; its `solver_checks` counts the replaced solvers'
-    /// checks only (see [`Session::summary`]).
+    /// Totals so far, except `solver_checks`, which `solver` counts.
     summary: Summary,
     /// Phase timers and trace spans (track 0); disabled unless a metrics
     /// registry or trace sink was installed.
@@ -925,12 +914,11 @@ impl Session {
     }
 
     /// Totals accumulated so far (complete once exploration is done).
-    /// [`Summary::solver_checks`] counts the checks of every solver the
-    /// session has used: the replaced ones and the live one.
     pub fn summary(&self) -> Summary {
-        let mut s = self.summary.clone();
-        s.solver_checks += self.solver.num_checks();
-        s
+        Summary {
+            solver_checks: self.solver.num_checks(),
+            ..self.summary.clone()
+        }
     }
 
     /// Executes a single path with the given concrete input, without
@@ -1003,10 +991,6 @@ impl Session {
             }
         };
         self.summary.add_path(&record);
-        if self.summary.paths % PATHS_PER_SOLVER == 0 {
-            self.summary.solver_checks += self.solver.num_checks();
-            self.solver = Solver::new();
-        }
         if self
             .max_paths
             .is_some_and(|limit| self.summary.paths >= limit)
@@ -1171,8 +1155,7 @@ hit:
     ecall
 "#;
 
-    /// `n` independent byte compares (`in[i] <u 100`): 2^n paths. At
-    /// `n = 8` a session replaces its solver several times on the way.
+    /// `n` independent byte compares (`in[i] <u 100`): 2^n paths.
     fn compares(n: usize) -> String {
         let zeros = vec!["0"; n].join(", ");
         let mut src = format!(
@@ -1364,14 +1347,13 @@ ok:
         let s = session.run_all().unwrap();
         assert_eq!(s.paths, 8);
 
-        // Across solver replacements, chunks of 7 through fresh iterators
-        // yield the stream of one uninterrupted drain.
+        // Chunks of 7 through fresh iterators yield the stream of one
+        // uninterrupted drain.
         let whole: Vec<PathOutcome> = session_for(&compares(8))
             .paths()
             .map(|r| r.unwrap())
             .collect();
         assert_eq!(whole.len(), 256);
-        assert!(whole.len() as u64 > PATHS_PER_SOLVER);
         let mut session = session_for(&compares(8));
         let mut chunked = Vec::new();
         while !session.is_done() {
@@ -1592,8 +1574,8 @@ _start:
         assert_eq!(c.branches, 2, "one symbolic branch per path");
         assert_eq!(c.sat_queries, 1, "one feasible flip");
 
-        // The summary counts the checks of replaced solvers too, at every
-        // point of a drain in chunks.
+        // The summary counts every solver check, at every point of a drain
+        // in chunks.
         let counts = Rc::new(RefCell::new(CountingObserver::new()));
         let elf = Assembler::new().assemble(&compares(8)).unwrap();
         let mut session = Session::builder(Spec::rv32im())

@@ -157,7 +157,7 @@ impl WarmCache {
     /// The same errors cache-off replay produces (execution failure,
     /// fuel exhaustion, [`Error::ReplayDivergence`]), plus
     /// [`Error::WarmStart`] for broken solver invariants. A context that
-    /// cannot roll back (a stale frame, a solver that is no longer
+    /// cannot roll back (a stale checkpoint, a solver that is no longer
     /// pristine) is not an error here: the context is dropped and the
     /// query falls back to the cold solve, whose answer is bit-identical —
     /// so even that failure mode cannot change results.
@@ -264,6 +264,7 @@ mod tests {
     use crate::session::{PathOutcome, SpecExecutor};
     use binsym_asm::Assembler;
     use binsym_isa::Spec;
+    use binsym_smt::Term;
 
     const THREE_COMPARES: &str = r#"
         .data
@@ -352,15 +353,13 @@ c3:
             }
         }
         let (i, cond, taken, _) = cut.expect("branch exists");
+        let mut query: Vec<Term> = trail[..i]
+            .iter()
+            .map(|entry| entry.path_term(&mut tm))
+            .collect();
+        query.push(if taken { tm.not(cond) } else { cond });
         let mut solver = Solver::new();
-        solver.push();
-        for entry in &trail[..i] {
-            let t = entry.path_term(&mut tm);
-            solver.assert_term(&mut tm, t);
-        }
-        let flipped = if taken { tm.not(cond) } else { cond };
-        solver.assert_term(&mut tm, flipped);
-        let r = solver.check_sat(&mut tm, &[]);
+        let r = solver.check_sat(&mut tm, &query);
         if r != SatResult::Sat {
             return (r, None);
         }

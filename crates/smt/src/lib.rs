@@ -14,11 +14,11 @@
 //! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1UIP clause
 //!   learning, Luby restarts, clause-database reduction),
 //! * [`bitblast`] — Tseitin encoding of bitvector terms to CNF,
-//! * [`solver`] — an incremental `assert`/`push`/`pop`/`check_sat` façade with
-//!   model extraction,
+//! * [`solver`] — an incremental `assert`/`check_sat` façade that poses
+//!   queries as assumptions, with model extraction,
 //! * [`prefix`] — reusable blasted path-prefix contexts for the parallel
-//!   engine's deterministic warm start (flip queries layered as disposable
-//!   frames; models bit-identical to a cold per-query solver),
+//!   engine's deterministic warm start (each flip query solved on a
+//!   disposable clone; models bit-identical to a cold per-query solver),
 //! * [`smtlib`] — an SMT-LIB v2 printer (with `let`-sharing for multiply
 //!   referenced internal nodes) used to regenerate the paper's Fig. 2
 //!   solver query.

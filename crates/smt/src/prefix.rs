@@ -5,8 +5,8 @@
 //! replayed path prefix, blast the flipped condition, solve. Consecutive
 //! prescriptions from the same subtree replay — and re-blast — the *same*
 //! prefix. A [`PrefixContext`] holds that blasted prefix open as a
-//! reusable context, with the flip query layered on top as a disposable
-//! frame, so the shared work is paid once.
+//! reusable context, with each flip query solved on a disposable clone of
+//! it, so the shared work is paid once.
 //!
 //! # Determinism: wall time only, never models
 //!
@@ -19,16 +19,17 @@
 //! toward different (equally valid) models. The context therefore keeps
 //! its retained state **pristine**:
 //!
-//! * the retained prefix is only ever *constructed* (variables allocated,
-//!   clauses added, guarded by one assertion frame) — no search ever runs
-//!   on it, so it stays bit-identical to what the cold path would have
-//!   built at the same point;
-//! * each flip query runs on a throwaway **scratch clone** of the context
-//!   (the push/pop frame layered on top): the flipped condition is
-//!   blasted into the clone and solved there, reproducing the cold path's
-//!   remaining operations exactly — same clause database, same variable
-//!   numbering, same search, same model — while the learnt clauses and
-//!   search state die with the clone;
+//! * the retained prefix is only ever *constructed* (the Tseitin
+//!   variables and clauses of its terms, plus one literal per conjunct) —
+//!   no search ever runs on it, so it stays bit-identical to what the cold
+//!   path would have built at the same point;
+//! * each flip query runs on a throwaway **scratch clone** of the context:
+//!   the flipped condition is blasted into the clone, which is solved
+//!   under the cold path's assumptions (the prefix literals, then the
+//!   flipped one). That reproduces the cold path's remaining operations
+//!   exactly — same clause database, same variable numbering, same search,
+//!   same model — while the learnt clauses and search state die with the
+//!   clone;
 //! * when a query needs a *shorter* prefix than is retained (depth-first
 //!   siblings arrive deepest-first), the context truncates back to the
 //!   exact construction point ([`SatSolver::rollback`] and
@@ -46,8 +47,8 @@
 //! # Error discipline
 //!
 //! Warm-start code runs on worker threads, where a panic poisons the
-//! whole exploration; everything fallible on the cached-context
-//! `pop`/re-`push` path is therefore typed. [`SatSolver::rollback`] and
+//! whole exploration; everything fallible on the cached-context rollback
+//! path is therefore typed. [`SatSolver::rollback`] and
 //! [`BitBlaster::rollback`] report stale, foreign or unlogged checkpoints
 //! and a retained solver that is no longer pristine as [`RollbackError`];
 //! [`PrefixContext::solve_flip`] forwards them (and a missing internal
@@ -56,7 +57,7 @@
 //! remain on this path are infallible by construction (checkpointing a
 //! solver that was *just* created with logging enabled) and documented at
 //! each site; sort mismatches panic exactly as the cold path's
-//! `assert_term` does.
+//! `check_sat` does.
 
 use crate::bitblast::{BitBlaster, BlastCheckpoint};
 use crate::model::Model;
@@ -75,7 +76,7 @@ pub struct PrefixSolveReport {
     pub blasted: usize,
 }
 
-/// A warm-start failure: a stale or foreign cached context frame (an
+/// A warm-start failure: a stale or foreign cached context checkpoint (an
 /// engine bug) or a retained solver that is no longer pristine. Surfaced
 /// as a typed error so the caller can drop the context and solve cold
 /// instead of panicking on a worker thread.
@@ -89,9 +90,9 @@ impl PrefixError {
         match self.0 {
             RollbackError::LogDisabled => "cached context lost its op log",
             RollbackError::ForeignCheckpoint => {
-                "cached context frame belongs to a different context"
+                "cached context checkpoint belongs to a different context"
             }
-            RollbackError::StaleCheckpoint => "cached context frame is stale",
+            RollbackError::StaleCheckpoint => "cached context checkpoint is stale",
             RollbackError::NotPristine => "cached context was searched on",
         }
     }
@@ -116,14 +117,14 @@ impl From<RollbackError> for PrefixError {
 }
 
 /// Checkpoint pair marking the context state with a given number of prefix
-/// terms asserted.
+/// terms blasted.
 #[derive(Debug, Clone, Copy)]
 struct Mark {
     sat: crate::sat::SatCheckpoint,
     blast: BlastCheckpoint,
 }
 
-/// The scratch frame of the last query, kept for model extraction.
+/// The scratch clone of the last query, kept for model extraction.
 #[derive(Debug)]
 struct Scratch {
     sat: SatSolver,
@@ -131,13 +132,14 @@ struct Scratch {
     result: SatResult,
 }
 
-/// A blasted-and-checked path prefix held open for reuse, with flip
-/// queries layered on top as disposable frames.
+/// A blasted path prefix held open for reuse, with each flip query solved
+/// on a disposable clone.
 ///
-/// Mirrors the exact operation sequence of the cold path (a fresh
-/// [`crate::Solver`] with one pushed assertion frame): a bottom guard, one
-/// prefix-frame guard, then one guarded clause per asserted term. See the
-/// [module docs](self) for the determinism argument.
+/// Mirrors the exact operation sequence of the cold path, a fresh
+/// [`crate::Solver`] that checks `prefix ++ [flipped]` as assumptions: the
+/// prefix terms blasted in order, then the flipped term, then one search
+/// under their literals. See the [module docs](self) for the determinism
+/// argument.
 ///
 /// Like [`crate::Solver`], a context must be used with a single
 /// [`TermManager`] for its whole lifetime.
@@ -145,15 +147,12 @@ struct Scratch {
 pub struct PrefixContext {
     sat: SatSolver,
     blaster: BitBlaster,
-    /// Guard literal of the (never popped) bottom frame — `Solver::new`'s
-    /// frame 0 in the cold path.
-    bottom: Lit,
-    /// Guard literal of the prefix assertion frame — the cold path's
-    /// single `push`ed frame holding prefix and flip alike.
-    frame: Lit,
-    /// The asserted prefix terms, in assertion order.
+    /// The retained prefix terms, in blasting order.
     prefix: Vec<Term>,
-    /// `marks[k]` = context state with `prefix[..k]` asserted
+    /// The literal of each retained prefix term: the assumptions every
+    /// flip query starts with.
+    lits: Vec<Lit>,
+    /// `marks[k]` = context state with `prefix[..k]` blasted
     /// (`marks.len() == prefix.len() + 1`).
     marks: Vec<Mark>,
     scratch: Option<Scratch>,
@@ -161,15 +160,10 @@ pub struct PrefixContext {
 }
 
 impl PrefixContext {
-    /// Creates an empty context (no prefix asserted yet).
+    /// Creates an empty context (no prefix blasted yet).
     pub fn new() -> Self {
-        let mut sat = SatSolver::with_op_log();
+        let sat = SatSolver::with_op_log();
         let blaster = BitBlaster::with_journal();
-        // Replicate the cold path's construction order exactly:
-        // `Solver::new()` allocates the bottom guard, the subsequent
-        // `push()` the frame guard, both before any blasting.
-        let bottom = Lit::pos(sat.new_var());
-        let frame = Lit::pos(sat.new_var());
         let mark = Mark {
             sat: sat.checkpoint().expect("op-logged solver"),
             blast: blaster.checkpoint().expect("journaled blaster"),
@@ -177,9 +171,8 @@ impl PrefixContext {
         PrefixContext {
             sat,
             blaster,
-            bottom,
-            frame,
             prefix: Vec::new(),
+            lits: Vec::new(),
             marks: vec![mark],
             scratch: None,
             checks: 0,
@@ -196,25 +189,25 @@ impl PrefixContext {
         self.checks
     }
 
-    /// Discharges one branch-flip query: asserts `prefix` (reusing the
+    /// Discharges one branch-flip query: blasts `prefix` (reusing the
     /// longest already-retained leading run, rolling back or extending as
-    /// needed) and solves it together with `flipped` in a disposable
-    /// scratch frame. Returns the result and the reuse accounting.
+    /// needed) and solves it together with `flipped` on a disposable
+    /// scratch clone. Returns the result and the reuse accounting.
     ///
     /// The model (when [`SatResult::Sat`]) is available from
     /// [`PrefixContext::model`] until the next call, and is bit-identical
-    /// to the model a fresh [`crate::Solver`] would return for the same
-    /// `push`/assert-all/`check_sat` sequence.
+    /// to the model a fresh [`crate::Solver`] returns for
+    /// `check_sat(prefix ++ [flipped])`.
     ///
     /// # Errors
     /// [`PrefixError`] when the context cannot roll back to the shared
-    /// run: its retained frames are stale or its solver is no longer
+    /// run: its retained checkpoints are stale or its solver is no longer
     /// pristine. The retained prefix is left as it was; the caller should
     /// discard the context and fall back to a cold solve.
     ///
     /// # Panics
-    /// Panics if any asserted term is not boolean (as the cold path's
-    /// `assert_term` does).
+    /// Panics if any term is not boolean (as the cold path's `check_sat`
+    /// does).
     pub fn solve_flip(
         &mut self,
         tm: &mut TermManager,
@@ -241,26 +234,27 @@ impl PrefixContext {
             self.sat.rollback(&mark.sat)?;
             self.blaster.rollback(&mark.blast)?;
             self.prefix.truncate(shared);
+            self.lits.truncate(shared);
             self.marks.truncate(shared + 1);
         }
         for &t in &prefix[shared..] {
             assert_eq!(tm.sort(t), Sort::Bool, "assertions must be boolean");
             let lit = self.blaster.blast_bool(tm, &mut self.sat, t);
-            self.sat.add_clause(&[!self.frame, lit]);
             self.prefix.push(t);
+            self.lits.push(lit);
             self.marks.push(Mark {
                 sat: self.sat.checkpoint()?,
                 blast: self.blaster.checkpoint()?,
             });
         }
-        // The disposable flip frame: a scratch clone of the pristine
-        // context. Learnt clauses and search state die with it.
+        // The flip runs on a scratch clone of the pristine context.
+        // Learnt clauses and search state die with it.
         let mut sat = self.sat.clone_unlogged();
         let mut blaster = self.blaster.clone_unjournaled();
         assert_eq!(tm.sort(flipped), Sort::Bool, "assertions must be boolean");
-        let lit = blaster.blast_bool(tm, &mut sat, flipped);
-        sat.add_clause(&[!self.frame, lit]);
-        let result = sat.solve(&[self.bottom, self.frame]);
+        let mut assumptions = self.lits.clone();
+        assumptions.push(blaster.blast_bool(tm, &mut sat, flipped));
+        let result = sat.solve(&assumptions);
         self.checks += 1;
         self.scratch = Some(Scratch {
             sat,
@@ -303,21 +297,18 @@ mod tests {
     use super::*;
     use crate::solver::Solver;
 
-    /// The cold path: a fresh incremental solver, one pushed frame, all
-    /// assertions, one check — exactly what the parallel engine's
-    /// cache-off replay does per query.
+    /// The cold path: a fresh solver and one check of `prefix ++
+    /// [flipped]` as assumptions — what the parallel engine's cache-off
+    /// replay does per query.
     fn cold_solve(
         tm: &mut TermManager,
         prefix: &[Term],
         flipped: Term,
     ) -> (SatResult, Option<Model>) {
+        let mut query = prefix.to_vec();
+        query.push(flipped);
         let mut s = Solver::new();
-        s.push();
-        for &t in prefix {
-            s.assert_term(tm, t);
-        }
-        s.assert_term(tm, flipped);
-        let r = s.check_sat(tm, &[]);
+        let r = s.check_sat(tm, &query);
         (r, s.model(tm))
     }
 
@@ -387,7 +378,7 @@ mod tests {
         let r = ctx.solve_flip(&mut tm, &[lt], not_lt).expect("ok");
         assert_eq!(r.result, SatResult::Unsat);
         assert!(ctx.model(&tm).is_none());
-        // The retained prefix is untouched by the unsat frame.
+        // The retained prefix is untouched by the unsat query.
         let twenty = tm.bv_const(20, 8);
         let lt20 = tm.ult(x, twenty);
         let r = ctx.solve_flip(&mut tm, &[lt], lt20).expect("ok");

@@ -4,8 +4,8 @@
 //! an indexed max-heap, first-UIP conflict analysis with clause learning,
 //! phase saving, Luby restarts, and activity-based learnt-clause database
 //! reduction. Solving is *incremental*: clauses persist across calls and
-//! queries are posed under assumptions, which is how the SMT layer implements
-//! `push`/`pop` (frame guard literals).
+//! queries are posed under assumptions, which is how the SMT layer poses a
+//! flip query without retaining it.
 //!
 //! Values are stored per literal: two entries per variable, both written by
 //! `enqueue` and cleared by `backtrack`, so propagation reads a literal's

@@ -1,19 +1,22 @@
-//! Incremental SMT solver façade: `assert` / `push` / `pop` / `check_sat`
-//! with model extraction.
+//! Incremental SMT solver façade: `assert` / `check_sat` under
+//! assumptions, with model extraction.
 //!
-//! Incrementality is implemented MiniSat-style: the Tseitin definitional
-//! clauses emitted by the bit-blaster are *valid* (they define fresh gate
-//! variables) and therefore stay in the SAT database forever; only the
-//! top-level assertions are retractable. Each assertion frame owns a guard
-//! literal `g`; asserting `t` in that frame adds the clause `¬g ∨ lit(t)`,
-//! and `check_sat` solves under the assumption that every live guard is
-//! true. Popping a frame permanently disables its guard.
+//! Incrementality is implemented MiniSat-style (Eén & Sörensson, "Temporal
+//! Induction by Incremental SAT Solving", BMC 2003): the Tseitin
+//! definitional clauses emitted by the bit-blaster are *valid* (they define
+//! fresh gate variables) and therefore stay in the SAT database forever,
+//! and so does every learnt clause. A query that must not be retained is
+//! posed as assumption terms of [`Solver::check_sat`]: their literals are
+//! assumed for that check only and leave nothing behind but the definitions
+//! of terms not blasted before. Posing an already-blasted query again adds
+//! no variable and no clause, so a solver that serves a whole exploration
+//! grows only with the distinct terms it has seen. [`Solver::assert_term`]
+//! adds a permanent unit clause instead.
 //!
-//! A popped frame's clauses stay in the database, satisfied by the unit
-//! `¬g`, so a solver grows with every frame it ever held. A caller that
-//! poses unboundedly many frames bounds that by starting a fresh solver
-//! now and then; the sequential `binsym::Session` does so at a fixed path
-//! interval.
+//! A call that adds clauses ([`Solver::assert_term`], [`Solver::blast`])
+//! returns the SAT solver to decision level 0, which clears the assignment
+//! the last model was read from, so it invalidates the last model:
+//! [`Solver::model`] is `None` until the next check.
 
 use crate::bitblast::BitBlaster;
 use crate::model::Model;
@@ -33,41 +36,26 @@ use crate::term::{Sort, Term, TermManager};
 /// let x = tm.var("x", 32);
 /// let c = tm.bv_const(100, 32);
 /// let lt = tm.ult(x, c);
+/// let ge = tm.not(lt);
 /// let mut s = Solver::new();
-/// s.push();
-/// s.assert_term(&mut tm, lt);
-/// assert_eq!(s.check_sat(&mut tm, &[]), SatResult::Sat);
-/// s.pop();
+/// assert_eq!(s.check_sat(&mut tm, &[lt]), SatResult::Sat);
+/// assert_eq!(s.check_sat(&mut tm, &[lt, ge]), SatResult::Unsat);
+/// assert_eq!(s.check_sat(&mut tm, &[ge]), SatResult::Sat);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Solver {
     sat: SatSolver,
     blaster: BitBlaster,
-    /// Guard literal of each live frame (index 0 = bottom frame).
-    frames: Vec<Lit>,
     /// Statistics: number of `check_sat` calls.
     num_checks: u64,
-    last_was_sat: bool,
-}
-
-impl Default for Solver {
-    fn default() -> Self {
-        Solver::new()
-    }
+    /// Whether the SAT assignment holds the model of a satisfiable check.
+    has_model: bool,
 }
 
 impl Solver {
-    /// Creates a solver with one (non-poppable) bottom frame.
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        let mut s = Solver {
-            sat: SatSolver::new(),
-            blaster: BitBlaster::new(),
-            frames: Vec::new(),
-            num_checks: 0,
-            last_was_sat: false,
-        };
-        s.push();
-        s
+        Solver::default()
     }
 
     /// Number of `check_sat` calls so far (useful for benchmark reporting).
@@ -75,64 +63,56 @@ impl Solver {
         self.num_checks
     }
 
-    /// Opens a new assertion frame.
-    pub fn push(&mut self) {
-        let g = Lit::pos(self.sat.new_var());
-        self.frames.push(g);
+    /// Bit-blasts a boolean term and returns its literal.
+    fn literal(&mut self, tm: &TermManager, t: Term) -> Lit {
+        assert_eq!(tm.sort(t), Sort::Bool, "assertions must be boolean");
+        self.blaster.blast_bool(tm, &mut self.sat, t)
     }
 
-    /// Closes the top assertion frame, retracting its assertions.
-    ///
-    /// # Panics
-    /// Panics with `"cannot pop the bottom frame"` when no matching
-    /// [`Solver::push`] is open. The bottom frame is the solver's permanent
-    /// assertion context: silently ignoring (or worse, popping) it would
-    /// desynchronize the guard-literal stack from the SAT database and
-    /// corrupt every later query, so an unbalanced `pop` is a hard error
-    /// at the call site instead.
-    pub fn pop(&mut self) {
-        assert!(self.frames.len() > 1, "cannot pop the bottom frame");
-        let g = self.frames.pop().expect("frame");
-        // Permanently disable the guard so the frame's clauses are vacuous.
-        self.sat.add_clause(&[!g]);
-    }
-
-    /// Current frame depth (1 = only the bottom frame).
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Asserts a boolean term in the current frame.
+    /// Asserts a boolean term for the solver's whole lifetime, and
+    /// invalidates the last model.
     ///
     /// # Panics
     /// Panics if `t` is not boolean.
     pub fn assert_term(&mut self, tm: &mut TermManager, t: Term) {
-        assert_eq!(tm.sort(t), Sort::Bool, "assertions must be boolean");
-        let lit = self.blaster.blast_bool(tm, &mut self.sat, t);
-        let g = *self.frames.last().expect("frame");
-        self.sat.add_clause(&[!g, lit]);
+        self.has_model = false;
+        let lit = self.literal(tm, t);
+        self.sat.add_clause(&[lit]);
     }
 
-    /// Checks satisfiability of the live assertions plus the extra
-    /// `assumptions` (boolean terms that are not retained).
+    /// Bit-blasts boolean terms, in order, ahead of the [`Solver::check_sat`]
+    /// that assumes them (so blasting and searching can be timed apart),
+    /// and invalidates the last model. Terms blasted before add nothing.
+    ///
+    /// # Panics
+    /// Panics if a term is not boolean.
+    pub fn blast(&mut self, tm: &TermManager, terms: &[Term]) {
+        self.has_model = false;
+        for &t in terms {
+            self.literal(tm, t);
+        }
+    }
+
+    /// Checks satisfiability of the asserted terms plus the `assumptions`
+    /// (boolean terms that hold for this check only), blasting any
+    /// assumption not blasted before.
+    ///
+    /// # Panics
+    /// Panics if an assumption is not boolean.
     pub fn check_sat(&mut self, tm: &mut TermManager, assumptions: &[Term]) -> SatResult {
         self.num_checks += 1;
-        let mut assume: Vec<Lit> = self.frames.clone();
-        for &t in assumptions {
-            assert_eq!(tm.sort(t), Sort::Bool);
-            let lit = self.blaster.blast_bool(tm, &mut self.sat, t);
-            assume.push(lit);
-        }
+        let assume: Vec<Lit> = assumptions.iter().map(|&t| self.literal(tm, t)).collect();
         let r = self.sat.solve(&assume);
-        self.last_was_sat = r == SatResult::Sat;
+        self.has_model = r == SatResult::Sat;
         r
     }
 
-    /// Extracts the model of the last [`Solver::check_sat`] that returned
-    /// [`SatResult::Sat`]. Returns `None` if the last check was unsatisfiable
-    /// or no check has been performed.
+    /// Extracts the model of the last [`Solver::check_sat`] if it returned
+    /// [`SatResult::Sat`]. Returns `None` if the last check was
+    /// unsatisfiable, no check has been performed, or a clause was added
+    /// since (by [`Solver::assert_term`] or [`Solver::blast`]).
     pub fn model(&self, tm: &TermManager) -> Option<Model> {
-        if !self.last_was_sat {
+        if !self.has_model {
             return None;
         }
         Some(extract_model(&self.blaster, &self.sat, tm))
@@ -190,28 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn push_pop_restores() {
-        let mut tm = TermManager::new();
-        let x = tm.var("x", 8);
-        let zero = tm.bv_const(0, 8);
-        let one = tm.bv_const(1, 8);
-        let is0 = tm.eq(x, zero);
-        let is1 = tm.eq(x, one);
-        let mut solver = Solver::new();
-        solver.assert_term(&mut tm, is0);
-        solver.push();
-        solver.assert_term(&mut tm, is1); // contradiction with is0
-        assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Unsat);
-        solver.pop();
-        assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Sat);
-        let m = solver.model(&tm).expect("model");
-        assert_eq!(m.value("x"), Some(0));
-    }
-
-    #[test]
     fn default_solver_answers_like_new() {
-        // `default()` must have the bottom frame `new()` pushes: asserting
-        // into it and popping back to it both work.
         let run = |mut solver: Solver| {
             let mut tm = TermManager::new();
             let x = tm.var("x", 8);
@@ -219,12 +178,9 @@ mod tests {
             let lt = tm.ult(x, c);
             let ge = tm.not(lt);
             solver.assert_term(&mut tm, lt);
-            solver.push();
-            solver.assert_term(&mut tm, ge);
-            let inner = solver.check_sat(&mut tm, &[]);
-            solver.pop();
-            let outer = solver.check_sat(&mut tm, &[]);
-            (inner, outer, solver.model(&tm), solver.depth())
+            let assumed = solver.check_sat(&mut tm, &[ge]);
+            let plain = solver.check_sat(&mut tm, &[]);
+            (assumed, plain, solver.model(&tm))
         };
         let fresh = run(Solver::new());
         assert_eq!(fresh.0, SatResult::Unsat);
@@ -233,26 +189,68 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot pop the bottom frame")]
-    fn popping_the_bottom_frame_panics() {
+    fn adding_a_clause_invalidates_the_model() {
+        // Adding a clause returns the SAT solver to level 0 and clears the
+        // assignment the model is read from: no model may be read from it.
+        let mut tm = TermManager::new();
+        let x = tm.var("x", 8);
+        let c = tm.bv_const(200, 8);
+        let is200 = tm.eq(x, c);
         let mut solver = Solver::new();
-        solver.push();
-        solver.pop(); // balanced: fine
-        solver.pop(); // unbalanced: must panic, not corrupt the frame stack
+        assert_eq!(solver.check_sat(&mut tm, &[is200]), SatResult::Sat);
+        assert_eq!(solver.model(&tm).expect("sat").value("x"), Some(200));
+        let y = tm.var("y", 8);
+        let y_lt_x = tm.ult(y, x);
+        solver.assert_term(&mut tm, y_lt_x);
+        assert!(solver.model(&tm).is_none(), "assert_term invalidates");
+        assert_eq!(solver.check_sat(&mut tm, &[is200]), SatResult::Sat);
+        let m = solver.model(&tm).expect("sat");
+        assert_eq!(m.value("x"), Some(200));
+        assert!(m.value("y").unwrap() < 200);
     }
 
     #[test]
-    fn pop_panic_leaves_no_partial_state() {
-        // The depth stays observable and usable after a caught unbalanced
-        // pop (the assert fires before any mutation).
-        let mut solver = Solver::new();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| solver.pop()));
-        assert!(caught.is_err());
-        assert_eq!(solver.depth(), 1, "bottom frame must survive");
+    fn reposing_a_blasted_query_adds_no_variable_and_no_clause() {
+        // A flip query's shape: a prefix of dependent conjuncts and a
+        // flipped condition, posed as assumptions.
         let mut tm = TermManager::new();
-        let t = tm.tt();
-        solver.assert_term(&mut tm, t);
-        assert_eq!(solver.check_sat(&mut tm, &[]), SatResult::Sat);
+        let x = tm.var("x", 16);
+        let y = tm.var("y", 16);
+        let prod = tm.mul(x, y);
+        let c = tm.bv_const(1000, 16);
+        let big = tm.ult(c, prod);
+        let sum = tm.add(x, y);
+        let d = tm.bv_const(300, 16);
+        let small = tm.ult(sum, d);
+        let e = tm.bv_const(7, 16);
+        let is7 = tm.eq(x, e);
+        let flipped = tm.not(is7);
+        let query = [big, small, flipped];
+        let mut solver = Solver::new();
+        solver.blast(&tm, &query);
+        let size = |s: &Solver| (s.sat.num_vars(), s.sat.num_clauses());
+        let blasted = size(&solver);
+        assert_eq!(solver.check_sat(&mut tm, &query), SatResult::Sat);
+        assert_eq!(size(&solver), blasted, "the check blasts nothing new");
+        for _ in 0..20 {
+            solver.blast(&tm, &query);
+            assert!(solver.model(&tm).is_none(), "blast invalidates");
+            assert_eq!(solver.check_sat(&mut tm, &query), SatResult::Sat);
+            assert_eq!(size(&solver), blasted);
+        }
+        let m = solver.model(&tm).expect("sat");
+        for t in query {
+            assert_eq!(m.eval(&tm, t), Value::Bool(true));
+        }
+        // Retracting a conjunct by leaving it out of the assumptions.
+        let pinned = [big, small, is7];
+        assert_eq!(solver.check_sat(&mut tm, &pinned), SatResult::Sat);
+        assert_eq!(solver.model(&tm).expect("sat").value("x"), Some(7));
+        assert_eq!(
+            size(&solver),
+            blasted,
+            "x = 7 was blasted with its negation"
+        );
     }
 
     #[test]

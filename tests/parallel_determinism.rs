@@ -765,7 +765,7 @@ fn clif_parser_cold_records_are_pinned() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn bubble_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BUBBLE_SORT, 0xd7d8_bcbf_af42_60ce);
+    check_cold_records_pinned(&programs::BUBBLE_SORT, 0x101e_8fb0_0d24_5a44);
 }
 
 #[test]
@@ -777,11 +777,11 @@ fn uri_parser_cold_records_are_pinned() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn insertion_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::INSERTION_SORT, 0xed36_b2e1_38ca_7557);
+    check_cold_records_pinned(&programs::INSERTION_SORT, 0x4a93_7802_9c3e_284a);
 }
 
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn base64_encode_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BASE64_ENCODE, 0xb853_7978_af4e_7f27);
+    check_cold_records_pinned(&programs::BASE64_ENCODE, 0x985a_9e9b_7cc4_a0b9);
 }

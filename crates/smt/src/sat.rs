@@ -448,7 +448,7 @@ pub struct SatCheckpoint {
 
 /// Why a checkpoint operation could not be performed.
 ///
-/// These conditions are engine bugs (a stale or foreign cache frame) or a
+/// These conditions are engine bugs (a stale or foreign checkpoint) or a
 /// retained solver that is no longer pristine, so they surface as typed
 /// errors rather than panics: the warm-start cache runs on worker threads,
 /// where a panic would poison the whole exploration instead of failing one

@@ -242,15 +242,12 @@ mod tests {
         for t in query {
             assert_eq!(m.eval(&tm, t), Value::Bool(true));
         }
-        // Retracting a conjunct by leaving it out of the assumptions.
-        let pinned = [big, small, is7];
-        assert_eq!(solver.check_sat(&mut tm, &pinned), SatResult::Sat);
+        // The other side of the flip was blasted with it: posing that
+        // query adds nothing either.
+        let other_side = [big, small, is7];
+        assert_eq!(solver.check_sat(&mut tm, &other_side), SatResult::Sat);
         assert_eq!(solver.model(&tm).expect("sat").value("x"), Some(7));
-        assert_eq!(
-            size(&solver),
-            blasted,
-            "x = 7 was blasted with its negation"
-        );
+        assert_eq!(size(&solver), blasted);
     }
 
     #[test]

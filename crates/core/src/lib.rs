@@ -42,9 +42,9 @@
 //! frontiers — with results merged deterministically into the sequential
 //! discovery order (see [`parallel`] and [`prescribe`]). Both engines run
 //! one pipeline per flip: the same query builder, gate, solve step and
-//! path step; they differ only in where the solver context lives (an
-//! incremental solver replaced at a fixed path interval, or a fresh or
-//! cached context per prescription).
+//! path step; they differ only in where the solver context lives (one
+//! incremental solver for the whole exploration, or a fresh or cached
+//! context per prescription).
 //!
 //! # Quickstart
 //! ```

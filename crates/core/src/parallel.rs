@@ -34,9 +34,8 @@
 //! path ordering — the sequence of branch-decision fingerprints — is
 //! identical to the sequential session's discovery order. (Witness
 //! *inputs* for a path are whichever model the solver returns; the
-//! sequential session's incremental solver, replaced at a fixed path
-//! interval, may pick a different, equally valid model than the fresh
-//! replay solver.)
+//! sequential session's one incremental solver may pick a different,
+//! equally valid model than the fresh replay solver.)
 //!
 //! The price of replay is re-executing each parent prefix once per spawned
 //! flip (bounded by the early-stopping

@@ -2,9 +2,8 @@
 //!
 //! A [`Session`] owns everything one symbolic exploration needs — the path
 //! executor, the term manager, a [`PathStrategy`] deciding which branch to
-//! flip next, and an incremental `binsym_smt::Solver` discharging the
-//! feasibility queries, replaced by a fresh one at a fixed path interval —
-//! and is assembled with a builder:
+//! flip next, and one incremental `binsym_smt::Solver` discharging every
+//! feasibility query — and is assembled with a builder:
 //!
 //! ```
 //! use binsym::{Dfs, Session};

@@ -19,12 +19,12 @@
 //! these trail entries to enumerate paths.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 use binsym_elf::ElfFile;
 use binsym_isa::{Expr, MemWidth, Memory, Reg, RegFile, Spec, Stmt};
+use binsym_smt::hash::FxHashMap;
 use binsym_smt::{Term, TermManager};
 
 use crate::memory::{self, AddressPolicyKind, Resolution};
@@ -194,21 +194,26 @@ fn sext(v: u64, w: u32) -> i64 {
 
 /// The symbolic RV32 machine state for one path execution.
 ///
-/// A step decodes the instruction word at `pc` and runs its semantics
-/// program from the [`Spec`]. Both are memoized per raw instruction word
-/// (not per `pc`, so code a program overwrites runs as its new words), and
-/// a clone shares the memo with the machine it was cloned from. The
-/// engine's [`crate::SpecExecutor`] therefore loads the ELF into one
-/// machine and starts every path from a clone of it: the load, the decode
-/// and the semantics construction are paid once per executor, not per
-/// path. Sharing the memo makes a machine neither `Send` nor `Sync`; build
-/// one per thread.
+/// A step fetches the instruction word at `pc` with one page lookup,
+/// decodes it and runs its semantics program from the [`Spec`]. Decoding
+/// and semantics are memoized per raw instruction word (not per `pc`, so
+/// code a program overwrites runs as its new words) in a map hashed with
+/// [`binsym_smt::hash::FxHasher`], and a clone shares the memo with the
+/// machine it was cloned from. A clone also shares the memory pages
+/// copy-on-write (see [`Memory`]): it copies the page table, and a page
+/// only when one side first writes it. The engine's
+/// [`crate::SpecExecutor`] therefore loads the ELF into one machine and
+/// starts every path from a clone of it: the load, the decode and the
+/// semantics construction are paid once per executor, and a path copies
+/// only the pages it writes. Sharing the memo makes a machine neither
+/// `Send` nor `Sync`; build one per thread.
 #[derive(Debug, Clone)]
 pub struct SymMachine {
     spec: Spec,
     /// Semantics programs by raw instruction word, shared with clones (one
-    /// map per thread, so a step takes no lock).
-    memo: Rc<RefCell<HashMap<u32, Rc<[Stmt]>>>>,
+    /// map per thread, so a step takes no lock). Keyed by words the machine
+    /// fetched, so it hashes with the fixed multiplicative hasher.
+    memo: Rc<RefCell<FxHashMap<u32, Rc<[Stmt]>>>>,
     /// Symbolic register file (generic component from the specification).
     pub regs: RegFile<SymWord>,
     /// Symbolic memory (generic component from the specification).
@@ -559,9 +564,9 @@ impl SymMachine {
     }
 
     fn load_word_bytes(&self, tm: &mut TermManager, addr: u32, n: u32) -> SymWord {
-        let bytes: Vec<SymByte> = (0..n)
-            .map(|i| *self.mem.load(addr.wrapping_add(i)))
-            .collect();
+        let mut word = [SymByte::concrete(0); 4];
+        let bytes = &mut word[..n as usize];
+        self.mem.load_into(addr, bytes);
         let mut concrete: u32 = 0;
         for (i, b) in bytes.iter().enumerate() {
             concrete |= u32::from(b.concrete) << (8 * i);
@@ -734,14 +739,15 @@ impl SymMachine {
     /// Fetch–decode–execute of one instruction. Fetch reads the *concrete*
     /// payload of the bytes at `pc` (code is concretized): a program that
     /// stores new concrete words over its own code runs the new words.
+    /// The four bytes cost one page lookup, or one per byte for a word
+    /// that straddles two pages (`jalr` can reach a pc ≡ 2 mod 4).
     ///
     /// # Errors
     /// Returns [`ExecError`] on illegal instructions or unknown syscalls.
     pub fn step(&mut self, tm: &mut TermManager) -> Result<StepResult, ExecError> {
-        let raw = u32::from(self.mem.load(self.pc).concrete)
-            | (u32::from(self.mem.load(self.pc.wrapping_add(1)).concrete) << 8)
-            | (u32::from(self.mem.load(self.pc.wrapping_add(2)).concrete) << 16)
-            | (u32::from(self.mem.load(self.pc.wrapping_add(3)).concrete) << 24);
+        let mut word = [SymByte::concrete(0); 4];
+        self.mem.load_into(self.pc, &mut word);
+        let raw = u32::from_le_bytes(word.map(|b| b.concrete));
         let prog = self.program(raw)?;
         self.next_pc = None;
         let r = self.exec_stmts(tm, &prog)?;

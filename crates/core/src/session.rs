@@ -266,8 +266,10 @@ pub fn find_sym_input(elf: &ElfFile, override_len: Option<u32>) -> Result<(u32, 
 /// [`PathExecutor::execute_prefix`] alike — starts from a clone of it. The
 /// image and its clones share one semantics memo keyed by instruction
 /// word, so each distinct word is decoded and given its semantics program
-/// once per executor. An executor is built per worker thread; it is not
-/// `Send`.
+/// once per executor. They also share the memory pages copy-on-write:
+/// starting a path copies the page table, and the path then copies only
+/// the pages it writes (its symbolic input's among them). An executor is
+/// built per worker thread; it is not `Send`.
 #[derive(Debug)]
 pub struct SpecExecutor {
     spec: Spec,

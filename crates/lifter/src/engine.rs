@@ -518,7 +518,8 @@ pub struct LifterExecutor {
     elf: ElfFile,
     sym_addr: u32,
     sym_len: u32,
-    cache: HashMap<u32, IrBlock>,
+    /// Lifted blocks by pc, each with the raw word it was lifted from.
+    cache: HashMap<u32, (u32, IrBlock)>,
     scratch: Option<IrBlock>,
     /// Number of lift operations performed (cache misses + uncached lifts).
     pub lift_count: u64,
@@ -558,23 +559,24 @@ impl LifterExecutor {
     }
 
     fn fetch(m: &IrMachine, pc: u32) -> u32 {
-        u32::from(m.mem.load(pc).concrete)
-            | (u32::from(m.mem.load(pc.wrapping_add(1)).concrete) << 8)
-            | (u32::from(m.mem.load(pc.wrapping_add(2)).concrete) << 16)
-            | (u32::from(m.mem.load(pc.wrapping_add(3)).concrete) << 24)
+        let mut word = [SymByte::concrete(0); 4];
+        m.mem.load_into(pc, &mut word);
+        u32::from_le_bytes(word.map(|b| b.concrete))
     }
 
-    /// Returns the lifted block for `pc`, from the cache when enabled. The
-    /// uncached persona re-lifts on every fetch (into a scratch slot), like
-    /// a lifter without translation caching.
+    /// Returns the lifted block for `pc`, from the cache when enabled. A
+    /// cached block whose word no longer matches the fetched `raw` (the
+    /// program overwrote its code) is lifted again, and that counts as a
+    /// lift. The uncached persona re-lifts on every fetch (into a scratch
+    /// slot), like a lifter without translation caching.
     fn lift_at(&mut self, raw: u32, pc: u32) -> Result<&IrBlock, LiftError> {
         if self.config.cache_blocks {
-            if !self.cache.contains_key(&pc) {
+            if self.cache.get(&pc).map_or(true, |&(word, _)| word != raw) {
                 let b = self.lifter.lift(raw, pc)?;
                 self.lift_count += 1;
-                self.cache.insert(pc, b);
+                self.cache.insert(pc, (raw, b));
             }
-            Ok(&self.cache[&pc])
+            Ok(&self.cache[&pc].1)
         } else {
             self.lift_count += 1;
             self.scratch = Some(self.lifter.lift(raw, pc)?);

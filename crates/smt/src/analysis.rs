@@ -21,8 +21,9 @@
 //! `&TermManager` — so running it cannot perturb hash-consing order (and
 //! therefore cannot perturb CNF encodings or solver models downstream).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::hash::FxHashMap;
 use crate::term::{mask, to_signed, Op, Sort, Term, TermManager};
 
 /// Known-bits + unsigned-interval abstract value of a bitvector term.
@@ -158,11 +159,11 @@ enum AbsVal {
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Assumed / derived truth values of boolean terms.
-    facts: HashMap<Term, bool>,
+    facts: FxHashMap<Term, bool>,
     /// Interval refinements from comparisons against constants.
-    refined: HashMap<Term, (u64, u64)>,
+    refined: FxHashMap<Term, (u64, u64)>,
     /// Order-closure node ids (insertion order — deterministic).
-    node_of: HashMap<Term, usize>,
+    node_of: FxHashMap<Term, usize>,
     /// Adjacency: `adj[a]` holds `(b, strict)` edges meaning `a ≤ b`
     /// (`strict` ⟹ `a < b`).
     adj: Vec<Vec<(usize, bool)>>,
@@ -172,7 +173,7 @@ pub struct Analysis {
     /// verdict then degrades to `None` (the caller falls back to SAT).
     contradictory: bool,
     /// Memoized abstract values; cleared on every new assumption.
-    memo: HashMap<Term, AbsVal>,
+    memo: FxHashMap<Term, AbsVal>,
 }
 
 impl Analysis {

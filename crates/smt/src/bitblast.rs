@@ -29,8 +29,7 @@
 //! a constant input hands the other two to a 2-input gate, which folds in
 //! turn; an equal or complementary pair decides it outright.
 
-use std::collections::HashMap;
-
+use crate::hash::FxHashMap;
 use crate::sat::{Lit, RollbackError, SatSolver};
 use crate::term::{Op, Sort, Term, TermManager, VarId};
 
@@ -77,8 +76,8 @@ pub struct BlastCheckpoint {
 /// would alias in the cache.
 #[derive(Debug, Default)]
 pub struct BitBlaster {
-    cache: HashMap<Term, Blasted>,
-    var_bits: HashMap<VarId, (u32, u32)>,
+    cache: FxHashMap<Term, Blasted>,
+    var_bits: FxHashMap<VarId, (u32, u32)>,
     /// Flat arena backing every [`Blasted::Bits`] window and every
     /// `var_bits` slice, LSB first. Append-only between checkpoints.
     bits: Vec<Lit>,
@@ -289,7 +288,7 @@ impl BitBlaster {
     }
 
     fn blast_node(&mut self, tm: &TermManager, sat: &mut SatSolver, t: Term) -> Blasted {
-        let args = tm.args(t).to_vec();
+        let args = tm.args(t);
         let get = |bb: &Self, i: usize| bb.cache[&args[i]];
         let bits = |bb: &Self, i: usize| bb.window(bb.cache[&args[i]]).to_vec();
         let blit = |bb: &Self, i: usize| match bb.cache[&args[i]] {

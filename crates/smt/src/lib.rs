@@ -7,6 +7,8 @@
 //! this crate provides the complete replacement stack:
 //!
 //! * [`term`] — hash-consed term DAG with bottom-up rewriting/simplification,
+//! * [`hash`] — the fixed multiplicative hasher of the maps keyed by
+//!   engine-computed values (term indices, operators, instruction words),
 //! * [`eval`] — concrete evaluation of terms under variable assignments,
 //! * [`analysis`] — word-level static analysis (known-bits masks, unsigned
 //!   intervals, assumed-fact order closure) used by the engine to prune
@@ -43,6 +45,7 @@
 pub mod analysis;
 pub mod bitblast;
 pub mod eval;
+pub mod hash;
 pub mod model;
 pub mod prefix;
 pub mod sat;

@@ -14,6 +14,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::FxHashMap;
+
 /// Maximum supported bitvector width.
 pub const MAX_WIDTH: u32 = 64;
 
@@ -213,12 +215,36 @@ impl Op {
     }
 }
 
-/// One node of the term DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Most arguments any operator takes ([`Op::Ite`], [`Op::Store`]).
+const MAX_ARITY: usize = 3;
+
+/// One node of the term DAG. The arguments are stored inline: slots past
+/// `arity` hold `Term(0)`, so equal nodes compare and hash alike, and a
+/// node is `Copy`, which lets [`TermManager`] intern without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct Node {
     pub op: Op,
-    pub args: Vec<Term>,
+    args: [Term; MAX_ARITY],
+    arity: u8,
     pub sort: Sort,
+}
+
+impl Node {
+    fn new(op: Op, args: &[Term], sort: Sort) -> Node {
+        let mut inline = [Term(0); MAX_ARITY];
+        inline[..args.len()].copy_from_slice(args);
+        Node {
+            op,
+            args: inline,
+            arity: args.len() as u8,
+            sort,
+        }
+    }
+
+    /// The node's arguments, in operator order.
+    pub fn args(&self) -> &[Term] {
+        &self.args[..usize::from(self.arity)]
+    }
 }
 
 /// Mask selecting the low `w` bits of a `u64`.
@@ -244,10 +270,15 @@ pub fn to_signed(v: u64, w: u32) -> i64 {
 ///
 /// All term construction goes through the methods of this type; they fold
 /// constants and apply light algebraic rewrites before interning the node.
+/// A node keeps its (at most three) arguments inline, and the intern table
+/// hashes nodes with the fixed [`crate::hash::FxHasher`] (every key is an
+/// operator, a sort and arena indices), so asking for a term that already
+/// exists costs one hash lookup and no allocation. Variable names keep the
+/// default hasher.
 #[derive(Debug, Default)]
 pub struct TermManager {
     nodes: Vec<Node>,
-    interned: HashMap<Node, Term>,
+    interned: FxHashMap<Node, Term>,
     vars: Vec<(String, Sort)>,
     var_by_name: HashMap<String, VarId>,
 }
@@ -304,7 +335,7 @@ impl TermManager {
 
     /// Arguments of `t`.
     pub fn args(&self, t: Term) -> &[Term] {
-        &self.node(t).args
+        self.node(t).args()
     }
 
     /// Sort of `t`.
@@ -354,22 +385,17 @@ impl TermManager {
         }
     }
 
-    fn intern(&mut self, node: Node) -> Term {
-        if let Some(&t) = self.interned.get(&node) {
-            return t;
+    fn mk(&mut self, op: Op, args: &[Term], sort: Sort) -> Term {
+        let node = match *args {
+            [a, b] if op.is_commutative() && a > b => Node::new(op, &[b, a], sort),
+            _ => Node::new(op, args, sort),
+        };
+        let next = Term(self.nodes.len() as u32);
+        let t = *self.interned.entry(node).or_insert(next);
+        if t == next {
+            self.nodes.push(node);
         }
-        let t = Term(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.interned.insert(node, t);
         t
-    }
-
-    fn mk(&mut self, op: Op, args: Vec<Term>, sort: Sort) -> Term {
-        let mut args = args;
-        if op.is_commutative() && args.len() == 2 && args[0] > args[1] {
-            args.swap(0, 1);
-        }
-        self.intern(Node { op, args, sort })
     }
 
     // ------------------------------------------------------------------
@@ -385,21 +411,17 @@ impl TermManager {
             (1..=MAX_WIDTH).contains(&width),
             "unsupported width {width}"
         );
-        self.mk(
-            Op::BvConst(value & mask(width)),
-            vec![],
-            Sort::BitVec(width),
-        )
+        self.mk(Op::BvConst(value & mask(width)), &[], Sort::BitVec(width))
     }
 
     /// The boolean constant `true`.
     pub fn tt(&mut self) -> Term {
-        self.mk(Op::BoolConst(true), vec![], Sort::Bool)
+        self.mk(Op::BoolConst(true), &[], Sort::Bool)
     }
 
     /// The boolean constant `false`.
     pub fn ff(&mut self) -> Term {
-        self.mk(Op::BoolConst(false), vec![], Sort::Bool)
+        self.mk(Op::BoolConst(false), &[], Sort::Bool)
     }
 
     /// Boolean constant from a Rust `bool`.
@@ -445,7 +467,7 @@ impl TermManager {
             self.var_by_name.insert(name.to_owned(), id);
             id
         };
-        self.mk(Op::Var(id), vec![], sort)
+        self.mk(Op::Var(id), &[], sort)
     }
 
     /// Looks up a variable id by name.
@@ -466,7 +488,7 @@ impl TermManager {
         if self.op(a) == Op::Not {
             return self.args(a)[0];
         }
-        self.mk(Op::Not, vec![a], Sort::Bool)
+        self.mk(Op::Not, &[a], Sort::Bool)
     }
 
     /// Boolean conjunction.
@@ -480,7 +502,7 @@ impl TermManager {
         if a == b {
             return a;
         }
-        self.mk(Op::And, vec![a, b], Sort::Bool)
+        self.mk(Op::And, &[a, b], Sort::Bool)
     }
 
     /// Boolean disjunction.
@@ -494,7 +516,7 @@ impl TermManager {
         if a == b {
             return a;
         }
-        self.mk(Op::Or, vec![a, b], Sort::Bool)
+        self.mk(Op::Or, &[a, b], Sort::Bool)
     }
 
     /// Boolean exclusive or.
@@ -510,7 +532,7 @@ impl TermManager {
         if a == b {
             return self.ff();
         }
-        self.mk(Op::Xor, vec![a, b], Sort::Bool)
+        self.mk(Op::Xor, &[a, b], Sort::Bool)
     }
 
     /// Boolean implication `a -> b`.
@@ -521,7 +543,7 @@ impl TermManager {
             (_, Some(false)) => return self.not(a),
             _ => {}
         }
-        self.mk(Op::Implies, vec![a, b], Sort::Bool)
+        self.mk(Op::Implies, &[a, b], Sort::Bool)
     }
 
     // ------------------------------------------------------------------
@@ -540,7 +562,7 @@ impl TermManager {
         if let (Some(x), Some(y)) = (self.as_bool_const(a), self.as_bool_const(b)) {
             return self.bool_const(x == y);
         }
-        self.mk(Op::Eq, vec![a, b], Sort::Bool)
+        self.mk(Op::Eq, &[a, b], Sort::Bool)
     }
 
     /// Disequality (`not eq`).
@@ -561,7 +583,7 @@ impl TermManager {
         if self.as_const(b) == Some(0) {
             return self.ff(); // nothing is < 0 unsigned
         }
-        self.mk(Op::Ult, vec![a, b], Sort::Bool)
+        self.mk(Op::Ult, &[a, b], Sort::Bool)
     }
 
     /// Signed less-than.
@@ -574,7 +596,7 @@ impl TermManager {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
             return self.bool_const(to_signed(x, w) < to_signed(y, w));
         }
-        self.mk(Op::Slt, vec![a, b], Sort::Bool)
+        self.mk(Op::Slt, &[a, b], Sort::Bool)
     }
 
     /// Unsigned less-or-equal.
@@ -586,7 +608,7 @@ impl TermManager {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
             return self.bool_const(x <= y);
         }
-        self.mk(Op::Ule, vec![a, b], Sort::Bool)
+        self.mk(Op::Ule, &[a, b], Sort::Bool)
     }
 
     /// Signed less-or-equal.
@@ -599,7 +621,7 @@ impl TermManager {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
             return self.bool_const(to_signed(x, w) <= to_signed(y, w));
         }
-        self.mk(Op::Sle, vec![a, b], Sort::Bool)
+        self.mk(Op::Sle, &[a, b], Sort::Bool)
     }
 
     /// Unsigned greater-or-equal (`b ule a`).
@@ -627,7 +649,7 @@ impl TermManager {
             return then;
         }
         let sort = self.sort(then);
-        self.mk(Op::Ite, vec![cond, then, els], sort)
+        self.mk(Op::Ite, &[cond, then, els], sort)
     }
 
     // ------------------------------------------------------------------
@@ -651,7 +673,7 @@ impl TermManager {
         if self.op(a) == Op::BvNot {
             return self.args(a)[0];
         }
-        self.mk(Op::BvNot, vec![a], Sort::BitVec(w))
+        self.mk(Op::BvNot, &[a], Sort::BitVec(w))
     }
 
     /// Two's complement negation.
@@ -663,7 +685,7 @@ impl TermManager {
         if self.op(a) == Op::BvNeg {
             return self.args(a)[0];
         }
-        self.mk(Op::BvNeg, vec![a], Sort::BitVec(w))
+        self.mk(Op::BvNeg, &[a], Sort::BitVec(w))
     }
 
     /// Bitwise and.
@@ -685,7 +707,7 @@ impl TermManager {
         if a == b {
             return a;
         }
-        self.mk(Op::BvAnd, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvAnd, &[a, b], Sort::BitVec(w))
     }
 
     /// Bitwise or.
@@ -707,7 +729,7 @@ impl TermManager {
         if a == b {
             return a;
         }
-        self.mk(Op::BvOr, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvOr, &[a, b], Sort::BitVec(w))
     }
 
     /// Bitwise xor.
@@ -726,7 +748,7 @@ impl TermManager {
         if a == b {
             return self.bv_const(0, w);
         }
-        self.mk(Op::BvXor, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvXor, &[a, b], Sort::BitVec(w))
     }
 
     /// Modular addition.
@@ -742,7 +764,7 @@ impl TermManager {
         if self.as_const(b) == Some(0) {
             return a;
         }
-        self.mk(Op::BvAdd, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvAdd, &[a, b], Sort::BitVec(w))
     }
 
     /// Modular subtraction.
@@ -758,7 +780,7 @@ impl TermManager {
         if a == b {
             return self.bv_const(0, w);
         }
-        self.mk(Op::BvSub, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvSub, &[a, b], Sort::BitVec(w))
     }
 
     /// Modular multiplication.
@@ -777,7 +799,7 @@ impl TermManager {
         if self.as_const(b) == Some(1) {
             return a;
         }
-        self.mk(Op::BvMul, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvMul, &[a, b], Sort::BitVec(w))
     }
 
     /// Unsigned division (`a / 0 = all-ones`, as in SMT-LIB and RISC-V DIVU).
@@ -792,7 +814,7 @@ impl TermManager {
         if self.as_const(b) == Some(1) {
             return a;
         }
-        self.mk(Op::BvUdiv, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvUdiv, &[a, b], Sort::BitVec(w))
     }
 
     /// Unsigned remainder (`a % 0 = a`).
@@ -806,7 +828,7 @@ impl TermManager {
         if self.as_const(b) == Some(1) {
             return self.bv_const(0, w);
         }
-        self.mk(Op::BvUrem, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvUrem, &[a, b], Sort::BitVec(w))
     }
 
     /// Signed division (`a / 0 = -1`; `MIN / -1 = MIN`), matching RISC-V DIV.
@@ -819,7 +841,7 @@ impl TermManager {
             let r = if ys == 0 { -1i64 } else { xs.wrapping_div(ys) };
             return self.bv_const(r as u64, w);
         }
-        self.mk(Op::BvSdiv, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvSdiv, &[a, b], Sort::BitVec(w))
     }
 
     /// Signed remainder (`a % 0 = a`; `MIN % -1 = 0`), matching RISC-V REM.
@@ -832,7 +854,7 @@ impl TermManager {
             let r = if ys == 0 { xs } else { xs.wrapping_rem(ys) };
             return self.bv_const(r as u64, w);
         }
-        self.mk(Op::BvSrem, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvSrem, &[a, b], Sort::BitVec(w))
     }
 
     /// Left shift; the shift amount is an unsigned bitvector of the same
@@ -852,7 +874,7 @@ impl TermManager {
                 return self.bv_const(0, w);
             }
         }
-        self.mk(Op::BvShl, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvShl, &[a, b], Sort::BitVec(w))
     }
 
     /// Logical right shift; amounts `>= width` produce zero.
@@ -871,7 +893,7 @@ impl TermManager {
                 return self.bv_const(0, w);
             }
         }
-        self.mk(Op::BvLshr, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvLshr, &[a, b], Sort::BitVec(w))
     }
 
     /// Arithmetic right shift; amounts `>= width` replicate the sign bit.
@@ -886,7 +908,7 @@ impl TermManager {
         if self.as_const(b) == Some(0) {
             return a;
         }
-        self.mk(Op::BvAshr, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::BvAshr, &[a, b], Sort::BitVec(w))
     }
 
     /// Concatenation (`a` becomes the high bits).
@@ -901,7 +923,7 @@ impl TermManager {
         if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
             return self.bv_const((x << wb) | y, w);
         }
-        self.mk(Op::Concat, vec![a, b], Sort::BitVec(w))
+        self.mk(Op::Concat, &[a, b], Sort::BitVec(w))
     }
 
     /// Extract bits `hi..=lo` (inclusive).
@@ -934,7 +956,7 @@ impl TermManager {
                 return self.extract(inner, hi, lo);
             }
         }
-        self.mk(Op::Extract { hi, lo }, vec![a], Sort::BitVec(rw))
+        self.mk(Op::Extract { hi, lo }, &[a], Sort::BitVec(rw))
     }
 
     /// Zero-extend `a` to `new_width`.
@@ -952,7 +974,7 @@ impl TermManager {
         }
         self.mk(
             Op::ZeroExt { add: new_width - w },
-            vec![a],
+            &[a],
             Sort::BitVec(new_width),
         )
     }
@@ -972,7 +994,7 @@ impl TermManager {
         }
         self.mk(
             Op::SignExt { add: new_width - w },
-            vec![a],
+            &[a],
             Sort::BitVec(new_width),
         )
     }
@@ -1000,7 +1022,7 @@ impl TermManager {
         );
         self.mk(
             Op::ConstArray(default & mask(elem_w)),
-            vec![],
+            &[],
             Sort::Array { idx_w, elem_w },
         )
     }
@@ -1040,7 +1062,7 @@ impl TermManager {
                 }
             }
         }
-        self.mk(Op::Store, vec![base, i, v], sort)
+        self.mk(Op::Store, &[base, i, v], sort)
     }
 
     /// Array read `a[i]`, element-sorted.
@@ -1077,7 +1099,7 @@ impl TermManager {
                 _ => break,
             }
         }
-        self.mk(Op::Select, vec![cur, i], Sort::BitVec(elem_w))
+        self.mk(Op::Select, &[cur, i], Sort::BitVec(elem_w))
     }
 
     /// Collects the set of variables occurring in `t` (post-order, deduped).

@@ -335,6 +335,76 @@ fn lifter_engine_agrees_with_formal_semantics() {
     }
 }
 
+/// Runs `patch` once as `li a0, 1`, overwrites it with the word of `li a0,
+/// 7` and runs it again: every engine must run what memory now holds,
+/// although its first run memoized, cached or lifted the old word.
+#[test]
+fn overwritten_code_runs_as_its_new_word_on_every_engine() {
+    let src = r#"
+        .data
+__sym_input: .space 8
+        .text
+_start:
+    li s0, 0
+patch:
+    li a0, 1
+    bnez s0, done
+    li s0, 1
+    la t0, patch
+    li t1, 0x00700513
+    sw t1, 0(t0)
+    j patch
+done:
+    li a7, 93
+    ecall
+"#;
+    let input = [0; 8];
+    assert_eq!(run_concrete(src, &input).0, 7, "binsym-interp");
+    assert_eq!(run_symbolic(src, &input).0, 7, "SymMachine");
+    assert_eq!(run_spec_executor(src, &input), 7, "SpecExecutor");
+    assert_eq!(run_lifter(src, &input), 7, "cached lifter");
+}
+
+/// `jalr` clears only bit 0 of its target, so a program can jump to a pc
+/// ≡ 2 (mod 4) and run a word whose bytes straddle a page boundary: here
+/// `addi a0, a0, 0x123` at 0x10ffe, with its opcode and `rd` on one page
+/// and `rs1` and the immediate on the next. The engines' one-page-lookup
+/// fetch falls back to byte loads for it.
+#[test]
+fn an_instruction_straddling_a_page_runs_alike_on_every_engine() {
+    let [b0, b1, b2, b3] = 0x1235_0513u32.to_le_bytes();
+    let src = format!(
+        r#"
+        .data
+__sym_input: .space 8
+        .text
+_start:
+    j main
+    .space 0xffa
+straddle:
+    .byte {b0}, {b1}, {b2}, {b3}
+    .byte 0x73, 0, 0, 0
+    .align 2
+main:
+    la t0, __sym_input
+    lbu a0, 0(t0)
+    li a7, 93
+    la t1, straddle
+    jr t1
+"#
+    );
+    let elf = Assembler::new().assemble(&src).expect("assembles");
+    assert_eq!(elf.symbol("straddle").expect("symbol").value, 0x10ffe);
+    for first in [0u8, 5, 0xff] {
+        let input = [first, 0, 0, 0, 0, 0, 0, 0];
+        let want = u32::from(first) + 0x123;
+        assert_eq!(run_concrete(&src, &input).0, want, "binsym-interp");
+        assert_eq!(run_symbolic(&src, &input).0, want, "SymMachine");
+        assert_eq!(run_spec_executor(&src, &input), want, "SpecExecutor");
+        assert_eq!(run_lifter(&src, &input), want, "cached lifter");
+    }
+}
+
 /// One run's termination: how it ended and after how many instructions.
 type Ending = (StepResult, u64);
 

@@ -2,7 +2,7 @@
 //!
 //! Like [`crate::RegFile`], this component is shared between interpreters:
 //! `Memory<u8>` for concrete execution, `Memory<SymByte>` for symbolic
-//! execution. Memory is organized in lazily allocated 4 KiB pages, kept in
+//! execution. Memory is organized in lazily allocated 1 KiB pages, kept in
 //! a table sorted by page number: a program touches a handful of pages, so
 //! a binary search over that table finds one without hashing.
 //!
@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 
-const PAGE_BITS: u32 = 12;
+/// A page is the unit a clone copies on its first store into it, so it is
+/// kept small: a 1 KiB page of symbolic bytes is 12 KB, a 4 KiB one 48 KB.
+const PAGE_BITS: u32 = 10;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 /// Sparse byte-addressed memory over a 32-bit address space.

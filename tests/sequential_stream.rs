@@ -22,8 +22,13 @@
 //! earlier query, and a change to how queries are posed re-pins the
 //! digests.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use binsym_repro::bench::programs::{self, Program};
-use binsym_repro::binsym::{AddressPolicyKind, PathOutcome, Session, StepResult, TrailEntry};
+use binsym_repro::binsym::{
+    AddressPolicyKind, CountingObserver, PathOutcome, Session, StepResult, Summary, TrailEntry,
+};
 use binsym_repro::isa::Spec;
 
 /// 64-bit FNV-1a: a fixed, toolchain-independent digest.
@@ -110,6 +115,47 @@ fn bubble_sort_stream_is_pinned() {
     let (paths, digest) = stream_digest(&programs::BUBBLE_SORT, AddressPolicyKind::ConcretizeEq);
     assert_eq!(paths, programs::BUBBLE_SORT.expected_paths);
     assert_eq!(digest, 0x1571_db00_9b7e_c162, "digest {digest:#018x}");
+}
+
+/// Summary and observer counters of a sequential bubble-sort exploration
+/// with the static gate on or off.
+fn bubble_sort_gate_run(gate: bool) -> (Summary, CountingObserver) {
+    let elf = programs::BUBBLE_SORT.build();
+    let counters = Rc::new(RefCell::new(CountingObserver::new()));
+    let mut session = Session::builder(Spec::rv32im())
+        .binary(&elf)
+        .static_analysis(gate)
+        .observer(Rc::clone(&counters))
+        .build()
+        .expect("builds");
+    let summary = session.run_all().expect("explores");
+    let counts = *counters.borrow();
+    (summary, counts)
+}
+
+#[test]
+fn bubble_sort_gate_traffic_is_pinned() {
+    // Bubble sort is the Table I program with infeasible flips. The gate
+    // eliminates every one of its 1,702 UNSAT flip queries (an assumed
+    // literal met again, or a consequence of the `≤`/`<` order closure)
+    // and leaves the solver only the satisfiable ones.
+    let (on_summary, on) = bubble_sort_gate_run(true);
+    let (off_summary, off) = bubble_sort_gate_run(false);
+    assert_eq!(on_summary.paths, programs::BUBBLE_SORT.expected_paths);
+    assert_eq!(off_summary.paths, programs::BUBBLE_SORT.expected_paths);
+    assert_eq!(off.sa_queries, 0, "a disabled gate screens nothing");
+    assert_eq!(
+        off.queries - off.sat_queries,
+        1702,
+        "UNSAT flips without the gate"
+    );
+    assert_eq!(on.sa_queries_eliminated, 1702, "flips the gate eliminates");
+    assert_eq!(
+        on.queries - on.sat_queries,
+        0,
+        "UNSAT flips left to the solver"
+    );
+    assert_eq!(on_summary.solver_checks + 1702, off_summary.solver_checks);
 }
 
 #[test]

@@ -21,10 +21,10 @@
 //!    enumerates the same complete path set; what differs — and what a
 //!    truncated exploration budget buys — is how *early* unexecuted code
 //!    surfaces.
-//! 5. **Static-analysis gate** — the word-level known-bits/interval
-//!    screen (`.static_analysis(..)`) on vs. off, on all five Table I
-//!    programs. The gate may only remove whole solver queries, never
-//!    change results, so the run asserts
+//! 5. **Static-analysis gate** — the word-level screen of assumed
+//!    literals and the `≤`/`<` order closure (`.static_analysis(..)`) on
+//!    vs. off, on all five Table I programs. The gate may only remove
+//!    whole solver queries, never change results, so the run asserts
 //!    `checks(off) == checks(on) + eliminated` alongside the path count.
 //!    Only programs whose flip set contains infeasible branches (bubble
 //!    sort in Table I) can show nonzero elimination; the rows carry the
@@ -482,13 +482,13 @@ fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
 
 /// Ablation 5: the word-level static-analysis gate on vs. off, on the
 /// sharded engine. The gate screens each branch-flip query against the
-/// known-bits/interval facts of its path prefix and discharges the decided
-/// ones without bit-blasting; by construction it may only *remove* solver
-/// checks, never change results, which the run asserts via the path count
-/// and the check-accounting identity.
+/// literals of its path prefix and their order closure and discharges the
+/// decided ones without bit-blasting; by construction it may only *remove*
+/// solver checks, never change results, which the run asserts via the path
+/// count and the check-accounting identity.
 fn ablation5(progs: &[Program], workers: usize, timing: &Timing, json_rows: &mut Vec<Json>) {
     println!(
-        "\nABLATION 5 — static-analysis gate (known-bits/interval screening of flip queries)\n"
+        "\nABLATION 5 — static-analysis gate (literal and order-closure screening of flip queries)\n"
     );
     println!(
         "{:<16} {:>10} {:>10} {:>12} {:>12} {:>10}",

@@ -3,8 +3,8 @@
 //! Every flip query `prefix ∧ flipped` of every engine takes the same two
 //! steps:
 //!
-//! 1. the [`StaticGate`]: a word-level screen (known bits, intervals,
-//!    order closure — `binsym_smt::analysis`) that drops provably
+//! 1. the [`StaticGate`]: a word-level screen (assumed literals and the
+//!    `≤`/`<` order closure — `binsym_smt::analysis`) that drops provably
 //!    infeasible flips with **zero** SAT calls;
 //! 2. `solve`: blast `prefix ++ [flipped]`, check it as assumptions and
 //!    read the model on a [`binsym_smt::Solver`], timed as
@@ -32,9 +32,11 @@ use crate::prescribe::witness_bytes;
 ///
 /// For each flip query `prefix ∧ flipped` the gate assumes every prefix
 /// conjunct into a fresh [`Analysis`] and asks for a verdict on the
-/// flipped condition:
+/// flipped condition. Two rules decide it: the flipped condition negates a
+/// prefix literal (the branch was met before on this path), or the
+/// `≤`/`<` order closure of the prefix's comparisons refutes it.
 ///
-/// * **constant false** — the flip is reported UNSAT with zero SAT calls;
+/// * **false** — the flip is reported UNSAT with zero SAT calls;
 /// * **anything else** — the query is residual and goes to the solver,
 ///   asserting the **original** terms (not simplified ones: rewriting the
 ///   asserted graph could change CNF variable order and therefore which
@@ -369,13 +371,11 @@ mod tests {
         // must shadow-check cleanly even when the prefix carries array
         // terms: the fresh shadow solver bit-blasts the select and has to
         // agree, or shadow_check panics and fails this test.
-        let wide = tm.bv_const(128, 8);
-        let below = tm.ult(idx, wide);
-        let beyond = tm.not(below);
+        let beyond = tm.ule(bound, idx);
         let (eliminated, _) = screen(gate, &mut tm, &[in_bounds, hit], beyond);
         assert!(
             eliminated,
-            "the interval fact from the bounds check decides the flip"
+            "the order edge idx < 64 of the bounds check refutes 64 <= idx"
         );
     }
 }

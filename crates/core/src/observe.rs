@@ -64,8 +64,8 @@ pub struct StaticAnalysisStats {
     pub eliminated: bool,
     /// Path-condition conjuncts assumed by the analysis.
     pub conjuncts: u64,
-    /// Word-level facts derived (boolean truth values, interval
-    /// refinements, and order-closure edges).
+    /// Word-level facts recorded (assumed literals and order-closure
+    /// edges).
     pub facts: u64,
 }
 

@@ -530,8 +530,8 @@ impl SessionBuilder {
     }
 
     /// Enables the word-level static-analysis gate (default: **on**).
-    /// Before a flip query is bit-blasted, a known-bits + interval +
-    /// order-closure pass over the path condition tries to prove it
+    /// Before a flip query is bit-blasted, the path condition's literals
+    /// and the `≤`/`<` order closure over them try to prove it
     /// infeasible; proved queries skip the SAT solver entirely (see
     /// [`crate::StaticGate`]). Like the warm-start cache, the gate affects
     /// wall time only, never results: merged records stay byte-identical

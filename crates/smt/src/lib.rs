@@ -10,9 +10,9 @@
 //! * [`hash`] — the fixed multiplicative hasher of the maps keyed by
 //!   engine-computed values (term indices, operators, instruction words),
 //! * [`eval`] — concrete evaluation of terms under variable assignments,
-//! * [`analysis`] — word-level static analysis (known-bits masks, unsigned
-//!   intervals, assumed-fact order closure) used by the engine to prune
-//!   flip queries before any bit-blasting,
+//! * [`analysis`] — word-level static analysis (assumed literals and the
+//!   `≤`/`<` order closure over them) used by the engine to prune flip
+//!   queries before any bit-blasting,
 //! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1UIP clause
 //!   learning, Luby restarts, clause-database reduction),
 //! * [`bitblast`] — Tseitin encoding of bitvector terms to CNF,
@@ -53,7 +53,7 @@ pub mod smtlib;
 pub mod solver;
 pub mod term;
 
-pub use analysis::{Analysis, BvFact};
+pub use analysis::Analysis;
 pub use model::Model;
 pub use prefix::{PrefixContext, PrefixError, PrefixSolveReport};
 pub use sat::{Lit, RollbackError, SatCheckpoint, SatResult, SatSolver};

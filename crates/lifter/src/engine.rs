@@ -130,6 +130,7 @@ impl Val {
 }
 
 /// IR machine state for one path.
+#[derive(Debug, Clone)]
 struct IrMachine {
     regs: RegFile<SymWord>,
     mem: Memory<SymByte>,
@@ -352,10 +353,9 @@ impl IrMachine {
     }
 
     fn load(&mut self, tm: &mut TermManager, addr: u32, width: AccessWidth) -> Val {
-        let n = width.bytes();
-        let bytes: Vec<SymByte> = (0..n)
-            .map(|i| *self.mem.load(addr.wrapping_add(i)))
-            .collect();
+        let mut buf = [SymByte::concrete(0); 4];
+        let bytes = &mut buf[..width.bytes() as usize];
+        self.mem.load_into(addr, bytes);
         let mut c: u64 = 0;
         for (i, b) in bytes.iter().enumerate() {
             c |= u64::from(b.concrete) << (8 * i);
@@ -520,6 +520,10 @@ pub struct LifterExecutor {
     sym_len: u32,
     /// Lifted blocks by pc, each with the raw word it was lifted from.
     cache: HashMap<u32, (u32, IrBlock)>,
+    /// The machine with the ELF loaded that every path is cloned from,
+    /// built on first use. Its memory pages are shared copy-on-write with
+    /// the clones, so a path copies only the pages it writes.
+    image: Option<IrMachine>,
     scratch: Option<IrBlock>,
     /// Number of lift operations performed (cache misses + uncached lifts).
     pub lift_count: u64,
@@ -540,6 +544,7 @@ impl LifterExecutor {
             sym_addr,
             sym_len,
             cache: HashMap::new(),
+            image: None,
             scratch: None,
             lift_count: 0,
         })
@@ -550,6 +555,7 @@ impl LifterExecutor {
     #[must_use]
     pub fn with_policy(mut self, policy: AddressPolicyKind) -> Self {
         self.policy = policy;
+        self.image = None;
         self
     }
 
@@ -593,14 +599,20 @@ impl PathExecutor for LifterExecutor {
         fuel: u64,
         obs: &mut dyn Observer,
     ) -> Result<PathOutcome, Error> {
-        let mut m = IrMachine::new(self.policy);
-        for seg in &self.elf.segments {
-            for (i, &b) in seg.data.iter().enumerate() {
-                m.mem
-                    .store(seg.vaddr.wrapping_add(i as u32), SymByte::concrete(b));
-            }
-        }
-        m.pc = self.elf.entry;
+        let mut m = self
+            .image
+            .get_or_insert_with(|| {
+                let mut m = IrMachine::new(self.policy);
+                for seg in &self.elf.segments {
+                    for (i, &b) in seg.data.iter().enumerate() {
+                        m.mem
+                            .store(seg.vaddr.wrapping_add(i as u32), SymByte::concrete(b));
+                    }
+                }
+                m.pc = self.elf.entry;
+                m
+            })
+            .clone();
         for i in 0..self.sym_len {
             let var = tm.var(&format!("in{i}"), 8);
             let c = input.get(i as usize).copied().unwrap_or(0);

@@ -55,10 +55,11 @@
 //! ```
 //!
 //! `--checkpoint PATH` redirects ablation 6's checkpoint files from the
-//! temp directory to `PATH.<every>.<benchmark>.ck` (and keeps them);
-//! `--checkpoint-every` is fixed by the ablation grid (off / 16 / 1) and
-//! `--resume` is ignored here — an ablation measures complete runs, and a
-//! resumed round would skip the very work being timed.
+//! temp directory to `PATH.<every>.<benchmark>.ck` (and keeps them). The
+//! bin rejects the other shared flags: `--checkpoint-every` is fixed by the
+//! ablation grid (off / 16 / 1), `--resume` would skip the very work an
+//! ablation times, and each ablation fixes its own `--strategy` and
+//! `--memory-policy`.
 //!
 //! `--metrics` adds per-phase seconds (execute vs solve vs gate, averaged
 //! over the rounds like the wall times) and query-latency percentiles to
@@ -105,11 +106,23 @@ use binsym_elf::ElfFile;
 use binsym_isa::Spec;
 use binsym_lifter::{EngineConfig, LifterBugs, LifterExecutor};
 
+/// Every flag this bin honors. Each ablation fixes its own strategies,
+/// memory policies and checkpoint intervals, and times complete runs, so
+/// `--strategy`, `--memory-policy`, `--checkpoint-every` and `--resume`
+/// are rejected.
+const FLAGS: [&str; 8] = [
+    "--quick",
+    "--smoke",
+    "--workers",
+    "--runs",
+    "--json",
+    "--metrics",
+    "--trace",
+    "--checkpoint",
+];
+
 fn main() {
-    let opts = BenchOpts::from_env(&[]);
-    if opts.resume.is_some() {
-        eprintln!("--resume is ignored: ablations time complete runs only");
-    }
+    let opts = BenchOpts::from_env(&FLAGS);
     let progs = if opts.smoke {
         vec![programs::CLIF_PARSER]
     } else {

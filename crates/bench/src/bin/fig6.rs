@@ -57,8 +57,23 @@ fn stddev_pct(durations: &[Duration], m: Duration) -> f64 {
     var.sqrt() / mm * 100.0
 }
 
+/// Every flag this bin honors. The memory policy is not one: the Fig. 6
+/// rows are defined under the paper's concretization.
+const FLAGS: [&str; 10] = [
+    "--runs",
+    "--quick",
+    "--workers",
+    "--strategy",
+    "--json",
+    "--metrics",
+    "--trace",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
+
 fn main() {
-    let opts = BenchOpts::from_env(&[]);
+    let opts = BenchOpts::from_env(&FLAGS);
     let workers = opts.workers_or_sequential();
     if workers == 0 && opts.wants_persistence() {
         eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");

@@ -34,10 +34,19 @@ use binsym_bench::{programs, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_elf::ElfFile;
 use binsym_isa::Spec;
 
-/// Flags specific to this bin, layered over the shared [`BenchOpts`].
-const HUNT_FLAGS: [&str; 2] = ["--benchmark", "--records"];
+/// Every flag this bin honors: its own two, then the shared
+/// [`BenchOpts`] flags it reads.
+const HUNT_FLAGS: [&str; 7] = [
+    "--benchmark",
+    "--records",
+    "--workers",
+    "--memory-policy",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
 
-/// The values of [`HUNT_FLAGS`].
+/// The values of this bin's own flags.
 struct HuntArgs {
     benchmark: String,
     records: Option<PathBuf>,

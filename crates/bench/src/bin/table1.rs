@@ -44,8 +44,22 @@ use binsym_bench::cli::{metrics_json, summary_json, write_json, write_trace, Ben
 use binsym_bench::engines::memory_policy_from_opts;
 use binsym_bench::{all_programs, run, Engine, SearchStrategy};
 
+/// Every flag this bin honors.
+const FLAGS: [&str; 10] = [
+    "--quick",
+    "--workers",
+    "--strategy",
+    "--json",
+    "--memory-policy",
+    "--metrics",
+    "--trace",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
+
 fn main() {
-    let opts = BenchOpts::from_env(&[]);
+    let opts = BenchOpts::from_env(&FLAGS);
     let workers = opts.workers_or_sequential();
     if workers == 0 && opts.wants_persistence() {
         eprintln!("--checkpoint/--resume persist the sharded frontier: add --workers N");

@@ -52,48 +52,32 @@ pub struct BenchOpts {
     pub resume: Option<PathBuf>,
 }
 
-/// Every flag [`BenchOpts`] parses, in field order.
-const SHARED_FLAGS: [&str; 12] = [
-    "--workers",
-    "--strategy",
-    "--memory-policy",
-    "--json",
-    "--quick",
-    "--smoke",
-    "--runs",
-    "--trace",
-    "--metrics",
-    "--checkpoint",
-    "--checkpoint-every",
-    "--resume",
-];
-
 impl BenchOpts {
     /// Parses the process arguments (and the `BINSYM_WORKERS` fallback).
-    /// `bin_flags` are the flags the calling bin parses itself; any other
-    /// `--` argument that is not a shared flag fails, so a flag of a
-    /// removed mode is an error instead of being silently ignored.
-    pub fn from_env(bin_flags: &[&str]) -> BenchOpts {
+    /// `flags` are every flag the calling bin honors: the shared ones it
+    /// reads and its own. Any other `--` argument fails, so a flag the bin
+    /// would ignore (a shared one it does not read, or one of a removed
+    /// mode) is an error instead of a run that exits 0 without it.
+    pub fn from_env(flags: &[&str]) -> BenchOpts {
         Self::parse(
             std::env::args().skip(1),
             std::env::var("BINSYM_WORKERS").ok(),
-            bin_flags,
+            flags,
         )
     }
 
     fn parse(
         args: impl Iterator<Item = String>,
         workers_env: Option<String>,
-        bin_flags: &[&str],
+        flags: &[&str],
     ) -> BenchOpts {
         let args: Vec<String> = args.collect();
         // Values never start with `--` (checked below), so every such
         // argument is a flag.
-        if let Some(unknown) = args.iter().find(|a| {
-            a.starts_with("--")
-                && !SHARED_FLAGS.contains(&a.as_str())
-                && !bin_flags.contains(&a.as_str())
-        }) {
+        if let Some(unknown) = args
+            .iter()
+            .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+        {
             panic!("unknown flag {unknown:?}");
         }
         let value_of = |flag: &str| -> Option<&String> {
@@ -763,38 +747,54 @@ pub fn validate_trace(text: &str) -> Result<TraceShape, String> {
 mod tests {
     use super::*;
 
+    /// Every shared flag, as a bin that reads them all would list them.
+    const SHARED: [&str; 12] = [
+        "--workers",
+        "--strategy",
+        "--memory-policy",
+        "--json",
+        "--quick",
+        "--smoke",
+        "--runs",
+        "--trace",
+        "--metrics",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--resume",
+    ];
+
     #[test]
     fn parses_flags_and_env_fallback() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let o = BenchOpts::parse(
             args(&["--workers", "4", "--json", "out.json"]).into_iter(),
             None,
-            &[],
+            &SHARED,
         );
         assert_eq!(o.workers, Some(4));
         assert_eq!(o.json.as_deref(), Some(Path::new("out.json")));
         assert!(!o.quick);
 
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), Some("2".into()), &[]);
+        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), Some("2".into()), &SHARED);
         assert_eq!(o.workers, Some(2), "env fallback");
         assert!(o.quick);
 
-        let o = BenchOpts::parse(args(&["--workers", "0"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--workers", "0"]).into_iter(), None, &SHARED);
         assert_eq!(o.workers, None, "0 means sequential");
 
-        let o = BenchOpts::parse(args(&["--runs", "7"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--runs", "7"]).into_iter(), None, &SHARED);
         assert_eq!(o.runs, Some(7));
 
-        let o = BenchOpts::parse(args(&["--strategy", "coverage"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--strategy", "coverage"]).into_iter(), None, &SHARED);
         assert_eq!(o.strategy.as_deref(), Some("coverage"));
 
         let o = BenchOpts::parse(
             args(&["--memory-policy", "symbolic:64"]).into_iter(),
             None,
-            &[],
+            &SHARED,
         );
         assert_eq!(o.memory_policy.as_deref(), Some("symbolic:64"));
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None, &SHARED);
         assert_eq!(o.memory_policy, None, "policy defaults to the engine's");
     }
 
@@ -804,7 +804,7 @@ mod tests {
         let o = BenchOpts::parse(
             args(&["--checkpoint", "ck/base", "--checkpoint-every", "16"]).into_iter(),
             None,
-            &[],
+            &SHARED,
         );
         assert_eq!(o.checkpoint.as_deref(), Some(Path::new("ck/base")));
         assert_eq!(o.checkpoint_interval(), 16);
@@ -816,7 +816,7 @@ mod tests {
         );
         assert_eq!(spec.resume, None);
 
-        let o = BenchOpts::parse(args(&["--resume", "ck/base"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--resume", "ck/base"]).into_iter(), None, &SHARED);
         assert_eq!(o.checkpoint_interval(), 64, "default interval");
         let spec = o.run_spec("BinSym", "bubble-sort", None);
         assert_eq!(
@@ -825,7 +825,7 @@ mod tests {
             "resume suffixes identically to checkpoint"
         );
 
-        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None, &[]);
+        let o = BenchOpts::parse(args(&["--quick"]).into_iter(), None, &SHARED);
         assert!(!o.wants_persistence());
         let spec = o.run_spec("BinSym", "bubble-sort", None);
         assert!(spec.checkpoint.is_none() && spec.resume.is_none());
@@ -835,24 +835,35 @@ mod tests {
     #[should_panic(expected = "invalid value for --workers")]
     fn malformed_workers_value_fails_loudly() {
         let args = vec!["--workers".to_string(), "fourr".to_string()];
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
     #[should_panic(expected = "invalid value for --runs: \"0\" (at least one run is needed)")]
     fn zero_runs_fail_loudly() {
         let args = vec!["--runs".to_string(), "0".to_string()];
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
     #[should_panic(expected = "unknown flag \"--procs\"")]
     fn unknown_flags_fail_loudly() {
+        let hunt = ["--benchmark", "--records", "--workers", "--memory-policy"];
+        // A shared flag the bin does not read fails too: `hunt` explores
+        // coverage-guided, so `--strategy bfs` must not run that hunt and
+        // exit 0.
+        let args = ["--benchmark", "table-lookup", "--strategy", "bfs"].map(String::from);
+        let err = std::panic::catch_unwind(|| BenchOpts::parse(args.into_iter(), None, &hunt))
+            .expect_err("hunt does not read --strategy");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("unknown flag \"--strategy\"")
+        );
         // No bin takes `--procs` or `--verify`: a script passing them must
         // fail, not get a plain hunt and exit 0. `--benchmark` comes first
         // and passes as one of the bin's own flags.
         let args = ["--benchmark", "table-lookup", "--procs", "2", "--verify"].map(String::from);
-        let _ = BenchOpts::parse(args.into_iter(), None, &["--benchmark", "--records"]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &hunt);
     }
 
     #[test]
@@ -861,14 +872,14 @@ mod tests {
     )]
     fn zero_checkpoint_interval_fails_loudly() {
         let args = ["--checkpoint", "ck", "--checkpoint-every", "0"].map(String::from);
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
     #[should_panic(expected = "--workers needs a value")]
     fn trailing_workers_flag_fails_loudly() {
         let args = vec!["--workers".to_string()];
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
@@ -877,7 +888,7 @@ mod tests {
         // Used to silently take `--quick` as the worker count and then
         // panic with a misleading "invalid value for --workers" message.
         let args = vec!["--workers".to_string(), "--quick".to_string()];
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
@@ -888,7 +899,7 @@ mod tests {
             "--workers".to_string(),
             "2".to_string(),
         ];
-        let _ = BenchOpts::parse(args.into_iter(), None, &[]);
+        let _ = BenchOpts::parse(args.into_iter(), None, &SHARED);
     }
 
     #[test]
@@ -896,14 +907,14 @@ mod tests {
         // A single leading dash is a value, not a flag: only `--`-prefixed
         // tokens are rejected.
         let args = vec!["--json".to_string(), "-out.json".to_string()];
-        let o = BenchOpts::parse(args.into_iter(), None, &[]);
+        let o = BenchOpts::parse(args.into_iter(), None, &SHARED);
         assert_eq!(o.json.as_deref(), Some(Path::new("-out.json")));
     }
 
     #[test]
     fn smoke_flag_parses() {
         let args = vec!["--smoke".to_string()];
-        let o = BenchOpts::parse(args.into_iter(), None, &[]);
+        let o = BenchOpts::parse(args.into_iter(), None, &SHARED);
         assert!(o.smoke);
         assert!(!o.quick);
     }

@@ -104,10 +104,14 @@ fn eval_bv(tm: &TermManager, t: Term, sigma: &HashMap<VarId, u64>) -> u64 {
     }
 }
 
-/// `x`, `y` and a few random terms over them: the terms that assumptions
-/// and queries compare, so that they share order-closure nodes.
+/// `x`, `y`, a term equal to `x` at every point, and a few random terms
+/// over them: the terms that assumptions and queries compare, so that they
+/// share order-closure nodes, and some pairs are equal.
 fn term_pool(tm: &mut TermManager, rng: &mut Rng) -> Vec<Term> {
-    let mut pool = vec![tm.var("x", 8), tm.var("y", 8)];
+    let (x, y) = (tm.var("x", 8), tm.var("y", 8));
+    let sum = tm.add(x, y);
+    let alias = tm.sub(sum, y);
+    let mut pool = vec![x, y, alias];
     for _ in 0..3 {
         let steps = 1 + rng.below(3) as usize;
         pool.push(random_bv(tm, rng, steps));

@@ -28,9 +28,8 @@
 //! Every feasibility query goes to the in-tree bit-blasting solver
 //! (`binsym_smt::Solver`), as in the paper, behind a word-level
 //! static-analysis gate ([`StaticGate`], on by default) that drops flip
-//! queries the path condition already proves infeasible — without ever
-//! changing results (see [`SessionBuilder::static_analysis`] and
-//! [`backend`]).
+//! queries the path condition already proves infeasible (see
+//! [`SessionBuilder::static_analysis`] and [`backend`]).
 //!
 //! Paths stream lazily from [`Session::paths`]; [`Session::run_all`]
 //! drains them into a [`Summary`]. All errors unify under [`Error`].

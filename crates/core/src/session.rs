@@ -533,14 +533,21 @@ impl SessionBuilder {
     /// Before a flip query is bit-blasted, the path condition's literals
     /// and the `≤`/`<` order closure over them try to prove it
     /// infeasible; proved queries skip the SAT solver entirely (see
-    /// [`crate::StaticGate`]). Like the warm-start cache, the gate affects
-    /// wall time only, never results: merged records stay byte-identical
-    /// to an analysis-off run — residual queries are blasted from the
-    /// original terms, and eliminations are exact. Per-query accounting
-    /// flows through [`crate::Observer::on_static_analysis`]. The
-    /// `BINSYM_SA_SHADOW` environment variable cross-checks every
-    /// elimination against the full SAT query (a soundness tripwire for
-    /// CI that re-adds the solver work the gate saves).
+    /// [`crate::StaticGate`]). On the sharded engine, like the warm-start
+    /// cache, the gate affects wall time only, never results: merged
+    /// records stay byte-identical to an analysis-off run, because every
+    /// residual query is solved from its original terms as if by a fresh
+    /// solver, and eliminations are exact. The sequential [`Session`]
+    /// keeps one solver whose learnt clauses and saved phases come from
+    /// every query it was given, so there the gate can change which
+    /// witness a path gets (on bubble-sort, 713 of 720 witnesses differ
+    /// from a gate-off run), and under the `eq` policy, which pins a
+    /// symbolic address to its witness's value, even which paths exist.
+    /// Per-query accounting flows through
+    /// [`crate::Observer::on_static_analysis`]. The `BINSYM_SA_SHADOW`
+    /// environment variable cross-checks every elimination against the
+    /// full SAT query (a soundness tripwire for CI that re-adds the solver
+    /// work the gate saves).
     pub fn static_analysis(mut self, enabled: bool) -> Self {
         self.static_analysis = enabled;
         self

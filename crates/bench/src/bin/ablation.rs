@@ -7,14 +7,14 @@
 //!    cache (the BINSEC-vs-angr structural difference, isolated from the
 //!    interpretation-overhead model).
 //! 3. **Worker scaling and warm start** — the sharded `ParallelSession`
-//!    (replay-based exploration, fresh solver context per prescription) at
-//!    1..=N workers vs. the sequential incremental engine, isolating what
-//!    the prescription-replay model costs and what the parallelism buys
-//!    back; each worker count also runs with the deterministic
-//!    warm start (`.warm_start(true)`), quantifying how much
-//!    replayed-prefix cost the cache claws back (per-path seconds and
-//!    cache hit/reuse counters in the `--json` rows) — with results
-//!    byte-identical to the cache-off run by construction.
+//!    at 1..=N workers vs. the sequential incremental engine. Cold, each
+//!    unit is one flip solved in a fresh solver after replaying its
+//!    parent prefix, which isolates what the replay model costs and what
+//!    the parallelism buys back; warm (`.warm_start(true)`), each unit
+//!    explores a budget of paths depth-first on one incremental solver,
+//!    which shows how much of that cost the units claw back (per-path
+//!    seconds in the `--json` rows). Warm and cold runs find the same
+//!    paths with different witnesses.
 //! 4. **Search strategy vs. coverage velocity** — paths needed to reach
 //!    full text-segment PC coverage under DFS, BFS, and the
 //!    coverage-guided policy, on all five Table I programs. Every policy
@@ -69,20 +69,16 @@
 //! `--runs N` averages the timed ablations (3, 5 and 6) over N interleaved
 //! rounds (default 1), damping scheduler noise on shared hardware; the
 //! emitted rows carry per-round values (totals divided by N). Every
-//! counter but the warm-cache ones repeats exactly across rounds. The
-//! `warm_*` counters depend on the schedule at 2+ workers (each worker's
-//! cache holds what it happened to pop or steal), so ablation 3 reports
-//! them as exact per-round means, which need not be whole.
+//! counter the rows report repeats exactly across rounds.
 //!
 //! `--smoke` is the CI-sized run: ablation 3 (warm start on/off, on the
-//! smallest Table I program and on uri-parser — the cross-parent reuse
-//! canary, whose warm rows are asserted to show `warm_prefix_reused > 0`)
-//! plus ablation 5 (gate on/off on the smallest program and on bubble
-//! sort — the one with infeasible flips) plus ablation 7 (both memory
-//! policies on `table-lookup` and the smallest Table I program,
-//! asserting the symbolic-coverage separation), so every merge exercises
-//! the warm-start, queries-eliminated, and memory-policy datapoints
-//! without the full matrix.
+//! smallest Table I program and on uri-parser) plus ablation 5 (gate
+//! on/off on the smallest program and on bubble sort — the one with
+//! infeasible flips) plus ablation 6 on the smallest program plus
+//! ablation 7 (both memory policies on `table-lookup` and the smallest
+//! Table I program, asserting the symbolic-coverage separation), so every
+//! merge exercises the warm-start, queries-eliminated, checkpoint and
+//! memory-policy datapoints without the full matrix.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -95,8 +91,7 @@ use binsym::{
     SessionBuilder,
 };
 use binsym_bench::cli::{
-    add_counters, counters_per_round, metrics_json, warm_means, write_json, write_trace, BenchOpts,
-    Json,
+    add_counters, counters_per_round, metrics_json, write_json, write_trace, BenchOpts, Json,
 };
 use binsym_bench::{
     all_programs, policy_trajectory, programs, Program, SearchStrategy, TABLE_LOOKUP,
@@ -139,18 +134,14 @@ fn main() {
 
     if opts.smoke {
         let max_workers = opts.workers.unwrap_or(2);
-        // uri-parser rides along in the CI-sized run because it is the
-        // program whose flip set only shares prefixes *across* parents:
-        // its `warm_prefix_reused` was exactly 0 when contexts were keyed
-        // by parent input, so it is the regression canary for the worker
-        // context's cross-parent reuse.
+        // uri-parser rides along in the CI-sized run: its 2,060 paths span
+        // many warm units.
         ablation3(
             &[programs::CLIF_PARSER, programs::URI_PARSER],
             max_workers,
             &timing,
             &mut json_rows,
         );
-        assert_warm_prefix_reuse(&json_rows, "uri-parser");
         // Bubble sort is the Table I program whose flip set contains
         // infeasible branches, so it is the one that shows a nonzero
         // queries-eliminated count in CI.
@@ -239,17 +230,12 @@ fn main() {
 
     let max_workers = opts.workers.unwrap_or(4);
     // Ablations 3–6 cover all five Table I programs (`--quick` keeps the
-    // small ones). The warm context must show nonzero prefix reuse on
-    // every one of them, so the full run records warm counters for the
-    // whole table.
+    // small ones).
     let table1: Vec<_> = all_programs()
         .into_iter()
         .filter(|p| !(opts.quick && p.expected_paths > 1000))
         .collect();
     ablation3(&table1, max_workers, &timing, &mut json_rows);
-    for p in &table1 {
-        assert_warm_prefix_reuse(&json_rows, p.name);
-    }
 
     println!("\nABLATION 4 — paths to full PC coverage (search-strategy comparison)\n");
     println!(
@@ -401,14 +387,12 @@ fn interleave<V, const N: usize>(
 }
 
 /// Ablation 3: the sharded engine at 1..=N workers, each worker count
-/// measured cold (fresh solver context per prescription) and warm
-/// (deterministic warm cache: recent parent trails plus one retained
-/// prefix context per worker). The two runs produce byte-identical
-/// results by construction; the delta — per-path seconds plus the cache's
-/// hit/reuse counters — is the replayed-prefix cost the warm start claws
-/// back.
+/// measured cold (one flip per unit, each in a fresh solver after its
+/// parent prefix's replay) and warm (units of many paths, each on one
+/// incremental solver). Both find the pinned paths; the per-path delta is
+/// the replay and re-blasting cost the warm units claw back.
 fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: &mut Vec<Json>) {
-    println!("\nABLATION 3 — worker scaling and warm start (replay-based sharded exploration)\n");
+    println!("\nABLATION 3 — worker scaling and warm start (units of sharded exploration)\n");
     println!(
         "{:<16} {:>12}   per worker count: cold/warm wall (cold→warm ms/path)",
         "Benchmark", "sequential"
@@ -444,9 +428,6 @@ fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: 
                     ),
                     ("sequential_seconds", Json::F(seq.as_secs_f64())),
                 ];
-                if warm {
-                    row.extend(warm_means(&t.counters, timing.runs));
-                }
                 if let Some(report) = &t.metrics {
                     row.push(("metrics", metrics_json(report, timing.runs)));
                 }
@@ -462,35 +443,6 @@ fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: 
         }
         println!("{:<16} {:>12.1?}   {}", p.name, seq, cells.join("  "));
     }
-}
-
-/// Asserts the `--smoke` cross-parent reuse datapoint: every warm
-/// worker-scaling row of `benchmark` must show nonzero retained-context
-/// prefix reuse. When contexts were keyed by parent input, uri-parser sat
-/// at `warm_prefix_reused: 0` — this is the counter CI pins above zero.
-fn assert_warm_prefix_reuse(rows: &[Json], benchmark: &str) {
-    let mut saw_warm_row = false;
-    for row in rows {
-        let Json::O(fields) = row else { continue };
-        let field = |k: &str| fields.iter().find(|(n, _)| *n == k).map(|(_, v)| v);
-        let is = |k: &str, want: &str| matches!(field(k), Some(Json::S(s)) if s == want);
-        if !is("ablation", "worker-scaling") || !is("benchmark", benchmark) {
-            continue;
-        }
-        if !matches!(field("warm_start"), Some(Json::B(true))) {
-            continue;
-        }
-        saw_warm_row = true;
-        let reused = match field("warm_prefix_reused") {
-            Some(Json::F(v)) => *v,
-            _ => panic!("warm row missing warm_prefix_reused"),
-        };
-        assert!(
-            reused > 0.0,
-            "{benchmark}: warm_prefix_reused must stay > 0 through the worker's context"
-        );
-    }
-    assert!(saw_warm_row, "no warm worker-scaling rows for {benchmark}");
 }
 
 /// Ablation 5: the word-level static-analysis gate on vs. off, on the

@@ -44,9 +44,14 @@ fn mean(durations: &[Duration]) -> Duration {
     total / durations.len() as u32
 }
 
-fn stddev_pct(durations: &[Duration], m: Duration) -> f64 {
-    if durations.len() < 2 || m.is_zero() {
-        return 0.0;
+/// The sample standard deviation in percent of the mean; `None` for
+/// fewer than two samples, which measure no spread.
+fn stddev_pct(durations: &[Duration], m: Duration) -> Option<f64> {
+    if durations.len() < 2 {
+        return None;
+    }
+    if m.is_zero() {
+        return Some(0.0);
     }
     let mm = m.as_secs_f64();
     let var = durations
@@ -54,7 +59,12 @@ fn stddev_pct(durations: &[Duration], m: Duration) -> f64 {
         .map(|d| (d.as_secs_f64() - mm).powi(2))
         .sum::<f64>()
         / (durations.len() - 1) as f64;
-    var.sqrt() / mm * 100.0
+    Some(var.sqrt() / mm * 100.0)
+}
+
+/// A spread for the JSON report: `null` when it was not measured.
+fn spread_json(pct: Option<f64>) -> Json {
+    pct.map_or(Json::Null, Json::F)
 }
 
 /// Every flag this bin honors. The memory policy is not one: the Fig. 6
@@ -96,7 +106,8 @@ fn main() {
         "Benchmark", "BINSEC", "BinSym", "SymEx-VP", "angr"
     );
 
-    let mut max_dev: f64 = 0.0;
+    // `None` until a cell measures a spread (never, with one run).
+    let mut max_dev: Option<f64> = None;
     let mut json_rows = Vec::new();
     for p in all_programs() {
         if opts.quick && p.expected_paths > 1000 {
@@ -133,14 +144,17 @@ fn main() {
                 samples.push(r.duration);
             }
             let m = mean(&samples);
-            max_dev = max_dev.max(stddev_pct(&samples, m));
+            let dev = stddev_pct(&samples, m);
+            if let Some(d) = dev {
+                max_dev = Some(max_dev.map_or(d, |m| m.max(d)));
+            }
             let mut row = vec![
                 ("benchmark", Json::s(p.name)),
                 ("engine", Json::s(engine.name())),
                 ("strategy", Json::s(strategy.name())),
                 ("paths", Json::U(p.expected_paths)),
                 ("mean_seconds", Json::F(m.as_secs_f64())),
-                ("stddev_pct", Json::F(stddev_pct(&samples, m))),
+                ("stddev_pct", spread_json(dev)),
                 ("runs", Json::U(runs as u64)),
             ];
             if let Some((covered, tracked)) = covered {
@@ -169,7 +183,10 @@ fn main() {
             ratios.join(" / ")
         );
     }
-    println!("\nmax standard deviation across cells: {max_dev:.1} % (paper: <= 5 %)");
+    match max_dev {
+        Some(dev) => println!("\nmax standard deviation across cells: {dev:.1} % (paper: <= 5 %)"),
+        None => println!("\nstandard deviation not measured: it needs --runs 2 or more"),
+    }
 
     if let Some(path) = &opts.json {
         let doc = Json::O(vec![
@@ -178,7 +195,7 @@ fn main() {
             ("strategy", Json::s(strategy.name())),
             ("runs", Json::U(runs as u64)),
             ("quick", Json::B(opts.quick)),
-            ("max_stddev_pct", Json::F(max_dev)),
+            ("max_stddev_pct", spread_json(max_dev)),
             ("rows", Json::A(json_rows)),
         ]);
         write_json(path, &doc);

@@ -8,9 +8,10 @@
 //!     [--memory-policy eq|symbolic:N]
 //! ```
 //!
-//! The hunt runs on a sharded session with the warm cache, coverage-guided
+//! The hunt runs on a sharded session with warm units, coverage-guided
 //! shard policies over a shared map, and the static gate all on, and
-//! asserts the program's pinned path count. `--records` writes the merged
+//! asserts the program's pinned path count. `--workers` (or
+//! `BINSYM_WORKERS`) defaults to 2 and must be at least 1. `--records` writes the merged
 //! record stream in the canonical wire encoding, so two runs compare with
 //! `cmp`(1).
 //!
@@ -70,6 +71,21 @@ impl HuntArgs {
             eprintln!("--benchmark NAME is required (one of the Table I programs)");
             std::process::exit(2);
         });
+        // `BenchOpts` reads a zero worker count as "sequential", but a hunt
+        // drives a sharded session only: refuse it rather than run the
+        // default two workers.
+        let workers = match value_of("--workers") {
+            Some(raw) => Some(("--workers", raw.clone())),
+            None => std::env::var("BINSYM_WORKERS")
+                .ok()
+                .map(|raw| ("BINSYM_WORKERS", raw)),
+        };
+        if let Some((name, raw)) = workers {
+            if raw.parse::<usize>() == Ok(0) {
+                eprintln!("{name} must be at least 1: a hunt drives a sharded session");
+                std::process::exit(2);
+            }
+        }
         HuntArgs {
             benchmark,
             records: value_of("--records").map(PathBuf::from),
@@ -83,8 +99,8 @@ fn main() {
     run_hunt(&args, &opts);
 }
 
-/// The invariant configuration of the hunt: sharded session with the warm
-/// cache, coverage-guided scheduling over a shared map, and the word-level
+/// The invariant configuration of the hunt: sharded session with warm
+/// units, coverage-guided scheduling over a shared map, and the word-level
 /// static gate — all on. Determinism must survive the full stack, so the
 /// driver exercises nothing less.
 fn hunt_builder(elf: &ElfFile, workers: usize, policy: AddressPolicyKind) -> SessionBuilder {
@@ -131,7 +147,7 @@ fn expected_paths(p: &programs::Program, policy: AddressPolicyKind) -> u64 {
 fn run_hunt(args: &HuntArgs, opts: &BenchOpts) {
     let p = program(&args.benchmark);
     let elf = p.build();
-    let workers = opts.workers.unwrap_or(2).max(1);
+    let workers = opts.workers.unwrap_or(2);
     let policy = memory_policy_from_opts(opts);
     let started = Instant::now();
     let mut builder = hunt_builder(&elf, workers, policy);

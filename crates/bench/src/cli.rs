@@ -341,12 +341,6 @@ pub fn add_counters(sum: &mut CountingObserver, round: &CountingObserver) {
     sum.paths += round.paths;
     sum.queries += round.queries;
     sum.sat_queries += round.sat_queries;
-    sum.warm_hits += round.warm_hits;
-    sum.warm_misses += round.warm_misses;
-    sum.warm_replays_skipped += round.warm_replays_skipped;
-    sum.warm_prefix_reused += round.warm_prefix_reused;
-    sum.warm_prefix_blasted += round.warm_prefix_blasted;
-    sum.warm_cross_parent_reuse += round.warm_cross_parent_reuse;
     sum.sa_queries += round.sa_queries;
     sum.sa_queries_eliminated += round.sa_queries_eliminated;
     sum.sa_facts += round.sa_facts;
@@ -355,13 +349,13 @@ pub fn add_counters(sum: &mut CountingObserver, round: &CountingObserver) {
 }
 
 /// Divides totals accumulated over `runs` rounds back to their per-round
-/// values, so `--runs N` reports the same counters as a single run. Every
-/// counter but the `warm_*` ones is independent of the schedule, so its
+/// values, so `--runs N` reports the same counters as a single run. The
+/// counters the bins read are independent of the schedule, so the
 /// division is exact — a remainder would mean a round diverged, which the
-/// determinism suites forbid. The `warm_*` counters depend on the
-/// schedule at 2+ workers (each worker's cache holds what it happened to
-/// pop or steal), so rounds legitimately differ: they come back zero here
-/// and are reported by [`warm_means`] instead.
+/// determinism suites forbid. (Checkpoint writes of a warm run are not —
+/// a write lands at the unit commit that reaches the interval, and the
+/// commit order depends on the schedule — so the timed ablations
+/// checkpoint cold runs only.)
 pub fn counters_per_round(sum: &CountingObserver, runs: usize) -> CountingObserver {
     let n = runs.max(1) as u64;
     let per = |total: u64| -> u64 {
@@ -381,24 +375,6 @@ pub fn counters_per_round(sum: &CountingObserver, runs: usize) -> CountingObserv
         resumed_from: per(sum.resumed_from),
         ..CountingObserver::new()
     }
-}
-
-/// The `warm_*` counters of a `runs`-round sum as exact per-round means,
-/// ready for a JSON row. A mean need not be whole (see
-/// [`counters_per_round`]); a single round renders as an integer.
-pub fn warm_means(sum: &CountingObserver, runs: usize) -> Vec<(&'static str, Json)> {
-    let n = runs.max(1) as f64;
-    [
-        ("warm_hits", sum.warm_hits),
-        ("warm_misses", sum.warm_misses),
-        ("warm_replays_skipped", sum.warm_replays_skipped),
-        ("warm_prefix_reused", sum.warm_prefix_reused),
-        ("warm_prefix_blasted", sum.warm_prefix_blasted),
-        ("warm_cross_parent_reuse", sum.warm_cross_parent_reuse),
-    ]
-    .into_iter()
-    .map(|(name, total)| (name, Json::F(total as f64 / n)))
-    .collect()
 }
 
 /// Renders a [`binsym::Summary`] as a JSON object (shared row shape of
@@ -924,7 +900,6 @@ mod tests {
         let round = CountingObserver {
             queries: 719,
             sat_queries: 719,
-            warm_hits: 12,
             sa_queries: 2421,
             sa_queries_eliminated: 1702,
             sa_facts: 31,
@@ -942,39 +917,6 @@ mod tests {
         assert_eq!(avg.sa_facts, round.sa_facts);
         // runs = 0 clamps to a single round.
         assert_eq!(counters_per_round(&round, 0).queries, round.queries);
-        // The warm counters average through `warm_means`; equal rounds give
-        // the round's own value, rendered as an integer.
-        let warm = Json::O(warm_means(&sum, 3)).render();
-        assert!(warm.starts_with("{\"warm_hits\":12,"), "{warm}");
-    }
-
-    #[test]
-    fn warm_counters_average_exactly_when_rounds_differ() {
-        // At 2+ workers the warm counters depend on stealing: two rounds
-        // of one ablation datapoint gave 92 and 93 cache hits. Their sum
-        // is not a multiple of the round count; the other counters repeat.
-        let mut sum = CountingObserver::new();
-        for warm_hits in [92, 93] {
-            let round = CountingObserver {
-                queries: 119,
-                warm_hits,
-                warm_prefix_reused: 2 * warm_hits,
-                ..CountingObserver::new()
-            };
-            add_counters(&mut sum, &round);
-        }
-        let c = counters_per_round(&sum, 2);
-        assert_eq!(c.queries, 119, "schedule-independent counters stay exact");
-        assert_eq!(c.warm_hits, 0, "warm counters are left to warm_means");
-        let warm = warm_means(&sum, 2);
-        let mean = |name: &str| match warm.iter().find(|(k, _)| *k == name) {
-            Some((_, Json::F(v))) => *v,
-            other => panic!("{name}: {other:?}"),
-        };
-        assert_eq!(mean("warm_hits"), 92.5);
-        assert_eq!(mean("warm_prefix_reused"), 185.0);
-        assert_eq!(mean("warm_misses"), 0.0);
-        assert_eq!(warm.len(), 6, "every warm counter is reported");
     }
 
     #[test]
@@ -1097,7 +1039,7 @@ mod tests {
         let chrome = ChromeTraceSink::new();
         chrome.begin_span(0, "solve");
         chrome.begin_span(1, "execute");
-        chrome.instant(0, "warm_rollback");
+        chrome.instant(0, "checkpoint");
         chrome.end_span(1, "execute");
         chrome.end_span(0, "solve");
         let shape = validate_trace(&chrome.render()).expect("chrome trace valid");

@@ -10,14 +10,13 @@
 //!    read the model on a [`binsym_smt::Solver`], timed as
 //!    [`Phase::BitBlast`] and [`Phase::Solve`].
 //!
-//! The engines differ only in the solver they hand to the solve step: the
-//! sequential [`crate::Session`] keeps one incremental solver for its
-//! whole exploration (a query leaves only the definitions of the terms it
-//! blasted, and every query shares the bit-blast cache and the learnt
-//! clauses), while cold replay, and the warm cache when its context cannot
-//! roll back, use `Solver::new()` per flip. `discharge` chains the two
-//! steps for the session and cold replay; the warm cache calls them itself
-//! (see [`crate::warm`]).
+//! `discharge` chains the two steps for the one exploration loop. The
+//! engines differ only in how long its solver lives: the sequential
+//! [`crate::Session`] keeps one incremental solver for its whole
+//! exploration, and a [`crate::ParallelSession`] worker one per unit, a
+//! single flip when cold (a query leaves only the definitions of the terms
+//! it blasted, and every query shares the bit-blast cache and the learnt
+//! clauses).
 //!
 //! An SMT-LIB v2 rendering of a flip query is a function of its terms:
 //! `binsym_smt::smtlib::query_to_smtlib(tm, prefix ++ [flipped])`.
@@ -105,7 +104,7 @@ impl StaticGate {
     /// `gate` span in the trace), reports the screen through
     /// [`Observer::on_static_analysis`], and returns whether the flip was
     /// proved infeasible. A disabled gate proves nothing and fires no
-    /// static-analysis hook. The gate's one call site in all three engines.
+    /// static-analysis hook. The gate's one call site.
     pub(crate) fn eliminates(
         &self,
         tm: &mut TermManager,
@@ -158,8 +157,7 @@ fn shadow_check(tm: &mut TermManager, prefix: &[Term], flipped: Term) {
 /// solver's result and, on SAT, its model. The caller reports the result
 /// through [`Observer::on_query`].
 ///
-/// The sequential session passes its incremental solver; cold replay, and
-/// the warm cache when its context fails, pass `Solver::new()`.
+/// [`discharge`]'s solve step.
 pub(crate) fn solve(
     solver: &mut Solver,
     tm: &mut TermManager,
@@ -184,8 +182,8 @@ pub(crate) fn solve(
 /// Discharges one flip query on `solver`: the gate, then [`solve`], then
 /// [`Observer::on_query`]. Returns the solver's result (`None` when the
 /// gate eliminated the query, which then fires no `on_query` and counts as
-/// no solver check) and, on SAT, the model's witness input. The sequential
-/// session and cold replay run it; they differ only in `solver`.
+/// no solver check) and, on SAT, the model's witness input. The
+/// exploration loop's one call into this module.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn discharge(
     solver: &mut Solver,
@@ -240,8 +238,8 @@ mod tests {
     #[test]
     fn incremental_and_fresh_agree() {
         // The solve step answers alike on one incremental solver (the
-        // sequential session) and on a fresh solver per query (cold
-        // replay).
+        // sequential session, a warm unit) and on a fresh solver per query
+        // (a cold unit).
         let mut tm = TermManager::new();
         let lt5 = x_lt_5(&mut tm);
         let ge5 = tm.not(lt5);

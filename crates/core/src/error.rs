@@ -46,15 +46,6 @@ pub enum Error {
         /// What diverged.
         what: &'static str,
     },
-    /// A warm-start solver invariant broke (a satisfiable query produced
-    /// no model). Always an engine bug; surfaced as a typed error so a
-    /// worker thread fails one prescription deterministically instead of
-    /// panicking mid-exploration. A cached context that cannot roll back
-    /// is not an error: the cache drops it and solves the query cold.
-    WarmStart {
-        /// What went wrong.
-        what: &'static str,
-    },
     /// A checkpoint/wire operation failed (I/O, bad magic, version
     /// mismatch, truncated or corrupt section). Load failures surface as
     /// session-level errors, never panics.
@@ -80,9 +71,6 @@ impl fmt::Display for Error {
                     f,
                     "prescription replay diverged from the parent path: {what}"
                 )
-            }
-            Error::WarmStart { what } => {
-                write!(f, "warm-start cache failure: {what}")
             }
             Error::Persist(e) => write!(f, "{e}"),
         }

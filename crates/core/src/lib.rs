@@ -98,7 +98,6 @@ pub mod session;
 pub mod strategy;
 pub mod trace;
 pub mod value;
-pub mod warm;
 
 pub use backend::StaticGate;
 pub use coverage::{CoverageMap, CoverageObserver};

@@ -57,7 +57,7 @@ pub enum TrailEntry {
         pc: u32,
         /// The policy's decision: the pinned address for the concretizing
         /// policies, the window base for the symbolic policy. Together with
-        /// `pc` this keys the decision for replay and the warm cache.
+        /// `pc` this keys the decision for replay.
         choice: u64,
     },
 }

@@ -19,7 +19,7 @@
 //!
 //! Every resolution appends a [`TrailEntry::Concretize`] entry carrying the
 //! policy's *choice* (the pinned address, or the window base), so replay
-//! and the warm-start cache can key on the decision exactly.
+//! can key on the decision exactly.
 //!
 //! Control-flow targets (`WritePc`, indirect jumps) always concretize by
 //! equality regardless of policy — a symbolic program counter would fork

@@ -10,11 +10,10 @@
 //! the shards into a plain-data [`MetricsReport`] with per-[`Phase`] wall
 //! seconds and query-latency percentiles.
 //!
-//! Instrumentation carries the same hard contract as the warm cache and the
-//! static-analysis gate: it may change wall time, never merged records. The
-//! timers only *observe* the engine; nothing reads them back into any
-//! exploration decision, and both determinism suites pin metrics-on runs
-//! byte-identical to metrics-off runs.
+//! Instrumentation carries a hard contract: it may change wall time, never
+//! merged records. The timers only *observe* the engine; nothing reads them
+//! back into any exploration decision, and both determinism suites pin
+//! metrics-on runs byte-identical to metrics-off runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,8 +31,8 @@ const NUM_BUCKETS: usize = 64;
 /// A timed phase of the engine's work loop.
 ///
 /// Phase timers cover both the sequential engine and the parallel workers;
-/// a phase that a given configuration never enters (e.g. [`Phase::WarmSolve`]
-/// without `.warm_start(true)`) simply reports zero.
+/// a phase that a given configuration never enters (e.g. [`Phase::Replay`]
+/// on the sequential session) simply reports zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Phase {
@@ -41,20 +40,21 @@ pub enum Phase {
     /// sequential engine's path step and the parallel worker's
     /// materialisation of a prescription.
     Execute,
-    /// Replaying a prescription's parent input up to its flip ordinal to
-    /// recover the branch trail (parallel replay and warm-cache deepening).
+    /// Replaying a unit root's parent input up to its flip ordinal to
+    /// recover the branch trail (once per unit of a parallel session).
     Replay,
     /// Lowering path-condition terms into solver assertions (bit-blasting).
     BitBlast,
-    /// A SAT `check_sat` call on a cold (freshly asserted) solver.
+    /// A SAT `check_sat` call.
     Solve,
     /// Screening a flip query through the word-level static-analysis gate.
     Gate,
-    /// The query that builds a worker's fresh warm-start prefix context,
-    /// including the blast of its whole prefix and its solve.
+    /// Timed the retired warm-start cache's first query on a context.
+    /// Nothing enters it any more: it reports zero, and stays only because
+    /// the hunt benchmark names it.
     WarmPromote,
-    /// Solving a flip on a retained warm context — scratch-clone reuse,
-    /// rollback bookkeeping, and the `check_sat` itself.
+    /// Timed the retired warm-start cache's queries on a retained context.
+    /// Nothing enters it any more (see [`Phase::WarmPromote`]).
     WarmSolve,
     /// The deterministic merge of worker outputs into discovery order.
     Merge,
@@ -281,7 +281,7 @@ pub struct MetricsReport {
     query_latency: HistogramSnapshot,
     /// Completed paths across all shards.
     pub paths: u64,
-    /// Solver queries (cold and warm `check_sat` calls) across all shards.
+    /// Solver queries (`check_sat` calls) across all shards.
     pub queries: u64,
 }
 
@@ -418,13 +418,6 @@ impl Instruments {
     pub(crate) fn note_path(&self) {
         if let Some(registry) = &self.registry {
             registry.shard(self.track as usize).note_path();
-        }
-    }
-
-    /// Emit an instant (zero-duration) trace event.
-    pub(crate) fn instant(&self, name: &str) {
-        if let Some(sink) = &self.sink {
-            sink.instant(self.track, name);
         }
     }
 }

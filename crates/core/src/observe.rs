@@ -16,15 +16,11 @@ use binsym_smt::{SatResult, Term};
 use crate::metrics::Phase;
 use crate::session::PathOutcome;
 
-/// Per-query accounting of the deterministic warm-start cache
-/// ([`crate::SessionBuilder::warm_start`]), reported by parallel workers
-/// through [`Observer::on_warm_query`] right after [`Observer::on_query`].
-///
-/// The cache affects wall time only, never results, so these counters are
-/// the *only* observable difference between a warm and a cold run — use
-/// them to quantify how much replayed-prefix work the cache clawed back
-/// (ablation 3 and the hunt benchmark aggregate them via
-/// [`crate::CountingObserver`]).
+/// Per-query accounting of the retired warm-start cache. Nothing reports
+/// it any more: warm parallel sessions explore units on one incremental
+/// solver ([`crate::SessionBuilder::warm_start`]), and
+/// [`Observer::on_warm_query`] never fires. The type stays only because
+/// the hunt benchmark still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmQueryStats {
     /// The query result (same value the paired `on_query` received).
@@ -52,11 +48,12 @@ pub struct WarmQueryStats {
 /// [`Observer::on_static_analysis`] for **every** screened flip query —
 /// eliminated or residual.
 ///
-/// Like the warm cache, the gate affects wall time only, never merged
-/// results: an eliminated query fires *neither* [`Observer::on_query`]
-/// nor [`Observer::on_warm_query`] and does not count as a solver check,
-/// so analysis-on and analysis-off runs stay byte-identical in their
-/// records and differ only in these counters (and in `solver_checks`).
+/// An eliminated query fires no [`Observer::on_query`] and does not count
+/// as a solver check. On a cold sharded session the gate affects wall
+/// time only, so analysis-on and analysis-off runs stay byte-identical in
+/// their records and differ only in these counters (and in
+/// `solver_checks`); on one incremental solver it may change witnesses
+/// (see [`crate::SessionBuilder::static_analysis`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticAnalysisStats {
     /// True when the analysis proved the query infeasible without any SAT
@@ -74,9 +71,9 @@ pub struct StaticAnalysisStats {
 /// [`crate::SessionBuilder::checkpoint`] or
 /// [`crate::SessionBuilder::resume`] configured.
 ///
-/// Checkpointing affects wall time only, never merged results, so — like
-/// [`WarmQueryStats`] — these events are the only observable difference
-/// between a checkpointed and a plain run.
+/// Checkpointing affects wall time only, never merged results, so these
+/// events are the only observable difference between a checkpointed and a
+/// plain run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointEvent {
     /// A checkpoint file was atomically written; `paths` is the number of
@@ -120,10 +117,8 @@ pub trait Observer {
         let _ = result;
     }
 
-    /// The query just reported through [`Observer::on_query`] went through
-    /// the warm-start cache; `stats` carries its hit/miss and prefix-reuse
-    /// accounting. Fires only in parallel sessions with
-    /// [`crate::SessionBuilder::warm_start`] enabled.
+    /// Never fires: it reported the retired warm-start cache (see
+    /// [`WarmQueryStats`]).
     fn on_warm_query(&mut self, stats: &WarmQueryStats) {
         let _ = stats;
     }
@@ -242,19 +237,18 @@ pub struct CountingObserver {
     pub queries: u64,
     /// Queries that came back satisfiable.
     pub sat_queries: u64,
-    /// Warm-start queries that found their parent input's trail cached
-    /// (see [`WarmQueryStats::cache_hit`]).
+    /// Always zero: the `warm_*` counters tallied
+    /// [`Observer::on_warm_query`], which never fires any more.
     pub warm_hits: u64,
-    /// Warm-start queries that had to record a fresh parent trail.
+    /// Always zero (see [`CountingObserver::warm_hits`]).
     pub warm_misses: u64,
-    /// Warm-start queries that skipped the parent-prefix re-execution.
+    /// Always zero (see [`CountingObserver::warm_hits`]).
     pub warm_replays_skipped: u64,
-    /// Prefix path terms served from retained solver contexts.
+    /// Always zero (see [`CountingObserver::warm_hits`]).
     pub warm_prefix_reused: u64,
-    /// Prefix path terms bit-blasted anew by warm-start queries.
+    /// Always zero (see [`CountingObserver::warm_hits`]).
     pub warm_prefix_blasted: u64,
-    /// Warm-start queries whose context last served a different parent
-    /// input (cross-parent sharing).
+    /// Always zero (see [`CountingObserver::warm_hits`]).
     pub warm_cross_parent_reuse: u64,
     /// Flip queries screened by the static-analysis gate.
     pub sa_queries: u64,

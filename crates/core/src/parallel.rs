@@ -3,52 +3,61 @@
 //! The sequential [`crate::Session`] is bounded by one core: one frontier,
 //! one term manager, one incremental solver. `ParallelSession` shards the
 //! same exploration across N worker threads **without** making any of the
-//! engine state `Sync`: the unit of work shipped between threads is a
-//! plain-data [`Prescription`] (see [`crate::prescribe`]), and each worker
-//! owns a complete engine — its own [`TermManager`], solver contexts, and
+//! engine state `Sync`: the work shipped between threads is a plain-data
+//! [`Prescription`] (see [`crate::prescribe`]), and each worker owns a
+//! complete engine — its own [`TermManager`], solver, and
 //! [`PathExecutor`] — on which any prescription can be replayed from
-//! scratch. The flip query, its discharge, and the path step are the same
-//! code the sequential session runs; only the solver context differs.
+//! scratch.
+//!
+//! # Units
+//!
+//! A worker treats every prescription it takes as the root of a *unit*.
+//! It resets its term manager (restoring fresh handle numbering, see
+//! [`TermManager::reset`]), replays the root's parent prefix once, and
+//! then runs the session's own exploration loop depth-first on a fresh
+//! incremental [`Solver`] until the unit has materialized its path budget
+//! or its frontier is empty. The rest of the subtree's frontier goes back
+//! to the worker's shard as plain prescriptions, each the root of a later
+//! unit. The budget is one path by default, which solves every flip in a
+//! fresh solver (cold replay), and a fixed number of paths with
+//! [`crate::SessionBuilder::warm_start`], which lets the flips of a
+//! subtree share one solver's bit-blast and learnt clauses.
 //!
 //! # Worker topology
 //!
-//! Every worker has a shard-local frontier (a [`PrescriptionStrategy`])
-//! guarded by its own lock. A worker pushes the prescriptions spawned by
-//! its own paths onto its own shard and pops from it LIFO-deep (under the
-//! default depth-first policy); when its shard runs dry it *steals* from a
-//! victim's shard cold end — the shallowest pending flip, i.e. the largest
-//! unexplored subtree. Exploration terminates when every shard is empty
-//! and no worker holds in-flight work.
+//! Every worker has a shard-local frontier of unit roots (a
+//! [`PrescriptionStrategy`]) guarded by its own lock. A worker pushes the
+//! leftovers of its own units onto its own shard and pops from it
+//! LIFO-deep (under the default depth-first policy); when its shard runs
+//! dry it *steals* from a victim's shard cold end — the shallowest pending
+//! root, i.e. the largest unexplored subtree. Shard policies rank units
+//! only: inside a unit the order is always depth-first. Exploration
+//! terminates when every shard is empty and no worker holds in-flight
+//! work.
 //!
 //! # Determinism
 //!
-//! Replaying a prescription is a pure function of the prescription itself:
-//! the worker resets its term manager (restoring fresh handle numbering,
-//! see [`TermManager::reset`]) and solves the flip query in a brand-new
-//! [`Solver`]. Scheduling — worker count, steal
-//! order, shard policy — therefore cannot change any individual result,
-//! only which worker computes it. The merged output is sorted by
+//! A unit is a pure function of its root prescription and the budget: it
+//! starts from a reset term manager and a brand-new solver, and explores
+//! depth-first. Its leftovers are therefore a pure function too, so the set
+//! of units and every witness depend on the program alone. Scheduling —
+//! worker count, steal order, shard policy — cannot change any individual
+//! result, only which worker computes it. The merged output is sorted by
 //! [`PathId`], which reproduces the sequential depth-first discovery
 //! order, so the final [`Summary`] (and the [`PathRecord`] stream) is
 //! byte-identical across 1/2/4/8 workers and across repeated runs, and its
 //! path ordering — the sequence of branch-decision fingerprints — is
 //! identical to the sequential session's discovery order. (Witness
 //! *inputs* for a path are whichever model the solver returns; the
-//! sequential session's one incremental solver may pick a different,
-//! equally valid model than the fresh replay solver.)
+//! sequential session's solver, a unit's and a fresh one may pick
+//! different, equally valid models, so sequential, warm and cold records
+//! differ in their witnesses.)
 //!
-//! The price of replay is re-executing each parent prefix once per spawned
-//! flip (bounded by the early-stopping
-//! [`PathExecutor::execute_prefix`]) and forgoing cross-query solver
-//! incrementality; the parallel speedup has to buy that back (the hunt
-//! benchmark's `par-cold` and `par-warm` workloads measure both).
-//! [`crate::SessionBuilder::warm_start`] claws most of that price back
-//! *without* giving up determinism: each worker keeps its most recently
-//! used parent trails and one retained prefix context, so consecutive
-//! prescriptions from the same subtree skip the prefix re-execution and
-//! reuse the prefix's bit-blast, solving each flip on a disposable clone
-//! of it — bit-identical results, cheaper replays (see [`crate::warm`]
-//! and ablation 3).
+//! The price of sharding is re-executing each unit root's parent prefix
+//! (bounded by the early-stopping [`PathExecutor::execute_prefix`]) and
+//! re-blasting the terms a unit shares with its parent's. Cold units pay
+//! it per flip; warm units once per budget of paths (the hunt benchmark's
+//! `par-cold` and `par-warm` workloads measure both).
 //!
 //! # Canonical truncation
 //!
@@ -57,62 +66,73 @@
 //! full exploration — i.e. the exact prefix an unbounded run's merged
 //! stream would start with — not the first `limit` paths that happened to
 //! *finish*. Workers over-collect under a shrinking watermark (the
-//! `limit`-th smallest materialized id so far): a prescription whose id
-//! already exceeds the watermark can never enter the final prefix — and,
-//! parents ordering before descendants, neither can anything it would
-//! spawn — so it is pruned without replay, and the merged, `PathId`-sorted
-//! record list is trimmed at the `limit`-th path. Query records ride the
-//! same trim, so summaries and records of truncated runs are byte-identical
-//! across 1..N workers, repeated runs, and shard policies.
+//! `limit`-th smallest materialized id so far): a unit whose root id
+//! already exceeds the watermark can never contribute to the final prefix —
+//! parents ordering before descendants, nothing in its subtree can — so it
+//! is pruned whole, without replay. A flip inside a unit is never pruned:
+//! that would make the unit's witnesses depend on the schedule. The merged,
+//! `PathId`-sorted record list is trimmed at the `limit`-th path. Query
+//! records ride the same trim, so summaries and records of truncated runs
+//! are byte-identical across 1..N workers, repeated runs, and shard
+//! policies.
 //!
-//! Replay errors obey the same cut: a truncated run keeps exploring past
-//! an error and decides at merge time — the error surfaces iff its id
-//! sorts before the `limit`-th path (i.e. the sequential engine would
-//! have hit it before stopping); an error beyond the cut belongs to work
-//! the truncated exploration never owed anyone and is dropped. Stopping
-//! at the first error observed would make the outcome a race.
+//! Errors obey the same cut: a truncated run keeps exploring past an error
+//! and decides at merge time — the error surfaces iff its id sorts before
+//! the `limit`-th path (i.e. the sequential engine would have hit it before
+//! stopping); an error beyond the cut belongs to work the truncated
+//! exploration never owed anyone and is dropped. Stopping at the first
+//! error observed would make the outcome a race. A unit whose path fails
+//! commits the records it made before that path, spawns nothing and keeps
+//! its root pending; the failure is recorded under the failing path's id.
 //!
 //! # Commit ledger and checkpoints
 //!
 //! One ledger records every run's committed *and* pending work: the
-//! records, and a [`PathId`]-ordered map of every prescription seeded or
+//! records, and a [`PathId`]-ordered map of every unit root seeded or
 //! spawned but not yet committed or pruned — queued in a shard, in flight
 //! on a worker, or failed. The seeds (the root, or a resumed checkpoint's
-//! pending prescriptions) enter the map before any worker starts. A
-//! worker's commit appends its record, removes its own id from the map and
-//! inserts the children it spawns (then pushes them to its shard), all
-//! under the one ledger lock; a pruned prescription leaves the map under it
-//! too, and a failed one simply stays. The merged output is the ledger's
-//! records, sorted.
+//! pending prescriptions) enter the map before any worker starts. A unit's
+//! commit appends its records, removes its root from the map and inserts
+//! its leftovers (then pushes them to its shard), all under the one ledger
+//! lock; a pruned root leaves the map under it too, and a failed one
+//! simply stays. The merged output is the ledger's records, sorted.
 //!
 //! A checkpoint ([`crate::SessionBuilder::checkpoint`]) is therefore the
 //! result-shaping parameters, the records, the pending map and the
 //! truncation watermark, written under the ledger lock alone — a
-//! consistent cut, with no shard state in it. A resume
-//! ([`crate::SessionBuilder::resume`]) always spreads the pending map over
-//! its own shards in contiguous `PathId` chunks, whatever the worker count
-//! and shard policy of the interrupted run; replay purity and the
-//! canonical merge make its records byte-identical to an uninterrupted
-//! run's. The locks nest one way only: ledger → {watermark, shard}.
+//! consistent cut that never holds part of a unit, with no shard state in
+//! it. A resume ([`crate::SessionBuilder::resume`]) always spreads the
+//! pending map over its own shards in contiguous `PathId` chunks, whatever
+//! the worker count and shard policy of the interrupted run; unit purity
+//! and the canonical merge make its records byte-identical to an
+//! uninterrupted run's. A failed unit that a resume runs again re-makes
+//! records the checkpoint already holds; the ledger and the watermark
+//! ignore every record whose id is already committed. The locks nest one
+//! way only: ledger → {watermark, shard}.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use binsym_smt::{SatResult, Solver, TermManager};
+#[cfg(doc)]
+use binsym_smt::Solver;
+use binsym_smt::{SatResult, TermManager};
 
-use crate::backend::{discharge, StaticGate};
+use crate::backend::StaticGate;
 use crate::error::Error;
 use crate::memory::AddressPolicyKind;
 use crate::metrics::{Instruments, Phase};
 use crate::observe::{CheckpointEvent, NullObserver, Observer};
 use crate::persist::{decode_seq, encode_seq, section, Dec, Document, Enc, PersistError, Wire};
 use crate::prescribe::{PathId, PathRecord, Prescription};
-use crate::session::{materialize, PathExecutor, Summary};
-use crate::strategy::PrescriptionStrategy;
-use crate::warm::WarmCache;
+use crate::session::{Explorer, PathExecutor, Step, Summary};
+use crate::strategy::{Candidate, Dfs, PrescriptionStrategy};
+
+/// Path budget of a warm unit ([`crate::SessionBuilder::warm_start`]); a
+/// cold unit's is one path.
+const UNIT_PATHS: u64 = 256;
 
 /// Factory producing one [`PathExecutor`] per worker thread.
 pub type ExecutorFactory = Arc<dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync>;
@@ -131,12 +151,12 @@ const _: fn() = || {
     assert_send::<TermManager>();
 };
 
-/// Result of replaying one prescription, as recorded by a worker.
+/// What a unit decided for one prescription, as committed to the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PrescriptionRecord {
     pub(crate) id: PathId,
-    /// `Some` when a feasibility query was discharged (every non-root
-    /// prescription), with its result.
+    /// The flip query's result; `None` for the root, which needs no query,
+    /// and for a query the static gate eliminated.
     pub(crate) query: Option<SatResult>,
     /// The materialized path, when the flip was feasible.
     pub(crate) path: Option<PathRecord>,
@@ -203,10 +223,14 @@ impl Wire for CheckpointMeta {
 #[derive(Default)]
 struct Ledger {
     records: Vec<PrescriptionRecord>,
-    /// Every seeded or spawned prescription not yet committed or pruned:
-    /// queued in a shard, in flight on a worker, or failed. A failed
-    /// replay stays here, so a resume re-replays it and — replay being
-    /// pure — re-derives the same typed [`Error`] without serializing it.
+    /// The ids of `records`: a failed unit that runs again re-makes the
+    /// records it committed before failing, and a commit skips those.
+    committed: HashSet<PathId>,
+    /// Every seeded or spawned unit root not yet committed or pruned:
+    /// queued in a shard, in flight on a worker, or failed. A failed unit
+    /// keeps its root here, so a resume runs the unit again and — units
+    /// being pure — re-derives the same typed [`Error`] without
+    /// serializing it.
     pending: BTreeMap<PathId, Prescription>,
     /// Materialized paths committed so far (including restored ones).
     paths: u64,
@@ -435,12 +459,13 @@ impl Frontier {
 }
 
 /// The `limit` lowest materialized [`PathId`]s so far, as a bounded
-/// max-heap. Once full, its maximum is a *watermark*: any prescription
-/// whose id exceeds it can never enter the final truncated prefix (and,
-/// parents ordering before descendants, neither can its whole subtree), so
-/// workers prune such work without replaying it. The watermark only ever
-/// tightens, which makes pruning canonical: everything below the final
-/// watermark is guaranteed to be materialized on every schedule.
+/// max-heap. Once full, its maximum is a *watermark*: any unit root whose
+/// id exceeds it can never enter the final truncated prefix (and, parents
+/// ordering before descendants, neither can its whole subtree), so workers
+/// prune such units without exploring them. The watermark only ever
+/// tightens, which makes pruning canonical: every unit whose root lies
+/// below the final watermark runs on every schedule, so everything below
+/// it is materialized.
 struct Watermark {
     limit: usize,
     heap: std::collections::BinaryHeap<PathId>,
@@ -484,7 +509,7 @@ struct RunState {
 }
 
 impl RunState {
-    /// Records a replay error, keeping the canonically-first one.
+    /// Records an error, keeping the canonically-first one.
     ///
     /// Unbounded runs stop immediately — the run is lost either way. A
     /// *truncated* run keeps exploring: whether this error lies inside the
@@ -493,7 +518,7 @@ impl RunState {
     /// reached it) is only decidable once the watermark has converged, so
     /// stopping here would make the outcome schedule-dependent.
     fn record_error(&self, id: PathId, e: Error) {
-        // A root-id error (worker startup, root-prescription replay) sorts
+        // A root-id error (worker startup, the root unit) sorts
         // before any cut, so it surfaces on every schedule — stopping
         // early is safe and spares the surviving workers a doomed
         // exploration.
@@ -515,42 +540,61 @@ impl RunState {
             .is_some_and(|w| w.lock().expect("watermark lock").prunes(id))
     }
 
-    /// Commits one replayed prescription under the ledger lock: its record
-    /// lands, its id leaves the pending map, and the children of a
-    /// materialized path — minus those the tightened watermark already
-    /// rules out — enter the map and `shard`. The children are pushed
-    /// before the worker's in-flight count is released, so the
-    /// termination check never sees a window with neither queued nor
-    /// in-flight work. Every `every`-th committed path also writes the
-    /// checkpoint, still under the lock; the committed path count is
-    /// returned when it does.
+    /// Commits one unit under the ledger lock: its records land, except
+    /// those whose id an earlier run of the unit already committed. With
+    /// `leftovers` (a unit that did not fail), the root leaves the pending
+    /// map and the leftovers — minus those the tightened watermark already
+    /// rules out — enter the map and `shard`; a failed unit's root stays
+    /// pending. The leftovers are pushed before the worker's in-flight
+    /// count is released, so the termination check never sees a window
+    /// with neither queued nor in-flight work. The commit that brings
+    /// `every` paths since the last write also writes the checkpoint, still
+    /// under the lock; the committed path count is returned when it does.
     fn commit(
         &self,
         shard: usize,
-        mut record: PrescriptionRecord,
-        materialized: Option<(PathRecord, Vec<Prescription>)>,
+        root: &PathId,
+        records: Vec<PrescriptionRecord>,
+        mut leftovers: Option<Vec<Prescription>>,
     ) -> Result<Option<u64>, PersistError> {
         let mut ledger = self.ledger.lock().expect("ledger lock");
-        ledger.pending.remove(&record.id);
-        if let Some((path, mut spawned)) = materialized {
-            if let Some(w) = &self.watermark {
-                let mut w = w.lock().expect("watermark lock");
-                w.insert(record.id.clone());
-                spawned.retain(|s| !w.prunes(&s.id));
+        let ledger = &mut *ledger;
+        let mut watermark = self
+            .watermark
+            .as_ref()
+            .map(|w| w.lock().expect("watermark lock"));
+        let mut paths = 0;
+        for record in records {
+            if !ledger.committed.insert(record.id.clone()) {
+                continue;
             }
+            if record.path.is_some() {
+                paths += 1;
+                if let Some(w) = &mut watermark {
+                    w.insert(record.id.clone());
+                }
+            }
+            ledger.records.push(record);
+        }
+        if let (Some(leftovers), Some(w)) = (&mut leftovers, &watermark) {
+            leftovers.retain(|s| !w.prunes(&s.id));
+        }
+        // Released before the shard lock (and the checkpoint write, which
+        // takes it again), in the run's one lock order.
+        drop(watermark);
+        if let Some(leftovers) = leftovers {
+            ledger.pending.remove(root);
             ledger
                 .pending
-                .extend(spawned.iter().map(|s| (s.id.clone(), s.clone())));
-            self.frontier.push_batch(shard, spawned);
-            record.path = Some(path);
-            ledger.paths += 1;
-            ledger.since_write += 1;
+                .extend(leftovers.iter().map(|s| (s.id.clone(), s.clone())));
+            self.frontier.push_batch(shard, leftovers);
         }
-        ledger.records.push(record);
+        ledger.paths += paths;
+        ledger.since_write += paths;
         match &self.checkpoint {
             Some(ck) if ledger.since_write >= ck.every => {
                 ledger.since_write = 0;
-                write_checkpoint(ck, &ledger, self.watermark.as_ref()).map(Some)
+                write_checkpoint(ck, ledger, self.watermark.as_ref()).map(Some)
             }
             _ => Ok(None),
         }
@@ -569,18 +613,16 @@ pub struct ParallelSession {
     fuel: u64,
     limit: Option<u64>,
     input_len: u32,
-    /// Per-worker warm-start cache bound; `None` = cache off (the
-    /// default). See [`crate::warm`] — affects wall time only, never
-    /// results.
-    warm_capacity: Option<usize>,
+    /// Path budget of each unit: 1 (cold, the default) or [`UNIT_PATHS`]
+    /// ([`crate::SessionBuilder::warm_start`]).
+    unit_paths: u64,
     /// The word-level static-analysis gate screening flip queries before
     /// any bit-blast (on by default). Affects wall time only, never
     /// merged records.
     gate: StaticGate,
     /// Metrics/trace wiring ([`crate::SessionBuilder::metrics`],
     /// `::trace`) on track 0; each worker re-points it at its own track.
-    /// Like the warm cache and the gate, instrumentation affects wall time
-    /// only, never merged records.
+    /// Instrumentation affects wall time only, never merged records.
     instr: Instruments,
     /// Checkpoint/resume wiring ([`crate::SessionBuilder::checkpoint`],
     /// `::resume`). Affects wall time and on-disk artifacts only, never
@@ -619,7 +661,7 @@ impl ParallelSession {
         fuel: u64,
         limit: Option<u64>,
         input_len: u32,
-        warm_capacity: Option<usize>,
+        warm_start: bool,
         gate: StaticGate,
         instr: Instruments,
         persist: PersistPlan,
@@ -634,7 +676,7 @@ impl ParallelSession {
             fuel,
             limit,
             input_len,
-            warm_capacity,
+            unit_paths: if warm_start { UNIT_PATHS } else { 1 },
             gate,
             instr,
             persist,
@@ -675,10 +717,11 @@ impl ParallelSession {
         self.strategy_name
     }
 
-    /// True when the deterministic warm start is enabled
-    /// ([`crate::SessionBuilder::warm_start`]).
+    /// True when units explore a budget of many paths on one incremental
+    /// solver ([`crate::SessionBuilder::warm_start`]), false when each
+    /// unit is one cold flip.
     pub fn warm_start(&self) -> bool {
-        self.warm_capacity.is_some()
+        self.unit_paths > 1
     }
 
     /// True once [`ParallelSession::run_all`] has completed.
@@ -708,9 +751,9 @@ impl ParallelSession {
     /// re-explores and deterministically reproduces the error.
     ///
     /// # Errors
-    /// Returns the canonically-first [`Error`] if any worker fails to
-    /// replay a prescription (decode error, unknown syscall, fuel
-    /// exhaustion).
+    /// Returns the canonically-first [`Error`] if a path fails to execute
+    /// (decode error, unknown syscall, fuel exhaustion) or a unit root
+    /// fails to replay.
     pub fn run_all(&mut self) -> Result<Summary, Error> {
         if self.done {
             return Ok(self.summary());
@@ -768,6 +811,7 @@ impl ParallelSession {
                     records: loaded.records.len() as u64,
                 });
                 ledger.paths = loaded.records.iter().filter(|r| r.path.is_some()).count() as u64;
+                ledger.committed = loaded.records.iter().map(|r| r.id.clone()).collect();
                 ledger.records = loaded.records;
                 loaded.pending
             }
@@ -791,7 +835,7 @@ impl ParallelSession {
                 let executor_factory = Arc::clone(&self.executor_factory);
                 let observer_factory = self.observer_factory.clone();
                 let fuel = self.fuel;
-                let warm_capacity = self.warm_capacity;
+                let unit_paths = self.unit_paths;
                 let gate = self.gate;
                 let instr = self.instr.for_track(idx as u32);
                 handles.push(scope.spawn(move || {
@@ -801,7 +845,7 @@ impl ParallelSession {
                         &*executor_factory,
                         observer_factory.as_deref(),
                         fuel,
-                        warm_capacity,
+                        unit_paths,
                         gate,
                         instr,
                     )
@@ -819,11 +863,11 @@ impl ParallelSession {
         if self.limit.is_none() {
             if let Some((_, e)) = error.take() {
                 // A failed run is not cached (`done` stays false): retrying
-                // re-explores and, replay being deterministic, reproduces
-                // the same error instead of masking it behind an empty
-                // summary. The last periodic checkpoint stays on disk: the
-                // failed prescription is still pending in it, so a resume
-                // deterministically re-derives this error.
+                // re-explores and, units being pure, reproduces the same
+                // error instead of masking it behind an empty summary. The
+                // last periodic checkpoint stays on disk: the failed unit's
+                // root is still pending in it, so a resume deterministically
+                // re-derives this error.
                 return Err(e);
             }
         }
@@ -848,9 +892,9 @@ impl ParallelSession {
         let merge_started = merge_instr.begin(Phase::Merge);
         let mut all = state.ledger.into_inner().expect("ledger lock").records;
         all.sort_by(|a, b| a.id.cmp(&b.id));
-        // A checkpoint is a consistent cut, so RECORDS and PENDING never
-        // share an id; a hand-made one might. Replay purity makes equal-id
-        // records byte-identical, so dropping duplicates is canonical.
+        // A commit skips ids already committed, but a hand-made checkpoint
+        // may repeat one in RECORDS. Unit purity makes equal-id records
+        // byte-identical, so dropping duplicates is canonical.
         all.dedup_by(|a, b| a.id == b.id);
 
         // Canonical truncation: workers over-collected under the shrinking
@@ -874,10 +918,10 @@ impl ParallelSession {
                     }
                 }
             }
-            // A replay error surfaces iff the sequential engine would have
-            // hit it before its `limit`-th path: its id sorts before the
-            // cut (or the limit was never reached). Every prescription
-            // below the final watermark is processed on every schedule, so
+            // An error surfaces iff the sequential engine would have hit it
+            // before its `limit`-th path: its id sorts before the cut (or
+            // the limit was never reached). Every unit rooted below the
+            // final watermark runs on every schedule, so
             // this decision — and the canonically-first error it returns —
             // is schedule-independent. Errors beyond the cut belong to
             // work the truncated exploration never owed anyone.
@@ -919,9 +963,8 @@ impl ParallelSession {
     }
 }
 
-/// One worker: pull prescriptions, replay each on the worker's own engine
-/// in a fresh solver context (or through the worker's warm-start cache),
-/// and commit each result — record and spawned follow-up work — to the
+/// One worker: pull unit roots, explore each unit on the worker's own
+/// engine, and commit each unit — records and leftover frontier — to the
 /// ledger.
 #[allow(clippy::too_many_arguments)]
 fn worker_main(
@@ -930,25 +973,24 @@ fn worker_main(
     executor_factory: &(dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync),
     observer_factory: Option<&(dyn Fn(usize) -> Box<dyn Observer> + Send + Sync)>,
     fuel: u64,
-    warm_capacity: Option<usize>,
+    unit_paths: u64,
     gate: StaticGate,
     instr: Instruments,
 ) {
-    let mut executor = match executor_factory() {
+    let executor = match executor_factory() {
         Ok(e) => e,
         Err(e) => {
             state.record_error(PathId::root(), e);
             return;
         }
     };
-    let mut observer: Box<dyn Observer> = match observer_factory {
+    let observer: Box<dyn Observer> = match observer_factory {
         Some(f) => f(idx),
         None => Box::new(NullObserver),
     };
-    let mut tm = TermManager::new();
-    let mut warm = warm_capacity.map(WarmCache::new);
+    let mut explorer = Explorer::new(executor, observer, Dfs::new(), gate, fuel, instr);
 
-    while let Some(p) = state.frontier.acquire(idx) {
+    while let Some(root) = state.frontier.acquire(idx) {
         // Balance the frontier's in-flight count on every exit from this
         // iteration — including an unwind out of user code (executor,
         // solver, or observer panics). Without this, a panicking worker
@@ -957,61 +999,32 @@ fn worker_main(
         let _checked_in = InFlightGuard(&state.frontier);
         // Canonical truncation: ids past the watermark can never enter the
         // final `limit`-lowest prefix, and neither can their descendants —
-        // skip the replay entirely, recording nothing. `pruned` has
-        // dropped the watermark guard before the ledger lock is taken, so
-        // the lock order stays ledger → {watermark, shard}.
-        if state.pruned(&p.id) {
+        // skip the unit entirely, recording nothing. `pruned` has dropped
+        // the watermark guard before the ledger lock is taken, so the lock
+        // order stays ledger → {watermark, shard}.
+        if state.pruned(&root.id) {
             state
                 .ledger
                 .lock()
                 .expect("ledger lock")
                 .pending
-                .remove(&p.id);
+                .remove(&root.id);
             continue;
         }
-        // A fresh engine context per prescription: reset handle numbering
-        // and solve in a brand-new solver — or, with warm start on, in a
-        // cached prefix context whose answers are bit-identical to the
-        // fresh one (see `crate::warm`). Either way the replay is a pure
-        // function of the prescription (schedule-independent results).
-        tm.reset();
-        let outcome = replay(
-            &mut *executor,
-            &mut tm,
-            warm.as_mut(),
-            &mut *observer,
-            &p,
-            fuel,
-            gate,
-            &instr,
-        );
-        let (query, materialized) = match outcome {
-            Ok(replayed) => replayed,
-            Err(e) => {
-                // The failed prescription stays in the ledger's pending
-                // map. A truncated run explores on: the erroring
-                // prescription contributes no record and spawns nothing,
-                // and whether the error surfaces is decided canonically at
-                // merge time.
-                let stopping = state.watermark.is_none();
-                state.record_error(p.id, e);
-                if stopping {
-                    break;
-                }
-                continue;
-            }
+        let root_id = root.id.clone();
+        let (records, rest) = explore_unit(&mut explorer, root, unit_paths);
+        let (leftovers, failure) = match rest {
+            Ok(leftovers) => (Some(leftovers), None),
+            Err(failure) => (None, Some(failure)),
         };
-        let record = PrescriptionRecord {
-            id: p.id,
-            query,
-            path: None,
-        };
-        match state.commit(idx, record, materialized) {
+        match state.commit(idx, &root_id, records, leftovers) {
             Ok(None) => {}
             // Fired outside the lock: a sibling may replace the file
             // mid-event, which is fine — every written checkpoint is a
             // consistent cut.
-            Ok(Some(paths)) => observer.on_checkpoint(CheckpointEvent::Written { paths }),
+            Ok(Some(paths)) => explorer
+                .observer()
+                .on_checkpoint(CheckpointEvent::Written { paths }),
             Err(e) => {
                 // A failed checkpoint write is fatal on every schedule: it
                 // sorts as a root-id error, which always surfaces and
@@ -1020,7 +1033,65 @@ fn worker_main(
                 break;
             }
         }
+        if let Some((id, e)) = failure {
+            // A truncated run explores on: the failed unit spawned nothing,
+            // and whether the error surfaces is decided canonically at
+            // merge time.
+            let stopping = state.watermark.is_none();
+            state.record_error(id, e);
+            if stopping {
+                break;
+            }
+        }
     }
+}
+
+/// The records a unit made and what follows it: its leftover frontier, or
+/// the failure that stopped it, under the failing path's id.
+type UnitRun = (
+    Vec<PrescriptionRecord>,
+    Result<Vec<Prescription>, (PathId, Error)>,
+);
+
+/// Explores the unit rooted at `root` until it has materialized `budget`
+/// paths or its frontier is empty: one record per decided flip (and for a
+/// root path), then the rest of the frontier as plain prescriptions. A
+/// path that fails ends the unit with the records made before it.
+fn explore_unit(
+    explorer: &mut Explorer<Dfs<Candidate>>,
+    root: Prescription,
+    budget: u64,
+) -> UnitRun {
+    let mut records = Vec::new();
+    let root_id = root.id.clone();
+    if let Err(e) = explorer.start_unit(root) {
+        return (records, Err((root_id, e)));
+    }
+    let mut paths = 0;
+    while paths < budget {
+        let record = match explorer.step() {
+            None => break,
+            Some(Ok(Step::Infeasible { id, query })) => PrescriptionRecord {
+                id,
+                query,
+                path: None,
+            },
+            Some(Ok(Step::Path { query, record, .. })) => {
+                paths += 1;
+                PrescriptionRecord {
+                    id: record.id.clone(),
+                    query,
+                    path: Some(record),
+                }
+            }
+            Some(Err(e)) => {
+                let id = explorer.staged_id().expect("a failed path stays staged");
+                return (records, Err((id.clone(), e)));
+            }
+        };
+        records.push(record);
+    }
+    (records, Ok(explorer.leftovers()))
 }
 
 /// Releases one unit of in-flight work when dropped; on an unwind it also
@@ -1035,78 +1106,6 @@ impl Drop for InFlightGuard<'_> {
         }
         self.0.release();
     }
-}
-
-/// Replays one prescription on the given engine: solve the flip (if any),
-/// materialize the path, and derive the prescriptions of its unexplored
-/// suffix. Returns the query result (`None` for the root and for a query
-/// the gate eliminated, so the merge counts no solver check) and, when the
-/// flip is feasible, the path's record and spawned prescriptions.
-///
-/// Cold replay re-executes the parent prefix on `tm` and discharges the
-/// flip in a brand-new solver; warm replay routes the flip through the
-/// worker's [`WarmCache`], whose answers are bit-identical (see
-/// [`crate::warm`]) and whose contexts keep their terms in the cache's own
-/// manager. Either way the replay is pure in the prescription given a
-/// freshly reset `tm`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn replay(
-    executor: &mut dyn PathExecutor,
-    tm: &mut TermManager,
-    warm: Option<&mut WarmCache>,
-    observer: &mut dyn Observer,
-    p: &Prescription,
-    fuel: u64,
-    gate: StaticGate,
-    instr: &Instruments,
-) -> Result<(Option<SatResult>, Option<(PathRecord, Vec<Prescription>)>), Error> {
-    check_policy(p, executor)?;
-    let (query, input) = match p.flip {
-        None => (None, p.input.clone()),
-        Some(flip) => {
-            let solved = match warm {
-                Some(cache) => {
-                    cache.solve_flip(executor, &p.input, flip, fuel, gate, instr, observer)?
-                }
-                None => {
-                    let replay_started = instr.begin(Phase::Replay);
-                    let trail = executor.execute_prefix(tm, &p.input, fuel, flip.ord + 1);
-                    instr.finish(replay_started, Phase::Replay, observer);
-                    let (prefix, flipped) = flip.query(&trail?, tm)?;
-                    discharge(
-                        &mut Solver::new(),
-                        tm,
-                        gate,
-                        &prefix,
-                        flipped,
-                        executor.input_len(),
-                        instr,
-                        observer,
-                    )
-                }
-            };
-            match solved {
-                (query, Some(bytes)) => (query, bytes),
-                (query, None) => return Ok((query, None)),
-            }
-        }
-    };
-    let (record, spawned, _) = materialize(executor, tm, observer, p, fuel, input, instr)?;
-    Ok((query, Some((record, spawned))))
-}
-
-/// The policy divergence guard of prescription replay: a prescription
-/// records the address policy its trail was produced under, and replaying
-/// it under any other policy would silently renumber branch ordinals (the
-/// trail shape depends on how symbolic addresses resolve). Cold and warm
-/// replay share this single check.
-fn check_policy(p: &Prescription, executor: &dyn PathExecutor) -> Result<(), Error> {
-    if p.policy != executor.policy() {
-        return Err(Error::ReplayDivergence {
-            what: "prescription's address policy differs from the replaying executor's",
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1439,92 +1438,39 @@ ok:
     }
 
     #[test]
-    fn warm_start_records_are_byte_identical_to_cache_off() {
-        let reference = finished(THREE_COMPARES, 1);
-        for workers in [1usize, 2, 4] {
-            let mut warm = builder(THREE_COMPARES)
+    fn warm_start_records_are_byte_identical_across_workers() {
+        // Warm units pick their own witnesses, so the reference is the
+        // 1-worker warm run; against cold replay only the model-independent
+        // results agree.
+        let warm = |workers: usize| {
+            let mut par = builder(THREE_COMPARES)
                 .workers(workers)
                 .warm_start(true)
                 .build_parallel()
                 .unwrap();
-            assert!(warm.warm_start());
-            let summary = warm.run_all().unwrap();
-            assert_eq!(summary.paths, 8, "{workers} workers");
-            assert_eq!(
-                warm.records(),
-                reference.records(),
-                "{workers} workers: warm records byte-identical to cache-off"
-            );
-            assert_eq!(summary.solver_checks, reference.summary().solver_checks);
-            assert_eq!(summary.error_paths, reference.summary().error_paths);
-        }
-    }
-
-    #[test]
-    fn warm_start_with_tiny_capacity_stays_identical() {
-        let reference = finished(THREE_COMPARES, 2);
-        // Capacity 1 forces constant eviction — results must not care.
-        let mut warm = builder(THREE_COMPARES)
-            .workers(2)
-            .warm_start(true)
-            .build_parallel()
-            .unwrap();
-        warm.warm_capacity = Some(1);
-        warm.run_all().unwrap();
-        assert_eq!(warm.records(), reference.records());
-    }
-
-    #[test]
-    fn warm_start_reports_cache_stats_through_observers() {
-        use std::sync::atomic::AtomicU64;
-        #[derive(Debug)]
-        struct WarmTally {
-            queries: Arc<AtomicU64>,
-            warm: Arc<AtomicU64>,
-            hits: Arc<AtomicU64>,
-        }
-        impl Observer for WarmTally {
-            fn on_query(&mut self, _r: SatResult) {
-                self.queries.fetch_add(1, Ordering::SeqCst);
-            }
-            fn on_warm_query(&mut self, stats: &crate::observe::WarmQueryStats) {
-                self.warm.fetch_add(1, Ordering::SeqCst);
-                if stats.cache_hit {
-                    self.hits.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        let queries = Arc::new(AtomicU64::new(0));
-        let warm = Arc::new(AtomicU64::new(0));
-        let hits = Arc::new(AtomicU64::new(0));
-        let (q, w, h) = (Arc::clone(&queries), Arc::clone(&warm), Arc::clone(&hits));
-        let mut par = builder(THREE_COMPARES)
-            .workers(1)
-            .warm_start(true)
-            .observer_factory(move |_| {
-                Box::new(WarmTally {
-                    queries: Arc::clone(&q),
-                    warm: Arc::clone(&w),
-                    hits: Arc::clone(&h),
-                })
-            })
-            .build_parallel()
-            .unwrap();
-        let s = par.run_all().unwrap();
+            assert!(par.warm_start());
+            par.run_all().unwrap();
+            par
+        };
+        let reference = warm(1);
+        let cold = finished(THREE_COMPARES, 1);
+        let decision_set = |par: &ParallelSession| {
+            let mut set: Vec<Vec<bool>> =
+                par.records().iter().map(|r| r.decisions.clone()).collect();
+            set.sort();
+            set
+        };
+        assert_eq!(decision_set(&reference), decision_set(&cold));
+        let (r, c) = (reference.summary(), cold.summary());
         assert_eq!(
-            queries.load(Ordering::SeqCst),
-            s.solver_checks,
-            "every query observed"
+            (r.paths, r.total_steps, r.solver_checks),
+            (c.paths, c.total_steps, c.solver_checks)
         );
-        assert_eq!(
-            warm.load(Ordering::SeqCst),
-            s.solver_checks,
-            "every query carries warm stats"
-        );
-        assert!(
-            hits.load(Ordering::SeqCst) > 0,
-            "sibling flips hit the cache"
-        );
+        for workers in [2usize, 4] {
+            let par = warm(workers);
+            assert_eq!(par.records(), reference.records(), "{workers} workers");
+            assert_eq!(par.summary(), reference.summary(), "{workers} workers");
+        }
     }
 
     #[test]
@@ -1729,12 +1675,10 @@ ok:
             let copy = checkpoint_cut(builder(THREE_COMPARES).workers(workers), || {
                 Box::new(NullObserver)
             });
-            // Resume from the mid-run cut with the warm cache on: the
-            // merged records must come out byte-identical to the
-            // uninterrupted cache-off run.
+            // Resume from the mid-run cut: the merged records must come
+            // out byte-identical to the uninterrupted run.
             let mut resumed = builder(THREE_COMPARES)
                 .workers(workers)
-                .warm_start(true)
                 .resume(&copy)
                 .build_parallel()
                 .unwrap();
@@ -1904,6 +1848,130 @@ ok:
             err,
             Error::Exec(crate::machine::ExecError::UnknownSyscall { .. })
         ));
+    }
+
+    /// A program whose one failing path ends a warm unit part-way. Byte 0
+    /// splits it. The root path's side runs `side_a` independent byte
+    /// compares, more paths than one unit holds, so the flip of byte 0
+    /// becomes a unit root of its own. On that side, byte 1 at or above
+    /// 100 makes an unknown syscall; otherwise two more compares follow.
+    /// Whatever the models, the unit's four clean paths come first in
+    /// canonical order and the failing path, the flip of byte 1, last.
+    fn failing_unit_program(side_a: usize) -> String {
+        let zeros = vec!["0"; 4 + side_a].join(", ");
+        let mut src = format!(
+            ".data\n__sym_input: .byte {zeros}\n.text\n_start:\n    la a0, __sym_input\n    \
+             li a2, 100\n    lbu a1, 0(a0)\n    bgeu a1, a2, side_b\n"
+        );
+        for i in 1..=side_a {
+            src += &format!("    lbu a1, {i}(a0)\n    bltu a1, a2, a{i}\na{i}:\n");
+        }
+        let exit = "    li a0, 0\n    li a7, 93\n    ecall\n";
+        src += exit;
+        src += &format!(
+            "side_b:\n    lbu a1, {}(a0)\n    bgeu a1, a2, fail\n",
+            side_a + 1
+        );
+        for i in 2..=3 {
+            let byte = side_a + i;
+            src += &format!("    lbu a1, {byte}(a0)\n    bltu a1, a2, b{i}\nb{i}:\n");
+        }
+        src + exit + "fail:\n    li a7, 999\n    ecall\n"
+    }
+
+    #[test]
+    fn warm_unit_failing_part_way_commits_its_earlier_paths() {
+        // Side A holds 2 * UNIT_PATHS paths; side B's four clean paths
+        // come next in canonical order, then its failing one.
+        let side_a = UNIT_PATHS.ilog2() as usize + 1;
+        let side_a_paths = 1u64 << side_a;
+        let image = elf(&failing_unit_program(side_a));
+        let warm = |workers: usize| {
+            Session::builder(Spec::rv32im())
+                .binary(&image)
+                .workers(workers)
+                .warm_start(true)
+        };
+        let run = |b: crate::SessionBuilder| {
+            let mut par = b.build_parallel().unwrap();
+            par.run_all().map(|s| (s, par.records().to_vec()))
+        };
+        let unknown_syscall = |r: &Result<_, Error>| {
+            matches!(
+                r,
+                Err(Error::Exec(
+                    crate::machine::ExecError::UnknownSyscall { .. }
+                ))
+            )
+        };
+        // The longest prefix the failure leaves, and a cut inside the
+        // failing unit, two of its paths in.
+        let (_, longest) = run(warm(1).limit(side_a_paths + 4)).expect("failure past the cut");
+        let cut = side_a_paths + 2;
+        for workers in [1usize, 2, 4] {
+            assert!(unknown_syscall(&run(warm(workers))), "{workers} workers");
+            assert!(
+                unknown_syscall(&run(warm(workers).limit(side_a_paths + 5))),
+                "{workers} workers: a budget the clean paths cannot fill"
+            );
+            let (summary, truncated) = run(warm(workers).limit(cut)).expect("failure past the cut");
+            assert!(summary.truncated);
+            assert_eq!(truncated, longest[..cut as usize], "{workers} workers");
+
+            // Checkpointing every path, the failed unit's earlier paths are
+            // committed and its root stays pending; a resume runs the unit
+            // again, skips the records it re-makes, and fails alike.
+            let path = ck_path("unit-fail");
+            assert!(unknown_syscall(&run(warm(workers).checkpoint(&path, 1))));
+            let doc = Document::read(&path).unwrap();
+            let records: Vec<PrescriptionRecord> =
+                decode_seq(doc.require(section::RECORDS).unwrap()).unwrap();
+            let pending: Vec<Prescription> =
+                decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
+            let failed_root = PathId::root().child(0);
+            assert_eq!(pending.len(), 1, "{workers} workers");
+            assert_eq!(pending[0].id, failed_root);
+            let unit_paths = records
+                .iter()
+                .filter(|r| r.path.is_some() && r.id.as_slice().first() == Some(&0))
+                .count();
+            assert_eq!(unit_paths, 4, "{workers} workers: the unit's clean paths");
+            assert!(unknown_syscall(&run(warm(workers).resume(&path))));
+            let _ = std::fs::remove_file(&path);
+
+            // The truncated run's drain checkpoint keeps the failed unit's
+            // root pending too: a resume runs the unit again and must not
+            // count the paths it re-makes twice.
+            let (path, again) = (ck_path("unit-cut"), ck_path("unit-cut-again"));
+            let (_, drained) = run(warm(workers).limit(cut).checkpoint(&path, 1)).expect("drains");
+            assert_eq!(drained, truncated, "{workers} workers");
+            let counts = Arc::new(Mutex::new(CountingObserver::new()));
+            let handle = Arc::clone(&counts);
+            let resumed = run(warm(workers)
+                .limit(cut)
+                .resume(&path)
+                .checkpoint(&again, 1)
+                .observer_factory(move |_| Box::new(Arc::clone(&handle))));
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&again);
+            assert_eq!(resumed.expect("resumes").1, truncated, "{workers} workers");
+            assert_eq!(
+                counts.lock().unwrap().checkpoints_written,
+                1,
+                "{workers} workers: only the drain writes, as no path is new"
+            );
+
+            // Killed mid-run under the cut, the resumed run reproduces the
+            // uninterrupted truncated records.
+            let copy = checkpoint_cut(warm(workers).limit(cut), || Box::new(NullObserver));
+            let doc = Document::read(&copy).unwrap();
+            let pending: Vec<Prescription> =
+                decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
+            assert!(!pending.is_empty(), "{workers} workers: a mid-run cut");
+            let resumed = run(warm(workers).limit(cut).resume(&copy));
+            let _ = std::fs::remove_file(&copy);
+            assert_eq!(resumed.expect("resumes").1, truncated, "{workers} workers");
+        }
     }
 
     #[test]

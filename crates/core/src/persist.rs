@@ -79,7 +79,7 @@ pub mod section {
     pub const META: u32 = 1;
     /// Merged-stream records materialized so far.
     pub const RECORDS: u32 = 2;
-    /// Every pending prescription — queued, in flight or failed — in
+    /// Every pending unit root — queued, in flight or failed — in
     /// [`crate::PathId`] order.
     pub const PENDING: u32 = 3;
     // Tag 4 held in-flight worker slots and failed replays before format

@@ -1,33 +1,25 @@
 //! Replayable path prescriptions: plain-data descriptions of pending paths.
 //!
-//! The sequential [`crate::Session`] continues a pending branch flip *in
-//! place*: the [`crate::Candidate`] it queues shares the parent path's
-//! recorded trail, whose [`Term`] handles point into the session's own term
-//! manager, so a candidate is only meaningful to the engine that created
-//! it. That coupling is what pins exploration to one thread — term handles
-//! are engine-local (see
-//! [`binsym_smt::TermManager::reset`] on handle hygiene) and the `Rc`-based
-//! observer/executor plumbing is not `Sync`.
+//! The exploration loop continues a pending branch flip *in place*: the
+//! [`crate::Candidate`] it queues shares the parent path's recorded trail,
+//! whose [`Term`] handles point into the explorer's own term manager, so a
+//! candidate is only meaningful to the engine that created it. That
+//! coupling is what pins an exploration to one thread — term handles are
+//! engine-local (see [`binsym_smt::TermManager::reset`] on handle hygiene)
+//! and the `Rc`-based observer/executor plumbing is not `Sync`.
 //!
 //! A [`Prescription`] breaks the coupling. It identifies the same pending
 //! path with plain data only — the concrete input of the *parent* path plus
 //! the ordinal of the branch to flip — and is therefore `Send + 'static`.
-//! Any engine can *replay* it from scratch:
+//! Any engine can *replay* it from scratch: re-execute the parent input,
+//! recording the symbolic trail up to the prescribed branch (execution is
+//! deterministic, so the trail is reproduced exactly), and continue the
+//! loop from the candidate that trail makes.
 //!
-//! 1. re-execute the parent input, recording the symbolic trail up to the
-//!    prescribed branch (execution is deterministic, so the trail is
-//!    reproduced exactly);
-//! 2. assert the trail prefix plus the negated branch condition in a fresh
-//!    solver context and check feasibility;
-//! 3. on SAT, run the model's input to materialize the new path and emit
-//!    prescriptions for the new path's unexplored suffix branches.
-//!
-//! Steps 2 and 3 run the same code in the sequential engine, which builds
-//! the query from the parent trail it already holds instead of step 1.
-//!
-//! Because each replay happens in a fresh engine context, the whole step is
-//! a pure function of the prescription — the foundation of the
-//! deterministic work-stealing exploration in [`crate::ParallelSession`].
+//! A [`crate::ParallelSession`] worker starts each *unit* that way, from a
+//! fresh term manager and a fresh solver, so a unit is a pure function of
+//! its root prescription — the foundation of the deterministic
+//! work-stealing exploration.
 //!
 //! [`Term`]: binsym_smt::Term
 
@@ -116,8 +108,8 @@ pub struct Flip {
     pub taken: bool,
     /// Program counter of the branch site. Carried so scheduling policies
     /// (e.g. [`crate::CoverageGuided`]) can rank pending flips against a
-    /// coverage map *without* replaying them; replay also cross-checks it
-    /// against the reproduced trail as a divergence guard.
+    /// coverage map *without* replaying them; a unit root's replay also
+    /// cross-checks it against the reproduced trail as a divergence guard.
     pub pc: u32,
 }
 
@@ -126,9 +118,8 @@ impl Flip {
     /// index of the prescribed branch and its condition term, after
     /// cross-checking ordinal, direction, and branch site against the
     /// reproduced trail. These are **the** divergence guards of
-    /// prescription replay — cold ([`crate::ParallelSession`]) and
-    /// warm-start replay share this single implementation so the two
-    /// paths can never drift apart.
+    /// prescription replay, which every unit root of a
+    /// [`crate::ParallelSession`] passes.
     ///
     /// # Errors
     /// [`Error::ReplayDivergence`] when the trail has fewer branches than
@@ -161,10 +152,9 @@ impl Flip {
 
     /// Builds this flip's feasibility query from the parent trail: the path
     /// terms of every entry before the prescribed branch, and the branch
-    /// condition in the direction the flip asserts. The one query builder
-    /// of all three engines (sequential, cold replay, warm cache), so they
-    /// intern the same terms in the same order — prefix first — and hand
-    /// their solvers identical queries.
+    /// condition in the direction the flip asserts. The exploration loop's
+    /// one query builder, so every engine interns the same terms in the
+    /// same order — prefix first — and hands its solver identical queries.
     ///
     /// # Errors
     /// As [`Flip::locate`].
@@ -182,8 +172,6 @@ impl Flip {
 
 /// Extracts the `in{i}` witness bytes of a feasibility model — the
 /// concrete input that drives execution down the materialized path.
-/// Shared by cold and warm replay so the witness encoding has a single
-/// definition.
 pub fn witness_bytes(model: &Model, input_len: u32) -> Vec<u8> {
     (0..input_len)
         .map(|i| model.value(&format!("in{i}")).unwrap_or(0) as u8)
@@ -310,6 +298,56 @@ mod tests {
         assert_send::<Prescription>();
         assert_send::<PathId>();
         assert_send::<PathRecord>();
+    }
+
+    #[test]
+    fn divergent_prescriptions_error_like_cold_replay() {
+        // The divergence guards a unit root's replayed parent trail must
+        // pass: the prescribed ordinal exists, and the branch there has the
+        // recorded direction and site.
+        use crate::observe::NullObserver;
+        use crate::session::{PathExecutor, SpecExecutor};
+        use binsym_asm::Assembler;
+        use binsym_isa::Spec;
+
+        let elf = Assembler::new()
+            .assemble(
+                ".data\n__sym_input: .byte 0, 0\n.text\n_start:\n    la a0, __sym_input\n    \
+                 li a2, 100\n    lbu a1, 0(a0)\n    bltu a1, a2, c1\nc1: lbu a1, 1(a0)\n    \
+                 bltu a1, a2, c2\nc2: li a0, 0\n    li a7, 93\n    ecall\n",
+            )
+            .expect("assembles");
+        let mut exec = SpecExecutor::new(Spec::rv32im(), &elf, None).expect("sym input");
+        let mut tm = TermManager::new();
+        let trail = exec
+            .execute_path(&mut tm, &[0, 0], 1000, &mut NullObserver)
+            .expect("executes")
+            .trail;
+        let (at, pc) = trail
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| match *e {
+                TrailEntry::Branch { pc, taken, .. } => Some(((i, taken), pc)),
+                TrailEntry::Concretize { .. } => None,
+            })
+            .expect("a branch");
+        let (index, taken) = at;
+        let flip = Flip { ord: 0, taken, pc };
+        assert_eq!(flip.locate(&trail).map(|(i, _)| i).ok(), Some(index));
+        let divergent = [
+            Flip { ord: 17, ..flip },
+            Flip {
+                taken: !taken,
+                ..flip
+            },
+            Flip { pc: pc ^ 4, ..flip },
+        ];
+        for bogus in divergent {
+            assert!(
+                matches!(bogus.locate(&trail), Err(Error::ReplayDivergence { .. })),
+                "{bogus:?}"
+            );
+        }
     }
 
     #[test]

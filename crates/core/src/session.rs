@@ -37,7 +37,10 @@
 //! input; completed trails contribute flip candidates to the strategy's
 //! frontier; a candidate's prefix plus negated branch condition goes through
 //! the static gate to the solver (see [`crate::backend`]), and a model of a
-//! feasible flip seeds the next run.
+//! feasible flip seeds the next run. That loop is the engine's only one:
+//! the session drives it from the root with its own strategy, and each
+//! worker of a [`ParallelSession`] drives it depth-first over one *unit* at
+//! a time (see [`crate::parallel`]).
 //!
 //! The session keeps one incremental solver for its whole exploration:
 //! every flip query shares its bit-blasted terms and learnt clauses. A
@@ -50,7 +53,7 @@ use std::sync::Arc;
 
 use binsym_elf::ElfFile;
 use binsym_isa::Spec;
-use binsym_smt::{Solver, TermManager};
+use binsym_smt::{SatResult, Solver, TermManager};
 
 use crate::backend::{discharge, StaticGate};
 use crate::error::Error;
@@ -61,10 +64,9 @@ use crate::observe::{NullObserver, Observer};
 use crate::parallel::{
     ExecutorFactory, ObserverFactory, ParallelSession, PersistPlan, ShardStrategyFactory,
 };
-use crate::prescribe::{Flip, PathRecord, Prescription};
-use crate::strategy::{Candidate, Dfs, PathStrategy, PrescriptionStrategy};
+use crate::prescribe::{Flip, PathId, PathRecord, Prescription};
+use crate::strategy::{Candidate, Dfs, FrontierPolicy, PathStrategy, PrescriptionStrategy};
 use crate::trace::TraceSink;
-use crate::warm::WARM_CAPACITY;
 use crate::SYM_INPUT_SYMBOL;
 
 /// Outcome of executing one path.
@@ -111,7 +113,7 @@ pub trait PathExecutor {
 
     /// Replays the *prefix* of the path driven by `input`: executes until
     /// `branch_limit` symbolic branches have been recorded (or the path
-    /// ends), returning the trail. Used by prescription replay
+    /// ends), returning the trail. Used to replay a unit root's parent
     /// ([`crate::ParallelSession`]), where only the constraint prefix up to
     /// the flipped branch is needed — engines that can stop early save the
     /// path's tail. Replays are never observed (no [`Observer`] hooks fire).
@@ -410,8 +412,8 @@ impl PathExecutor for SpecExecutor {
 /// cannot share them. Parallel sessions take `Send` *factories* for the
 /// policy and observer (`shard_strategy`, `observer_factory`) and, for a
 /// custom engine, the executor factory of [`Session::factory_builder`];
-/// [`SessionBuilder::build_parallel`] consumes them, and every replayed
-/// flip is solved in a fresh solver (or through the warm cache).
+/// [`SessionBuilder::build_parallel`] consumes them, and each worker
+/// explores one unit at a time on a fresh incremental solver.
 pub struct SessionBuilder {
     executor: ExecutorSource,
     elf: Option<ElfFile>,
@@ -512,18 +514,24 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables the deterministic solver warm start for parallel sessions
-    /// (default: off). Each worker keeps its [`crate::warm::WARM_CAPACITY`]
-    /// most recently used parent trails, keyed by parent concrete input,
-    /// so a parent's prefix is executed once and reused; and one retained
-    /// solver context holding the last query's prefix bit-blast, with each
-    /// flip solved on a disposable clone of it. The cache affects **wall
-    /// time only, never models** — merged records stay byte-identical to
-    /// a cache-off run on every worker count, schedule, and hit pattern
-    /// (see [`crate::warm`]).
+    /// Selects the path budget of a parallel session's units (default:
+    /// off). A worker explores each prescription it takes as a *unit*: it
+    /// replays the parent prefix once, then explores depth-first on one
+    /// incremental solver until the unit has materialized its budget of
+    /// paths, and hands the rest of the subtree back as prescriptions.
+    /// Off, the budget is one path, so every flip is solved in a fresh
+    /// solver (cold replay); on, it is a fixed number of paths, and the
+    /// flips of a unit share one solver's bit-blast and learnt clauses.
     ///
-    /// Parallel-only (the sequential engine already has true cross-query
-    /// incrementality).
+    /// Each unit is a pure function of its root prescription and the
+    /// budget, so either setting gives records byte-identical across
+    /// worker counts, schedules, shard policies and resumes. The two
+    /// settings pick different witnesses (the solver of a unit has seen
+    /// the unit's earlier queries), so warm and cold records differ, as
+    /// the sequential session's differ from both.
+    ///
+    /// Parallel-only (the sequential session already runs the whole
+    /// exploration on one incremental solver).
     pub fn warm_start(mut self, enabled: bool) -> Self {
         self.warm_start = enabled;
         self
@@ -533,16 +541,17 @@ impl SessionBuilder {
     /// Before a flip query is bit-blasted, the path condition's literals
     /// and the `≤`/`<` order closure over them try to prove it
     /// infeasible; proved queries skip the SAT solver entirely (see
-    /// [`crate::StaticGate`]). On the sharded engine, like the warm-start
-    /// cache, the gate affects wall time only, never results: merged
-    /// records stay byte-identical to an analysis-off run, because every
-    /// residual query is solved from its original terms as if by a fresh
-    /// solver, and eliminations are exact. The sequential [`Session`]
-    /// keeps one solver whose learnt clauses and saved phases come from
+    /// [`crate::StaticGate`]). On a cold sharded session the gate affects
+    /// wall time only, never results: merged records stay byte-identical
+    /// to an analysis-off run, because every residual query is solved from
+    /// its original terms in a fresh solver, and eliminations are exact.
+    /// The sequential [`Session`] and the units of a warm sharded session
+    /// keep one solver whose learnt clauses and saved phases come from
     /// every query it was given, so there the gate can change which
-    /// witness a path gets (on bubble-sort, 713 of 720 witnesses differ
-    /// from a gate-off run), and under the `eq` policy, which pins a
-    /// symbolic address to its witness's value, even which paths exist.
+    /// witness a path gets (on bubble-sort, 713 of 720 sequential
+    /// witnesses differ from a gate-off run), and under the `eq` policy,
+    /// which pins a symbolic address to its witness's value, even which
+    /// paths exist.
     /// Per-query accounting flows through
     /// [`crate::Observer::on_static_analysis`]. The `BINSYM_SA_SHADOW`
     /// environment variable cross-checks every elimination against the
@@ -554,14 +563,14 @@ impl SessionBuilder {
     }
 
     /// Installs a shared [`MetricsRegistry`]: the engine times every
-    /// [`Phase`] (execute/replay, bit-blast, solve, gate, warm promote/
-    /// solve, merge) into the registry's lock-free per-worker shards, plus
-    /// a per-query latency histogram. Keep an `Arc` clone and read
-    /// [`MetricsRegistry::report`] after the run.
+    /// [`Phase`] (execute/replay, bit-blast, solve, gate, merge) into the
+    /// registry's lock-free per-worker shards, plus a per-query latency
+    /// histogram. Keep an `Arc` clone and read [`MetricsRegistry::report`]
+    /// after the run.
     ///
-    /// Like the warm cache and the static gate, metrics change **wall time
-    /// only, never results** — both determinism suites pin metrics-on runs
-    /// byte-identical to metrics-off runs. With no registry and no trace
+    /// Metrics change **wall time only, never results** — both
+    /// determinism suites pin metrics-on runs byte-identical to
+    /// metrics-off runs. With no registry and no trace
     /// sink installed the engine measures no clocks at all.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
@@ -580,13 +589,14 @@ impl SessionBuilder {
     }
 
     /// Writes an atomic checkpoint of the parallel exploration to `path`
-    /// every `every_n` newly merged paths (and once more on drain). A
-    /// checkpoint captures the committed records, every pending
-    /// prescription (queued, in flight or failed) and the truncation
-    /// watermark in the versioned [`crate::persist`] wire format — no
-    /// shard or policy state; [`SessionBuilder::resume`] turns it back into
-    /// a run whose merged records are **byte-identical** to the
-    /// uninterrupted run's.
+    /// at the first unit commit that brings `every_n` newly merged paths
+    /// (and once more on drain); with cold units of one path each, that is
+    /// every `every_n` paths. A checkpoint captures the committed records,
+    /// every pending prescription (queued, in flight or failed) and the
+    /// truncation watermark in the versioned [`crate::persist`] wire
+    /// format — no shard or policy state, and never part of a unit;
+    /// [`SessionBuilder::resume`] turns it back into a run whose merged
+    /// records are **byte-identical** to the uninterrupted run's.
     /// Files are written via a temp sibling + rename, so a kill at any
     /// instant leaves a complete checkpoint on disk. `every_n` must be
     /// nonzero. Parallel-only. Progress flows through
@@ -709,21 +719,21 @@ impl SessionBuilder {
                 });
             }
         }
-        let input = vec![0u8; executor.input_len() as usize];
-        let root = Prescription::root(input.clone(), executor.policy());
-        Ok(Session {
+        let root = Prescription::root(vec![0u8; executor.input_len() as usize], executor.policy());
+        let mut explorer = Explorer::new(
             executor,
-            tm: TermManager::new(),
-            strategy: self.strategy,
-            solver: Solver::new(),
-            observer: self.observer,
-            gate: StaticGate::new(self.static_analysis),
-            fuel: self.fuel,
+            self.observer,
+            self.strategy,
+            StaticGate::new(self.static_analysis),
+            self.fuel,
+            Instruments::new(self.metrics, self.trace, 0),
+        );
+        explorer.stage_root(root);
+        Ok(Session {
+            explorer,
             max_paths: self.limit,
-            next: Some((root, input)),
             done: false,
             summary: Summary::default(),
-            instr: Instruments::new(self.metrics, self.trace, 0),
         })
     }
 
@@ -805,7 +815,7 @@ impl SessionBuilder {
             self.fuel,
             self.limit,
             input_len,
-            self.warm_start.then_some(WARM_CAPACITY),
+            self.warm_start,
             StaticGate::new(self.static_analysis),
             Instruments::new(self.metrics, self.trace, 0),
             PersistPlan {
@@ -822,31 +832,19 @@ impl SessionBuilder {
 ///
 /// See the [module docs](self) for the full picture and an example.
 pub struct Session {
-    executor: Box<dyn PathExecutor>,
-    tm: TermManager,
-    strategy: Box<dyn PathStrategy>,
-    /// The incremental solver every flip query runs on.
-    solver: Solver,
-    observer: Box<dyn Observer>,
-    gate: StaticGate,
-    fuel: u64,
+    /// The exploration loop, with the session's strategy and its one
+    /// incremental solver.
+    explorer: Explorer<Box<dyn PathStrategy>>,
     max_paths: Option<u64>,
-    /// The next path and its input, when already known (the all-zero root,
-    /// the model of the last feasible flip, or a path that failed to
-    /// execute and is retried).
-    next: Option<(Prescription, Vec<u8>)>,
     done: bool,
-    /// Totals so far, except `solver_checks`, which `solver` counts.
+    /// Totals so far, except `solver_checks`, which the solver counts.
     summary: Summary,
-    /// Phase timers and trace spans (track 0); disabled unless a metrics
-    /// registry or trace sink was installed.
-    instr: Instruments,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.explorer.strategy.name())
             .field("paths", &self.summary.paths)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -906,12 +904,12 @@ impl Session {
 
     /// Length of the symbolic input region in bytes.
     pub fn input_len(&self) -> u32 {
-        self.executor.input_len()
+        self.explorer.executor.input_len()
     }
 
     /// Name of the active path-selection strategy.
     pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
+        self.explorer.strategy.name()
     }
 
     /// True when the frontier is exhausted (or the path limit was hit) and
@@ -924,7 +922,7 @@ impl Session {
     /// Totals accumulated so far (complete once exploration is done).
     pub fn summary(&self) -> Summary {
         Summary {
-            solver_checks: self.solver.num_checks(),
+            solver_checks: self.explorer.solver.num_checks(),
             ..self.summary.clone()
         }
     }
@@ -939,8 +937,10 @@ impl Session {
     /// # Errors
     /// Returns [`Error`] on execution errors or fuel exhaustion.
     pub fn execute_path(&mut self, input: &[u8]) -> Result<PathOutcome, Error> {
-        self.executor
-            .execute_path(&mut self.tm, input, self.fuel, &mut NullObserver)
+        let explorer = &mut self.explorer;
+        explorer
+            .executor
+            .execute_path(&mut explorer.tm, input, explorer.fuel, &mut NullObserver)
     }
 
     /// The streaming path iterator: each `next()` executes exactly one
@@ -973,92 +973,261 @@ impl Session {
         Ok(self.summary())
     }
 
-    /// Core of the lazy loop: executes one path and queues its flip
-    /// candidates; solves for the next input only when none is staged.
+    /// Steps the explorer to its next path: the staged one, or the next
+    /// feasible flip of the frontier. The limit check counts the paths the
+    /// explorer materialized.
     fn next_path(&mut self) -> Option<Result<PathOutcome, Error>> {
         if self.done {
             return None;
         }
-        let Some((p, input)) = self.next.take().or_else(|| self.solve_next()) else {
-            self.done = true;
-            return None;
+        loop {
+            match self.explorer.step() {
+                None => {
+                    self.done = true;
+                    return None;
+                }
+                Some(Err(e)) => return Some(Err(e)),
+                Some(Ok(Step::Infeasible { .. })) => {}
+                Some(Ok(Step::Path {
+                    record, outcome, ..
+                })) => {
+                    self.summary.add_path(&record);
+                    if self
+                        .max_paths
+                        .is_some_and(|limit| self.summary.paths >= limit)
+                    {
+                        self.summary.truncated = true;
+                        self.done = true;
+                    }
+                    return Some(Ok(outcome));
+                }
+            }
+        }
+    }
+}
+
+/// What one [`Explorer::step`] did.
+pub(crate) enum Step {
+    /// The flip of prescription `id` is infeasible: the gate proved it
+    /// (`query: None`) or the solver answered `query`.
+    Infeasible {
+        id: PathId,
+        query: Option<SatResult>,
+    },
+    /// A path materialized. `query` is the result of the flip query that
+    /// found it (`None` for a root, which needs none).
+    Path {
+        query: Option<SatResult>,
+        record: PathRecord,
+        outcome: PathOutcome,
+    },
+}
+
+/// A path whose input is known but that has not run yet: a root, or the
+/// model of a feasible flip whose path failed to execute and is retried.
+struct Staged {
+    prescription: Prescription,
+    input: Vec<u8>,
+    query: Option<SatResult>,
+}
+
+/// The exploration loop of every engine. A step pops a candidate, builds
+/// its flip query from the parent trail the candidate holds, gates and
+/// solves the query on the explorer's one [`Solver`], materializes the
+/// path under the model, and pushes the path's suffix flips. [`Session`]
+/// drives one from the root with its own strategy; a [`ParallelSession`]
+/// worker drives one per unit depth-first ([`Explorer::start_unit`]).
+pub(crate) struct Explorer<S> {
+    executor: Box<dyn PathExecutor>,
+    tm: TermManager,
+    strategy: S,
+    solver: Solver,
+    observer: Box<dyn Observer>,
+    gate: StaticGate,
+    fuel: u64,
+    /// Phase timers and trace spans; disabled unless a metrics registry
+    /// or trace sink was installed.
+    instr: Instruments,
+    staged: Option<Staged>,
+}
+
+impl<S: PathStrategy> Explorer<S> {
+    pub(crate) fn new(
+        executor: Box<dyn PathExecutor>,
+        observer: Box<dyn Observer>,
+        strategy: S,
+        gate: StaticGate,
+        fuel: u64,
+        instr: Instruments,
+    ) -> Self {
+        Explorer {
+            executor,
+            tm: TermManager::new(),
+            strategy,
+            solver: Solver::new(),
+            observer,
+            gate,
+            fuel,
+            instr,
+            staged: None,
+        }
+    }
+
+    /// Stages a root prescription: its input runs as is, with no query.
+    fn stage_root(&mut self, root: Prescription) {
+        self.staged = Some(Staged {
+            input: root.input.clone(),
+            prescription: root,
+            query: None,
+        });
+    }
+
+    /// The observer the explorer reports to.
+    pub(crate) fn observer(&mut self) -> &mut dyn Observer {
+        &mut *self.observer
+    }
+
+    /// The id of the staged path: after a failed step, the failing one.
+    pub(crate) fn staged_id(&self) -> Option<&PathId> {
+        self.staged.as_ref().map(|s| &s.prescription.id)
+    }
+
+    /// One step of the loop: executes the staged path, or pops the next
+    /// candidate and decides its flip, executing the path when the flip is
+    /// feasible. `None` once the frontier is exhausted. A path that fails
+    /// to execute stays staged, so the next step re-executes it (with no
+    /// new solver check) and, execution being deterministic, fails alike.
+    pub(crate) fn step(&mut self) -> Option<Result<Step, Error>> {
+        let staged = match self.staged.take() {
+            Some(staged) => staged,
+            None => {
+                let Candidate {
+                    prescription,
+                    trail,
+                } = self.strategy.pop()?;
+                let flip = prescription
+                    .flip
+                    .expect("frontier candidates flip a branch");
+                let (prefix, flipped) = flip
+                    .query(&trail, &mut self.tm)
+                    .expect("a candidate's trail holds its flip");
+                let (query, bytes) = discharge(
+                    &mut self.solver,
+                    &mut self.tm,
+                    self.gate,
+                    &prefix,
+                    flipped,
+                    self.executor.input_len(),
+                    &self.instr,
+                    &mut *self.observer,
+                );
+                let Some(input) = bytes else {
+                    return Some(Ok(Step::Infeasible {
+                        id: prescription.id,
+                        query,
+                    }));
+                };
+                Staged {
+                    prescription,
+                    input,
+                    query,
+                }
+            }
         };
-        let (record, spawned, outcome) = match materialize(
+        let materialized = materialize(
             &mut *self.executor,
             &mut self.tm,
             &mut *self.observer,
-            &p,
+            &staged.prescription,
             self.fuel,
-            input.clone(),
+            staged.input.clone(),
             &self.instr,
-        ) {
-            Ok(materialized) => materialized,
-            Err(e) => {
-                self.next = Some((p, input));
-                return Some(Err(e));
+        );
+        match materialized {
+            Ok((record, spawned, outcome)) => {
+                let trail: Rc<[TrailEntry]> = Rc::from(outcome.trail.as_slice());
+                for prescription in spawned {
+                    self.strategy.push(Candidate {
+                        prescription,
+                        trail: Rc::clone(&trail),
+                    });
+                }
+                Some(Ok(Step::Path {
+                    query: staged.query,
+                    record,
+                    outcome,
+                }))
             }
-        };
-        self.summary.add_path(&record);
-        if self
-            .max_paths
-            .is_some_and(|limit| self.summary.paths >= limit)
-        {
-            self.summary.truncated = true;
-            self.done = true;
-        } else {
-            let trail: Rc<[TrailEntry]> = Rc::from(outcome.trail.as_slice());
-            for prescription in spawned {
-                self.strategy.push(Candidate {
-                    prescription,
-                    trail: Rc::clone(&trail),
-                });
+            Err(e) => {
+                self.staged = Some(staged);
+                Some(Err(e))
             }
         }
-        Some(Ok(outcome))
+    }
+}
+
+impl Explorer<Dfs<Candidate>> {
+    /// Starts a unit at `root`: fresh term numbering, a fresh solver and
+    /// an empty frontier, so the unit is a pure function of its root. A
+    /// flip root's parent prefix is replayed under [`Phase::Replay`] and
+    /// checked against the flip's divergence guards ([`Flip::locate`]);
+    /// the root is then the frontier's one candidate.
+    ///
+    /// # Errors
+    /// [`Error::ReplayDivergence`] for a root recorded under another
+    /// address policy or whose flip the replayed trail does not hold, and
+    /// any execution error of the replay.
+    pub(crate) fn start_unit(&mut self, root: Prescription) -> Result<(), Error> {
+        // A trail's shape depends on how symbolic addresses resolve, so
+        // replaying under another policy would renumber branch ordinals.
+        if root.policy != self.executor.policy() {
+            return Err(Error::ReplayDivergence {
+                what: "prescription's address policy differs from the replaying executor's",
+            });
+        }
+        self.tm.reset();
+        self.solver = Solver::new();
+        self.strategy = Dfs::new();
+        self.staged = None;
+        let Some(flip) = root.flip else {
+            self.stage_root(root);
+            return Ok(());
+        };
+        let replay_started = self.instr.begin(Phase::Replay);
+        let trail =
+            self.executor
+                .execute_prefix(&mut self.tm, &root.input, self.fuel, flip.ord + 1);
+        self.instr
+            .finish(replay_started, Phase::Replay, &mut *self.observer);
+        let trail = trail?;
+        flip.locate(&trail)?;
+        FrontierPolicy::push(
+            &mut self.strategy,
+            Candidate {
+                prescription: root,
+                trail: Rc::from(trail),
+            },
+        );
+        Ok(())
     }
 
-    /// Pops frontier candidates until a flip is feasible, returning its
-    /// prescription and the model's input bytes, or `None` when the
-    /// frontier is exhausted.
-    fn solve_next(&mut self) -> Option<(Prescription, Vec<u8>)> {
-        while let Some(Candidate {
-            prescription,
-            trail,
-        }) = self.strategy.pop()
-        {
-            let flip = prescription
-                .flip
-                .expect("frontier candidates flip a branch");
-            let (prefix, flipped) = flip
-                .query(&trail, &mut self.tm)
-                .expect("a path's own trail holds each of its flips");
-            let (_, bytes) = discharge(
-                &mut self.solver,
-                &mut self.tm,
-                self.gate,
-                &prefix,
-                flipped,
-                self.executor.input_len(),
-                &self.instr,
-                &mut *self.observer,
-            );
-            if let Some(bytes) = bytes {
-                return Some((prescription, bytes));
-            }
-        }
-        None
+    /// Empties the unit's frontier into plain prescriptions, shallowest
+    /// first: the flips a stopped unit hands back to its shard.
+    pub(crate) fn leftovers(&mut self) -> Vec<Prescription> {
+        std::iter::from_fn(|| self.strategy.steal())
+            .map(|c| c.prescription)
+            .collect()
     }
 }
 
 /// Executes the path a prescription materializes under its solved `input`
 /// and derives the prescriptions of its unexplored suffix — the branches
-/// past the flipped one (all of them for the root). The path step of both
-/// engines: returns the path's record, its spawned prescriptions, and the
-/// full outcome.
+/// past the flipped one (all of them for the root). Returns the path's
+/// record, its spawned prescriptions, and the full outcome.
 ///
 /// # Errors
 /// Returns [`Error`] on execution errors or fuel exhaustion.
-pub(crate) fn materialize(
+fn materialize(
     executor: &mut dyn PathExecutor,
     tm: &mut TermManager,
     observer: &mut dyn Observer,

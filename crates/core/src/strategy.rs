@@ -7,14 +7,15 @@
 //! policy implements [`FrontierPolicy`] once, generically over the item it
 //! schedules, and so serves two frontiers:
 //!
-//! * the **sequential** frontier of [`crate::Session`], holding
-//!   [`Candidate`]s (a prescription plus the parent's live trail, continued
-//!   in place) behind the [`PathStrategy`] trait, which every
-//!   `FrontierPolicy<Candidate>` implements;
+//! * the frontier of the exploration loop, holding [`Candidate`]s (a
+//!   prescription plus the parent's live trail, continued in place) behind
+//!   the [`PathStrategy`] trait, which every `FrontierPolicy<Candidate>`
+//!   implements: the [`crate::Session`]'s strategy, and [`Dfs`] inside
+//!   every unit of a [`crate::ParallelSession`];
 //! * the **shard-local** frontiers of [`crate::ParallelSession`], holding
-//!   plain-data [`Prescription`]s behind the [`PrescriptionStrategy`]
-//!   trait — the same policies, whose [`steal`](FrontierPolicy::steal) end
-//!   serves idle workers.
+//!   plain-data unit roots ([`Prescription`]s) behind the
+//!   [`PrescriptionStrategy`] trait — the same policies, whose
+//!   [`steal`](FrontierPolicy::steal) end serves idle workers.
 //!
 //! The policies:
 //!
@@ -45,16 +46,16 @@ use crate::coverage::CoverageMap;
 use crate::machine::TrailEntry;
 use crate::prescribe::Prescription;
 
-/// A pending branch flip on the sequential frontier: the plain-data
-/// [`Prescription`] naming it, plus the recorded trail of the path it
-/// branches off, from which the session builds the flip query in place
-/// instead of replaying the parent.
+/// A pending branch flip on the exploration loop's frontier: the
+/// plain-data [`Prescription`] naming it, plus the recorded trail of the
+/// path it branches off, from which the loop builds the flip query in
+/// place instead of replaying the parent.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// Replayable plain-data identity of this pending path; its
     /// [`Prescription::flip`] names the branch to flip.
     pub prescription: Prescription,
-    /// The parent path's trail (live term handles into the session's term
+    /// The parent path's trail (live term handles into the explorer's term
     /// manager), one copy shared by every flip of that path.
     pub trail: Rc<[TrailEntry]>,
 }

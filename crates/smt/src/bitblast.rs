@@ -108,9 +108,10 @@ impl BitBlaster {
 
     /// Creates an empty blaster that journals its cache insertions,
     /// enabling [`BitBlaster::checkpoint`] / [`BitBlaster::rollback`] —
-    /// the cache-side half of the warm-start prefix context (the solver
-    /// side is [`SatSolver::rollback`]; the two must be checkpointed and
-    /// rolled back together to stay consistent).
+    /// the cache-side half of a prefix context (the solver side is
+    /// [`SatSolver::rollback`]; the two must be checkpointed and rolled
+    /// back together to stay consistent). No engine code uses the journal
+    /// any more: the hunt benchmark's layer rows are its last callers.
     pub fn with_journal() -> Self {
         let mut b = BitBlaster::new();
         b.journal = Some(Vec::new());
@@ -176,7 +177,7 @@ impl BitBlaster {
     }
 
     /// A clone sharing the full cache but carrying no journal — the
-    /// scratch instance the warm-start path blasts a flip query with.
+    /// scratch instance a prefix context blasts a flip query with.
     pub fn clone_unjournaled(&self) -> BitBlaster {
         BitBlaster {
             cache: self.cache.clone(),

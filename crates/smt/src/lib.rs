@@ -18,9 +18,10 @@
 //! * [`bitblast`] — Tseitin encoding of bitvector terms to CNF,
 //! * [`solver`] — an incremental `assert`/`check_sat` façade that poses
 //!   queries as assumptions, with model extraction,
-//! * [`prefix`] — reusable blasted path-prefix contexts for the parallel
-//!   engine's deterministic warm start (each flip query solved on a
-//!   disposable clone; models bit-identical to a cold per-query solver),
+//! * [`prefix`] — reusable blasted path-prefix contexts (each flip query
+//!   solved on a disposable clone; models bit-identical to a cold
+//!   per-query solver); no engine code uses them any more, and the hunt
+//!   benchmark's layer rows are their last callers,
 //! * [`smtlib`] — an SMT-LIB v2 printer (with `let`-sharing for multiply
 //!   referenced internal nodes) used to regenerate the paper's Fig. 2
 //!   solver query.

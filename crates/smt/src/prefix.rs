@@ -1,8 +1,17 @@
-//! Reusable blasted path-prefix contexts for deterministic warm starts.
+//! Reusable blasted path-prefix contexts, once the parallel engine's
+//! deterministic warm start.
 //!
-//! Replay-based parallel exploration (`binsym-core`'s `ParallelSession`)
-//! discharges every branch-flip query in a brand-new solver: blast the
-//! replayed path prefix, blast the flipped condition, solve. Consecutive
+//! No engine code calls this module any more: a warm `ParallelSession`
+//! (`binsym-core`) now explores each unit of many paths on one incremental
+//! solver. Its last callers are the hunt benchmark's `prefix.*` and
+//! `clone.*` layer rows (`huntbench/src/layers.rs`), which drive it
+//! directly; the benchmark change that retires those rows deletes it,
+//! together with the SAT op log ([`SatSolver::rollback`]) and the blaster
+//! journal ([`BitBlaster::rollback`]) that only it uses.
+//!
+//! A cold per-flip solver discharges every branch-flip query from
+//! scratch: blast the replayed path prefix, blast the flipped condition,
+//! solve. Consecutive
 //! prescriptions from the same subtree replay — and re-blast — the *same*
 //! prefix. A [`PrefixContext`] holds that blasted prefix open as a
 //! reusable context, with each flip query solved on a disposable clone of
@@ -46,9 +55,9 @@
 //!
 //! # Error discipline
 //!
-//! Warm-start code runs on worker threads, where a panic poisons the
-//! whole exploration; everything fallible on the cached-context rollback
-//! path is therefore typed. [`SatSolver::rollback`] and
+//! The contexts were built to run on worker threads, where a panic poisons
+//! the whole exploration; everything fallible on the cached-context
+//! rollback path is therefore typed. [`SatSolver::rollback`] and
 //! [`BitBlaster::rollback`] report stale, foreign or unlogged checkpoints
 //! and a retained solver that is no longer pristine as [`RollbackError`];
 //! [`PrefixContext::solve_flip`] forwards them (and a missing internal

@@ -26,9 +26,11 @@
 //! clause store, the watch lists and the heap only grow, so cutting them
 //! back to a checkpoint's lengths leaves exactly the state a fresh
 //! construction of the same operations builds. A solver that is no longer
-//! append-only refuses with [`RollbackError::NotPristine`]; the
-//! warm-start prefix contexts never search on their retained solver, and
-//! their owner answers a refusal with a fresh context.
+//! append-only refuses with [`RollbackError::NotPristine`]; the prefix
+//! contexts ([`crate::PrefixContext`]) never search on their retained
+//! solver. No engine code uses the op log any more: the hunt benchmark's
+//! `prefix.*` and `clone.*` layer rows, which drive the prefix contexts,
+//! are its last callers.
 //!
 //! The solver is deliberately free of unsafe code; the workloads produced by
 //! bit-blasting the paper's benchmarks (a few thousand variables) are well
@@ -125,8 +127,8 @@ struct ClauseHeader {
 
 /// Flat clause storage: one shared literal arena plus (offset, length)
 /// headers, replacing the former `Vec<Clause{lits: Vec<Lit>}>`. Cloning
-/// the whole database — the warm-start path's per-flip scratch clone —
-/// is two `memcpy`s instead of one small-`Vec` clone per clause.
+/// the whole database — a prefix context's per-flip scratch clone — is
+/// two `memcpy`s instead of one small-`Vec` clone per clause.
 ///
 /// Clauses are appended in arena order and only ever removed from the
 /// tail ([`ClauseStore::truncate`], used by rollback) or by a full
@@ -450,9 +452,8 @@ pub struct SatCheckpoint {
 ///
 /// These conditions are engine bugs (a stale or foreign checkpoint) or a
 /// retained solver that is no longer pristine, so they surface as typed
-/// errors rather than panics: the warm-start cache runs on worker threads,
-/// where a panic would poison the whole exploration instead of failing one
-/// prescription.
+/// errors rather than panics: the prefix contexts were built to run on
+/// worker threads, where a panic would poison the whole exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackError {
     /// The solver was not created with [`SatSolver::with_op_log`].
@@ -609,7 +610,8 @@ impl SatSolver {
     /// [`SatSolver::checkpoint`] / [`SatSolver::rollback`].
     ///
     /// The log costs one version stamp per operation; use it only where
-    /// rollback is actually needed (the warm-start prefix contexts).
+    /// rollback is actually needed (the prefix contexts, whose last
+    /// callers are the hunt benchmark's layer rows).
     pub fn with_op_log() -> Self {
         let mut s = SatSolver::new();
         s.log_id = NEXT_LOG_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -645,9 +647,9 @@ impl SatSolver {
     /// behaves exactly like a solve on that fresh solver. A solver that was
     /// never solved on and whose watch lists were never perturbed by
     /// propagation is still an append-only structure, so rolling back is
-    /// an O(removed) truncation. The warm-start prefix contexts keep their
-    /// retained solver that way: they shrink it to a depth-first sibling's
-    /// shorter prefix on almost every query and solve only on clones.
+    /// an O(removed) truncation. The prefix contexts keep their retained
+    /// solver that way: they shrink it to a depth-first sibling's shorter
+    /// prefix on almost every query and solve only on clones.
     ///
     /// # Errors
     /// [`RollbackError`] when the solver has no op log, the checkpoint is
@@ -727,7 +729,7 @@ impl SatSolver {
     }
 
     /// A clone sharing the full solver state but carrying no op log — the
-    /// scratch instance the warm-start path layers a flip query on, leaving
+    /// scratch instance a prefix context layers a flip query on, leaving
     /// the logged context untouched.
     pub fn clone_unlogged(&self) -> SatSolver {
         SatSolver {

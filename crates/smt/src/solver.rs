@@ -122,9 +122,9 @@ impl Solver {
 /// Reads the model of a satisfiable `(blaster, sat)` pair: every variable
 /// registered in `tm`, with variables that never reached the solver
 /// defaulting to 0 (unconstrained). The **single** definition of model
-/// completion — [`Solver::model`] and the warm-start
-/// [`crate::PrefixContext::model`] both go through it, so the "warm models
-/// bit-identical to cold" contract cannot drift.
+/// completion — [`Solver::model`] and [`crate::PrefixContext::model`] both
+/// go through it, so the "prefix-context models bit-identical to a fresh
+/// solver's" contract cannot drift.
 pub(crate) fn extract_model(blaster: &BitBlaster, sat: &SatSolver, tm: &TermManager) -> Model {
     let mut m = Model::new();
     for (id, name, _sort) in tm.iter_vars() {

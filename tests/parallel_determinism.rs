@@ -1,29 +1,36 @@
 //! Determinism suite for the sharded `ParallelSession` (all five Table I
 //! programs).
 //!
-//! Replaying a prescription is a pure function of the prescription, so a
-//! parallel exploration must produce **identical** merged results —
-//! path counts, branch counts, per-path records (witness inputs included),
-//! and summary contents — across 1/2/4/8 workers, across repeated runs,
-//! and across shard scheduling policies (including `RandomRestart` with a
-//! fixed seed). Against the *sequential* engine the comparison is
-//! model-independent: the same pinned path count, the same multiset of
-//! branch-decision fingerprints, the same solver-check and step totals
-//! (witness inputs are solver model choices and may legitimately differ
-//! between the sequential incremental solver and the fresh replay
-//! contexts).
+//! A unit of sharded exploration is a pure function of its root
+//! prescription, so a parallel exploration must produce **identical**
+//! merged results — path counts, branch counts, per-path records (witness
+//! inputs included), and summary contents — across 1/2/4/8 workers,
+//! across repeated runs, and across shard scheduling policies (including
+//! `RandomRestart` with a fixed seed). Against the *sequential* engine the
+//! comparison is model-independent: the same pinned path count, the same
+//! multiset of branch-decision fingerprints, the same solver-check and
+//! step totals (witness inputs are solver model choices and may
+//! legitimately differ between the sequential incremental solver and the
+//! fresh solvers of cold units).
 //!
-//! The warm start ([`Session`]`Builder::warm_start`) must be
-//! invisible here too: a warm run's records are pinned byte-identical to
-//! the cache-off run — the cache may only change wall time, never models.
+//! The warm start ([`Session`]`Builder::warm_start`) explores each unit of
+//! many paths on one incremental solver, so its witnesses differ from cold
+//! ones. Warm runs are therefore pinned against a warm reference of the
+//! same configuration: byte-identical across worker counts, repeated runs,
+//! shard policies, instrumentation, truncation and kill/resume, and pinned
+//! to a digest per Table I program. Against cold runs they agree on the
+//! model-independent results.
 //!
 //! The word-level static-analysis gate
-//! ([`Session`]`Builder::static_analysis`) carries the same contract with
-//! one calibrated exception: it *removes* whole solver checks (so
-//! `solver_checks` shrinks by exactly the eliminated count, which the
-//! suite asserts via the observer's `sa_queries_eliminated`), but the
-//! merged records — witness bytes included — stay byte-identical to the
-//! gate-off run at every worker count, warm or cold.
+//! ([`Session`]`Builder::static_analysis`) carries the same contract on
+//! cold runs with one calibrated exception: it *removes* whole solver
+//! checks (so `solver_checks` shrinks by exactly the eliminated count,
+//! which the suite asserts via the observer's `sa_queries_eliminated`), but
+//! the merged records — witness bytes included — stay byte-identical to
+//! the gate-off run at every worker count. A warm unit's solver never sees
+//! the queries the gate removes, so the gate may change warm witnesses;
+//! gated warm runs are pinned against the gated warm reference, with their
+//! check savings still accounted against the gate-off run.
 //!
 //! The observability layer (`SessionBuilder::metrics` / `::trace`) carries
 //! the same contract with no exceptions at all: phase timers and trace
@@ -41,11 +48,11 @@
 //! reproduce the *default* run byte-for-byte (policy inertness), and the
 //! default `eq` policy is contractually the pre-policy engine.
 //!
-//! Every comparison above is relative, so a drift that moved all fresh-solver
-//! models alike would pass them. The cold 1-worker record stream is
-//! therefore also pinned to a digest of its encoded bytes; records are
-//! byte-identical across worker counts and warm or cold, so the pin fixes
-//! those runs' records too.
+//! Every comparison above is relative, so a drift that moved all models
+//! alike would pass them. The cold and the warm 1-worker record streams
+//! are therefore also pinned to digests of their encoded bytes; records
+//! are byte-identical across worker counts, so the pins fix those runs'
+//! records too.
 //!
 //! The three big programs run under `#[ignore]` so the debug-mode tier-1
 //! suite stays fast; CI runs them in release with `--include-ignored`.
@@ -56,10 +63,11 @@ use std::sync::{Arc, Mutex};
 
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
+use binsym_repro::binsym::persist::section;
 use binsym_repro::binsym::{
-    encode_seq, AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CountingObserver,
-    MetricsRegistry, Observer, PathRecord, Prescription, RandomRestart, Session, Summary,
-    TraceSink, TrailEntry,
+    decode_seq, encode_seq, AddressPolicyKind, Bfs, CheckpointEvent, ChromeTraceSink,
+    CountingObserver, Document, MetricsRegistry, Observer, PathRecord, Prescription, RandomRestart,
+    Session, SessionBuilder, Summary, TraceSink, TrailEntry,
 };
 use binsym_repro::isa::Spec;
 
@@ -129,17 +137,31 @@ fn parallel_run_configured(
     (summary, session.records().to_vec())
 }
 
-/// Checks the path count of a cold 1-worker run under the default policy
-/// and the 64-bit FNV-1a digest of its encoded record stream.
-fn check_cold_records_pinned(p: &Program, pinned: u64) {
-    let (summary, records) = parallel_run(p, 1, None);
-    assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
+/// The 64-bit FNV-1a digest of an encoded record stream.
+fn records_digest(records: &[PathRecord]) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for b in encode_seq(&records) {
+    for b in encode_seq(records) {
         digest ^= u64::from(b);
         digest = digest.wrapping_mul(0x0100_0000_01b3);
     }
+    digest
+}
+
+/// Checks the path count of a cold 1-worker run under the default policy
+/// and the digest of its encoded record stream.
+fn check_cold_records_pinned(p: &Program, pinned: u64) {
+    let (summary, records) = parallel_run(p, 1, None);
+    assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
+    let digest = records_digest(&records);
     assert_eq!(digest, pinned, "{}: digest {digest:#018x}", p.name);
+}
+
+/// [`check_cold_records_pinned`] for the warm 1-worker run.
+fn check_warm_records_pinned(p: &Program, pinned: u64) {
+    let (summary, records) = parallel_run_configured(p, 1, None, None, true);
+    assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
+    let digest = records_digest(&records);
+    assert_eq!(digest, pinned, "{}: warm digest {digest:#018x}", p.name);
 }
 
 fn assert_summaries_equal(a: &Summary, b: &Summary, what: &str) {
@@ -186,9 +208,12 @@ fn analysis_run(
     (summary, session.records().to_vec(), counts)
 }
 
-/// The static-analysis contract: gate on vs. off, cold and warm, at every
-/// worker count — merged records byte-identical, and every solver check
-/// the gated run saves accounted for one-to-one by `sa_queries_eliminated`.
+/// The static-analysis contract: gate on vs. off at every worker count.
+/// Cold merged records are byte-identical to the gate-off run's; warm ones
+/// to the gated 1-worker warm run's. Every solver check a gated run saves
+/// is accounted for one-to-one by `sa_queries_eliminated` (on a truncated
+/// warm run, whose cut falls where its own witnesses put it, only the
+/// warm reference is compared).
 fn check_static_analysis(p: &Program, limit: Option<u64>) {
     let (off_summary, off_records, off_counts) = analysis_run(p, 1, limit, false, false);
     if limit.is_none() {
@@ -199,6 +224,7 @@ fn check_static_analysis(p: &Program, limit: Option<u64>) {
         "{}: a disabled gate must not screen anything",
         p.name
     );
+    let (warm_summary, warm_records, _) = analysis_run(p, 1, limit, true, true);
     for workers in [1usize, 2, 4, 8] {
         for warm in [false, true] {
             let (summary, records, counts) = analysis_run(p, workers, limit, warm, true);
@@ -207,8 +233,16 @@ fn check_static_analysis(p: &Program, limit: Option<u64>) {
                 p.name,
                 if warm { " + warm" } else { "" }
             );
-            assert_eq!(records, off_records, "{what}: byte-identical to gate-off");
-            assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
+            if warm {
+                assert_eq!(records, warm_records, "{what}: byte-identical to 1 worker");
+                assert_summaries_equal(&summary, &warm_summary, &what);
+                if limit.is_some() {
+                    continue;
+                }
+            } else {
+                assert_eq!(records, off_records, "{what}: byte-identical to gate-off");
+                assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
+            }
             if limit.is_none() {
                 // Full run: every attempt merges, so the observer's
                 // elimination counter explains the check delta exactly.
@@ -332,54 +366,106 @@ fn check_truncated(p: &Program, limit: u64) {
     assert_eq!(records, ref_records, "{}: repeated truncated run", p.name);
 }
 
-/// The warm-start contract: `.warm_start(true)` must be invisible in the
-/// results — records and summaries byte-identical to the cache-off run at
-/// every worker count, with the random shard policy, and on a truncated
-/// (`limit`) run. The cache affects wall time only, never models.
-///
-/// The context-reuse pin rides along: warm runs carry a counting
-/// observer, and the suite asserts each worker's retained context
-/// actually engaged — prefix terms were served warm, and the context was
-/// re-used across *different* parent inputs — while the records above
-/// stay byte-identical. Cross-parent sharing is what one context per
-/// worker exists for; this proves it happens and is invisible.
+/// Sorted branch-decision fingerprints: the model-independent path set.
+fn decision_set(records: &[PathRecord]) -> Vec<Vec<bool>> {
+    let mut set: Vec<Vec<bool>> = records.iter().map(|r| r.decisions.clone()).collect();
+    set.sort();
+    set
+}
+
+/// One warm run of `p` with metrics and tracing on, or with a
+/// breadth-first shard policy: the two warm configurations
+/// [`parallel_run_configured`] does not build.
+fn warm_run_with(
+    p: &Program,
+    workers: usize,
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
+) -> (Summary, Vec<PathRecord>) {
+    let elf = p.build();
+    let builder = Session::builder(Spec::rv32im())
+        .binary(&elf)
+        .workers(workers)
+        .warm_start(true);
+    let mut session = configure(builder).build_parallel().expect("builds");
+    let summary = session.run_all().expect("explores");
+    (summary, session.records().to_vec())
+}
+
+/// The warm-start contract. A warm unit explores many paths on one
+/// incremental solver, so warm witnesses differ from cold ones, and the
+/// reference is the 1-worker warm run. Records and summaries are
+/// byte-identical to it at every worker count, on a repeated run, under the
+/// random-restart and breadth-first shard policies, and with metrics and
+/// tracing on; truncated warm runs return its canonical prefix. Against the
+/// cold run the model-independent results agree: path count, steps,
+/// solver checks, longest trail and the path set.
 fn check_warm_start(p: &Program, limit: u64) {
-    let (ref_summary, ref_records) = parallel_run(p, 1, None);
+    let (ref_summary, ref_records) = parallel_run_configured(p, 1, None, None, true);
+    let (cold_summary, cold_records) = parallel_run(p, 1, None);
+    let what = format!("{} warm vs cold", p.name);
+    assert_eq!(ref_summary.paths, p.expected_paths, "{what}: pinned count");
+    assert_eq!(ref_summary.total_steps, cold_summary.total_steps, "{what}");
+    assert_eq!(
+        ref_summary.solver_checks, cold_summary.solver_checks,
+        "{what}"
+    );
+    assert_eq!(
+        ref_summary.max_trail_len, cold_summary.max_trail_len,
+        "{what}"
+    );
+    assert_eq!(
+        decision_set(&ref_records),
+        decision_set(&cold_records),
+        "{what}: path set"
+    );
+
+    let mut runs = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        // `analysis: true` matches the builder default the cache-off
-        // reference runs under (the gate is on unless disabled), so the
-        // only knob this loop turns is the warm start itself.
-        let (summary, records, counts) = analysis_run(p, workers, None, true, true);
-        let what = format!("{} warm, {workers} workers", p.name);
-        assert_eq!(summary.paths, p.expected_paths, "{what}: pinned count");
+        let run = parallel_run_configured(p, workers, None, None, true);
+        runs.push((format!("{workers} workers"), run));
+    }
+    runs.push((
+        "repeated".to_string(),
+        parallel_run_configured(p, 2, None, None, true),
+    ));
+    for workers in [1usize, 4] {
+        let run = parallel_run_configured(p, workers, Some(0xbead_cafe), None, true);
+        runs.push((format!("random-restart, {workers} workers"), run));
+    }
+    runs.push((
+        "bfs, 2 workers".to_string(),
+        warm_run_with(p, 2, |b| {
+            b.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
+        }),
+    ));
+    runs.push((
+        "instrumented, 2 workers".to_string(),
+        warm_run_with(p, 2, |b| {
+            b.metrics(Arc::new(MetricsRegistry::new(2)))
+                .trace(Arc::new(ChromeTraceSink::new()) as Arc<dyn TraceSink>)
+        }),
+    ));
+    for (config, (summary, records)) in runs {
+        let what = format!("{} warm, {config}", p.name);
         assert_summaries_equal(&summary, &ref_summary, &what);
-        assert_eq!(records, ref_records, "{what}: byte-identical to cache-off");
-        assert!(
-            counts.warm_hits + counts.warm_misses > 0,
-            "{what}: warm queries fired"
-        );
-        assert!(
-            counts.warm_prefix_reused > 0,
-            "{what}: retained contexts served prefix terms"
-        );
-        assert!(
-            counts.warm_cross_parent_reuse > 0,
-            "{what}: the worker's context must serve sibling parents"
-        );
+        assert_eq!(records, ref_records, "{what}: merged records");
     }
 
-    // Scheduling policy changes the hit pattern, not the results.
-    let (summary, records) = parallel_run_configured(p, 4, Some(0xbead_cafe), None, true);
-    let what = format!("{} warm random-restart", p.name);
-    assert_summaries_equal(&summary, &ref_summary, &what);
-    assert_eq!(records, ref_records, "{what}: merged records");
-
-    // Truncated warm runs return the same canonical prefix as truncated
-    // cache-off runs.
-    let (cut_summary, cut_records) = parallel_run_limited(p, 1, None, Some(limit));
-    for workers in [1usize, 4] {
-        let (summary, records) = parallel_run_configured(p, workers, None, Some(limit), true);
-        let what = format!("{} warm truncated, {workers} workers", p.name);
+    // Truncated warm runs return the canonical prefix of the full warm run.
+    let (cut_summary, cut_records) = parallel_run_configured(p, 1, None, Some(limit), true);
+    assert_eq!(cut_summary.paths, limit, "{}: warm truncated", p.name);
+    assert_eq!(
+        cut_records.as_slice(),
+        &ref_records[..limit as usize],
+        "{}: warm truncation is the canonical prefix",
+        p.name
+    );
+    for (workers, seed) in [(2usize, None), (4, None), (4, Some(0xfeed_f00d))] {
+        let (summary, records) = parallel_run_configured(p, workers, seed, Some(limit), true);
+        let what = format!(
+            "{} warm truncated, {workers} workers, seed {seed:?}",
+            p.name
+        );
         assert_summaries_equal(&summary, &cut_summary, &what);
         assert_eq!(records, cut_records, "{what}: canonical prefix");
     }
@@ -417,22 +503,31 @@ impl Observer for CopyOnWritten {
     }
 }
 
-/// The kill/resume contract: a run checkpointing after every merged path,
-/// killed after `fire_at` paths (simulated by copying the live checkpoint
-/// aside), then resumed from the cut — with the warm cache and the static
-/// gate on both sides — must produce merged records byte-identical to the
-/// uninterrupted reference at 1/2/4 workers.
+/// The kill/resume contract: a warm run checkpointing at every unit commit
+/// that merges a path, killed at its `fire_at`-th write (simulated by
+/// copying the live checkpoint aside) while units are still pending, then
+/// resumed from the cut — with warm units and the static gate on both
+/// sides — must produce merged records byte-identical to the uninterrupted
+/// warm reference at 1/2/4 workers.
 fn check_kill_resume(p: &Program, fire_at: u64) {
-    check_kill_resume_policy(p, fire_at, AddressPolicyKind::default());
+    check_kill_resume_policy(p, fire_at, AddressPolicyKind::default(), true, true);
 }
 
-/// [`check_kill_resume`] under an explicit address-concretization policy:
-/// the checkpoint round-trips the policy's trail (concretization entries
-/// included), so the resumed exploration must still be byte-identical to
-/// the uninterrupted run under the same policy.
-fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind) {
+/// [`check_kill_resume`] under an explicit address-concretization policy,
+/// warm or cold: the checkpoint round-trips the policy's trail
+/// (concretization entries included), so the resumed exploration must
+/// still be byte-identical to the uninterrupted run under the same
+/// configuration. `mid_run` says whether units are still pending at the
+/// cut; a warm unit can hold a small program's every path.
+fn check_kill_resume_policy(
+    p: &Program,
+    fire_at: u64,
+    policy: AddressPolicyKind,
+    warm: bool,
+    mid_run: bool,
+) {
     let elf = p.build();
-    let (ref_summary, ref_records, _) = policy_run(p, 1, policy, false, true);
+    let (ref_summary, ref_records, _) = policy_run(p, 1, policy, warm, true);
     for workers in [1usize, 2, 4] {
         let live = ck_path("kill-live");
         let copy = ck_path("kill-copy");
@@ -441,7 +536,7 @@ fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind
         let mut interrupted = Session::builder(Spec::rv32im())
             .binary(&elf)
             .workers(workers)
-            .warm_start(true)
+            .warm_start(warm)
             .static_analysis(true)
             .address_policy(policy)
             .checkpoint(&live, 1)
@@ -460,10 +555,18 @@ fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind
             copy.exists(),
             "{workers} workers: mid-run checkpoint copied"
         );
+        let doc = Document::read(&copy).expect("reads");
+        let pending: Vec<Prescription> =
+            decode_seq(doc.require(section::PENDING).expect("pending")).expect("decodes");
+        assert_eq!(
+            !pending.is_empty(),
+            mid_run,
+            "{workers} workers: units pending at the cut"
+        );
         let mut resumed = Session::builder(Spec::rv32im())
             .binary(&elf)
             .workers(workers)
-            .warm_start(true)
+            .warm_start(warm)
             .static_analysis(true)
             .address_policy(policy)
             .resume(&copy)
@@ -472,7 +575,11 @@ fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind
         let summary = resumed.run_all().expect("resumes");
         let _ = std::fs::remove_file(&live);
         let _ = std::fs::remove_file(&copy);
-        let what = format!("{} ({policy}) killed+resumed, {workers} workers", p.name);
+        let what = format!(
+            "{} ({policy}{}) killed+resumed, {workers} workers",
+            p.name,
+            if warm { ", warm" } else { "" }
+        );
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(
             resumed.records(),
@@ -509,11 +616,13 @@ fn policy_run(
     (summary, session.records().to_vec(), counts)
 }
 
-/// The per-policy determinism contract on one program: against the
-/// policy's own gate-off 1-worker reference, every 1/2/4/8-worker × warm
-/// × gate combination must merge byte-identical records, with the gate's
-/// check savings accounted one-to-one, and a repeated run must reproduce
-/// the bytes. `expected_paths` pins the policy's path count.
+/// The per-policy determinism contract on one program: every
+/// 1/2/4/8-worker × warm × gate combination must merge records
+/// byte-identical to the policy's own 1-worker reference — the gate-off
+/// one for cold runs, the warm one with the same gate setting for warm
+/// runs — with the gate's check savings accounted one-to-one against the
+/// gate-off run, and a repeated run must reproduce the bytes.
+/// `expected_paths` pins the policy's path count.
 fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u64) {
     let (off_summary, off_records, off_counts) = policy_run(p, 1, policy, false, false);
     let what = format!("{} ({policy})", p.name);
@@ -522,6 +631,7 @@ fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u
         off_counts.sa_queries_eliminated, 0,
         "{what}: a disabled gate must not screen anything"
     );
+    let warm_refs = [false, true].map(|gate| policy_run(p, 1, policy, true, gate));
     for workers in [1usize, 2, 4, 8] {
         for warm in [false, true] {
             for gate in [false, true] {
@@ -532,8 +642,14 @@ fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u
                     if warm { " + warm" } else { "" },
                     if gate { " + gate" } else { "" },
                 );
-                assert_eq!(records, off_records, "{what}: merged records");
-                assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
+                let (ref_summary, ref_records) = if warm {
+                    let (summary, records, _) = &warm_refs[usize::from(gate)];
+                    (summary, records)
+                } else {
+                    (&off_summary, &off_records)
+                };
+                assert_eq!(&records, ref_records, "{what}: merged records");
+                assert_summaries_equal_modulo_checks(&summary, ref_summary, &what);
                 if gate {
                     assert_eq!(
                         summary.solver_checks + counts.sa_queries_eliminated,
@@ -552,8 +668,9 @@ fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u
     // Repeated run: byte-identical.
     let (summary, records, _) = policy_run(p, 2, policy, true, true);
     let what = format!("{} ({policy}) repeated", p.name);
-    assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
-    assert_eq!(records, off_records, "{what}: merged records");
+    let (ref_summary, ref_records, _) = &warm_refs[1];
+    assert_summaries_equal(&summary, ref_summary, &what);
+    assert_eq!(&records, ref_records, "{what}: merged records");
 }
 
 /// One parallel run with metrics and tracing fully on. Also sanity-checks
@@ -658,13 +775,23 @@ fn uri_parser_static_analysis_is_invisible_in_results() {
 
 #[test]
 fn clif_parser_kill_resume_is_byte_identical() {
-    check_kill_resume(&programs::CLIF_PARSER, 40);
+    // Cold units are cut mid-run; one warm unit holds all 120 paths, so a
+    // warm run is cut at its one commit.
+    let policy = AddressPolicyKind::default();
+    check_kill_resume_policy(&programs::CLIF_PARSER, 40, policy, false, true);
+    check_kill_resume_policy(&programs::CLIF_PARSER, 1, policy, true, false);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn bubble_sort_kill_resume_is_byte_identical() {
+    check_kill_resume(&programs::BUBBLE_SORT, 1);
 }
 
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn uri_parser_kill_resume_is_byte_identical() {
-    check_kill_resume(&programs::URI_PARSER, 500);
+    check_kill_resume(&programs::URI_PARSER, 3);
 }
 
 #[test]
@@ -724,8 +851,15 @@ fn table_lookup_kill_resume_is_byte_identical_under_every_policy() {
     // The checkpoint wire format carries the concretization trail, so a
     // mid-run kill must resume to identical bytes under every policy —
     // including the symbolic window, whose trail entries are the new kind.
-    check_kill_resume_policy(&TABLE_LOOKUP, 1, AddressPolicyKind::ConcretizeEq);
-    check_kill_resume_policy(&TABLE_LOOKUP, 2, AddressPolicyKind::Symbolic { window: 64 });
+    for (policy, fire_at) in [
+        (AddressPolicyKind::ConcretizeEq, 1),
+        (AddressPolicyKind::Symbolic { window: 64 }, 2),
+    ] {
+        check_kill_resume_policy(&TABLE_LOOKUP, fire_at, policy, false, true);
+        // One warm unit holds all of table-lookup's paths: its commit is
+        // the only cut before the drain.
+        check_kill_resume_policy(&TABLE_LOOKUP, 1, policy, true, false);
+    }
 }
 
 #[test]
@@ -749,7 +883,8 @@ fn clif_parser_policies_are_inert_on_concrete_addresses() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn uri_parser_policies_are_inert_on_concrete_addresses() {
-    let (ref_summary, ref_records) = parallel_run(&programs::URI_PARSER, 1, None);
+    let (ref_summary, ref_records) =
+        parallel_run_configured(&programs::URI_PARSER, 1, None, None, true);
     let policy = AddressPolicyKind::Symbolic { window: 64 };
     let (summary, records, _) = policy_run(&programs::URI_PARSER, 4, policy, true, true);
     let what = format!("uri-parser ({policy})");
@@ -784,4 +919,45 @@ fn insertion_sort_cold_records_are_pinned() {
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn base64_encode_cold_records_are_pinned() {
     check_cold_records_pinned(&programs::BASE64_ENCODE, 0x985a_9e9b_7cc4_a0b9);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_warm_start_is_invisible_in_results() {
+    check_warm_start(&programs::BASE64_ENCODE, 300);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_warm_start_is_invisible_in_results() {
+    check_warm_start(&programs::INSERTION_SORT, 300);
+}
+
+#[test]
+fn clif_parser_warm_records_are_pinned() {
+    check_warm_records_pinned(&programs::CLIF_PARSER, 0xb47a_b20b_4641_67b6);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn bubble_sort_warm_records_are_pinned() {
+    check_warm_records_pinned(&programs::BUBBLE_SORT, 0xa526_5693_67b5_02e1);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn uri_parser_warm_records_are_pinned() {
+    check_warm_records_pinned(&programs::URI_PARSER, 0x66d9_697f_2112_7b7c);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_warm_records_are_pinned() {
+    check_warm_records_pinned(&programs::INSERTION_SORT, 0x43ca_de81_43ef_814b);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_warm_records_are_pinned() {
+    check_warm_records_pinned(&programs::BASE64_ENCODE, 0x108a_eb5e_40f9_57f3);
 }

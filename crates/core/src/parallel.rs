@@ -15,13 +15,13 @@
 //! It resets its term manager (restoring fresh handle numbering, see
 //! [`TermManager::reset`]), replays the root's parent prefix once, and
 //! then runs the session's own exploration loop depth-first on a fresh
-//! incremental [`Solver`] until the unit has materialized its path budget
-//! or its frontier is empty. The rest of the subtree's frontier goes back
-//! to the worker's shard as plain prescriptions, each the root of a later
-//! unit. The budget is one path by default, which solves every flip in a
-//! fresh solver (cold replay), and a fixed number of paths with
-//! [`crate::SessionBuilder::warm_start`], which lets the flips of a
-//! subtree share one solver's bit-blast and learnt clauses.
+//! incremental [`binsym_smt::Solver`] until the unit has materialized its
+//! path budget or its frontier is empty. The rest of the subtree's frontier
+//! goes back to the worker's shard as plain prescriptions, each the root of
+//! a later unit. The budget is one path by default, which solves every
+//! flip in a fresh solver (cold replay), and a fixed number of paths with
+//! [`crate::SessionBuilder::warm_start`], which lets the flips of a subtree
+//! share one solver's bit-blast and learnt clauses.
 //!
 //! # Worker topology
 //!
@@ -116,8 +116,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-#[cfg(doc)]
-use binsym_smt::Solver;
 use binsym_smt::{SatResult, TermManager};
 
 use crate::backend::StaticGate;

@@ -30,15 +30,15 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use binsym_repro::bench::programs::{self, Program};
 use binsym_repro::bench::{policy_trajectory, SearchStrategy};
 use binsym_repro::binsym::persist::section;
 use binsym_repro::binsym::{
-    decode_seq, AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CountingObserver,
-    CoverageGuided, CoverageMap, CoverageObserver, Document, MetricsRegistry, Observer, PathRecord,
-    Prescription, Session, Summary, TraceSink,
+    decode_seq, AddressPolicyKind, CheckpointEvent, ChromeTraceSink, CoverageGuided, CoverageMap,
+    CoverageObserver, Document, MetricsRegistry, Observer, PathRecord, Prescription, Session,
+    Summary, TraceSink,
 };
 use binsym_repro::isa::Spec;
 
@@ -61,27 +61,10 @@ fn coverage_run_configured(
     warm: bool,
     analysis: bool,
 ) -> (Summary, Vec<PathRecord>, u64) {
-    let (summary, records, covered, _) = coverage_run_counted(p, workers, limit, warm, analysis);
-    (summary, records, covered)
-}
-
-/// Like [`coverage_run_configured`], additionally composing a shared
-/// [`CountingObserver`] next to each worker's coverage observer (the
-/// observer-pair impl fans every callback out to both), whose counts are
-/// returned too.
-fn coverage_run_counted(
-    p: &Program,
-    workers: usize,
-    limit: Option<u64>,
-    warm: bool,
-    analysis: bool,
-) -> (Summary, Vec<PathRecord>, u64, CountingObserver) {
     let elf = p.build();
     let map = CoverageMap::shared_for(&elf);
     let policy_map = Arc::clone(&map);
     let observer_map = Arc::clone(&map);
-    let counters = Arc::new(Mutex::new(CountingObserver::new()));
-    let handle = Arc::clone(&counters);
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
@@ -90,25 +73,14 @@ fn coverage_run_counted(
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
         })
-        .observer_factory(move |_| {
-            Box::new((
-                Arc::clone(&handle),
-                CoverageObserver::new(Arc::clone(&observer_map)),
-            ))
-        });
+        .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&observer_map))));
     if let Some(limit) = limit {
         builder = builder.limit(limit);
     }
     let mut session = builder.build_parallel().expect("builds");
     assert_eq!(session.strategy_name(), "coverage");
     let summary = session.run_all().expect("explores");
-    let counts = *counters.lock().expect("counters");
-    (
-        summary,
-        session.records().to_vec(),
-        map.covered_count(),
-        counts,
-    )
+    (summary, session.records().to_vec(), map.covered_count())
 }
 
 /// Reference run: default depth-first shard policy, no coverage plumbing.
@@ -227,14 +199,12 @@ fn check_warm_start(p: &Program, limit: u64) {
     let (ref_summary, ref_records) = dfs_run_configured(p, 1, None, true);
     let (_, _, cold_covered) = coverage_run(p, 1, None);
     for workers in [1usize, 2, 4, 8] {
-        let (summary, records, covered, counts) =
-            coverage_run_counted(p, workers, None, true, true);
+        let (summary, records, covered) = coverage_run_configured(p, workers, None, true, true);
         let what = format!("{} warm coverage, {workers} workers", p.name);
         assert_eq!(summary.paths, p.expected_paths, "{what}: pinned count");
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(records, ref_records, "{what}: byte-identical to warm dfs");
         assert_eq!(covered, cold_covered, "{what}: final covered PCs");
-        assert_eq!(counts.paths, p.expected_paths, "{what}: observed paths");
     }
     let (cut_summary, cut_records) = dfs_run_configured(p, 1, Some(limit), true);
     for workers in [1usize, 4] {

@@ -29,7 +29,7 @@ use binsym::{
     encode_seq, AddressPolicyKind, CoverageGuided, CoverageMap, CoverageObserver, Prescription,
     Session, SessionBuilder,
 };
-use binsym_bench::cli::BenchOpts;
+use binsym_bench::cli::{requested_workers, BenchOpts};
 use binsym_bench::engines::memory_policy_from_opts;
 use binsym_bench::{programs, TABLE_LOOKUP, TABLE_LOOKUP_SYMBOLIC_PATHS};
 use binsym_elf::ElfFile;
@@ -74,17 +74,11 @@ impl HuntArgs {
         // `BenchOpts` reads a zero worker count as "sequential", but a hunt
         // drives a sharded session only: refuse it rather than run the
         // default two workers.
-        let workers = match value_of("--workers") {
-            Some(raw) => Some(("--workers", raw.clone())),
-            None => std::env::var("BINSYM_WORKERS")
-                .ok()
-                .map(|raw| ("BINSYM_WORKERS", raw)),
-        };
-        if let Some((name, raw)) = workers {
-            if raw.parse::<usize>() == Ok(0) {
-                eprintln!("{name} must be at least 1: a hunt drives a sharded session");
-                std::process::exit(2);
-            }
+        let env = std::env::var("BINSYM_WORKERS").ok();
+        let flag = value_of("--workers").map(String::as_str);
+        if let Some((source, 0)) = requested_workers(flag, env.as_deref()) {
+            eprintln!("{source} must be at least 1: a hunt drives a sharded session");
+            std::process::exit(2);
         }
         HuntArgs {
             benchmark,

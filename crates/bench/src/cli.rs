@@ -11,6 +11,26 @@ use binsym::{ChromeTraceSink, CountingObserver, TraceSink};
 
 use crate::engines::{memory_policy_from_opts, RunSpec, SearchStrategy};
 
+/// The worker count the command line asks for and the name of the source
+/// that gave it: the value of `--workers` (`flag`) when the flag is given,
+/// else a non-empty `BINSYM_WORKERS` (`env`). Zero comes back as asked:
+/// [`BenchOpts`] reads it as "sequential", and a bin that drives only
+/// sharded sessions refuses it.
+///
+/// # Panics
+/// Panics on a value that is not a count, naming its source: silently
+/// falling back to the sequential engine would record a wrong datapoint.
+pub fn requested_workers(flag: Option<&str>, env: Option<&str>) -> Option<(&'static str, usize)> {
+    let (source, raw) = match flag {
+        Some(raw) => ("--workers", raw),
+        None => ("BINSYM_WORKERS", env.filter(|s| !s.is_empty())?),
+    };
+    let count = raw
+        .parse()
+        .unwrap_or_else(|_| panic!("invalid value for {source}: {raw:?}"));
+    Some((source, count))
+}
+
 /// Options common to the bench bins.
 #[derive(Debug, Clone, Default)]
 pub struct BenchOpts {
@@ -93,21 +113,16 @@ impl BenchOpts {
                 }
             })
         };
-        // A malformed count must fail loudly: silently falling back to the
-        // sequential engine would record a wrong datapoint.
         let count = |flag: &str, raw: &str| -> usize {
             raw.parse()
                 .unwrap_or_else(|_| panic!("invalid value for {flag}: {raw:?}"))
         };
-        let workers = value_of("--workers")
-            .map(|s| count("--workers", s))
-            .or_else(|| {
-                workers_env
-                    .as_deref()
-                    .filter(|s| !s.is_empty())
-                    .map(|s| count("BINSYM_WORKERS", s))
-            })
-            .filter(|&w| w > 0);
+        let workers = requested_workers(
+            value_of("--workers").map(String::as_str),
+            workers_env.as_deref(),
+        )
+        .map(|(_, n)| n)
+        .filter(|&w| w > 0);
         BenchOpts {
             workers,
             strategy: value_of("--strategy").cloned(),
@@ -757,6 +772,16 @@ mod tests {
 
         let o = BenchOpts::parse(args(&["--workers", "0"]).into_iter(), None, &SHARED);
         assert_eq!(o.workers, None, "0 means sequential");
+        assert_eq!(
+            requested_workers(Some("0"), Some("3")),
+            Some(("--workers", 0)),
+            "the flag wins, and zero comes back as asked"
+        );
+        assert_eq!(
+            requested_workers(None, Some("0")),
+            Some(("BINSYM_WORKERS", 0))
+        );
+        assert_eq!(requested_workers(None, Some("")), None, "an empty variable");
 
         let o = BenchOpts::parse(args(&["--runs", "7"]).into_iter(), None, &SHARED);
         assert_eq!(o.runs, Some(7));

@@ -101,14 +101,16 @@
 //! result-shaping parameters, the records, the pending map and the
 //! truncation watermark, written under the ledger lock alone — a
 //! consistent cut that never holds part of a unit, with no shard state in
-//! it. A resume ([`crate::SessionBuilder::resume`]) always spreads the
-//! pending map over its own shards in contiguous `PathId` chunks, whatever
-//! the worker count and shard policy of the interrupted run; unit purity
-//! and the canonical merge make its records byte-identical to an
-//! uninterrupted run's. A failed unit that a resume runs again re-makes
-//! records the checkpoint already holds; the ledger and the watermark
-//! ignore every record whose id is already committed. The locks nest one
-//! way only: ledger → {watermark, shard}.
+//! it. A resume ([`crate::SessionBuilder::resume`]) rejects a checkpoint
+//! of other result-shaping parameters (a warm run's include the unit
+//! budget and the gate setting), and always spreads the pending map over
+//! its own shards in contiguous `PathId` chunks, whatever the worker count
+//! and shard policy of the interrupted run; unit purity and the canonical
+//! merge make its records byte-identical to an uninterrupted run's. A
+//! failed unit that a resume runs again re-makes records the checkpoint
+//! already holds; the ledger and the watermark ignore every record whose
+//! id the checkpoint restored. The locks nest one way only: ledger →
+//! {watermark, shard}.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -186,9 +188,10 @@ pub(crate) struct PersistPlan {
     pub(crate) resume: Option<PathBuf>,
 }
 
-/// The run parameters a checkpoint is only valid under. All three shape
-/// the result *content*, so a resume validates them strictly; worker count
-/// and shard policy shape scheduling only and are not recorded.
+/// The run parameters a checkpoint is only valid under, with the address
+/// policy and a warm run's [`UnitMeta`]. All shape the result *content*, so
+/// a resume validates them strictly; worker count and shard policy shape
+/// scheduling only and are not recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CheckpointMeta {
     input_len: u32,
@@ -212,18 +215,45 @@ impl Wire for CheckpointMeta {
     }
 }
 
+/// What shapes a warm unit's witnesses besides its root: the path budget
+/// and whether the static gate spares its solver the queries it proves
+/// infeasible. Persisted in [`section::UNITS`] by warm runs only; a cold
+/// unit solves each flip in a fresh solver, so neither shapes its records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UnitMeta {
+    paths: u64,
+    static_analysis: bool,
+}
+
+impl Wire for UnitMeta {
+    fn encode(&self, enc: &mut Enc) {
+        self.paths.encode(enc);
+        self.static_analysis.encode(enc);
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, PersistError> {
+        Ok(UnitMeta {
+            paths: u64::decode(dec)?,
+            static_analysis: bool::decode(dec)?,
+        })
+    }
+}
+
 /// The single record of a run's committed and pending work, guarded by one
 /// mutex that doubles as the **commit lock**. Every prescription of the run
-/// is in exactly one place: a committed record, the pending map, or gone
-/// (pruned past the truncation watermark). Each move between them happens
-/// under this lock, so a checkpoint written under it alone is a consistent
-/// cut.
+/// is in one place: a committed record, the pending map, or gone (pruned
+/// past the truncation watermark) — except a failed unit's root, which is
+/// both committed (its path ran) and pending (its unit must run again).
+/// Each move between them happens under this lock, so a checkpoint written
+/// under it alone is a consistent cut.
 #[derive(Default)]
 struct Ledger {
     records: Vec<PrescriptionRecord>,
-    /// The ids of `records`: a failed unit that runs again re-makes the
-    /// records it committed before failing, and a commit skips those.
-    committed: HashSet<PathId>,
+    /// The ids of the records a resumed checkpoint restored. A failed unit
+    /// that a resume runs again re-makes the records it committed before
+    /// failing, and a commit skips those. Within one run no id repeats:
+    /// units cover disjoint subtrees, and a failed unit does not run again.
+    restored: HashSet<PathId>,
     /// Every seeded or spawned unit root not yet committed or pruned:
     /// queued in a shard, in flight on a worker, or failed. A failed unit
     /// keeps its root here, so a resume runs the unit again and — units
@@ -246,6 +276,8 @@ struct CheckpointPlan {
     /// validated strictly on resume (it shapes every trail, so a
     /// checkpoint is meaningless under a different policy).
     policy: AddressPolicyKind,
+    /// A warm run's unit settings; `None` for a cold run.
+    units: Option<UnitMeta>,
 }
 
 /// Everything a resume checkpoint seeds a run with.
@@ -263,14 +295,27 @@ fn load_checkpoint(
     path: &Path,
     expect: &CheckpointMeta,
     expect_policy: AddressPolicyKind,
+    expect_units: Option<UnitMeta>,
 ) -> Result<ResumeSeed, Error> {
     let doc = Document::read(path)?;
     let meta: CheckpointMeta = crate::persist::decode_one(doc.require(section::META)?)?;
     let policy: AddressPolicyKind = crate::persist::decode_one(doc.require(section::POLICY)?)?;
+    let units: Option<UnitMeta> = doc
+        .section(section::UNITS)
+        .map(crate::persist::decode_one)
+        .transpose()?;
     for (differs, what) in [
         (
             policy != expect_policy,
             "checkpoint address policy differs from this session's",
+        ),
+        (
+            units.map(|u| u.paths) != expect_units.map(|u| u.paths),
+            "checkpoint unit budget (warm_start) differs from this session's",
+        ),
+        (
+            units != expect_units,
+            "checkpoint static_analysis differs from this warm session's",
         ),
         (
             meta.input_len != expect.input_len,
@@ -308,10 +353,11 @@ fn load_checkpoint(
 }
 
 /// Writes one atomic checkpoint of the run from the held ledger: the
-/// committed records, every pending prescription in [`PathId`] order, and
-/// the truncation watermark. The caller holds the ledger (the commit lock)
-/// and nothing else; the watermark lock is taken inside it, in the run's
-/// one lock order, ledger → {watermark, shard}.
+/// committed records, every pending prescription in [`PathId`] order, the
+/// truncation watermark and a warm run's unit settings. The caller holds
+/// the ledger (the commit lock) and nothing else; the watermark lock is
+/// taken inside it, in the run's one lock order, ledger → {watermark,
+/// shard}.
 fn write_checkpoint(
     ck: &CheckpointPlan,
     ledger: &Ledger,
@@ -343,6 +389,9 @@ fn write_checkpoint(
     doc.push(section::RECORDS, encode_seq(&ledger.records));
     doc.push(section::PENDING, pending.into_bytes());
     doc.push(section::WATERMARK, encode_seq(&watermark_ids));
+    if let Some(units) = &ck.units {
+        doc.push(section::UNITS, crate::persist::encode_one(units));
+    }
     doc.write_atomic(&ck.path)?;
     Ok(ledger.paths)
 }
@@ -539,7 +588,7 @@ impl RunState {
     }
 
     /// Commits one unit under the ledger lock: its records land, except
-    /// those whose id an earlier run of the unit already committed. With
+    /// those a resumed checkpoint restored (a failed unit run again). With
     /// `leftovers` (a unit that did not fail), the root leaves the pending
     /// map and the leftovers — minus those the tightened watermark already
     /// rules out — enter the map and `shard`; a failed unit's root stays
@@ -563,7 +612,7 @@ impl RunState {
             .map(|w| w.lock().expect("watermark lock"));
         let mut paths = 0;
         for record in records {
-            if !ledger.committed.insert(record.id.clone()) {
+            if ledger.restored.contains(&record.id) {
                 continue;
             }
             if record.path.is_some() {
@@ -695,6 +744,15 @@ impl ParallelSession {
         }
     }
 
+    /// A warm run's unit settings, which its checkpoints record; `None`
+    /// for a cold run.
+    fn unit_meta(&self) -> Option<UnitMeta> {
+        self.warm_start().then_some(UnitMeta {
+            paths: self.unit_paths,
+            static_analysis: self.gate.enabled(),
+        })
+    }
+
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
@@ -773,6 +831,7 @@ impl ParallelSession {
                     every,
                     meta: self.checkpoint_meta(),
                     policy: self.policy,
+                    units: self.unit_meta(),
                 }),
         };
 
@@ -798,7 +857,12 @@ impl ParallelSession {
         let ledger = state.ledger.get_mut().expect("ledger lock");
         let seeds = match &self.persist.resume {
             Some(resume_path) => {
-                let loaded = load_checkpoint(resume_path, &self.checkpoint_meta(), self.policy)?;
+                let loaded = load_checkpoint(
+                    resume_path,
+                    &self.checkpoint_meta(),
+                    self.policy,
+                    self.unit_meta(),
+                )?;
                 if let Some(w) = &state.watermark {
                     let mut w = w.lock().expect("watermark lock");
                     for id in loaded.watermark_ids {
@@ -809,7 +873,7 @@ impl ParallelSession {
                     records: loaded.records.len() as u64,
                 });
                 ledger.paths = loaded.records.iter().filter(|r| r.path.is_some()).count() as u64;
-                ledger.committed = loaded.records.iter().map(|r| r.id.clone()).collect();
+                ledger.restored = loaded.records.iter().map(|r| r.id.clone()).collect();
                 ledger.records = loaded.records;
                 loaded.pending
             }
@@ -890,8 +954,8 @@ impl ParallelSession {
         let merge_started = merge_instr.begin(Phase::Merge);
         let mut all = state.ledger.into_inner().expect("ledger lock").records;
         all.sort_by(|a, b| a.id.cmp(&b.id));
-        // A commit skips ids already committed, but a hand-made checkpoint
-        // may repeat one in RECORDS. Unit purity makes equal-id records
+        // A commit skips restored ids, but a hand-made checkpoint may
+        // repeat one in RECORDS. Unit purity makes equal-id records
         // byte-identical, so dropping duplicates is canonical.
         all.dedup_by(|a, b| a.id == b.id);
 
@@ -1109,10 +1173,11 @@ impl Drop for InFlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::{CoverageMap, CoverageObserver};
     use crate::machine::TrailEntry;
     use crate::observe::CountingObserver;
     use crate::session::Session;
-    use crate::strategy::{Bfs, RandomRestart};
+    use crate::strategy::{Bfs, CoverageGuided, RandomRestart};
     use binsym_asm::Assembler;
     use binsym_isa::Spec;
 
@@ -1464,11 +1529,35 @@ ok:
             (r.paths, r.total_steps, r.solver_checks),
             (c.paths, c.total_steps, c.solver_checks)
         );
-        for workers in [2usize, 4] {
-            let par = warm(workers);
-            assert_eq!(par.records(), reference.records(), "{workers} workers");
-            assert_eq!(par.summary(), reference.summary(), "{workers} workers");
+
+        // Across schedules, on a program of three units.
+        let run = |b: crate::SessionBuilder| {
+            let mut par = b.build_parallel().unwrap();
+            (par.run_all().unwrap(), par.records().to_vec())
+        };
+        let units = run(warm_units(1));
+        assert_eq!(units.0.paths, 2 * UNIT_PATHS + 5);
+        for workers in [2usize, 4, 8] {
+            assert!(run(warm_units(workers)) == units, "{workers} workers");
         }
+        let policies: [ShardStrategyFactory; 2] = [
+            Arc::new(|_| Box::new(Bfs::<Prescription>::new())),
+            Arc::new(|i| Box::new(RandomRestart::<Prescription>::with_seed(7 + i as u64))),
+        ];
+        for policy in policies {
+            let shards = warm_units(3).shard_strategy(move |i| policy(i));
+            assert!(run(shards) == units, "shard policy");
+        }
+        // The hunt's stack: coverage-guided shards over a map the workers'
+        // observers fill.
+        let map = CoverageMap::shared_for(&elf(&unit_program(units_side_a(), false)));
+        let marks = Arc::clone(&map);
+        let coverage = warm_units(3)
+            .shard_strategy(move |_| {
+                Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
+            })
+            .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&marks))));
+        assert!(run(coverage) == units, "coverage-guided shards");
     }
 
     #[test]
@@ -1668,22 +1757,27 @@ ok:
 
     #[test]
     fn resume_after_mid_run_kill_is_byte_identical() {
-        let reference = finished(THREE_COMPARES, 1);
-        for workers in [1usize, 2, 4] {
-            let copy = checkpoint_cut(builder(THREE_COMPARES).workers(workers), || {
-                Box::new(NullObserver)
-            });
-            // Resume from the mid-run cut: the merged records must come
-            // out byte-identical to the uninterrupted run.
-            let mut resumed = builder(THREE_COMPARES)
-                .workers(workers)
-                .resume(&copy)
-                .build_parallel()
-                .unwrap();
-            let summary = resumed.run_all().unwrap();
-            let _ = std::fs::remove_file(&copy);
-            assert_eq!(summary, reference.summary(), "{workers} workers");
-            assert_eq!(resumed.records(), reference.records(), "{workers} workers");
+        // Cold units commit one path each; in the warm program the second
+        // unit commit leaves the third unit pending.
+        let cold = |workers: usize| builder(THREE_COMPARES).workers(workers);
+        let sessions: [&dyn Fn(usize) -> crate::SessionBuilder; 2] = [&cold, &warm_units];
+        for session in sessions {
+            let mut reference = session(1).build_parallel().unwrap();
+            reference.run_all().unwrap();
+            for workers in [1usize, 2, 4] {
+                let copy = checkpoint_cut(session(workers), || Box::new(NullObserver));
+                let doc = Document::read(&copy).unwrap();
+                let pending: Vec<Prescription> =
+                    decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
+                assert!(!pending.is_empty(), "{workers} workers: a mid-run cut");
+                // Resume from the mid-run cut: the merged records must come
+                // out byte-identical to the uninterrupted run.
+                let mut resumed = session(workers).resume(&copy).build_parallel().unwrap();
+                let summary = resumed.run_all().unwrap();
+                let _ = std::fs::remove_file(&copy);
+                assert_eq!(summary, reference.summary(), "{workers} workers");
+                assert_eq!(resumed.records(), reference.records(), "{workers} workers");
+            }
         }
     }
 
@@ -1848,14 +1942,14 @@ ok:
         ));
     }
 
-    /// A program whose one failing path ends a warm unit part-way. Byte 0
-    /// splits it. The root path's side runs `side_a` independent byte
-    /// compares, more paths than one unit holds, so the flip of byte 0
-    /// becomes a unit root of its own. On that side, byte 1 at or above
-    /// 100 makes an unknown syscall; otherwise two more compares follow.
-    /// Whatever the models, the unit's four clean paths come first in
-    /// canonical order and the failing path, the flip of byte 1, last.
-    fn failing_unit_program(side_a: usize) -> String {
+    /// A program of more paths than one warm unit holds. Byte 0 splits
+    /// it. The root path's side runs `side_a` independent byte compares,
+    /// so the flip of byte 0 becomes a unit root of its own. On that side,
+    /// byte 1 at or above 100 makes an unknown syscall when `fail` (and
+    /// exits otherwise); below it two more compares follow. Whatever the
+    /// models, the unit's four compare paths come first in canonical order
+    /// and the path of byte 1 at or above 100, the flip of byte 1, last.
+    fn unit_program(side_a: usize, fail: bool) -> String {
         let zeros = vec!["0"; 4 + side_a].join(", ");
         let mut src = format!(
             ".data\n__sym_input: .byte {zeros}\n.text\n_start:\n    la a0, __sym_input\n    \
@@ -1874,16 +1968,35 @@ ok:
             let byte = side_a + i;
             src += &format!("    lbu a1, {byte}(a0)\n    bltu a1, a2, b{i}\nb{i}:\n");
         }
-        src + exit + "fail:\n    li a7, 999\n    ecall\n"
+        let fail_path = if fail {
+            "    li a7, 999\n    ecall\n"
+        } else {
+            exit
+        };
+        src + exit + "fail:\n" + fail_path
+    }
+
+    /// The [`unit_program`] side-A compares that make 2 * UNIT_PATHS paths.
+    fn units_side_a() -> usize {
+        UNIT_PATHS.ilog2() as usize + 1
+    }
+
+    /// A warm session of the clean [`unit_program`]: side A holds
+    /// 2 * UNIT_PATHS paths and side B five, so the root unit leaves two
+    /// unit roots, which workers steal and a checkpoint cut leaves pending.
+    fn warm_units(workers: usize) -> crate::SessionBuilder {
+        builder(&unit_program(units_side_a(), false))
+            .workers(workers)
+            .warm_start(true)
     }
 
     #[test]
     fn warm_unit_failing_part_way_commits_its_earlier_paths() {
         // Side A holds 2 * UNIT_PATHS paths; side B's four clean paths
         // come next in canonical order, then its failing one.
-        let side_a = UNIT_PATHS.ilog2() as usize + 1;
+        let side_a = units_side_a();
         let side_a_paths = 1u64 << side_a;
-        let image = elf(&failing_unit_program(side_a));
+        let image = elf(&unit_program(side_a, true));
         let warm = |workers: usize| {
             Session::builder(Spec::rv32im())
                 .binary(&image)
@@ -1918,7 +2031,9 @@ ok:
 
             // Checkpointing every path, the failed unit's earlier paths are
             // committed and its root stays pending; a resume runs the unit
-            // again, skips the records it re-makes, and fails alike.
+            // again, skips the records it re-makes, and fails alike. The
+            // failure stops the run, so side A's second unit stays pending
+            // too when no worker had taken it yet.
             let path = ck_path("unit-fail");
             assert!(unknown_syscall(&run(warm(workers).checkpoint(&path, 1))));
             let doc = Document::read(&path).unwrap();
@@ -1927,8 +2042,10 @@ ok:
             let pending: Vec<Prescription> =
                 decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
             let failed_root = PathId::root().child(0);
-            assert_eq!(pending.len(), 1, "{workers} workers");
-            assert_eq!(pending[0].id, failed_root);
+            assert!(
+                pending.iter().any(|p| p.id == failed_root),
+                "{workers} workers: the failed unit's root is pending"
+            );
             let unit_paths = records
                 .iter()
                 .filter(|r| r.path.is_some() && r.id.as_slice().first() == Some(&0))
@@ -2032,8 +2149,34 @@ ok:
             .unwrap()
             .run_all()
             .unwrap_err();
-        let _ = std::fs::remove_file(&path);
         assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
+        // Other unit settings: warm units pick other witnesses than cold
+        // ones, and the gate shapes a warm unit's solver, so the resumed
+        // records would match neither run. A cold unit solves each flip in
+        // a fresh solver, so its records do not depend on the gate.
+        let warm = ck_path("meta-warm");
+        let run = |b: crate::SessionBuilder| b.workers(1).build_parallel().unwrap().run_all();
+        run(builder(THREE_COMPARES)
+            .warm_start(true)
+            .checkpoint(&warm, 4))
+        .unwrap();
+        let resume = |b: crate::SessionBuilder, ck: &Path| run(b.resume(ck));
+        for (b, ck) in [
+            (builder(THREE_COMPARES).warm_start(true), &path),
+            (builder(THREE_COMPARES), &warm),
+            (
+                builder(THREE_COMPARES)
+                    .warm_start(true)
+                    .static_analysis(false),
+                &warm,
+            ),
+        ] {
+            let err = resume(b, ck).unwrap_err();
+            assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
+        }
+        assert!(resume(builder(THREE_COMPARES).static_analysis(false), &path).is_ok());
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&warm);
         // Missing file: a session-level Io error, never a panic.
         let err = builder(THREE_COMPARES)
             .workers(1)

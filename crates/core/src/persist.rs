@@ -93,6 +93,12 @@ pub mod section {
     /// shapes every trail, so a checkpoint taken under a different policy
     /// is unusable.
     pub const POLICY: u32 = 9;
+    /// A warm run's unit budget and static-analysis setting
+    /// ([`crate::SessionBuilder::warm_start`]). Both shape a warm unit's
+    /// witnesses, so a resume validates them strictly. A cold run writes
+    /// no such section, and a checkpoint without one holds cold records,
+    /// which only a cold session resumes.
+    pub const UNITS: u32 = 10;
 }
 
 /// Typed persistence failure. Wrapped as [`crate::Error::Persist`] at the

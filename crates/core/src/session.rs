@@ -528,7 +528,8 @@ impl SessionBuilder {
     /// worker counts, schedules, shard policies and resumes. The two
     /// settings pick different witnesses (the solver of a unit has seen
     /// the unit's earlier queries), so warm and cold records differ, as
-    /// the sequential session's differ from both.
+    /// the sequential session's differ from both, and a checkpoint
+    /// resumes only under the setting that wrote it.
     ///
     /// Parallel-only (the sequential session already runs the whole
     /// exploration on one incremental solver).
@@ -551,7 +552,7 @@ impl SessionBuilder {
     /// witness a path gets (on bubble-sort, 713 of 720 sequential
     /// witnesses differ from a gate-off run), and under the `eq` policy,
     /// which pins a symbolic address to its witness's value, even which
-    /// paths exist.
+    /// paths exist; a warm checkpoint resumes only under the same setting.
     /// Per-query accounting flows through
     /// [`crate::Observer::on_static_analysis`]. The `BINSYM_SA_SHADOW`
     /// environment variable cross-checks every elimination against the
@@ -608,14 +609,17 @@ impl SessionBuilder {
 
     /// Seeds the parallel exploration from a checkpoint written by
     /// [`SessionBuilder::checkpoint`] instead of from the root
-    /// prescription. The session's symbolic input length, `fuel`, and
-    /// `limit` must match the checkpoint's (typed [`Error::Persist`]
-    /// otherwise — as for any unreadable, truncated, or wrong-version
-    /// file). The pending prescriptions are always redistributed over
-    /// this session's shards in contiguous [`crate::PathId`] chunks, so
-    /// worker count and shard policy may differ from the interrupted
-    /// run's: they only shape scheduling. The resumed run's merged records
-    /// are byte-identical to the uninterrupted run's. Parallel-only.
+    /// prescription. The session's symbolic input length, `fuel`, `limit`,
+    /// address policy and [`SessionBuilder::warm_start`] must match the
+    /// checkpoint's, and so must [`SessionBuilder::static_analysis`] on a
+    /// warm session, whose unit witnesses it shapes (typed
+    /// [`Error::Persist`] otherwise — as for any unreadable, truncated, or
+    /// wrong-version file). The pending prescriptions are always
+    /// redistributed over this session's shards in contiguous
+    /// [`crate::PathId`] chunks, so worker count and shard policy may
+    /// differ from the interrupted run's: they only shape scheduling. The
+    /// resumed run's merged records are byte-identical to the
+    /// uninterrupted run's. Parallel-only.
     pub fn resume(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.resume = Some(path.into());
         self

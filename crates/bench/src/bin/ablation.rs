@@ -1,20 +1,17 @@
-//! Ablation harness for the design choices described in the README. (The
-//! incremental-vs-fresh solver comparison that was ablation 1 is the hunt
-//! benchmark's `seq` vs `par-cold` workloads, and ablation 3's `seq` vs
-//! 1-worker cold rows; the remaining ablations keep their numbers.)
+//! Ablation harness for the design choices described in the README. (Ablation
+//! 1, the incremental-vs-fresh solver comparison, is retired: no engine
+//! solves a flip on a fresh solver any more. The remaining ablations keep
+//! their numbers.)
 //!
 //! 2. **Lift caching** — the IR engine with and without its translation
 //!    cache (the BINSEC-vs-angr structural difference, isolated from the
 //!    interpretation-overhead model).
-//! 3. **Worker scaling and warm start** — the sharded `ParallelSession`
-//!    at 1..=N workers vs. the sequential incremental engine. Cold, each
-//!    unit is one flip solved in a fresh solver after replaying its
-//!    parent prefix, which isolates what the replay model costs and what
-//!    the parallelism buys back; warm (`.warm_start(true)`), each unit
-//!    explores a budget of paths depth-first on one incremental solver,
-//!    which shows how much of that cost the units claw back (per-path
-//!    seconds in the `--json` rows). Warm and cold runs find the same
-//!    paths with different witnesses.
+//! 3. **Worker scaling** — the sharded `ParallelSession` at 1..=N workers
+//!    vs. the sequential incremental engine. Each unit replays its root's
+//!    parent prefix once and explores up to 256 paths depth-first on one
+//!    incremental solver, so the 1-worker row shows what sharding costs
+//!    over the sequential session and the wider rows what the parallelism
+//!    buys back (per-path seconds in the `--json` rows).
 //! 4. **Search strategy vs. coverage velocity** — paths needed to reach
 //!    full text-segment PC coverage under DFS, BFS, and the
 //!    coverage-guided policy, on all five Table I programs. Every policy
@@ -31,11 +28,11 @@
 //!    off-side unsat totals so the ceiling is visible next to the count.
 //! 6. **Checkpoint overhead** — the atomic frontier persistence
 //!    (`.checkpoint(path, every)`) off vs. every 16 merged paths vs. every
-//!    single path, on the sharded engine. Checkpoints are wall-time-only
-//!    (the resume determinism pins forbid result drift), so the rows
-//!    quantify what the tmp+rename serialization of the full committed
-//!    record set costs at each interval; `checkpoints_written` counts the
-//!    writes.
+//!    unit commit that brings a path (interval 1), on the sharded engine.
+//!    Checkpoints are wall-time-only (the resume determinism pins forbid
+//!    result drift), so the rows quantify what the tmp+rename
+//!    serialization of the full committed record set costs at each
+//!    interval; `checkpoints_written` counts the writes.
 //! 7. **Memory policy** — the address-concretization policies
 //!    (`.address_policy(..)`) compared on the dedicated `table-lookup`
 //!    benchmark and the five Table I programs: `eq` (the paper's §III-B
@@ -69,22 +66,24 @@
 //! `--runs N` averages the timed ablations (3, 5 and 6) over N interleaved
 //! rounds (default 1), damping scheduler noise on shared hardware; the
 //! emitted rows carry per-round values (totals divided by N). Every
-//! counter the rows report repeats exactly across rounds.
+//! counter the rows report repeats exactly across rounds, except ablation
+//! 6's checkpoint writes at the every-16 interval, which land at whichever
+//! unit commit reaches it and are reported as a mean.
 //!
-//! `--smoke` is the CI-sized run: ablation 3 (warm start on/off, on the
+//! `--smoke` is the CI-sized run: ablation 3 (worker scaling on the
 //! smallest Table I program and on uri-parser) plus ablation 5 (gate
 //! on/off on the smallest program and on bubble sort — the one with
 //! infeasible flips) plus ablation 6 on the smallest program plus
 //! ablation 7 (both memory policies on `table-lookup` and the smallest
 //! Table I program, asserting the symbolic-coverage separation), so every
-//! merge exercises the warm-start, queries-eliminated, checkpoint and
+//! merge exercises the worker-scaling, queries-eliminated, checkpoint and
 //! memory-policy datapoints without the full matrix.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use binsym::{
     AddressPolicyKind, ChromeTraceSink, CountingObserver, MetricsRegistry, MetricsReport, Session,
@@ -135,7 +134,7 @@ fn main() {
     if opts.smoke {
         let max_workers = opts.workers.unwrap_or(2);
         // uri-parser rides along in the CI-sized run: its 2,060 paths span
-        // many warm units.
+        // many units.
         ablation3(
             &[programs::CLIF_PARSER, programs::URI_PARSER],
             max_workers,
@@ -151,9 +150,9 @@ fn main() {
             &timing,
             &mut json_rows,
         );
-        // Checkpoint overhead on the smallest program: CI pins that the
-        // every-1 row reports `checkpoints_written == paths + 1` (one per
-        // committed path plus the drain write) without result drift.
+        // Checkpoint overhead on the smallest program: the every-1 row
+        // asserts one write per unit commit that brings a path plus the
+        // drain write, without result drift.
         ablation6(
             &[programs::CLIF_PARSER],
             max_workers,
@@ -386,15 +385,13 @@ fn interleave<V, const N: usize>(
     tallies
 }
 
-/// Ablation 3: the sharded engine at 1..=N workers, each worker count
-/// measured cold (one flip per unit, each in a fresh solver after its
-/// parent prefix's replay) and warm (units of many paths, each on one
-/// incremental solver). Both find the pinned paths; the per-path delta is
-/// the replay and re-blasting cost the warm units claw back.
+/// Ablation 3: the sharded engine at 1..=N workers against the sequential
+/// session. Both find the pinned paths; the 1-worker delta is what
+/// replaying unit roots and re-blasting their prefixes costs.
 fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: &mut Vec<Json>) {
-    println!("\nABLATION 3 — worker scaling and warm start (units of sharded exploration)\n");
+    println!("\nABLATION 3 — worker scaling (units of sharded exploration)\n");
     println!(
-        "{:<16} {:>12}   per worker count: cold/warm wall (cold→warm ms/path)",
+        "{:<16} {:>12}   per worker count: wall (ms/path)",
         "Benchmark", "sequential"
     );
     for p in progs {
@@ -411,33 +408,25 @@ fn ablation3(progs: &[Program], max_workers: usize, timing: &Timing, json_rows: 
         let mut cells = Vec::new();
         let mut workers = 1usize;
         while workers <= max_workers {
-            let tallies = interleave(p, &elf, workers, timing, &[false, true], |b, &warm| {
-                b.warm_start(warm)
-            });
-            for (t, warm) in tallies.iter().zip([false, true]) {
-                let mut row = vec![
-                    ("ablation", Json::s("worker-scaling")),
-                    ("benchmark", Json::s(p.name)),
-                    ("workers", Json::U(workers as u64)),
-                    ("warm_start", Json::B(warm)),
-                    ("runs", Json::U(timing.runs as u64)),
-                    ("seconds", Json::F(t.seconds)),
-                    (
-                        "seconds_per_path",
-                        Json::F(t.seconds / p.expected_paths as f64),
-                    ),
-                    ("sequential_seconds", Json::F(seq.as_secs_f64())),
-                ];
-                if let Some(report) = &t.metrics {
-                    row.push(("metrics", metrics_json(report, timing.runs)));
-                }
-                json_rows.push(Json::O(row));
+            let [t] = interleave(p, &elf, workers, timing, &[()], |b, _| b);
+            let per_path = t.seconds / p.expected_paths as f64;
+            let mut row = vec![
+                ("ablation", Json::s("worker-scaling")),
+                ("benchmark", Json::s(p.name)),
+                ("workers", Json::U(workers as u64)),
+                ("runs", Json::U(timing.runs as u64)),
+                ("seconds", Json::F(t.seconds)),
+                ("seconds_per_path", Json::F(per_path)),
+                ("sequential_seconds", Json::F(seq.as_secs_f64())),
+            ];
+            if let Some(report) = &t.metrics {
+                row.push(("metrics", metrics_json(report, timing.runs)));
             }
-            let [cold, warm] = tallies.map(|t| t.seconds);
+            json_rows.push(Json::O(row));
             cells.push(format!(
-                "{workers}w {cold:.2}s/{warm:.2}s ({:.1}→{:.1})",
-                1e3 * cold / p.expected_paths as f64,
-                1e3 * warm / p.expected_paths as f64,
+                "{workers}w {:.1?} ({:.3})",
+                Duration::from_secs_f64(t.seconds),
+                1e3 * per_path
             ));
             workers *= 2;
         }
@@ -516,13 +505,14 @@ fn ablation5(progs: &[Program], workers: usize, timing: &Timing, json_rows: &mut
 }
 
 /// Ablation 6: atomic checkpoint persistence off vs. every 16 merged paths
-/// vs. every single one, on the sharded engine. Each write serializes the
-/// full committed record set plus the live frontier through a tmp+rename
-/// pair under the merge lock, so the every-1 column is the worst case —
-/// one full-state write per path. The resume determinism pins forbid any
-/// result drift, so the delta is pure wall time; the path count is still
-/// asserted each round, and the every-1 write count must come out exact
-/// (`paths + 1`: one per committed path plus the drain write).
+/// vs. every unit commit that brings a path, on the sharded engine. Each
+/// write serializes the full committed record set plus the live frontier
+/// through a tmp+rename pair under the merge lock, so the every-1 column
+/// is the worst case — one full-state write per unit. The resume
+/// determinism pins forbid any result drift, so the delta is pure wall
+/// time; the path count is still asserted each round, and the every-1
+/// write count must come out exact ([`units_with_paths`] plus the drain
+/// write).
 fn ablation6(
     progs: &[Program],
     workers: usize,
@@ -568,8 +558,8 @@ fn ablation6(
         let every1 = counters_per_round(&tallies[2].counters, runs);
         assert_eq!(
             every1.checkpoints_written,
-            p.expected_paths + 1,
-            "{}: every-1 must write once per committed path plus the drain",
+            units_with_paths(p) + 1,
+            "{}: every-1 must write once per unit commit that brings a path, plus the drain",
             p.name
         );
         println!(
@@ -581,7 +571,10 @@ fn ablation6(
             every1.checkpoints_written
         );
         for (t, every) in tallies.iter().zip(EVERY) {
-            let c = counters_per_round(&t.counters, runs);
+            // A write at an interval above one path lands at whichever unit
+            // commit reaches it, and the commit order depends on the
+            // schedule, so the rows report the mean over the rounds.
+            let writes = t.counters.checkpoints_written as f64 / runs as f64;
             json_rows.push(Json::O(vec![
                 ("ablation", Json::s("checkpoint-overhead")),
                 ("benchmark", Json::s(p.name)),
@@ -594,9 +587,24 @@ fn ablation6(
                     Json::F(t.seconds / p.expected_paths as f64),
                 ),
                 ("paths", Json::U(p.expected_paths)),
-                ("checkpoints_written", Json::U(c.checkpoints_written)),
+                ("checkpoints_written", Json::F(writes)),
             ]));
         }
+    }
+}
+
+/// Units of a Table I program's sharded exploration that bring at least
+/// one path. The set of units depends on the program alone, so ablation
+/// 6's every-1 interval writes exactly this many checkpoints, plus the
+/// drain, on every schedule.
+fn units_with_paths(p: &Program) -> u64 {
+    match p.name {
+        "base64-encode" => 46,
+        "bubble-sort" => 12,
+        "clif-parser" => 1,
+        "insertion-sort" => 69,
+        "uri-parser" => 61,
+        other => panic!("{other}: no pinned unit count"),
     }
 }
 

@@ -8,12 +8,11 @@
 //!     [--memory-policy eq|symbolic:N]
 //! ```
 //!
-//! The hunt runs on a sharded session with warm units, coverage-guided
-//! shard policies over a shared map, and the static gate all on, and
-//! asserts the program's pinned path count. `--workers` (or
-//! `BINSYM_WORKERS`) defaults to 2 and must be at least 1. `--records` writes the merged
-//! record stream in the canonical wire encoding, so two runs compare with
-//! `cmp`(1).
+//! The hunt runs on a sharded session with coverage-guided shard policies
+//! over a shared map and the static gate on, and asserts the program's
+//! pinned path count. `--workers` (or `BINSYM_WORKERS`) defaults to 2 and
+//! must be at least 1. `--records` writes the merged record stream in the
+//! canonical wire encoding, so two runs compare with `cmp`(1).
 //!
 //! Unlike `table1`/`fig6` (which run many sessions per invocation and
 //! suffix their checkpoint files per run), `hunt` drives exactly one
@@ -93,10 +92,10 @@ fn main() {
     run_hunt(&args, &opts);
 }
 
-/// The invariant configuration of the hunt: sharded session with warm
-/// units, coverage-guided scheduling over a shared map, and the word-level
-/// static gate — all on. Determinism must survive the full stack, so the
-/// driver exercises nothing less.
+/// The invariant configuration of the hunt: sharded session with
+/// coverage-guided scheduling over a shared map and the word-level static
+/// gate on. Determinism must survive the full stack, so the driver
+/// exercises nothing less.
 fn hunt_builder(elf: &ElfFile, workers: usize, policy: AddressPolicyKind) -> SessionBuilder {
     let map = CoverageMap::shared_for(elf);
     let policy_map = Arc::clone(&map);
@@ -104,7 +103,6 @@ fn hunt_builder(elf: &ElfFile, workers: usize, policy: AddressPolicyKind) -> Ses
     Session::builder(Spec::rv32im())
         .binary(elf)
         .workers(workers)
-        .warm_start(true)
         .static_analysis(true)
         .address_policy(policy)
         .shard_strategy(move |_| {

@@ -367,10 +367,10 @@ pub fn add_counters(sum: &mut CountingObserver, round: &CountingObserver) {
 /// values, so `--runs N` reports the same counters as a single run. The
 /// counters the bins read are independent of the schedule, so the
 /// division is exact — a remainder would mean a round diverged, which the
-/// determinism suites forbid. (Checkpoint writes of a warm run are not —
-/// a write lands at the unit commit that reaches the interval, and the
-/// commit order depends on the schedule — so the timed ablations
-/// checkpoint cold runs only.)
+/// determinism suites forbid. (Checkpoint writes at an interval above one
+/// path are not — a write lands at the unit commit that reaches the
+/// interval, and the commit order depends on the schedule — so ablation 6
+/// averages those itself.)
 pub fn counters_per_round(sum: &CountingObserver, runs: usize) -> CountingObserver {
     let n = runs.max(1) as u64;
     let per = |total: u64| -> u64 {

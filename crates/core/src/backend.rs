@@ -13,9 +13,9 @@
 //! `discharge` chains the two steps for the one exploration loop. The
 //! engines differ only in how long its solver lives: the sequential
 //! [`crate::Session`] keeps one incremental solver for its whole
-//! exploration, and a [`crate::ParallelSession`] worker one per unit, a
-//! single flip when cold (a query leaves only the definitions of the terms
-//! it blasted, and every query shares the bit-blast cache and the learnt
+//! exploration, and a [`crate::ParallelSession`] worker one per unit of up
+//! to 256 paths (a query leaves only the definitions of the terms it
+//! blasted, and every query shares the bit-blast cache and the learnt
 //! clauses).
 //!
 //! An SMT-LIB v2 rendering of a flip query is a function of its terms:
@@ -238,8 +238,8 @@ mod tests {
     #[test]
     fn incremental_and_fresh_agree() {
         // The solve step answers alike on one incremental solver (the
-        // sequential session, a warm unit) and on a fresh solver per query
-        // (a cold unit).
+        // sequential session, a unit) and on a fresh solver per query (the
+        // gate's shadow check).
         let mut tm = TermManager::new();
         let lt5 = x_lt_5(&mut tm);
         let ge5 = tm.not(lt5);

@@ -17,10 +17,9 @@ use crate::metrics::Phase;
 use crate::session::PathOutcome;
 
 /// Per-query accounting of the retired warm-start cache. Nothing reports
-/// it any more: warm parallel sessions explore units on one incremental
-/// solver ([`crate::SessionBuilder::warm_start`]), and
-/// [`Observer::on_warm_query`] never fires. The type stays only because
-/// the hunt benchmark still names it.
+/// it any more: parallel sessions explore units on one incremental solver
+/// each (see [`crate::parallel`]), and [`Observer::on_warm_query`] never
+/// fires. The type stays only because the hunt benchmark still names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmQueryStats {
     /// The query result (same value the paired `on_query` received).
@@ -49,11 +48,9 @@ pub struct WarmQueryStats {
 /// eliminated or residual.
 ///
 /// An eliminated query fires no [`Observer::on_query`] and does not count
-/// as a solver check. On a cold sharded session the gate affects wall
-/// time only, so analysis-on and analysis-off runs stay byte-identical in
-/// their records and differ only in these counters (and in
-/// `solver_checks`); on one incremental solver it may change witnesses
-/// (see [`crate::SessionBuilder::static_analysis`]).
+/// as a solver check. The solver of a session or unit never sees it, so
+/// the gate may change witnesses (see
+/// [`crate::SessionBuilder::static_analysis`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticAnalysisStats {
     /// True when the analysis proved the query infeasible without any SAT

@@ -16,12 +16,10 @@
 //! [`TermManager::reset`]), replays the root's parent prefix once, and
 //! then runs the session's own exploration loop depth-first on a fresh
 //! incremental [`binsym_smt::Solver`] until the unit has materialized its
-//! path budget or its frontier is empty. The rest of the subtree's frontier
-//! goes back to the worker's shard as plain prescriptions, each the root of
-//! a later unit. The budget is one path by default, which solves every
-//! flip in a fresh solver (cold replay), and a fixed number of paths with
-//! [`crate::SessionBuilder::warm_start`], which lets the flips of a subtree
-//! share one solver's bit-blast and learnt clauses.
+//! budget of 256 paths or its frontier is empty, so the flips of a subtree
+//! share one solver's bit-blast and learnt clauses. The rest of
+//! the subtree's frontier goes back to the worker's shard as plain
+//! prescriptions, each the root of a later unit.
 //!
 //! # Worker topology
 //!
@@ -49,15 +47,14 @@
 //! path ordering — the sequence of branch-decision fingerprints — is
 //! identical to the sequential session's discovery order. (Witness
 //! *inputs* for a path are whichever model the solver returns; the
-//! sequential session's solver, a unit's and a fresh one may pick
-//! different, equally valid models, so sequential, warm and cold records
-//! differ in their witnesses.)
+//! sequential session's solver and a unit's may pick different, equally
+//! valid models, so sequential and sharded records differ in their
+//! witnesses.)
 //!
 //! The price of sharding is re-executing each unit root's parent prefix
 //! (bounded by the early-stopping [`PathExecutor::execute_prefix`]) and
-//! re-blasting the terms a unit shares with its parent's. Cold units pay
-//! it per flip; warm units once per budget of paths (the hunt benchmark's
-//! `par-cold` and `par-warm` workloads measure both).
+//! re-blasting the terms a unit shares with its parent's, once per unit of
+//! up to 256 paths.
 //!
 //! # Canonical truncation
 //!
@@ -102,8 +99,8 @@
 //! truncation watermark, written under the ledger lock alone — a
 //! consistent cut that never holds part of a unit, with no shard state in
 //! it. A resume ([`crate::SessionBuilder::resume`]) rejects a checkpoint
-//! of other result-shaping parameters (a warm run's include the unit
-//! budget and the gate setting), and always spreads the pending map over
+//! of other result-shaping parameters (the unit budget and the gate
+//! setting among them), and always spreads the pending map over
 //! its own shards in contiguous `PathId` chunks, whatever the worker count
 //! and shard policy of the interrupted run; unit purity and the canonical
 //! merge make its records byte-identical to an uninterrupted run's. A
@@ -130,8 +127,7 @@ use crate::prescribe::{PathId, PathRecord, Prescription};
 use crate::session::{Explorer, PathExecutor, Step, Summary};
 use crate::strategy::{Candidate, Dfs, PrescriptionStrategy};
 
-/// Path budget of a warm unit ([`crate::SessionBuilder::warm_start`]); a
-/// cold unit's is one path.
+/// Path budget of every unit.
 const UNIT_PATHS: u64 = 256;
 
 /// Factory producing one [`PathExecutor`] per worker thread.
@@ -189,8 +185,8 @@ pub(crate) struct PersistPlan {
 }
 
 /// The run parameters a checkpoint is only valid under, with the address
-/// policy and a warm run's [`UnitMeta`]. All shape the result *content*, so
-/// a resume validates them strictly; worker count and shard policy shape
+/// policy and the [`UnitMeta`]. All shape the result *content*, so a
+/// resume validates them strictly; worker count and shard policy shape
 /// scheduling only and are not recorded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CheckpointMeta {
@@ -215,10 +211,9 @@ impl Wire for CheckpointMeta {
     }
 }
 
-/// What shapes a warm unit's witnesses besides its root: the path budget
-/// and whether the static gate spares its solver the queries it proves
-/// infeasible. Persisted in [`section::UNITS`] by warm runs only; a cold
-/// unit solves each flip in a fresh solver, so neither shapes its records.
+/// What shapes a unit's witnesses besides its root: the path budget and
+/// whether the static gate spares its solver the queries it proves
+/// infeasible. Persisted in [`section::UNITS`] by every checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct UnitMeta {
     paths: u64,
@@ -276,8 +271,8 @@ struct CheckpointPlan {
     /// validated strictly on resume (it shapes every trail, so a
     /// checkpoint is meaningless under a different policy).
     policy: AddressPolicyKind,
-    /// A warm run's unit settings; `None` for a cold run.
-    units: Option<UnitMeta>,
+    /// The run's unit settings.
+    units: UnitMeta,
 }
 
 /// Everything a resume checkpoint seeds a run with.
@@ -295,27 +290,32 @@ fn load_checkpoint(
     path: &Path,
     expect: &CheckpointMeta,
     expect_policy: AddressPolicyKind,
-    expect_units: Option<UnitMeta>,
+    expect_units: UnitMeta,
 ) -> Result<ResumeSeed, Error> {
     let doc = Document::read(path)?;
     let meta: CheckpointMeta = crate::persist::decode_one(doc.require(section::META)?)?;
     let policy: AddressPolicyKind = crate::persist::decode_one(doc.require(section::POLICY)?)?;
-    let units: Option<UnitMeta> = doc
-        .section(section::UNITS)
-        .map(crate::persist::decode_one)
-        .transpose()?;
+    // Runs of one-path units wrote no UNITS section, and their records
+    // match no run of this engine.
+    let Some(units) = doc.section(section::UNITS) else {
+        return Err(PersistError::Mismatch {
+            what: "checkpoint records no unit budget (a run of one-path units wrote it)",
+        }
+        .into());
+    };
+    let units: UnitMeta = crate::persist::decode_one(units)?;
     for (differs, what) in [
         (
             policy != expect_policy,
             "checkpoint address policy differs from this session's",
         ),
         (
-            units.map(|u| u.paths) != expect_units.map(|u| u.paths),
-            "checkpoint unit budget (warm_start) differs from this session's",
+            units.paths != expect_units.paths,
+            "checkpoint unit budget differs from this session's",
         ),
         (
-            units != expect_units,
-            "checkpoint static_analysis differs from this warm session's",
+            units.static_analysis != expect_units.static_analysis,
+            "checkpoint static_analysis differs from this session's",
         ),
         (
             meta.input_len != expect.input_len,
@@ -354,7 +354,7 @@ fn load_checkpoint(
 
 /// Writes one atomic checkpoint of the run from the held ledger: the
 /// committed records, every pending prescription in [`PathId`] order, the
-/// truncation watermark and a warm run's unit settings. The caller holds
+/// truncation watermark and the unit settings. The caller holds
 /// the ledger (the commit lock) and nothing else; the watermark lock is
 /// taken inside it, in the run's one lock order, ledger → {watermark,
 /// shard}.
@@ -389,9 +389,7 @@ fn write_checkpoint(
     doc.push(section::RECORDS, encode_seq(&ledger.records));
     doc.push(section::PENDING, pending.into_bytes());
     doc.push(section::WATERMARK, encode_seq(&watermark_ids));
-    if let Some(units) = &ck.units {
-        doc.push(section::UNITS, crate::persist::encode_one(units));
-    }
+    doc.push(section::UNITS, crate::persist::encode_one(&ck.units));
     doc.write_atomic(&ck.path)?;
     Ok(ledger.paths)
 }
@@ -660,12 +658,10 @@ pub struct ParallelSession {
     fuel: u64,
     limit: Option<u64>,
     input_len: u32,
-    /// Path budget of each unit: 1 (cold, the default) or [`UNIT_PATHS`]
-    /// ([`crate::SessionBuilder::warm_start`]).
-    unit_paths: u64,
     /// The word-level static-analysis gate screening flip queries before
-    /// any bit-blast (on by default). Affects wall time only, never
-    /// merged records.
+    /// any bit-blast (on by default). A unit's solver never sees the
+    /// queries it removes, so the gate may change witnesses (see
+    /// [`crate::SessionBuilder::static_analysis`]).
     gate: StaticGate,
     /// Metrics/trace wiring ([`crate::SessionBuilder::metrics`],
     /// `::trace`) on track 0; each worker re-points it at its own track.
@@ -691,7 +687,6 @@ impl std::fmt::Debug for ParallelSession {
         f.debug_struct("ParallelSession")
             .field("workers", &self.workers)
             .field("strategy", &self.strategy_name)
-            .field("warm_start", &self.warm_start())
             .field("paths", &self.summary.paths)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -708,7 +703,6 @@ impl ParallelSession {
         fuel: u64,
         limit: Option<u64>,
         input_len: u32,
-        warm_start: bool,
         gate: StaticGate,
         instr: Instruments,
         persist: PersistPlan,
@@ -723,7 +717,6 @@ impl ParallelSession {
             fuel,
             limit,
             input_len,
-            unit_paths: if warm_start { UNIT_PATHS } else { 1 },
             gate,
             instr,
             persist,
@@ -744,13 +737,12 @@ impl ParallelSession {
         }
     }
 
-    /// A warm run's unit settings, which its checkpoints record; `None`
-    /// for a cold run.
-    fn unit_meta(&self) -> Option<UnitMeta> {
-        self.warm_start().then_some(UnitMeta {
-            paths: self.unit_paths,
+    /// The unit settings this session's checkpoints record.
+    fn unit_meta(&self) -> UnitMeta {
+        UnitMeta {
+            paths: UNIT_PATHS,
             static_analysis: self.gate.enabled(),
-        })
+        }
     }
 
     /// Number of worker threads.
@@ -771,13 +763,6 @@ impl ParallelSession {
     /// Name of the shard-local path-selection policy.
     pub fn strategy_name(&self) -> &'static str {
         self.strategy_name
-    }
-
-    /// True when units explore a budget of many paths on one incremental
-    /// solver ([`crate::SessionBuilder::warm_start`]), false when each
-    /// unit is one cold flip.
-    pub fn warm_start(&self) -> bool {
-        self.unit_paths > 1
     }
 
     /// True once [`ParallelSession::run_all`] has completed.
@@ -897,7 +882,6 @@ impl ParallelSession {
                 let executor_factory = Arc::clone(&self.executor_factory);
                 let observer_factory = self.observer_factory.clone();
                 let fuel = self.fuel;
-                let unit_paths = self.unit_paths;
                 let gate = self.gate;
                 let instr = self.instr.for_track(idx as u32);
                 handles.push(scope.spawn(move || {
@@ -907,7 +891,6 @@ impl ParallelSession {
                         &*executor_factory,
                         observer_factory.as_deref(),
                         fuel,
-                        unit_paths,
                         gate,
                         instr,
                     )
@@ -1035,7 +1018,6 @@ fn worker_main(
     executor_factory: &(dyn Fn() -> Result<Box<dyn PathExecutor>, Error> + Send + Sync),
     observer_factory: Option<&(dyn Fn(usize) -> Box<dyn Observer> + Send + Sync)>,
     fuel: u64,
-    unit_paths: u64,
     gate: StaticGate,
     instr: Instruments,
 ) {
@@ -1074,7 +1056,7 @@ fn worker_main(
             continue;
         }
         let root_id = root.id.clone();
-        let (records, rest) = explore_unit(&mut explorer, root, unit_paths);
+        let (records, rest) = explore_unit(&mut explorer, root);
         let (leftovers, failure) = match rest {
             Ok(leftovers) => (Some(leftovers), None),
             Err(failure) => (None, Some(failure)),
@@ -1115,22 +1097,19 @@ type UnitRun = (
     Result<Vec<Prescription>, (PathId, Error)>,
 );
 
-/// Explores the unit rooted at `root` until it has materialized `budget`
-/// paths or its frontier is empty: one record per decided flip (and for a
-/// root path), then the rest of the frontier as plain prescriptions. A
-/// path that fails ends the unit with the records made before it.
-fn explore_unit(
-    explorer: &mut Explorer<Dfs<Candidate>>,
-    root: Prescription,
-    budget: u64,
-) -> UnitRun {
+/// Explores the unit rooted at `root` until it has materialized
+/// [`UNIT_PATHS`] paths or its frontier is empty: one record per decided
+/// flip (and for a root path), then the rest of the frontier as plain
+/// prescriptions. A path that fails ends the unit with the records made
+/// before it.
+fn explore_unit(explorer: &mut Explorer<Dfs<Candidate>>, root: Prescription) -> UnitRun {
     let mut records = Vec::new();
     let root_id = root.id.clone();
     if let Err(e) = explorer.start_unit(root) {
         return (records, Err((root_id, e)));
     }
     let mut paths = 0;
-    while paths < budget {
+    while paths < UNIT_PATHS {
         let record = match explorer.step() {
             None => break,
             Some(Ok(Step::Infeasible { id, query })) => PrescriptionRecord {
@@ -1231,9 +1210,9 @@ ok:
             .expect("builds")
     }
 
-    /// A finished run of `src` on `workers` workers.
-    fn finished(src: &str, workers: usize) -> ParallelSession {
-        let mut par = parallel(src, workers);
+    /// A finished run of the session `builder` configures.
+    fn finished(builder: crate::SessionBuilder) -> ParallelSession {
+        let mut par = builder.build_parallel().unwrap();
         par.run_all().unwrap();
         par
     }
@@ -1245,9 +1224,9 @@ ok:
         // branch-decision vector; the complete path *set* is a semantic
         // property and must agree exactly. The discovery *order* within
         // each engine is DFS over its own solver's models (witness inputs
-        // are model choices — the sequential incremental solver and the
-        // fresh replay contexts may pick different, equally valid models,
-        // reordering sibling subtrees).
+        // are model choices — the sequential session's solver and a unit's
+        // may pick different, equally valid models, reordering sibling
+        // subtrees).
         let mut seq_decisions: Vec<Vec<bool>> = seq
             .paths()
             .map(|r| {
@@ -1264,7 +1243,7 @@ ok:
         seq_decisions.sort();
         let seq_summary = seq.summary();
 
-        let reference = finished(THREE_COMPARES, 1);
+        let reference = finished(builder(THREE_COMPARES).workers(1));
         for workers in [1, 2, 4] {
             let mut par = parallel(THREE_COMPARES, workers);
             let summary = par.run_all().unwrap();
@@ -1501,99 +1480,62 @@ ok:
     }
 
     #[test]
-    fn warm_start_records_are_byte_identical_across_workers() {
-        // Warm units pick their own witnesses, so the reference is the
-        // 1-worker warm run; against cold replay only the model-independent
-        // results agree.
-        let warm = |workers: usize| {
-            let mut par = builder(THREE_COMPARES)
-                .workers(workers)
-                .warm_start(true)
-                .build_parallel()
-                .unwrap();
-            assert!(par.warm_start());
-            par.run_all().unwrap();
-            par
-        };
-        let reference = warm(1);
-        let cold = finished(THREE_COMPARES, 1);
-        let decision_set = |par: &ParallelSession| {
-            let mut set: Vec<Vec<bool>> =
-                par.records().iter().map(|r| r.decisions.clone()).collect();
-            set.sort();
-            set
-        };
-        assert_eq!(decision_set(&reference), decision_set(&cold));
-        let (r, c) = (reference.summary(), cold.summary());
-        assert_eq!(
-            (r.paths, r.total_steps, r.solver_checks),
-            (c.paths, c.total_steps, c.solver_checks)
-        );
-
-        // Across schedules, on a program of three units.
+    fn unit_records_are_byte_identical_across_workers() {
+        // On a program of three units, across schedules.
         let run = |b: crate::SessionBuilder| {
             let mut par = b.build_parallel().unwrap();
             (par.run_all().unwrap(), par.records().to_vec())
         };
-        let units = run(warm_units(1));
-        assert_eq!(units.0.paths, 2 * UNIT_PATHS + 5);
+        let reference = run(units(1));
+        assert_eq!(reference.0.paths, 2 * UNIT_PATHS + 5);
         for workers in [2usize, 4, 8] {
-            assert!(run(warm_units(workers)) == units, "{workers} workers");
+            assert!(run(units(workers)) == reference, "{workers} workers");
         }
         let policies: [ShardStrategyFactory; 2] = [
             Arc::new(|_| Box::new(Bfs::<Prescription>::new())),
             Arc::new(|i| Box::new(RandomRestart::<Prescription>::with_seed(7 + i as u64))),
         ];
         for policy in policies {
-            let shards = warm_units(3).shard_strategy(move |i| policy(i));
-            assert!(run(shards) == units, "shard policy");
+            let shards = units(3).shard_strategy(move |i| policy(i));
+            assert!(run(shards) == reference, "shard policy");
         }
         // The hunt's stack: coverage-guided shards over a map the workers'
         // observers fill.
         let map = CoverageMap::shared_for(&elf(&unit_program(units_side_a(), false)));
         let marks = Arc::clone(&map);
-        let coverage = warm_units(3)
+        let coverage = units(3)
             .shard_strategy(move |_| {
                 Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&map)))
             })
             .observer_factory(move |_| Box::new(CoverageObserver::new(Arc::clone(&marks))));
-        assert!(run(coverage) == units, "coverage-guided shards");
+        assert!(run(coverage) == reference, "coverage-guided shards");
     }
 
     #[test]
     fn warm_start_builder_validation() {
-        let elf = elf(THREE_COMPARES);
-        // Sequential build refuses warm start.
-        let err = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .warm_start(true)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig { .. }));
-        // Parallel builds take it either way.
-        for enabled in [false, true] {
-            let par = Session::builder(Spec::rv32im())
-                .binary(&elf)
-                .workers(2)
-                .warm_start(enabled)
-                .build_parallel()
-                .unwrap();
-            assert_eq!(par.warm_start(), enabled);
+        // `warm_start` is kept without effect: both builds take it either
+        // way, and neither setting moves a witness, on a program whose
+        // records a one-path budget would change.
+        let image = elf(&unit_program(units_side_a(), false));
+        let inputs = |warm: bool| -> Vec<Vec<u8>> {
+            Session::builder(Spec::rv32im())
+                .binary(&image)
+                .warm_start(warm)
+                .build()
+                .unwrap()
+                .paths()
+                .map(|p| p.unwrap().input)
+                .collect()
+        };
+        assert_eq!(inputs(true), inputs(false));
+        for workers in [1usize, 2] {
+            let records = |warm: bool| {
+                let mut par = units(workers).warm_start(warm).build_parallel().unwrap();
+                par.run_all().unwrap();
+                par.records().to_vec()
+            };
+            assert_eq!(records(true), records(false), "{workers} workers");
         }
-    }
-
-    #[test]
-    fn warm_start_surfaces_error_paths_identically() {
-        let mut cold = parallel(WITH_BUG, 2);
-        let cold_summary = cold.run_all().unwrap();
-        let mut warm = builder(WITH_BUG)
-            .workers(2)
-            .warm_start(true)
-            .build_parallel()
-            .unwrap();
-        let warm_summary = warm.run_all().unwrap();
-        assert_eq!(warm_summary.error_paths, cold_summary.error_paths);
-        assert_eq!(warm.records(), cold.records());
     }
 
     #[test]
@@ -1703,33 +1645,45 @@ ok:
         }
     }
 
-    /// Runs `builder` to the end with a checkpoint after every committed
-    /// path, each worker observing through `observer` and a
-    /// [`CopyOnWritten`], and returns the copied mid-run checkpoint.
+    /// Runs the session `builder` makes to the end with a checkpoint at
+    /// every unit commit that brings a path, each worker observing through
+    /// `observer` and a [`CopyOnWritten`], and returns the copied checkpoint
+    /// once it is a mid-run cut: units are still pending in it. The copy is
+    /// taken when the event fires, outside the commit lock, so on a loaded
+    /// host a later write can replace the file first; such a run is made
+    /// again, up to five times.
     fn checkpoint_cut(
-        builder: crate::SessionBuilder,
+        builder: impl Fn() -> crate::SessionBuilder,
         observer: impl Fn() -> Box<dyn Observer> + Send + Sync + 'static,
     ) -> PathBuf {
         let (live, copy) = (ck_path("cut-live"), ck_path("cut-copy"));
-        let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let (src, dst) = (live.clone(), copy.clone());
-        builder
-            .checkpoint(&live, 1)
-            .observer_factory(move |_| {
-                let copier = CopyOnWritten {
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    seen: Arc::clone(&seen),
-                };
-                Box::new((observer(), copier))
-            })
-            .build_parallel()
-            .unwrap()
-            .run_all()
-            .unwrap();
-        let _ = std::fs::remove_file(&live);
-        assert!(copy.exists(), "mid-run checkpoint copied");
-        copy
+        let observer = Arc::new(observer);
+        for _ in 0..5 {
+            let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            let (src, dst, observer) = (live.clone(), copy.clone(), Arc::clone(&observer));
+            builder()
+                .checkpoint(&live, 1)
+                .observer_factory(move |_| {
+                    let copier = CopyOnWritten {
+                        src: src.clone(),
+                        dst: dst.clone(),
+                        seen: Arc::clone(&seen),
+                    };
+                    Box::new(((*observer)(), copier))
+                })
+                .build_parallel()
+                .unwrap()
+                .run_all()
+                .unwrap();
+            let doc = Document::read(&copy).expect("a checkpoint was copied");
+            let pending: Vec<Prescription> =
+                decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
+            if !pending.is_empty() {
+                let _ = std::fs::remove_file(&live);
+                return copy;
+            }
+        }
+        panic!("no mid-run cut in five runs");
     }
 
     #[test]
@@ -1757,41 +1711,28 @@ ok:
 
     #[test]
     fn resume_after_mid_run_kill_is_byte_identical() {
-        // Cold units commit one path each; in the warm program the second
-        // unit commit leaves the third unit pending.
-        let cold = |workers: usize| builder(THREE_COMPARES).workers(workers);
-        let sessions: [&dyn Fn(usize) -> crate::SessionBuilder; 2] = [&cold, &warm_units];
-        for session in sessions {
-            let mut reference = session(1).build_parallel().unwrap();
-            reference.run_all().unwrap();
-            for workers in [1usize, 2, 4] {
-                let copy = checkpoint_cut(session(workers), || Box::new(NullObserver));
-                let doc = Document::read(&copy).unwrap();
-                let pending: Vec<Prescription> =
-                    decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
-                assert!(!pending.is_empty(), "{workers} workers: a mid-run cut");
-                // Resume from the mid-run cut: the merged records must come
-                // out byte-identical to the uninterrupted run.
-                let mut resumed = session(workers).resume(&copy).build_parallel().unwrap();
-                let summary = resumed.run_all().unwrap();
-                let _ = std::fs::remove_file(&copy);
-                assert_eq!(summary, reference.summary(), "{workers} workers");
-                assert_eq!(resumed.records(), reference.records(), "{workers} workers");
-            }
+        // The second of the three units' commits leaves one unit pending.
+        let reference = finished(units(1));
+        for workers in [1usize, 2, 4] {
+            let copy = checkpoint_cut(|| units(workers), || Box::new(NullObserver));
+            // Resume from the mid-run cut: the merged records must come out
+            // byte-identical to the uninterrupted run.
+            let mut resumed = units(workers).resume(&copy).build_parallel().unwrap();
+            let summary = resumed.run_all().unwrap();
+            let _ = std::fs::remove_file(&copy);
+            assert_eq!(summary, reference.summary(), "{workers} workers");
+            assert_eq!(resumed.records(), reference.records(), "{workers} workers");
         }
     }
 
     #[test]
     fn resume_redistributes_across_topology_changes() {
-        let reference = finished(THREE_COMPARES, 1);
-        let copy = checkpoint_cut(builder(THREE_COMPARES).workers(4), || {
-            Box::new(NullObserver)
-        });
+        let reference = finished(units(1));
+        let copy = checkpoint_cut(|| units(4), || Box::new(NullObserver));
         // Different worker count AND a different shard policy: the pending
         // bag is redistributed over the new shards — scheduling changes,
         // merged records must not.
-        let mut resumed = builder(THREE_COMPARES)
-            .workers(2)
+        let mut resumed = units(2)
             .shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
             .resume(&copy)
             .build_parallel()
@@ -1806,14 +1747,17 @@ ok:
     fn checkpoint_is_records_plus_sorted_pending_prescriptions() {
         use crate::coverage::{CoverageMap, CoverageObserver};
         use crate::strategy::{CoverageGuided, Dfs};
-        let reference = finished(THREE_COMPARES, 1);
-        let map = CoverageMap::shared_for(&elf(THREE_COMPARES));
-        let (policy_map, observer_map) = (Arc::clone(&map), Arc::clone(&map));
-        let coverage_guided = builder(THREE_COMPARES).workers(2).shard_strategy(move |_| {
-            Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
-        });
+        let reference = finished(units(1));
+        let map = CoverageMap::shared_for(&elf(&unit_program(units_side_a(), false)));
+        let policy_map = Arc::clone(&map);
+        let coverage_guided = || {
+            let policy_map = Arc::clone(&policy_map);
+            units(2).shard_strategy(move |_| {
+                Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
+            })
+        };
         let copy = checkpoint_cut(coverage_guided, move || {
-            Box::new(CoverageObserver::new(Arc::clone(&observer_map)))
+            Box::new(CoverageObserver::new(Arc::clone(&map)))
         });
 
         let doc = Document::read(&copy).unwrap();
@@ -1850,8 +1794,7 @@ ok:
         for policy in policies {
             for workers in [1usize, 3] {
                 let policy = Arc::clone(&policy);
-                let mut resumed = builder(THREE_COMPARES)
-                    .workers(workers)
+                let mut resumed = units(workers)
                     .shard_strategy(move |i| policy(i))
                     .resume(&copy)
                     .build_parallel()
@@ -1866,32 +1809,25 @@ ok:
 
     #[test]
     fn truncated_resume_keeps_the_canonical_prefix() {
-        let reference = {
-            let mut par = builder(THREE_COMPARES)
-                .workers(1)
-                .limit(5)
+        // The cut lies three paths into side A's second unit.
+        let limit = UNIT_PATHS + 3;
+        let reference = finished(units(1).limit(limit));
+        for workers in [1usize, 2, 4] {
+            let copy = checkpoint_cut(|| units(workers).limit(limit), || Box::new(NullObserver));
+            // The copy carries the watermark: the resumed truncated run must
+            // return the same canonical limit-lowest-id prefix.
+            let mut resumed = units(workers)
+                .limit(limit)
+                .resume(&copy)
                 .build_parallel()
                 .unwrap();
-            par.run_all().unwrap();
-            par
-        };
-        let copy = checkpoint_cut(builder(THREE_COMPARES).workers(2).limit(5), || {
-            Box::new(NullObserver)
-        });
-        // The copy carries the watermark: the resumed truncated run must
-        // return the same canonical limit-lowest-id prefix.
-        let mut resumed = builder(THREE_COMPARES)
-            .workers(2)
-            .limit(5)
-            .resume(&copy)
-            .build_parallel()
-            .unwrap();
-        let summary = resumed.run_all().unwrap();
-        let _ = std::fs::remove_file(&copy);
-        assert_eq!(summary.paths, 5);
-        assert!(summary.truncated);
-        assert_eq!(summary, reference.summary());
-        assert_eq!(resumed.records(), reference.records());
+            let summary = resumed.run_all().unwrap();
+            let _ = std::fs::remove_file(&copy);
+            assert_eq!(summary.paths, limit);
+            assert!(summary.truncated);
+            assert_eq!(summary, reference.summary(), "{workers} workers");
+            assert_eq!(resumed.records(), reference.records(), "{workers} workers");
+        }
     }
 
     #[test]
@@ -1942,7 +1878,7 @@ ok:
         ));
     }
 
-    /// A program of more paths than one warm unit holds. Byte 0 splits
+    /// A program of more paths than one unit holds. Byte 0 splits
     /// it. The root path's side runs `side_a` independent byte compares,
     /// so the flip of byte 0 becomes a unit root of its own. On that side,
     /// byte 1 at or above 100 makes an unknown syscall when `fail` (and
@@ -1981,13 +1917,11 @@ ok:
         UNIT_PATHS.ilog2() as usize + 1
     }
 
-    /// A warm session of the clean [`unit_program`]: side A holds
+    /// A session of the clean [`unit_program`]: side A holds
     /// 2 * UNIT_PATHS paths and side B five, so the root unit leaves two
     /// unit roots, which workers steal and a checkpoint cut leaves pending.
-    fn warm_units(workers: usize) -> crate::SessionBuilder {
-        builder(&unit_program(units_side_a(), false))
-            .workers(workers)
-            .warm_start(true)
+    fn units(workers: usize) -> crate::SessionBuilder {
+        builder(&unit_program(units_side_a(), false)).workers(workers)
     }
 
     #[test]
@@ -1997,11 +1931,10 @@ ok:
         let side_a = units_side_a();
         let side_a_paths = 1u64 << side_a;
         let image = elf(&unit_program(side_a, true));
-        let warm = |workers: usize| {
+        let failing = |workers: usize| {
             Session::builder(Spec::rv32im())
                 .binary(&image)
                 .workers(workers)
-                .warm_start(true)
         };
         let run = |b: crate::SessionBuilder| {
             let mut par = b.build_parallel().unwrap();
@@ -2017,15 +1950,16 @@ ok:
         };
         // The longest prefix the failure leaves, and a cut inside the
         // failing unit, two of its paths in.
-        let (_, longest) = run(warm(1).limit(side_a_paths + 4)).expect("failure past the cut");
+        let (_, longest) = run(failing(1).limit(side_a_paths + 4)).expect("failure past the cut");
         let cut = side_a_paths + 2;
         for workers in [1usize, 2, 4] {
-            assert!(unknown_syscall(&run(warm(workers))), "{workers} workers");
+            assert!(unknown_syscall(&run(failing(workers))), "{workers} workers");
             assert!(
-                unknown_syscall(&run(warm(workers).limit(side_a_paths + 5))),
+                unknown_syscall(&run(failing(workers).limit(side_a_paths + 5))),
                 "{workers} workers: a budget the clean paths cannot fill"
             );
-            let (summary, truncated) = run(warm(workers).limit(cut)).expect("failure past the cut");
+            let (summary, truncated) =
+                run(failing(workers).limit(cut)).expect("failure past the cut");
             assert!(summary.truncated);
             assert_eq!(truncated, longest[..cut as usize], "{workers} workers");
 
@@ -2035,7 +1969,7 @@ ok:
             // failure stops the run, so side A's second unit stays pending
             // too when no worker had taken it yet.
             let path = ck_path("unit-fail");
-            assert!(unknown_syscall(&run(warm(workers).checkpoint(&path, 1))));
+            assert!(unknown_syscall(&run(failing(workers).checkpoint(&path, 1))));
             let doc = Document::read(&path).unwrap();
             let records: Vec<PrescriptionRecord> =
                 decode_seq(doc.require(section::RECORDS).unwrap()).unwrap();
@@ -2051,18 +1985,19 @@ ok:
                 .filter(|r| r.path.is_some() && r.id.as_slice().first() == Some(&0))
                 .count();
             assert_eq!(unit_paths, 4, "{workers} workers: the unit's clean paths");
-            assert!(unknown_syscall(&run(warm(workers).resume(&path))));
+            assert!(unknown_syscall(&run(failing(workers).resume(&path))));
             let _ = std::fs::remove_file(&path);
 
             // The truncated run's drain checkpoint keeps the failed unit's
             // root pending too: a resume runs the unit again and must not
             // count the paths it re-makes twice.
             let (path, again) = (ck_path("unit-cut"), ck_path("unit-cut-again"));
-            let (_, drained) = run(warm(workers).limit(cut).checkpoint(&path, 1)).expect("drains");
+            let (_, drained) =
+                run(failing(workers).limit(cut).checkpoint(&path, 1)).expect("drains");
             assert_eq!(drained, truncated, "{workers} workers");
             let counts = Arc::new(Mutex::new(CountingObserver::new()));
             let handle = Arc::clone(&counts);
-            let resumed = run(warm(workers)
+            let resumed = run(failing(workers)
                 .limit(cut)
                 .resume(&path)
                 .checkpoint(&again, 1)
@@ -2078,12 +2013,12 @@ ok:
 
             // Killed mid-run under the cut, the resumed run reproduces the
             // uninterrupted truncated records.
-            let copy = checkpoint_cut(warm(workers).limit(cut), || Box::new(NullObserver));
+            let copy = checkpoint_cut(|| failing(workers).limit(cut), || Box::new(NullObserver));
             let doc = Document::read(&copy).unwrap();
             let pending: Vec<Prescription> =
                 decode_seq(doc.require(section::PENDING).unwrap()).unwrap();
             assert!(!pending.is_empty(), "{workers} workers: a mid-run cut");
-            let resumed = run(warm(workers).limit(cut).resume(&copy));
+            let resumed = run(failing(workers).limit(cut).resume(&copy));
             let _ = std::fs::remove_file(&copy);
             assert_eq!(resumed.expect("resumes").1, truncated, "{workers} workers");
         }
@@ -2094,23 +2029,19 @@ ok:
         let path = ck_path("counters");
         let counters = Arc::new(Mutex::new(CountingObserver::new()));
         let handle = Arc::clone(&counters);
-        let mut par = builder(THREE_COMPARES)
-            .workers(2)
+        let mut par = units(2)
             .checkpoint(&path, 1)
             .observer_factory(move |_| Box::new(Arc::clone(&handle)))
             .build_parallel()
             .unwrap();
-        let s = par.run_all().unwrap();
-        {
-            let c = counters.lock().unwrap();
-            // One write per committed path plus the coordinator's drain.
-            assert_eq!(c.checkpoints_written, s.paths + 1);
-            assert_eq!(c.resumed_from, 0);
-        }
+        par.run_all().unwrap();
+        // One write per commit of the three units plus the coordinator's
+        // drain.
+        assert_eq!(counters.lock().unwrap().checkpoints_written, 3 + 1);
+        assert_eq!(counters.lock().unwrap().resumed_from, 0);
         let counters = Arc::new(Mutex::new(CountingObserver::new()));
         let handle = Arc::clone(&counters);
-        let mut resumed = builder(THREE_COMPARES)
-            .workers(2)
+        let mut resumed = units(2)
             .resume(&path)
             .observer_factory(move |_| Box::new(Arc::clone(&handle)))
             .build_parallel()
@@ -2150,33 +2081,41 @@ ok:
             .run_all()
             .unwrap_err();
         assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
-        // Other unit settings: warm units pick other witnesses than cold
-        // ones, and the gate shapes a warm unit's solver, so the resumed
-        // records would match neither run. A cold unit solves each flip in
-        // a fresh solver, so its records do not depend on the gate.
-        let warm = ck_path("meta-warm");
+        // Other unit settings: the gate and the unit budget shape a unit's
+        // solver, so the resumed records would match neither run. A
+        // checkpoint without a UNITS section, which runs of one-path units
+        // wrote, is refused as well.
         let run = |b: crate::SessionBuilder| b.workers(1).build_parallel().unwrap().run_all();
-        run(builder(THREE_COMPARES)
-            .warm_start(true)
-            .checkpoint(&warm, 4))
-        .unwrap();
-        let resume = |b: crate::SessionBuilder, ck: &Path| run(b.resume(ck));
-        for (b, ck) in [
-            (builder(THREE_COMPARES).warm_start(true), &path),
-            (builder(THREE_COMPARES), &warm),
-            (
-                builder(THREE_COMPARES)
-                    .warm_start(true)
-                    .static_analysis(false),
-                &warm,
-            ),
-        ] {
-            let err = resume(b, ck).unwrap_err();
-            assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
+        let err = run(builder(THREE_COMPARES).static_analysis(false).resume(&path)).unwrap_err();
+        assert!(matches!(err, Error::Persist(PersistError::Mismatch { .. })));
+        let doc = Document::read(&path).unwrap();
+        let other_budget = UnitMeta {
+            paths: 1,
+            static_analysis: true,
+        };
+        for units in [None, Some(other_budget)] {
+            let mut edited = Document::new();
+            for tag in [
+                section::META,
+                section::POLICY,
+                section::RECORDS,
+                section::PENDING,
+                section::WATERMARK,
+            ] {
+                edited.push(tag, doc.require(tag).unwrap().to_vec());
+            }
+            if let Some(units) = &units {
+                edited.push(section::UNITS, crate::persist::encode_one(units));
+            }
+            edited.write_atomic(&path).unwrap();
+            let err = run(builder(THREE_COMPARES).resume(&path)).unwrap_err();
+            assert!(
+                matches!(err, Error::Persist(PersistError::Mismatch { .. })),
+                "{units:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("unit budget"), "{units:?}: {err}");
         }
-        assert!(resume(builder(THREE_COMPARES).static_analysis(false), &path).is_ok());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&warm);
         // Missing file: a session-level Io error, never a panic.
         let err = builder(THREE_COMPARES)
             .workers(1)
@@ -2241,6 +2180,7 @@ ok:
             section::POLICY,
             section::PENDING,
             section::WATERMARK,
+            section::UNITS,
         ] {
             corrupt.push(tag, doc.require(tag).unwrap().to_vec());
         }

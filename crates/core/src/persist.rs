@@ -93,11 +93,11 @@ pub mod section {
     /// shapes every trail, so a checkpoint taken under a different policy
     /// is unusable.
     pub const POLICY: u32 = 9;
-    /// A warm run's unit budget and static-analysis setting
-    /// ([`crate::SessionBuilder::warm_start`]). Both shape a warm unit's
-    /// witnesses, so a resume validates them strictly. A cold run writes
-    /// no such section, and a checkpoint without one holds cold records,
-    /// which only a cold session resumes.
+    /// The run's unit budget and static-analysis setting. Both shape a
+    /// unit's witnesses, so a resume validates them strictly. Every
+    /// checkpoint carries this section; one without it was written by a
+    /// run of one-path units, whose records match no run of this engine,
+    /// and fails to resume with [`super::PersistError::Mismatch`].
     pub const UNITS: u32 = 10;
 }
 

@@ -427,7 +427,6 @@ pub struct SessionBuilder {
     workers: Option<usize>,
     observer_factory: Option<ObserverFactory>,
     shard_strategy: Option<ShardStrategyFactory>,
-    warm_start: bool,
     static_analysis: bool,
     metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -514,27 +513,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the path budget of a parallel session's units (default:
-    /// off). A worker explores each prescription it takes as a *unit*: it
-    /// replays the parent prefix once, then explores depth-first on one
-    /// incremental solver until the unit has materialized its budget of
-    /// paths, and hands the rest of the subtree back as prescriptions.
-    /// Off, the budget is one path, so every flip is solved in a fresh
-    /// solver (cold replay); on, it is a fixed number of paths, and the
-    /// flips of a unit share one solver's bit-blast and learnt clauses.
-    ///
-    /// Each unit is a pure function of its root prescription and the
-    /// budget, so either setting gives records byte-identical across
-    /// worker counts, schedules, shard policies and resumes. The two
-    /// settings pick different witnesses (the solver of a unit has seen
-    /// the unit's earlier queries), so warm and cold records differ, as
-    /// the sequential session's differ from both, and a checkpoint
-    /// resumes only under the setting that wrote it.
-    ///
-    /// Parallel-only (the sequential session already runs the whole
-    /// exploration on one incremental solver).
-    pub fn warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start = enabled;
+    /// Has no effect; kept so that existing callers still compile. Every
+    /// sharded unit explores up to 256 paths depth-first on one
+    /// incremental solver (see [`crate::parallel`]), whatever this says,
+    /// and the sequential session runs its whole exploration on one.
+    pub fn warm_start(self, _enabled: bool) -> Self {
         self
     }
 
@@ -542,17 +525,15 @@ impl SessionBuilder {
     /// Before a flip query is bit-blasted, the path condition's literals
     /// and the `≤`/`<` order closure over them try to prove it
     /// infeasible; proved queries skip the SAT solver entirely (see
-    /// [`crate::StaticGate`]). On a cold sharded session the gate affects
-    /// wall time only, never results: merged records stay byte-identical
-    /// to an analysis-off run, because every residual query is solved from
-    /// its original terms in a fresh solver, and eliminations are exact.
-    /// The sequential [`Session`] and the units of a warm sharded session
-    /// keep one solver whose learnt clauses and saved phases come from
-    /// every query it was given, so there the gate can change which
-    /// witness a path gets (on bubble-sort, 713 of 720 sequential
-    /// witnesses differ from a gate-off run), and under the `eq` policy,
-    /// which pins a symbolic address to its witness's value, even which
-    /// paths exist; a warm checkpoint resumes only under the same setting.
+    /// [`crate::StaticGate`]). Each elimination is exact: the gate removes
+    /// only queries the solver would have answered unsatisfiable. The
+    /// sequential [`Session`] and each unit of a sharded session keep one
+    /// solver whose learnt clauses and saved phases come from every query
+    /// it was given, so the gate can change which witness a path gets (on
+    /// bubble-sort, 713 of 720 sequential witnesses differ from a gate-off
+    /// run), and under the `eq` policy, which pins a symbolic address to
+    /// its witness's value, even which paths exist. A checkpoint therefore
+    /// resumes only under the setting that wrote it.
     /// Per-query accounting flows through
     /// [`crate::Observer::on_static_analysis`]. The `BINSYM_SA_SHADOW`
     /// environment variable cross-checks every elimination against the
@@ -591,11 +572,12 @@ impl SessionBuilder {
 
     /// Writes an atomic checkpoint of the parallel exploration to `path`
     /// at the first unit commit that brings `every_n` newly merged paths
-    /// (and once more on drain); with cold units of one path each, that is
-    /// every `every_n` paths. A checkpoint captures the committed records,
-    /// every pending prescription (queued, in flight or failed) and the
-    /// truncation watermark in the versioned [`crate::persist`] wire
-    /// format — no shard or policy state, and never part of a unit;
+    /// (and once more on drain). A unit commits up to 256 paths at once,
+    /// so with a small `every_n` that is once per unit that brings a path.
+    /// A checkpoint captures the committed records, every pending
+    /// prescription (queued, in flight or failed) and the truncation
+    /// watermark in the versioned [`crate::persist`] wire format — no
+    /// shard or policy state, and never part of a unit;
     /// [`SessionBuilder::resume`] turns it back into a run whose merged
     /// records are **byte-identical** to the uninterrupted run's.
     /// Files are written via a temp sibling + rename, so a kill at any
@@ -610,16 +592,15 @@ impl SessionBuilder {
     /// Seeds the parallel exploration from a checkpoint written by
     /// [`SessionBuilder::checkpoint`] instead of from the root
     /// prescription. The session's symbolic input length, `fuel`, `limit`,
-    /// address policy and [`SessionBuilder::warm_start`] must match the
-    /// checkpoint's, and so must [`SessionBuilder::static_analysis`] on a
-    /// warm session, whose unit witnesses it shapes (typed
-    /// [`Error::Persist`] otherwise — as for any unreadable, truncated, or
-    /// wrong-version file). The pending prescriptions are always
-    /// redistributed over this session's shards in contiguous
-    /// [`crate::PathId`] chunks, so worker count and shard policy may
-    /// differ from the interrupted run's: they only shape scheduling. The
-    /// resumed run's merged records are byte-identical to the
-    /// uninterrupted run's. Parallel-only.
+    /// address policy, unit budget and [`SessionBuilder::static_analysis`]
+    /// must match the checkpoint's (typed [`Error::Persist`] otherwise —
+    /// as for any unreadable, truncated, or wrong-version file, and for a
+    /// checkpoint of one-path units, which records no unit budget). The
+    /// pending prescriptions are always redistributed over this session's
+    /// shards in contiguous [`crate::PathId`] chunks, so worker count and
+    /// shard policy may differ from the interrupted run's: they only shape
+    /// scheduling. The resumed run's merged records are byte-identical to
+    /// the uninterrupted run's. Parallel-only.
     pub fn resume(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
@@ -693,12 +674,6 @@ impl SessionBuilder {
             return Err(Error::InvalidConfig {
                 what: "`checkpoint`/`resume` persist the sharded frontier of a parallel \
                        session: call `build_parallel()`",
-            });
-        }
-        if self.warm_start {
-            return Err(Error::InvalidConfig {
-                what: "`warm_start` serves the parallel engine (the sequential session is \
-                       already incremental): call `build_parallel()`",
             });
         }
         let executor = match self.executor {
@@ -819,7 +794,6 @@ impl SessionBuilder {
             self.fuel,
             self.limit,
             input_len,
-            self.warm_start,
             StaticGate::new(self.static_analysis),
             Instruments::new(self.metrics, self.trace, 0),
             PersistPlan {
@@ -870,7 +844,6 @@ impl Session {
             workers: None,
             observer_factory: None,
             shard_strategy: None,
-            warm_start: false,
             static_analysis: true,
             metrics: None,
             trace: None,
@@ -1548,14 +1521,14 @@ ok:
             assert_eq!(a.trail, b.trail, "path {i}");
         }
         let elf = Assembler::new().assemble(&compares(8)).unwrap();
-        let cold = Session::builder(Spec::rv32im())
+        let sharded = Session::builder(Spec::rv32im())
             .binary(&elf)
             .workers(1)
             .build_parallel()
             .unwrap()
             .run_all()
             .unwrap();
-        assert_eq!(cold.paths, whole.len() as u64);
+        assert_eq!(sharded.paths, whole.len() as u64);
     }
 
     #[test]

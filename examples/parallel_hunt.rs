@@ -64,10 +64,9 @@ fn main() {
         .build_parallel()
         .expect("builds");
     println!(
-        "exploring with {} workers ({} shard policy, warm start {})…",
+        "exploring with {} workers ({} shard policy)…",
         session.workers(),
         session.strategy_name(),
-        if session.warm_start() { "on" } else { "off" }
     );
 
     let summary = session.run_all().expect("explores");

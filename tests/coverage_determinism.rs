@@ -10,13 +10,12 @@
 //! truncated (`limit`-bounded) coverage runs, which must return the
 //! canonical `limit`-lowest-`PathId` prefix on every schedule.
 //!
-//! Warm units ride the same contract: a shard policy ranks units only, and
-//! inside a unit the order is always depth-first, so warm coverage-guided
-//! records are byte-identical to the warm depth-first run's (warm and cold
-//! witnesses differ, so the reference is warm too).
+//! A shard policy ranks units only, and inside a unit the order is always
+//! depth-first, which is what keeps coverage-guided records identical to
+//! depth-first ones.
 //!
 //! The observability layer (`SessionBuilder::metrics` / `::trace`) stacks
-//! on top of all of this without exceptions: an instrumented warm
+//! on top of all of this without exceptions: an instrumented
 //! coverage-guided run is pinned byte-identical — solver checks included —
 //! to the plain uninstrumented one.
 //!
@@ -49,16 +48,15 @@ fn coverage_run(
     workers: usize,
     limit: Option<u64>,
 ) -> (Summary, Vec<PathRecord>, u64) {
-    coverage_run_configured(p, workers, limit, false, true)
+    coverage_run_configured(p, workers, limit, true)
 }
 
-/// Like [`coverage_run`], optionally with warm units, and with the
-/// static-analysis gate explicitly on or off.
+/// Like [`coverage_run`], with the static-analysis gate explicitly on or
+/// off.
 fn coverage_run_configured(
     p: &Program,
     workers: usize,
     limit: Option<u64>,
-    warm: bool,
     analysis: bool,
 ) -> (Summary, Vec<PathRecord>, u64) {
     let elf = p.build();
@@ -68,7 +66,6 @@ fn coverage_run_configured(
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
-        .warm_start(warm)
         .static_analysis(analysis)
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
@@ -85,21 +82,10 @@ fn coverage_run_configured(
 
 /// Reference run: default depth-first shard policy, no coverage plumbing.
 fn dfs_run(p: &Program, workers: usize, limit: Option<u64>) -> (Summary, Vec<PathRecord>) {
-    dfs_run_configured(p, workers, limit, false)
-}
-
-/// Like [`dfs_run`], optionally with warm units.
-fn dfs_run_configured(
-    p: &Program,
-    workers: usize,
-    limit: Option<u64>,
-    warm: bool,
-) -> (Summary, Vec<PathRecord>) {
     let elf = p.build();
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
-        .workers(workers)
-        .warm_start(warm);
+        .workers(workers);
     if let Some(limit) = limit {
         builder = builder.limit(limit);
     }
@@ -190,33 +176,8 @@ fn paths_to_full_coverage(p: &Program, strategy: SearchStrategy) -> u64 {
     t.paths_to_full_coverage
 }
 
-/// The warm-start × coverage-guided contract: with `.warm_start(true)` on
-/// coverage-guided shard frontiers, merged records stay byte-identical to
-/// the warm depth-first 1-worker reference at every worker count,
-/// including a truncated run, and the final coverage equals the cold
-/// run's.
-fn check_warm_start(p: &Program, limit: u64) {
-    let (ref_summary, ref_records) = dfs_run_configured(p, 1, None, true);
-    let (_, _, cold_covered) = coverage_run(p, 1, None);
-    for workers in [1usize, 2, 4, 8] {
-        let (summary, records, covered) = coverage_run_configured(p, workers, None, true, true);
-        let what = format!("{} warm coverage, {workers} workers", p.name);
-        assert_eq!(summary.paths, p.expected_paths, "{what}: pinned count");
-        assert_summaries_equal(&summary, &ref_summary, &what);
-        assert_eq!(records, ref_records, "{what}: byte-identical to warm dfs");
-        assert_eq!(covered, cold_covered, "{what}: final covered PCs");
-    }
-    let (cut_summary, cut_records) = dfs_run_configured(p, 1, Some(limit), true);
-    for workers in [1usize, 4] {
-        let (summary, records, _) = coverage_run_configured(p, workers, Some(limit), true, true);
-        let what = format!("{} warm truncated coverage, {workers} workers", p.name);
-        assert_summaries_equal(&summary, &cut_summary, &what);
-        assert_eq!(records, cut_records, "{what}: canonical prefix");
-    }
-}
-
-/// A coverage-guided run with metrics and tracing fully on, stacked on
-/// the warm start — the everything-enabled configuration.
+/// A coverage-guided run with metrics and tracing fully on — the
+/// everything-enabled configuration.
 fn instrumented_coverage_run(p: &Program, workers: usize) -> (Summary, Vec<PathRecord>) {
     let elf = p.build();
     let map = CoverageMap::shared_for(&elf);
@@ -227,7 +188,6 @@ fn instrumented_coverage_run(p: &Program, workers: usize) -> (Summary, Vec<PathR
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
-        .warm_start(true)
         .metrics(Arc::clone(&registry))
         .trace(Arc::clone(&sink) as Arc<dyn TraceSink>)
         .shard_strategy(move |_| {
@@ -247,15 +207,15 @@ fn instrumented_coverage_run(p: &Program, workers: usize) -> (Summary, Vec<PathR
     (summary, session.records().to_vec())
 }
 
-/// The observability × coverage × warm-start contract: metrics + tracing
-/// on top of the warm coverage-guided stack must still merge records
-/// byte-identical — and summaries, solver checks included, equal — to the
-/// plain warm coverage-guided run, at every worker count.
+/// The observability × coverage contract: metrics + tracing on top of the
+/// coverage-guided stack must still merge records byte-identical — and
+/// summaries, solver checks included, equal — to the plain coverage-guided
+/// run, at every worker count.
 fn check_instrumentation(p: &Program) {
-    let (ref_summary, ref_records, _) = coverage_run_configured(p, 1, None, true, true);
+    let (ref_summary, ref_records, _) = coverage_run(p, 1, None);
     for workers in [1usize, 2, 4, 8] {
         let (summary, records) = instrumented_coverage_run(p, workers);
-        let what = format!("{} instrumented warm coverage, {workers} workers", p.name);
+        let what = format!("{} instrumented coverage, {workers} workers", p.name);
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(
             records, ref_records,
@@ -280,47 +240,40 @@ fn uri_parser_instrumented_coverage_is_invisible_in_results() {
     check_instrumentation(&programs::URI_PARSER);
 }
 
-#[test]
-fn clif_parser_warm_coverage_is_invisible_in_results() {
-    check_warm_start(&programs::CLIF_PARSER, 17);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn uri_parser_warm_coverage_is_invisible_in_results() {
-    check_warm_start(&programs::URI_PARSER, 300);
-}
-
-/// The warm × coverage × analysis stack: all three features on at once
-/// must merge records byte-identical to the warm gated depth-first
-/// 1-worker reference at every worker count, full and truncated, and
-/// remove solver checks only against the all-off run.
-fn check_warm_coverage_analysis(p: &Program, limit: u64) {
-    let (off_summary, _, _) = coverage_run_configured(p, 1, None, false, false);
-    assert_eq!(off_summary.paths, p.expected_paths, "{}: all off", p.name);
-    let (ref_summary, ref_records) = dfs_run_configured(p, 1, None, true);
+/// The coverage × analysis stack: coverage-guided shards with the gate on
+/// must merge records byte-identical to the gated depth-first 1-worker
+/// reference at every worker count, and against the gate-off
+/// coverage-guided run keep the path set and remove solver checks only.
+/// (The tests keep the `warm` of the warm start their stack once
+/// included; [`check_truncated`] covers the truncated runs.)
+fn check_coverage_analysis(p: &Program) {
+    let (off_summary, off_records, _) = coverage_run_configured(p, 1, None, false);
+    assert_eq!(off_summary.paths, p.expected_paths, "{}: gate off", p.name);
+    let (ref_summary, ref_records) = dfs_run(p, 1, None);
     for workers in [1usize, 2, 4, 8] {
-        let (summary, records, covered) = coverage_run_configured(p, workers, None, true, true);
-        let what = format!("{} warm+coverage+analysis, {workers} workers", p.name);
+        let (summary, records, covered) = coverage_run(p, workers, None);
+        let what = format!("{} coverage+analysis, {workers} workers", p.name);
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
         assert!(
             summary.solver_checks <= off_summary.solver_checks,
             "{what}: the gate may only remove checks"
         );
-        assert_eq!(records, ref_records, "{what}: byte-identical to warm dfs");
+        assert_eq!(
+            decision_set(&records),
+            decision_set(&off_records),
+            "{what}: path set vs gate off"
+        );
+        assert_eq!(records, ref_records, "{what}: byte-identical to dfs");
         assert!(covered > 0, "{what}: map was fed");
     }
-    let (cut_summary, cut_records) = dfs_run_configured(p, 1, Some(limit), true);
-    for workers in [1usize, 4] {
-        let (summary, records, _) = coverage_run_configured(p, workers, Some(limit), true, true);
-        let what = format!(
-            "{} warm+coverage+analysis truncated, {workers} workers",
-            p.name
-        );
-        assert_summaries_equal(&summary, &cut_summary, &what);
-        assert_eq!(records, cut_records, "{what}: canonical prefix");
-    }
+}
+
+/// Sorted branch-decision fingerprints: the model-independent path set.
+fn decision_set(records: &[PathRecord]) -> Vec<Vec<bool>> {
+    let mut set: Vec<Vec<bool>> = records.iter().map(|r| r.decisions.clone()).collect();
+    set.sort();
+    set
 }
 
 /// A collision-free scratch path for checkpoint files.
@@ -353,8 +306,8 @@ impl Observer for CopyOnWritten {
     }
 }
 
-/// One everything-on run (warm units, coverage-guided scheduling, static
-/// gate) checkpointing at every unit commit that merges a path,
+/// One everything-on run (coverage-guided scheduling, static gate)
+/// checkpointing at every unit commit that merges a path,
 /// optionally resuming from a previous cut, with a kill-simulation
 /// observer composed next to each worker's coverage observer.
 fn persistent_coverage_run(
@@ -370,7 +323,6 @@ fn persistent_coverage_run(
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
-        .warm_start(true)
         .static_analysis(true)
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
@@ -402,16 +354,15 @@ fn persistent_coverage_run(
     (summary, session.records().to_vec())
 }
 
-/// The kill/resume contract under the full feature stack: a warm
+/// The kill/resume contract under the full feature stack: a
 /// coverage-guided gated run checkpointing at every unit commit, killed
 /// at its `fire_at`-th write (simulated by copying the live checkpoint
 /// aside), then resumed from the cut under the same stack, must merge
-/// records byte-identical to the uninterrupted warm gated depth-first
+/// records byte-identical to the uninterrupted gated depth-first
 /// reference at 1/2/4 workers. `mid_run` says whether units are still
-/// pending at the cut; one warm unit can hold a small program's every
-/// path.
+/// pending at the cut; one unit can hold a small program's every path.
 fn check_kill_resume(p: &Program, fire_at: u64, mid_run: bool) {
-    let (ref_summary, ref_records) = dfs_run_configured(p, 1, None, true);
+    let (ref_summary, ref_records) = dfs_run(p, 1, None);
     for workers in [1usize, 2, 4] {
         let live = ck_path("kill-live");
         let copy = ck_path("kill-copy");
@@ -462,7 +413,7 @@ fn uri_parser_kill_resume_under_full_stack_is_byte_identical() {
 
 #[test]
 fn clif_parser_warm_coverage_analysis_is_invisible_in_results() {
-    check_warm_coverage_analysis(&programs::CLIF_PARSER, 17);
+    check_coverage_analysis(&programs::CLIF_PARSER);
 }
 
 #[test]
@@ -470,13 +421,13 @@ fn clif_parser_warm_coverage_analysis_is_invisible_in_results() {
 fn bubble_sort_warm_coverage_analysis_is_invisible_in_results() {
     // The program where the gate actually eliminates queries, under the
     // full feature stack.
-    check_warm_coverage_analysis(&programs::BUBBLE_SORT, 100);
+    check_coverage_analysis(&programs::BUBBLE_SORT);
 }
 
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn uri_parser_warm_coverage_analysis_is_invisible_in_results() {
-    check_warm_coverage_analysis(&programs::URI_PARSER, 300);
+    check_coverage_analysis(&programs::URI_PARSER);
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! branches and input-indexed table accesses read only one or two
 //! symbolic bytes, so the interpreter can run every input and group them
 //! into classes by pc sequence. Each exploration (sequential, sharded over
-//! 1 and 4 cold workers and over 4 warm-start workers, and the fixed IR
-//! lifter run sequentially, under `eq` and `symbolic:64`) must be sound —
+//! 1 and 4 workers, and the fixed IR lifter run sequentially, under `eq`
+//! and `symbolic:64`) must be sound —
 //! every witness replays to the recorded exit and step count, and no two
 //! paths share a class — and, where the policy loses nothing, complete:
 //! one path per class. The five angr lifter bugs serve as its mutants:
@@ -432,8 +432,8 @@ fn concrete_class(template: &Machine, addr: u32, input: &[u8]) -> (u64, Ending) 
 enum Run {
     /// The sequential `Session` on the formal semantics.
     Sequential,
-    /// A `ParallelSession` with `workers` workers, warm-started when `warm`.
-    Parallel { workers: usize, warm: bool },
+    /// A `ParallelSession` with `workers` workers.
+    Parallel { workers: usize },
     /// The sequential `Session` on the IR lifter with `bugs` reinstated.
     Lifter(LifterBugs),
 }
@@ -463,12 +463,8 @@ fn explore(elf: &ElfFile, policy: AddressPolicyKind, run: Run) -> Vec<(Vec<u8>, 
                 (p.input, (p.exit, p.steps))
             })
             .collect(),
-        Run::Parallel { workers, warm } => {
-            let mut session = builder
-                .workers(workers)
-                .warm_start(warm)
-                .build_parallel()
-                .expect("builds");
+        Run::Parallel { workers } => {
+            let mut session = builder.workers(workers).build_parallel().expect("builds");
             session.run_all().expect("explores");
             session
                 .records()
@@ -546,18 +542,8 @@ fn check_path_set(program: &Program, input_len: usize) -> usize {
     for policy in policies {
         let runs = [
             Run::Sequential,
-            Run::Parallel {
-                workers: 1,
-                warm: false,
-            },
-            Run::Parallel {
-                workers: 4,
-                warm: false,
-            },
-            Run::Parallel {
-                workers: 4,
-                warm: true,
-            },
+            Run::Parallel { workers: 1 },
+            Run::Parallel { workers: 4 },
             Run::Lifter(LifterBugs::NONE),
         ];
         for run in runs {

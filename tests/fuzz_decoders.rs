@@ -7,18 +7,20 @@
 //! xorshift generator (bit flips, byte writes, insertions, deletions,
 //! truncation, and "interesting" 32-bit values such as 0 and `u32::MAX`
 //! dropped over length fields). The persisted-document seeds are a
-//! mid-run and a drain checkpoint of a 2-worker coverage-guided run. A
-//! panicking case is reported with its seed and bytes.
+//! mid-run and a drain checkpoint of a coverage-guided run of a program of
+//! several units. A panicking case is reported with its seed and bytes.
 //!
 //! The default counts keep the debug tier-1 run short; the `#[ignore]`d
 //! variants run many more cases (`cargo test --release --test
 //! fuzz_decoders -- --include-ignored`).
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use binsym_repro::bench::programs::{all_programs, CLIF_PARSER, TABLE_LOOKUP};
+use binsym_repro::bench::programs::{all_programs, TABLE_LOOKUP};
 use binsym_repro::binsym::persist::section;
 use binsym_repro::binsym::{
     decode_one, decode_seq, encode_seq, AddressPolicyKind, CheckpointEvent, CoverageGuided,
@@ -30,6 +32,7 @@ use binsym_repro::isa::encoding::{InstrTable, MADD_YAML};
 use binsym_repro::isa::spec::zbb;
 use binsym_repro::isa::Spec;
 use binsym_testutil::Rng;
+use common::TABLE_UNITS;
 
 /// 32-bit values that tend to break length and offset fields.
 const INTERESTING: [u32; 10] = [
@@ -121,20 +124,20 @@ fn decode_document(bytes: &[u8]) {
     }
 }
 
-/// Copies the checkpoint file the first time a worker reports one written
-/// with at least `after` committed paths, so the copy still has pending
-/// prescriptions.
+/// Copies the checkpoint file the first time a worker reports one written:
+/// the root unit's commit, which leaves the other units pending. The run
+/// has one worker, which reports the write before it takes the next unit,
+/// so no later write can replace the file before the copy.
 struct GrabCheckpoint {
     path: std::path::PathBuf,
-    after: u64,
     grabbed: Arc<Mutex<Option<Vec<u8>>>>,
 }
 
 impl Observer for GrabCheckpoint {
     fn on_checkpoint(&mut self, event: CheckpointEvent) {
-        if let CheckpointEvent::Written { paths } = event {
+        if let CheckpointEvent::Written { .. } = event {
             let mut grabbed = self.grabbed.lock().expect("grab lock");
-            if grabbed.is_none() && paths >= self.after {
+            if grabbed.is_none() {
                 *grabbed = std::fs::read(&self.path).ok();
             }
         }
@@ -142,10 +145,10 @@ impl Observer for GrabCheckpoint {
 }
 
 /// The persisted seeds: the mid-run and the drain checkpoint documents of
-/// a 2-worker coverage-guided hunt, and the mid-run checkpoint's section
-/// payloads plus the hunt's encoded records.
+/// a coverage-guided hunt, and the mid-run checkpoint's section payloads
+/// plus the hunt's encoded records.
 fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let elf = CLIF_PARSER.build();
+    let elf = TABLE_UNITS.build();
     let map = CoverageMap::shared_for(&elf);
     let (policy_map, observer_map) = (Arc::clone(&map), Arc::clone(&map));
     let path = temp_path("seed");
@@ -153,7 +156,7 @@ fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let (grab_path, grab) = (path.clone(), Arc::clone(&grabbed));
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
-        .workers(2)
+        .workers(1)
         .checkpoint(&path, 8)
         .shard_strategy(move |_| {
             Box::new(CoverageGuided::<Prescription>::new(Arc::clone(&policy_map)))
@@ -163,7 +166,6 @@ fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
                 CoverageObserver::new(Arc::clone(&observer_map)),
                 GrabCheckpoint {
                     path: grab_path.clone(),
-                    after: 40,
                     grabbed: Arc::clone(&grab),
                 },
             ))
@@ -171,7 +173,7 @@ fn persisted_seeds() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
         .build_parallel()
         .expect("builds");
     let summary = session.run_all().expect("explores");
-    assert_eq!(summary.paths, CLIF_PARSER.expected_paths);
+    assert_eq!(summary.paths, TABLE_UNITS.expected_paths);
     let drained = std::fs::read(&path).expect("drain checkpoint");
     let _ = std::fs::remove_file(&path);
     let checkpoint = grabbed
@@ -222,12 +224,13 @@ fn persisted_documents(cases: usize) {
     );
 }
 
-/// Resumes a 2-worker clif-parser session from each mutated checkpoint:
-/// the checkpoint loader (metadata, prescription records, watermark ids)
-/// and the resumed exploration must end in `Ok` or a typed error.
+/// Resumes a 2-worker session of the seeds' program from each mutated
+/// checkpoint: the checkpoint loader (metadata, unit settings, prescription
+/// records, watermark ids) and the resumed exploration must end in `Ok` or
+/// a typed error.
 fn resumed_checkpoints(cases: usize) {
     let (documents, _) = persisted_seeds();
-    let elf = CLIF_PARSER.build();
+    let elf = TABLE_UNITS.build();
     let path = temp_path("resume");
     fuzz("resume", 0xf0cc_0006, &documents, cases, |bytes| {
         std::fs::write(&path, bytes).expect("mutant checkpoint writes");

@@ -10,27 +10,16 @@
 //! comparison is model-independent: the same pinned path count, the same
 //! multiset of branch-decision fingerprints, the same solver-check and
 //! step totals (witness inputs are solver model choices and may
-//! legitimately differ between the sequential incremental solver and the
-//! fresh solvers of cold units).
-//!
-//! The warm start ([`Session`]`Builder::warm_start`) explores each unit of
-//! many paths on one incremental solver, so its witnesses differ from cold
-//! ones. Warm runs are therefore pinned against a warm reference of the
-//! same configuration: byte-identical across worker counts, repeated runs,
-//! shard policies, instrumentation, truncation and kill/resume, and pinned
-//! to a digest per Table I program. Against cold runs they agree on the
-//! model-independent results.
+//! legitimately differ between the sequential session's solver and a
+//! unit's).
 //!
 //! The word-level static-analysis gate
-//! ([`Session`]`Builder::static_analysis`) carries the same contract on
-//! cold runs with one calibrated exception: it *removes* whole solver
-//! checks (so `solver_checks` shrinks by exactly the eliminated count,
-//! which the suite asserts via the observer's `sa_queries_eliminated`), but
-//! the merged records — witness bytes included — stay byte-identical to
-//! the gate-off run at every worker count. A warm unit's solver never sees
-//! the queries the gate removes, so the gate may change warm witnesses;
-//! gated warm runs are pinned against the gated warm reference, with their
-//! check savings still accounted against the gate-off run.
+//! ([`Session`]`Builder::static_analysis`) *removes* whole solver checks,
+//! and a unit's solver never sees the queries it removes, so the gate may
+//! change witnesses. Gated runs are pinned against the gated 1-worker
+//! reference; against the gate-off run they agree on the path set and on
+//! every summary field but `solver_checks`, which shrinks by exactly the
+//! eliminated count (the observer's `sa_queries_eliminated`).
 //!
 //! The observability layer (`SessionBuilder::metrics` / `::trace`) carries
 //! the same contract with no exceptions at all: phase timers and trace
@@ -41,21 +30,23 @@
 //! The address-concretization policies (`SessionBuilder::address_policy`)
 //! are a *model* knob — `symbolic:N` may legitimately change
 //! which paths exist — so each policy is pinned against its own 1-worker
-//! reference: merged records byte-identical across 1/2/4/8 workers × warm
-//! × gate, across repeated runs, and across a mid-run kill/resume, on the
-//! `table-lookup` benchmark where the policies actually diverge. On the
-//! Table I programs every address is concrete, so all policies must
-//! reproduce the *default* run byte-for-byte (policy inertness), and the
-//! default `eq` policy is contractually the pre-policy engine.
+//! reference: merged records byte-identical across 1/2/4/8 workers × gate,
+//! across repeated runs, and across a mid-run kill/resume, on the
+//! `table-lookup` benchmark where the policies actually diverge (and on a
+//! variant of it that spans several units). On the Table I programs every
+//! address is concrete, so all policies must reproduce the *default* run
+//! byte-for-byte (policy inertness), and the default `eq` policy is
+//! contractually the pre-policy engine.
 //!
 //! Every comparison above is relative, so a drift that moved all models
-//! alike would pass them. The cold and the warm 1-worker record streams
-//! are therefore also pinned to digests of their encoded bytes; records
-//! are byte-identical across worker counts, so the pins fix those runs'
-//! records too.
+//! alike would pass them. The 1-worker record streams are therefore also
+//! pinned to digests of their encoded bytes; records are byte-identical
+//! across worker counts, so the pins fix those runs' records too.
 //!
 //! The three big programs run under `#[ignore]` so the debug-mode tier-1
 //! suite stays fast; CI runs them in release with `--include-ignored`.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,6 +61,7 @@ use binsym_repro::binsym::{
     Session, SessionBuilder, Summary, TraceSink, TrailEntry,
 };
 use binsym_repro::isa::Spec;
+use common::TABLE_UNITS;
 
 /// Branch-decision fingerprints of a sequential exploration, in discovery
 /// order, plus its summary.
@@ -98,7 +90,7 @@ fn sequential_fingerprint(p: &Program) -> (Summary, Vec<Vec<bool>>) {
 /// One parallel run with the given worker count and shard policy seed
 /// (`None` = default depth-first policy).
 fn parallel_run(p: &Program, workers: usize, seed: Option<u64>) -> (Summary, Vec<PathRecord>) {
-    parallel_run_configured(p, workers, seed, None, false)
+    parallel_run_limited(p, workers, seed, None)
 }
 
 /// Like [`parallel_run`], optionally truncated to a path budget.
@@ -108,31 +100,31 @@ fn parallel_run_limited(
     seed: Option<u64>,
     limit: Option<u64>,
 ) -> (Summary, Vec<PathRecord>) {
-    parallel_run_configured(p, workers, seed, limit, false)
+    run_with(p, workers, |mut builder| {
+        if let Some(seed) = seed {
+            builder = builder.shard_strategy(move |i| {
+                Box::new(RandomRestart::<Prescription>::with_seed(seed + i as u64))
+            });
+        }
+        if let Some(limit) = limit {
+            builder = builder.limit(limit);
+        }
+        builder
+    })
 }
 
-/// Full knob set: shard seed, truncation, and the warm start.
-fn parallel_run_configured(
+/// One parallel run of `p` on `workers` workers, `configure` adding to the
+/// plain builder.
+fn run_with(
     p: &Program,
     workers: usize,
-    seed: Option<u64>,
-    limit: Option<u64>,
-    warm: bool,
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
 ) -> (Summary, Vec<PathRecord>) {
     let elf = p.build();
-    let mut builder = Session::builder(Spec::rv32im())
+    let builder = Session::builder(Spec::rv32im())
         .binary(&elf)
-        .workers(workers)
-        .warm_start(warm);
-    if let Some(seed) = seed {
-        builder = builder.shard_strategy(move |i| {
-            Box::new(RandomRestart::<Prescription>::with_seed(seed + i as u64))
-        });
-    }
-    if let Some(limit) = limit {
-        builder = builder.limit(limit);
-    }
-    let mut session = builder.build_parallel().expect("builds");
+        .workers(workers);
+    let mut session = configure(builder).build_parallel().expect("builds");
     let summary = session.run_all().expect("explores");
     (summary, session.records().to_vec())
 }
@@ -147,21 +139,14 @@ fn records_digest(records: &[PathRecord]) -> u64 {
     digest
 }
 
-/// Checks the path count of a cold 1-worker run under the default policy
-/// and the digest of its encoded record stream.
-fn check_cold_records_pinned(p: &Program, pinned: u64) {
+/// Checks the path count of a 1-worker run under the default policy and
+/// the digest of its encoded record stream. (The records are those of the
+/// runs that `warm_start(true)` once selected, hence the name.)
+fn check_warm_records_pinned(p: &Program, pinned: u64) {
     let (summary, records) = parallel_run(p, 1, None);
     assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
     let digest = records_digest(&records);
     assert_eq!(digest, pinned, "{}: digest {digest:#018x}", p.name);
-}
-
-/// [`check_cold_records_pinned`] for the warm 1-worker run.
-fn check_warm_records_pinned(p: &Program, pinned: u64) {
-    let (summary, records) = parallel_run_configured(p, 1, None, None, true);
-    assert_eq!(summary.paths, p.expected_paths, "{}", p.name);
-    let digest = records_digest(&records);
-    assert_eq!(digest, pinned, "{}: warm digest {digest:#018x}", p.name);
 }
 
 fn assert_summaries_equal(a: &Summary, b: &Summary, what: &str) {
@@ -187,7 +172,6 @@ fn analysis_run(
     p: &Program,
     workers: usize,
     limit: Option<u64>,
-    warm: bool,
     analysis: bool,
 ) -> (Summary, Vec<PathRecord>, CountingObserver) {
     let elf = p.build();
@@ -196,7 +180,6 @@ fn analysis_run(
     let mut builder = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
-        .warm_start(warm)
         .static_analysis(analysis)
         .observer_factory(move |_| Box::new(Arc::clone(&handle)));
     if let Some(limit) = limit {
@@ -208,63 +191,52 @@ fn analysis_run(
     (summary, session.records().to_vec(), counts)
 }
 
-/// The static-analysis contract: gate on vs. off at every worker count.
-/// Cold merged records are byte-identical to the gate-off run's; warm ones
-/// to the gated 1-worker warm run's. Every solver check a gated run saves
-/// is accounted for one-to-one by `sa_queries_eliminated` (on a truncated
-/// warm run, whose cut falls where its own witnesses put it, only the
-/// warm reference is compared).
+/// The static-analysis contract: gate on vs. off. The full 1-worker runs
+/// agree on the path set and on every summary field but `solver_checks`,
+/// and every check the gate saves is accounted for one-to-one by
+/// `sa_queries_eliminated`. Gated runs — truncated to `limit` when given,
+/// the canonical prefix of the full gated run — are byte-identical to the
+/// gated 1-worker run at every worker count, with the same accounting on
+/// full runs.
 fn check_static_analysis(p: &Program, limit: Option<u64>) {
-    let (off_summary, off_records, off_counts) = analysis_run(p, 1, limit, false, false);
-    if limit.is_none() {
-        assert_eq!(off_summary.paths, p.expected_paths, "{}: gate off", p.name);
-    }
+    let (off_summary, off_records, off_counts) = analysis_run(p, 1, None, false);
+    assert_eq!(off_summary.paths, p.expected_paths, "{}: gate off", p.name);
     assert_eq!(
         off_counts.sa_queries_eliminated, 0,
         "{}: a disabled gate must not screen anything",
         p.name
     );
-    let (warm_summary, warm_records, _) = analysis_run(p, 1, limit, true, true);
+    let (on_summary, on_records, _) = analysis_run(p, 1, None, true);
+    let what = format!("{} gate on vs off", p.name);
+    assert_eq!(
+        decision_set(&on_records),
+        decision_set(&off_records),
+        "{what}: path set"
+    );
+    assert_summaries_equal_modulo_checks(&on_summary, &off_summary, &what);
+
+    let (ref_summary, ref_records, _) = analysis_run(p, 1, limit, true);
+    if let Some(limit) = limit {
+        assert_eq!(
+            ref_records.as_slice(),
+            &on_records[..limit as usize],
+            "{}: gated truncation is the canonical prefix",
+            p.name
+        );
+    }
     for workers in [1usize, 2, 4, 8] {
-        for warm in [false, true] {
-            let (summary, records, counts) = analysis_run(p, workers, limit, warm, true);
-            let what = format!(
-                "{} gate on{}, {workers} workers",
-                p.name,
-                if warm { " + warm" } else { "" }
+        let (summary, records, counts) = analysis_run(p, workers, limit, true);
+        let what = format!("{} gate on, {workers} workers", p.name);
+        assert_eq!(records, ref_records, "{what}: byte-identical to 1 worker");
+        assert_summaries_equal(&summary, &ref_summary, &what);
+        if limit.is_none() {
+            // Full run: every unit merges, so the observer's elimination
+            // counter explains the check delta exactly.
+            assert_eq!(
+                summary.solver_checks + counts.sa_queries_eliminated,
+                off_summary.solver_checks,
+                "{what}: eliminated queries must explain the full check delta"
             );
-            if warm {
-                assert_eq!(records, warm_records, "{what}: byte-identical to 1 worker");
-                assert_summaries_equal(&summary, &warm_summary, &what);
-                if limit.is_some() {
-                    continue;
-                }
-            } else {
-                assert_eq!(records, off_records, "{what}: byte-identical to gate-off");
-                assert_summaries_equal_modulo_checks(&summary, &off_summary, &what);
-            }
-            if limit.is_none() {
-                // Full run: every attempt merges, so the observer's
-                // elimination counter explains the check delta exactly.
-                assert_eq!(
-                    summary.solver_checks + counts.sa_queries_eliminated,
-                    off_summary.solver_checks,
-                    "{what}: eliminated queries must explain the full check delta"
-                );
-            } else {
-                // Truncated run: merged `solver_checks` stops at the
-                // canonical cut, but the observer also sees racer
-                // attempts beyond it — only the inequalities are pinned.
-                assert!(
-                    summary.solver_checks <= off_summary.solver_checks,
-                    "{what}: the gate may only remove checks"
-                );
-                assert!(
-                    counts.sa_queries_eliminated
-                        >= off_summary.solver_checks - summary.solver_checks,
-                    "{what}: eliminations must cover the in-cut check delta"
-                );
-            }
         }
     }
 }
@@ -310,15 +282,29 @@ fn check_program(p: &Program) {
         );
     }
 
-    // Repeated run: byte-identical.
-    let (summary, records) = parallel_run(p, 2, None);
-    assert_summaries_equal(&summary, &ref_summary, &format!("{} repeated", p.name));
-    assert_eq!(records, ref_records, "{}: repeated run records", p.name);
-
-    // RandomRestart with a fixed seed: scheduling changes, results do not.
+    // A repeated run, RandomRestart with a fixed seed, breadth-first
+    // shards, and metrics plus tracing: scheduling and wall time change,
+    // results do not.
+    let mut runs = vec![("repeated".to_string(), parallel_run(p, 2, None))];
     for workers in [1usize, 4] {
-        let (summary, records) = parallel_run(p, workers, Some(0xdead_beef));
-        let what = format!("{} random-restart {workers} workers", p.name);
+        let run = parallel_run(p, workers, Some(0xdead_beef));
+        runs.push((format!("random-restart {workers} workers"), run));
+    }
+    runs.push((
+        "bfs, 2 workers".to_string(),
+        run_with(p, 2, |b| {
+            b.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
+        }),
+    ));
+    runs.push((
+        "instrumented, 2 workers".to_string(),
+        run_with(p, 2, |b| {
+            b.metrics(Arc::new(MetricsRegistry::new(2)))
+                .trace(Arc::new(ChromeTraceSink::new()) as Arc<dyn TraceSink>)
+        }),
+    ));
+    for (config, (summary, records)) in runs {
+        let what = format!("{} {config}", p.name);
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(records, ref_records, "{what}: merged records");
     }
@@ -373,104 +359,6 @@ fn decision_set(records: &[PathRecord]) -> Vec<Vec<bool>> {
     set
 }
 
-/// One warm run of `p` with metrics and tracing on, or with a
-/// breadth-first shard policy: the two warm configurations
-/// [`parallel_run_configured`] does not build.
-fn warm_run_with(
-    p: &Program,
-    workers: usize,
-    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
-) -> (Summary, Vec<PathRecord>) {
-    let elf = p.build();
-    let builder = Session::builder(Spec::rv32im())
-        .binary(&elf)
-        .workers(workers)
-        .warm_start(true);
-    let mut session = configure(builder).build_parallel().expect("builds");
-    let summary = session.run_all().expect("explores");
-    (summary, session.records().to_vec())
-}
-
-/// The warm-start contract. A warm unit explores many paths on one
-/// incremental solver, so warm witnesses differ from cold ones, and the
-/// reference is the 1-worker warm run. Records and summaries are
-/// byte-identical to it at every worker count, on a repeated run, under the
-/// random-restart and breadth-first shard policies, and with metrics and
-/// tracing on; truncated warm runs return its canonical prefix. Against the
-/// cold run the model-independent results agree: path count, steps,
-/// solver checks, longest trail and the path set.
-fn check_warm_start(p: &Program, limit: u64) {
-    let (ref_summary, ref_records) = parallel_run_configured(p, 1, None, None, true);
-    let (cold_summary, cold_records) = parallel_run(p, 1, None);
-    let what = format!("{} warm vs cold", p.name);
-    assert_eq!(ref_summary.paths, p.expected_paths, "{what}: pinned count");
-    assert_eq!(ref_summary.total_steps, cold_summary.total_steps, "{what}");
-    assert_eq!(
-        ref_summary.solver_checks, cold_summary.solver_checks,
-        "{what}"
-    );
-    assert_eq!(
-        ref_summary.max_trail_len, cold_summary.max_trail_len,
-        "{what}"
-    );
-    assert_eq!(
-        decision_set(&ref_records),
-        decision_set(&cold_records),
-        "{what}: path set"
-    );
-
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let run = parallel_run_configured(p, workers, None, None, true);
-        runs.push((format!("{workers} workers"), run));
-    }
-    runs.push((
-        "repeated".to_string(),
-        parallel_run_configured(p, 2, None, None, true),
-    ));
-    for workers in [1usize, 4] {
-        let run = parallel_run_configured(p, workers, Some(0xbead_cafe), None, true);
-        runs.push((format!("random-restart, {workers} workers"), run));
-    }
-    runs.push((
-        "bfs, 2 workers".to_string(),
-        warm_run_with(p, 2, |b| {
-            b.shard_strategy(|_| Box::new(Bfs::<Prescription>::new()))
-        }),
-    ));
-    runs.push((
-        "instrumented, 2 workers".to_string(),
-        warm_run_with(p, 2, |b| {
-            b.metrics(Arc::new(MetricsRegistry::new(2)))
-                .trace(Arc::new(ChromeTraceSink::new()) as Arc<dyn TraceSink>)
-        }),
-    ));
-    for (config, (summary, records)) in runs {
-        let what = format!("{} warm, {config}", p.name);
-        assert_summaries_equal(&summary, &ref_summary, &what);
-        assert_eq!(records, ref_records, "{what}: merged records");
-    }
-
-    // Truncated warm runs return the canonical prefix of the full warm run.
-    let (cut_summary, cut_records) = parallel_run_configured(p, 1, None, Some(limit), true);
-    assert_eq!(cut_summary.paths, limit, "{}: warm truncated", p.name);
-    assert_eq!(
-        cut_records.as_slice(),
-        &ref_records[..limit as usize],
-        "{}: warm truncation is the canonical prefix",
-        p.name
-    );
-    for (workers, seed) in [(2usize, None), (4, None), (4, Some(0xfeed_f00d))] {
-        let (summary, records) = parallel_run_configured(p, workers, seed, Some(limit), true);
-        let what = format!(
-            "{} warm truncated, {workers} workers, seed {seed:?}",
-            p.name
-        );
-        assert_summaries_equal(&summary, &cut_summary, &what);
-        assert_eq!(records, cut_records, "{what}: canonical prefix");
-    }
-}
-
 /// A collision-free scratch path for checkpoint files.
 fn ck_path(tag: &str) -> PathBuf {
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -503,61 +391,59 @@ impl Observer for CopyOnWritten {
     }
 }
 
-/// The kill/resume contract: a warm run checkpointing at every unit commit
-/// that merges a path, killed at its `fire_at`-th write (simulated by
-/// copying the live checkpoint aside) while units are still pending, then
-/// resumed from the cut — with warm units and the static gate on both
-/// sides — must produce merged records byte-identical to the uninterrupted
-/// warm reference at 1/2/4 workers.
+/// The kill/resume contract: a run checkpointing at every unit commit that
+/// merges a path, killed at its `fire_at`-th write (simulated by copying
+/// the live checkpoint aside) while units are still pending, then resumed
+/// from the cut — with the static gate on both sides — must produce merged
+/// records byte-identical to the uninterrupted reference at 1/2/4 workers.
 fn check_kill_resume(p: &Program, fire_at: u64) {
-    check_kill_resume_policy(p, fire_at, AddressPolicyKind::default(), true, true);
+    check_kill_resume_policy(p, fire_at, AddressPolicyKind::default(), true);
 }
 
-/// [`check_kill_resume`] under an explicit address-concretization policy,
-/// warm or cold: the checkpoint round-trips the policy's trail
-/// (concretization entries included), so the resumed exploration must
-/// still be byte-identical to the uninterrupted run under the same
-/// configuration. `mid_run` says whether units are still pending at the
-/// cut; a warm unit can hold a small program's every path.
-fn check_kill_resume_policy(
-    p: &Program,
-    fire_at: u64,
-    policy: AddressPolicyKind,
-    warm: bool,
-    mid_run: bool,
-) {
+/// [`check_kill_resume`] under an explicit address-concretization policy:
+/// the checkpoint round-trips the policy's prescriptions, so the resumed
+/// exploration must still be byte-identical to the uninterrupted run under
+/// the same configuration. `mid_run` says whether units are still pending
+/// at the cut; one unit can hold a small program's every path.
+fn check_kill_resume_policy(p: &Program, fire_at: u64, policy: AddressPolicyKind, mid_run: bool) {
     let elf = p.build();
-    let (ref_summary, ref_records, _) = policy_run(p, 1, policy, warm, true);
+    let (ref_summary, ref_records, _) = policy_run(p, 1, policy, true);
     for workers in [1usize, 2, 4] {
         let live = ck_path("kill-live");
         let copy = ck_path("kill-copy");
-        let seen = Arc::new(AtomicU64::new(0));
-        let (src, dst, handle) = (live.clone(), copy.clone(), Arc::clone(&seen));
-        let mut interrupted = Session::builder(Spec::rv32im())
-            .binary(&elf)
-            .workers(workers)
-            .warm_start(warm)
-            .static_analysis(true)
-            .address_policy(policy)
-            .checkpoint(&live, 1)
-            .observer_factory(move |_| {
-                Box::new(CopyOnWritten {
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    fire_at,
-                    seen: Arc::clone(&handle),
+        // The copy is taken when the event fires, outside the commit lock,
+        // so on a loaded host a later write can replace the file first: a
+        // cut that should be mid-run is taken again, up to five times.
+        let mut attempts = 0;
+        let pending = loop {
+            attempts += 1;
+            let seen = Arc::new(AtomicU64::new(0));
+            let (src, dst, handle) = (live.clone(), copy.clone(), Arc::clone(&seen));
+            let mut interrupted = Session::builder(Spec::rv32im())
+                .binary(&elf)
+                .workers(workers)
+                .static_analysis(true)
+                .address_policy(policy)
+                .checkpoint(&live, 1)
+                .observer_factory(move |_| {
+                    Box::new(CopyOnWritten {
+                        src: src.clone(),
+                        dst: dst.clone(),
+                        fire_at,
+                        seen: Arc::clone(&handle),
+                    })
                 })
-            })
-            .build_parallel()
-            .expect("builds");
-        interrupted.run_all().expect("explores");
-        assert!(
-            copy.exists(),
-            "{workers} workers: mid-run checkpoint copied"
-        );
-        let doc = Document::read(&copy).expect("reads");
-        let pending: Vec<Prescription> =
-            decode_seq(doc.require(section::PENDING).expect("pending")).expect("decodes");
+                .build_parallel()
+                .expect("builds");
+            interrupted.run_all().expect("explores");
+            assert!(copy.exists(), "{workers} workers: checkpoint copied");
+            let doc = Document::read(&copy).expect("reads");
+            let pending: Vec<Prescription> =
+                decode_seq(doc.require(section::PENDING).expect("pending")).expect("decodes");
+            if !(mid_run && pending.is_empty() && attempts < 5) {
+                break pending;
+            }
+        };
         assert_eq!(
             !pending.is_empty(),
             mid_run,
@@ -566,7 +452,6 @@ fn check_kill_resume_policy(
         let mut resumed = Session::builder(Spec::rv32im())
             .binary(&elf)
             .workers(workers)
-            .warm_start(warm)
             .static_analysis(true)
             .address_policy(policy)
             .resume(&copy)
@@ -575,11 +460,7 @@ fn check_kill_resume_policy(
         let summary = resumed.run_all().expect("resumes");
         let _ = std::fs::remove_file(&live);
         let _ = std::fs::remove_file(&copy);
-        let what = format!(
-            "{} ({policy}{}) killed+resumed, {workers} workers",
-            p.name,
-            if warm { ", warm" } else { "" }
-        );
+        let what = format!("{} ({policy}) killed+resumed, {workers} workers", p.name);
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(
             resumed.records(),
@@ -590,13 +471,12 @@ fn check_kill_resume_policy(
 }
 
 /// One parallel run under an explicit address-concretization policy, with
-/// the warm-start and static-gate knobs, plus the shared counting observer
-/// for check accounting.
+/// the static gate set, plus the shared counting observer for check
+/// accounting.
 fn policy_run(
     p: &Program,
     workers: usize,
     policy: AddressPolicyKind,
-    warm: bool,
     analysis: bool,
 ) -> (Summary, Vec<PathRecord>, CountingObserver) {
     let elf = p.build();
@@ -605,7 +485,6 @@ fn policy_run(
     let mut session = Session::builder(Spec::rv32im())
         .binary(&elf)
         .workers(workers)
-        .warm_start(warm)
         .static_analysis(analysis)
         .address_policy(policy)
         .observer_factory(move |_| Box::new(Arc::clone(&handle)))
@@ -617,58 +496,49 @@ fn policy_run(
 }
 
 /// The per-policy determinism contract on one program: every
-/// 1/2/4/8-worker × warm × gate combination must merge records
-/// byte-identical to the policy's own 1-worker reference — the gate-off
-/// one for cold runs, the warm one with the same gate setting for warm
-/// runs — with the gate's check savings accounted one-to-one against the
-/// gate-off run, and a repeated run must reproduce the bytes.
+/// 1/2/4/8-worker × gate combination must merge records byte-identical to
+/// the policy's own 1-worker reference with the same gate setting; against
+/// the gate-off reference every run agrees on the path set and on the
+/// summary but `solver_checks`, with the gate's check savings accounted
+/// one-to-one; and a repeated run must reproduce the bytes.
 /// `expected_paths` pins the policy's path count.
 fn check_policy_matrix(p: &Program, policy: AddressPolicyKind, expected_paths: u64) {
-    let (off_summary, off_records, off_counts) = policy_run(p, 1, policy, false, false);
+    let refs = [false, true].map(|gate| policy_run(p, 1, policy, gate));
+    let (off_summary, off_records, off_counts) = &refs[0];
     let what = format!("{} ({policy})", p.name);
     assert_eq!(off_summary.paths, expected_paths, "{what}: pinned count");
     assert_eq!(
         off_counts.sa_queries_eliminated, 0,
         "{what}: a disabled gate must not screen anything"
     );
-    let warm_refs = [false, true].map(|gate| policy_run(p, 1, policy, true, gate));
     for workers in [1usize, 2, 4, 8] {
-        for warm in [false, true] {
-            for gate in [false, true] {
-                let (summary, records, counts) = policy_run(p, workers, policy, warm, gate);
-                let what = format!(
-                    "{} ({policy}), {workers} workers{}{}",
-                    p.name,
-                    if warm { " + warm" } else { "" },
-                    if gate { " + gate" } else { "" },
-                );
-                let (ref_summary, ref_records) = if warm {
-                    let (summary, records, _) = &warm_refs[usize::from(gate)];
-                    (summary, records)
-                } else {
-                    (&off_summary, &off_records)
-                };
-                assert_eq!(&records, ref_records, "{what}: merged records");
-                assert_summaries_equal_modulo_checks(&summary, ref_summary, &what);
-                if gate {
-                    assert_eq!(
-                        summary.solver_checks + counts.sa_queries_eliminated,
-                        off_summary.solver_checks,
-                        "{what}: eliminated queries must explain the full check delta"
-                    );
-                } else {
-                    assert_eq!(
-                        summary.solver_checks, off_summary.solver_checks,
-                        "{what}: solver checks"
-                    );
-                }
-            }
+        for gate in [false, true] {
+            let (summary, records, counts) = policy_run(p, workers, policy, gate);
+            let what = format!(
+                "{} ({policy}), {workers} workers{}",
+                p.name,
+                if gate { " + gate" } else { "" },
+            );
+            let (ref_summary, ref_records, _) = &refs[usize::from(gate)];
+            assert_eq!(&records, ref_records, "{what}: merged records");
+            assert_summaries_equal(&summary, ref_summary, &what);
+            assert_eq!(
+                decision_set(&records),
+                decision_set(off_records),
+                "{what}: path set"
+            );
+            assert_summaries_equal_modulo_checks(&summary, off_summary, &what);
+            assert_eq!(
+                summary.solver_checks + counts.sa_queries_eliminated,
+                off_summary.solver_checks,
+                "{what}: eliminated queries must explain the full check delta"
+            );
         }
     }
     // Repeated run: byte-identical.
-    let (summary, records, _) = policy_run(p, 2, policy, true, true);
+    let (summary, records, _) = policy_run(p, 2, policy, true);
     let what = format!("{} ({policy}) repeated", p.name);
-    let (ref_summary, ref_records, _) = &warm_refs[1];
+    let (ref_summary, ref_records, _) = &refs[1];
     assert_summaries_equal(&summary, ref_summary, &what);
     assert_eq!(&records, ref_records, "{what}: merged records");
 }
@@ -732,23 +602,6 @@ fn uri_parser_instrumentation_is_invisible_in_results() {
 }
 
 #[test]
-fn clif_parser_warm_start_is_invisible_in_results() {
-    check_warm_start(&programs::CLIF_PARSER, 23);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn bubble_sort_warm_start_is_invisible_in_results() {
-    check_warm_start(&programs::BUBBLE_SORT, 250);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn uri_parser_warm_start_is_invisible_in_results() {
-    check_warm_start(&programs::URI_PARSER, 300);
-}
-
-#[test]
 fn clif_parser_static_analysis_is_invisible_in_results() {
     check_static_analysis(&programs::CLIF_PARSER, None);
 }
@@ -775,11 +628,10 @@ fn uri_parser_static_analysis_is_invisible_in_results() {
 
 #[test]
 fn clif_parser_kill_resume_is_byte_identical() {
-    // Cold units are cut mid-run; one warm unit holds all 120 paths, so a
-    // warm run is cut at its one commit.
+    // One unit holds all 120 paths, so the run is cut at its one commit;
+    // the multi-unit cuts are table-units' (tier-1) and the heavy ones.
     let policy = AddressPolicyKind::default();
-    check_kill_resume_policy(&programs::CLIF_PARSER, 40, policy, false, true);
-    check_kill_resume_policy(&programs::CLIF_PARSER, 1, policy, true, false);
+    check_kill_resume_policy(&programs::CLIF_PARSER, 1, policy, false);
 }
 
 #[test]
@@ -803,6 +655,24 @@ fn clif_parser_truncated_run_is_canonical() {
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn bubble_sort_truncated_run_is_canonical() {
     check_truncated(&programs::BUBBLE_SORT, 250);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn uri_parser_truncated_run_is_canonical() {
+    check_truncated(&programs::URI_PARSER, 300);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn base64_encode_truncated_run_is_canonical() {
+    check_truncated(&programs::BASE64_ENCODE, 300);
+}
+
+#[test]
+#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
+fn insertion_sort_truncated_run_is_canonical() {
+    check_truncated(&programs::INSERTION_SORT, 300);
 }
 
 #[test]
@@ -833,7 +703,7 @@ fn table_lookup_is_deterministic_under_every_policy() {
     // The one benchmark whose path set actually depends on the policy:
     // `eq` concretization stops at the pinned 2 paths, the windowed
     // array model enumerates all 6 — each byte-identically at every
-    // worker count × warm × gate combination.
+    // worker count × gate combination.
     check_policy_matrix(
         &TABLE_LOOKUP,
         AddressPolicyKind::ConcretizeEq,
@@ -848,17 +718,17 @@ fn table_lookup_is_deterministic_under_every_policy() {
 
 #[test]
 fn table_lookup_kill_resume_is_byte_identical_under_every_policy() {
-    // The checkpoint wire format carries the concretization trail, so a
-    // mid-run kill must resume to identical bytes under every policy —
-    // including the symbolic window, whose trail entries are the new kind.
-    for (policy, fire_at) in [
-        (AddressPolicyKind::ConcretizeEq, 1),
-        (AddressPolicyKind::Symbolic { window: 64 }, 2),
+    // The checkpoint wire format carries each policy's prescriptions, so a
+    // kill must resume to identical bytes under every policy — including
+    // the symbolic window, whose units replay through the symbolic load.
+    // One unit holds all of table-lookup's paths, so its commit is the
+    // only cut before the drain; table-units is cut mid-run.
+    for policy in [
+        AddressPolicyKind::ConcretizeEq,
+        AddressPolicyKind::Symbolic { window: 64 },
     ] {
-        check_kill_resume_policy(&TABLE_LOOKUP, fire_at, policy, false, true);
-        // One warm unit holds all of table-lookup's paths: its commit is
-        // the only cut before the drain.
-        check_kill_resume_policy(&TABLE_LOOKUP, 1, policy, true, false);
+        check_kill_resume_policy(&TABLE_LOOKUP, 1, policy, false);
+        check_kill_resume_policy(&TABLE_UNITS, 1, policy, true);
     }
 }
 
@@ -873,7 +743,7 @@ fn clif_parser_policies_are_inert_on_concrete_addresses() {
         AddressPolicyKind::ConcretizeEq,
         AddressPolicyKind::Symbolic { window: 64 },
     ] {
-        let (summary, records, _) = policy_run(&programs::CLIF_PARSER, 2, policy, false, true);
+        let (summary, records, _) = policy_run(&programs::CLIF_PARSER, 2, policy, true);
         let what = format!("clif-parser ({policy})");
         assert_summaries_equal(&summary, &ref_summary, &what);
         assert_eq!(records, ref_records, "{what}: byte-identical to default");
@@ -883,54 +753,12 @@ fn clif_parser_policies_are_inert_on_concrete_addresses() {
 #[test]
 #[ignore = "heavy: run in release (CI runs with --include-ignored)"]
 fn uri_parser_policies_are_inert_on_concrete_addresses() {
-    let (ref_summary, ref_records) =
-        parallel_run_configured(&programs::URI_PARSER, 1, None, None, true);
+    let (ref_summary, ref_records) = parallel_run(&programs::URI_PARSER, 1, None);
     let policy = AddressPolicyKind::Symbolic { window: 64 };
-    let (summary, records, _) = policy_run(&programs::URI_PARSER, 4, policy, true, true);
+    let (summary, records, _) = policy_run(&programs::URI_PARSER, 4, policy, true);
     let what = format!("uri-parser ({policy})");
     assert_summaries_equal(&summary, &ref_summary, &what);
     assert_eq!(records, ref_records, "{what}: byte-identical to default");
-}
-
-#[test]
-fn clif_parser_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::CLIF_PARSER, 0x3e9c_0960_f754_8a40);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn bubble_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BUBBLE_SORT, 0x101e_8fb0_0d24_5a44);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn uri_parser_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::URI_PARSER, 0x2fc4_4984_13b1_3359);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn insertion_sort_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::INSERTION_SORT, 0x4a93_7802_9c3e_284a);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn base64_encode_cold_records_are_pinned() {
-    check_cold_records_pinned(&programs::BASE64_ENCODE, 0x985a_9e9b_7cc4_a0b9);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn base64_encode_warm_start_is_invisible_in_results() {
-    check_warm_start(&programs::BASE64_ENCODE, 300);
-}
-
-#[test]
-#[ignore = "heavy: run in release (CI runs with --include-ignored)"]
-fn insertion_sort_warm_start_is_invisible_in_results() {
-    check_warm_start(&programs::INSERTION_SORT, 300);
 }
 
 #[test]
